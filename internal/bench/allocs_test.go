@@ -3,6 +3,9 @@ package bench
 import (
 	"fmt"
 	"testing"
+
+	"hamster/internal/memsim"
+	"hamster/internal/pagestore"
 )
 
 // The allocation regression gates: the pooled hot paths must not allocate
@@ -104,6 +107,30 @@ func TestHorizonEvalZeroAlloc(t *testing.T) {
 	warm(op, 8)
 	if avg := testing.AllocsPerRun(50, op); avg != 0 {
 		t.Errorf("horizon evaluation allocates %.2f objects/op, want 0", avg)
+	}
+}
+
+// TestPageLookupZeroAlloc pins the two lookups every simulated word pays —
+// the home of its page and the frame holding its bytes — at zero heap
+// allocations once the page is resident.
+func TestPageLookupZeroAlloc(t *testing.T) {
+	skipUnderRace(t)
+	space := memsim.NewSpace(4)
+	r, err := space.Alloc(64*memsim.PageSize, "probe", memsim.Cyclic, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, first := pagestore.New(), memsim.PageOf(r.Base)
+	op := func() {
+		for p := first; p < first+64; p++ {
+			if space.Home(p) == memsim.NoHome || store.Frame(p) == nil {
+				t.Fatal("allocated page without home or frame")
+			}
+		}
+	}
+	warm(op, 1) // creates the frames
+	if avg := testing.AllocsPerRun(50, op); avg != 0 {
+		t.Errorf("resident-page Home+Frame allocates %.2f objects per 64 pages, want 0", avg)
 	}
 }
 

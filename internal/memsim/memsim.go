@@ -6,9 +6,9 @@
 // The address space is a flat range of byte addresses divided into 4 KiB
 // pages. A global allocator hands out page-tracked regions; a page table
 // maps every page to its home node according to the region's placement
-// policy. Actual storage lives in frame stores — one per node for substrates
-// with per-node copies (software DSM), or a single distributed store for
-// substrates with one authoritative copy (hybrid DSM, SMP).
+// policy. Actual storage lives in frame tables — one per node on the DSM
+// substrates (home frames), a single one for the SMP's one physical memory.
+// Frames and homes share one lookup structure, Table.
 //
 // Because the simulated MMU cannot raise page faults (Go hides signals),
 // substrates detect remote/invalid accesses by software checks on this
@@ -16,18 +16,18 @@
 // the detection point differs.
 //
 // Concurrency: the allocator and page table are shared by all node
-// goroutines and internally synchronized (the home map uses atomics on
-// the hot lookup path). The package is cost-free by design — it never
-// advances a virtual clock; substrates charge access costs themselves.
+// goroutines and internally synchronized (home and frame lookups are
+// atomic loads only; see Table). The package is cost-free by design — it
+// never advances a virtual clock; substrates charge access costs themselves.
 package memsim
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"hamster/internal/machine"
 )
@@ -149,11 +149,11 @@ type Space struct {
 	next    Addr
 	regions []Region
 	free    []Region // freed blocks, page-granular, sorted by Base
-	// homes is published copy-on-write: Home() is on the word-access hot
-	// path of every substrate, and even a reader lock there serializes
-	// the whole cluster's goroutines on one cache line. Mutators hold
-	// s.mu, clone the map, and swap the pointer; readers just load it.
-	homes atomic.Pointer[map[PageID]int]
+	// homes holds, per page, a pointer into ids (ids[i] == i); no entry
+	// means NoHome. Home() is on the word-access hot path of every
+	// substrate and only loads; the table serializes its own mutations.
+	homes Table[int]
+	ids   []int
 }
 
 // NewSpace creates an address space for a cluster of n nodes. Address 0 is
@@ -163,22 +163,11 @@ func NewSpace(nodes int) *Space {
 	if nodes <= 0 {
 		panic("memsim: nodes must be positive")
 	}
-	s := &Space{nodes: nodes, next: PageSize}
-	m := make(map[PageID]int)
-	s.homes.Store(&m)
-	return s
-}
-
-// mutateHomesLocked clones the homes snapshot, applies fn, and publishes
-// the result. The caller must hold s.mu (for write).
-func (s *Space) mutateHomesLocked(fn func(map[PageID]int)) {
-	old := *s.homes.Load()
-	m := make(map[PageID]int, len(old)+1)
-	for k, v := range old {
-		m[k] = v
+	s := &Space{nodes: nodes, next: PageSize, ids: make([]int, nodes)}
+	for i := range s.ids {
+		s.ids[i] = i
 	}
-	fn(m)
-	s.homes.Store(&m)
+	return s
 }
 
 // Nodes returns the cluster size the space was built for.
@@ -203,6 +192,9 @@ func (s *Space) Alloc(size uint64, name string, pol Policy, fixedNode int) (Regi
 	base, ok := s.takeFreeLocked(rounded)
 	if !ok {
 		base = s.next
+		if uint64(base)+rounded > MaxPages*PageSize {
+			return Region{}, fmt.Errorf("memsim: allocation %q of %d bytes exhausts the address space", name, size)
+		}
 		s.next += Addr(rounded)
 	}
 	r := Region{Base: base, Size: rounded, Name: name, Policy: pol, FixedNode: fixedNode}
@@ -229,47 +221,33 @@ func (s *Space) takeFreeLocked(size uint64) (Addr, bool) {
 
 func (s *Space) assignHomesLocked(r Region) {
 	pages := PagesSpanned(r.Base, r.Size)
-	s.mutateHomesLocked(func(homes map[PageID]int) {
+	per := (len(pages) + s.nodes - 1) / s.nodes
+	for i, p := range pages {
 		switch r.Policy {
 		case Block:
-			per := (len(pages) + s.nodes - 1) / s.nodes
-			for i, p := range pages {
-				homes[p] = i / per
-			}
+			s.homes.Set(p, &s.ids[i/per])
 		case Cyclic:
-			for i, p := range pages {
-				homes[p] = i % s.nodes
-			}
+			s.homes.Set(p, &s.ids[i%s.nodes])
 		case Fixed:
-			for _, p := range pages {
-				homes[p] = r.FixedNode
-			}
+			s.homes.Set(p, &s.ids[r.FixedNode])
 		case FirstTouch:
 			// Homes assigned lazily by TouchHome.
 		}
-	})
+	}
 }
 
 // Free returns a region's pages to the allocator and clears their homes.
 func (s *Space) Free(r Region) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	idx := -1
-	for i, reg := range s.regions {
-		if reg.Base == r.Base && reg.Size == r.Size {
-			idx = i
-			break
-		}
-	}
+	idx := slices.IndexFunc(s.regions, func(reg Region) bool { return reg.Base == r.Base && reg.Size == r.Size })
 	if idx < 0 {
 		return fmt.Errorf("memsim: Free of unknown region base=%d size=%d", r.Base, r.Size)
 	}
-	s.regions = append(s.regions[:idx], s.regions[idx+1:]...)
-	s.mutateHomesLocked(func(homes map[PageID]int) {
-		for _, p := range PagesSpanned(r.Base, r.Size) {
-			delete(homes, p)
-		}
-	})
+	s.regions = slices.Delete(s.regions, idx, idx+1)
+	for _, p := range PagesSpanned(r.Base, r.Size) {
+		s.homes.Drop(p)
+	}
 	s.free = append(s.free, Region{Base: r.Base, Size: r.Size})
 	sort.Slice(s.free, func(i, j int) bool { return s.free[i].Base < s.free[j].Base })
 	s.coalesceLocked()
@@ -291,8 +269,8 @@ func (s *Space) coalesceLocked() {
 // Home returns the home node of a page, or NoHome for untouched
 // first-touch pages and unallocated addresses.
 func (s *Space) Home(p PageID) int {
-	if h, ok := (*s.homes.Load())[p]; ok {
-		return h
+	if h := s.homes.Get(p); h != nil {
+		return *h
 	}
 	return NoHome
 }
@@ -301,21 +279,11 @@ func (s *Space) Home(p PageID) int {
 // returns the page's (possibly pre-existing) home. This implements
 // first-touch placement.
 func (s *Space) TouchHome(p PageID, node int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if h, ok := (*s.homes.Load())[p]; ok {
-		return h
-	}
-	s.mutateHomesLocked(func(homes map[PageID]int) { homes[p] = node })
-	return node
+	return *s.homes.GetOrCreate(p, func() *int { return &s.ids[node] })
 }
 
 // SetHome reassigns a page's home (home migration support).
-func (s *Space) SetHome(p PageID, node int) {
-	s.mu.Lock()
-	s.mutateHomesLocked(func(homes map[PageID]int) { homes[p] = node })
-	s.mu.Unlock()
-}
+func (s *Space) SetHome(p PageID, node int) { s.homes.Set(p, &s.ids[node]) }
 
 // RegionOf returns the region containing addr.
 func (s *Space) RegionOf(a Addr) (Region, bool) {
@@ -361,11 +329,9 @@ func (s *Space) Snapshot() SpaceSnapshot {
 		Next:    s.next,
 		Regions: append([]Region(nil), s.regions...),
 		Free:    append([]Region(nil), s.free...),
-		Homes:   make(map[PageID]int, len(*s.homes.Load())),
+		Homes:   make(map[PageID]int),
 	}
-	for p, h := range *s.homes.Load() {
-		sn.Homes[p] = h
-	}
+	s.homes.Range(func(p PageID, h *int) { sn.Homes[p] = *h })
 	return sn
 }
 
@@ -381,11 +347,10 @@ func (s *Space) Restore(sn SpaceSnapshot) error {
 	s.next = sn.Next
 	s.regions = append(s.regions[:0], sn.Regions...)
 	s.free = append(s.free[:0], sn.Free...)
-	m := make(map[PageID]int, len(sn.Homes))
+	s.homes.Range(func(p PageID, _ *int) { s.homes.Drop(p) })
 	for p, h := range sn.Homes {
-		m[p] = h
+		s.homes.Set(p, &s.ids[h])
 	}
-	s.homes.Store(&m)
 	return nil
 }
 
@@ -398,59 +363,6 @@ func (s *Space) Allocated() uint64 {
 		total += r.Size
 	}
 	return total
-}
-
-// FrameStore holds page frames (the actual bytes). One store models one
-// node's physical memory; frames are allocated zeroed on first use, like
-// anonymous mmap.
-type FrameStore struct {
-	mu     sync.RWMutex
-	frames map[PageID][]byte
-}
-
-// NewFrameStore returns an empty store.
-func NewFrameStore() *FrameStore {
-	return &FrameStore{frames: make(map[PageID][]byte)}
-}
-
-// Frame returns the frame for page p, allocating a zeroed one if needed.
-func (f *FrameStore) Frame(p PageID) []byte {
-	f.mu.RLock()
-	fr, ok := f.frames[p]
-	f.mu.RUnlock()
-	if ok {
-		return fr
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if fr, ok = f.frames[p]; ok {
-		return fr
-	}
-	fr = make([]byte, PageSize)
-	f.frames[p] = fr
-	return fr
-}
-
-// Peek returns the frame if present without allocating.
-func (f *FrameStore) Peek(p PageID) ([]byte, bool) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	fr, ok := f.frames[p]
-	return fr, ok
-}
-
-// Drop discards the frame for page p.
-func (f *FrameStore) Drop(p PageID) {
-	f.mu.Lock()
-	delete(f.frames, p)
-	f.mu.Unlock()
-}
-
-// Len reports how many frames are resident.
-func (f *FrameStore) Len() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return len(f.frames)
 }
 
 // GetF64 reads a float64 at byte offset off in a frame.

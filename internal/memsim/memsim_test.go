@@ -242,34 +242,6 @@ func TestHomesAlwaysValidProperty(t *testing.T) {
 	}
 }
 
-func TestFrameStore(t *testing.T) {
-	fs := NewFrameStore()
-	if _, ok := fs.Peek(5); ok {
-		t.Fatal("Peek must miss before Frame")
-	}
-	fr := fs.Frame(5)
-	if len(fr) != PageSize {
-		t.Fatalf("frame len = %d", len(fr))
-	}
-	for _, b := range fr {
-		if b != 0 {
-			t.Fatal("frame must be zeroed")
-		}
-	}
-	fr[0] = 42
-	again := fs.Frame(5)
-	if again[0] != 42 {
-		t.Fatal("Frame must return the same storage")
-	}
-	if fs.Len() != 1 {
-		t.Fatalf("Len = %d", fs.Len())
-	}
-	fs.Drop(5)
-	if fs.Len() != 0 {
-		t.Fatal("Drop failed")
-	}
-}
-
 func TestWordCodecs(t *testing.T) {
 	fr := make([]byte, 64)
 	PutF64(fr, 8, 2.718281828)

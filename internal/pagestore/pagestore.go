@@ -8,7 +8,6 @@
 package pagestore
 
 import (
-	"sort"
 	"sync"
 
 	"hamster/internal/memsim"
@@ -21,52 +20,29 @@ type Frame struct {
 	Data []byte
 }
 
-// Store maps pages to frames, allocating zeroed frames lazily.
+// Store maps pages to frames, allocating zeroed frames lazily. Lookups are
+// memsim.Table's atomic loads; any goroutine may create a frame (first
+// touch) and only home migration drops one.
 type Store struct {
-	mu     sync.RWMutex
-	frames map[memsim.PageID]*Frame
+	frames memsim.Table[Frame]
 }
 
 // New returns an empty store.
-func New() *Store {
-	return &Store{frames: make(map[memsim.PageID]*Frame)}
-}
+func New() *Store { return &Store{} }
+
+func newFrame() *Frame { return &Frame{Data: make([]byte, memsim.PageSize)} }
 
 // Frame returns the frame for page p, creating it zeroed if absent.
-func (s *Store) Frame(p memsim.PageID) *Frame {
-	s.mu.RLock()
-	f, ok := s.frames[p]
-	s.mu.RUnlock()
-	if ok {
-		return f
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if f, ok = s.frames[p]; ok {
-		return f
-	}
-	f = &Frame{Data: make([]byte, memsim.PageSize)}
-	s.frames[p] = f
-	return f
-}
+func (s *Store) Frame(p memsim.PageID) *Frame { return s.frames.GetOrCreate(p, newFrame) }
 
 // Len reports how many frames are resident.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.frames)
-}
+func (s *Store) Len() int { return len(s.Pages()) }
 
 // Pages returns the resident page ids in ascending order. Checkpoint
 // capture walks this list so snapshots are position-deterministic.
 func (s *Store) Pages() []memsim.PageID {
-	s.mu.RLock()
-	out := make([]memsim.PageID, 0, len(s.frames))
-	for p := range s.frames {
-		out = append(out, p)
-	}
-	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	var out []memsim.PageID
+	s.frames.Range(func(p memsim.PageID, _ *Frame) { out = append(out, p) })
 	return out
 }
 
@@ -77,10 +53,8 @@ func (s *Store) Pages() []memsim.PageID {
 // before or entirely after any concurrent protocol write — the property
 // the checkpoint capture path depends on.
 func (s *Store) CopyFrame(p memsim.PageID, dst []byte) bool {
-	s.mu.RLock()
-	f, ok := s.frames[p]
-	s.mu.RUnlock()
-	if !ok {
+	f := s.frames.Get(p)
+	if f == nil {
 		return false
 	}
 	f.Mu.Lock()
@@ -92,12 +66,8 @@ func (s *Store) CopyFrame(p memsim.PageID, dst []byte) bool {
 // Drop removes a page's frame (home migration gives up the authoritative
 // copy). Returns the dropped frame's data, or nil if absent.
 func (s *Store) Drop(p memsim.PageID) []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, ok := s.frames[p]
-	if !ok {
-		return nil
+	if f := s.frames.Drop(p); f != nil {
+		return f.Data
 	}
-	delete(s.frames, p)
-	return f.Data
+	return nil
 }

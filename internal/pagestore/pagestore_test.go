@@ -67,6 +67,57 @@ func TestDrop(t *testing.T) {
 	}
 }
 
+// TestDropThenFrameIsFresh: a migrated-away page that comes back gets a new
+// zeroed frame, not the dropped one, and Len stays exact throughout.
+func TestDropThenFrameIsFresh(t *testing.T) {
+	s := New()
+	old := s.Frame(9)
+	old.Data[0] = 7
+	s.Drop(9)
+	fresh := s.Frame(9)
+	if fresh == old || fresh.Data[0] != 0 || s.Len() != 1 {
+		t.Fatalf("Frame after Drop: same=%v byte0=%d Len=%d", fresh == old, fresh.Data[0], s.Len())
+	}
+}
+
+// TestPagesAscending creates frames out of order on both sides of the
+// table's 512-page chunk boundaries: checkpoint capture depends on Pages
+// coming out sorted.
+func TestPagesAscending(t *testing.T) {
+	s := New()
+	for _, p := range []memsim.PageID{1537, 512, 0, 511, 1536, 513, 4} {
+		s.Frame(p)
+	}
+	s.Drop(4)
+	want := []memsim.PageID{0, 511, 512, 513, 1536, 1537}
+	got := s.Pages()
+	if len(got) != len(want) {
+		t.Fatalf("Pages = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Pages = %v, want %v", got, want)
+		}
+	}
+}
+
+// BenchmarkFrameLookupParallel is the contention figure the single-goroutine
+// ladder rung (pagestore.frame_ns) cannot give: every goroutine looks up
+// resident frames of one store, as node goroutines do on every simulated
+// word. Run with -cpu 1,2; a lookup that writes shared state slows down at
+// -cpu 2, one that only loads speeds up.
+func BenchmarkFrameLookupParallel(b *testing.B) {
+	s := New()
+	for p := memsim.PageID(0); p < 64; p++ {
+		s.Frame(p)
+	}
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			s.Frame(memsim.PageID(i % 64))
+		}
+	})
+}
+
 // TestSnapshotWhileMutating proves the property checkpoint capture relies
 // on: CopyFrame taken concurrently with frame mutations observes each
 // frame either entirely before or entirely after a write, never a torn

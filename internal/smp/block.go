@@ -31,7 +31,7 @@ func (s *SMP) ReadF64Block(id int, a memsim.Addr, dst []float64) {
 	memsim.WordRuns(a, len(dst), func(p memsim.PageID, off, count int) {
 		c.stats.Reads += uint64(count)
 		s.touchRun(c, id, p, count)
-		memsim.GetF64Slice(s.mem.Frame(p), off, dst[:count])
+		memsim.GetF64Slice(s.frame(p), off, dst[:count])
 		dst = dst[count:]
 	})
 }
@@ -43,7 +43,7 @@ func (s *SMP) WriteF64Block(id int, a memsim.Addr, src []float64) {
 	memsim.WordRuns(a, len(src), func(p memsim.PageID, off, count int) {
 		c.stats.Writes += uint64(count)
 		s.touchRun(c, id, p, count)
-		memsim.PutF64Slice(s.mem.Frame(p), off, src[:count])
+		memsim.PutF64Slice(s.frame(p), off, src[:count])
 		src = src[count:]
 	})
 }
@@ -55,7 +55,7 @@ func (s *SMP) ReadI64Block(id int, a memsim.Addr, dst []int64) {
 	memsim.WordRuns(a, len(dst), func(p memsim.PageID, off, count int) {
 		c.stats.Reads += uint64(count)
 		s.touchRun(c, id, p, count)
-		memsim.GetI64Slice(s.mem.Frame(p), off, dst[:count])
+		memsim.GetI64Slice(s.frame(p), off, dst[:count])
 		dst = dst[count:]
 	})
 }
@@ -67,7 +67,7 @@ func (s *SMP) WriteI64Block(id int, a memsim.Addr, src []int64) {
 	memsim.WordRuns(a, len(src), func(p memsim.PageID, off, count int) {
 		c.stats.Writes += uint64(count)
 		s.touchRun(c, id, p, count)
-		memsim.PutI64Slice(s.mem.Frame(p), off, src[:count])
+		memsim.PutI64Slice(s.frame(p), off, src[:count])
 		src = src[count:]
 	})
 }

@@ -38,7 +38,7 @@ type SMP struct {
 	params machine.Params
 	space  *memsim.Space
 	clocks []*vclock.Clock
-	mem    *memsim.FrameStore
+	mem    memsim.Table[[memsim.PageSize]byte] // the one physical memory
 	cpus   []*cpu
 	dram   vclock.Duration // contention-scaled DRAM cost, fixed per config
 
@@ -68,7 +68,6 @@ func New(cfg Config) (*SMP, error) {
 		params: params,
 		space:  memsim.NewSpace(cfg.CPUs),
 		clocks: make([]*vclock.Clock, cfg.CPUs),
-		mem:    memsim.NewFrameStore(),
 		cpus:   make([]*cpu, cfg.CPUs),
 		dram:   params.Bus.EffectiveDRAM(cfg.CPUs),
 		vb:     vclock.NewVBarrier(cfg.CPUs),
@@ -139,6 +138,11 @@ func (s *SMP) cpuOf(id int) *cpu {
 	return s.cpus[id]
 }
 
+func newFrame() *[memsim.PageSize]byte { return new([memsim.PageSize]byte) }
+
+// frame returns page p's bytes, zeroed on first use like anonymous mmap.
+func (s *SMP) frame(p memsim.PageID) []byte { return s.mem.GetOrCreate(p, newFrame)[:] }
+
 // touch runs the cache model for one access: the shared direct-mapped
 // page-cache model (machine.PageCache); a miss pays the contention-scaled
 // DRAM cost — the same model DSM nodes use, except their buses are
@@ -158,7 +162,7 @@ func (s *SMP) ReadF64(id int, a memsim.Addr) float64 {
 	c := s.cpuOf(id)
 	c.stats.Reads++
 	s.touch(c, id, memsim.PageOf(a))
-	return memsim.GetF64(s.mem.Frame(memsim.PageOf(a)), memsim.Offset(a))
+	return memsim.GetF64(s.frame(memsim.PageOf(a)), memsim.Offset(a))
 }
 
 // WriteF64 implements platform.Substrate.
@@ -166,7 +170,7 @@ func (s *SMP) WriteF64(id int, a memsim.Addr, v float64) {
 	c := s.cpuOf(id)
 	c.stats.Writes++
 	s.touch(c, id, memsim.PageOf(a))
-	memsim.PutF64(s.mem.Frame(memsim.PageOf(a)), memsim.Offset(a), v)
+	memsim.PutF64(s.frame(memsim.PageOf(a)), memsim.Offset(a), v)
 }
 
 // ReadI64 implements platform.Substrate.
@@ -174,7 +178,7 @@ func (s *SMP) ReadI64(id int, a memsim.Addr) int64 {
 	c := s.cpuOf(id)
 	c.stats.Reads++
 	s.touch(c, id, memsim.PageOf(a))
-	return memsim.GetI64(s.mem.Frame(memsim.PageOf(a)), memsim.Offset(a))
+	return memsim.GetI64(s.frame(memsim.PageOf(a)), memsim.Offset(a))
 }
 
 // WriteI64 implements platform.Substrate.
@@ -182,43 +186,34 @@ func (s *SMP) WriteI64(id int, a memsim.Addr, v int64) {
 	c := s.cpuOf(id)
 	c.stats.Writes++
 	s.touch(c, id, memsim.PageOf(a))
-	memsim.PutI64(s.mem.Frame(memsim.PageOf(a)), memsim.Offset(a), v)
+	memsim.PutI64(s.frame(memsim.PageOf(a)), memsim.Offset(a), v)
 }
 
 // ReadBytes implements platform.Substrate.
-func (s *SMP) ReadBytes(id int, a memsim.Addr, buf []byte) {
-	c := s.cpuOf(id)
-	for len(buf) > 0 {
-		p := memsim.PageOf(a)
-		off := memsim.Offset(a)
-		chunk := memsim.PageSize - off
-		if chunk > len(buf) {
-			chunk = len(buf)
-		}
-		c.stats.Reads++
-		s.touch(c, id, p)
-		s.clocks[id].AdvanceCat(vclock.CatMemory, s.params.CPU.AccessNs*vclock.Duration(chunk/memsim.WordSize))
-		copy(buf[:chunk], s.mem.Frame(p)[off:off+chunk])
-		buf = buf[chunk:]
-		a += memsim.Addr(chunk)
-	}
-}
+func (s *SMP) ReadBytes(id int, a memsim.Addr, buf []byte) { s.copyBytes(id, a, buf, false) }
 
 // WriteBytes implements platform.Substrate.
-func (s *SMP) WriteBytes(id int, a memsim.Addr, data []byte) {
+func (s *SMP) WriteBytes(id int, a memsim.Addr, data []byte) { s.copyBytes(id, a, data, true) }
+
+// copyBytes moves len(buf) bytes between buf and the memory at a, one page
+// run at a time: each run is one counted access, one cache-model touch
+// and a per-word charge.
+func (s *SMP) copyBytes(id int, a memsim.Addr, buf []byte, write bool) {
 	c := s.cpuOf(id)
-	for len(data) > 0 {
-		p := memsim.PageOf(a)
-		off := memsim.Offset(a)
-		chunk := memsim.PageSize - off
-		if chunk > len(data) {
-			chunk = len(data)
-		}
-		c.stats.Writes++
+	for len(buf) > 0 {
+		p, off := memsim.PageOf(a), memsim.Offset(a)
+		chunk := min(memsim.PageSize-off, len(buf))
 		s.touch(c, id, p)
 		s.clocks[id].AdvanceCat(vclock.CatMemory, s.params.CPU.AccessNs*vclock.Duration(chunk/memsim.WordSize))
-		copy(s.mem.Frame(p)[off:off+chunk], data[:chunk])
-		data = data[chunk:]
+		mem := s.frame(p)[off : off+chunk]
+		if write {
+			c.stats.Writes++
+			copy(mem, buf[:chunk])
+		} else {
+			c.stats.Reads++
+			copy(buf[:chunk], mem)
+		}
+		buf = buf[chunk:]
 		a += memsim.Addr(chunk)
 	}
 }

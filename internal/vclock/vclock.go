@@ -167,6 +167,11 @@ func (d Duration) Micros() float64 { return float64(d) / 1e3 }
 // node (thread programming models forward calls between nodes) may charge
 // the same clock: their Advance calls accumulate, which is exactly the
 // behavior of work serializing on one CPU.
+//
+// A clock fills whole 128-byte lines (two 64-byte lines, which the
+// adjacent-line prefetcher moves together): a cluster's clocks are
+// allocated back to back and every simulated word writes its node's, so
+// two nodes' clocks in one line would bounce it between their cores.
 type Clock struct {
 	local  atomic.Uint64 // accumulated execution charges
 	stolen atomic.Uint64 // asynchronous protocol-handler charges
@@ -176,6 +181,8 @@ type Clock struct {
 	// quiescence sum(cats) == local exactly. The buckets never feed back
 	// into Now(): attribution cannot perturb the cost model.
 	cats [localCategories]atomic.Uint64
+
+	_ [128 - (2+localCategories)*8]byte
 }
 
 // Now returns the node's current virtual time, including stolen cycles.

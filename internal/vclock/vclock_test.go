@@ -2,9 +2,11 @@ package vclock
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestClockAdvance(t *testing.T) {
@@ -317,6 +319,30 @@ func BenchmarkClockAdvance(b *testing.B) {
 	var c Clock
 	for i := 0; i < b.N; i++ {
 		c.Advance(1)
+	}
+}
+
+// BenchmarkClockAdvanceAdjacent charges neighbouring clocks of one slice
+// from different goroutines, as node goroutines do on every simulated
+// word. Run with -cpu 1,2: when neighbours share a cache line the -cpu 2
+// figure is worse than the -cpu 1 figure instead of half of it.
+func BenchmarkClockAdvanceAdjacent(b *testing.B) {
+	clocks := make([]Clock, 8)
+	var next atomic.Int32
+	b.RunParallel(func(pb *testing.PB) {
+		c := &clocks[int(next.Add(1))%len(clocks)]
+		for pb.Next() {
+			c.AdvanceCat(CatMemory, 1)
+		}
+	})
+}
+
+// TestClockFillsWholeLines: clocks are allocated back to back (one per
+// node), and every simulated word writes one; a clock that is not a whole
+// number of 128-byte lines shares its last line with the next node's.
+func TestClockFillsWholeLines(t *testing.T) {
+	if sz := unsafe.Sizeof(Clock{}); sz%128 != 0 {
+		t.Fatalf("sizeof(Clock) = %d, want a multiple of 128", sz)
 	}
 }
 

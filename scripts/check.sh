@@ -102,4 +102,15 @@ go test -run 'ZeroAlloc' ./internal/bench/
 # unmistakable).
 go test -race -run 'TestPooledBufferAliasing' ./internal/swdsm/
 
+# The page table under every frame and home lookup reads with atomic
+# loads only; its creation, drop and top-level-growth paths must stay
+# coherent with spinning readers under the race detector.
+go test -race -run 'TestTable' ./internal/memsim/
+go test -race -run 'TestConcurrentFrameCreation|TestDropThenFrameIsFresh|TestPagesAscending' ./internal/pagestore/
+
+# Benchmark smoke test: benchmark/ is a module of its own, so the root
+# ./... patterns never reach it (≈4 s at smoke sizes; checks every cell
+# against benchmark/reference.json).
+go test -C benchmark ./...
+
 go test -race ./...
