@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"testing"
 
+	"hamster/internal/ivy"
 	"hamster/internal/memsim"
 	"hamster/internal/pagestore"
+	"hamster/internal/platform"
+	"hamster/internal/swdsm"
 )
 
 // The allocation regression gates: the pooled hot paths must not allocate
@@ -148,6 +151,51 @@ func BenchmarkPageFetch(b *testing.B) {
 		op()
 	}
 }
+
+// BenchmarkStridedRead walks one word per page down 72 consecutive pages
+// (MatMult's B column) from node 1 of a 4-node cluster, pages dealt
+// round-robin so the walk mixes home and cached frames. Every page is
+// resident after the first pass, so an op is 72 accessor fast paths: a
+// window too narrow for the walk, or a read path that takes a lock again,
+// shows up here in ns/op (and any garbage in allocs/op, want 0).
+func BenchmarkStridedRead(b *testing.B) {
+	const pages, nodes = 72, 4
+	engines := []struct {
+		name string
+		boot func() (platform.Substrate, error)
+	}{
+		{"scope", func() (platform.Substrate, error) { return swdsm.New(swdsm.Config{Nodes: nodes}) }},
+		{"ivy", func() (platform.Substrate, error) { return ivy.New(ivy.Config{Nodes: nodes}) }},
+	}
+	for _, e := range engines {
+		b.Run(e.name, func(b *testing.B) {
+			d, err := e.boot()
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer d.Close()
+			r, err := d.Alloc(pages*memsim.PageSize, "column", memsim.Cyclic, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var sum float64
+			op := func() {
+				for i := 0; i < pages; i++ {
+					sum += d.ReadF64(1, r.Base+memsim.Addr(i*memsim.PageSize))
+				}
+			}
+			warm(op, 1) // faults every page in
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+			stridedSink = sum
+		})
+	}
+}
+
+var stridedSink float64
 
 func BenchmarkMessageSend(b *testing.B) {
 	op, close := messageSendProbe()

@@ -1,9 +1,6 @@
 package ivy
 
-import (
-	"hamster/internal/memsim"
-	"hamster/internal/vclock"
-)
+import "hamster/internal/memsim"
 
 // Block accessors: the bulk fast path of platform.Substrate, with the
 // same cost identity as the scope engine's (see swdsm/block.go): a run
@@ -17,20 +14,9 @@ import (
 // ReadF64Block implements platform.Substrate.
 func (d *DSM) ReadF64Block(nodeID int, a memsim.Addr, dst []float64) {
 	n := d.access(nodeID)
-	n.mu.Lock()
 	n.stats.BlockReads++
-	n.mu.Unlock()
-	clk := d.clocks[nodeID]
 	memsim.WordRuns(a, len(dst), func(p memsim.PageID, off, count int) {
-		clk.AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs*vclock.Duration(count))
-		miss := n.touchLocal(p)
-		e := n.readableFrame(p)
-		memsim.GetF64Slice(e.data, off, dst[:count])
-		n.stats.Reads += uint64(count)
-		if miss {
-			n.stats.CacheMisses++
-		}
-		n.mu.Unlock()
+		memsim.GetF64Slice(n.readPage(p, count, count), off, dst[:count])
 		dst = dst[count:]
 	})
 }
@@ -38,19 +24,10 @@ func (d *DSM) ReadF64Block(nodeID int, a memsim.Addr, dst []float64) {
 // WriteF64Block implements platform.Substrate.
 func (d *DSM) WriteF64Block(nodeID int, a memsim.Addr, src []float64) {
 	n := d.access(nodeID)
-	n.mu.Lock()
 	n.stats.BlockWrites++
-	n.mu.Unlock()
-	clk := d.clocks[nodeID]
 	memsim.WordRuns(a, len(src), func(p memsim.PageID, off, count int) {
-		clk.AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs*vclock.Duration(count))
-		miss := n.touchLocal(p)
-		e := n.writableFrame(p)
+		e := n.writePage(p, count, count)
 		memsim.PutF64Slice(e.data, off, src[:count])
-		n.stats.Writes += uint64(count)
-		if miss {
-			n.stats.CacheMisses++
-		}
 		n.mu.Unlock()
 		src = src[count:]
 	})
@@ -59,20 +36,9 @@ func (d *DSM) WriteF64Block(nodeID int, a memsim.Addr, src []float64) {
 // ReadI64Block implements platform.Substrate.
 func (d *DSM) ReadI64Block(nodeID int, a memsim.Addr, dst []int64) {
 	n := d.access(nodeID)
-	n.mu.Lock()
 	n.stats.BlockReads++
-	n.mu.Unlock()
-	clk := d.clocks[nodeID]
 	memsim.WordRuns(a, len(dst), func(p memsim.PageID, off, count int) {
-		clk.AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs*vclock.Duration(count))
-		miss := n.touchLocal(p)
-		e := n.readableFrame(p)
-		memsim.GetI64Slice(e.data, off, dst[:count])
-		n.stats.Reads += uint64(count)
-		if miss {
-			n.stats.CacheMisses++
-		}
-		n.mu.Unlock()
+		memsim.GetI64Slice(n.readPage(p, count, count), off, dst[:count])
 		dst = dst[count:]
 	})
 }
@@ -80,19 +46,10 @@ func (d *DSM) ReadI64Block(nodeID int, a memsim.Addr, dst []int64) {
 // WriteI64Block implements platform.Substrate.
 func (d *DSM) WriteI64Block(nodeID int, a memsim.Addr, src []int64) {
 	n := d.access(nodeID)
-	n.mu.Lock()
 	n.stats.BlockWrites++
-	n.mu.Unlock()
-	clk := d.clocks[nodeID]
 	memsim.WordRuns(a, len(src), func(p memsim.PageID, off, count int) {
-		clk.AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs*vclock.Duration(count))
-		miss := n.touchLocal(p)
-		e := n.writableFrame(p)
+		e := n.writePage(p, count, count)
 		memsim.PutI64Slice(e.data, off, src[:count])
-		n.stats.Writes += uint64(count)
-		if miss {
-			n.stats.CacheMisses++
-		}
 		n.mu.Unlock()
 		src = src[count:]
 	})

@@ -24,7 +24,22 @@
 // installs set a pending flag instead, and handlers wait on the node's
 // condition variable until the invalidation round completes, so requests
 // observe either the pre-transfer or post-transfer state, never the
-// middle. Ownership chase lengths under contention depend on goroutine
+// middle.
+//
+// Reads take no lock. A page buffer is written only by its current
+// owner's own goroutine: a read copy is a fresh reply buffer nobody writes
+// again, a grant copies the page out and forgets the buffer, an
+// invalidation forgets it. So each node keeps a window of the buffers it
+// may read (owner goroutine only) and an atomic revoke epoch that every
+// handler bumps, under the node's mutex, when it takes read permission
+// away. A read whose window entry still carries the current epoch loads
+// its word from the buffer; it linearizes at the epoch load — a writer
+// performs only after its synchronous invalidation bumped the epoch, so a
+// read that saw the old epoch is ordered before that write, and one that
+// sees the new epoch misses and faults. Writes, faults and handlers take
+// the mutex.
+//
+// Ownership chase lengths under contention depend on goroutine
 // scheduling, so message counts and virtual times of contended runs are
 // schedule-dependent; checksums are not (the protocol is coherent under
 // every schedule).
@@ -35,6 +50,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"hamster/internal/amsg"
 	"hamster/internal/consengine"
@@ -78,7 +94,8 @@ type Config struct {
 	Topology simnet.Topology
 }
 
-// pstate is the coherence state of a page at one node.
+// pstate is the coherence state of a page at one node. The values are
+// ordered by the permission they grant (selfFault compares them).
 type pstate uint8
 
 const (
@@ -93,8 +110,10 @@ const (
 
 // ipage is one page's local protocol state. Guarded by the node's mutex.
 type ipage struct {
-	state   pstate
-	data    []byte           // pRead, pOwned
+	state pstate
+	// data is the page buffer (pRead, pOwned). Its bytes are written only
+	// by this node's own goroutine while it owns the page.
+	data    []byte
 	copyset map[int]struct{} // pOwned
 	hint    int              // pHint, pRead: probable owner (-1 = use home)
 	// pending is true while the owner runs its synchronous invalidation
@@ -134,16 +153,26 @@ type DSM struct {
 type node struct {
 	id  int
 	dsm *DSM
-	// pcache models this node's CPU cache for local references. Owner
-	// goroutine only.
-	pcache *machine.PageCache
 
-	// mu guards pages and stats: protocol handlers run on other
+	// Owner-goroutine state, never locked: the CPU-cache model for local
+	// references, the read window (page buffers this node may read, valid
+	// while stored under the current revoke epoch), and every counter
+	// except invalidations.
+	pcache *machine.PageCache
+	window memsim.Window[[]byte]
+	stats  platform.Stats
+
+	// revoke counts the times a handler took read permission for some page
+	// away from this node (invalidation, ownership grant). Bumped only
+	// under mu; the owner goroutine loads it without.
+	revoke atomic.Uint64
+
+	// mu guards pages and invalidations: protocol handlers run on other
 	// goroutines against this state. cond signals pending-flag clears.
-	mu    sync.Mutex
-	cond  *sync.Cond
-	pages map[memsim.PageID]*ipage
-	stats platform.Stats
+	mu            sync.Mutex
+	cond          *sync.Cond
+	pages         map[memsim.PageID]*ipage
+	invalidations uint64
 }
 
 // New builds an IVY cluster.
@@ -300,6 +329,7 @@ func (d *DSM) registerHandlers(n *node) {
 				e.copyset = nil
 				e.hint = int(from)
 				e.gen++
+				n.revoke.Add(1)
 				return out, d.params.CPU.PageCopyNs
 			}
 			n.cond.Wait()
@@ -315,14 +345,22 @@ func (d *DSM) registerHandlers(n *node) {
 			panic(fmt.Sprintf("ivy: node %d received invalidation for page %d it owns (from %d)", n.id, p, from))
 		}
 		if e.state == pRead {
-			e.data = nil
-			n.stats.Invalidations++
+			n.dropReadCopy(e)
 		}
-		e.state = pHint
 		e.hint = owner
 		e.gen++
 		return nil, 0
 	})
+}
+
+// dropReadCopy takes a read copy away: the entry keeps only its hint and
+// the revoke epoch moves on, so the owner goroutine's window stops
+// serving the buffer. Call with n.mu held.
+func (n *node) dropReadCopy(e *ipage) {
+	e.state = pHint
+	e.data = nil
+	n.revoke.Add(1)
+	n.invalidations++
 }
 
 // hintLocked computes the best probable-owner hint this node can give for
@@ -365,6 +403,24 @@ func pageReq(enc *amsg.Enc, p memsim.PageID) []byte {
 	return enc.U64(uint64(p)).Bytes()
 }
 
+// selfFault resolves a fault whose next hop is the faulting node itself:
+// this node is the page's home and holds no hint elsewhere. An untouched
+// page makes it the initial owner. An existing entry means a handler
+// bootstrapped the page between the accessor's check and this fault; the
+// fault is over when that entry already grants the wanted permission
+// (pRead: any copy, pOwned: ownership) — nextHop would name this node
+// again forever — and is retried along the entry's new hint otherwise.
+func (n *node) selfFault(p memsim.PageID, want pstate) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	e := n.pages[p]
+	if e == nil {
+		n.bootstrapOwned(p)
+		return true
+	}
+	return e.state >= want
+}
+
 // readFault chases the hint chain to the owner and installs a read copy.
 func (n *node) readFault(p memsim.PageID) {
 	d := n.dsm
@@ -373,20 +429,15 @@ func (n *node) readFault(p memsim.PageID) {
 	for {
 		target := n.nextHop(p)
 		if target == n.id {
-			// We are the home of an untouched page: become initial owner.
-			n.mu.Lock()
-			if n.pages[p] == nil {
-				n.bootstrapOwned(p)
-				n.mu.Unlock()
+			if n.selfFault(p, pRead) {
 				return
 			}
-			n.mu.Unlock()
-			continue // a handler bootstrapped (and maybe granted) meanwhile
+			continue // a handler granted the page away meanwhile
 		}
 		n.mu.Lock()
 		gen := n.entry(p).gen
-		n.stats.ProtocolMsgs++
 		n.mu.Unlock()
+		n.stats.ProtocolMsgs++
 		enc := amsg.GetEnc()
 		resp, err := d.layer.CallErr(simnet.NodeID(n.id), simnet.NodeID(target), kindReadPage, pageReq(enc, p))
 		enc.Free()
@@ -415,8 +466,9 @@ func (n *node) readFault(p memsim.PageID) {
 		e.state = pRead
 		e.data = resp[1:]
 		e.hint = target
-		n.stats.PageFaults++
+		n.window.Put(p, n.revoke.Load(), e.data)
 		n.mu.Unlock()
+		n.stats.PageFaults++
 		if rec := d.rec; rec != nil && rec.Enabled() {
 			rec.Record(n.id, perfmon.EvPageFault, t0, vclock.Since(t0, clk.Now()), uint64(p), uint64(target))
 		}
@@ -433,18 +485,12 @@ func (n *node) writeFault(p memsim.PageID) {
 	for {
 		target := n.nextHop(p)
 		if target == n.id {
-			n.mu.Lock()
-			if n.pages[p] == nil {
-				n.bootstrapOwned(p)
-				n.mu.Unlock()
+			if n.selfFault(p, pOwned) {
 				return
 			}
-			n.mu.Unlock()
 			continue
 		}
-		n.mu.Lock()
 		n.stats.ProtocolMsgs++
-		n.mu.Unlock()
 		enc := amsg.GetEnc()
 		resp, err := d.layer.CallErr(simnet.NodeID(n.id), simnet.NodeID(target), kindWritePage, pageReq(enc, p))
 		enc.Free()
@@ -475,9 +521,10 @@ func (n *node) writeFault(p memsim.PageID) {
 		e.copyset = make(map[int]struct{})
 		e.hint = -1
 		e.pending = len(members) > 0
+		n.window.Put(p, n.revoke.Load(), e.data)
+		n.mu.Unlock()
 		n.stats.PageFaults++
 		n.stats.HomeMigrations++ // ownership arrivals
-		n.mu.Unlock()
 		if rec := d.rec; rec != nil && rec.Enabled() {
 			rec.Record(n.id, perfmon.EvHomeMigrate, t0, vclock.Since(t0, clk.Now()), uint64(p), uint64(target))
 		}
@@ -502,9 +549,7 @@ func (n *node) invalidateMembers(p memsim.PageID, members []int) {
 	for _, m := range members {
 		enc := amsg.GetEnc()
 		req := enc.U64(uint64(p)).U64(uint64(n.id)).Bytes()
-		n.mu.Lock()
 		n.stats.ProtocolMsgs++
-		n.mu.Unlock()
 		if _, err := d.layer.CallErr(simnet.NodeID(n.id), simnet.NodeID(m), kindInvalidate, req); err != nil {
 			panic(fmt.Sprintf("ivy: node %d cannot invalidate page %d at node %d (a stale copy would survive): %v", n.id, p, m, err))
 		}
@@ -515,14 +560,29 @@ func (n *node) invalidateMembers(p memsim.PageID, members []int) {
 	}
 }
 
-// readableFrame returns the page entry with a valid local copy, n.mu
-// HELD; the caller reads and unlocks.
-func (n *node) readableFrame(p memsim.PageID) *ipage {
+// readPage performs the bookkeeping of one read of page p — the access
+// charge for costWords words, the CPU-cache touch, reads counted — and
+// returns the page's bytes, valid for the caller's immediate loads.
+func (n *node) readPage(p memsim.PageID, costWords, reads int) []byte {
+	n.dsm.clocks[n.id].AdvanceCat(vclock.CatMemory, n.dsm.params.CPU.AccessNs*vclock.Duration(costWords))
+	n.touchLocal(p)
+	n.stats.Reads += uint64(reads)
+	if buf := n.window.Get(p, n.revoke.Load()); buf != nil {
+		return *buf
+	}
+	return n.readableFrame(p)
+}
+
+// readableFrame is readPage's window miss: it finds (faulting as needed)
+// the valid local copy under n.mu and leaves it in the window.
+func (n *node) readableFrame(p memsim.PageID) []byte {
 	for {
 		n.mu.Lock()
-		e := n.pages[p]
-		if e != nil && e.state != pHint {
-			return e
+		if e := n.pages[p]; e != nil && e.state != pHint {
+			data := e.data
+			n.window.Put(p, n.revoke.Load(), data)
+			n.mu.Unlock()
+			return data
 		}
 		n.mu.Unlock()
 		n.readFault(p)
@@ -565,14 +625,24 @@ func (n *node) invalRound(p memsim.PageID, e *ipage) {
 	n.cond.Broadcast()
 }
 
-// touchLocal charges the CPU-cache model for one local page reference and
-// returns whether it missed (the caller counts it under the mutex).
-func (n *node) touchLocal(p memsim.PageID) bool {
+// touchLocal charges the CPU-cache model for one local page reference.
+// Kept apart from the access charge so that it stays small enough to
+// inline into readPage and writePage (one call less per simulated word).
+func (n *node) touchLocal(p memsim.PageID) {
 	if !n.pcache.Touch(uint64(p)) {
 		n.dsm.clocks[n.id].AdvanceCat(vclock.CatMemory, n.dsm.params.Bus.MissCost())
-		return true
+		n.stats.CacheMisses++
 	}
-	return false
+}
+
+// writePage is readPage's counterpart for writes: same bookkeeping, but
+// the owned entry comes back with n.mu HELD (see writableFrame); the
+// caller stores and unlocks.
+func (n *node) writePage(p memsim.PageID, costWords, writes int) *ipage {
+	n.dsm.clocks[n.id].AdvanceCat(vclock.CatMemory, n.dsm.params.CPU.AccessNs*vclock.Duration(costWords))
+	n.touchLocal(p)
+	n.stats.Writes += uint64(writes)
+	return n.writableFrame(p)
 }
 
 func (d *DSM) access(nodeID int) *node {
@@ -636,16 +706,19 @@ func (d *DSM) Compute(node int, flops uint64) {
 // ownership arrivals. Call only while the node's program is quiescent.
 func (d *DSM) NodeStats(node int) platform.Stats {
 	n := d.nodes[node]
+	s := n.stats
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.stats
+	s.Invalidations = n.invalidations
+	n.mu.Unlock()
+	return s
 }
 
 // ResetStats implements platform.Substrate. Quiescent use only.
 func (d *DSM) ResetStats(node int) {
 	n := d.nodes[node]
-	n.mu.Lock()
 	n.stats = platform.Stats{}
+	n.mu.Lock()
+	n.invalidations = 0
 	n.mu.Unlock()
 }
 
@@ -660,63 +733,27 @@ func (d *DSM) Close() { d.layer.Network().Close() }
 
 // ReadF64 implements platform.Substrate.
 func (d *DSM) ReadF64(nodeID int, a memsim.Addr) float64 {
-	n := d.access(nodeID)
-	d.clocks[nodeID].AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs)
-	p := memsim.PageOf(a)
-	miss := n.touchLocal(p)
-	e := n.readableFrame(p)
-	v := memsim.GetF64(e.data, memsim.Offset(a))
-	n.stats.Reads++
-	if miss {
-		n.stats.CacheMisses++
-	}
-	n.mu.Unlock()
-	return v
+	return memsim.GetF64(d.access(nodeID).readPage(memsim.PageOf(a), 1, 1), memsim.Offset(a))
 }
 
 // WriteF64 implements platform.Substrate.
 func (d *DSM) WriteF64(nodeID int, a memsim.Addr, v float64) {
 	n := d.access(nodeID)
-	d.clocks[nodeID].AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs)
-	p := memsim.PageOf(a)
-	miss := n.touchLocal(p)
-	e := n.writableFrame(p)
+	e := n.writePage(memsim.PageOf(a), 1, 1)
 	memsim.PutF64(e.data, memsim.Offset(a), v)
-	n.stats.Writes++
-	if miss {
-		n.stats.CacheMisses++
-	}
 	n.mu.Unlock()
 }
 
 // ReadI64 implements platform.Substrate.
 func (d *DSM) ReadI64(nodeID int, a memsim.Addr) int64 {
-	n := d.access(nodeID)
-	d.clocks[nodeID].AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs)
-	p := memsim.PageOf(a)
-	miss := n.touchLocal(p)
-	e := n.readableFrame(p)
-	v := memsim.GetI64(e.data, memsim.Offset(a))
-	n.stats.Reads++
-	if miss {
-		n.stats.CacheMisses++
-	}
-	n.mu.Unlock()
-	return v
+	return memsim.GetI64(d.access(nodeID).readPage(memsim.PageOf(a), 1, 1), memsim.Offset(a))
 }
 
 // WriteI64 implements platform.Substrate.
 func (d *DSM) WriteI64(nodeID int, a memsim.Addr, v int64) {
 	n := d.access(nodeID)
-	d.clocks[nodeID].AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs)
-	p := memsim.PageOf(a)
-	miss := n.touchLocal(p)
-	e := n.writableFrame(p)
+	e := n.writePage(memsim.PageOf(a), 1, 1)
 	memsim.PutI64(e.data, memsim.Offset(a), v)
-	n.stats.Writes++
-	if miss {
-		n.stats.CacheMisses++
-	}
 	n.mu.Unlock()
 }
 
@@ -724,22 +761,10 @@ func (d *DSM) WriteI64(nodeID int, a memsim.Addr, v int64) {
 func (d *DSM) ReadBytes(nodeID int, a memsim.Addr, buf []byte) {
 	n := d.access(nodeID)
 	for len(buf) > 0 {
-		p := memsim.PageOf(a)
 		off := memsim.Offset(a)
-		chunk := memsim.PageSize - off
-		if chunk > len(buf) {
-			chunk = len(buf)
-		}
-		d.clocks[nodeID].AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs*
-			vclock.Duration(1+chunk/memsim.WordSize))
-		miss := n.touchLocal(p)
-		e := n.readableFrame(p)
-		copy(buf[:chunk], e.data[off:off+chunk])
-		n.stats.Reads++
-		if miss {
-			n.stats.CacheMisses++
-		}
-		n.mu.Unlock()
+		chunk := min(memsim.PageSize-off, len(buf))
+		data := n.readPage(memsim.PageOf(a), 1+chunk/memsim.WordSize, 1)
+		copy(buf[:chunk], data[off:off+chunk])
 		buf = buf[chunk:]
 		a += memsim.Addr(chunk)
 	}
@@ -749,21 +774,10 @@ func (d *DSM) ReadBytes(nodeID int, a memsim.Addr, buf []byte) {
 func (d *DSM) WriteBytes(nodeID int, a memsim.Addr, data []byte) {
 	n := d.access(nodeID)
 	for len(data) > 0 {
-		p := memsim.PageOf(a)
 		off := memsim.Offset(a)
-		chunk := memsim.PageSize - off
-		if chunk > len(data) {
-			chunk = len(data)
-		}
-		d.clocks[nodeID].AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs*
-			vclock.Duration(1+chunk/memsim.WordSize))
-		miss := n.touchLocal(p)
-		e := n.writableFrame(p)
+		chunk := min(memsim.PageSize-off, len(data))
+		e := n.writePage(memsim.PageOf(a), 1+chunk/memsim.WordSize, 1)
 		copy(e.data[off:off+chunk], data[:chunk])
-		n.stats.Writes++
-		if miss {
-			n.stats.CacheMisses++
-		}
 		n.mu.Unlock()
 		data = data[chunk:]
 		a += memsim.Addr(chunk)

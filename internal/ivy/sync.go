@@ -74,9 +74,7 @@ func (d *DSM) lockCost(n *node, home int) vclock.Duration {
 		return amsg.LocalCallNs
 	}
 	d.clocks[home].Steal(d.params.Ethernet.HandlerNs)
-	n.mu.Lock()
 	n.stats.ProtocolMsgs++
-	n.mu.Unlock()
 	return d.msgCost(n.id, home, lockMsgBytes)
 }
 
@@ -91,9 +89,7 @@ func (d *DSM) dlockRequest(n *node, st *lockState) (reqCost, grantCost vclock.Du
 	}
 	grantCost = d.msgCost(prev, n.id, lockMsgBytes)
 	d.stealAt(prev, d.params.Ethernet.HandlerNs)
-	n.mu.Lock()
 	n.stats.ProtocolMsgs += uint64(hops) + 1
-	n.mu.Unlock()
 	return fwd, grantCost
 }
 
@@ -110,9 +106,7 @@ func (d *DSM) Acquire(nodeID, lock int) {
 	} else {
 		st.vl.Acquire(clk, d.lockCost(n, st.home), 0)
 	}
-	n.mu.Lock()
 	n.stats.LockAcquires++
-	n.mu.Unlock()
 	if rec := d.rec; rec != nil && rec.Enabled() {
 		rec.Record(nodeID, perfmon.EvLockAcquire, t0, vclock.Since(t0, clk.Now()), uint64(lock), 0)
 	}
@@ -139,16 +133,12 @@ func (d *DSM) TryAcquire(nodeID, lock int) bool {
 		st.dl.Commit(nodeID)
 		if prev != nodeID {
 			d.stealAt(prev, d.params.Ethernet.HandlerNs)
-			n.mu.Lock()
 			n.stats.ProtocolMsgs += 2
-			n.mu.Unlock()
 		}
 	} else if !st.vl.TryAcquire(clk, d.lockCost(n, st.home), 0) {
 		return false
 	}
-	n.mu.Lock()
 	n.stats.LockAcquires++
-	n.mu.Unlock()
 	if rec := d.rec; rec != nil && rec.Enabled() {
 		rec.Record(nodeID, perfmon.EvLockAcquire, t0, vclock.Since(t0, clk.Now()), uint64(lock), 0)
 	}
@@ -192,20 +182,14 @@ func (d *DSM) Barrier(nodeID int) {
 		arriveCost = d.tree.PathCost(nodeID, lockMsgBytes, d.msgCost)
 		releaseCost = arriveCost
 		d.stealAt(d.tree.Parent(nodeID), d.params.Ethernet.HandlerNs)
-		n.mu.Lock()
 		n.stats.ProtocolMsgs += 2
-		n.mu.Unlock()
 	default:
 		arriveCost = d.msgCost(nodeID, manager, lockMsgBytes)
 		d.clocks[manager].Steal(d.params.Ethernet.HandlerNs)
-		n.mu.Lock()
 		n.stats.ProtocolMsgs++
-		n.mu.Unlock()
 	}
 	d.barrier.Arrive(clk, arriveCost, releaseCost)
-	n.mu.Lock()
 	n.stats.BarrierCrossings++
-	n.mu.Unlock()
 	if rec := d.rec; rec != nil && rec.Enabled() {
 		rec.Record(nodeID, perfmon.EvBarrier, t0, vclock.Since(t0, clk.Now()), 0, 0)
 	}
@@ -245,10 +229,8 @@ func (d *DSM) InvalidatePages(nodeID int, pages []memsim.PageID) {
 	n.mu.Lock()
 	for _, p := range pages {
 		if e := n.pages[p]; e != nil && e.state == pRead {
-			e.state = pHint
-			e.data = nil
+			n.dropReadCopy(e)
 			e.gen++
-			n.stats.Invalidations++
 		}
 	}
 	n.mu.Unlock()

@@ -171,29 +171,21 @@ type cpage struct {
 	diffStreak int
 }
 
-// fastFrame caches a recently resolved frame so that repeated accesses
-// to a small working set of pages skip the home lookup and the cache-map
+// fastFrame is what a node's read window remembers about a resolved
+// page, so that repeated accesses skip the home lookup and the cache-map
 // probe. An entry is valid only while its generation matches the node's:
 // every consistency action (acquire, release, barrier, fence), eviction,
 // and home migration bumps the generation, so the fast path can never
 // serve a frame across a synchronization point — Scope Consistency is
-// untouched. Home-resident frames still take the per-access frame mutex,
-// and cached frames still refresh their LRU position, so eviction order
-// is identical to the slow path's.
+// untouched. Home-resident frames still take the per-access frame mutex
+// (remote fetch and diff handlers touch them from other goroutines), and
+// cached frames still refresh their LRU position, so eviction order is
+// identical to the slow path's.
 type fastFrame struct {
-	ok    bool
-	page  memsim.PageID
-	gen   uint64
-	data  []byte
-	hp    *pagestore.Frame // non-nil when home-resident
+	hp    *pagestore.Frame // home-resident frame, or
 	cp    *cpage           // cache entry of a cached (non-home) frame
 	dirty bool             // write-ready: twin exists / homeDirty recorded
 }
-
-// fastWays is the size of the per-node fast-frame set. Four entries cover
-// the stencil and matrix kernels' hot patterns (e.g., SOR's up/own/down
-// rows plus the write page; MatMult's interleaved A row and B column).
-const fastWays = 4
 
 type node struct {
 	id   int
@@ -211,9 +203,8 @@ type node struct {
 	dirty     map[memsim.PageID]struct{}
 	homeDirty map[memsim.PageID]struct{}
 	epoch     uint64
-	gen       uint64 // invalidates the fast set when bumped
-	fast      [fastWays]fastFrame
-	fastNext  int // round-robin victim index
+	gen       uint64 // invalidates every window entry when bumped
+	window    memsim.Window[fastFrame]
 
 	// Reusable interval buffers (owner goroutine only): the acquire-side
 	// notice list and the release-side batch grouping grow to the interval
@@ -253,29 +244,6 @@ func (n *node) markCkptDirty(p memsim.PageID) {
 
 // bumpGen invalidates the cached-frame fast path.
 func (n *node) bumpGen() { n.gen++ }
-
-// fastLookup returns the valid fast-set entry for page p, or nil.
-func (n *node) fastLookup(p memsim.PageID) *fastFrame {
-	for i := range n.fast {
-		if f := &n.fast[i]; f.ok && f.page == p && f.gen == n.gen {
-			return f
-		}
-	}
-	return nil
-}
-
-// fastRecord installs a fast-set entry, replacing a stale entry for the
-// same page if present, else the round-robin victim.
-func (n *node) fastRecord(f fastFrame) {
-	for i := range n.fast {
-		if n.fast[i].ok && n.fast[i].page == f.page {
-			n.fast[i] = f
-			return
-		}
-	}
-	n.fast[n.fastNext] = f
-	n.fastNext = (n.fastNext + 1) % fastWays
-}
 
 // New builds a software-DSM cluster.
 func New(cfg Config) (*DSM, error) {
@@ -510,34 +478,40 @@ func (n *node) homeOf(p memsim.PageID) int {
 // accesses coherent with remote fetch/diff handlers running on other
 // goroutines (false sharing between nodes is legal in DRF programs).
 func (n *node) frameForRead(p memsim.PageID) ([]byte, *pagestore.Frame) {
-	if f := n.fastLookup(p); f != nil {
+	if f := n.window.Get(p, n.gen); f != nil {
 		// Fast path: the page was resolved earlier in this interval and no
-		// consistency action has intervened. Cached frames still refresh
-		// their LRU position so eviction order matches the slow path.
-		if f.hp != nil {
-			f.hp.Mu.Lock()
-			return f.hp.Data, f.hp
-		}
-		n.lru.moveToFront(f.cp)
-		return f.data, nil
+		// consistency action has intervened.
+		return n.windowFrame(f)
 	}
 	home := n.homeOf(p)
 	if home == n.id {
 		hp := n.home.Frame(p)
 		_, hd := n.homeDirty[p]
-		n.fastRecord(fastFrame{ok: true, page: p, gen: n.gen, hp: hp, dirty: hd})
+		n.window.Put(p, n.gen, fastFrame{hp: hp, dirty: hd})
 		hp.Mu.Lock()
 		return hp.Data, hp
 	}
 	if cp, ok := n.cache[p]; ok {
 		n.notePrefetchHit(p)
 		n.lru.moveToFront(cp)
-		n.fastRecord(fastFrame{ok: true, page: p, gen: n.gen, data: cp.data, cp: cp, dirty: cp.twin != nil})
+		n.window.Put(p, n.gen, fastFrame{cp: cp, dirty: cp.twin != nil})
 		return cp.data, nil
 	}
 	cp := n.fault(p, home)
-	n.fastRecord(fastFrame{ok: true, page: p, gen: n.gen, data: cp.data, cp: cp})
+	n.window.Put(p, n.gen, fastFrame{cp: cp})
 	return cp.data, nil
+}
+
+// windowFrame serves an access from a window entry: a home frame comes
+// back locked like the slow path's, a cached frame refreshes its LRU
+// position so eviction order matches the slow path.
+func (n *node) windowFrame(f *fastFrame) ([]byte, *pagestore.Frame) {
+	if f.hp != nil {
+		f.hp.Mu.Lock()
+		return f.hp.Data, f.hp
+	}
+	n.lru.moveToFront(f.cp)
+	return f.cp.data, nil
 }
 
 // fault fetches a remote page into the cache.
@@ -602,22 +576,17 @@ func (n *node) evictIfNeeded() {
 // remote pages on the first write of an interval. Like frameForRead, a
 // non-nil homePage is returned locked and must be released by the caller.
 func (n *node) prepareWrite(p memsim.PageID) ([]byte, *pagestore.Frame) {
-	if f := n.fastLookup(p); f != nil && f.dirty {
+	if f := n.window.Get(p, n.gen); f != nil && f.dirty {
 		// Fast path: the page is already write-ready for this interval
 		// (twin created / homeDirty recorded), so the slow path would be
-		// pure bookkeeping re-checks. See frameForRead on LRU order.
-		if f.hp != nil {
-			f.hp.Mu.Lock()
-			return f.hp.Data, f.hp
-		}
-		n.lru.moveToFront(f.cp)
-		return f.data, nil
+		// pure bookkeeping re-checks.
+		return n.windowFrame(f)
 	}
 	home := n.homeOf(p)
 	if home == n.id {
 		n.homeDirty[p] = struct{}{}
 		hp := n.home.Frame(p)
-		n.fastRecord(fastFrame{ok: true, page: p, gen: n.gen, hp: hp, dirty: true})
+		n.window.Put(p, n.gen, fastFrame{hp: hp, dirty: true})
 		hp.Mu.Lock()
 		return hp.Data, hp
 	}
@@ -640,7 +609,7 @@ func (n *node) prepareWrite(p memsim.PageID) ([]byte, *pagestore.Frame) {
 			rec.Record(n.id, perfmon.EvTwinCreate, t0, vclock.Since(t0, clk.Now()), uint64(p), 0)
 		}
 	}
-	n.fastRecord(fastFrame{ok: true, page: p, gen: n.gen, data: cp.data, cp: cp, dirty: true})
+	n.window.Put(p, n.gen, fastFrame{cp: cp, dirty: true})
 	return cp.data, nil
 }
 

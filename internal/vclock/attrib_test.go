@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// Attribution is pure side bookkeeping: the category buckets must always
-// sum to the local charge total, and tagging must never change Now().
+// The category buckets are the clock: their sum plus the stolen charges
+// is Now(), and how a charge is tagged must never change Now().
 
 func TestAdvanceCatSumsToLocal(t *testing.T) {
 	var c Clock
@@ -89,6 +89,55 @@ func TestAttributionConcurrentSum(t *testing.T) {
 	wg.Wait()
 	if got, want := c.Breakdown().Total(), Duration(c.Now()); got != want {
 		t.Fatalf("Total() = %d, Now() = %d", got, want)
+	}
+}
+
+// TestAdvanceToCatRacesOtherBucket: AdvanceToCat swaps only its own
+// bucket, so a charge landing in another bucket meanwhile must end up
+// either absorbed by the jump (it came first) or kept on top of it.
+func TestAdvanceToCatRacesOtherBucket(t *testing.T) {
+	const a, d, target = 100, 50, 120
+	for i := 0; i < 2000; i++ {
+		var c Clock
+		c.AdvanceCat(CatCompute, a)
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); c.AdvanceCat(CatMemory, d) }()
+		go func() { defer wg.Done(); c.AdvanceToCat(CatProtocol, target) }()
+		wg.Wait()
+		now, bd := c.Now(), c.Breakdown()
+		if now != a+d && now != target+d { // max(a+d, target) or target+d
+			t.Fatalf("Now() = %d, want %d (charge first) or %d (jump first)", now, a+d, target+d)
+		}
+		if bd.Memory != d || bd.Compute != a {
+			t.Fatalf("the jump disturbed another bucket: %+v", bd)
+		}
+		if Duration(now) != bd.Total() {
+			t.Fatalf("Total() = %d, Now() = %d", bd.Total(), now)
+		}
+	}
+}
+
+// TestRestoreRoundTrip: Restore installs a breakdown exactly, later
+// charges accumulate on top of it, and Reset returns to zero.
+func TestRestoreRoundTrip(t *testing.T) {
+	want := Breakdown{Compute: 11, Memory: 22, Protocol: 33, Network: 44, Stolen: 55}
+	var c Clock
+	c.AdvanceCat(CatNetwork, 999) // state that Restore must overwrite
+	c.Restore(want)
+	if got := c.Breakdown(); got != want {
+		t.Fatalf("Breakdown() = %+v after Restore(%+v)", got, want)
+	}
+	if got := c.Now(); Duration(got) != want.Total() {
+		t.Fatalf("Now() = %d, want %d", got, want.Total())
+	}
+	c.AdvanceToCat(CatProtocol, Time(want.Total())+5)
+	if got := c.Breakdown().Protocol; got != want.Protocol+5 {
+		t.Fatalf("protocol bucket = %d after a 5ns jump, want %d", got, want.Protocol+5)
+	}
+	c.Reset()
+	if c.Now() != 0 || c.Breakdown() != (Breakdown{}) {
+		t.Fatalf("after Reset: Now() = %d, %+v", c.Now(), c.Breakdown())
 	}
 }
 

@@ -35,10 +35,10 @@ type Time uint64
 type Duration uint64
 
 // Category classifies where a clock charge came from, for the
-// performance-monitoring service (§4.3, internal/perfmon). Attribution is
-// pure bookkeeping on the side of the clock: tagging a charge never
-// changes its amount, so virtual times are bit-identical whether or not
-// anyone ever reads a breakdown.
+// performance-monitoring service (§4.3, internal/perfmon). The category
+// only picks the bucket a charge is added to: it never changes the
+// amount, so virtual times are bit-identical however charges are tagged
+// and whether or not anyone ever reads a breakdown.
 //
 // The attribution convention used throughout the substrates:
 //
@@ -173,21 +173,30 @@ func (d Duration) Micros() float64 { return float64(d) / 1e3 }
 // allocated back to back and every simulated word writes its node's, so
 // two nodes' clocks in one line would bounce it between their cores.
 type Clock struct {
-	local  atomic.Uint64 // accumulated execution charges
+	// cats holds the owner charges, one bucket per attribution category.
+	// The buckets ARE the clock: Now() is their sum plus stolen, so a
+	// charge is one atomic add and the attribution sums to the clock by
+	// construction.
+	cats   [localCategories]atomic.Uint64
 	stolen atomic.Uint64 // asynchronous protocol-handler charges
 
-	// cats splits local into attribution buckets. Every mutation of
-	// local pairs with exactly one cats add of the same amount, so at
-	// quiescence sum(cats) == local exactly. The buckets never feed back
-	// into Now(): attribution cannot perturb the cost model.
-	cats [localCategories]atomic.Uint64
+	_ [128 - (1+localCategories)*8]byte
+}
 
-	_ [128 - (2+localCategories)*8]byte
+// local sums the owner-charge buckets. Each only grows, so a sum read
+// while other goroutines charge lies between the clock's value when the
+// read began and its value when it ended.
+func (c *Clock) local() uint64 {
+	var sum uint64
+	for i := range c.cats {
+		sum += c.cats[i].Load()
+	}
+	return sum
 }
 
 // Now returns the node's current virtual time, including stolen cycles.
 func (c *Clock) Now() Time {
-	return Time(c.local.Load() + c.stolen.Load())
+	return Time(c.local() + c.stolen.Load())
 }
 
 // Advance moves the clock forward by d, attributed to CatCompute (the
@@ -200,7 +209,6 @@ func (c *Clock) Advance(d Duration) {
 // given category. cat must be a local category (not CatStolen — stolen
 // charges arrive via Steal).
 func (c *Clock) AdvanceCat(cat Category, d Duration) {
-	c.local.Add(uint64(d))
 	c.cats[cat].Add(uint64(d))
 }
 
@@ -213,7 +221,10 @@ func (c *Clock) AdvanceTo(t Time) {
 }
 
 // AdvanceToCat moves the clock forward so that Now() >= t, attributing
-// the applied delta (if any) to the given category.
+// the applied delta (if any) to the given category. The jump is a
+// compare-and-swap on that category's bucket alone: a charge that lands
+// in another bucket meanwhile is kept on top of the jump, as if the jump
+// had happened first.
 func (c *Clock) AdvanceToCat(cat Category, t Time) {
 	for {
 		st := c.stolen.Load()
@@ -221,12 +232,12 @@ func (c *Clock) AdvanceToCat(cat Category, t Time) {
 			return
 		}
 		want := uint64(t) - st
-		cur := c.local.Load()
+		own := c.cats[cat].Load()
+		cur := c.local()
 		if want <= cur {
 			return
 		}
-		if c.local.CompareAndSwap(cur, want) {
-			c.cats[cat].Add(want - cur)
+		if c.cats[cat].CompareAndSwap(own, own+want-cur) {
 			return
 		}
 	}
@@ -269,14 +280,12 @@ func (c *Clock) Restore(b Breakdown) {
 	c.cats[CatMemory].Store(uint64(b.Memory))
 	c.cats[CatProtocol].Store(uint64(b.Protocol))
 	c.cats[CatNetwork].Store(uint64(b.Network))
-	c.local.Store(uint64(b.Compute + b.Memory + b.Protocol + b.Network))
 	c.stolen.Store(uint64(b.Stolen))
 }
 
 // Reset returns the clock (and its attribution) to time zero. Must not
 // race with other use.
 func (c *Clock) Reset() {
-	c.local.Store(0)
 	c.stolen.Store(0)
 	for i := range c.cats {
 		c.cats[i].Store(0)

@@ -108,6 +108,19 @@ go test -race -run 'TestPooledBufferAliasing' ./internal/swdsm/
 go test -race -run 'TestTable' ./internal/memsim/
 go test -race -run 'TestConcurrentFrameCreation|TestDropThenFrameIsFresh|TestPagesAscending' ./internal/pagestore/
 
+# IVY reads take no lock (a per-node window of page buffers behind an
+# atomic revoke epoch), and its fault path once livelocked when a remote
+# request bootstrapped the home's page mid-fault: both are rare-schedule
+# failures one run misses, so the litmus battery runs 20 times and the
+# two-page hammers, the window's own tests and the clock's single-add
+# contract run by name before the full suite.
+go test -race -count=20 -run 'TestLitmusIVY' ./internal/conscheck/
+go test -race -run 'TestHammer|TestOwnUpgradeRefreshesWindow|TestSelfFaultAfterHandlerBootstrap' ./internal/ivy/
+go test -race -run 'TestWindow' ./internal/memsim/
+go test -race -run 'TestAdvanceToCatRacesOtherBucket|TestRestoreRoundTrip|TestClockFillsWholeLines' ./internal/vclock/
+# Compile-and-run smoke of the strided-read benchmark (one iteration).
+go test -run '^$' -bench 'BenchmarkStridedRead' -benchtime 1x ./internal/bench/
+
 # Benchmark smoke test: benchmark/ is a module of its own, so the root
 # ./... patterns never reach it (≈4 s at smoke sizes; checks every cell
 # against benchmark/reference.json).
