@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -52,14 +53,8 @@ func TestSyncScriptIdentity(t *testing.T) {
 				defer sub.Close()
 				got := runSyncScript(t, sub)
 				want := syncScriptGolden[name]
-				if len(want) == len(got) {
-					same := true
-					for i := range got {
-						same = same && got[i] == want[i]
-					}
-					if same {
-						return
-					}
+				if slices.Equal(got, want) {
+					return
 				}
 				var b strings.Builder
 				fmt.Fprintf(&b, "\t%q: {\n", name)

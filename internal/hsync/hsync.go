@@ -1,25 +1,37 @@
-// Package hsync provides hierarchical synchronization structure for
-// rack-scale clusters: topology-aligned reduction trees for barriers and
-// distributed MCS-style lock queues whose ownership migrates to the
-// requester along probable-holder hint chains — the same idea as IVY's
-// probable-owner page forwarding (see internal/ivy), applied to lock
-// tokens.
+// Package hsync is the Synchronization Management service module of
+// every substrate (§4.2): one Manager owns the lock table, the barrier,
+// the routing of each request, the write-notice exchange that rides the
+// boundaries, the per-node counters and event records, and abort. The
+// paper makes synchronization and consistency orthogonal modules; here
+// that is literal — the Manager knows nothing about pages and drives a
+// consistency engine through the two consengine.Composable hooks
+// (FlushInterval at a release point, InvalidatePages at an acquire
+// point), the arrangement internal/multidsm introduced for two engines
+// and every substrate now uses for its one. What differs between
+// substrates is data handed to the constructor: a Wire (what a message
+// costs, who it interrupts, whether it carries notices, whether the
+// fabric goes hierarchical) and the engine.
 //
-// The package is pure structure and cost arithmetic; the actual blocking
-// and virtual-time rendezvous stay in vclock.VBarrier/VLock. A substrate
-// above the node-count Threshold builds a Tree per barrier and a DLock
-// per lock, asks them what a synchronization step costs given where the
-// participants sit in the simnet.Topology, and charges those costs
-// through the clock APIs it already uses. Everything here is
-// deterministic given the sequence of calls; like the IVY engine's
-// forwarding chains, the *length* of a hint chain depends on the order
-// concurrent requesters reach the lock, so virtual times under lock
-// contention are schedule-dependent while checksums and mutual exclusion
-// are not.
+// Up to Threshold nodes a lock lives at a home node and the barrier at
+// manager node 0. Above it, a Wire with Hier switches to the two
+// structures this package also provides: a topology-aligned reduction
+// Tree for the barrier and, per lock, a DLock — a distributed MCS-style
+// queue whose token migrates to the requester along probable-holder hint
+// chains, the same idea as IVY's probable-owner page forwarding (see
+// internal/ivy) applied to lock tokens. Tree and DLock are structure and
+// cost arithmetic only; blocking and the virtual-time rendezvous stay in
+// vclock.VLock/VBarrier, which the Manager drives.
 //
-// Concurrency contract: Tree is immutable after construction. DLock
-// methods are safe to call from all node goroutines; the internal mutex
-// only guards the hint array and never blocks on virtual time.
+// Everything here is deterministic given the sequence of calls; like the
+// IVY engine's forwarding chains, the *length* of a hint chain depends
+// on the order concurrent requesters reach the lock, so virtual times
+// under lock contention are schedule-dependent while checksums and
+// mutual exclusion are not.
+//
+// Concurrency contract: see Manager for which goroutine may call what.
+// Tree is immutable after construction. DLock methods are safe to call
+// from all node goroutines; the internal mutex only guards the hint
+// array and never blocks on virtual time.
 package hsync
 
 import (
@@ -30,10 +42,11 @@ import (
 	"hamster/internal/vclock"
 )
 
-// Threshold is the cluster size above which substrates switch from
-// single-home locks and centralized barriers to the hierarchical
-// primitives in this package. At 8 nodes and below the centralized
-// protocol is both cheaper and pinned by the committed benchmarks.
+// Threshold is the cluster size above which a Manager whose Wire allows
+// it switches from single-home locks and a centralized barrier to the
+// hierarchical primitives in this package. At 8 nodes and below the
+// centralized protocol is both cheaper and pinned by the committed
+// benchmarks.
 const Threshold = 8
 
 // CostFn prices one protocol message of the given payload size between

@@ -2,6 +2,7 @@ package hybriddsm
 
 import (
 	"hamster/internal/memsim"
+	"hamster/internal/pagestore"
 	"hamster/internal/perfmon"
 	"hamster/internal/vclock"
 )
@@ -36,8 +37,8 @@ func (n *node) readRun(p memsim.PageID, off, count int, get func(fr []byte)) {
 		clk.AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs*vclock.Duration(count))
 		n.stats.Reads += uint64(count)
 		n.touchLocal(p)
-		n.lru.moveToFront(cp)
-		get(cp.data)
+		n.lru.MoveToFront(cp)
+		get(cp.Data)
 		return
 	}
 
@@ -76,12 +77,12 @@ func (n *node) readRun(p memsim.PageID, off, count int, get func(fr []byte)) {
 	t0 := clk.Now()
 	clk.AdvanceCat(vclock.CatNetwork, d.params.SAN.PageFetchNs)
 	clk.AdvanceCat(vclock.CatMemory, d.params.CPU.PageCopyNs)
-	cp := cpagePool.Get().(*cpage)
-	cp.data = getPage()
-	copy(cp.data, hf.Data)
+	cp := cpagePool.Get()
+	cp.Data = pagestore.GetPage()
+	copy(cp.Data, hf.Data)
 	hf.Mu.Unlock()
-	cp.page = p
-	n.lru.pushFront(cp)
+	cp.Page = p
+	n.lru.PushFront(cp)
 	n.cache[p] = cp
 	n.stats.PageFaults++
 	if rec := d.rec; rec != nil && rec.Enabled() {
@@ -89,10 +90,7 @@ func (n *node) readRun(p memsim.PageID, off, count int, get func(fr []byte)) {
 	}
 	delete(n.readCount, p)
 	for len(n.cache) > d.cacheCap {
-		victim := n.lru.tail
-		n.lru.remove(victim)
-		delete(n.cache, victim.page)
-		retire(victim)
+		n.drop(n.lru.Back())
 		n.stats.Evictions++
 	}
 	if rest := count - pio; rest > 0 {
@@ -135,50 +133,38 @@ func (n *node) writeRun(p memsim.PageID, off, count int, put func(fr []byte)) {
 	put(hf.Data)
 	hf.Mu.Unlock()
 	if cp, ok := n.cache[p]; ok {
-		put(cp.data)
+		put(cp.Data)
 	}
 }
 
-// ReadF64Block implements platform.Substrate.
-func (d *DSM) ReadF64Block(nodeID int, a memsim.Addr, dst []float64) {
+func readBlock[T memsim.Word](d *DSM, nodeID int, a memsim.Addr, dst []T) {
 	n := d.access(nodeID)
 	n.stats.BlockReads++
 	memsim.WordRuns(a, len(dst), func(p memsim.PageID, off, count int) {
 		out := dst[:count]
-		n.readRun(p, off, count, func(fr []byte) { memsim.GetF64Slice(fr, off, out) })
+		n.readRun(p, off, count, func(fr []byte) { memsim.GetWords(fr, off, out) })
 		dst = dst[count:]
 	})
 }
+
+func writeBlock[T memsim.Word](d *DSM, nodeID int, a memsim.Addr, src []T) {
+	n := d.access(nodeID)
+	n.stats.BlockWrites++
+	memsim.WordRuns(a, len(src), func(p memsim.PageID, off, count int) {
+		in := src[:count]
+		n.writeRun(p, off, count, func(fr []byte) { memsim.PutWords(fr, off, in) })
+		src = src[count:]
+	})
+}
+
+// ReadF64Block implements platform.Substrate.
+func (d *DSM) ReadF64Block(node int, a memsim.Addr, dst []float64) { readBlock(d, node, a, dst) }
 
 // WriteF64Block implements platform.Substrate.
-func (d *DSM) WriteF64Block(nodeID int, a memsim.Addr, src []float64) {
-	n := d.access(nodeID)
-	n.stats.BlockWrites++
-	memsim.WordRuns(a, len(src), func(p memsim.PageID, off, count int) {
-		in := src[:count]
-		n.writeRun(p, off, count, func(fr []byte) { memsim.PutF64Slice(fr, off, in) })
-		src = src[count:]
-	})
-}
+func (d *DSM) WriteF64Block(node int, a memsim.Addr, src []float64) { writeBlock(d, node, a, src) }
 
 // ReadI64Block implements platform.Substrate.
-func (d *DSM) ReadI64Block(nodeID int, a memsim.Addr, dst []int64) {
-	n := d.access(nodeID)
-	n.stats.BlockReads++
-	memsim.WordRuns(a, len(dst), func(p memsim.PageID, off, count int) {
-		out := dst[:count]
-		n.readRun(p, off, count, func(fr []byte) { memsim.GetI64Slice(fr, off, out) })
-		dst = dst[count:]
-	})
-}
+func (d *DSM) ReadI64Block(node int, a memsim.Addr, dst []int64) { readBlock(d, node, a, dst) }
 
 // WriteI64Block implements platform.Substrate.
-func (d *DSM) WriteI64Block(nodeID int, a memsim.Addr, src []int64) {
-	n := d.access(nodeID)
-	n.stats.BlockWrites++
-	memsim.WordRuns(a, len(src), func(p memsim.PageID, off, count int) {
-		in := src[:count]
-		n.writeRun(p, off, count, func(fr []byte) { memsim.PutI64Slice(fr, off, in) })
-		src = src[count:]
-	})
-}
+func (d *DSM) WriteI64Block(node int, a memsim.Addr, src []int64) { writeBlock(d, node, a, src) }

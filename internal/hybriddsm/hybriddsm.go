@@ -27,11 +27,10 @@ package hybriddsm
 import (
 	"fmt"
 	"math"
-	"sync"
 
+	"hamster/internal/hsync"
 	"hamster/internal/machine"
 	"hamster/internal/memsim"
-	"hamster/internal/notices"
 	"hamster/internal/pagestore"
 	"hamster/internal/perfmon"
 	"hamster/internal/platform"
@@ -67,8 +66,12 @@ type Config struct {
 	Clocks []*vclock.Clock
 }
 
-// DSM is one hybrid-DSM cluster.
+// DSM is one hybrid-DSM cluster. Synchronization is the embedded manager
+// over a SAN wire: locks and the barrier are remote atomic operations —
+// no CPU is interrupted at any home node — and the manager drives this
+// engine's FlushInterval/InvalidatePages at every boundary.
 type DSM struct {
+	*hsync.Manager
 	params    machine.Params
 	space     *memsim.Space
 	clocks    []*vclock.Clock
@@ -77,90 +80,14 @@ type DSM struct {
 	threshold int
 	posted    bool
 
-	lockMu sync.Mutex
-	locks  []*lockState
-
-	vb       *vclock.VBarrier
-	exchange *notices.EpochExchange
-
 	rec *perfmon.Recorder // protocol event recorder; nil until attached
 }
 
-type lockState struct {
-	vl      *vclock.VLock
-	pending *notices.Board
-}
+// cpage is one read-cached remote page; structs and page buffers recycle
+// through pagestore's pools.
+type cpage = pagestore.Entry[struct{}]
 
-// cpage is one read-cached remote page, linked into the node's intrusive
-// recency list. Structs and page buffers recycle through pools — the read
-// cache churns on every invalidation wave, and a hot loop must not pay
-// the allocator for it (same engineering as swdsm's page path).
-type cpage struct {
-	data       []byte
-	page       memsim.PageID
-	prev, next *cpage
-}
-
-// Array pointers, not slices: Put-ting a []byte would box its header
-// into an interface and allocate on every recycle.
-var pagePool = sync.Pool{
-	New: func() any { return new([memsim.PageSize]byte) },
-}
-
-func getPage() []byte { return pagePool.Get().(*[memsim.PageSize]byte)[:] }
-
-var cpagePool = sync.Pool{New: func() any { return new(cpage) }}
-
-// retire recycles a cache entry and its buffer. The caller must have
-// unlinked it from the LRU; only exact page-shaped buffers re-enter the
-// pool.
-func retire(cp *cpage) {
-	if len(cp.data) == memsim.PageSize && cap(cp.data) == memsim.PageSize {
-		pagePool.Put((*[memsim.PageSize]byte)(cp.data))
-	}
-	*cp = cpage{}
-	cpagePool.Put(cp)
-}
-
-// pageLRU is an intrusive recency list (front = most recent); see the
-// swdsm twin for rationale. Owned by the node's goroutine.
-type pageLRU struct {
-	head, tail *cpage
-}
-
-func (l *pageLRU) pushFront(cp *cpage) {
-	cp.prev = nil
-	cp.next = l.head
-	if l.head != nil {
-		l.head.prev = cp
-	}
-	l.head = cp
-	if l.tail == nil {
-		l.tail = cp
-	}
-}
-
-func (l *pageLRU) remove(cp *cpage) {
-	if cp.prev != nil {
-		cp.prev.next = cp.next
-	} else {
-		l.head = cp.next
-	}
-	if cp.next != nil {
-		cp.next.prev = cp.prev
-	} else {
-		l.tail = cp.prev
-	}
-	cp.prev, cp.next = nil, nil
-}
-
-func (l *pageLRU) moveToFront(cp *cpage) {
-	if l.head == cp {
-		return
-	}
-	l.remove(cp)
-	l.pushFront(cp)
-}
+var cpagePool pagestore.EntryPool[struct{}]
 
 type node struct {
 	id   int
@@ -171,11 +98,10 @@ type node struct {
 
 	// Owner-goroutine state.
 	cache     map[memsim.PageID]*cpage
-	lru       pageLRU
+	lru       pagestore.LRU[struct{}]
 	readCount map[memsim.PageID]int
 	written   map[memsim.PageID]struct{}
 	postedOut int // posted writes since the last store barrier
-	epoch     uint64
 
 	stats platform.Stats
 }
@@ -194,13 +120,11 @@ func New(cfg Config) (*DSM, error) {
 		space = memsim.NewSpace(cfg.Nodes)
 	}
 	d := &DSM{
-		params:   params,
-		space:    space,
-		clocks:   make([]*vclock.Clock, cfg.Nodes),
-		nodes:    make([]*node, cfg.Nodes),
-		posted:   !cfg.DisablePostedWrites,
-		vb:       vclock.NewVBarrier(cfg.Nodes),
-		exchange: notices.NewEpochExchange(cfg.Nodes),
+		params: params,
+		space:  space,
+		clocks: make([]*vclock.Clock, cfg.Nodes),
+		nodes:  make([]*node, cfg.Nodes),
+		posted: !cfg.DisablePostedWrites,
 	}
 	if cfg.Clocks != nil {
 		if len(cfg.Clocks) != cfg.Nodes {
@@ -234,6 +158,12 @@ func New(cfg Config) (*DSM, error) {
 			written:   make(map[memsim.PageID]struct{}),
 		}
 	}
+	d.Manager = hsync.NewManager(hsync.Config{
+		Name:   "hybriddsm",
+		Clocks: d.clocks,
+		Wire:   hsync.AtomicWire(params.SAN.SyncMsgNs, params.SAN.SyncMsgNs),
+		Engine: d,
+	})
 	return d, nil
 }
 
@@ -279,13 +209,19 @@ func (d *DSM) Compute(node int, flops uint64) {
 
 // NodeStats implements platform.Substrate. Call while the node is
 // quiescent.
-func (d *DSM) NodeStats(node int) platform.Stats { return d.nodes[node].stats }
+func (d *DSM) NodeStats(node int) platform.Stats { return d.SyncStats(node, d.nodes[node].stats) }
 
 // ResetStats implements platform.Substrate. Quiescent use only.
-func (d *DSM) ResetStats(node int) { d.nodes[node].stats = platform.Stats{} }
+func (d *DSM) ResetStats(node int) {
+	d.nodes[node].stats = platform.Stats{}
+	d.ResetSyncStats(node)
+}
 
 // SetRecorder implements platform.Substrate.
-func (d *DSM) SetRecorder(rec *perfmon.Recorder) { d.rec = rec }
+func (d *DSM) SetRecorder(rec *perfmon.Recorder) {
+	d.rec = rec
+	d.Manager.SetRecorder(rec)
+}
 
 // Close implements platform.Substrate.
 func (d *DSM) Close() {}
@@ -333,8 +269,8 @@ func (n *node) readWord(a memsim.Addr, get func(fr []byte, off int) uint64) uint
 	}
 	if cp, ok := n.cache[p]; ok {
 		n.touchLocal(p)
-		n.lru.moveToFront(cp)
-		return get(cp.data, off)
+		n.lru.MoveToFront(cp)
+		return get(cp.Data, off)
 	}
 	// Uncached remote read: PIO load over the SAN.
 	clk.AdvanceCat(vclock.CatNetwork, d.params.SAN.RemoteReadNs)
@@ -365,11 +301,11 @@ func (n *node) maybeCache(p memsim.PageID, homeData []byte) {
 	t0 := clk.Now()
 	clk.AdvanceCat(vclock.CatNetwork, d.params.SAN.PageFetchNs)
 	clk.AdvanceCat(vclock.CatMemory, d.params.CPU.PageCopyNs)
-	cp := cpagePool.Get().(*cpage)
-	cp.data = getPage()
-	copy(cp.data, homeData)
-	cp.page = p
-	n.lru.pushFront(cp)
+	cp := cpagePool.Get()
+	cp.Data = pagestore.GetPage()
+	copy(cp.Data, homeData)
+	cp.Page = p
+	n.lru.PushFront(cp)
 	n.cache[p] = cp
 	n.stats.PageFaults++ // block transfers counted as "faults" for parity
 	if rec := d.rec; rec != nil && rec.Enabled() {
@@ -377,12 +313,16 @@ func (n *node) maybeCache(p memsim.PageID, homeData []byte) {
 	}
 	delete(n.readCount, p)
 	for len(n.cache) > d.cacheCap {
-		victim := n.lru.tail
-		n.lru.remove(victim)
-		delete(n.cache, victim.page)
-		retire(victim)
+		n.drop(n.lru.Back())
 		n.stats.Evictions++
 	}
+}
+
+// drop retires one cached copy.
+func (n *node) drop(cp *cpage) {
+	n.lru.Remove(cp)
+	delete(n.cache, cp.Page)
+	cpagePool.Put(cp)
 }
 
 // writeWord performs one word-granularity write, straight through to the
@@ -421,7 +361,7 @@ func (n *node) writeWord(a memsim.Addr, put func(fr []byte, off int)) {
 	hf.Mu.Unlock()
 	// Keep a locally cached copy coherent with our own store.
 	if cp, ok := n.cache[p]; ok {
-		put(cp.data, off)
+		put(cp.Data, off)
 	}
 }
 
@@ -452,17 +392,10 @@ func (d *DSM) WriteI64(nodeID int, a memsim.Addr, v int64) {
 // ReadBytes implements platform.Substrate.
 func (d *DSM) ReadBytes(nodeID int, a memsim.Addr, buf []byte) {
 	n := d.access(nodeID)
-	for len(buf) > 0 {
-		p := memsim.PageOf(a)
-		off := memsim.Offset(a)
-		chunk := memsim.PageSize - off
-		if chunk > len(buf) {
-			chunk = len(buf)
-		}
+	memsim.ByteRuns(a, len(buf), func(p memsim.PageID, off, chunk int) {
 		n.readSpan(p, off, buf[:chunk])
 		buf = buf[chunk:]
-		a += memsim.Addr(chunk)
-	}
+	})
 }
 
 func (n *node) readSpan(p memsim.PageID, off int, buf []byte) {
@@ -482,8 +415,8 @@ func (n *node) readSpan(p memsim.PageID, off int, buf []byte) {
 	}
 	if cp, ok := n.cache[p]; ok {
 		n.touchLocal(p)
-		n.lru.moveToFront(cp)
-		copy(buf, cp.data[off:off+len(buf)])
+		n.lru.MoveToFront(cp)
+		copy(buf, cp.Data[off:off+len(buf)])
 		return
 	}
 	clk.AdvanceCat(vclock.CatNetwork, d.params.SAN.RemoteReadNs*words)
@@ -501,17 +434,10 @@ func (n *node) readSpan(p memsim.PageID, off int, buf []byte) {
 // WriteBytes implements platform.Substrate.
 func (d *DSM) WriteBytes(nodeID int, a memsim.Addr, data []byte) {
 	n := d.access(nodeID)
-	for len(data) > 0 {
-		p := memsim.PageOf(a)
-		off := memsim.Offset(a)
-		chunk := memsim.PageSize - off
-		if chunk > len(data) {
-			chunk = len(data)
-		}
+	memsim.ByteRuns(a, len(data), func(p memsim.PageID, off, chunk int) {
 		n.writeSpan(p, off, data[:chunk])
 		data = data[chunk:]
-		a += memsim.Addr(chunk)
-	}
+	})
 }
 
 func (n *node) writeSpan(p memsim.PageID, off int, data []byte) {
@@ -545,7 +471,7 @@ func (n *node) writeSpan(p memsim.PageID, off int, data []byte) {
 	copy(hf.Data[off:off+len(data)], data)
 	hf.Mu.Unlock()
 	if cp, ok := n.cache[p]; ok {
-		copy(cp.data[off:off+len(data)], data)
+		copy(cp.Data[off:off+len(data)], data)
 	}
 }
 
@@ -571,93 +497,10 @@ func (n *node) collectNotices() []memsim.PageID {
 func (n *node) invalidate(pages []memsim.PageID) {
 	for _, p := range pages {
 		delete(n.readCount, p)
-		cp, ok := n.cache[p]
-		if !ok {
-			continue
+		if cp, ok := n.cache[p]; ok {
+			n.drop(cp)
+			n.stats.Invalidations++
 		}
-		n.lru.remove(cp)
-		delete(n.cache, p)
-		retire(cp)
-		n.stats.Invalidations++
-	}
-}
-
-// NewLock implements platform.Substrate. SAN locks are implemented with
-// remote atomic operations — no CPU is interrupted at any home node.
-func (d *DSM) NewLock() int {
-	d.lockMu.Lock()
-	defer d.lockMu.Unlock()
-	id := len(d.locks)
-	d.locks = append(d.locks, &lockState{vl: vclock.NewVLock(), pending: notices.NewBoard()})
-	return id
-}
-
-func (d *DSM) lock(id int) *lockState {
-	d.lockMu.Lock()
-	defer d.lockMu.Unlock()
-	if id < 0 || id >= len(d.locks) {
-		panic(fmt.Sprintf("hybriddsm: unknown lock %d", id))
-	}
-	return d.locks[id]
-}
-
-// Acquire implements platform.Substrate.
-func (d *DSM) Acquire(nodeID, lock int) {
-	n := d.access(nodeID)
-	st := d.lock(lock)
-	clk := d.clocks[nodeID]
-	t0 := clk.Now()
-	st.vl.Acquire(clk, d.params.SAN.SyncMsgNs, d.params.SAN.SyncMsgNs)
-	n.invalidate(st.pending.Take(nodeID))
-	n.stats.LockAcquires++
-	if rec := d.rec; rec != nil && rec.Enabled() {
-		rec.Record(nodeID, perfmon.EvLockAcquire, t0, vclock.Since(t0, clk.Now()), uint64(lock), 0)
-	}
-}
-
-// Release implements platform.Substrate.
-func (d *DSM) Release(nodeID, lock int) {
-	n := d.access(nodeID)
-	st := d.lock(lock)
-	clk := d.clocks[nodeID]
-	t0 := clk.Now()
-	n.storeBarrier()
-	notes := n.collectNotices()
-	st.pending.AddForOthers(nodeID, len(d.nodes), notes)
-	if rec := d.rec; rec != nil && rec.Enabled() && len(notes) > 0 {
-		rec.Record(nodeID, perfmon.EvWriteNotice, clk.Now(), 0, uint64(len(notes)), uint64(lock))
-	}
-	st.vl.Release(clk, d.params.SAN.SyncMsgNs)
-	if rec := d.rec; rec != nil && rec.Enabled() {
-		rec.Record(nodeID, perfmon.EvLockRelease, t0, vclock.Since(t0, clk.Now()), uint64(lock), 0)
-	}
-}
-
-// Barrier implements platform.Substrate.
-func (d *DSM) Barrier(nodeID int) {
-	n := d.access(nodeID)
-	clk := d.clocks[nodeID]
-	t0 := clk.Now()
-	n.storeBarrier()
-	epoch := n.epoch
-	n.epoch++
-	notes := n.collectNotices()
-	d.exchange.Deposit(epoch, nodeID, notes)
-	if rec := d.rec; rec != nil && rec.Enabled() && len(notes) > 0 {
-		rec.Record(nodeID, perfmon.EvWriteNotice, clk.Now(), 0, uint64(len(notes)), ^uint64(0))
-	}
-	d.vb.Arrive(clk, d.params.SAN.SyncMsgNs, d.params.SAN.SyncMsgNs)
-	n.invalidate(d.exchange.CollectOthers(epoch, nodeID))
-
-	d.lockMu.Lock()
-	locks := append([]*lockState(nil), d.locks...)
-	d.lockMu.Unlock()
-	for _, st := range locks {
-		n.invalidate(st.pending.Take(nodeID))
-	}
-	n.stats.BarrierCrossings++
-	if rec := d.rec; rec != nil && rec.Enabled() {
-		rec.Record(nodeID, perfmon.EvBarrier, t0, vclock.Since(t0, clk.Now()), epoch, 0)
 	}
 }
 
@@ -666,10 +509,8 @@ func (d *DSM) Barrier(nodeID int) {
 func (d *DSM) Fence(nodeID int) {
 	n := d.access(nodeID)
 	n.storeBarrier()
-	for p, cp := range n.cache {
-		n.lru.remove(cp)
-		delete(n.cache, p)
-		retire(cp)
+	for _, cp := range n.cache {
+		n.drop(cp)
 		n.stats.Invalidations++
 	}
 	for p := range n.readCount {
@@ -677,34 +518,17 @@ func (d *DSM) Fence(nodeID int) {
 	}
 }
 
-// TryAcquire implements platform.Substrate: non-blocking Acquire.
-func (d *DSM) TryAcquire(nodeID, lock int) bool {
-	n := d.access(nodeID)
-	st := d.lock(lock)
-	clk := d.clocks[nodeID]
-	t0 := clk.Now()
-	if !st.vl.TryAcquire(clk, d.params.SAN.SyncMsgNs, d.params.SAN.SyncMsgNs) {
-		return false
-	}
-	n.invalidate(st.pending.Take(nodeID))
-	n.stats.LockAcquires++
-	if rec := d.rec; rec != nil && rec.Enabled() {
-		rec.Record(nodeID, perfmon.EvLockAcquire, t0, vclock.Since(t0, clk.Now()), uint64(lock), 0)
-	}
-	return true
-}
-
-// FlushInterval drains this node's posted writes and returns the
-// interval's write notices — the engine-level hook for multi-DSM
-// composition (§6). Call from the node's own goroutine.
+// FlushInterval implements consengine.Composable and hsync.Engine: drain
+// this node's posted writes and return the interval's write notices. Call
+// from the node's own goroutine.
 func (d *DSM) FlushInterval(nodeID int) []memsim.PageID {
 	n := d.access(nodeID)
 	n.storeBarrier()
 	return n.collectNotices()
 }
 
-// InvalidatePages drops this node's cached copies of the given pages —
-// the acquire-side hook for multi-DSM composition.
+// InvalidatePages implements consengine.Composable and hsync.Engine: drop
+// this node's cached copies of the given pages.
 func (d *DSM) InvalidatePages(nodeID int, pages []memsim.PageID) {
 	d.access(nodeID).invalidate(pages)
 }

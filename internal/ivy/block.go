@@ -11,46 +11,34 @@ import "hamster/internal/memsim"
 // most one ownership transfer and one invalidation round per page, the
 // same as the first word write of a loop.
 
-// ReadF64Block implements platform.Substrate.
-func (d *DSM) ReadF64Block(nodeID int, a memsim.Addr, dst []float64) {
+func readBlock[T memsim.Word](d *DSM, nodeID int, a memsim.Addr, dst []T) {
 	n := d.access(nodeID)
 	n.stats.BlockReads++
 	memsim.WordRuns(a, len(dst), func(p memsim.PageID, off, count int) {
-		memsim.GetF64Slice(n.readPage(p, count, count), off, dst[:count])
+		memsim.GetWords(n.readPage(p, count, count), off, dst[:count])
 		dst = dst[count:]
 	})
 }
+
+func writeBlock[T memsim.Word](d *DSM, nodeID int, a memsim.Addr, src []T) {
+	n := d.access(nodeID)
+	n.stats.BlockWrites++
+	memsim.WordRuns(a, len(src), func(p memsim.PageID, off, count int) {
+		e := n.writePage(p, count, count)
+		memsim.PutWords(e.data, off, src[:count])
+		n.mu.Unlock()
+		src = src[count:]
+	})
+}
+
+// ReadF64Block implements platform.Substrate.
+func (d *DSM) ReadF64Block(node int, a memsim.Addr, dst []float64) { readBlock(d, node, a, dst) }
 
 // WriteF64Block implements platform.Substrate.
-func (d *DSM) WriteF64Block(nodeID int, a memsim.Addr, src []float64) {
-	n := d.access(nodeID)
-	n.stats.BlockWrites++
-	memsim.WordRuns(a, len(src), func(p memsim.PageID, off, count int) {
-		e := n.writePage(p, count, count)
-		memsim.PutF64Slice(e.data, off, src[:count])
-		n.mu.Unlock()
-		src = src[count:]
-	})
-}
+func (d *DSM) WriteF64Block(node int, a memsim.Addr, src []float64) { writeBlock(d, node, a, src) }
 
 // ReadI64Block implements platform.Substrate.
-func (d *DSM) ReadI64Block(nodeID int, a memsim.Addr, dst []int64) {
-	n := d.access(nodeID)
-	n.stats.BlockReads++
-	memsim.WordRuns(a, len(dst), func(p memsim.PageID, off, count int) {
-		memsim.GetI64Slice(n.readPage(p, count, count), off, dst[:count])
-		dst = dst[count:]
-	})
-}
+func (d *DSM) ReadI64Block(node int, a memsim.Addr, dst []int64) { readBlock(d, node, a, dst) }
 
 // WriteI64Block implements platform.Substrate.
-func (d *DSM) WriteI64Block(nodeID int, a memsim.Addr, src []int64) {
-	n := d.access(nodeID)
-	n.stats.BlockWrites++
-	memsim.WordRuns(a, len(src), func(p memsim.PageID, off, count int) {
-		e := n.writePage(p, count, count)
-		memsim.PutI64Slice(e.data, off, src[:count])
-		n.mu.Unlock()
-		src = src[count:]
-	})
-}
+func (d *DSM) WriteI64Block(node int, a memsim.Addr, src []int64) { writeBlock(d, node, a, src) }

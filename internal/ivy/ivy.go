@@ -126,26 +126,21 @@ type ipage struct {
 	gen uint64
 }
 
-// DSM is one IVY cluster.
+// DSM is one IVY cluster. Synchronization is the embedded manager over
+// the same Ethernet wire as the scope engine's (so cross-engine
+// comparisons isolate the protocols' data paths, not different sync
+// models), with no engine attached: memory is coherent at every instant
+// (writes invalidate synchronously), so locks and barriers are pure
+// ordering devices and their messages carry no notices. Above the
+// manager's threshold the lock tokens migrate along probable-holder
+// chains — this engine's page-ownership machinery applied to locks.
 type DSM struct {
+	*hsync.Manager
 	params machine.Params
 	space  *memsim.Space
 	clocks []*vclock.Clock
 	layer  *amsg.Layer
 	nodes  []*node
-
-	// topo is the adopted network topology; hier switches locks and the
-	// barrier to the hierarchical primitives above hsync.Threshold nodes
-	// — the same probable-owner machinery the page protocol already uses,
-	// applied to lock tokens (see internal/hsync).
-	topo simnet.Topology
-	hier bool
-	tree *hsync.Tree
-
-	lockMu sync.Mutex
-	locks  []*lockState
-
-	barrier *vclock.VBarrier
 
 	rec *perfmon.Recorder // protocol event recorder; nil until attached
 }
@@ -217,11 +212,6 @@ func New(cfg Config) (*DSM, error) {
 		net := simnet.NewTopo(params.Ethernet, d.clocks, cfg.Topology)
 		d.layer = amsg.New(net, params.Ethernet)
 	}
-	d.topo = d.layer.Network().Topology()
-	d.hier = cfg.Nodes > hsync.Threshold
-	if d.hier {
-		d.tree = hsync.NewTree(cfg.Nodes, d.topo)
-	}
 	for i := range d.nodes {
 		n := &node{
 			id:     i,
@@ -233,8 +223,12 @@ func New(cfg Config) (*DSM, error) {
 		d.nodes[i] = n
 		d.registerHandlers(n)
 	}
-	d.barrier = vclock.NewVBarrier(cfg.Nodes)
-	d.barrier.SetLiveRelease(d.layer.Network().CallFaultsActive)
+	topo := d.layer.Network().Topology()
+	d.Manager = hsync.NewManager(hsync.Config{
+		Name: "ivy", Clocks: d.clocks, Topology: topo,
+		Wire:        hsync.EthernetWire(params.Ethernet, topo),
+		LiveRelease: d.layer.Network().CallFaultsActive,
+	})
 	return d, nil
 }
 
@@ -706,7 +700,7 @@ func (d *DSM) Compute(node int, flops uint64) {
 // ownership arrivals. Call only while the node's program is quiescent.
 func (d *DSM) NodeStats(node int) platform.Stats {
 	n := d.nodes[node]
-	s := n.stats
+	s := d.SyncStats(node, n.stats)
 	n.mu.Lock()
 	s.Invalidations = n.invalidations
 	n.mu.Unlock()
@@ -717,6 +711,7 @@ func (d *DSM) NodeStats(node int) platform.Stats {
 func (d *DSM) ResetStats(node int) {
 	n := d.nodes[node]
 	n.stats = platform.Stats{}
+	d.ResetSyncStats(node)
 	n.mu.Lock()
 	n.invalidations = 0
 	n.mu.Unlock()
@@ -725,6 +720,7 @@ func (d *DSM) ResetStats(node int) {
 // SetRecorder implements platform.Substrate.
 func (d *DSM) SetRecorder(rec *perfmon.Recorder) {
 	d.rec = rec
+	d.Manager.SetRecorder(rec)
 	d.layer.SetRecorder(rec)
 }
 
@@ -760,26 +756,20 @@ func (d *DSM) WriteI64(nodeID int, a memsim.Addr, v int64) {
 // ReadBytes implements platform.Substrate; the span may cross pages.
 func (d *DSM) ReadBytes(nodeID int, a memsim.Addr, buf []byte) {
 	n := d.access(nodeID)
-	for len(buf) > 0 {
-		off := memsim.Offset(a)
-		chunk := min(memsim.PageSize-off, len(buf))
-		data := n.readPage(memsim.PageOf(a), 1+chunk/memsim.WordSize, 1)
+	memsim.ByteRuns(a, len(buf), func(p memsim.PageID, off, chunk int) {
+		data := n.readPage(p, 1+chunk/memsim.WordSize, 1)
 		copy(buf[:chunk], data[off:off+chunk])
 		buf = buf[chunk:]
-		a += memsim.Addr(chunk)
-	}
+	})
 }
 
 // WriteBytes implements platform.Substrate; the span may cross pages.
 func (d *DSM) WriteBytes(nodeID int, a memsim.Addr, data []byte) {
 	n := d.access(nodeID)
-	for len(data) > 0 {
-		off := memsim.Offset(a)
-		chunk := min(memsim.PageSize-off, len(data))
-		e := n.writePage(memsim.PageOf(a), 1+chunk/memsim.WordSize, 1)
+	memsim.ByteRuns(a, len(data), func(p memsim.PageID, off, chunk int) {
+		e := n.writePage(p, 1+chunk/memsim.WordSize, 1)
 		copy(e.data[off:off+chunk], data[:chunk])
 		n.mu.Unlock()
 		data = data[chunk:]
-		a += memsim.Addr(chunk)
-	}
+	})
 }

@@ -91,6 +91,19 @@ func WordRuns(a Addr, words int, fn func(p PageID, off, count int)) {
 	}
 }
 
+// ByteRuns splits the byte span [a, a+n) into maximal per-page runs and
+// calls fn once per run with the page, the byte offset of the run's first
+// byte, and the run's length — WordRuns for the unaligned byte accessors.
+func ByteRuns(a Addr, n int, fn func(p PageID, off, count int)) {
+	for n > 0 {
+		off := Offset(a)
+		count := min(PageSize-off, n)
+		fn(PageOf(a), off, count)
+		n -= count
+		a += Addr(count)
+	}
+}
+
 // Policy selects how a region's pages are distributed across nodes.
 // These are the "distribution annotations" of the Memory Management module.
 type Policy int
@@ -391,34 +404,34 @@ func GetI64(frame []byte, off int) int64 { return int64(GetU64(frame, off)) }
 // PutI64 writes an int64 at byte offset off.
 func PutI64(frame []byte, off int, v int64) { PutU64(frame, off, uint64(v)) }
 
-// GetF64Slice decodes len(dst) consecutive float64 words starting at byte
-// offset off.
-func GetF64Slice(frame []byte, off int, dst []float64) {
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(frame[off+8*i:]))
+// Word is a value the block accessors move: the two 8-byte word types of
+// platform.Substrate.
+type Word interface{ float64 | int64 }
+
+// GetWords decodes len(dst) consecutive words starting at byte offset off.
+func GetWords[T Word](frame []byte, off int, dst []T) {
+	switch d := any(dst).(type) {
+	case []float64:
+		for i := range d {
+			d[i] = math.Float64frombits(binary.LittleEndian.Uint64(frame[off+8*i:]))
+		}
+	case []int64:
+		for i := range d {
+			d[i] = int64(binary.LittleEndian.Uint64(frame[off+8*i:]))
+		}
 	}
 }
 
-// PutF64Slice encodes src as consecutive float64 words starting at byte
-// offset off.
-func PutF64Slice(frame []byte, off int, src []float64) {
-	for i, v := range src {
-		binary.LittleEndian.PutUint64(frame[off+8*i:], math.Float64bits(v))
-	}
-}
-
-// GetI64Slice decodes len(dst) consecutive int64 words starting at byte
-// offset off.
-func GetI64Slice(frame []byte, off int, dst []int64) {
-	for i := range dst {
-		dst[i] = int64(binary.LittleEndian.Uint64(frame[off+8*i:]))
-	}
-}
-
-// PutI64Slice encodes src as consecutive int64 words starting at byte
-// offset off.
-func PutI64Slice(frame []byte, off int, src []int64) {
-	for i, v := range src {
-		binary.LittleEndian.PutUint64(frame[off+8*i:], uint64(v))
+// PutWords encodes src as consecutive words starting at byte offset off.
+func PutWords[T Word](frame []byte, off int, src []T) {
+	switch s := any(src).(type) {
+	case []float64:
+		for i, v := range s {
+			binary.LittleEndian.PutUint64(frame[off+8*i:], math.Float64bits(v))
+		}
+	case []int64:
+		for i, v := range s {
+			binary.LittleEndian.PutUint64(frame[off+8*i:], uint64(v))
+		}
 	}
 }

@@ -37,7 +37,6 @@ import (
 	"hamster/internal/ivy"
 	"hamster/internal/machine"
 	"hamster/internal/memsim"
-	"hamster/internal/notices"
 	"hamster/internal/perfmon"
 	"hamster/internal/platform"
 	"hamster/internal/simnet"
@@ -88,15 +87,20 @@ type Config struct {
 	// happen — but not with Aggregation (scope-protocol machinery).
 	PageEngine string
 	// Topology places the nodes in a switch fabric (see simnet.Topology);
-	// it shapes the page engine's Ethernet-side message costs and, above
-	// hsync.Threshold nodes, aligns the unified sync layer's reduction
-	// tree with the racks. The SAN carrying the sync tokens itself stays
-	// uniform (SyncMsgNs per hop).
+	// it shapes the page engine's Ethernet-side message costs and, once
+	// the unified sync layer goes hierarchical, aligns its reduction tree
+	// with the racks. The SAN carrying the sync tokens itself stays
+	// uniform (SyncMsgNs per hop): hierarchy buys queue decentralization
+	// there, not cheaper hops.
 	Topology simnet.Topology
 }
 
-// DSM is one composed cluster.
+// DSM is one composed cluster. Synchronization is the embedded manager
+// over a SAN wire, driving both engines' consistency actions through one
+// hsync.Engine (see both) — the arrangement every substrate now uses with
+// its single engine.
 type DSM struct {
+	*hsync.Manager
 	params machine.Params
 	space  *memsim.Space
 	clocks []*vclock.Clock
@@ -106,27 +110,6 @@ type DSM struct {
 
 	routeMu sync.RWMutex
 	routes  map[memsim.PageID]Engine
-
-	// hier switches the unified sync layer to tree barriers and
-	// distributed lock queues above hsync.Threshold nodes; tree is
-	// rack-aligned when the topology has racks.
-	hier bool
-	tree *hsync.Tree
-
-	lockMu sync.Mutex
-	locks  []*mixLock
-
-	vb       *vclock.VBarrier
-	exchange *notices.EpochExchange
-	epochs   []uint64 // per-node barrier epoch
-
-	rec *perfmon.Recorder // protocol event recorder; nil until attached
-}
-
-type mixLock struct {
-	vl      *vclock.VLock
-	pending *notices.Board
-	dl      *hsync.DLock // distributed token queue; nil below hsync.Threshold
 }
 
 // New builds a composed cluster: one address space, one clock per node,
@@ -179,21 +162,20 @@ func New(cfg Config) (*DSM, error) {
 		return nil, err
 	}
 	d := &DSM{
-		params:   params,
-		space:    space,
-		clocks:   clocks,
-		sw:       sw,
-		hy:       hy,
-		cfg:      cfg,
-		routes:   make(map[memsim.PageID]Engine),
-		vb:       vclock.NewVBarrier(cfg.Nodes),
-		exchange: notices.NewEpochExchange(cfg.Nodes),
-		epochs:   make([]uint64, cfg.Nodes),
+		params: params,
+		space:  space,
+		clocks: clocks,
+		sw:     sw,
+		hy:     hy,
+		cfg:    cfg,
+		routes: make(map[memsim.PageID]Engine),
 	}
-	d.hier = cfg.Nodes > hsync.Threshold
-	if d.hier {
-		d.tree = hsync.NewTree(cfg.Nodes, cfg.Topology.Normalize())
-	}
+	wire := hsync.AtomicWire(params.SAN.SyncMsgNs, params.SAN.SyncMsgNs)
+	wire.Hier = true
+	d.Manager = hsync.NewManager(hsync.Config{
+		Name: "multidsm", Clocks: clocks, Wire: wire, Topology: cfg.Topology,
+		Engine: both{sw, hy},
+	})
 	return d, nil
 }
 
@@ -346,46 +328,36 @@ func (d *DSM) sameEngineRun(a memsim.Addr, words int) (platform.Substrate, int) 
 	return eng, n
 }
 
-// ReadF64Block implements platform.Substrate: each maximal same-engine
-// chunk is one block call on the owning engine (so BlockReads counts one
-// per dispatched chunk).
-func (d *DSM) ReadF64Block(node int, a memsim.Addr, dst []float64) {
-	for len(dst) > 0 {
-		eng, n := d.sameEngineRun(a, len(dst))
-		eng.ReadF64Block(node, a, dst[:n])
-		dst = dst[n:]
+// blockRuns dispatches a block span in maximal same-engine chunks: each
+// is one block call on the owning engine (so BlockReads counts one per
+// dispatched chunk).
+func blockRuns[T memsim.Word](d *DSM, a memsim.Addr, buf []T, call func(platform.Substrate, memsim.Addr, []T)) {
+	for len(buf) > 0 {
+		eng, n := d.sameEngineRun(a, len(buf))
+		call(eng, a, buf[:n])
+		buf = buf[n:]
 		a += memsim.Addr(n * memsim.WordSize)
 	}
+}
+
+// ReadF64Block implements platform.Substrate.
+func (d *DSM) ReadF64Block(node int, a memsim.Addr, dst []float64) {
+	blockRuns(d, a, dst, func(e platform.Substrate, a memsim.Addr, b []float64) { e.ReadF64Block(node, a, b) })
 }
 
 // WriteF64Block implements platform.Substrate.
 func (d *DSM) WriteF64Block(node int, a memsim.Addr, src []float64) {
-	for len(src) > 0 {
-		eng, n := d.sameEngineRun(a, len(src))
-		eng.WriteF64Block(node, a, src[:n])
-		src = src[n:]
-		a += memsim.Addr(n * memsim.WordSize)
-	}
+	blockRuns(d, a, src, func(e platform.Substrate, a memsim.Addr, b []float64) { e.WriteF64Block(node, a, b) })
 }
 
 // ReadI64Block implements platform.Substrate.
 func (d *DSM) ReadI64Block(node int, a memsim.Addr, dst []int64) {
-	for len(dst) > 0 {
-		eng, n := d.sameEngineRun(a, len(dst))
-		eng.ReadI64Block(node, a, dst[:n])
-		dst = dst[n:]
-		a += memsim.Addr(n * memsim.WordSize)
-	}
+	blockRuns(d, a, dst, func(e platform.Substrate, a memsim.Addr, b []int64) { e.ReadI64Block(node, a, b) })
 }
 
 // WriteI64Block implements platform.Substrate.
 func (d *DSM) WriteI64Block(node int, a memsim.Addr, src []int64) {
-	for len(src) > 0 {
-		eng, n := d.sameEngineRun(a, len(src))
-		eng.WriteI64Block(node, a, src[:n])
-		src = src[n:]
-		a += memsim.Addr(n * memsim.WordSize)
-	}
+	blockRuns(d, a, src, func(e platform.Substrate, a memsim.Addr, b []int64) { e.WriteI64Block(node, a, b) })
 }
 
 // Compute implements platform.Substrate.
@@ -393,157 +365,26 @@ func (d *DSM) Compute(node int, flops uint64) {
 	d.clocks[node].Advance(vclock.Duration(flops) * d.params.CPU.FlopNs)
 }
 
-// NewLock implements platform.Substrate: one unified lock whose
-// acquire/release run BOTH engines' consistency actions.
-func (d *DSM) NewLock() int {
-	d.lockMu.Lock()
-	defer d.lockMu.Unlock()
-	id := len(d.locks)
-	st := &mixLock{vl: vclock.NewVLock(), pending: notices.NewBoard()}
-	if d.hier {
-		st.dl = hsync.NewDLock(st.vl, len(d.clocks), id%len(d.clocks))
-	}
-	d.locks = append(d.locks, st)
-	return id
+// both drives the two engines as one at a synchronization boundary: one
+// unified lock or barrier performs BOTH engines' consistency actions.
+type both struct {
+	sw consengine.Composable
+	hy *hybriddsm.DSM
 }
 
-// sanMsg prices one SAN sync message regardless of endpoints: the SAN is
-// a uniform fabric, so hierarchy buys queue decentralization here, not
-// cheaper hops.
-func (d *DSM) sanMsg(_, _, _ int) vclock.Duration { return d.params.SAN.SyncMsgNs }
-
-// lockCosts returns the request and grant costs of one unified-lock
-// acquire: the flat SAN round trip below the threshold, the distributed
-// token queue's chain cost above it.
-func (d *DSM) lockCosts(node int, st *mixLock) (reqCost, grantCost vclock.Duration) {
-	if st.dl == nil {
-		return d.params.SAN.SyncMsgNs, d.params.SAN.SyncMsgNs
-	}
-	prev, fwd, _ := st.dl.Request(node, 0, d.sanMsg, nil, 0)
-	if prev == node {
-		return 0, 0
-	}
-	return fwd, d.params.SAN.SyncMsgNs
+// FlushInterval collects both engines' interval notices.
+func (b both) FlushInterval(node int) []memsim.PageID {
+	return append(b.sw.FlushInterval(node), b.hy.FlushInterval(node)...)
 }
 
-func (d *DSM) lock(id int) *mixLock {
-	d.lockMu.Lock()
-	defer d.lockMu.Unlock()
-	if id < 0 || id >= len(d.locks) {
-		panic(fmt.Sprintf("multidsm: unknown lock %d", id))
-	}
-	return d.locks[id]
-}
-
-// flushBoth collects both engines' interval notices.
-func (d *DSM) flushBoth(node int) []memsim.PageID {
-	pages := d.sw.FlushInterval(node)
-	return append(pages, d.hy.FlushInterval(node)...)
-}
-
-// invalidateBoth applies notices to both engines (each ignores pages it
+// InvalidatePages applies notices to both engines (each ignores pages it
 // does not hold).
-func (d *DSM) invalidateBoth(node int, pages []memsim.PageID) {
+func (b both) InvalidatePages(node int, pages []memsim.PageID) {
 	if len(pages) == 0 {
 		return
 	}
-	d.sw.InvalidatePages(node, pages)
-	d.hy.InvalidatePages(node, pages)
-}
-
-// Acquire implements platform.Substrate. Sync tokens ride the SAN.
-func (d *DSM) Acquire(node, lock int) {
-	st := d.lock(lock)
-	clk := d.clocks[node]
-	t0 := clk.Now()
-	reqCost, grantCost := d.lockCosts(node, st)
-	st.vl.Acquire(clk, reqCost, grantCost)
-	d.invalidateBoth(node, st.pending.Take(node))
-	if rec := d.rec; rec != nil && rec.Enabled() {
-		rec.Record(node, perfmon.EvLockAcquire, t0, vclock.Since(t0, clk.Now()), uint64(lock), 0)
-	}
-}
-
-// TryAcquire implements platform.Substrate.
-func (d *DSM) TryAcquire(node, lock int) bool {
-	st := d.lock(lock)
-	clk := d.clocks[node]
-	t0 := clk.Now()
-	reqCost, grantCost := vclock.Duration(d.params.SAN.SyncMsgNs), vclock.Duration(d.params.SAN.SyncMsgNs)
-	if st.dl != nil {
-		prev, fwd := st.dl.Probe(node, 0, d.sanMsg)
-		if prev == node {
-			reqCost, grantCost = 0, 0
-		} else {
-			reqCost = fwd
-		}
-	}
-	if !st.vl.TryAcquire(clk, reqCost, grantCost) {
-		return false
-	}
-	if st.dl != nil {
-		st.dl.Commit(node)
-	}
-	d.invalidateBoth(node, st.pending.Take(node))
-	if rec := d.rec; rec != nil && rec.Enabled() {
-		rec.Record(node, perfmon.EvLockAcquire, t0, vclock.Since(t0, clk.Now()), uint64(lock), 0)
-	}
-	return true
-}
-
-// Release implements platform.Substrate.
-func (d *DSM) Release(node, lock int) {
-	st := d.lock(lock)
-	clk := d.clocks[node]
-	t0 := clk.Now()
-	notes := d.flushBoth(node)
-	st.pending.AddForOthers(node, len(d.clocks), notes)
-	if rec := d.rec; rec != nil && rec.Enabled() && len(notes) > 0 {
-		rec.Record(node, perfmon.EvWriteNotice, clk.Now(), 0, uint64(len(notes)), uint64(lock))
-	}
-	if st.dl != nil {
-		// The token stays with the releaser; the next acquirer's grant
-		// pays the handoff.
-		st.vl.Release(clk, 0)
-	} else {
-		st.vl.Release(clk, d.params.SAN.SyncMsgNs)
-	}
-	if rec := d.rec; rec != nil && rec.Enabled() {
-		rec.Record(node, perfmon.EvLockRelease, t0, vclock.Since(t0, clk.Now()), uint64(lock), 0)
-	}
-}
-
-// Barrier implements platform.Substrate: one rendezvous performing both
-// engines' global consistency actions.
-func (d *DSM) Barrier(node int) {
-	clk := d.clocks[node]
-	t0 := clk.Now()
-	epoch := d.epochs[node]
-	d.epochs[node]++
-	notes := d.flushBoth(node)
-	d.exchange.Deposit(epoch, node, notes)
-	if rec := d.rec; rec != nil && rec.Enabled() && len(notes) > 0 {
-		rec.Record(node, perfmon.EvWriteNotice, clk.Now(), 0, uint64(len(notes)), ^uint64(0))
-	}
-	if d.hier && node != 0 {
-		// Tree barrier over the SAN: arrival and release each traverse
-		// the node's tree path instead of a direct manager exchange.
-		pathCost := d.tree.PathCost(node, 0, d.sanMsg)
-		d.vb.Arrive(clk, pathCost, pathCost)
-	} else {
-		d.vb.Arrive(clk, d.params.SAN.SyncMsgNs, d.params.SAN.SyncMsgNs)
-	}
-	d.invalidateBoth(node, d.exchange.CollectOthers(epoch, node))
-
-	d.lockMu.Lock()
-	locks := append([]*mixLock(nil), d.locks...)
-	d.lockMu.Unlock()
-	for _, st := range locks {
-		d.invalidateBoth(node, st.pending.Take(node))
-	}
-	if rec := d.rec; rec != nil && rec.Enabled() {
-		rec.Record(node, perfmon.EvBarrier, t0, vclock.Since(t0, clk.Now()), epoch, 0)
-	}
+	b.sw.InvalidatePages(node, pages)
+	b.hy.InvalidatePages(node, pages)
 }
 
 // Fence implements platform.Substrate.
@@ -553,11 +394,11 @@ func (d *DSM) Fence(node int) {
 }
 
 // NodeStats implements platform.Substrate: the sum of both engines'
-// counters.
+// counters plus the unified synchronization layer's.
 func (d *DSM) NodeStats(node int) platform.Stats {
 	a := d.sw.NodeStats(node)
 	b := d.hy.NodeStats(node)
-	return platform.Stats{
+	return d.SyncStats(node, platform.Stats{
 		Reads:            a.Reads + b.Reads,
 		Writes:           a.Writes + b.Writes,
 		BlockReads:       a.BlockReads + b.BlockReads,
@@ -581,19 +422,20 @@ func (d *DSM) NodeStats(node int) platform.Stats {
 		PrefetchPages:    a.PrefetchPages + b.PrefetchPages,
 		PrefetchHits:     a.PrefetchHits + b.PrefetchHits,
 		PrefetchWaste:    a.PrefetchWaste + b.PrefetchWaste,
-	}
+	})
 }
 
-// ResetStats implements platform.Substrate: resets both engines' counters.
+// ResetStats implements platform.Substrate.
 func (d *DSM) ResetStats(node int) {
 	d.sw.ResetStats(node)
 	d.hy.ResetStats(node)
+	d.ResetSyncStats(node)
 }
 
 // SetRecorder implements platform.Substrate: attaches the recorder to the
 // composition's own synchronization layer and to both engines.
 func (d *DSM) SetRecorder(rec *perfmon.Recorder) {
-	d.rec = rec
+	d.Manager.SetRecorder(rec)
 	d.sw.SetRecorder(rec)
 	d.hy.SetRecorder(rec)
 }

@@ -210,3 +210,31 @@ func TestTryAcquireAndFence(t *testing.T) {
 		t.Fatal("caps wrong")
 	}
 }
+
+// TestSyncCountersCounted: the composition's own synchronization layer
+// serves every acquire and barrier, so its counters — not the idle ones
+// of the two sub-engines — must show up in NodeStats, and reset with it.
+func TestSyncCountersCounted(t *testing.T) {
+	d := newMix(t, 2, nil)
+	lock := d.NewLock()
+	var wg sync.WaitGroup
+	for n := 0; n < 2; n++ {
+		wg.Add(1)
+		go func(n int) {
+			defer wg.Done()
+			d.Acquire(n, lock)
+			d.Release(n, lock)
+			d.Barrier(n)
+		}(n)
+	}
+	wg.Wait()
+	for n := 0; n < 2; n++ {
+		if s := d.NodeStats(n); s.LockAcquires != 1 || s.BarrierCrossings != 1 {
+			t.Errorf("node %d: %d lock acquires, %d barrier crossings; want 1 and 1", n, s.LockAcquires, s.BarrierCrossings)
+		}
+		d.ResetStats(n)
+		if s := d.NodeStats(n); s.LockAcquires != 0 || s.BarrierCrossings != 0 {
+			t.Errorf("node %d: sync counters survive ResetStats: %+v", n, s)
+		}
+	}
+}

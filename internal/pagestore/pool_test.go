@@ -1,4 +1,4 @@
-package swdsm
+package pagestore_test
 
 import (
 	"fmt"
@@ -6,10 +6,12 @@ import (
 	"testing"
 
 	"hamster/internal/memsim"
+	"hamster/internal/pagestore"
+	"hamster/internal/swdsm"
 )
 
 // TestPooledBufferAliasing hammers the pooled-buffer ownership chain
-// documented in pool.go: page buffers travel home → requester → cache →
+// documented in cache.go, through the substrate that exercises all of it: page buffers travel home → requester → cache →
 // pool, twins and diffs recycle within an interval, and prefetch replies
 // are carved into per-page windows of one backing array. Four nodes churn
 // fetch/evict/invalidate/flush concurrently (run under -race this also
@@ -25,10 +27,10 @@ func TestPooledBufferAliasing(t *testing.T) {
 		words  = 4   // sampled words per page
 		rounds = 150 // writer re-stamp cycles
 	)
-	d, err := New(Config{
+	d, err := swdsm.New(swdsm.Config{
 		Nodes:      4,
 		CachePages: 4, // < pages: every scan evicts, retiring buffers mid-use
-		Aggregation: Aggregation{
+		Aggregation: swdsm.Aggregation{
 			Batch:          true,
 			Prefetch:       true,
 			PrefetchDegree: 4, // carved multi-page reply windows
@@ -140,4 +142,48 @@ func errAliasing(nid, p, w int, got, want float64) error {
 
 func errRegressed(nid int, got, last float64) error {
 	return fmt.Errorf("node %d: version regressed: read %.0f after %.0f", nid, got, last)
+}
+
+// TestPoolOnlyRecyclesWholePages: a window carved out of a larger reply
+// with spare capacity behind it must never re-enter the pool — the next
+// owner could reach its neighbor through the extra capacity.
+func TestPoolOnlyRecyclesWholePages(t *testing.T) {
+	backing := make([]byte, 2*memsim.PageSize)
+	loose := backing[:memsim.PageSize] // cap reaches into the second page
+	loose[0] = 0xAB
+	pagestore.PutPage(loose)
+	for i := 0; i < 64; i++ {
+		if b := pagestore.GetPage(); &b[0] == &loose[0] {
+			t.Fatal("a buffer with capacity beyond one page was pooled")
+		}
+	}
+}
+
+// TestLRUOrderAndEntryReset: the recency list evicts in access order and
+// a retired entry comes back zeroed.
+func TestLRUOrderAndEntryReset(t *testing.T) {
+	var pool pagestore.EntryPool[int]
+	var lru pagestore.LRU[int]
+	entries := make([]*pagestore.Entry[int], 3)
+	for i := range entries {
+		e := pool.Get()
+		e.Page, e.Ext, e.Data = memsim.PageID(i), i, pagestore.GetPage()
+		lru.PushFront(e)
+		entries[i] = e
+	}
+	lru.MoveToFront(entries[0]) // recency now 0, 2, 1
+	for _, want := range []memsim.PageID{1, 2, 0} {
+		victim := lru.Back()
+		if victim.Page != want {
+			t.Fatalf("evicting page %d, want %d", victim.Page, want)
+		}
+		lru.Remove(victim)
+		pool.Put(victim)
+		if victim.Data != nil || victim.Ext != 0 {
+			t.Fatalf("retired entry keeps state: %+v", victim)
+		}
+	}
+	if lru.Back() != nil {
+		t.Fatal("list not empty after removing every entry")
+	}
 }

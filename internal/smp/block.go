@@ -24,50 +24,36 @@ func (s *SMP) touchRun(c *cpu, id int, p memsim.PageID, words int) {
 	c.stats.CacheMisses++
 }
 
-// ReadF64Block implements platform.Substrate.
-func (s *SMP) ReadF64Block(id int, a memsim.Addr, dst []float64) {
+func readBlock[T memsim.Word](s *SMP, id int, a memsim.Addr, dst []T) {
 	c := s.cpuOf(id)
 	c.stats.BlockReads++
 	memsim.WordRuns(a, len(dst), func(p memsim.PageID, off, count int) {
 		c.stats.Reads += uint64(count)
 		s.touchRun(c, id, p, count)
-		memsim.GetF64Slice(s.frame(p), off, dst[:count])
+		memsim.GetWords(s.frame(p), off, dst[:count])
 		dst = dst[count:]
 	})
 }
+
+func writeBlock[T memsim.Word](s *SMP, id int, a memsim.Addr, src []T) {
+	c := s.cpuOf(id)
+	c.stats.BlockWrites++
+	memsim.WordRuns(a, len(src), func(p memsim.PageID, off, count int) {
+		c.stats.Writes += uint64(count)
+		s.touchRun(c, id, p, count)
+		memsim.PutWords(s.frame(p), off, src[:count])
+		src = src[count:]
+	})
+}
+
+// ReadF64Block implements platform.Substrate.
+func (s *SMP) ReadF64Block(id int, a memsim.Addr, dst []float64) { readBlock(s, id, a, dst) }
 
 // WriteF64Block implements platform.Substrate.
-func (s *SMP) WriteF64Block(id int, a memsim.Addr, src []float64) {
-	c := s.cpuOf(id)
-	c.stats.BlockWrites++
-	memsim.WordRuns(a, len(src), func(p memsim.PageID, off, count int) {
-		c.stats.Writes += uint64(count)
-		s.touchRun(c, id, p, count)
-		memsim.PutF64Slice(s.frame(p), off, src[:count])
-		src = src[count:]
-	})
-}
+func (s *SMP) WriteF64Block(id int, a memsim.Addr, src []float64) { writeBlock(s, id, a, src) }
 
 // ReadI64Block implements platform.Substrate.
-func (s *SMP) ReadI64Block(id int, a memsim.Addr, dst []int64) {
-	c := s.cpuOf(id)
-	c.stats.BlockReads++
-	memsim.WordRuns(a, len(dst), func(p memsim.PageID, off, count int) {
-		c.stats.Reads += uint64(count)
-		s.touchRun(c, id, p, count)
-		memsim.GetI64Slice(s.frame(p), off, dst[:count])
-		dst = dst[count:]
-	})
-}
+func (s *SMP) ReadI64Block(id int, a memsim.Addr, dst []int64) { readBlock(s, id, a, dst) }
 
 // WriteI64Block implements platform.Substrate.
-func (s *SMP) WriteI64Block(id int, a memsim.Addr, src []int64) {
-	c := s.cpuOf(id)
-	c.stats.BlockWrites++
-	memsim.WordRuns(a, len(src), func(p memsim.PageID, off, count int) {
-		c.stats.Writes += uint64(count)
-		s.touchRun(c, id, p, count)
-		memsim.PutI64Slice(s.frame(p), off, src[:count])
-		src = src[count:]
-	})
-}
+func (s *SMP) WriteI64Block(id int, a memsim.Addr, src []int64) { writeBlock(s, id, a, src) }

@@ -16,11 +16,10 @@ package smp
 
 import (
 	"fmt"
-	"sync"
 
+	"hamster/internal/hsync"
 	"hamster/internal/machine"
 	"hamster/internal/memsim"
-	"hamster/internal/perfmon"
 	"hamster/internal/platform"
 	"hamster/internal/vclock"
 )
@@ -33,20 +32,18 @@ type Config struct {
 	Params machine.Params
 }
 
-// SMP is one simulated shared-memory multiprocessor.
+// SMP is one simulated shared-memory multiprocessor. Synchronization is
+// the embedded manager over a bus wire: every lock and barrier operation
+// is one locked bus transaction, and hardware coherence leaves it no
+// consistency engine to drive.
 type SMP struct {
+	*hsync.Manager
 	params machine.Params
 	space  *memsim.Space
 	clocks []*vclock.Clock
 	mem    memsim.Table[[memsim.PageSize]byte] // the one physical memory
 	cpus   []*cpu
 	dram   vclock.Duration // contention-scaled DRAM cost, fixed per config
-
-	lockMu sync.Mutex
-	locks  []*vclock.VLock
-	vb     *vclock.VBarrier
-
-	rec *perfmon.Recorder // protocol event recorder; nil until attached
 }
 
 // cpu holds the per-processor cache model. Owner-goroutine state only.
@@ -70,12 +67,16 @@ func New(cfg Config) (*SMP, error) {
 		clocks: make([]*vclock.Clock, cfg.CPUs),
 		cpus:   make([]*cpu, cfg.CPUs),
 		dram:   params.Bus.EffectiveDRAM(cfg.CPUs),
-		vb:     vclock.NewVBarrier(cfg.CPUs),
 	}
 	for i := range s.cpus {
 		s.clocks[i] = &vclock.Clock{}
 		s.cpus[i] = &cpu{pcache: machine.NewPageCache(params.Bus.CachePages)}
 	}
+	s.Manager = hsync.NewManager(hsync.Config{
+		Name:   "smp",
+		Clocks: s.clocks,
+		Wire:   hsync.AtomicWire(params.Bus.SyncNs, 0),
+	})
 	return s, nil
 }
 
@@ -120,13 +121,13 @@ func (s *SMP) Compute(node int, flops uint64) {
 }
 
 // NodeStats implements platform.Substrate.
-func (s *SMP) NodeStats(node int) platform.Stats { return s.cpus[node].stats }
+func (s *SMP) NodeStats(node int) platform.Stats { return s.SyncStats(node, s.cpus[node].stats) }
 
 // ResetStats implements platform.Substrate.
-func (s *SMP) ResetStats(node int) { s.cpus[node].stats = platform.Stats{} }
-
-// SetRecorder implements platform.Substrate.
-func (s *SMP) SetRecorder(rec *perfmon.Recorder) { s.rec = rec }
+func (s *SMP) ResetStats(node int) {
+	s.cpus[node].stats = platform.Stats{}
+	s.ResetSyncStats(node)
+}
 
 // Close implements platform.Substrate.
 func (s *SMP) Close() {}
@@ -200,9 +201,7 @@ func (s *SMP) WriteBytes(id int, a memsim.Addr, data []byte) { s.copyBytes(id, a
 // and a per-word charge.
 func (s *SMP) copyBytes(id int, a memsim.Addr, buf []byte, write bool) {
 	c := s.cpuOf(id)
-	for len(buf) > 0 {
-		p, off := memsim.PageOf(a), memsim.Offset(a)
-		chunk := min(memsim.PageSize-off, len(buf))
+	memsim.ByteRuns(a, len(buf), func(p memsim.PageID, off, chunk int) {
 		s.touch(c, id, p)
 		s.clocks[id].AdvanceCat(vclock.CatMemory, s.params.CPU.AccessNs*vclock.Duration(chunk/memsim.WordSize))
 		mem := s.frame(p)[off : off+chunk]
@@ -214,76 +213,10 @@ func (s *SMP) copyBytes(id int, a memsim.Addr, buf []byte, write bool) {
 			copy(buf[:chunk], mem)
 		}
 		buf = buf[chunk:]
-		a += memsim.Addr(chunk)
-	}
-}
-
-// NewLock implements platform.Substrate.
-func (s *SMP) NewLock() int {
-	s.lockMu.Lock()
-	defer s.lockMu.Unlock()
-	id := len(s.locks)
-	s.locks = append(s.locks, vclock.NewVLock())
-	return id
-}
-
-func (s *SMP) lock(id int) *vclock.VLock {
-	s.lockMu.Lock()
-	defer s.lockMu.Unlock()
-	if id < 0 || id >= len(s.locks) {
-		panic(fmt.Sprintf("smp: unknown lock %d", id))
-	}
-	return s.locks[id]
-}
-
-// Acquire implements platform.Substrate: a locked bus transaction.
-func (s *SMP) Acquire(node, lock int) {
-	clk := s.clocks[node]
-	t0 := clk.Now()
-	s.lock(lock).Acquire(clk, s.params.Bus.SyncNs, 0)
-	s.cpus[node].stats.LockAcquires++
-	if rec := s.rec; rec != nil && rec.Enabled() {
-		rec.Record(node, perfmon.EvLockAcquire, t0, vclock.Since(t0, clk.Now()), uint64(lock), 0)
-	}
-}
-
-// Release implements platform.Substrate.
-func (s *SMP) Release(node, lock int) {
-	clk := s.clocks[node]
-	t0 := clk.Now()
-	s.lock(lock).Release(clk, s.params.Bus.SyncNs)
-	if rec := s.rec; rec != nil && rec.Enabled() {
-		rec.Record(node, perfmon.EvLockRelease, t0, vclock.Since(t0, clk.Now()), uint64(lock), 0)
-	}
-}
-
-// Barrier implements platform.Substrate: a counter barrier on atomics.
-func (s *SMP) Barrier(node int) {
-	clk := s.clocks[node]
-	t0 := clk.Now()
-	epoch := s.cpus[node].stats.BarrierCrossings
-	s.vb.Arrive(clk, s.params.Bus.SyncNs, s.params.Bus.SyncNs)
-	s.cpus[node].stats.BarrierCrossings++
-	if rec := s.rec; rec != nil && rec.Enabled() {
-		rec.Record(node, perfmon.EvBarrier, t0, vclock.Since(t0, clk.Now()), epoch, 0)
-	}
+	})
 }
 
 // Fence implements platform.Substrate: a memory fence instruction.
 func (s *SMP) Fence(node int) {
 	s.clocks[node].AdvanceCat(vclock.CatProtocol, s.params.Bus.SyncNs)
-}
-
-// TryAcquire implements platform.Substrate: a compare-and-swap attempt.
-func (s *SMP) TryAcquire(node, lock int) bool {
-	clk := s.clocks[node]
-	t0 := clk.Now()
-	if !s.lock(lock).TryAcquire(clk, s.params.Bus.SyncNs, 0) {
-		return false
-	}
-	s.cpus[node].stats.LockAcquires++
-	if rec := s.rec; rec != nil && rec.Enabled() {
-		rec.Record(node, perfmon.EvLockAcquire, t0, vclock.Since(t0, clk.Now()), uint64(lock), 0)
-	}
-	return true
 }

@@ -182,14 +182,14 @@ func (n *node) flushBatched(pages []memsim.PageID) {
 	batch := n.flushScratch[:0]
 	for _, p := range pages {
 		cp, ok := n.cache[p]
-		if !ok || cp.twin == nil {
+		if !ok || cp.Ext.twin == nil {
 			continue
 		}
 		t0 := clk.Now()
 		clk.AdvanceCat(vclock.CatProtocol, d.params.CPU.DiffScanNs)
-		diff := buildDiff(cp.data, cp.twin)
-		putTwin(cp.twin)
-		cp.twin = nil
+		diff := buildDiff(cp.Data, cp.Ext.twin)
+		putTwin(cp.Ext.twin)
+		cp.Ext.twin = nil
 		delete(n.dirty, p)
 		if len(diff) == 0 {
 			putDiff(diff)
@@ -200,7 +200,7 @@ func (n *node) flushBatched(pages []memsim.PageID) {
 		if rec := d.rec; rec != nil && rec.Enabled() {
 			rec.Record(n.id, perfmon.EvDiffCreate, t0, vclock.Since(t0, clk.Now()), uint64(p), uint64(len(diff)))
 		}
-		cp.diffStreak++
+		cp.Ext.diffStreak++
 		batch = append(batch, homeDiff{home: d.space.Home(p), p: p, diff: diff})
 	}
 	// Group by home with an in-place stable sort over the node's reusable
@@ -318,10 +318,10 @@ func (n *node) maybePrefetch(p memsim.PageID, home int) {
 		// Disjoint full-slice subslices of the one response buffer: each
 		// page writes only its own window, so sharing the backing array is
 		// safe and avoids a copy per page.
-		cp := getCpage()
-		cp.data = data[i*memsim.PageSize : (i+1)*memsim.PageSize : (i+1)*memsim.PageSize]
-		cp.page = q
-		n.lru.pushFront(cp)
+		cp := cpagePool.Get()
+		cp.Data = data[i*memsim.PageSize : (i+1)*memsim.PageSize : (i+1)*memsim.PageSize]
+		cp.Page = q
+		n.lru.PushFront(cp)
 		n.cache[q] = cp
 		pf.pending[q] = struct{}{}
 	}

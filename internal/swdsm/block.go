@@ -21,8 +21,7 @@ import (
 // prefetch-hit on first touch) and a page-straddling run simply crosses
 // from a prefetched frame into a demand-faulted one.
 
-// ReadF64Block implements platform.Substrate.
-func (d *DSM) ReadF64Block(nodeID int, a memsim.Addr, dst []float64) {
+func readBlock[T memsim.Word](d *DSM, nodeID int, a memsim.Addr, dst []T) {
 	n := d.access(nodeID)
 	n.stats.BlockReads++
 	clk := d.clocks[nodeID]
@@ -31,64 +30,39 @@ func (d *DSM) ReadF64Block(nodeID int, a memsim.Addr, dst []float64) {
 		n.stats.Reads += uint64(count)
 		n.touchLocal(p)
 		fr, hp := n.frameForRead(p)
-		memsim.GetF64Slice(fr, off, dst[:count])
+		memsim.GetWords(fr, off, dst[:count])
 		if hp != nil {
 			hp.Mu.Unlock()
 		}
 		dst = dst[count:]
 	})
 }
+
+func writeBlock[T memsim.Word](d *DSM, nodeID int, a memsim.Addr, src []T) {
+	n := d.access(nodeID)
+	n.stats.BlockWrites++
+	clk := d.clocks[nodeID]
+	memsim.WordRuns(a, len(src), func(p memsim.PageID, off, count int) {
+		clk.AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs*vclock.Duration(count))
+		n.stats.Writes += uint64(count)
+		n.touchLocal(p)
+		fr, hp := n.prepareWrite(p)
+		memsim.PutWords(fr, off, src[:count])
+		if hp != nil {
+			hp.Mu.Unlock()
+		}
+		src = src[count:]
+	})
+}
+
+// ReadF64Block implements platform.Substrate.
+func (d *DSM) ReadF64Block(node int, a memsim.Addr, dst []float64) { readBlock(d, node, a, dst) }
 
 // WriteF64Block implements platform.Substrate.
-func (d *DSM) WriteF64Block(nodeID int, a memsim.Addr, src []float64) {
-	n := d.access(nodeID)
-	n.stats.BlockWrites++
-	clk := d.clocks[nodeID]
-	memsim.WordRuns(a, len(src), func(p memsim.PageID, off, count int) {
-		clk.AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs*vclock.Duration(count))
-		n.stats.Writes += uint64(count)
-		n.touchLocal(p)
-		fr, hp := n.prepareWrite(p)
-		memsim.PutF64Slice(fr, off, src[:count])
-		if hp != nil {
-			hp.Mu.Unlock()
-		}
-		src = src[count:]
-	})
-}
+func (d *DSM) WriteF64Block(node int, a memsim.Addr, src []float64) { writeBlock(d, node, a, src) }
 
 // ReadI64Block implements platform.Substrate.
-func (d *DSM) ReadI64Block(nodeID int, a memsim.Addr, dst []int64) {
-	n := d.access(nodeID)
-	n.stats.BlockReads++
-	clk := d.clocks[nodeID]
-	memsim.WordRuns(a, len(dst), func(p memsim.PageID, off, count int) {
-		clk.AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs*vclock.Duration(count))
-		n.stats.Reads += uint64(count)
-		n.touchLocal(p)
-		fr, hp := n.frameForRead(p)
-		memsim.GetI64Slice(fr, off, dst[:count])
-		if hp != nil {
-			hp.Mu.Unlock()
-		}
-		dst = dst[count:]
-	})
-}
+func (d *DSM) ReadI64Block(node int, a memsim.Addr, dst []int64) { readBlock(d, node, a, dst) }
 
 // WriteI64Block implements platform.Substrate.
-func (d *DSM) WriteI64Block(nodeID int, a memsim.Addr, src []int64) {
-	n := d.access(nodeID)
-	n.stats.BlockWrites++
-	clk := d.clocks[nodeID]
-	memsim.WordRuns(a, len(src), func(p memsim.PageID, off, count int) {
-		clk.AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs*vclock.Duration(count))
-		n.stats.Writes += uint64(count)
-		n.touchLocal(p)
-		fr, hp := n.prepareWrite(p)
-		memsim.PutI64Slice(fr, off, src[:count])
-		if hp != nil {
-			hp.Mu.Unlock()
-		}
-		src = src[count:]
-	})
-}
+func (d *DSM) WriteI64Block(node int, a memsim.Addr, src []int64) { writeBlock(d, node, a, src) }

@@ -16,6 +16,7 @@ import (
 	"slices"
 
 	"hamster/internal/memsim"
+	"hamster/internal/pagestore"
 )
 
 // CheckpointPages returns the node's resident home pages in ascending
@@ -71,15 +72,15 @@ func (d *DSM) RestoreCached(node int, pages []memsim.PageID) {
 		if home == memsim.NoHome || home == n.id {
 			continue
 		}
-		data := getPage()
+		data := pagestore.GetPage()
 		if !d.access(home).home.CopyFrame(p, data) {
-			putPage(data)
+			pagestore.PutPage(data)
 			continue
 		}
-		cp := getCpage()
-		cp.data = data
-		cp.page = p
-		n.lru.pushFront(cp)
+		cp := cpagePool.Get()
+		cp.Data = data
+		cp.Page = p
+		n.lru.PushFront(cp)
 		n.cache[p] = cp
 	}
 }
@@ -103,29 +104,3 @@ func (d *DSM) DirtyPages(node int) []memsim.PageID {
 // real-time bookkeeping: it never advances a virtual clock, so enabling
 // it cannot perturb modeled times.
 func (d *DSM) SetCheckpointTracking(on bool) { d.ckptTrack.Store(on) }
-
-// ProtocolEpoch returns the node's barrier-interval counter. Call at
-// quiescence (the node's own goroutine inside a capture).
-func (d *DSM) ProtocolEpoch(node int) uint64 { return d.access(node).epoch }
-
-// RestoreProtocolState rewinds the node's barrier-interval counter
-// (restore path, pre-run).
-func (d *DSM) RestoreProtocolState(node int, epoch uint64) {
-	d.access(node).epoch = epoch
-}
-
-// LockCount reports how many global locks exist.
-func (d *DSM) LockCount() int {
-	d.lockMu.Lock()
-	defer d.lockMu.Unlock()
-	return len(d.locks)
-}
-
-// EnsureLocks creates locks until the cluster has at least n. NewLock's
-// round-robin home placement is a pure function of the lock id, so the
-// recreated locks match the captured ones.
-func (d *DSM) EnsureLocks(n int) {
-	for d.LockCount() < n {
-		d.NewLock()
-	}
-}

@@ -8,6 +8,7 @@ import (
 
 	"hamster/internal/amsg"
 	"hamster/internal/memsim"
+	"hamster/internal/pagestore"
 	"hamster/internal/perfmon"
 	"hamster/internal/simnet"
 	"hamster/internal/vclock"
@@ -117,7 +118,7 @@ func (n *node) migrationWishes() []memsim.PageID {
 	}
 	var out []memsim.PageID
 	for p, cp := range n.cache {
-		if cp.diffStreak >= n.dsm.migrateAfter {
+		if cp.Ext.diffStreak >= n.dsm.migrateAfter {
 			out = append(out, p)
 		}
 	}
@@ -165,7 +166,7 @@ func (n *node) performMigrations(pages []memsim.PageID) {
 		hp.Mu.Unlock()
 		// The handover reply was copied into the home frame; the buffer
 		// (the old home's dropped frame) is dead and can serve page fetches.
-		putPage(data)
+		pagestore.PutPage(data)
 		clk.AdvanceCat(vclock.CatMemory, d.params.CPU.PageCopyNs)
 		d.space.SetHome(p, n.id)
 		n.markCkptDirty(p)
@@ -174,10 +175,10 @@ func (n *node) performMigrations(pages []memsim.PageID) {
 		}
 		// The page is now home-resident: retire the cached copy.
 		if cp, ok := n.cache[p]; ok {
-			n.lru.remove(cp)
+			n.lru.Remove(cp)
 			delete(n.cache, p)
 			delete(n.dirty, p)
-			putCpage(cp)
+			cpagePool.Put(cp)
 		}
 		n.stats.HomeMigrations++
 	}

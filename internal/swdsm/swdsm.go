@@ -30,7 +30,6 @@ import (
 	"hamster/internal/hsync"
 	"hamster/internal/machine"
 	"hamster/internal/memsim"
-	"hamster/internal/notices"
 	"hamster/internal/pagestore"
 	"hamster/internal/perfmon"
 	"hamster/internal/platform"
@@ -118,34 +117,26 @@ type Config struct {
 	DropInvalidations bool
 }
 
-// DSM is one software-DSM cluster.
+// DSM is one software-DSM cluster. Synchronization is the embedded
+// manager over an Ethernet wire whose messages carry write notices; this
+// package supplies the consistency engine it drives (FlushInterval,
+// InvalidatePages) and the three protocol hooks in sync.go.
 type DSM struct {
+	*hsync.Manager
 	params machine.Params
 	space  *memsim.Space
 	clocks []*vclock.Clock
 	layer  *amsg.Layer
 	nodes  []*node
-
-	// topo is the adopted network topology; hier switches locks and
-	// barriers to the hierarchical primitives (tree barriers, migrating
-	// distributed lock queues) when the cluster exceeds hsync.Threshold.
-	topo simnet.Topology
-	hier bool
-	tree *hsync.Tree
+	msg    hsync.CostFn // one protocol message under the adopted topology
 
 	cacheCap     int
 	migrateAfter int
 	protocol     Protocol
 	agg          Aggregation
-	dropInval    bool           // conformance-harness negative control
-	rcPending    *notices.Board // EagerRC: one global notice board
+	dropInval    bool // conformance-harness negative control
 	migration    *migrationState
 	vbMig        *vclock.VBarrier
-
-	lockMu sync.Mutex
-	locks  []*lockState
-
-	barrier *barrierState
 
 	// ckptTrack gates the checkpoint dirty-page tracking hooks. Off by
 	// default so runs without incremental checkpointing pay a single
@@ -157,14 +148,15 @@ type DSM struct {
 }
 
 // cpage is one cached remote page. Owned exclusively by the node's
-// goroutine; structs and their page buffers recycle through pools (see
-// pool.go), with prev/next linking the entry into the node's intrusive
-// recency list.
-type cpage struct {
-	data       []byte
-	twin       []byte // non-nil while the page is dirty
-	page       memsim.PageID
-	prev, next *cpage
+// goroutine; structs and their page buffers recycle through pagestore's
+// pools.
+type cpage = pagestore.Entry[pageExt]
+
+var cpagePool pagestore.EntryPool[pageExt]
+
+// pageExt is what the multiple-writer protocol keeps per cached page.
+type pageExt struct {
+	twin []byte // non-nil while the page is dirty
 	// diffStreak counts consecutive intervals in which this node diffed
 	// the page without anyone else's write notice invalidating it — the
 	// single-writer detector for home migration.
@@ -199,20 +191,17 @@ type node struct {
 	// the node's own goroutine touches these (invalidations are applied
 	// by the owner when it acquires), so no locking is needed.
 	cache     map[memsim.PageID]*cpage
-	lru       pageLRU // front = most recent
+	lru       pagestore.LRU[pageExt] // front = most recent
 	dirty     map[memsim.PageID]struct{}
 	homeDirty map[memsim.PageID]struct{}
-	epoch     uint64
 	gen       uint64 // invalidates every window entry when bumped
 	window    memsim.Window[fastFrame]
 
-	// Reusable interval buffers (owner goroutine only): the acquire-side
-	// notice list and the release-side batch grouping grow to the interval
-	// working size once, then recycle — the marginal allocation cost of a
-	// flushed or invalidated page is zero (gated by the bench package's
-	// TestDiffFlushMarginalZeroAlloc).
-	noticeScratch []memsim.PageID
-	flushScratch  []homeDiff
+	// flushScratch is the release-side batch grouping (owner goroutine
+	// only): it grows to the interval working size once, then recycles —
+	// the marginal allocation cost of a flushed page is zero (gated by the
+	// bench package's TestDiffFlushMarginalZeroAlloc).
+	flushScratch []homeDiff
 
 	// ckptDirty records home pages mutated since the last checkpoint
 	// capture (local drains, remote diffs, migration installs). Unlike the
@@ -287,11 +276,6 @@ func New(cfg Config) (*DSM, error) {
 		net := simnet.NewTopo(params.Ethernet, d.clocks, cfg.Topology)
 		d.layer = amsg.New(net, params.Ethernet)
 	}
-	d.topo = d.layer.Network().Topology()
-	d.hier = cfg.Nodes > hsync.Threshold
-	if d.hier {
-		d.tree = hsync.NewTree(cfg.Nodes, d.topo)
-	}
 	cap := cfg.CachePages
 	if cap <= 0 {
 		cap = DefaultCachePages
@@ -318,17 +302,18 @@ func New(cfg Config) (*DSM, error) {
 	d.protocol = cfg.Protocol
 	d.agg = cfg.Aggregation
 	d.dropInval = cfg.DropInvalidations
-	d.rcPending = notices.NewBoard()
 	d.migrateAfter = cfg.MigrateAfter
 	d.migration = newMigrationState()
 	d.vbMig = vclock.NewVBarrier(cfg.Nodes)
-	d.barrier = newBarrierState(cfg.Nodes)
 	// Under an active call-fault plan, retry timeouts desynchronize
 	// barrier arrivals; switch to the quiescent-instant release so seeded
 	// campaigns replay bit-identically (fault-free runs keep the legacy
 	// snapshot convention and its exact numbers).
-	d.vbMig.SetLiveRelease(d.layer.Network().CallFaultsActive)
-	d.barrier.vb.SetLiveRelease(d.layer.Network().CallFaultsActive)
+	faults := d.layer.Network().CallFaultsActive
+	d.vbMig.SetLiveRelease(faults)
+	sc := d.syncConfig(faults)
+	d.msg = sc.Wire.Msg
+	d.Manager = hsync.NewManager(sc)
 	return d, nil
 }
 
@@ -342,7 +327,7 @@ func (d *DSM) registerHandlers(n *node) {
 		// The reply buffer comes from the page pool and will BECOME the
 		// requester's cached copy; it re-enters the pool when that copy is
 		// retired (see pool.go for the ownership chain).
-		out := getPage()
+		out := pagestore.GetPage()
 		copy(out, hp.Data)
 		hp.Mu.Unlock()
 		return out, d.params.CPU.PageCopyNs
@@ -427,10 +412,13 @@ func (d *DSM) Compute(node int, flops uint64) {
 
 // NodeStats implements platform.Substrate. Call only while the node's
 // program is quiescent (e.g., after the SPMD run joined).
-func (d *DSM) NodeStats(node int) platform.Stats { return d.nodes[node].stats }
+func (d *DSM) NodeStats(node int) platform.Stats { return d.SyncStats(node, d.nodes[node].stats) }
 
 // ResetStats implements platform.Substrate. Quiescent use only.
-func (d *DSM) ResetStats(node int) { d.nodes[node].stats = platform.Stats{} }
+func (d *DSM) ResetStats(node int) {
+	d.nodes[node].stats = platform.Stats{}
+	d.ResetSyncStats(node)
+}
 
 // SetRecorder implements platform.Substrate: attaches the recorder to the
 // protocol and to the messaging stack underneath it (the active-message
@@ -438,28 +426,12 @@ func (d *DSM) ResetStats(node int) { d.nodes[node].stats = platform.Stats{} }
 // the layer is private or HAMSTER's shared coalesced layer.
 func (d *DSM) SetRecorder(rec *perfmon.Recorder) {
 	d.rec = rec
+	d.Manager.SetRecorder(rec)
 	d.layer.SetRecorder(rec)
 }
 
 // Close implements platform.Substrate.
 func (d *DSM) Close() { d.layer.Network().Close() }
-
-// AbortSync poisons every synchronization object of the cluster so that
-// no goroutine stays blocked waiting for a failed peer: parties blocked
-// at (or later reaching) the barrier, the migration rendezvous, or any
-// global lock panic with the reason instead of deadlocking. The core
-// runtime calls it from its per-node panic recovery when a node
-// fail-stops, turning a would-be hang into one clean diagnostic.
-func (d *DSM) AbortSync(reason string) {
-	d.barrier.vb.Abort(reason)
-	d.vbMig.Abort(reason)
-	d.lockMu.Lock()
-	locks := append([]*lockState(nil), d.locks...)
-	d.lockMu.Unlock()
-	for _, st := range locks {
-		st.vl.Abort(reason)
-	}
-}
 
 // homeOf resolves (and first-touch assigns) the home of a page for an
 // accessing node.
@@ -493,13 +465,13 @@ func (n *node) frameForRead(p memsim.PageID) ([]byte, *pagestore.Frame) {
 	}
 	if cp, ok := n.cache[p]; ok {
 		n.notePrefetchHit(p)
-		n.lru.moveToFront(cp)
-		n.window.Put(p, n.gen, fastFrame{cp: cp, dirty: cp.twin != nil})
-		return cp.data, nil
+		n.lru.MoveToFront(cp)
+		n.window.Put(p, n.gen, fastFrame{cp: cp, dirty: cp.Ext.twin != nil})
+		return cp.Data, nil
 	}
 	cp := n.fault(p, home)
 	n.window.Put(p, n.gen, fastFrame{cp: cp})
-	return cp.data, nil
+	return cp.Data, nil
 }
 
 // windowFrame serves an access from a window entry: a home frame comes
@@ -510,8 +482,8 @@ func (n *node) windowFrame(f *fastFrame) ([]byte, *pagestore.Frame) {
 		f.hp.Mu.Lock()
 		return f.hp.Data, f.hp
 	}
-	n.lru.moveToFront(f.cp)
-	return f.cp.data, nil
+	n.lru.MoveToFront(f.cp)
+	return f.cp.Data, nil
 }
 
 // fault fetches a remote page into the cache.
@@ -541,10 +513,10 @@ func (n *node) fault(p memsim.PageID, home int) *cpage {
 	if rec := n.dsm.rec; rec != nil && rec.Enabled() {
 		rec.Record(n.id, perfmon.EvPageFault, t0, vclock.Since(t0, clk.Now()), uint64(p), uint64(home))
 	}
-	cp := getCpage()
-	cp.data = data
-	cp.page = p
-	n.lru.pushFront(cp)
+	cp := cpagePool.Get()
+	cp.Data = data
+	cp.Page = p
+	n.lru.PushFront(cp)
 	n.cache[p] = cp
 	n.stats.PageFaults++
 	n.evictIfNeeded()
@@ -554,20 +526,20 @@ func (n *node) fault(p memsim.PageID, home int) *cpage {
 
 func (n *node) evictIfNeeded() {
 	for len(n.cache) > n.dsm.cacheCap {
-		cp := n.lru.back()
+		cp := n.lru.Back()
 		if cp == nil {
 			return
 		}
 		n.bumpGen()
-		p := cp.page
-		if cp.twin != nil {
+		p := cp.Page
+		if cp.Ext.twin != nil {
 			n.flushPage(p, cp)
 		}
 		n.notePrefetchDrop(p)
-		n.lru.remove(cp)
+		n.lru.Remove(cp)
 		delete(n.cache, p)
 		delete(n.dirty, p)
-		putCpage(cp)
+		cpagePool.Put(cp)
 		n.stats.Evictions++
 	}
 }
@@ -595,13 +567,13 @@ func (n *node) prepareWrite(p memsim.PageID) ([]byte, *pagestore.Frame) {
 		cp = n.fault(p, home)
 	} else {
 		n.notePrefetchHit(p)
-		n.lru.moveToFront(cp)
+		n.lru.MoveToFront(cp)
 	}
-	if cp.twin == nil {
+	if cp.Ext.twin == nil {
 		clk := n.dsm.clocks[n.id]
 		t0 := clk.Now()
-		cp.twin = getTwin()
-		copy(cp.twin, cp.data)
+		cp.Ext.twin = getTwin()
+		copy(cp.Ext.twin, cp.Data)
 		clk.AdvanceCat(vclock.CatMemory, n.dsm.params.CPU.PageCopyNs)
 		n.stats.TwinsCreated++
 		n.dirty[p] = struct{}{}
@@ -610,7 +582,7 @@ func (n *node) prepareWrite(p memsim.PageID) ([]byte, *pagestore.Frame) {
 		}
 	}
 	n.window.Put(p, n.gen, fastFrame{cp: cp, dirty: true})
-	return cp.data, nil
+	return cp.Data, nil
 }
 
 // touchLocal charges the CPU-cache model for one local page reference.
@@ -685,13 +657,7 @@ func (d *DSM) WriteI64(nodeID int, a memsim.Addr, v int64) {
 // ReadBytes implements platform.Substrate; the span may cross pages.
 func (d *DSM) ReadBytes(nodeID int, a memsim.Addr, buf []byte) {
 	n := d.access(nodeID)
-	for len(buf) > 0 {
-		p := memsim.PageOf(a)
-		off := memsim.Offset(a)
-		chunk := memsim.PageSize - off
-		if chunk > len(buf) {
-			chunk = len(buf)
-		}
+	memsim.ByteRuns(a, len(buf), func(p memsim.PageID, off, chunk int) {
 		d.clocks[nodeID].AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs*
 			vclock.Duration(1+chunk/memsim.WordSize))
 		n.stats.Reads++
@@ -702,20 +668,13 @@ func (d *DSM) ReadBytes(nodeID int, a memsim.Addr, buf []byte) {
 			hp.Mu.Unlock()
 		}
 		buf = buf[chunk:]
-		a += memsim.Addr(chunk)
-	}
+	})
 }
 
 // WriteBytes implements platform.Substrate; the span may cross pages.
 func (d *DSM) WriteBytes(nodeID int, a memsim.Addr, data []byte) {
 	n := d.access(nodeID)
-	for len(data) > 0 {
-		p := memsim.PageOf(a)
-		off := memsim.Offset(a)
-		chunk := memsim.PageSize - off
-		if chunk > len(data) {
-			chunk = len(data)
-		}
+	memsim.ByteRuns(a, len(data), func(p memsim.PageID, off, chunk int) {
 		d.clocks[nodeID].AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs*
 			vclock.Duration(1+chunk/memsim.WordSize))
 		n.stats.Writes++
@@ -726,6 +685,5 @@ func (d *DSM) WriteBytes(nodeID int, a memsim.Addr, data []byte) {
 			hp.Mu.Unlock()
 		}
 		data = data[chunk:]
-		a += memsim.Addr(chunk)
-	}
+	})
 }

@@ -13,199 +13,71 @@ import (
 	"hamster/internal/vclock"
 )
 
-// lockState is one global lock. The lock lives at a home node (id % nodes,
-// like JiaJia's static lock distribution); acquisition and release are
-// modeled as messages to the home plus the virtual-time serialization of
-// vclock.VLock. The pending map carries the scope's write notices: when a
-// node releases, the pages it modified are queued for every other node and
-// delivered (as invalidations) on that node's next acquire of this lock.
-type lockState struct {
-	id      int
-	home    int
-	vl      *vclock.VLock
-	pending *notices.Board
-	// dl replaces the single-home request path above hsync.Threshold
-	// nodes: the token migrates to the acquirer along probable-holder
-	// hint chains (IVY's probable-owner machinery applied to locks), so
-	// no node serializes every acquire. nil below the threshold.
-	dl *hsync.DLock
-}
-
-// NewLock implements platform.Substrate. Locks are distributed across
-// nodes round-robin.
-func (d *DSM) NewLock() int {
-	d.lockMu.Lock()
-	defer d.lockMu.Unlock()
-	id := len(d.locks)
-	st := &lockState{
-		id:      id,
-		home:    id % len(d.nodes),
-		vl:      vclock.NewVLock(),
-		pending: notices.NewBoard(),
+// syncConfig describes this cluster to the synchronization manager: an
+// Ethernet wire whose messages carry write notices, this engine's two
+// consistency hooks, and the three places where the protocol — not
+// synchronization — has something to add at a boundary.
+func (d *DSM) syncConfig(liveRelease func() bool) hsync.Config {
+	topo := d.layer.Network().Topology()
+	wire := hsync.EthernetWire(d.params.Ethernet, topo)
+	wire.Notices = true
+	if d.agg.Batch {
+		wire.Piggyback = d.piggybackNoticeCost
 	}
-	if d.hier {
-		st.dl = hsync.NewDLock(st.vl, len(d.nodes), st.home)
+	cfg := hsync.Config{
+		Name: "swdsm", Clocks: d.clocks, Wire: wire, Topology: topo,
+		Engine: d, LiveRelease: liveRelease, Rendezvous: []*vclock.VBarrier{d.vbMig},
 	}
-	d.locks = append(d.locks, st)
-	return id
-}
-
-// msgCost prices one protocol message between two specific nodes under
-// the adopted topology (the flat preset reduces to the uniform
-// Ethernet.MsgCost the pre-topology protocol charged).
-func (d *DSM) msgCost(from, to, bytes int) vclock.Duration {
-	return d.topo.MsgCost(d.params.Ethernet, from, to, bytes)
-}
-
-func (d *DSM) stealAt(node int, dur vclock.Duration) { d.clocks[node].Steal(dur) }
-
-func (d *DSM) lock(id int) *lockState {
-	d.lockMu.Lock()
-	defer d.lockMu.Unlock()
-	if id < 0 || id >= len(d.locks) {
-		panic(fmt.Sprintf("swdsm: unknown lock %d", id))
-	}
-	return d.locks[id]
-}
-
-// noticeMsgBytes is the wire size of a notice list.
-func noticeMsgBytes(n int) int { return 16 + 8*n }
-
-// Acquire implements platform.Substrate: take the lock, then invalidate
-// the cached copies of every page covered by the lock's pending write
-// notices (scope consistency's entry action).
-func (d *DSM) Acquire(nodeID, lock int) {
-	n := d.access(nodeID)
-	st := d.lock(lock)
-	clk := d.clocks[nodeID]
-	t0 := clk.Now()
-
-	prev := st.home
-	var reqCost vclock.Duration
-	switch {
-	case st.dl != nil:
-		// Distributed queue: the request forwards along the
-		// probable-holder chain to the current tail; every hop is one
-		// message on the acquirer's timeline and one stolen interrupt at
-		// the forwarder.
-		p, fwd, hops := st.dl.Request(nodeID, noticeMsgBytes(0), d.msgCost, d.stealAt, d.params.Ethernet.HandlerNs)
-		prev = p
-		if prev == nodeID {
-			reqCost = amsg.LocalCallNs
-		} else {
-			reqCost = fwd
-			n.stats.ProtocolMsgs += uint64(hops)
-		}
-	case st.home != nodeID:
-		reqCost = d.msgCost(nodeID, st.home, noticeMsgBytes(0))
-		d.clocks[st.home].Steal(d.params.Ethernet.HandlerNs)
-		n.stats.ProtocolMsgs++
-	default:
-		reqCost = amsg.LocalCallNs
-	}
-	st.vl.Acquire(clk, reqCost, 0)
-
-	// Drain into the node's reusable scratch: the boards keep their queue
-	// capacity (TakeInto), the node keeps the drained list's, so steady
-	// acquire/release cycles allocate nothing for notices.
-	pages := st.pending.TakeInto(nodeID, n.noticeScratch[:0])
 	if d.protocol == EagerRC {
-		// Eager RC: any acquire applies every pending notice, regardless
-		// of which lock published it.
-		pages = d.rcPending.TakeInto(nodeID, pages)
+		// Eager RC: one global board, so any acquire applies every pending
+		// notice regardless of which lock published it.
+		cfg.Board = notices.NewBoard()
+		cfg.Published = d.broadcastNotices
 	}
-	n.noticeScratch = pages
-	if st.dl != nil {
-		if prev != nodeID {
-			// The token grant from the predecessor carries the pending
-			// write notices: one message, priced for where the two nodes
-			// sit, with the predecessor paying the grant interrupt.
-			clk.AdvanceCat(vclock.CatNetwork, d.msgCost(prev, nodeID, noticeMsgBytes(len(pages))))
-			d.stealAt(prev, d.params.Ethernet.HandlerNs)
-			n.stats.ProtocolMsgs++
-		}
-	} else if st.home != nodeID {
-		if d.agg.Batch {
-			// Piggybacked: the notice list rides the grant reply, so only
-			// its payload bytes cost anything — the baseline's separate
-			// notice message disappears.
-			clk.AdvanceCat(vclock.CatNetwork, d.piggybackNoticeCost(len(pages)))
-		} else {
-			clk.AdvanceCat(vclock.CatNetwork, d.msgCost(nodeID, st.home, noticeMsgBytes(len(pages))))
-			n.stats.ProtocolMsgs++
-		}
+	if d.migrateAfter > 0 {
+		cfg.AfterBarrier = d.migrationPhase
 	}
-	n.invalidate(pages)
-	n.stats.LockAcquires++
-	if rec := d.rec; rec != nil && rec.Enabled() {
-		rec.Record(nodeID, perfmon.EvLockAcquire, t0, vclock.Since(t0, clk.Now()), uint64(lock), 0)
-		if len(pages) > 0 {
-			rec.Record(nodeID, perfmon.EvInvalidate, clk.Now(), 0, uint64(len(pages)), 0)
-		}
-	}
+	return cfg
 }
 
-// Release implements platform.Substrate: flush this node's modifications
-// to their homes, attach the write notices to the lock, and free it.
-func (d *DSM) Release(nodeID, lock int) {
-	n := d.access(nodeID)
-	st := d.lock(lock)
-	clk := d.clocks[nodeID]
-	t0 := clk.Now()
-
-	pages := n.flushAll()
-	if d.protocol == EagerRC {
-		// Eager RC: publish the notices toward every peer at release,
-		// paying one message per peer (the eagerness the lazy protocols
-		// were invented to avoid).
-		d.rcPending.AddForOthers(nodeID, len(d.nodes), pages)
-		if len(pages) > 0 {
-			if d.hier {
-				// Per-pair pricing: a cross-rack peer costs more than a
-				// rack neighbor.
-				var sum vclock.Duration
-				for m := range d.nodes {
-					if m != nodeID {
-						sum += d.msgCost(nodeID, m, noticeMsgBytes(len(pages)))
-					}
-				}
-				clk.AdvanceCat(vclock.CatNetwork, sum)
-			} else {
-				clk.AdvanceCat(vclock.CatNetwork, vclock.Duration(len(d.nodes)-1)*
-					d.params.Ethernet.MsgCost(noticeMsgBytes(len(pages))))
-			}
-			n.stats.ProtocolMsgs += uint64(len(d.nodes) - 1)
-			for m := range d.nodes {
-				if m != nodeID {
-					d.clocks[m].Steal(d.params.Ethernet.HandlerNs)
-				}
-			}
+// broadcastNotices is eager RC's release: the notices go toward every
+// peer at once, one message (and one interrupt) per peer, priced for
+// where each peer sits — the eagerness the lazy protocols were invented
+// to avoid.
+func (d *DSM) broadcastNotices(nodeID int, pages []memsim.PageID) {
+	var sum vclock.Duration
+	for m := range d.nodes {
+		if m != nodeID {
+			sum += d.msg(nodeID, m, hsync.NoticeBytes(len(pages)))
+			d.clocks[m].Steal(d.params.Ethernet.HandlerNs)
 		}
+	}
+	d.clocks[nodeID].AdvanceCat(vclock.CatNetwork, sum)
+	d.nodes[nodeID].stats.ProtocolMsgs += uint64(len(d.nodes) - 1)
+}
+
+// migrationPhase is the barrier's home-migration tail (when enabled): a
+// second rendezvous opens a quiescent window in which the winning nodes
+// retarget page homes.
+func (d *DSM) migrationPhase(nodeID int, epoch uint64) {
+	const manager = 0
+	n, clk := d.nodes[nodeID], d.clocks[nodeID]
+	d.migration.depositWishes(epoch, nodeID, n.migrationWishes())
+	arrive := d.msg(nodeID, manager, hsync.NoticeBytes(0))
+	if nodeID == manager {
+		arrive = amsg.LocalCallNs
 	} else {
-		st.pending.AddForOthers(nodeID, len(d.nodes), pages)
-	}
-	if rec := d.rec; rec != nil && rec.Enabled() && len(pages) > 0 {
-		rec.Record(nodeID, perfmon.EvWriteNotice, clk.Now(), 0, uint64(len(pages)), uint64(lock))
-	}
-
-	var relCost vclock.Duration
-	switch {
-	case st.dl != nil:
-		// Distributed queue: release keeps the token local — the next
-		// acquirer's grant pays the handoff — so releasing costs only the
-		// local bookkeeping call.
-		relCost = amsg.LocalCallNs
-	case st.home != nodeID:
-		relCost = d.msgCost(nodeID, st.home, noticeMsgBytes(len(pages)))
-		d.clocks[st.home].Steal(d.params.Ethernet.HandlerNs)
 		n.stats.ProtocolMsgs++
-	default:
-		relCost = amsg.LocalCallNs
 	}
-	st.vl.Release(clk, relCost)
-	if rec := d.rec; rec != nil && rec.Enabled() {
-		rec.Record(nodeID, perfmon.EvLockRelease, t0, vclock.Since(t0, clk.Now()), uint64(lock), 0)
+	d.vbMig.Arrive(clk, arrive, 0)
+	if d.migration.peekAny(epoch) {
+		n.performMigrations(d.migration.grants(epoch, nodeID))
+		if nodeID != manager {
+			n.stats.ProtocolMsgs++
+		}
+		d.vbMig.Arrive(clk, arrive, 0)
 	}
+	d.migration.finish(epoch, len(d.nodes))
 }
 
 // invalidate drops cached copies of the noticed pages. A page that is
@@ -224,14 +96,14 @@ func (n *node) invalidate(pages []memsim.PageID) {
 		if !ok {
 			continue
 		}
-		if cp.twin != nil {
+		if cp.Ext.twin != nil {
 			n.flushPage(p, cp)
 		}
 		n.notePrefetchDrop(p)
-		n.lru.remove(cp)
+		n.lru.Remove(cp)
 		delete(n.cache, p)
 		delete(n.dirty, p)
-		putCpage(cp)
+		cpagePool.Put(cp)
 		n.stats.Invalidations++
 	}
 }
@@ -243,9 +115,9 @@ func (n *node) flushPage(p memsim.PageID, cp *cpage) {
 	clk := d.clocks[n.id]
 	t0 := clk.Now()
 	clk.AdvanceCat(vclock.CatProtocol, d.params.CPU.DiffScanNs)
-	diff := buildDiff(cp.data, cp.twin)
-	putTwin(cp.twin)
-	cp.twin = nil
+	diff := buildDiff(cp.Data, cp.Ext.twin)
+	putTwin(cp.Ext.twin)
+	cp.Ext.twin = nil
 	delete(n.dirty, p)
 	if len(diff) == 0 {
 		putDiff(diff)
@@ -270,7 +142,7 @@ func (n *node) flushPage(p memsim.PageID, cp *cpage) {
 		rec.Record(n.id, perfmon.EvDiffCreate, t0, vclock.Since(t0, clk.Now()), uint64(p), uint64(len(diff)))
 	}
 	putDiff(diff)
-	cp.diffStreak++
+	cp.Ext.diffStreak++
 }
 
 // flushAll flushes every dirty cached page home and returns the write
@@ -291,7 +163,7 @@ func (n *node) flushAll() []memsim.PageID {
 		n.flushBatched(out)
 	} else {
 		for _, p := range out {
-			if cp, ok := n.cache[p]; ok && cp.twin != nil {
+			if cp, ok := n.cache[p]; ok && cp.Ext.twin != nil {
 				n.flushPage(p, cp)
 			}
 		}
@@ -304,123 +176,6 @@ func (n *node) flushAll() []memsim.PageID {
 	}
 	slices.Sort(out[homeStart:])
 	return out
-}
-
-// barrierState coordinates the global barrier: a virtual-time barrier plus
-// per-epoch merged write notices.
-type barrierState struct {
-	vb       *vclock.VBarrier
-	exchange *notices.EpochExchange
-}
-
-func newBarrierState(parties int) *barrierState {
-	return &barrierState{
-		vb:       vclock.NewVBarrier(parties),
-		exchange: notices.NewEpochExchange(parties),
-	}
-}
-
-// Barrier implements platform.Substrate. The barrier manager is node 0
-// (matching JiaJia's centralized barrier): every node flushes its
-// modifications home, deposits its write notices, and after the rendezvous
-// invalidates its cached copies of every page any other node modified.
-func (d *DSM) Barrier(nodeID int) {
-	n := d.access(nodeID)
-	clk := d.clocks[nodeID]
-	b := d.barrier
-	const manager = 0
-
-	t0 := clk.Now()
-	mine := n.flushAll()
-	epoch := n.epoch
-	n.epoch++
-
-	b.exchange.Deposit(epoch, nodeID, mine)
-	if rec := d.rec; rec != nil && rec.Enabled() && len(mine) > 0 {
-		rec.Record(nodeID, perfmon.EvWriteNotice, clk.Now(), 0, uint64(len(mine)), ^uint64(0))
-	}
-
-	var arriveCost vclock.Duration
-	switch {
-	case nodeID == manager:
-		arriveCost = amsg.LocalCallNs
-	case d.hier:
-		// Tree barrier: the arrival message climbs the reduction tree —
-		// its full path bounds when the root can release — but only the
-		// direct parent takes the arrival interrupt; ancestors see one
-		// aggregated message per subtree instead of one per node, which
-		// is what removes the manager incast at 64–256 nodes.
-		arriveCost = d.tree.PathCost(nodeID, noticeMsgBytes(len(mine)), d.msgCost)
-		d.stealAt(d.tree.Parent(nodeID), d.params.Ethernet.HandlerNs)
-		n.stats.ProtocolMsgs++
-	default:
-		arriveCost = d.msgCost(nodeID, manager, noticeMsgBytes(len(mine)))
-		d.clocks[manager].Steal(d.params.Ethernet.HandlerNs)
-		n.stats.ProtocolMsgs++
-	}
-	b.vb.Arrive(clk, arriveCost, 0)
-
-	// Collect everyone else's notices for this epoch.
-	others := b.exchange.CollectOthers(epoch, nodeID)
-
-	if nodeID != manager {
-		switch {
-		case d.hier:
-			// The release wave carries the merged notices back down the
-			// tree; each node pays its root path once.
-			clk.AdvanceCat(vclock.CatNetwork, d.tree.PathCost(nodeID, noticeMsgBytes(len(others)), d.msgCost))
-			n.stats.ProtocolMsgs++
-		case d.agg.Batch:
-			// Piggybacked: the merged notices ride the barrier-release
-			// broadcast the manager sends anyway (see Acquire).
-			clk.AdvanceCat(vclock.CatNetwork, d.piggybackNoticeCost(len(others)))
-		default:
-			clk.AdvanceCat(vclock.CatNetwork, d.msgCost(nodeID, manager, noticeMsgBytes(len(others))))
-			n.stats.ProtocolMsgs++
-		}
-	}
-	n.invalidate(others)
-	if rec := d.rec; rec != nil && rec.Enabled() && len(others) > 0 {
-		rec.Record(nodeID, perfmon.EvInvalidate, clk.Now(), 0, uint64(len(others)), 0)
-	}
-
-	// Drain pending per-lock notices too: a barrier is a global
-	// synchronization point, so modifications published under any lock
-	// become visible here.
-	d.lockMu.Lock()
-	locks := append([]*lockState(nil), d.locks...)
-	d.lockMu.Unlock()
-	for _, st := range locks {
-		n.noticeScratch = st.pending.TakeInto(nodeID, n.noticeScratch[:0])
-		n.invalidate(n.noticeScratch)
-	}
-	n.noticeScratch = d.rcPending.TakeInto(nodeID, n.noticeScratch[:0])
-	n.invalidate(n.noticeScratch)
-
-	// Home migration phase (when enabled): a second rendezvous opens a
-	// quiescent window in which the winning nodes retarget page homes.
-	if d.migrateAfter > 0 {
-		d.migration.depositWishes(epoch, nodeID, n.migrationWishes())
-		arrive := d.msgCost(nodeID, manager, 16)
-		if nodeID == manager {
-			arrive = amsg.LocalCallNs
-		} else {
-			n.stats.ProtocolMsgs++
-		}
-		d.vbMig.Arrive(clk, arrive, 0)
-		if d.migration.peekAny(epoch) {
-			n.performMigrations(d.migration.grants(epoch, nodeID))
-			if nodeID != manager {
-				n.stats.ProtocolMsgs++
-			}
-			d.vbMig.Arrive(clk, arrive, 0)
-		}
-		d.migration.finish(epoch, len(d.nodes))
-	}
-	n.stats.BarrierCrossings++
-	if rec := d.rec; rec != nil && rec.Enabled() {
-		rec.Record(nodeID, perfmon.EvBarrier, t0, vclock.Since(t0, clk.Now()), epoch, 0)
-	}
 }
 
 // Fence implements platform.Substrate: flush all local modifications home
@@ -438,13 +193,13 @@ func (d *DSM) Fence(nodeID int) {
 	slices.Sort(cached) // deterministic flush order (see flushAll)
 	for _, p := range cached {
 		cp := n.cache[p]
-		if cp.twin != nil {
+		if cp.Ext.twin != nil {
 			n.flushPage(p, cp)
 		}
 		n.notePrefetchDrop(p)
-		n.lru.remove(cp)
+		n.lru.Remove(cp)
 		delete(n.cache, p)
-		putCpage(cp)
+		cpagePool.Put(cp)
 		n.stats.Invalidations++
 	}
 	for p := range n.dirty {
@@ -452,80 +207,19 @@ func (d *DSM) Fence(nodeID int) {
 	}
 }
 
-// TryAcquire implements platform.Substrate: non-blocking Acquire. On
-// success the pending write notices are consumed and applied exactly as in
-// Acquire.
-func (d *DSM) TryAcquire(nodeID, lock int) bool {
-	n := d.access(nodeID)
-	st := d.lock(lock)
-	clk := d.clocks[nodeID]
-	t0 := clk.Now()
-
-	prev := st.home
-	var reqCost vclock.Duration
-	switch {
-	case st.dl != nil:
-		// Probe prices the forwarding chain without claiming the token —
-		// a failed try must leave the probable-holder state untouched.
-		p, fwd := st.dl.Probe(nodeID, noticeMsgBytes(0), d.msgCost)
-		prev = p
-		if prev == nodeID {
-			reqCost = amsg.LocalCallNs
-		} else {
-			reqCost = fwd
-			n.stats.ProtocolMsgs++
-		}
-	case st.home != nodeID:
-		reqCost = d.msgCost(nodeID, st.home, noticeMsgBytes(0))
-		d.clocks[st.home].Steal(d.params.Ethernet.HandlerNs)
-		n.stats.ProtocolMsgs++
-	default:
-		reqCost = amsg.LocalCallNs
-	}
-	if !st.vl.TryAcquire(clk, reqCost, 0) {
-		return false
-	}
-	if st.dl != nil {
-		st.dl.Commit(nodeID)
-	}
-	pages := st.pending.TakeInto(nodeID, n.noticeScratch[:0])
-	if d.protocol == EagerRC {
-		pages = d.rcPending.TakeInto(nodeID, pages)
-	}
-	n.noticeScratch = pages
-	if st.dl != nil {
-		if prev != nodeID {
-			clk.AdvanceCat(vclock.CatNetwork, d.msgCost(prev, nodeID, noticeMsgBytes(len(pages))))
-			d.stealAt(prev, d.params.Ethernet.HandlerNs)
-			n.stats.ProtocolMsgs++
-		}
-	} else if st.home != nodeID {
-		if d.agg.Batch {
-			clk.AdvanceCat(vclock.CatNetwork, d.piggybackNoticeCost(len(pages)))
-		} else {
-			clk.AdvanceCat(vclock.CatNetwork, d.msgCost(nodeID, st.home, noticeMsgBytes(len(pages))))
-			n.stats.ProtocolMsgs++
-		}
-	}
-	n.invalidate(pages)
-	n.stats.LockAcquires++
-	if rec := d.rec; rec != nil && rec.Enabled() {
-		rec.Record(nodeID, perfmon.EvLockAcquire, t0, vclock.Since(t0, clk.Now()), uint64(lock), 0)
-	}
-	return true
-}
-
-// FlushInterval flushes this node's interval modifications home and
-// returns the write notices — the engine-level hook multi-DSM composition
-// (§6) uses to attach this engine's consistency actions to an external
-// synchronization object. Call from the node's own goroutine.
+// FlushInterval implements consengine.Composable and hsync.Engine: flush
+// this node's interval modifications home and return the write notices —
+// what a synchronization manager (this cluster's own, or a multi-DSM
+// composition's, §6) calls at a release point. Call from the node's own
+// goroutine.
 func (d *DSM) FlushInterval(nodeID int) []memsim.PageID {
 	return d.access(nodeID).flushAll()
 }
 
-// InvalidatePages drops this node's cached copies of the given pages
-// (flushing dirty ones first) — the acquire-side hook for multi-DSM
-// composition. Pages this engine does not cache are ignored.
+// InvalidatePages implements consengine.Composable and hsync.Engine: drop
+// this node's cached copies of the given pages (flushing dirty ones
+// first) — the acquire-side hook. Pages this engine does not cache are
+// ignored.
 func (d *DSM) InvalidatePages(nodeID int, pages []memsim.PageID) {
 	d.access(nodeID).invalidate(pages)
 }

@@ -42,10 +42,45 @@ for pkg in $(grep -o 'internal/[a-z0-9]*' ARCHITECTURE.md | sort -u); do
     fi
 done
 
+# One synchronization manager: hsync.Manager owns the lock table, the
+# single-home-vs-distributed-queue and manager-vs-tree decision, and every
+# virtual lock. None of that may leak back into a substrate (swdsm's
+# home-migration rendezvous is a VBarrier, listed in the manager's
+# Config.Rendezvous so AbortSync poisons it).
+if grep -rnE 'hsync\.NewDLock|hsync\.NewTree|hsync\.Threshold|vclock\.NewVLock\(' \
+    --include='*.go' --exclude='*_test.go' \
+    internal/smp internal/hybriddsm internal/swdsm internal/ivy internal/multidsm; then
+    echo "a substrate builds its own lock or hierarchy: that is hsync.Manager's job" >&2
+    exit 1
+fi
+
+# Line budget: the five substrates plus hsync, non-test files, non-blank
+# non-comment lines. 3,874 before the synchronization paths, the page
+# cache entry and the block accessors were each written once; growth past
+# the budget means a duplicate came back.
+budget=3500
+lines=$(cat $(ls internal/swdsm/*.go internal/ivy/*.go internal/hybriddsm/*.go \
+    internal/multidsm/*.go internal/hsync/*.go internal/smp/*.go | grep -v _test.go) |
+    sed 's/^[[:space:]]*//' | grep -v -e '^$' -e '^//' | wc -l)
+echo "substrate+hsync code lines: $lines (budget $budget)"
+if [ "$lines" -gt "$budget" ]; then
+    echo "line budget exceeded" >&2
+    exit 1
+fi
+
 # The attribution invariant is the load-bearing contract of the perfmon
 # subsystem; run it by name under the race detector so a failure is
 # unmistakable before the full suite starts.
 go test -race -run 'TestAttributionInvariantAllSubstrates' ./internal/perfmon/
+
+# The synchronization manager's two contracts, by name before the full
+# suite: what every substrate's locks and barriers charge, count and
+# record is pinned against goldens from before the consolidation (five
+# times: the script must be schedule-independent), and a node that panics
+# never leaves a peer blocked in a barrier or on a lock, on any substrate.
+go test -race -count=5 -run 'TestSyncScriptIdentity' ./internal/bench/
+go test -race -run 'TestNodePanicUnblocksPeers' ./internal/core/
+go test -race -run 'TestManager|TestAbortWakesWaiters' ./internal/hsync/
 
 # The crash-recovery acceptance run is the checkpoint subsystem's
 # load-bearing contract (bit-identical checksums across crash, rollback,
@@ -100,7 +135,7 @@ go test -run 'ZeroAlloc' ./internal/bench/
 # fetch/evict/invalidate/flush churn under the race detector (also part
 # of the full suite below; named here so a pool regression is
 # unmistakable).
-go test -race -run 'TestPooledBufferAliasing' ./internal/swdsm/
+go test -race -run 'TestPooledBufferAliasing' ./internal/pagestore/
 
 # The page table under every frame and home lookup reads with atomic
 # loads only; its creation, drop and top-level-growth paths must stay
