@@ -1,93 +1,46 @@
 // Command hamsterbench regenerates the paper's evaluation (§5): Table 1,
 // Table 2, Figures 2–4, and the design-choice ablations, printing
-// paper-style text renderings.
+// paper-style text renderings. It also runs the repository's modeled
+// campaigns.
 //
 // Usage:
 //
 //	hamsterbench [-size small|default|paper] [-models DIR]
 //	             [-table1] [-table2] [-fig2] [-fig3] [-fig4] [-ablations]
-//	hamsterbench -json FILE [-faults PROFILE] [-faultseed SEED] [-parallel N]
-//	hamsterbench -json FILE -checkpoint N [-incremental] [-parallel N]
-//	hamsterbench -json FILE -aggregate [-prefetch] [-parallel N]
-//	hamsterbench -json FILE -walltime [-parallel N]
-//	hamsterbench -json FILE -walltime -pnodes
-//	hamsterbench -json FILE -engines [-parallel N]
-//	hamsterbench -json FILE -scaling [-parallel N]
-//	hamsterbench -json FILE -serve [-parallel N]
+//	hamsterbench -campaign NAME -json FILE [-parallel N]
+//	             [-faults PROFILE [-faultseed SEED]]
 //
-// With no selection flags, everything runs. -json instead runs the kernel
-// wall-clock benchmark (simulator throughput on the software DSM) and
-// writes per-kernel wall-clock plus virtual-time measurements to FILE
-// ("-" for stdout). -faults reruns that benchmark under a seeded fault
-// campaign (see internal/simnet), adding retransmission counts per kernel;
-// without it the measurement is unperturbed and bit-reproducible. The
-// emitted JSON is self-describing: the envelope names the active fault
-// profile, its seed, and the checkpoint and aggregation configurations
-// (all zero/empty for the plain benchmark).
+// With no selection flags, every table, figure and ablation runs.
 //
-// -checkpoint N switches -json to the checkpoint-overhead benchmark
-// (BENCH_3.json): each kernel's virtual time with checkpointing off next
-// to the same run capturing a coordinated snapshot every N barriers, at 2
-// and 4 nodes, with capture counts and snapshot bytes.
+// -campaign NAME runs one campaign from internal/bench's registry and
+// writes its report to -json FILE ("-" for stdout), the text table to
+// stderr. An unknown name lists the registry with each campaign's
+// one-line description. Every campaign is emitted under one schema, and
+// its rows hold modeled quantities only — virtual times, checksums,
+// protocol counters, latency quantiles — so a report is comparable at
+// any -parallel setting; host time is measured by benchmark/run.sh. A
+// campaign fails if two cells of one agreement group compute different
+// checksums.
 //
-// -aggregate (and -prefetch) switch -json to the protocol-aggregation
-// benchmark (BENCH_4.json): each kernel's virtual time and protocol
-// message count with aggregation off next to the same run with batched
-// diff flush + write-notice piggybacking (-aggregate) and adaptive
-// sequential prefetch (-prefetch) on, at 2 and 4 nodes.
+// -faults PROFILE reruns the kernels campaign under a seeded fault
+// campaign (see internal/simnet), adding retransmission counts; the
+// report's envelope names the profile and its seed.
 //
-// -walltime switches -json to the wall-time suite (BENCH_5.json): the
-// kernel wall-clock set and the aggregation matrix run once sequentially
-// and once cell-parallel, recording both suite totals plus allocs/op and
-// B/op on the pooled hot paths (page fetch, message send, diff flush).
+// -parallel N runs independent cells on up to N goroutines (0 =
+// GOMAXPROCS, 1 = sequential). Each cell owns a private simulated
+// cluster, so modeled results are identical at any parallelism and rows
+// are always emitted in cell order.
 //
-// -walltime -pnodes switches to the parallel-node suite (BENCH_9.json):
-// each cell — the 64- and 256-node scope-engine scaling shapes plus a
-// user-messaging neighbor exchange — runs once under the free-running
-// reference scheduler and once under the conservative lookahead gate
-// (hamsterrun -pnodes), recording both walls and verifying the gate
-// reproduced the reference's modeled results.
-//
-// -cpuprofile FILE collects a CPU profile for the whole invocation;
-// -memprofile FILE writes a heap snapshot at clean exit. Inspect either
-// with "go tool pprof FILE" (see DESIGN.md §5i for the workflow).
-//
-// -engines switches -json to the consistency-engine suite (BENCH_6.json):
-// every selectable engine (scope, eager-rc, ivy) runs the identical
-// kernel set at 2 and 4 nodes, recording virtual time, protocol
-// messages, page faults, invalidations, and ownership migrations per
-// cell; checksums must agree across engines for the same cell.
-//
-// -scaling switches -json to the scaling campaign (BENCH_7.json):
-// strong- and weak-scaling kernel cells for the scope and ivy engines on
-// the flat, rack, and fattree topology presets at 8, 16, 64, and 256
-// nodes. Above 8 nodes the software DSM switches to hierarchical
-// synchronization (tree barriers, distributed lock queues), so the
-// campaign exercises both regimes; the rendering calls out the cluster
-// size where IVY's migrating ownership overtakes home-based ScC.
-//
-// -serve switches -json to the serve campaign (BENCH_8.json): the
-// server-shaped workloads of internal/serve — sharded KV store, event
-// pipeline, sync/replication log — under the deterministic open-loop
-// load generator, across substrates, consistency engines, cluster
-// sizes, and Zipf skews. One headline cell multiplexes a two-million
-// client-session population; one cell crashes a node mid-traffic on a
-// 5%-drop wire and recovers it through the cluster orchestrator. Serve
-// rows carry no wall or virtual readings, so the JSON is byte-identical
-// at any -parallel setting.
-//
-// -parallel N runs independent benchmark cells on up to N goroutines
-// (0 = GOMAXPROCS, 1 = sequential). Each cell owns a private simulated
-// cluster, so modeled results — virtual times, checksums, message and
-// retransmission counts — are identical at any parallelism and results
-// are always emitted in canonical (sequential) order; only wall-clock
-// readings vary with co-scheduling.
+// -cpuprofile FILE collects a CPU profile from the end of flag
+// validation to exit, also when the run fails; -memprofile FILE writes a
+// heap snapshot at exit. Inspect either with "go tool pprof FILE".
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -99,280 +52,61 @@ import (
 )
 
 func main() {
-	size := flag.String("size", "default", "workload sizes: small, default, or paper")
-	modelsDir := flag.String("models", "models", "path to the programming-model packages (Table 2)")
-	t1 := flag.Bool("table1", false, "print Table 1 (benchmarks and working sets)")
-	t2 := flag.Bool("table2", false, "print Table 2 (implementation complexity)")
-	f2 := flag.Bool("fig2", false, "run Figure 2 (HAMSTER overhead vs native JiaJia)")
-	f3 := flag.Bool("fig3", false, "run Figure 3 (hybrid vs software DSM)")
-	f4 := flag.Bool("fig4", false, "run Figure 4 (hardware vs hybrid vs software DSM)")
-	abl := flag.Bool("ablations", false, "run the design-choice ablations")
-	jsonOut := flag.String("json", "", "run the kernel wall-clock benchmark and write JSON to this file (\"-\" for stdout)")
-	faults := flag.String("faults", "", "rerun -json under a seeded fault campaign: "+strings.Join(simnet.FaultProfiles(), ", "))
-	faultSeed := flag.Int64("faultseed", 1, "seed of the fault campaign's deterministic draws")
-	ckptEvery := flag.Int("checkpoint", 0, "switch -json to the checkpoint-overhead benchmark, capturing every N barriers (0 = off)")
-	ckptInc := flag.Bool("incremental", false, "capture dirty-page diffs after the first full snapshot (requires -checkpoint)")
-	aggregate := flag.Bool("aggregate", false, "switch -json to the protocol-aggregation benchmark (batched diff flush + notice piggybacking)")
-	prefetch := flag.Bool("prefetch", false, "also enable adaptive sequential prefetch in the aggregation benchmark (requires -aggregate)")
-	par := flag.Int("parallel", 0, "run independent benchmark cells on up to N goroutines (0 = GOMAXPROCS, 1 = sequential); modeled results are identical at any setting")
-	wall := flag.Bool("walltime", false, "switch -json to the simulator wall-time suite: sequential vs parallel totals plus hot-path allocation benchmarks")
-	pnodes := flag.Bool("pnodes", false, "switch -walltime to the parallel-node suite: per-cell walls under the free-running scheduler vs the conservative lookahead gate")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile at clean exit to this file")
-	engines := flag.Bool("engines", false, "switch -json to the consistency-engine suite: every engine on the identical kernel set at 2 and 4 nodes")
-	scaling := flag.Bool("scaling", false, "switch -json to the scaling campaign: kernel suite x engines x topologies at 8/16/64/256 nodes")
-	serveFlag := flag.Bool("serve", false, "switch -json to the serve campaign: server workloads x substrates x engines x skew, with the 2M-session headline and crash-recovery cells")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, bench.Campaigns()))
+}
 
-	// Flag validation happens before any benchmark runs: unknown -faults
-	// profiles (the error lists the valid names) and checkpoint flag
-	// combinations the harness cannot honor.
-	if *ckptEvery < 0 {
-		fmt.Fprintf(os.Stderr, "-checkpoint must be >= 0, got %d\n", *ckptEvery)
-		os.Exit(2)
-	}
-	if *ckptInc && *ckptEvery == 0 {
-		fmt.Fprintln(os.Stderr, "-incremental requires -checkpoint")
-		os.Exit(2)
-	}
-	if *ckptEvery > 0 && *jsonOut == "" {
-		fmt.Fprintln(os.Stderr, "-checkpoint requires -json: it selects the checkpoint-overhead benchmark")
-		os.Exit(2)
-	}
-	if *ckptEvery > 0 && *faults != "" {
-		fmt.Fprintln(os.Stderr, "-checkpoint and -faults are separate -json benchmarks; pass one of them")
-		os.Exit(2)
-	}
-	if *prefetch && !*aggregate {
-		fmt.Fprintln(os.Stderr, "-prefetch requires -aggregate")
-		os.Exit(2)
-	}
-	if *par < 0 {
-		fmt.Fprintf(os.Stderr, "-parallel must be >= 0, got %d\n", *par)
-		os.Exit(2)
-	}
-	if *wall {
-		if *jsonOut == "" {
-			fmt.Fprintln(os.Stderr, "-walltime requires -json: it selects the wall-time suite")
-			os.Exit(2)
-		}
-		if *aggregate || *ckptEvery > 0 || *faults != "" {
-			fmt.Fprintln(os.Stderr, "-walltime, -aggregate, -checkpoint, and -faults are separate -json benchmarks; pass one of them")
-			os.Exit(2)
-		}
-	}
-	if *pnodes && !*wall {
-		fmt.Fprintln(os.Stderr, "-pnodes requires -walltime: it selects the parallel-node wall-time suite")
-		os.Exit(2)
-	}
-	if *aggregate {
-		if *jsonOut == "" {
-			fmt.Fprintln(os.Stderr, "-aggregate requires -json: it selects the protocol-aggregation benchmark")
-			os.Exit(2)
-		}
-		if *ckptEvery > 0 || *faults != "" {
-			fmt.Fprintln(os.Stderr, "-aggregate, -checkpoint, and -faults are separate -json benchmarks; pass one of them")
-			os.Exit(2)
-		}
-	}
-	if *engines {
-		if *jsonOut == "" {
-			fmt.Fprintln(os.Stderr, "-engines requires -json: it selects the consistency-engine suite")
-			os.Exit(2)
-		}
-		if *wall || *aggregate || *ckptEvery > 0 || *faults != "" {
-			fmt.Fprintln(os.Stderr, "-engines, -walltime, -aggregate, -checkpoint, and -faults are separate -json benchmarks; pass one of them")
-			os.Exit(2)
-		}
-	}
-	if *scaling {
-		if *jsonOut == "" {
-			fmt.Fprintln(os.Stderr, "-scaling requires -json: it selects the scaling campaign")
-			os.Exit(2)
-		}
-		if *engines || *wall || *aggregate || *ckptEvery > 0 || *faults != "" {
-			fmt.Fprintln(os.Stderr, "-scaling, -engines, -walltime, -aggregate, -checkpoint, and -faults are separate -json benchmarks; pass one of them")
-			os.Exit(2)
-		}
-	}
-	if *serveFlag {
-		if *jsonOut == "" {
-			fmt.Fprintln(os.Stderr, "-serve requires -json: it selects the serve campaign")
-			os.Exit(2)
-		}
-		if *scaling || *engines || *wall || *aggregate || *ckptEvery > 0 || *faults != "" {
-			fmt.Fprintln(os.Stderr, "-serve, -scaling, -engines, -walltime, -aggregate, -checkpoint, and -faults are separate -json benchmarks; pass one of them")
-			os.Exit(2)
-		}
-	}
-	var plan *simnet.FaultPlan
-	var seed int64 // stays 0 when unperturbed: no fault plan, no jitter
-	if *faults != "" {
-		p, err := simnet.FaultProfile(*faults, *faultSeed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		plan, seed = &p, *faultSeed
-	}
-	stopCPU, err := prof.StartCPU(*cpuProfile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	defer func() {
-		stopCPU()
-		if err := prof.WriteHeap(*memProfile); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-		}
-	}()
-
-	if *jsonOut != "" {
-		// The envelope of every BENCH_*.json names the knobs that shaped
-		// the measurement, so the files are self-describing.
-		type ckptConfig struct {
-			Every       int  `json:"every"`
-			Incremental bool `json:"incremental"`
-		}
-		type aggConfig struct {
-			Batch    bool `json:"batch"`
-			Prefetch bool `json:"prefetch"`
-		}
-		type envelope struct {
-			Schema       string     `json:"schema"`
-			Description  string     `json:"description"`
-			FaultProfile string     `json:"fault_profile"`
-			Seed         int64      `json:"seed"`
-			Checkpoint   ckptConfig `json:"checkpoint"`
-			Aggregation  *aggConfig `json:"aggregation,omitempty"`
-			Results      any        `json:"results"`
-		}
-		var env envelope
-		var render string
-		if *serveFlag {
-			rows, err := bench.ServeSuite(*par)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-				os.Exit(1)
-			}
-			env = envelope{
-				Schema:      "hamster/serve/v8",
-				Description: "serve campaign: server-shaped workloads (sharded KV store, event pipeline, sync/replication log) under a deterministic open-loop load generator with Zipfian key popularity, across substrates (smp, hybriddsm), consistency engines (scope, eager-rc, ivy), cluster sizes (4/16/64), and skews (0, 0.99); includes a 2M-session headline cell and a crash-recovery cell on a 5%-drop wire; rows carry no wall/virtual readings and replay byte-identically at any -parallel setting",
-				Results:     rows,
-			}
-			render = bench.RenderServe(rows)
-		} else if *scaling {
-			rows, err := bench.ScalingSuite(*par)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "scaling: %v\n", err)
-				os.Exit(1)
-			}
-			env = envelope{
-				Schema:      "hamster/scaling/v7",
-				Description: "scaling campaign: strong- and weak-scaling kernel cells for the scope and ivy engines on the flat, rack, and fattree topology presets at 8/16/64/256 nodes (swdsm; hierarchical tree barriers and distributed lock queues engage above 8 nodes); checksums agree across engines and fabrics per cell",
-				Results:     rows,
-			}
-			render = bench.RenderScaling(rows)
-		} else if *engines {
-			rows, err := bench.EngineSuiteParallel(*par)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "engines: %v\n", err)
-				os.Exit(1)
-			}
-			env = envelope{
-				Schema:      "hamster/engines/v6",
-				Description: "consistency engines: per-kernel virtual time, protocol messages, page faults, invalidations, and ownership migrations for every selectable engine (scope, eager-rc, ivy) on the identical kernel set (swdsm, 2 and 4 nodes); checksums agree across engines per cell",
-				Results:     rows,
-			}
-			render = bench.RenderEngines(rows)
-		} else if *wall && *pnodes {
-			rep, err := bench.PWalltime()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "pwalltime: %v\n", err)
-				os.Exit(1)
-			}
-			env = envelope{
-				Schema:      "hamster/pwalltime/v9",
-				Description: "parallel-node wall time: each cell (64- and 256-node scope-engine scaling shapes through the core services, plus a user-messaging neighbor exchange) run under the free-running reference scheduler and under the conservative lookahead gate (Config.ParallelNodes), with per-cell and suite walls; modeled results verified identical across schedulers (checksums exact, virtual exact for the messaging cell, ±1% hierarchical-sync schedule wobble for the at-scale DSM kernels); wall speedup depends on host_cores — both schedulers need real cores to diverge",
-				Results:     rep,
-			}
-			render = bench.RenderPWalltime(rep)
-		} else if *wall {
-			rep, err := bench.Walltime(*par)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "walltime: %v\n", err)
-				os.Exit(1)
-			}
-			env = envelope{
-				Schema:      "hamster/walltime/v5",
-				Description: "simulator wall-time engineering: sequential vs cell-parallel suite totals (kernel wall-clock set + aggregation matrix), per-cell results from the sequential leg, and pooled hot-path allocation benchmarks",
-				Results:     rep,
-			}
-			render = bench.RenderWalltime(rep)
-		} else if *aggregate {
-			rows, err := bench.AggregationBenchParallel(true, *prefetch, *par)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "aggregation: %v\n", err)
-				os.Exit(1)
-			}
-			env = envelope{
-				Schema: "hamster/aggregation/v4",
-				Description: fmt.Sprintf("protocol aggregation: per-kernel virtual time and protocol message count with aggregation off vs batched diff flush + notice piggybacking%s (swdsm, 2 and 4 nodes)",
-					map[bool]string{true: " + adaptive prefetch", false: ""}[*prefetch]),
-				Aggregation: &aggConfig{Batch: true, Prefetch: *prefetch},
-				Results:     rows,
-			}
-			render = bench.RenderAggregation(rows, true, *prefetch)
-		} else if *ckptEvery > 0 {
-			rows, err := bench.CheckpointOverheadParallel(*ckptEvery, *ckptInc, *par)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ckptoverhead: %v\n", err)
-				os.Exit(1)
-			}
-			env = envelope{
-				Schema: "hamster/ckptoverhead/v1",
-				Description: fmt.Sprintf("checkpoint overhead: per-kernel virtual time with checkpointing off vs coordinated snapshots every %d barriers (swdsm, 2 and 4 nodes, core services)",
-					*ckptEvery),
-				Checkpoint: ckptConfig{Every: *ckptEvery, Incremental: *ckptInc},
-				Results:    rows,
-			}
-			render = bench.RenderCheckpointOverhead(rows, *ckptEvery, *ckptInc)
-		} else {
-			desc := "simulator throughput: real wall-clock per kernel next to its modeled virtual time (swdsm, 4 nodes), with per-category virtual-time attribution"
-			if *faults != "" {
-				desc += fmt.Sprintf("; fault campaign %q", *faults)
-			}
-			rows, err := bench.KernelWallFaultsParallel(plan, *par)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "kernelwall: %v\n", err)
-				os.Exit(1)
-			}
-			env = envelope{
-				Schema:       "hamster/kernelwall/v3",
-				Description:  desc,
-				FaultProfile: *faults,
-				Seed:         seed,
-				Results:      rows,
-			}
-			render = bench.RenderKernelWall(rows)
-		}
-		blob, err := json.MarshalIndent(env, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(1)
-		}
-		blob = append(blob, '\n')
-		if *jsonOut == "-" {
-			os.Stdout.Write(blob)
-		} else if err := os.WriteFile(*jsonOut, blob, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprint(os.Stderr, render)
-		return
-	}
-
+// run is the whole command; it returns the exit status. Everything up to
+// prof.StartCPU is flag validation and returns 2; from there on every
+// return passes through the deferred profile flush, so a failing run
+// still leaves its profile behind.
+func run(args []string, stdout, stderr io.Writer, registry bench.Registry) (status int) {
+	fs := flag.NewFlagSet("hamsterbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	size := fs.String("size", "default", "workload sizes: small, default, or paper")
+	modelsDir := fs.String("models", "models", "path to the programming-model packages (Table 2)")
 	var sz bench.Sizes
+	sections := []struct {
+		flag, name, usage string
+		render            func() (string, error)
+		set               *bool
+	}{
+		{flag: "table1", name: "table1", usage: "print Table 1 (benchmarks and working sets)",
+			render: func() (string, error) { return bench.RenderTable1(bench.Table1(sz)), nil }},
+		{flag: "table2", name: "table2", usage: "print Table 2 (implementation complexity)",
+			render: func() (string, error) {
+				rows, err := apicount.CountModels(*modelsDir)
+				if err != nil {
+					return "", err
+				}
+				return "Table 2: Implementation Complexity of Programming Models Using HAMSTER\n\n" + apicount.Render(rows), nil
+			}},
+		{flag: "fig2", name: "figure2", usage: "run Figure 2 (HAMSTER overhead vs native JiaJia)",
+			render: func() (string, error) { return bench.RenderFigure2(bench.Figure2(sz)), nil }},
+		{flag: "fig3", name: "figure3", usage: "run Figure 3 (hybrid vs software DSM)",
+			render: func() (string, error) { return bench.RenderFigure3(bench.Figure3(sz)), nil }},
+		{flag: "fig4", name: "figure4", usage: "run Figure 4 (hardware vs hybrid vs software DSM)",
+			render: func() (string, error) { return bench.RenderFigure4(bench.Figure4(sz)), nil }},
+		{flag: "ablations", name: "ablations", usage: "run the design-choice ablations",
+			render: func() (string, error) { return bench.RenderAblations(bench.Ablations(sz)), nil }},
+	}
+	for i := range sections {
+		sections[i].set = fs.Bool(sections[i].flag, false, sections[i].usage)
+	}
+	campaign := fs.String("campaign", "", "run one modeled campaign (needs -json): "+strings.Join(registry.Names(), ", "))
+	jsonOut := fs.String("json", "", "write the -campaign report to this file (\"-\" for stdout)")
+	faults := fs.String("faults", "", "run -campaign kernels under a seeded fault campaign: "+strings.Join(simnet.FaultProfiles(), ", "))
+	faultSeed := fs.Int64("faultseed", 1, "seed of the fault campaign's deterministic draws")
+	par := fs.Int("parallel", 0, "run independent campaign cells on up to N goroutines (0 = GOMAXPROCS, 1 = sequential); modeled results are identical at any setting")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile at exit to this file")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, format+"\n", a...)
+		return 2
+	}
+
 	switch *size {
 	case "small":
 		sz = bench.Small()
@@ -381,44 +115,101 @@ func main() {
 	case "paper":
 		sz = bench.Paper()
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -size %q\n", *size)
-		os.Exit(2)
+		return usage("unknown -size %q (have small, default, paper)", *size)
+	}
+	if *par < 0 {
+		return usage("-parallel must be >= 0, got %d", *par)
+	}
+	anyFigure := false
+	for _, s := range sections {
+		anyFigure = anyFigure || *s.set
+	}
+	var camp bench.Campaign
+	switch {
+	case *campaign == "" && *jsonOut != "":
+		return usage("-json writes a campaign report: add -campaign NAME (%s)", strings.Join(registry.Names(), ", "))
+	case *campaign == "" && *faults != "":
+		return usage("-faults applies to the kernels campaign: add -campaign kernels -json FILE")
+	case *campaign != "":
+		var err error
+		if camp, err = registry.Lookup(*campaign); err != nil {
+			fmt.Fprintln(stderr, err)
+			for _, c := range registry {
+				fmt.Fprintf(stderr, "  %-12s %s\n", c.Name, c.Description)
+			}
+			return 2
+		}
+		if *jsonOut == "" {
+			return usage("-campaign %s needs -json FILE for its report (\"-\" for stdout)", *campaign)
+		}
+		if anyFigure {
+			return usage("-campaign runs instead of the tables and figures: drop -table1/-table2/-fig2/-fig3/-fig4/-ablations, or run them in a second invocation")
+		}
+		if *faults != "" {
+			if *campaign != "kernels" {
+				return usage("-faults applies to the kernels campaign only: use -campaign kernels, or drop -faults")
+			}
+			plan, err := simnet.FaultProfile(*faults, *faultSeed)
+			if err != nil {
+				return usage("%v", err)
+			}
+			camp = camp.WithFaults(plan)
+		}
 	}
 
-	all := !*t1 && !*t2 && !*f2 && !*f3 && !*f4 && !*abl
-	section := func(run bool, name string, f func()) {
-		if !run && !all {
-			return
+	stopCPU, err := prof.StartCPU(*cpuProfile)
+	if err != nil {
+		return usage("%v", err)
+	}
+	defer func() {
+		stopCPU()
+		if err := prof.WriteHeap(*memProfile); err != nil {
+			fmt.Fprintln(stderr, err)
+			status = 1
+		}
+	}()
+
+	if *campaign != "" {
+		rep, err := bench.Run(camp, *par)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		if *faults != "" {
+			rep.FaultProfile, rep.FaultSeed = *faults, *faultSeed
+		}
+		blob, err := json.MarshalIndent(rep, "", "  ")
+		if err != nil {
+			fmt.Fprintf(stderr, "bench: %v\n", err)
+			return 1
+		}
+		blob = append(blob, '\n')
+		if *jsonOut == "-" {
+			_, err = stdout.Write(blob)
+		} else {
+			err = os.WriteFile(*jsonOut, blob, 0o644)
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "bench: %v\n", err)
+			return 1
+		}
+		fmt.Fprint(stderr, bench.Render(camp, rep))
+		return 0
+	}
+
+	fmt.Fprintf(stdout, "HAMSTER evaluation harness — workload size %q\n\n", *size)
+	for _, s := range sections {
+		if anyFigure && !*s.set {
+			continue
 		}
 		start := time.Now()
-		f()
-		fmt.Printf("[%s finished in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
-	}
-
-	fmt.Printf("HAMSTER evaluation harness — workload size %q\n\n", *size)
-	section(*t1, "table1", func() {
-		fmt.Println(bench.RenderTable1(bench.Table1(sz)))
-	})
-	section(*t2, "table2", func() {
-		rows, err := apicount.CountModels(*modelsDir)
+		text, err := s.render()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "table2: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "%s: %v\n", s.name, err)
+			return 1
 		}
-		fmt.Println("Table 2: Implementation Complexity of Programming Models Using HAMSTER")
-		fmt.Println()
-		fmt.Println(apicount.Render(rows))
-	})
-	section(*f2, "figure2", func() {
-		fmt.Println(bench.RenderFigure2(bench.Figure2(sz)))
-	})
-	section(*f3, "figure3", func() {
-		fmt.Println(bench.RenderFigure3(bench.Figure3(sz)))
-	})
-	section(*f4, "figure4", func() {
-		fmt.Println(bench.RenderFigure4(bench.Figure4(sz)))
-	})
-	section(*abl, "ablations", func() {
-		fmt.Println(bench.RenderAblations(bench.Ablations(sz)))
-	})
+		fmt.Fprintln(stdout, text)
+		fmt.Fprintf(stdout, "[%s finished in %v]\n\n", s.name, time.Since(start).Round(time.Millisecond))
+	}
+	return 0
 }

@@ -1,9 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"math"
-	"os"
 	"testing"
 
 	"hamster"
@@ -18,14 +15,8 @@ import (
 )
 
 // smallAggKernels are reduced workloads for the -race-friendly tests.
-func smallAggKernels() []struct {
-	name   string
-	kernel apps.Kernel
-} {
-	return []struct {
-		name   string
-		kernel apps.Kernel
-	}{
+func smallAggKernels() []Workload {
+	return []Workload{
 		{"sor", func(m apps.Machine) apps.Result { return apps.SOR(m, 96, 4, true) }},
 		{"matmult", func(m apps.Machine) apps.Result { return apps.MatMult(m, 48) }},
 	}
@@ -34,84 +25,22 @@ func smallAggKernels() []struct {
 // TestAggregationOffIdentity is the off-mode identity gate: with the
 // zero-value Aggregation config, the protocol must cost exactly what it
 // cost before the aggregation layer existed. Two committed baselines pin
-// this:
+// this (see artifactPins):
 //
-//   - BENCH_2.json (bare substrate, 4 nodes): checksums must match
-//     bit-for-bit; virtual times within 0.1%.
-//   - BENCH_3.json (full core services, 2 and 4 nodes): same contract.
+//   - BENCH_4.json's 4-node aggregation-off legs (bare substrate).
+//   - BENCH_3.json's checkpoint-off legs (full core services, 2 and 4
+//     nodes).
 //
 // Checksums are exact because aggregation-off runs the pre-aggregation
-// code paths verbatim. Virtual times get a 0.1% tolerance because both
-// paths carry a pre-existing ±15µs scheduling wobble (stolen handler
-// charges land on whichever clock reads first, so goroutine scheduling —
-// notably under -race — can shift a charge between nodes), which predates
-// and is unrelated to aggregation.
+// code paths verbatim. Virtual times get bandBaseline because both paths
+// carry a scheduling wobble that predates and is unrelated to
+// aggregation.
 func TestAggregationOffIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full kernel set against committed baselines")
 	}
-
-	var bench2 struct {
-		Results []KernelWallResult `json:"results"`
-	}
-	raw, err := os.ReadFile("../../BENCH_2.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(raw, &bench2); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := KernelWall()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(bench2.Results) {
-		t.Fatalf("kernelwall rows %d, baseline has %d", len(rows), len(bench2.Results))
-	}
-	for i, r := range rows {
-		want := bench2.Results[i]
-		if r.Kernel != want.Kernel {
-			t.Fatalf("row %d kernel %q, baseline %q", i, r.Kernel, want.Kernel)
-		}
-		base := float64(want.VirtualNs)
-		if diff := math.Abs(float64(r.VirtualNs) - base); diff > base*0.001 {
-			t.Errorf("%s: off-mode virtual time %d strays %.0fns from committed %d (> 0.1%%)",
-				r.Kernel, r.VirtualNs, diff, want.VirtualNs)
-		}
-		if r.Check != want.Check {
-			t.Errorf("%s: off-mode checksum %v != committed %v", r.Kernel, r.Check, want.Check)
-		}
-	}
-
-	var bench3 struct {
-		Results []CheckpointOverheadResult `json:"results"`
-	}
-	raw, err = os.ReadFile("../../BENCH_3.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(raw, &bench3); err != nil {
-		t.Fatal(err)
-	}
-	kernels := map[string]apps.Kernel{}
-	for _, c := range aggKernels() {
-		kernels[c.name] = c.kernel
-	}
-	for _, want := range bench3.Results {
-		got, err := runCore(hamster.Config{Platform: hamster.SWDSM, Nodes: want.Nodes}, kernels[want.Kernel])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.check != want.Check {
-			t.Errorf("%s/%d: off-mode checksum %v != committed %v",
-				want.Kernel, want.Nodes, got.check, want.Check)
-		}
-		off := float64(want.VirtualOffNs)
-		if diff := math.Abs(float64(uint64(got.virtual)) - off); diff > off*0.001 {
-			t.Errorf("%s/%d: off-mode virtual time %d strays %.0fns from committed %d (> 0.1%%)",
-				want.Kernel, want.Nodes, uint64(got.virtual), diff, want.VirtualOffNs)
-		}
-	}
+	replayArtifact(t, "BENCH_4.json", nil)
+	replayArtifact(t, "BENCH_3.json", nil)
 }
 
 // buildAggSub constructs a substrate with the given aggregation setting.
@@ -157,16 +86,16 @@ func TestAggregationEquivalence(t *testing.T) {
 		t.Run(kind, func(t *testing.T) {
 			for _, c := range smallAggKernels() {
 				offSub := buildAggSub(t, kind, swdsm.Aggregation{})
-				offCheck := apps.RunOnSubstrate(offSub, c.kernel)[0].Check
+				offCheck := apps.RunOnSubstrate(offSub, c.Kernel)[0].Check
 				offSub.Close()
 
 				onSub := buildAggSub(t, kind, on)
-				onCheck := apps.RunOnSubstrate(onSub, c.kernel)[0].Check
+				onCheck := apps.RunOnSubstrate(onSub, c.Kernel)[0].Check
 				onSub.Close()
 
 				if onCheck != offCheck {
 					t.Errorf("%s: aggregation moved the checksum: %v (on) vs %v (off)",
-						c.name, onCheck, offCheck)
+						c.Name, onCheck, offCheck)
 				}
 			}
 		})
@@ -184,43 +113,29 @@ func TestAggregationMessageReduction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full kernel set at two cluster sizes")
 	}
-	on := swdsm.Aggregation{Batch: true, Prefetch: true}
-	for _, nodes := range []int{2, 4} {
-		var msgsOff, msgsAgg uint64
-		for _, c := range aggKernels() {
-			offVirt, offCheck, offStats, err := aggRun(nodes, swdsm.Aggregation{}, c.kernel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			aggVirt, aggCheck, aggStats, err := aggRun(nodes, on, c.kernel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if aggCheck != offCheck {
-				t.Fatalf("%s/%d: aggregation moved the checksum: %v vs %v", c.name, nodes, aggCheck, offCheck)
-			}
-			if aggStats.ProtocolMsgs >= offStats.ProtocolMsgs {
-				t.Errorf("%s/%d: no message reduction: %d -> %d", c.name, nodes,
-					offStats.ProtocolMsgs, aggStats.ProtocolMsgs)
-			}
-			msgsOff += offStats.ProtocolMsgs
-			msgsAgg += aggStats.ProtocolMsgs
-
-			if c.name == "stream" {
-				if red := reductionPct(offStats.ProtocolMsgs, aggStats.ProtocolMsgs); red < 40 {
-					t.Errorf("stream/%d: message reduction %.1f%% < 40%%", nodes, red)
-				}
-			}
-			if nodes == 4 && (c.name == "sor-opt" || c.name == "matmult") {
-				speedup := 100 * (float64(offVirt) - float64(aggVirt)) / float64(offVirt)
-				if speedup < 2 {
-					t.Errorf("%s/4: virtual-time improvement %.2f%% not measurable (< 2%%)", c.name, speedup)
-				}
+	msgsOff, msgsAgg := map[int]uint64{}, map[int]uint64{}
+	for _, r := range mustRun(t, mustLookup(t, "aggregation"), 0).Rows {
+		off := r.Baseline
+		if r.Msgs >= off.Msgs {
+			t.Errorf("%s: no message reduction: %d -> %d", r.ID(), off.Msgs, r.Msgs)
+		}
+		msgsOff[r.Nodes] += off.Msgs
+		msgsAgg[r.Nodes] += r.Msgs
+		if r.Workload == "stream" {
+			if red := reductionPct(off.Msgs, r.Msgs); red < 40 {
+				t.Errorf("%s: message reduction %.1f%% < 40%%", r.ID(), red)
 			}
 		}
-		if red := reductionPct(msgsOff, msgsAgg); red < 40 {
+		if r.Nodes == 4 && (r.Workload == "sor-opt" || r.Workload == "matmult") {
+			if speedup := reductionPct(off.VirtualNs, r.VirtualNs); speedup < 2 {
+				t.Errorf("%s: virtual-time improvement %.2f%% not measurable (< 2%%)", r.ID(), speedup)
+			}
+		}
+	}
+	for nodes, off := range msgsOff {
+		if red := reductionPct(off, msgsAgg[nodes]); red < 40 {
 			t.Errorf("suite at %d nodes: total message reduction %.1f%% < 40%% (%d -> %d)",
-				nodes, red, msgsOff, msgsAgg)
+				nodes, red, off, msgsAgg[nodes])
 		}
 	}
 }
@@ -258,17 +173,17 @@ func TestAggregationFaultReplay(t *testing.T) {
 	}
 	for _, k := range smallAggKernels() {
 		k := k
-		t.Run(k.name, func(t *testing.T) {
-			baseCheck, _, _ := run(t, k.kernel, nil)
+		t.Run(k.Name, func(t *testing.T) {
+			baseCheck, _, _ := run(t, k.Kernel, nil)
 			plan := &simnet.FaultPlan{DropProb: 0.05, Seed: 3}
-			check, virtual, retries := run(t, k.kernel, plan)
+			check, virtual, retries := run(t, k.Kernel, plan)
 			if check != baseCheck {
 				t.Fatalf("5%% drop changed the result: %v, want %v", check, baseCheck)
 			}
 			if retries == 0 {
 				t.Fatal("5% drop forced no retries")
 			}
-			check2, virtual2, retries2 := run(t, k.kernel, plan)
+			check2, virtual2, retries2 := run(t, k.Kernel, plan)
 			if check2 != check || virtual2 != virtual || retries2 != retries {
 				t.Fatalf("replay diverged: virtual %v vs %v, retries %d vs %d",
 					virtual2, virtual, retries2, retries)
@@ -282,24 +197,14 @@ func TestAggregationFaultReplay(t *testing.T) {
 // capture dirty-page tracking exactly like per-page application, so the
 // checkpointed run's result matches the uncheckpointed one.
 func TestAggregationCheckpointCompat(t *testing.T) {
-	on := swdsm.Aggregation{Batch: true, Prefetch: true}
+	plain := Cluster{Platform: "swdsm", Nodes: 4, Core: true,
+		Aggregation: swdsm.Aggregation{Batch: true, Prefetch: true}}
+	ckpt := plain
+	ckpt.CheckpointEvery, ckpt.CheckpointIncremental = 2, true
 	for _, c := range smallAggKernels() {
-		plain, err := runCore(hamster.Config{
-			Platform: hamster.SWDSM, Nodes: 4, SWDSMAggregation: on,
-		}, c.kernel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ckpt, err := runCore(hamster.Config{
-			Platform: hamster.SWDSM, Nodes: 4, SWDSMAggregation: on,
-			CheckpointEvery: 2, CheckpointIncremental: true,
-		}, c.kernel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ckpt.check != plain.check {
+		if p, k := measureKernel(t, c.Kernel, plain), measureKernel(t, c.Kernel, ckpt); k.Check != p.Check {
 			t.Errorf("%s: checkpointing under aggregation moved the checksum: %v vs %v",
-				c.name, ckpt.check, plain.check)
+				c.Name, k.Check, p.Check)
 		}
 	}
 }

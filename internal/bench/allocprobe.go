@@ -14,9 +14,8 @@ import (
 // remote page-fetch cycle, one simnet message send/receive, and one
 // scope-consistency release flushing K dirty pages. Each probe returns a
 // steady-state op plus a teardown; the same ops feed the
-// testing.AllocsPerRun regression gates (allocs_test.go), the -benchmem
-// microbenchmarks, and the BENCH_5 walltime report — so the gated number
-// is the reported number.
+// testing.AllocsPerRun regression gates (allocs_test.go) and the
+// -benchmem microbenchmarks — so the gated number is the reported number.
 
 // pageFetchProbe builds a 2-node software DSM whose page cache is smaller
 // than the probed working set: every read from node 1 misses, fetches the

@@ -22,7 +22,7 @@ import (
 // without checkpointing, under -race), so the invariants here are the
 // stable ones: checksums and recovery counts. The zero-cost-when-disabled
 // timing guarantee is asserted on the deterministic bare-substrate path by
-// the BENCH_2 comparison in kernelwall_test.go.
+// TestAggregationOffIdentity against BENCH_4.json's baseline legs.
 func TestCrashRecoveryKernels(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-kernel crash-recovery campaign")

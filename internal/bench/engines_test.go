@@ -1,114 +1,51 @@
 package bench
 
 import (
-	"encoding/json"
-	"math"
-	"os"
 	"strings"
 	"testing"
 
-	"hamster/internal/apps"
 	"hamster/internal/consengine"
 )
 
-// TestEngineDefaultIdentity is the default-engine identity gate
-// (scripts/benchcheck.sh): selecting no engine must run the exact
-// pre-engine-interface protocol. Two checks pin this:
+// TestEngineDefaultIdentity is the default-engine identity gate:
+// selecting no engine must run the exact pre-engine-interface protocol.
+// Two checks pin this:
 //
 //   - A default-constructed cluster and an explicit "scope" selection
 //     must produce bit-identical virtual time, checksum, and message
 //     count on the same kernel.
 //   - The committed BENCH_6.json scope rows must replay with checksums
-//     and message counts bit-exact and virtual times within 0.1% (the
-//     pre-existing ±15µs handler-steal scheduling wobble; see
-//     TestAggregationOffIdentity). Only the scope rows are pinned: the
-//     write-invalidate engine's message counts are schedule-dependent
-//     under contention, so its rows are covered by the checksum-agreement
-//     invariant instead.
+//     and counters bit-exact and virtual times within bandBaseline (see
+//     artifactPins for why only the scope rows).
 func TestEngineDefaultIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("kernel replays against the committed baseline")
 	}
-
-	kernels := map[string]apps.Kernel{}
-	for _, c := range engineKernels() {
-		kernels[c.name] = c.kernel
-	}
-
 	for _, c := range smallAggKernels() {
-		_, defVirt, defCheck, defStats, err := engineRun("", 4, c.kernel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, scopeVirt, scopeCheck, scopeStats, err := engineRun(consengine.ScopeName, 4, c.kernel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if defCheck != scopeCheck || defVirt != scopeVirt || defStats.ProtocolMsgs != scopeStats.ProtocolMsgs {
+		def := measureKernel(t, c.Kernel, Cluster{Nodes: 4})
+		scope := measureKernel(t, c.Kernel, Cluster{Platform: consengine.ScopeName, Nodes: 4})
+		if def.Check != scope.Check || def.VirtualNs != scope.VirtualNs || def.Msgs != scope.Msgs {
 			t.Errorf("%s: default engine != explicit scope: check %v/%v virtual %v/%v msgs %d/%d",
-				c.name, defCheck, scopeCheck, defVirt, scopeVirt,
-				defStats.ProtocolMsgs, scopeStats.ProtocolMsgs)
+				c.Name, def.Check, scope.Check, def.VirtualNs, scope.VirtualNs, def.Msgs, scope.Msgs)
 		}
 	}
-
-	var bench6 struct {
-		Results []EngineResult `json:"results"`
-	}
-	raw, err := os.ReadFile("../../BENCH_6.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(raw, &bench6); err != nil {
-		t.Fatal(err)
-	}
-	pinned := 0
-	for _, want := range bench6.Results {
-		if want.Engine != consengine.ScopeName {
-			continue
-		}
-		pinned++
-		kernel, ok := kernels[want.Kernel]
-		if !ok {
-			t.Fatalf("baseline names unknown kernel %q", want.Kernel)
-		}
-		_, virt, check, st, err := engineRun(want.Engine, want.Nodes, kernel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if check != want.Check {
-			t.Errorf("%s/%d: scope checksum %v != committed %v", want.Kernel, want.Nodes, check, want.Check)
-		}
-		if st.ProtocolMsgs != want.Msgs {
-			t.Errorf("%s/%d: scope messages %d != committed %d", want.Kernel, want.Nodes, st.ProtocolMsgs, want.Msgs)
-		}
-		base := float64(want.VirtualNs)
-		if diff := math.Abs(float64(uint64(virt)) - base); diff > base*0.001 {
-			t.Errorf("%s/%d: scope virtual time %d strays %.0fns from committed %d (> 0.1%%)",
-				want.Kernel, want.Nodes, uint64(virt), diff, want.VirtualNs)
-		}
-	}
-	if want := len(engineKernels()) * 2; pinned != want {
-		t.Fatalf("baseline pins %d scope rows, want %d", pinned, want)
-	}
+	replayArtifact(t, "BENCH_6.json", nil)
 }
 
 // TestEngineSuiteAgreement runs the whole engine matrix and checks its
 // invariants: every (kernel, nodes) cell computes the same checksum on
-// every engine (EngineSuiteParallel enforces this internally and would
-// error), each engine carries its declared model, and the
-// write-invalidate engine actually exercised its protocol (ownership
-// transfers or invalidations happened).
+// every engine (Run enforces this and would error), each engine carries
+// its declared model, and the write-invalidate engine actually exercised
+// its protocol (ownership transfers or invalidations happened).
 func TestEngineSuiteAgreement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full engine matrix")
 	}
-	rows, err := EngineSuiteParallel(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := mustLookup(t, "engines")
+	rep := mustRun(t, c, 0)
 	want := len(consengine.Names()) * len(engineKernels()) * 2
-	if len(rows) != want {
-		t.Fatalf("suite rows = %d, want %d", len(rows), want)
+	if len(rep.Rows) != want {
+		t.Fatalf("suite rows = %d, want %d", len(rep.Rows), want)
 	}
 	models := map[string]string{
 		consengine.ScopeName:   "scope",
@@ -116,21 +53,21 @@ func TestEngineSuiteAgreement(t *testing.T) {
 		consengine.IVYName:     "sequential",
 	}
 	var ivyProtocol uint64
-	for _, r := range rows {
-		if r.Model != models[r.Engine] {
-			t.Errorf("%s/%s/%d declares %q, want %q", r.Engine, r.Kernel, r.Nodes, r.Model, models[r.Engine])
+	for _, r := range rep.Rows {
+		if r.Model != models[r.Platform] {
+			t.Errorf("%s declares %q, want %q", r.ID(), r.Model, models[r.Platform])
 		}
 		if r.VirtualNs == 0 || r.Msgs == 0 {
-			t.Errorf("%s/%s/%d measured nothing: virtual %d msgs %d", r.Engine, r.Kernel, r.Nodes, r.VirtualNs, r.Msgs)
+			t.Errorf("%s measured nothing: virtual %d msgs %d", r.ID(), r.VirtualNs, r.Msgs)
 		}
-		if r.Engine == consengine.IVYName {
+		if r.Platform == consengine.IVYName {
 			ivyProtocol += r.Invalidations + r.Migrations
 		}
 	}
 	if ivyProtocol == 0 {
 		t.Error("ivy rows show no invalidations or ownership transfers")
 	}
-	table := RenderEngines(rows)
+	table := Render(c, rep)
 	if !strings.Contains(table, "ivy") || !strings.Contains(table, "sequential") {
 		t.Fatalf("rendering: %q", table)
 	}
@@ -139,7 +76,7 @@ func TestEngineSuiteAgreement(t *testing.T) {
 // TestBuildEngineUnknown: the bench builder reports the valid selector
 // list, same as core.Config.Engine.
 func TestBuildEngineUnknown(t *testing.T) {
-	if _, err := BuildEngine("tso", 2); err == nil || !strings.Contains(err.Error(), "scope, eager-rc, ivy") {
+	if _, err := (Cluster{Platform: "tso", Nodes: 2}).Build(); err == nil || !strings.Contains(err.Error(), "scope, eager-rc, ivy") {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"testing"
 
@@ -10,21 +9,18 @@ import (
 )
 
 // TestParallelRunnerByteIdentity pins the campaign runner's contract:
-// running independent benchmark cells concurrently must reproduce the
-// sequential run. Each cell owns a private simulated cluster and results
-// merge in canonical cell order, so every discrete field — kernels,
-// node counts, checksums, protocol message counts, batch and prefetch
-// statistics, fault-campaign retransmissions — must be exactly equal,
-// and the final JSON byte-identical, once two classes of legitimately
-// run-to-run-varying readings are normalized:
-//
-//   - wall_ns (real-time measurement; zeroed on both sides);
-//   - virtual times and their derived percentages, which carry the
-//     pre-existing ±15µs stolen-charge scheduling wobble (a handler
-//     charge lands on whichever clock reads first; see
-//     TestAggregationOffIdentity) even between two sequential runs.
-//     These must agree within the documented 0.1% tolerance and are
-//     then copied from the sequential row before the byte comparison.
+// running independent cells concurrently must reproduce the sequential
+// run. Each cell owns a private simulated cluster and results merge in
+// cell order, so every discrete field — labels, checksums, protocol
+// message counts, batch and prefetch statistics, fault-campaign
+// retransmissions — must be exactly equal, and the final JSON
+// byte-identical, once the one class of legitimately run-to-run-varying
+// readings is normalized: virtual times and their per-category
+// attribution, which carry the ±15µs stolen-charge scheduling wobble
+// (see bandBaseline) even between two sequential runs. These must agree
+// within the band and are then copied from the sequential row before
+// the byte comparison. Rows carry no host-time readings, so there is
+// nothing else to normalize.
 //
 // The seeded 5%-drop campaign is the sharpest probe: its per-link draw
 // streams are positional, so any cross-cell state leak in the parallel
@@ -34,70 +30,38 @@ func TestParallelRunnerByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full aggregation matrix and fault campaign")
 	}
-
-	marshal := func(v any) []byte {
-		blob, err := json.MarshalIndent(v, "", "  ")
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		c Campaign
+		// breakdownNs bounds how far a category of the attribution may
+		// stray: the wobble shifts whole stolen charges between nodes and
+		// categories, so the bound is absolute, well above ±15µs per
+		// shift. Pinned on the 4-node fault campaign only; 0 = unpinned.
+		breakdownNs float64
+	}{
+		{c: mustLookup(t, "aggregation")},
+		{c: mustLookup(t, "kernels").WithFaults(simnet.FaultPlan{DropProb: 0.05, Seed: 3}), breakdownNs: 200_000},
+	} {
+		c := tc.c
+		seq, par := mustRun(t, c, 1), mustRun(t, c, 4)
+		if len(seq.Rows) != len(par.Rows) {
+			t.Fatalf("%s: %d cells sequential, %d parallel", c.Name, len(seq.Rows), len(par.Rows))
 		}
-		return blob
-	}
-
-	// Full BENCH_4 aggregation suite (batch + prefetch, 2 and 4 nodes).
-	seqAgg, err := AggregationBenchParallel(true, true, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parAgg, err := AggregationBenchParallel(true, true, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seqAgg) != len(parAgg) {
-		t.Fatalf("aggregation suite: %d cells sequential, %d parallel", len(seqAgg), len(parAgg))
-	}
-	for i := range parAgg {
-		s, p := &seqAgg[i], &parAgg[i]
-		if !virtualClose(p.VirtualOffNs, s.VirtualOffNs) || !virtualClose(p.VirtualAggNs, s.VirtualAggNs) {
-			t.Errorf("%s/%d: parallel virtual %d/%d strays beyond 0.1%% from sequential %d/%d",
-				s.Kernel, s.Nodes, p.VirtualOffNs, p.VirtualAggNs, s.VirtualOffNs, s.VirtualAggNs)
-		}
-		p.VirtualOffNs, p.VirtualAggNs, p.SpeedupPct = s.VirtualOffNs, s.VirtualAggNs, s.SpeedupPct
-		s.WallNs, p.WallNs = 0, 0
-	}
-	if s, p := marshal(seqAgg), marshal(parAgg); !bytes.Equal(s, p) {
-		t.Errorf("aggregation suite: -parallel 4 JSON differs from -parallel 1 beyond wall/virtual normalization:\nsequential:\n%s\nparallel:\n%s", s, p)
-	}
-
-	// Seeded 5%-drop fault campaign over the kernel wall set.
-	plan := &simnet.FaultPlan{DropProb: 0.05, Seed: 3}
-	seqKW, err := KernelWallFaultsParallel(plan, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parKW, err := KernelWallFaultsParallel(plan, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seqKW) != len(parKW) {
-		t.Fatalf("fault campaign: %d cells sequential, %d parallel", len(seqKW), len(parKW))
-	}
-	for i := range parKW {
-		s, p := &seqKW[i], &parKW[i]
-		if !virtualClose(p.VirtualNs, s.VirtualNs) {
-			t.Errorf("%s: parallel virtual %d strays beyond 0.1%% from sequential %d",
-				s.Kernel, p.VirtualNs, s.VirtualNs)
-		}
-		for cat, sv := range s.BreakdownNs {
-			// The wobble shifts whole stolen charges between nodes and
-			// categories; bound it absolutely, well above ±15µs per shift.
-			if pv := p.BreakdownNs[cat]; math.Abs(float64(pv)-float64(sv)) > 200_000 {
-				t.Errorf("%s: parallel %s breakdown %d strays from sequential %d", s.Kernel, cat, pv, sv)
+		for i := range seq.Rows {
+			for s, p := &seq.Rows[i], &par.Rows[i]; s != nil; s, p = s.Baseline, p.Baseline {
+				if !virtualWithin(p.VirtualNs, s.VirtualNs, bandBaseline) {
+					t.Errorf("%s: %s: parallel virtual %d strays beyond %.1f%% from sequential %d",
+						c.Name, s.ID(), p.VirtualNs, 100*bandBaseline, s.VirtualNs)
+				}
+				for cat, sv := range s.BreakdownNs {
+					if pv := p.BreakdownNs[cat]; tc.breakdownNs > 0 && math.Abs(float64(pv)-float64(sv)) > tc.breakdownNs {
+						t.Errorf("%s: %s: parallel %s breakdown %d strays from sequential %d", c.Name, s.ID(), cat, pv, sv)
+					}
+				}
+				p.VirtualNs, p.BreakdownNs = s.VirtualNs, s.BreakdownNs
 			}
 		}
-		p.VirtualNs, p.BreakdownNs = s.VirtualNs, s.BreakdownNs
-		s.WallNs, p.WallNs = 0, 0
-	}
-	if s, p := marshal(seqKW), marshal(parKW); !bytes.Equal(s, p) {
-		t.Errorf("fault campaign: -parallel 4 JSON differs from -parallel 1 beyond wall/virtual normalization:\nsequential:\n%s\nparallel:\n%s", s, p)
+		if s, p := marshal(t, seq), marshal(t, par); !bytes.Equal(s, p) {
+			t.Errorf("%s: -parallel 4 JSON differs from -parallel 1 beyond virtual-time normalization:\nsequential:\n%s\nparallel:\n%s", c.Name, s, p)
+		}
 	}
 }

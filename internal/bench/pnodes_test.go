@@ -2,8 +2,6 @@ package bench
 
 import (
 	"encoding/binary"
-	"encoding/json"
-	"os"
 	"reflect"
 	"testing"
 
@@ -24,12 +22,12 @@ import (
 // The messaging workload pins all four observables exactly at 2, 8, and
 // 64 nodes — its traffic runs entirely on the gated network, where every
 // charge is a pure function of virtual time. The DSM kernels pin
-// checksums exactly everywhere; their virtual times get the ±1% band the
-// BENCH_9 suite uses, because the full core path carries a pre-existing
-// scheduling-order wobble under EITHER scheduler (goroutine scheduling
-// can shift a stolen handler charge between nodes — see benchcheck.sh —
-// and above hsync.Threshold the distributed lock queues add the
-// schedule-dependence documented in scaling.go).
+// checksums exactly everywhere; their virtual times get bandHierSync,
+// because the full core path carries a pre-existing scheduling-order
+// wobble under EITHER scheduler (goroutine scheduling can shift a stolen
+// handler charge between nodes, and above hsync.Threshold the
+// distributed lock queues add the schedule-dependence documented on
+// scalingCampaign).
 
 // ringObs is every observable of one msgring run: per-node checksums and
 // clocks, network totals, and per-node protocol event streams.
@@ -42,7 +40,7 @@ type ringObs struct {
 }
 
 // runRingObs drives the gated user-messaging network through the same
-// receive-balanced neighbor exchange as BENCH_9's msgring cell, with the
+// receive-balanced neighbor exchange as the benchmark's msgring workload, with the
 // protocol event recorder on, and returns everything observable.
 func runRingObs(t *testing.T, nodes, rounds int, pnodes bool) ringObs {
 	t.Helper()
@@ -132,7 +130,7 @@ func TestPNodesIdentity(t *testing.T) {
 					nodes, i, parRes[i].Check, seqRes[i].Check)
 			}
 		}
-		if !virtualWithin(uint64(parVirt), uint64(seqVirt), 0.01) {
+		if !virtualWithin(uint64(parVirt), uint64(seqVirt), bandHierSync) {
 			t.Fatalf("%d nodes: kernel virtual time outside the wobble band: %v vs %v",
 				nodes, parVirt, seqVirt)
 		}
@@ -169,7 +167,7 @@ func TestPNodesFaultDeterminism(t *testing.T) {
 		t.Fatal("5% drop campaign forced no retries — the plan did not bind")
 	}
 	if parCheck != seqCheck || parRetries != seqRetries ||
-		!virtualWithin(uint64(parVirt), uint64(seqVirt), 0.01) {
+		!virtualWithin(uint64(parVirt), uint64(seqVirt), bandHierSync) {
 		t.Fatalf("gate moved the fault campaign: check %v vs %v, virtual %v vs %v, retries %d vs %d",
 			parCheck, seqCheck, parVirt, seqVirt, parRetries, seqRetries)
 	}
@@ -226,49 +224,31 @@ func TestPNodesCrashRecoveryDeterminism(t *testing.T) {
 // through the core services under the parallel engine: the checksum must
 // equal the committed campaign value bit for bit, and the gated run's
 // virtual wall clock must sit in the same wobble band as the sequential
-// one. Part of scripts/benchcheck.sh.
+// one. Run by name in scripts/check.sh.
 func TestPNodesScaling256Identity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-node replay")
 	}
-	raw, err := os.ReadFile("../../BENCH_7.json")
-	if err != nil {
-		t.Skipf("no committed BENCH_7.json: %v", err)
-	}
-	var b7 struct {
-		Schema  string          `json:"schema"`
-		Results []ScalingResult `json:"results"`
-	}
-	if err := json.Unmarshal(raw, &b7); err != nil {
-		t.Fatal(err)
-	}
-	if b7.Schema != "hamster/scaling/v7" {
-		t.Fatalf("BENCH_7.json schema %q, want hamster/scaling/v7", b7.Schema)
-	}
-	var committed *ScalingResult
-	for i := range b7.Results {
-		r := &b7.Results[i]
-		if r.Kernel == "sor-opt" && r.Mode == "strong" && r.Engine == "scope" &&
+	var committed string
+	for _, r := range loadArtifact(t, "BENCH_7.json").Rows {
+		if r.Workload == "sor-opt" && r.Mode == "strong" && r.Platform == "scope" &&
 			r.Topology == "flat" && r.Nodes == 256 {
-			committed = r
-			break
+			committed = r.Check
 		}
 	}
-	if committed == nil {
+	if committed == "" {
 		t.Fatal("BENCH_7.json has no sor-opt/strong/scope/flat/256 cell")
 	}
 	kernel := func(m apps.Machine) apps.Result { return apps.SOR(m, 256, 2, true) }
 	seqRes, seqVirt := runKernelObs(t, 256, false, kernel)
 	parRes, parVirt := runKernelObs(t, 256, true, kernel)
-	if seqRes[0].Check != committed.Check {
-		t.Fatalf("sequential 256-node checksum no longer matches BENCH_7: %v, committed %v",
-			seqRes[0].Check, committed.Check)
+	if got := checkString(seqRes[0].Check); got != committed {
+		t.Fatalf("sequential 256-node checksum no longer matches BENCH_7: %v, committed %v", got, committed)
 	}
-	if parRes[0].Check != committed.Check {
-		t.Fatalf("gated 256-node checksum diverged from BENCH_7: %v, committed %v",
-			parRes[0].Check, committed.Check)
+	if got := checkString(parRes[0].Check); got != committed {
+		t.Fatalf("gated 256-node checksum diverged from BENCH_7: %v, committed %v", got, committed)
 	}
-	if !virtualWithin(uint64(parVirt), uint64(seqVirt), 0.01) {
+	if !virtualWithin(uint64(parVirt), uint64(seqVirt), bandHierSync) {
 		t.Fatalf("gated 256-node virtual time outside the wobble band: %v vs %v", parVirt, seqVirt)
 	}
 }

@@ -3,5 +3,5 @@
 package bench
 
 // raceEnabled reports whether the binary was built with the race
-// detector (see race_off.go).
+// detector (see race_off_test.go).
 const raceEnabled = true

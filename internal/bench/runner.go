@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 )
@@ -9,10 +10,9 @@ import (
 // `parallel` in flight, depositing every cell's result at its own index.
 // Each cell builds its own cluster (network, clocks, address space), so
 // cells share no simulation state and their virtual times are unaffected
-// by co-scheduling; only wall-clock readings feel the contention. Because
-// results land by index, the output order is the canonical cell order —
-// byte-identical to a sequential run — no matter how the scheduler
-// interleaves cells.
+// by co-scheduling. Because results land by index, the output order is
+// the canonical cell order — byte-identical to a sequential run — no
+// matter how the scheduler interleaves cells.
 //
 // parallel <= 0 selects GOMAXPROCS. With parallel == 1 cells run inline
 // and the first error aborts the remainder (the historical sequential
@@ -60,4 +60,33 @@ func runCells[T any](parallel, n int, run func(i int) (T, error)) ([]T, error) {
 		}
 	}
 	return out, nil
+}
+
+// Run executes every cell of a campaign with up to `parallel` in flight
+// and returns the report, rows in cell order. It fails if a cell fails
+// or if two rows of one group — baseline legs included — disagree on the
+// checksum: engines, fabrics, platforms, aggregation, checkpointing and
+// crash recovery change costs, never results.
+func Run(c Campaign, parallel int) (*Report, error) {
+	rows, err := runCells(parallel, len(c.Cells), func(i int) (Row, error) {
+		return c.Cells[i].run()
+	})
+	if err != nil {
+		return nil, err
+	}
+	type ref struct{ id, check string }
+	first := map[string]ref{} // the first row seen of each group
+	for i := range rows {
+		group, id := c.Cells[i].Group, rows[i].ID()
+		for r := &rows[i]; r != nil; r, id = r.Baseline, id+" baseline" {
+			want, seen := first[group]
+			if !seen {
+				first[group] = ref{id, r.Check}
+			} else if r.Check != want.check {
+				return nil, fmt.Errorf("bench: campaign %s: %s computed checksum %s, but %s of the same group %q computed %s",
+					c.Name, id, r.Check, want.id, group, want.check)
+			}
+		}
+	}
+	return &Report{Schema: Schema, Campaign: c.Name, Description: c.Description, Rows: rows}, nil
 }

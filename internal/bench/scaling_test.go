@@ -2,18 +2,17 @@ package bench
 
 // Scaling-campaign gates:
 //
-//   - TestTopologyFlatIdentity (run by scripts/benchcheck.sh): the
+//   - TestTopologyFlatIdentity (run by name in scripts/check.sh): the
 //     topology-aware fabric's flat preset must be bit-identical to the
 //     pre-topology network on both measurement paths — the bare
-//     substrate the engine suite (BENCH_6) uses and the full core
-//     services the kernelwall/aggregation suites (BENCH_2/BENCH_4) use.
-//     On a plain build (how benchcheck.sh runs it) checksums, virtual
-//     times, and message counts are bit-exact on the scope engine: the
-//     topology layer must be invisible until a non-flat preset is asked
-//     for. Under -race, virtual times relax to 0.5% — the race
-//     scheduler's pre-existing stolen-charge attribution wobble (see
-//     race_off.go, TestEngineDefaultIdentity) moves them by tens of
-//     microseconds for reasons unrelated to topology. The ivy engine
+//     substrate the engines campaign (BENCH_6) uses and the full core
+//     services. On a plain build (how check.sh runs it) checksums,
+//     virtual times, and message counts are bit-exact on the scope
+//     engine: the topology layer must be invisible until a non-flat
+//     preset is asked for. Under -race, virtual times relax to bandRace
+//     — the race scheduler's pre-existing stolen-charge attribution
+//     wobble (see race_off_test.go, TestEngineDefaultIdentity) moves
+//     them by tens of microseconds for reasons unrelated to topology. The ivy engine
 //     pins checksums only: its probable-owner chain lengths depend on
 //     request arrival order under contention (see DESIGN §5f), so
 //     virtual time and message counts differ between any two runs,
@@ -26,25 +25,23 @@ package bench
 //     fault campaign with retransmissions.
 
 import (
-	"math"
+	"strings"
 	"testing"
 
 	"hamster"
 	"hamster/internal/apps"
 	"hamster/internal/consengine"
 	"hamster/internal/simnet"
-	"hamster/internal/vclock"
 	"hamster/models/jiajia"
 )
 
-// virtEqual compares two virtual times under the identity pin: bit-exact
-// on a plain build, within 0.5% under -race (the race scheduler's
-// stolen-charge attribution wobble; see race_off.go).
-func virtEqual(a, b vclock.Duration) bool {
-	if !raceEnabled {
-		return a == b
+// flatBand is the flat-identity pin on virtual time: bit-exact on a
+// plain build, bandRace under -race.
+func flatBand() float64 {
+	if raceEnabled {
+		return bandRace
 	}
-	return math.Abs(float64(a)-float64(b)) <= float64(a)*0.005
+	return 0
 }
 
 func TestTopologyFlatIdentity(t *testing.T) {
@@ -53,41 +50,35 @@ func TestTopologyFlatIdentity(t *testing.T) {
 	// page-protocol families.
 	for _, eng := range []string{consengine.ScopeName, consengine.IVYName} {
 		for _, c := range engineKernels() {
-			_, defVirt, defCheck, defStats, err := engineRun(eng, 4, c.kernel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			flatVirt, flatCheck, flatStats, err := scalingRun(eng, simnet.TopoFlat, 4, c.kernel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if defCheck != flatCheck {
+			def := measureKernel(t, c.Kernel, Cluster{Platform: eng, Nodes: 4})
+			flat := measureKernel(t, c.Kernel, Cluster{Platform: eng, Nodes: 4, Topology: simnet.TopoFlat})
+			if def.Check != flat.Check {
 				t.Errorf("%s/%s: default != explicit flat: check %v/%v",
-					eng, c.name, defCheck, flatCheck)
+					eng, c.Name, def.Check, flat.Check)
 			}
 			// Message counts and virtual times are pinned on scope only:
 			// ivy's forwarding-chain lengths are schedule-dependent, so
 			// two runs of the *same* configuration already differ there.
 			if eng == consengine.ScopeName {
-				if defStats.ProtocolMsgs != flatStats.ProtocolMsgs {
+				if def.Msgs != flat.Msgs {
 					t.Errorf("%s/%s: default != explicit flat: msgs %d/%d",
-						eng, c.name, defStats.ProtocolMsgs, flatStats.ProtocolMsgs)
+						eng, c.Name, def.Msgs, flat.Msgs)
 				}
-				if !virtEqual(defVirt, flatVirt) {
+				if !virtualWithin(flat.VirtualNs, def.VirtualNs, flatBand()) {
 					t.Errorf("%s/%s: default != explicit flat: virtual %v/%v",
-						eng, c.name, defVirt, flatVirt)
+						eng, c.Name, def.VirtualNs, flat.VirtualNs)
 				}
 			}
 		}
 	}
 
-	// Core-services path (the BENCH_2/BENCH_4 measurement path): a
+	// Core-services path: a
 	// Config with no Topology vs Topology "flat" must boot the identical
 	// cluster: checksums bit-exact, virtual time under the same
 	// plain-exact / race-tolerant pin (the full core path carries the
 	// same scheduling-order wobble under -race; see
 	// TestCrashRecoveryKernels).
-	kernel := smallAggKernels()[0].kernel
+	kernel := smallAggKernels()[0].Kernel
 	run := func(topology string) (hamster.Duration, float64) {
 		sys, err := jiajia.Boot(hamster.Config{Platform: hamster.SWDSM, Nodes: 4, Topology: topology})
 		if err != nil {
@@ -102,7 +93,7 @@ func TestTopologyFlatIdentity(t *testing.T) {
 	if defCheck != flatCheck {
 		t.Errorf("core path: default != explicit flat: check %v/%v", defCheck, flatCheck)
 	}
-	if !virtEqual(defVirt, flatVirt) {
+	if !virtualWithin(uint64(flatVirt), uint64(defVirt), flatBand()) {
 		t.Errorf("core path: default != explicit flat: virtual %v/%v", defVirt, flatVirt)
 	}
 }
@@ -119,20 +110,14 @@ func TestHierSyncKernels64(t *testing.T) {
 	// topology) pair must agree bit-for-bit on the checksum even though
 	// tree barriers and distributed lock queues re-route every
 	// synchronization step.
-	_, want, _, err := scalingRun(consengine.ScopeName, simnet.TopoFlat, 64, hierKernel)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := measureKernel(t, hierKernel, Cluster{Platform: consengine.ScopeName, Nodes: 64, Topology: simnet.TopoFlat}).Check
 	for _, eng := range []string{consengine.ScopeName, consengine.IVYName} {
 		for _, topo := range simnet.TopologyNames() {
-			virt, check, _, err := scalingRun(eng, topo, 64, hierKernel)
-			if err != nil {
-				t.Fatalf("%s@%s: %v", eng, topo, err)
+			r := measureKernel(t, hierKernel, Cluster{Platform: eng, Nodes: 64, Topology: topo})
+			if r.Check != want {
+				t.Errorf("%s@%s: checksum %v, want %v", eng, topo, r.Check, want)
 			}
-			if check != want {
-				t.Errorf("%s@%s: checksum %v, want %v", eng, topo, check, want)
-			}
-			if virt == 0 {
+			if r.VirtualNs == 0 {
 				t.Errorf("%s@%s: zero virtual time", eng, topo)
 			}
 		}
@@ -167,5 +152,25 @@ func TestHierSyncFaults64(t *testing.T) {
 	lossy := run("lossy-ethernet")
 	if clean != lossy {
 		t.Errorf("lossy-ethernet moved the checksum: %v vs clean %v", lossy, clean)
+	}
+}
+
+// TestScalingReplay runs the scaling campaign — Run fails it if an
+// engine or a fabric moves a checksum within a (kernel, mode, nodes)
+// group — and replays the committed BENCH_7.json checksum for checksum.
+// The crossover footer must account for every (kernel, mode, topology)
+// series.
+func TestScalingReplay(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		// Minutes under the race detector, which TestHierSyncKernels64 and
+		// TestPNodesScaling256Identity already take to 64 and 256 nodes.
+		t.Skip("96-cell campaign up to 256 nodes")
+	}
+	c := mustLookup(t, "scaling")
+	rep := mustRun(t, c, 0)
+	replayArtifact(t, "BENCH_7.json", rep)
+	footer := c.Footer(rep.Rows)
+	if got, want := strings.Count(footer, "\n"), 1+len(scalingKernels())*len(scalingTopologies); got != want {
+		t.Fatalf("crossover footer has %d lines, want %d:\n%s", got, want, footer)
 	}
 }

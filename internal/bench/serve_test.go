@@ -2,80 +2,37 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"reflect"
 	"testing"
 )
 
 // TestServeParallelByteIdentity pins the serve campaign's sharpest
-// contract: rows carry no wall or virtual readings, so the cell-parallel
-// run must be byte-identical to the sequential one with NO normalization
-// at all — latency quantiles, throughputs, session counts, stall
-// counts, recovery counts, and checksums exactly equal. The committed
-// BENCH_8.json must replay the same way: its results array is a pure
-// function of the seeds in this package.
+// contract: its rows are pure functions of seed and configuration, so
+// the cell-parallel run must be byte-identical to the sequential one
+// with NO normalization at all — latency quantiles, throughputs, session
+// counts, stall counts, recovery counts, and checksums exactly equal.
+// The committed BENCH_8.json must replay the same way.
 func TestServeParallelByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full serve campaign, twice")
 	}
-	seq, err := ServeSuite(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := ServeSuite(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	marshal := func(v any) []byte {
-		blob, err := json.MarshalIndent(v, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return blob
-	}
-	if s, p := marshal(seq), marshal(par); !bytes.Equal(s, p) {
+	c := mustLookup(t, "serve")
+	seq, par := mustRun(t, c, 1), mustRun(t, c, 4)
+	if s, p := marshal(t, seq), marshal(t, par); !bytes.Equal(s, p) {
 		t.Fatalf("serve campaign: -parallel 4 JSON differs from -parallel 1 with zero normalization:\nsequential:\n%s\nparallel:\n%s", s, p)
 	}
-
-	// Committed-artifact replay: BENCH_8.json's results must equal a
-	// fresh run field for field.
-	blob, err := os.ReadFile("../../BENCH_8.json")
-	if err != nil {
-		t.Skipf("no committed BENCH_8.json yet: %v", err)
-	}
-	var env struct {
-		Schema  string        `json:"schema"`
-		Results []ServeResult `json:"results"`
-	}
-	if err := json.Unmarshal(blob, &env); err != nil {
-		t.Fatal(err)
-	}
-	if env.Schema != "hamster/serve/v8" {
-		t.Fatalf("BENCH_8.json schema %q, want hamster/serve/v8", env.Schema)
-	}
-	if !reflect.DeepEqual(env.Results, seq) {
-		for i := range seq {
-			if i >= len(env.Results) || !reflect.DeepEqual(env.Results[i], seq[i]) {
-				t.Fatalf("BENCH_8.json row %d no longer replays:\ncommitted: %+v\nfresh:     %+v",
-					i, env.Results[i], seq[i])
-			}
-		}
-		t.Fatalf("BENCH_8.json has %d rows, fresh run has %d", len(env.Results), len(seq))
-	}
+	replayArtifact(t, "BENCH_8.json", seq)
 }
 
 // The serve campaign must include its two acceptance anchors: a cell
 // multiplexing at least a million client sessions, and a faulted cell
 // recovered through the cluster orchestrator.
 func TestServeSuiteAnchors(t *testing.T) {
-	cells := serveCells()
 	var headline, faulted bool
-	for _, c := range cells {
-		if c.cfg.Sessions >= 1_000_000 {
+	for _, c := range mustLookup(t, "serve").Cells {
+		if c.Serve.Sessions >= 1_000_000 {
 			headline = true
 		}
-		if c.faulted {
+		if c.labels(c.Cluster).Faulted {
 			faulted = true
 		}
 	}

@@ -36,7 +36,7 @@ func substrates(t testing.TB, n int) map[string]platform.Substrate {
 	}
 	out := map[string]platform.Substrate{"smp": sm, "swdsm": sw, "hybrid": hy}
 	for _, e := range []string{consengine.ScopeName, consengine.EagerRCName, consengine.IVYName} {
-		d, err := bench.BuildEngineTopo(e, n, simnet.TopoFlat)
+		d, err := bench.Cluster{Platform: e, Nodes: n, Topology: simnet.TopoFlat}.Build()
 		if err != nil {
 			t.Fatal(err)
 		}

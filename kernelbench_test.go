@@ -11,31 +11,19 @@ import (
 	"testing"
 
 	"hamster/internal/apps"
+	"hamster/internal/bench"
 	"hamster/internal/swdsm"
 )
 
-// kernelWallCases are sized so one iteration takes on the order of a
-// second at seed speed: big enough that per-access simulator overhead —
-// not setup — dominates.
-var kernelWallCases = []struct {
-	name   string
-	kernel apps.Kernel
-}{
-	{"matmult", func(m apps.Machine) apps.Result { return apps.MatMult(m, 96) }},
-	{"sor-opt", func(m apps.Machine) apps.Result { return apps.SOR(m, 192, 6, true) }},
-	{"lu", func(m apps.Machine) apps.Result { return apps.LU(m, 96) }},
-	{"stream", func(m apps.Machine) apps.Result { return apps.Stream(m, 1<<15, 8, 0) }},
-}
-
 func BenchmarkSWDSMKernelWall(b *testing.B) {
-	for _, c := range kernelWallCases {
-		b.Run(c.name, func(b *testing.B) {
+	for _, c := range bench.StandardKernels() {
+		b.Run(c.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				d, err := swdsm.New(swdsm.Config{Nodes: 4})
 				if err != nil {
 					b.Fatal(err)
 				}
-				res := apps.RunOnSubstrate(d, c.kernel)
+				res := apps.RunOnSubstrate(d, c.Kernel)
 				d.Close()
 				if apps.MaxTotal(res) == 0 {
 					b.Fatal("kernel reported zero virtual time")

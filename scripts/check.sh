@@ -68,6 +68,32 @@ if [ "$lines" -gt "$budget" ]; then
     exit 1
 fi
 
+# One campaign harness: internal/bench (allocprobe.go aside) plus the
+# hamsterbench command, non-test files, counted the same way. 2,051 when
+# every campaign had its own runner, row type, schema, render and engine
+# builder; growth past the budget means one of them came back.
+budget=1500
+lines=$(cat $(ls internal/bench/*.go | grep -v -e _test.go -e allocprobe.go) cmd/hamsterbench/main.go |
+    sed 's/^[[:space:]]*//' | grep -v -e '^$' -e '^//' | wc -l)
+echo "campaign harness code lines: $lines (budget $budget)"
+if [ "$lines" -gt "$budget" ]; then
+    echo "line budget exceeded" >&2
+    exit 1
+fi
+# ... with one cluster builder (figures, ablations and the allocation
+# probes build their own fixed machines) and one standard kernel table.
+if grep -lE 'swdsm\.New\(|ivy\.New\(' $(ls internal/bench/*.go | grep -v _test.go) |
+    grep -v -x -e internal/bench/campaign.go -e internal/bench/ablation.go \
+        -e internal/bench/bench.go -e internal/bench/allocprobe.go; then
+    echo "a second engine builder in internal/bench: use bench.Cluster" >&2
+    exit 1
+fi
+standard=$(grep -rlF 'SOR(m, 192, 6, true)' --include='*.go' . | wc -l)
+if [ "$standard" -ne 1 ]; then
+    echo "the standard kernel set is written in $standard .go files, want 1: use bench.StandardKernels" >&2
+    exit 1
+fi
+
 # The attribution invariant is the load-bearing contract of the perfmon
 # subsystem; run it by name under the race detector so a failure is
 # unmistakable before the full suite starts.
@@ -88,11 +114,11 @@ go test -race -run 'TestManager|TestAbortWakesWaiters' ./internal/hsync/
 # suite for the same unmistakable-failure property.
 go test -race -run 'TestCrashRecoveryKernels' ./internal/bench/
 
-# Bench-identity gate: aggregation off must be bit-identical to the
-# committed BENCH baselines (see scripts/benchcheck.sh — which also runs
-# the BENCH_5 baseline cross-check and the parallel-runner byte-identity
-# gate), and aggregation on must never move a checksum on any substrate.
-sh scripts/benchcheck.sh
+# Bench-identity gates, by name and plain (no -race: the pinned numbers
+# are what ships in BENCH_3/4/6/7/8.json, and identity is about virtual
+# time): committed artifacts replay, cell-parallel equals sequential.
+go test -run 'TestAggregationOffIdentity|TestEngineDefaultIdentity|TestTopologyFlatIdentity|TestParallelRunnerByteIdentity|TestServeParallelByteIdentity|TestScalingReplay|TestPNodesScaling256Identity|TestLoadArtifactRejects' ./internal/bench/
+# Aggregation on must never move a checksum on any substrate.
 go test -race -run 'TestAggregationEquivalence' ./internal/bench/
 
 # Hierarchical-synchronization gate: at 64 nodes the substrates switch
@@ -155,6 +181,12 @@ go test -race -run 'TestWindow' ./internal/memsim/
 go test -race -run 'TestAdvanceToCatRacesOtherBucket|TestRestoreRoundTrip|TestClockFillsWholeLines' ./internal/vclock/
 # Compile-and-run smoke of the strided-read benchmark (one iteration).
 go test -run '^$' -bench 'BenchmarkStridedRead' -benchtime 1x ./internal/bench/
+
+# Campaign smoke: the four campaigns no test runs through the command
+# line (seconds; scaling and serve are run by their tests).
+for c in kernels checkpoint aggregation engines; do
+    go run ./cmd/hamsterbench -campaign $c -json /dev/null -parallel 2
+done
 
 # Benchmark smoke test: benchmark/ is a module of its own, so the root
 # ./... patterns never reach it (≈4 s at smoke sizes; checks every cell
