@@ -104,44 +104,35 @@ func (m *nativeMachine) Now() vclock.Time     { return m.w.sub.Clock(m.id).Now()
 func RunOnJia(sys *jiajia.System, kernel Kernel) []Result {
 	results := make([]Result, sys.Runtime().Nodes())
 	sys.Run(func(j *jiajia.Jia) {
-		results[j.Pid()] = kernel(&jiaMachine{j: j})
+		results[j.Pid()] = kernel(jiaMachine{j})
 	})
 	return results
 }
 
+// jiaMachine is a jia_* process as a Machine: the accessors, Compute and
+// Barrier are the model's own, promoted.
 type jiaMachine struct {
-	j *jiajia.Jia
+	*jiajia.Jia
 }
 
-func (m *jiaMachine) ID() int { return m.j.Pid() }
-func (m *jiaMachine) N() int  { return m.j.Hosts() }
+func (m jiaMachine) ID() int { return m.Pid() }
+func (m jiaMachine) N() int  { return m.Hosts() }
 
-func (m *jiaMachine) Alloc(bytes uint64, name string, pol memsim.Policy) memsim.Addr {
+func (m jiaMachine) Alloc(bytes uint64, name string, pol memsim.Policy) memsim.Addr {
 	// The jia_* API offers block (jia_alloc) and cyclic (jia_alloc3)
 	// distribution; Fixed falls back to jia_alloc, whose block layout
 	// puts small allocations on host 0 anyway.
 	switch pol {
 	case memsim.Cyclic:
-		return memsim.Addr(m.j.Alloc3(bytes, 0))
+		return m.Alloc3(bytes, 0)
 	default:
-		return memsim.Addr(m.j.Alloc(bytes))
+		return m.Jia.Alloc(bytes)
 	}
 }
 
-func (m *jiaMachine) ReadF64(a memsim.Addr) float64     { return m.j.ReadF64(a) }
-func (m *jiaMachine) WriteF64(a memsim.Addr, v float64) { m.j.WriteF64(a, v) }
-func (m *jiaMachine) ReadI64(a memsim.Addr) int64       { return m.j.ReadI64(a) }
-func (m *jiaMachine) WriteI64(a memsim.Addr, v int64)   { m.j.WriteI64(a, v) }
-
-func (m *jiaMachine) ReadF64Block(a memsim.Addr, dst []float64)  { m.j.ReadF64Block(a, dst) }
-func (m *jiaMachine) WriteF64Block(a memsim.Addr, src []float64) { m.j.WriteF64Block(a, src) }
-func (m *jiaMachine) ReadI64Block(a memsim.Addr, dst []int64)    { m.j.ReadI64Block(a, dst) }
-func (m *jiaMachine) WriteI64Block(a memsim.Addr, src []int64)   { m.j.WriteI64Block(a, src) }
-func (m *jiaMachine) Compute(flops uint64)                       { m.j.Compute(flops) }
-func (m *jiaMachine) Lock(i int)                                 { m.j.Lock(i % LockTableSize) }
-func (m *jiaMachine) Unlock(i int)                               { m.j.Unlock(i % LockTableSize) }
-func (m *jiaMachine) Barrier()                                   { m.j.Barrier() }
-func (m *jiaMachine) Now() vclock.Time                           { return m.j.Env().Now() }
+func (m jiaMachine) Lock(i int)       { m.Jia.Lock(i % LockTableSize) }
+func (m jiaMachine) Unlock(i int)     { m.Jia.Unlock(i % LockTableSize) }
+func (m jiaMachine) Now() vclock.Time { return m.Env().Now() }
 
 // RunOnEnv executes a kernel directly against HAMSTER's core services (no
 // programming-model layer) — used by examples and by ablations that vary
@@ -154,41 +145,29 @@ func RunOnEnv(rt *hamster.Runtime, kernel Kernel) []Result {
 	}
 	results := make([]Result, rt.Nodes())
 	rt.Run(func(e *hamster.Env) {
-		results[e.ID()] = kernel(&envMachine{e: e, locks: locks})
+		results[e.ID()] = kernel(&envMachine{Env: e, locks: locks})
 	})
 	return results
 }
 
+// envMachine is a core-services node as a Machine: ID, N, the accessors,
+// Compute and Now are the Env's own, promoted.
 type envMachine struct {
-	e     *hamster.Env
+	*hamster.Env
 	locks []int
 }
 
-func (m *envMachine) ID() int { return m.e.ID() }
-func (m *envMachine) N() int  { return m.e.N() }
-
 func (m *envMachine) Alloc(bytes uint64, name string, pol memsim.Policy) memsim.Addr {
-	r, err := m.e.Mem.Alloc(bytes, hamster.AllocOpts{Name: name, Policy: pol, Collective: true})
+	r, err := m.Mem.Alloc(bytes, hamster.AllocOpts{Name: name, Policy: pol, Collective: true})
 	if err != nil {
 		panic(fmt.Sprintf("apps: env alloc: %v", err))
 	}
 	return r.Base
 }
 
-func (m *envMachine) ReadF64(a memsim.Addr) float64     { return m.e.ReadF64(a) }
-func (m *envMachine) WriteF64(a memsim.Addr, v float64) { m.e.WriteF64(a, v) }
-func (m *envMachine) ReadI64(a memsim.Addr) int64       { return m.e.ReadI64(a) }
-func (m *envMachine) WriteI64(a memsim.Addr, v int64)   { m.e.WriteI64(a, v) }
-
-func (m *envMachine) ReadF64Block(a memsim.Addr, dst []float64)  { m.e.ReadF64Block(a, dst) }
-func (m *envMachine) WriteF64Block(a memsim.Addr, src []float64) { m.e.WriteF64Block(a, src) }
-func (m *envMachine) ReadI64Block(a memsim.Addr, dst []int64)    { m.e.ReadI64Block(a, dst) }
-func (m *envMachine) WriteI64Block(a memsim.Addr, src []int64)   { m.e.WriteI64Block(a, src) }
-func (m *envMachine) Compute(flops uint64)                       { m.e.Compute(flops) }
-func (m *envMachine) Lock(i int)                                 { m.e.Sync.Lock(m.locks[i%LockTableSize]) }
-func (m *envMachine) Unlock(i int)                               { m.e.Sync.Unlock(m.locks[i%LockTableSize]) }
-func (m *envMachine) Barrier()                                   { m.e.Sync.Barrier() }
-func (m *envMachine) Now() vclock.Time                           { return m.e.Now() }
+func (m *envMachine) Lock(i int)   { m.Sync.Lock(m.locks[i%LockTableSize]) }
+func (m *envMachine) Unlock(i int) { m.Sync.Unlock(m.locks[i%LockTableSize]) }
+func (m *envMachine) Barrier()     { m.Sync.Barrier() }
 
 // MaxTotal returns the slowest node's total time — the SPMD wall clock.
 func MaxTotal(results []Result) vclock.Duration {
@@ -224,7 +203,7 @@ func RunOnEnvSeq(rt *hamster.Runtime, kernel Kernel) []Result {
 	}
 	results := make([]Result, rt.Nodes())
 	rt.Run(func(e *hamster.Env) {
-		results[e.ID()] = kernel(&seqMachine{envMachine{e: e, locks: locks}})
+		results[e.ID()] = kernel(&seqMachine{envMachine{Env: e, locks: locks}})
 	})
 	return results
 }
@@ -234,23 +213,23 @@ type seqMachine struct {
 }
 
 func (m *seqMachine) ReadF64(a memsim.Addr) float64 {
-	m.e.Cons.Fence()
-	return m.e.ReadF64(a)
+	m.Cons.Fence()
+	return m.Env.ReadF64(a)
 }
 
 func (m *seqMachine) WriteF64(a memsim.Addr, v float64) {
-	m.e.WriteF64(a, v)
-	m.e.Cons.Fence()
+	m.Env.WriteF64(a, v)
+	m.Cons.Fence()
 }
 
 func (m *seqMachine) ReadI64(a memsim.Addr) int64 {
-	m.e.Cons.Fence()
-	return m.e.ReadI64(a)
+	m.Cons.Fence()
+	return m.Env.ReadI64(a)
 }
 
 func (m *seqMachine) WriteI64(a memsim.Addr, v int64) {
-	m.e.WriteI64(a, v)
-	m.e.Cons.Fence()
+	m.Env.WriteI64(a, v)
+	m.Cons.Fence()
 }
 
 // The sequential-consistency ablation fences around EVERY word, so its

@@ -17,24 +17,18 @@ type Checkpointer interface {
 	RegisterCheckpointable(name string, save func() []byte, restore func([]byte)) bool
 }
 
-func (m *envMachine) RegisterCheckpointable(name string, save func() []byte, restore func([]byte)) bool {
-	return m.e.RegisterCheckpointable(name, save, restore)
-}
-
-func (m *jiaMachine) RegisterCheckpointable(name string, save func() []byte, restore func([]byte)) bool {
-	return m.j.Env().RegisterCheckpointable(name, save, restore)
+// envMachine has it promoted from its Env; jiaMachine reaches the Env
+// underneath the model.
+func (m jiaMachine) RegisterCheckpointable(name string, save func() []byte, restore func([]byte)) bool {
+	return m.Env().RegisterCheckpointable(name, save, restore)
 }
 
 // AddReportSection forwards workload report sections to the monitor
 // (core.Env.AddReportSection). Kernels probe for the method the same
 // way they probe Checkpointer; bindings over bare substrates simply
 // lack it.
-func (m *envMachine) AddReportSection(title string, render func() string) {
-	m.e.AddReportSection(title, render)
-}
-
-func (m *jiaMachine) AddReportSection(title string, render func() string) {
-	m.j.Env().AddReportSection(title, render)
+func (m jiaMachine) AddReportSection(title string, render func() string) {
+	m.Env().AddReportSection(title, render)
 }
 
 // progress returns a phase counter registered with the machine's
@@ -79,7 +73,7 @@ func RunRecoverable(cfg hamster.Config, plan simnet.FaultPlan, kernel Kernel) ([
 			}
 		},
 		func(e *core.Env) {
-			results[e.ID()] = kernel(&envMachine{e: e, locks: locks})
+			results[e.ID()] = kernel(&envMachine{Env: e, locks: locks})
 		})
 	if err != nil {
 		return nil, nil, recoveries, err

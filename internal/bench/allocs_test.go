@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"testing"
 
+	"hamster/internal/hybriddsm"
 	"hamster/internal/ivy"
 	"hamster/internal/memsim"
 	"hamster/internal/pagestore"
 	"hamster/internal/platform"
+	"hamster/internal/smp"
 	"hamster/internal/swdsm"
 )
 
@@ -134,6 +136,56 @@ func TestPageLookupZeroAlloc(t *testing.T) {
 	warm(op, 1) // creates the frames
 	if avg := testing.AllocsPerRun(50, op); avg != 0 {
 		t.Errorf("resident-page Home+Frame allocates %.2f objects per 64 pages, want 0", avg)
+	}
+}
+
+// TestWordAccessZeroAlloc pins the four word accessors of every substrate
+// at zero heap allocations on pages homed here, cached here and — on the
+// hybrid DSM with caching off — read and written over the SAN. The word
+// accessors reach their substrate's one read or write routine through
+// values or closures built per call; this is the guard that none of them
+// escapes.
+func TestWordAccessZeroAlloc(t *testing.T) {
+	skipUnderRace(t)
+	const nodes = 2
+	subs := []struct {
+		name  string
+		build func() (platform.Substrate, error)
+	}{
+		{"smp", func() (platform.Substrate, error) { return smp.New(smp.Config{CPUs: nodes}) }},
+		{"hybrid-cached", func() (platform.Substrate, error) { return hybriddsm.New(hybriddsm.Config{Nodes: nodes}) }},
+		{"hybrid-remote", func() (platform.Substrate, error) {
+			return hybriddsm.New(hybriddsm.Config{Nodes: nodes, CacheThreshold: -1})
+		}},
+		{"swdsm", func() (platform.Substrate, error) { return swdsm.New(swdsm.Config{Nodes: nodes}) }},
+		{"ivy", func() (platform.Substrate, error) { return ivy.New(ivy.Config{Nodes: nodes}) }},
+	}
+	for _, c := range subs {
+		t.Run(c.name, func(t *testing.T) {
+			sub, err := c.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sub.Close()
+			r, err := sub.Alloc(nodes*memsim.PageSize, "words", memsim.Cyclic, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sink float64
+			op := func() {
+				for page := 0; page < nodes; page++ { // node 0's own page, then node 1's
+					a := r.Base + memsim.Addr(page*memsim.PageSize)
+					sink += sub.ReadF64(0, a)
+					sub.WriteF64(0, a+8, sink)
+					sink += float64(sub.ReadI64(0, a+16))
+					sub.WriteI64(0, a+24, int64(page))
+				}
+			}
+			warm(op, hybriddsm.DefaultCacheThreshold) // faults, twins, caches and map buckets
+			if avg := testing.AllocsPerRun(50, op); avg != 0 {
+				t.Errorf("eight word accesses allocate %.2f objects, want 0", avg)
+			}
+		})
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"hamster/internal/hybriddsm"
+	"hamster/internal/ivy"
 	"hamster/internal/memsim"
 	"hamster/internal/multidsm"
 	"hamster/internal/platform"
@@ -78,6 +79,8 @@ func buildEquivSub(t *testing.T, kind string) platform.Substrate {
 		sub, err = hybriddsm.New(hybriddsm.Config{Nodes: equivNodes})
 	case "swdsm":
 		sub, err = swdsm.New(swdsm.Config{Nodes: equivNodes})
+	case "ivy":
+		sub, err = ivy.New(ivy.Config{Nodes: equivNodes})
 	case "multi":
 		sub, err = multidsm.New(multidsm.Config{
 			Nodes:         equivNodes,
@@ -225,7 +228,7 @@ func checkBlockWordEquivalence(t *testing.T, kind string, seed int64) error {
 // random access programs, the block API and the per-word loop are
 // indistinguishable in everything but wall-clock.
 func TestBlockWordEquivalence(t *testing.T) {
-	for _, kind := range []string{"smp", "hybrid", "swdsm", "multi"} {
+	for _, kind := range []string{"smp", "hybrid", "swdsm", "ivy", "multi"} {
 		kind := kind
 		t.Run(kind, func(t *testing.T) {
 			cfg := &quick.Config{

@@ -487,6 +487,38 @@ func TestTracingDetectsRace(t *testing.T) {
 	}
 }
 
+// A byte span is traced word by word: a store into the middle of a span
+// another node writes without synchronisation is a race, and the same two
+// accesses under one lock are not.
+func TestTracingDetectsRaceInsideSpan(t *testing.T) {
+	for _, locked := range []bool{false, true} {
+		rt := newRT(t, platform.SWDSM, 2)
+		var region memsim.Region
+		var lock int
+		rt.Run(func(e *Env) {
+			r, _ := e.Mem.Alloc(memsim.PageSize, AllocOpts{Name: "span", Collective: true})
+			if e.ID() == 0 {
+				region, lock = r, e.Sync.NewLock()
+			}
+		})
+		rt.StartTrace()
+		rt.Run(func(e *Env) {
+			if locked {
+				e.Sync.Lock(lock)
+				defer e.Sync.Unlock(lock)
+			}
+			if e.ID() == 0 {
+				e.WriteBytes(region.Base+3, make([]byte, 61)) // words 0–7
+			} else {
+				e.WriteF64(region.Base+32, 1) // word 4
+			}
+		})
+		if rep := rt.CheckConsistency(); rep.DRF() != locked {
+			t.Fatalf("locked=%v: DRF = %v: %s", locked, rep.DRF(), rep)
+		}
+	}
+}
+
 func TestTracingCleanProgramIsDRF(t *testing.T) {
 	rt := newRT(t, platform.SWDSM, 3)
 	rt.StartTrace()

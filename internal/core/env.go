@@ -183,7 +183,7 @@ func (e *Env) WriteI64Block(a memsim.Addr, src []int64) {
 
 // ReadBytes copies a global span into buf.
 func (e *Env) ReadBytes(a memsim.Addr, buf []byte) {
-	e.traceAccess(conscheck.Read, a)
+	e.traceSpan(conscheck.Read, a, len(buf))
 	e.lockSerial()
 	e.rt.sub.ReadBytes(e.id, a, buf)
 	e.unlockSerial()
@@ -191,7 +191,7 @@ func (e *Env) ReadBytes(a memsim.Addr, buf []byte) {
 
 // WriteBytes copies data into a global span.
 func (e *Env) WriteBytes(a memsim.Addr, data []byte) {
-	e.traceAccess(conscheck.Write, a)
+	e.traceSpan(conscheck.Write, a, len(data))
 	e.lockSerial()
 	e.rt.sub.WriteBytes(e.id, a, data)
 	e.unlockSerial()

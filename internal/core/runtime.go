@@ -277,7 +277,7 @@ func New(cfg Config) (*Runtime, error) {
 // A non-nil layer is the coalesced-messaging case: protocol and user
 // messages share it. The default path hands swdsm.New the exact
 // configuration the pre-engine code did, keeping default runs
-// bit-identical (gated by TestEngineDefaultIdentity and benchcheck.sh).
+// bit-identical (gated by TestEngineDefaultIdentity).
 func buildEngine(cfg Config, engine string, eff machine.Params, layer *amsg.Layer, topo simnet.Topology) (platform.Substrate, error) {
 	if engine == consengine.IVYName {
 		return ivy.New(ivy.Config{Nodes: cfg.Nodes, Params: eff, Layer: layer, Topology: topo})

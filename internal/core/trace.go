@@ -95,6 +95,15 @@ func (e *Env) traceBlock(kind conscheck.Kind, a memsim.Addr, words int) {
 	}
 }
 
+// traceSpan records a byte-span access as one event per word the span
+// overlaps, so a race on any word inside the span is visible to the
+// checker (an empty span touches nothing).
+func (e *Env) traceSpan(kind conscheck.Kind, a memsim.Addr, n int) {
+	if n > 0 {
+		e.traceBlock(kind, a, (int(a%memsim.WordSize)+n+memsim.WordSize-1)/memsim.WordSize)
+	}
+}
+
 // traceSync records a synchronization event if tracing is on.
 func (e *Env) traceSync(kind conscheck.Kind, lock int) {
 	t := e.rt.tracer.Load()

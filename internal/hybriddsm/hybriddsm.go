@@ -22,11 +22,17 @@
 // There are no twins and no diffs: writes go straight to the home copy.
 // That asymmetry versus package swdsm is the paper's Figure 3 — write-heavy
 // phases (LU initialization) and synchronization-heavy codes benefit most.
+//
+// The whole data path is two routines, readRun and writeRun: all ten
+// platform.Substrate accessors call them with (accesses, words per access)
+// and a callback that loads from or stores to the frame. They are also
+// the only code that takes a home frame's lock, and they release it
+// themselves. Everything else a node owns — cache, LRU, read counts,
+// written set, statistics — belongs to its goroutine and is unlocked.
 package hybriddsm
 
 import (
 	"fmt"
-	"math"
 
 	"hamster/internal/hsync"
 	"hamster/internal/machine"
@@ -241,61 +247,78 @@ func (n *node) touchLocal(p memsim.PageID) {
 	}
 }
 
-func (n *node) homeOf(p memsim.PageID) int {
-	h := n.dsm.space.Home(p)
-	if h == memsim.NoHome {
-		h = n.dsm.space.TouchHome(p, n.id)
-	}
-	return h
-}
-
-// readWord performs one word-granularity read.
-func (n *node) readWord(a memsim.Addr, get func(fr []byte, off int) uint64) uint64 {
+// readRun is the one read path under all five read accessors: count
+// accesses of unit words each to page p, with get called exactly once to
+// load them from the frame that serves them. A word read is 1×1, a byte
+// span one access of 1+len/8 words, a block run count×1. Every access is
+// one read counted and one step toward the caching threshold; every word
+// pays the access charge and, over the SAN, one PIO load.
+//
+// A page homed here or cached here serves the whole run at local cost.
+// Otherwise the accesses are PIO loads until the page's read count
+// reaches the threshold; the page is then fetched in one block transfer
+// and the accesses left in the run hit the new copy — the steps count×unit
+// single-word reads would take, charged in one go.
+func (n *node) readRun(p memsim.PageID, count, unit int, get func(fr []byte)) {
 	d := n.dsm
 	clk := d.clocks[n.id]
-	clk.AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs)
-	n.stats.Reads++
-	p := memsim.PageOf(a)
-	off := memsim.Offset(a)
-	home := n.homeOf(p)
-
-	if home == n.id {
+	access := d.params.CPU.AccessNs * vclock.Duration(unit)
+	home := d.space.HomeFor(p, n.id)
+	var cp *cpage
+	if home != n.id {
+		cp = n.cache[p]
+	}
+	if home == n.id || cp != nil {
+		clk.AdvanceCat(vclock.CatMemory, access*vclock.Duration(count))
+		n.stats.Reads += uint64(count)
 		n.touchLocal(p)
+		if cp != nil {
+			n.lru.MoveToFront(cp)
+			get(cp.Data)
+			return
+		}
+		// The home frame's lock keeps the owner's in-place accesses
+		// coherent with peers' PIO loads and stores of the same page.
 		hp := n.home.Frame(p)
 		hp.Mu.Lock()
-		v := get(hp.Data, off)
+		get(hp.Data)
 		hp.Mu.Unlock()
-		return v
+		return
 	}
-	if cp, ok := n.cache[p]; ok {
-		n.touchLocal(p)
-		n.lru.MoveToFront(cp)
-		return get(cp.Data, off)
+
+	pio, caches := count, false
+	if d.threshold > 0 {
+		if left := d.threshold - n.readCount[p]; left <= count {
+			pio, caches = left, true
+		} else {
+			n.readCount[p] += count
+		}
 	}
-	// Uncached remote read: PIO load over the SAN.
-	clk.AdvanceCat(vclock.CatNetwork, d.params.SAN.RemoteReadNs)
-	n.stats.RemoteReads++
+	words := vclock.Duration(pio * unit)
+	clk.AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs*words)
+	clk.AdvanceCat(vclock.CatNetwork, d.params.SAN.RemoteReadNs*words)
+	n.stats.Reads += uint64(pio)
+	n.stats.RemoteReads += uint64(words)
 	if rec := d.rec; rec != nil && rec.Enabled() {
-		rec.Record(n.id, perfmon.EvRemoteRead, clk.Now(), 0, uint64(p), 1)
+		rec.Record(n.id, perfmon.EvRemoteRead, clk.Now(), 0, uint64(p), uint64(words))
 	}
 	hf := d.nodes[home].home.Frame(p)
 	hf.Mu.Lock()
-	v := get(hf.Data, off)
-	n.maybeCache(p, hf.Data)
+	get(hf.Data)
+	if caches {
+		n.install(p, home, hf.Data) // the copy happens under the home's lock
+	}
 	hf.Mu.Unlock()
-	return v
+	if rest := count - pio; rest > 0 {
+		clk.AdvanceCat(vclock.CatMemory, access*vclock.Duration(rest))
+		n.stats.Reads += uint64(rest)
+		n.touchLocal(p)
+	}
 }
 
-// maybeCache fetches a hot remote page into the local read cache. Called
-// with the home frame lock held; the copy happens under it.
-func (n *node) maybeCache(p memsim.PageID, homeData []byte) {
-	if n.dsm.threshold <= 0 {
-		return
-	}
-	n.readCount[p]++
-	if n.readCount[p] < n.dsm.threshold {
-		return
-	}
+// install fetches a hot remote page into the local read cache in one
+// block transfer, evicting from the cold end past the cache's capacity.
+func (n *node) install(p memsim.PageID, home int, homeData []byte) {
 	d := n.dsm
 	clk := d.clocks[n.id]
 	t0 := clk.Now()
@@ -309,7 +332,7 @@ func (n *node) maybeCache(p memsim.PageID, homeData []byte) {
 	n.cache[p] = cp
 	n.stats.PageFaults++ // block transfers counted as "faults" for parity
 	if rec := d.rec; rec != nil && rec.Enabled() {
-		rec.Record(n.id, perfmon.EvPageFault, t0, vclock.Since(t0, clk.Now()), uint64(p), uint64(d.space.Home(p)))
+		rec.Record(n.id, perfmon.EvPageFault, t0, vclock.Since(t0, clk.Now()), uint64(p), uint64(home))
 	}
 	delete(n.readCount, p)
 	for len(n.cache) > d.cacheCap {
@@ -325,154 +348,84 @@ func (n *node) drop(cp *cpage) {
 	cpagePool.Put(cp)
 }
 
-// writeWord performs one word-granularity write, straight through to the
-// home copy (no twins, no diffs).
-func (n *node) writeWord(a memsim.Addr, put func(fr []byte, off int)) {
+// writeRun is the one write path under all five write accessors, with
+// readRun's parameters; put is called once per frame that must take the
+// stores. Writes go straight through to the home copy (no twins, no
+// diffs): a remote store is posted — it completes locally and drains at
+// the next store barrier — or, with posted writes disabled, a synchronous
+// PIO store at the remote-read latency.
+func (n *node) writeRun(p memsim.PageID, count, unit int, put func(fr []byte)) {
 	d := n.dsm
 	clk := d.clocks[n.id]
-	clk.AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs)
-	n.stats.Writes++
-	p := memsim.PageOf(a)
-	off := memsim.Offset(a)
-	home := n.homeOf(p)
+	words := vclock.Duration(count * unit)
+	clk.AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs*words)
+	n.stats.Writes += uint64(count)
 	n.written[p] = struct{}{}
-
+	home := d.space.HomeFor(p, n.id)
 	if home == n.id {
 		n.touchLocal(p)
-		hp := n.home.Frame(p)
-		hp.Mu.Lock()
-		put(hp.Data, off)
-		hp.Mu.Unlock()
-		return
-	}
-	if d.posted {
-		clk.AdvanceCat(vclock.CatNetwork, d.params.SAN.RemoteWriteNs)
-		n.postedOut++
 	} else {
-		clk.AdvanceCat(vclock.CatNetwork, d.params.SAN.RemoteReadNs) // synchronous PIO store
-	}
-	n.stats.RemoteWrites++
-	if rec := d.rec; rec != nil && rec.Enabled() {
-		rec.Record(n.id, perfmon.EvRemoteWrite, clk.Now(), 0, uint64(p), 1)
+		if d.posted {
+			clk.AdvanceCat(vclock.CatNetwork, d.params.SAN.RemoteWriteNs*words)
+			n.postedOut += int(words)
+		} else {
+			clk.AdvanceCat(vclock.CatNetwork, d.params.SAN.RemoteReadNs*words)
+		}
+		n.stats.RemoteWrites += uint64(words)
+		if rec := d.rec; rec != nil && rec.Enabled() {
+			rec.Record(n.id, perfmon.EvRemoteWrite, clk.Now(), 0, uint64(p), uint64(words))
+		}
+		// Keep a locally cached copy coherent with our own store.
+		if cp, ok := n.cache[p]; ok {
+			put(cp.Data)
+		}
 	}
 	hf := d.nodes[home].home.Frame(p)
 	hf.Mu.Lock()
-	put(hf.Data, off)
+	put(hf.Data)
 	hf.Mu.Unlock()
-	// Keep a locally cached copy coherent with our own store.
-	if cp, ok := n.cache[p]; ok {
-		put(cp.Data, off)
-	}
 }
 
 // ReadF64 implements platform.Substrate.
-func (d *DSM) ReadF64(nodeID int, a memsim.Addr) float64 {
-	return math.Float64frombits(d.access(nodeID).readWord(a, memsim.GetU64))
+func (d *DSM) ReadF64(nodeID int, a memsim.Addr) (v float64) {
+	d.access(nodeID).readRun(memsim.PageOf(a), 1, 1, func(fr []byte) { v = memsim.GetF64(fr, memsim.Offset(a)) })
+	return v
 }
 
 // WriteF64 implements platform.Substrate.
 func (d *DSM) WriteF64(nodeID int, a memsim.Addr, v float64) {
-	d.access(nodeID).writeWord(a, func(fr []byte, off int) {
-		memsim.PutF64(fr, off, v)
-	})
+	d.access(nodeID).writeRun(memsim.PageOf(a), 1, 1, func(fr []byte) { memsim.PutF64(fr, memsim.Offset(a), v) })
 }
 
 // ReadI64 implements platform.Substrate.
-func (d *DSM) ReadI64(nodeID int, a memsim.Addr) int64 {
-	return int64(d.access(nodeID).readWord(a, memsim.GetU64))
+func (d *DSM) ReadI64(nodeID int, a memsim.Addr) (v int64) {
+	d.access(nodeID).readRun(memsim.PageOf(a), 1, 1, func(fr []byte) { v = memsim.GetI64(fr, memsim.Offset(a)) })
+	return v
 }
 
 // WriteI64 implements platform.Substrate.
 func (d *DSM) WriteI64(nodeID int, a memsim.Addr, v int64) {
-	d.access(nodeID).writeWord(a, func(fr []byte, off int) {
-		memsim.PutI64(fr, off, v)
-	})
+	d.access(nodeID).writeRun(memsim.PageOf(a), 1, 1, func(fr []byte) { memsim.PutI64(fr, memsim.Offset(a), v) })
 }
 
-// ReadBytes implements platform.Substrate.
+// ReadBytes implements platform.Substrate; the span may cross pages.
 func (d *DSM) ReadBytes(nodeID int, a memsim.Addr, buf []byte) {
 	n := d.access(nodeID)
 	memsim.ByteRuns(a, len(buf), func(p memsim.PageID, off, chunk int) {
-		n.readSpan(p, off, buf[:chunk])
+		out := buf[:chunk]
+		n.readRun(p, 1, 1+chunk/memsim.WordSize, func(fr []byte) { copy(out, fr[off:]) })
 		buf = buf[chunk:]
 	})
 }
 
-func (n *node) readSpan(p memsim.PageID, off int, buf []byte) {
-	d := n.dsm
-	clk := d.clocks[n.id]
-	words := vclock.Duration(1 + len(buf)/memsim.WordSize)
-	clk.AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs*words)
-	n.stats.Reads++
-	home := n.homeOf(p)
-	if home == n.id {
-		n.touchLocal(p)
-		hp := n.home.Frame(p)
-		hp.Mu.Lock()
-		copy(buf, hp.Data[off:off+len(buf)])
-		hp.Mu.Unlock()
-		return
-	}
-	if cp, ok := n.cache[p]; ok {
-		n.touchLocal(p)
-		n.lru.MoveToFront(cp)
-		copy(buf, cp.Data[off:off+len(buf)])
-		return
-	}
-	clk.AdvanceCat(vclock.CatNetwork, d.params.SAN.RemoteReadNs*words)
-	n.stats.RemoteReads += uint64(words)
-	if rec := d.rec; rec != nil && rec.Enabled() {
-		rec.Record(n.id, perfmon.EvRemoteRead, clk.Now(), 0, uint64(p), uint64(words))
-	}
-	hf := d.nodes[home].home.Frame(p)
-	hf.Mu.Lock()
-	copy(buf, hf.Data[off:off+len(buf)])
-	n.maybeCache(p, hf.Data)
-	hf.Mu.Unlock()
-}
-
-// WriteBytes implements platform.Substrate.
+// WriteBytes implements platform.Substrate; the span may cross pages.
 func (d *DSM) WriteBytes(nodeID int, a memsim.Addr, data []byte) {
 	n := d.access(nodeID)
 	memsim.ByteRuns(a, len(data), func(p memsim.PageID, off, chunk int) {
-		n.writeSpan(p, off, data[:chunk])
+		in := data[:chunk]
+		n.writeRun(p, 1, 1+chunk/memsim.WordSize, func(fr []byte) { copy(fr[off:], in) })
 		data = data[chunk:]
 	})
-}
-
-func (n *node) writeSpan(p memsim.PageID, off int, data []byte) {
-	d := n.dsm
-	clk := d.clocks[n.id]
-	words := vclock.Duration(1 + len(data)/memsim.WordSize)
-	clk.AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs*words)
-	n.stats.Writes++
-	n.written[p] = struct{}{}
-	home := n.homeOf(p)
-	if home == n.id {
-		n.touchLocal(p)
-		hp := n.home.Frame(p)
-		hp.Mu.Lock()
-		copy(hp.Data[off:off+len(data)], data)
-		hp.Mu.Unlock()
-		return
-	}
-	if d.posted {
-		clk.AdvanceCat(vclock.CatNetwork, d.params.SAN.RemoteWriteNs*words)
-		n.postedOut += int(words)
-	} else {
-		clk.AdvanceCat(vclock.CatNetwork, d.params.SAN.RemoteReadNs*words)
-	}
-	n.stats.RemoteWrites += uint64(words)
-	if rec := d.rec; rec != nil && rec.Enabled() {
-		rec.Record(n.id, perfmon.EvRemoteWrite, clk.Now(), 0, uint64(p), uint64(words))
-	}
-	hf := d.nodes[home].home.Frame(p)
-	hf.Mu.Lock()
-	copy(hf.Data[off:off+len(data)], data)
-	hf.Mu.Unlock()
-	if cp, ok := n.cache[p]; ok {
-		copy(cp.Data[off:off+len(data)], data)
-	}
 }
 
 // storeBarrier drains the posted-write FIFO.

@@ -232,16 +232,6 @@ func New(cfg Config) (*DSM, error) {
 	return d, nil
 }
 
-// homeOf resolves (and first-touch assigns) the home of a page — the
-// page's initial owner.
-func (n *node) homeOf(p memsim.PageID) int {
-	h := n.dsm.space.Home(p)
-	if h == memsim.NoHome {
-		h = n.dsm.space.TouchHome(p, n.id)
-	}
-	return h
-}
-
 // entry returns (creating if needed) the page's state record. Call with
 // n.mu held.
 func (n *node) entry(p memsim.PageID) *ipage {
@@ -387,7 +377,7 @@ func (n *node) nextHop(p memsim.PageID) int {
 		return h
 	}
 	n.mu.Unlock()
-	return n.homeOf(p)
+	return n.dsm.space.HomeFor(p, n.id)
 }
 
 // pageReq encodes the one-word request shared by the read and write

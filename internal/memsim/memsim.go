@@ -295,6 +295,16 @@ func (s *Space) TouchHome(p PageID, node int) int {
 	return *s.homes.GetOrCreate(p, func() *int { return &s.ids[node] })
 }
 
+// HomeFor returns the home of page p as an accessing node resolves it:
+// the page's home if it has one, else node becomes its home (first touch).
+// Every substrate's access path resolves homes through this one method.
+func (s *Space) HomeFor(p PageID, node int) int {
+	if h := s.Home(p); h != NoHome {
+		return h
+	}
+	return s.TouchHome(p, node)
+}
+
 // SetHome reassigns a page's home (home migration support).
 func (s *Space) SetHome(p PageID, node int) { s.homes.Set(p, &s.ids[node]) }
 

@@ -111,6 +111,14 @@ func TestFirstTouchPlacement(t *testing.T) {
 	if s.Home(p) != 3 {
 		t.Fatal("home not recorded")
 	}
+	// HomeFor is both steps: it reports a home that exists and assigns one
+	// that does not.
+	if got := s.HomeFor(p, 1); got != 3 {
+		t.Fatalf("HomeFor on a homed page = %d, want 3", got)
+	}
+	if got := s.HomeFor(p+1, 2); got != 2 || s.Home(p+1) != 2 {
+		t.Fatalf("HomeFor on an untouched page = %d (home %d), want 2", got, s.Home(p+1))
+	}
 }
 
 func TestSetHomeMigration(t *testing.T) {

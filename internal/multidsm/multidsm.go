@@ -396,33 +396,7 @@ func (d *DSM) Fence(node int) {
 // NodeStats implements platform.Substrate: the sum of both engines'
 // counters plus the unified synchronization layer's.
 func (d *DSM) NodeStats(node int) platform.Stats {
-	a := d.sw.NodeStats(node)
-	b := d.hy.NodeStats(node)
-	return d.SyncStats(node, platform.Stats{
-		Reads:            a.Reads + b.Reads,
-		Writes:           a.Writes + b.Writes,
-		BlockReads:       a.BlockReads + b.BlockReads,
-		BlockWrites:      a.BlockWrites + b.BlockWrites,
-		PageFaults:       a.PageFaults + b.PageFaults,
-		RemoteReads:      a.RemoteReads + b.RemoteReads,
-		RemoteWrites:     a.RemoteWrites + b.RemoteWrites,
-		TwinsCreated:     a.TwinsCreated + b.TwinsCreated,
-		DiffsCreated:     a.DiffsCreated + b.DiffsCreated,
-		DiffBytes:        a.DiffBytes + b.DiffBytes,
-		Invalidations:    a.Invalidations + b.Invalidations,
-		LockAcquires:     a.LockAcquires + b.LockAcquires,
-		BarrierCrossings: a.BarrierCrossings + b.BarrierCrossings,
-		Evictions:        a.Evictions + b.Evictions,
-		CacheMisses:      a.CacheMisses + b.CacheMisses,
-		HomeMigrations:   a.HomeMigrations + b.HomeMigrations,
-		ProtocolMsgs:     a.ProtocolMsgs + b.ProtocolMsgs,
-		DiffBatches:      a.DiffBatches + b.DiffBatches,
-		BatchedDiffs:     a.BatchedDiffs + b.BatchedDiffs,
-		PrefetchRuns:     a.PrefetchRuns + b.PrefetchRuns,
-		PrefetchPages:    a.PrefetchPages + b.PrefetchPages,
-		PrefetchHits:     a.PrefetchHits + b.PrefetchHits,
-		PrefetchWaste:    a.PrefetchWaste + b.PrefetchWaste,
-	})
+	return d.SyncStats(node, d.sw.NodeStats(node).Add(d.hy.NodeStats(node)))
 }
 
 // ResetStats implements platform.Substrate.

@@ -1,11 +1,28 @@
 // Package platform defines the contract between the HAMSTER core and its
 // base architectures (§3.1): a global memory abstraction, synchronization
 // mechanisms, and information about the memory consistency model and its
-// control mechanisms. Three substrates implement it — internal/smp
-// (hardware shared memory), internal/hybriddsm (SCI-VM-like NUMA), and
-// internal/swdsm (JiaJia-like software DSM) — and the core deliberately
-// integrates their native shapes rather than forcing a lowest common
-// denominator.
+// control mechanisms. Five substrates implement it — internal/smp
+// (hardware shared memory), internal/hybriddsm (SCI-VM-like NUMA),
+// internal/swdsm (JiaJia-like software DSM), internal/ivy (write-invalidate
+// sequential consistency) and internal/multidsm (a page engine and the
+// hybrid engine composed over one address space) — and the core
+// deliberately integrates their native shapes rather than forcing a lowest
+// common denominator.
+//
+// The ten data accessors share one access contract, and each substrate
+// implements it in one read routine and one write routine parameterised by
+// (accesses, words per access) on one page: a word access is 1×1, a byte
+// span is cut at page boundaries and each piece is ONE access of
+// 1+len/8 words, a block is cut the same way and each run of count words
+// is count accesses of one word. Every access is counted once in
+// Stats.Reads or Stats.Writes; every word pays CPU.AccessNs (and, on the
+// hybrid DSM's uncached remote path, one SAN transfer, counted in
+// RemoteReads/RemoteWrites); the CPU-cache model is touched once per
+// routine call, which is exact because repeated touches of one page are
+// idempotent; and the page is resolved — home looked up, fault taken, twin
+// made, ownership acquired — once, exactly as the first word of the
+// equivalent word loop would. TestAccessScriptIdentity and
+// TestBlockWordEquivalence (internal/bench) hold every substrate to it.
 //
 // Every Substrate obeys the same concurrency and timing contract: node i
 // is driven by one goroutine, all cross-node effects are internally
@@ -103,6 +120,36 @@ type Stats struct {
 	PrefetchPages    uint64 // pages installed by prefetch runs
 	PrefetchHits     uint64 // prefetched pages later used by a real access
 	PrefetchWaste    uint64 // prefetched pages dropped unused (mispredictions)
+}
+
+// Add returns the field-wise sum of two snapshots: a composed substrate's
+// engines, or several nodes. TestStatsAddSumsEveryField fails when a
+// counter is added to Stats and not here.
+func (s Stats) Add(o Stats) Stats {
+	s.Reads += o.Reads
+	s.Writes += o.Writes
+	s.BlockReads += o.BlockReads
+	s.BlockWrites += o.BlockWrites
+	s.PageFaults += o.PageFaults
+	s.RemoteReads += o.RemoteReads
+	s.RemoteWrites += o.RemoteWrites
+	s.TwinsCreated += o.TwinsCreated
+	s.DiffsCreated += o.DiffsCreated
+	s.DiffBytes += o.DiffBytes
+	s.Invalidations += o.Invalidations
+	s.LockAcquires += o.LockAcquires
+	s.BarrierCrossings += o.BarrierCrossings
+	s.Evictions += o.Evictions
+	s.CacheMisses += o.CacheMisses
+	s.HomeMigrations += o.HomeMigrations
+	s.ProtocolMsgs += o.ProtocolMsgs
+	s.DiffBatches += o.DiffBatches
+	s.BatchedDiffs += o.BatchedDiffs
+	s.PrefetchRuns += o.PrefetchRuns
+	s.PrefetchPages += o.PrefetchPages
+	s.PrefetchHits += o.PrefetchHits
+	s.PrefetchWaste += o.PrefetchWaste
+	return s
 }
 
 // Substrate is one base architecture instance hosting a fixed-size cluster.

@@ -1,21 +1,47 @@
 package platform_test
 
 import (
+	"reflect"
 	"testing"
 
 	"hamster/internal/hybriddsm"
+	"hamster/internal/ivy"
 	"hamster/internal/memsim"
+	"hamster/internal/multidsm"
 	"hamster/internal/platform"
 	"hamster/internal/smp"
 	"hamster/internal/swdsm"
 )
 
-// Compile-time conformance: all three substrates implement the contract.
+// Compile-time conformance: all five substrates implement the contract.
 var (
 	_ platform.Substrate = (*swdsm.DSM)(nil)
 	_ platform.Substrate = (*hybriddsm.DSM)(nil)
 	_ platform.Substrate = (*smp.SMP)(nil)
+	_ platform.Substrate = (*ivy.DSM)(nil)
+	_ platform.Substrate = (*multidsm.DSM)(nil)
 )
+
+// Every counter of Stats is summed by Add: each uint64 field of both
+// operands gets a distinct value, so a field Add forgets (it would keep the
+// left operand's value) or sums into the wrong place shows.
+func TestStatsAddSumsEveryField(t *testing.T) {
+	var a, b platform.Stats
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		if va.Field(i).Kind() != reflect.Uint64 {
+			t.Fatalf("Stats.%s is %s: teach Add and this test about it", va.Type().Field(i).Name, va.Field(i).Kind())
+		}
+		va.Field(i).SetUint(uint64(i + 1))
+		vb.Field(i).SetUint(uint64(1000 * (i + 1)))
+	}
+	sum := reflect.ValueOf(a.Add(b))
+	for i := 0; i < sum.NumField(); i++ {
+		if got, want := sum.Field(i).Uint(), uint64(1001*(i+1)); got != want {
+			t.Errorf("Add: %s = %d, want %d", sum.Type().Field(i).Name, got, want)
+		}
+	}
+}
 
 func TestKindString(t *testing.T) {
 	cases := map[platform.Kind]string{
@@ -39,16 +65,22 @@ func TestSupportsPolicy(t *testing.T) {
 }
 
 // Behavioral conformance: the same tiny program runs identically on all
-// three substrates (the identical-binary claim of §5.4 at substrate level).
+// five substrates (the identical-binary claim of §5.4 at substrate level).
 func TestCrossSubstrateEquivalence(t *testing.T) {
-	build := func() []platform.Substrate {
-		sw, _ := swdsm.New(swdsm.Config{Nodes: 2})
-		hy, _ := hybriddsm.New(hybriddsm.Config{Nodes: 2})
-		sm, _ := smp.New(smp.Config{CPUs: 2})
-		return []platform.Substrate{sw, hy, sm}
-	}
-	for _, sub := range build() {
-		t.Run(sub.Kind().String(), func(t *testing.T) {
+	sw, _ := swdsm.New(swdsm.Config{Nodes: 2})
+	hy, _ := hybriddsm.New(hybriddsm.Config{Nodes: 2})
+	sm, _ := smp.New(smp.Config{CPUs: 2})
+	iv, _ := ivy.New(ivy.Config{Nodes: 2})
+	mu, _ := multidsm.New(multidsm.Config{Nodes: 2})
+	for _, c := range []struct {
+		name string
+		sub  platform.Substrate
+	}{
+		{platform.SWDSM.String(), sw}, {platform.HybridDSM.String(), hy}, {platform.SMP.String(), sm},
+		{"ivy", iv}, {"multidsm", mu},
+	} {
+		sub := c.sub
+		t.Run(c.name, func(t *testing.T) {
 			defer sub.Close()
 			r, err := sub.Alloc(memsim.PageSize, "v", memsim.Block, 0)
 			if err != nil {

@@ -1,47 +1,25 @@
 package smp
 
-import (
-	"hamster/internal/memsim"
-	"hamster/internal/vclock"
-)
+import "hamster/internal/memsim"
 
 // Block accessors: the bulk fast path of platform.Substrate. A run of
-// words within one page pays ONE cache-model touch and ONE batched clock
-// charge, which is exactly what the per-word loop pays in virtual time —
-// touching the same page repeatedly is idempotent in the direct-mapped
-// cache model, so N touches of one page cost AccessNs*N plus at most one
-// DRAM miss either way. Only the real (wall-clock) cost drops.
-
-// touchRun charges the cache model for words consecutive accesses to one
-// page: the batched equivalent of words touch() calls.
-func (s *SMP) touchRun(c *cpu, id int, p memsim.PageID, words int) {
-	clk := s.clocks[id]
-	clk.AdvanceCat(vclock.CatMemory, s.params.CPU.AccessNs*vclock.Duration(words))
-	if c.pcache.Touch(uint64(p)) {
-		return
-	}
-	clk.AdvanceCat(vclock.CatMemory, s.dram)
-	c.stats.CacheMisses++
-}
+// words within one page is ONE readPage/writePage call — one cache-model
+// touch and one batched clock charge — which is exactly what the per-word
+// loop pays in virtual time: N touches of one page cost AccessNs*N plus at
+// most one DRAM miss either way. Only the real (wall-clock) cost drops.
 
 func readBlock[T memsim.Word](s *SMP, id int, a memsim.Addr, dst []T) {
-	c := s.cpuOf(id)
-	c.stats.BlockReads++
+	s.cpuOf(id).stats.BlockReads++
 	memsim.WordRuns(a, len(dst), func(p memsim.PageID, off, count int) {
-		c.stats.Reads += uint64(count)
-		s.touchRun(c, id, p, count)
-		memsim.GetWords(s.frame(p), off, dst[:count])
+		memsim.GetWords(s.readPage(id, p, count, count), off, dst[:count])
 		dst = dst[count:]
 	})
 }
 
 func writeBlock[T memsim.Word](s *SMP, id int, a memsim.Addr, src []T) {
-	c := s.cpuOf(id)
-	c.stats.BlockWrites++
+	s.cpuOf(id).stats.BlockWrites++
 	memsim.WordRuns(a, len(src), func(p memsim.PageID, off, count int) {
-		c.stats.Writes += uint64(count)
-		s.touchRun(c, id, p, count)
-		memsim.PutWords(s.frame(p), off, src[:count])
+		memsim.PutWords(s.writePage(id, p, count, count), off, src[:count])
 		src = src[count:]
 	})
 }

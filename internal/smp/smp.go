@@ -12,6 +12,11 @@
 // cluster nodes than on one dual-CPU SMP — is the shared memory bus: a
 // page-granularity cache model charges DRAM costs for misses, scaled up by
 // bus contention when multiple CPUs are active.
+//
+// The data path is two routines, readPage and writePage: all ten
+// platform.Substrate accessors call them with (words to charge, accesses
+// to count) and load from or store to the page they return. There is one
+// physical memory and no lock on it.
 package smp
 
 import (
@@ -144,75 +149,72 @@ func newFrame() *[memsim.PageSize]byte { return new([memsim.PageSize]byte) }
 // frame returns page p's bytes, zeroed on first use like anonymous mmap.
 func (s *SMP) frame(p memsim.PageID) []byte { return s.mem.GetOrCreate(p, newFrame)[:] }
 
-// touch runs the cache model for one access: the shared direct-mapped
-// page-cache model (machine.PageCache); a miss pays the contention-scaled
-// DRAM cost — the same model DSM nodes use, except their buses are
-// private while the SMP's CPUs share one.
-func (s *SMP) touch(c *cpu, id int, p memsim.PageID) {
-	clk := s.clocks[id]
-	clk.AdvanceCat(vclock.CatMemory, s.params.CPU.AccessNs)
-	if c.pcache.Touch(uint64(p)) {
-		return
+// readPage is the one read path under all five read accessors: it counts
+// reads accesses, charges costWords words of access, runs the cache model
+// and returns page p's bytes. A word read is (1, 1), a byte span
+// (1+len/8, 1), a block run (count, count) — touching one page repeatedly
+// is idempotent in the cache model, so a run is charged in one go.
+func (s *SMP) readPage(id int, p memsim.PageID, costWords, reads int) []byte {
+	c := s.cpuOf(id)
+	c.stats.Reads += uint64(reads)
+	s.clocks[id].AdvanceCat(vclock.CatMemory, s.params.CPU.AccessNs*vclock.Duration(costWords))
+	s.touchLocal(c, id, p)
+	return s.frame(p)
+}
+
+// writePage is readPage's counterpart under the five write accessors.
+func (s *SMP) writePage(id int, p memsim.PageID, costWords, writes int) []byte {
+	c := s.cpuOf(id)
+	c.stats.Writes += uint64(writes)
+	s.clocks[id].AdvanceCat(vclock.CatMemory, s.params.CPU.AccessNs*vclock.Duration(costWords))
+	s.touchLocal(c, id, p)
+	return s.frame(p)
+}
+
+// touchLocal charges the CPU-cache model for one page reference: the
+// shared direct-mapped page-cache model (machine.PageCache), where a miss
+// pays the contention-scaled DRAM cost — the same model DSM nodes use,
+// except their buses are private while the SMP's CPUs share one.
+func (s *SMP) touchLocal(c *cpu, id int, p memsim.PageID) {
+	if !c.pcache.Touch(uint64(p)) {
+		s.clocks[id].AdvanceCat(vclock.CatMemory, s.dram)
+		c.stats.CacheMisses++
 	}
-	clk.AdvanceCat(vclock.CatMemory, s.dram)
-	c.stats.CacheMisses++
 }
 
 // ReadF64 implements platform.Substrate.
 func (s *SMP) ReadF64(id int, a memsim.Addr) float64 {
-	c := s.cpuOf(id)
-	c.stats.Reads++
-	s.touch(c, id, memsim.PageOf(a))
-	return memsim.GetF64(s.frame(memsim.PageOf(a)), memsim.Offset(a))
+	return memsim.GetF64(s.readPage(id, memsim.PageOf(a), 1, 1), memsim.Offset(a))
 }
 
 // WriteF64 implements platform.Substrate.
 func (s *SMP) WriteF64(id int, a memsim.Addr, v float64) {
-	c := s.cpuOf(id)
-	c.stats.Writes++
-	s.touch(c, id, memsim.PageOf(a))
-	memsim.PutF64(s.frame(memsim.PageOf(a)), memsim.Offset(a), v)
+	memsim.PutF64(s.writePage(id, memsim.PageOf(a), 1, 1), memsim.Offset(a), v)
 }
 
 // ReadI64 implements platform.Substrate.
 func (s *SMP) ReadI64(id int, a memsim.Addr) int64 {
-	c := s.cpuOf(id)
-	c.stats.Reads++
-	s.touch(c, id, memsim.PageOf(a))
-	return memsim.GetI64(s.frame(memsim.PageOf(a)), memsim.Offset(a))
+	return memsim.GetI64(s.readPage(id, memsim.PageOf(a), 1, 1), memsim.Offset(a))
 }
 
 // WriteI64 implements platform.Substrate.
 func (s *SMP) WriteI64(id int, a memsim.Addr, v int64) {
-	c := s.cpuOf(id)
-	c.stats.Writes++
-	s.touch(c, id, memsim.PageOf(a))
-	memsim.PutI64(s.frame(memsim.PageOf(a)), memsim.Offset(a), v)
+	memsim.PutI64(s.writePage(id, memsim.PageOf(a), 1, 1), memsim.Offset(a), v)
 }
 
-// ReadBytes implements platform.Substrate.
-func (s *SMP) ReadBytes(id int, a memsim.Addr, buf []byte) { s.copyBytes(id, a, buf, false) }
-
-// WriteBytes implements platform.Substrate.
-func (s *SMP) WriteBytes(id int, a memsim.Addr, data []byte) { s.copyBytes(id, a, data, true) }
-
-// copyBytes moves len(buf) bytes between buf and the memory at a, one page
-// run at a time: each run is one counted access, one cache-model touch
-// and a per-word charge.
-func (s *SMP) copyBytes(id int, a memsim.Addr, buf []byte, write bool) {
-	c := s.cpuOf(id)
+// ReadBytes implements platform.Substrate; the span may cross pages.
+func (s *SMP) ReadBytes(id int, a memsim.Addr, buf []byte) {
 	memsim.ByteRuns(a, len(buf), func(p memsim.PageID, off, chunk int) {
-		s.touch(c, id, p)
-		s.clocks[id].AdvanceCat(vclock.CatMemory, s.params.CPU.AccessNs*vclock.Duration(chunk/memsim.WordSize))
-		mem := s.frame(p)[off : off+chunk]
-		if write {
-			c.stats.Writes++
-			copy(mem, buf[:chunk])
-		} else {
-			c.stats.Reads++
-			copy(buf[:chunk], mem)
-		}
+		copy(buf[:chunk], s.readPage(id, p, 1+chunk/memsim.WordSize, 1)[off:])
 		buf = buf[chunk:]
+	})
+}
+
+// WriteBytes implements platform.Substrate; the span may cross pages.
+func (s *SMP) WriteBytes(id int, a memsim.Addr, data []byte) {
+	memsim.ByteRuns(a, len(data), func(p memsim.PageID, off, chunk int) {
+		copy(s.writePage(id, p, 1+chunk/memsim.WordSize, 1)[off:], data[:chunk])
+		data = data[chunk:]
 	})
 }
 

@@ -1,39 +1,30 @@
 package swdsm
 
-import (
-	"hamster/internal/memsim"
-	"hamster/internal/vclock"
-)
+import "hamster/internal/memsim"
 
 // Block accessors: the bulk fast path of platform.Substrate. A run of
-// words within one page pays ONE access check, ONE frame resolution, and
-// ONE batched clock charge, but the modeled cost is word-for-word what
-// the per-word loop charges: AccessNs per word, one fault (if any) for
-// the whole run exactly as the first word of the loop would fault, and
-// one CPU-cache touch (repeated touches of one page are idempotent in
-// the direct-mapped model). Twin creation, diffing, and write notices
-// are untouched — a block write dirties the page exactly once per
-// interval, the same as N word writes.
+// words within one page is ONE readPage/writePage call — one batched clock
+// charge, one CPU-cache touch (repeated touches of one page are idempotent
+// in the direct-mapped model), one frame resolution — and the modeled cost
+// is word-for-word what the per-word loop charges: AccessNs per word and
+// one fault (if any) for the whole run, exactly as the first word of the
+// loop would fault. Twin creation, diffing, and write notices are
+// untouched — a block write dirties the page exactly once per interval,
+// the same as N word writes.
 //
 // Prefetched frames (aggregate.go) need no special handling here: a
 // speculatively installed page is an ordinary clean cache entry, so
-// frameForRead/prepareWrite resolve it like any cache hit (scoring the
+// readPage/writePage resolve it like any cache hit (scoring the
 // prefetch-hit on first touch) and a page-straddling run simply crosses
 // from a prefetched frame into a demand-faulted one.
 
 func readBlock[T memsim.Word](d *DSM, nodeID int, a memsim.Addr, dst []T) {
 	n := d.access(nodeID)
 	n.stats.BlockReads++
-	clk := d.clocks[nodeID]
 	memsim.WordRuns(a, len(dst), func(p memsim.PageID, off, count int) {
-		clk.AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs*vclock.Duration(count))
-		n.stats.Reads += uint64(count)
-		n.touchLocal(p)
-		fr, hp := n.frameForRead(p)
+		fr, hp := n.readPage(p, count, count)
 		memsim.GetWords(fr, off, dst[:count])
-		if hp != nil {
-			hp.Mu.Unlock()
-		}
+		unlock(hp)
 		dst = dst[count:]
 	})
 }
@@ -41,16 +32,10 @@ func readBlock[T memsim.Word](d *DSM, nodeID int, a memsim.Addr, dst []T) {
 func writeBlock[T memsim.Word](d *DSM, nodeID int, a memsim.Addr, src []T) {
 	n := d.access(nodeID)
 	n.stats.BlockWrites++
-	clk := d.clocks[nodeID]
 	memsim.WordRuns(a, len(src), func(p memsim.PageID, off, count int) {
-		clk.AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs*vclock.Duration(count))
-		n.stats.Writes += uint64(count)
-		n.touchLocal(p)
-		fr, hp := n.prepareWrite(p)
+		fr, hp := n.writePage(p, count, count)
 		memsim.PutWords(fr, off, src[:count])
-		if hp != nil {
-			hp.Mu.Unlock()
-		}
+		unlock(hp)
 		src = src[count:]
 	})
 }

@@ -18,6 +18,12 @@
 // active-message layer, and the page cache is intentionally per-node real
 // storage: a protocol bug produces wrong benchmark results, not just wrong
 // cost numbers.
+//
+// The data path is two routines, readPage and writePage: all ten
+// platform.Substrate accessors call them with (words to charge, accesses
+// to count), load from or store to the frame they return, and release it
+// with unlock — a home frame comes back with its mutex held, because
+// remote fetch and diff handlers touch home frames from other goroutines.
 package swdsm
 
 import (
@@ -433,29 +439,27 @@ func (d *DSM) SetRecorder(rec *perfmon.Recorder) {
 // Close implements platform.Substrate.
 func (d *DSM) Close() { d.layer.Network().Close() }
 
-// homeOf resolves (and first-touch assigns) the home of a page for an
-// accessing node.
-func (n *node) homeOf(p memsim.PageID) int {
-	h := n.dsm.space.Home(p)
-	if h == memsim.NoHome {
-		h = n.dsm.space.TouchHome(p, n.id)
-	}
-	return h
-}
-
-// frameForRead returns the bytes of the page containing a, fetching it
-// into the cache on a miss. When the page is homed locally the returned
-// homePage is non-nil and its mutex is HELD: the caller must release it
-// after performing the access. This keeps the owner's in-place home
-// accesses coherent with remote fetch/diff handlers running on other
-// goroutines (false sharing between nodes is legal in DRF programs).
-func (n *node) frameForRead(p memsim.PageID) ([]byte, *pagestore.Frame) {
+// readPage is the one read path under all five read accessors: it charges
+// costWords words of access, counts reads accesses, runs the CPU-cache
+// model and returns the bytes of page p, fetching the page into the cache
+// on a miss. A word read is (1, 1), a byte span (1+len/8, 1), a block run
+// (count, count).
+//
+// When the page is homed locally the returned frame is non-nil and its
+// mutex is HELD: the caller releases it with unlock after performing the
+// access. This keeps the owner's in-place home accesses coherent with
+// remote fetch/diff handlers running on other goroutines (false sharing
+// between nodes is legal in DRF programs).
+func (n *node) readPage(p memsim.PageID, costWords, reads int) ([]byte, *pagestore.Frame) {
+	n.dsm.clocks[n.id].AdvanceCat(vclock.CatMemory, n.dsm.params.CPU.AccessNs*vclock.Duration(costWords))
+	n.stats.Reads += uint64(reads)
+	n.touchLocal(p)
 	if f := n.window.Get(p, n.gen); f != nil {
 		// Fast path: the page was resolved earlier in this interval and no
 		// consistency action has intervened.
 		return n.windowFrame(f)
 	}
-	home := n.homeOf(p)
+	home := n.dsm.space.HomeFor(p, n.id)
 	if home == n.id {
 		hp := n.home.Frame(p)
 		_, hd := n.homeDirty[p]
@@ -472,6 +476,14 @@ func (n *node) frameForRead(p memsim.PageID) ([]byte, *pagestore.Frame) {
 	cp := n.fault(p, home)
 	n.window.Put(p, n.gen, fastFrame{cp: cp})
 	return cp.Data, nil
+}
+
+// unlock releases the home frame readPage or writePage returned locked;
+// cached frames (hp == nil) are private to their node and carry no lock.
+func unlock(hp *pagestore.Frame) {
+	if hp != nil {
+		hp.Mu.Unlock()
+	}
 }
 
 // windowFrame serves an access from a window entry: a home frame comes
@@ -544,17 +556,21 @@ func (n *node) evictIfNeeded() {
 	}
 }
 
-// prepareWrite returns the writable frame for page p, creating a twin for
-// remote pages on the first write of an interval. Like frameForRead, a
-// non-nil homePage is returned locked and must be released by the caller.
-func (n *node) prepareWrite(p memsim.PageID) ([]byte, *pagestore.Frame) {
+// writePage is readPage's counterpart under the five write accessors: same
+// bookkeeping, and the frame it returns is write-ready — a twin exists for
+// a remote page from the first write of an interval on. A home frame comes
+// back locked, as from readPage.
+func (n *node) writePage(p memsim.PageID, costWords, writes int) ([]byte, *pagestore.Frame) {
+	n.dsm.clocks[n.id].AdvanceCat(vclock.CatMemory, n.dsm.params.CPU.AccessNs*vclock.Duration(costWords))
+	n.stats.Writes += uint64(writes)
+	n.touchLocal(p)
 	if f := n.window.Get(p, n.gen); f != nil && f.dirty {
 		// Fast path: the page is already write-ready for this interval
 		// (twin created / homeDirty recorded), so the slow path would be
 		// pure bookkeeping re-checks.
 		return n.windowFrame(f)
 	}
-	home := n.homeOf(p)
+	home := n.dsm.space.HomeFor(p, n.id)
 	if home == n.id {
 		n.homeDirty[p] = struct{}{}
 		hp := n.home.Frame(p)
@@ -602,71 +618,41 @@ func (d *DSM) access(nodeID int) *node {
 
 // ReadF64 implements platform.Substrate.
 func (d *DSM) ReadF64(nodeID int, a memsim.Addr) float64 {
-	n := d.access(nodeID)
-	d.clocks[nodeID].AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs)
-	n.stats.Reads++
-	n.touchLocal(memsim.PageOf(a))
-	fr, hp := n.frameForRead(memsim.PageOf(a))
+	fr, hp := d.access(nodeID).readPage(memsim.PageOf(a), 1, 1)
 	v := memsim.GetF64(fr, memsim.Offset(a))
-	if hp != nil {
-		hp.Mu.Unlock()
-	}
+	unlock(hp)
 	return v
 }
 
 // WriteF64 implements platform.Substrate.
 func (d *DSM) WriteF64(nodeID int, a memsim.Addr, v float64) {
-	n := d.access(nodeID)
-	d.clocks[nodeID].AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs)
-	n.stats.Writes++
-	n.touchLocal(memsim.PageOf(a))
-	fr, hp := n.prepareWrite(memsim.PageOf(a))
+	fr, hp := d.access(nodeID).writePage(memsim.PageOf(a), 1, 1)
 	memsim.PutF64(fr, memsim.Offset(a), v)
-	if hp != nil {
-		hp.Mu.Unlock()
-	}
+	unlock(hp)
 }
 
 // ReadI64 implements platform.Substrate.
 func (d *DSM) ReadI64(nodeID int, a memsim.Addr) int64 {
-	n := d.access(nodeID)
-	d.clocks[nodeID].AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs)
-	n.stats.Reads++
-	n.touchLocal(memsim.PageOf(a))
-	fr, hp := n.frameForRead(memsim.PageOf(a))
+	fr, hp := d.access(nodeID).readPage(memsim.PageOf(a), 1, 1)
 	v := memsim.GetI64(fr, memsim.Offset(a))
-	if hp != nil {
-		hp.Mu.Unlock()
-	}
+	unlock(hp)
 	return v
 }
 
 // WriteI64 implements platform.Substrate.
 func (d *DSM) WriteI64(nodeID int, a memsim.Addr, v int64) {
-	n := d.access(nodeID)
-	d.clocks[nodeID].AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs)
-	n.stats.Writes++
-	n.touchLocal(memsim.PageOf(a))
-	fr, hp := n.prepareWrite(memsim.PageOf(a))
+	fr, hp := d.access(nodeID).writePage(memsim.PageOf(a), 1, 1)
 	memsim.PutI64(fr, memsim.Offset(a), v)
-	if hp != nil {
-		hp.Mu.Unlock()
-	}
+	unlock(hp)
 }
 
 // ReadBytes implements platform.Substrate; the span may cross pages.
 func (d *DSM) ReadBytes(nodeID int, a memsim.Addr, buf []byte) {
 	n := d.access(nodeID)
 	memsim.ByteRuns(a, len(buf), func(p memsim.PageID, off, chunk int) {
-		d.clocks[nodeID].AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs*
-			vclock.Duration(1+chunk/memsim.WordSize))
-		n.stats.Reads++
-		n.touchLocal(p)
-		fr, hp := n.frameForRead(p)
+		fr, hp := n.readPage(p, 1+chunk/memsim.WordSize, 1)
 		copy(buf[:chunk], fr[off:off+chunk])
-		if hp != nil {
-			hp.Mu.Unlock()
-		}
+		unlock(hp)
 		buf = buf[chunk:]
 	})
 }
@@ -675,15 +661,9 @@ func (d *DSM) ReadBytes(nodeID int, a memsim.Addr, buf []byte) {
 func (d *DSM) WriteBytes(nodeID int, a memsim.Addr, data []byte) {
 	n := d.access(nodeID)
 	memsim.ByteRuns(a, len(data), func(p memsim.PageID, off, chunk int) {
-		d.clocks[nodeID].AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs*
-			vclock.Duration(1+chunk/memsim.WordSize))
-		n.stats.Writes++
-		n.touchLocal(p)
-		fr, hp := n.prepareWrite(p)
+		fr, hp := n.writePage(p, 1+chunk/memsim.WordSize, 1)
 		copy(fr[off:off+chunk], data[:chunk])
-		if hp != nil {
-			hp.Mu.Unlock()
-		}
+		unlock(hp)
 		data = data[chunk:]
 	})
 }

@@ -54,11 +54,34 @@ if grep -rnE 'hsync\.NewDLock|hsync\.NewTree|hsync\.Threshold|vclock\.NewVLock\(
     exit 1
 fi
 
+# One read routine and one write routine per substrate: home resolution
+# lives in memsim.Space.HomeFor, and hybriddsm's word/span/run bodies do
+# not come back beside readRun/writeRun.
+if grep -rn 'func (n \*node) homeOf' --include='*.go' \
+    internal/smp internal/hybriddsm internal/swdsm internal/ivy internal/multidsm; then
+    echo "a substrate resolves homes itself: use memsim.Space.HomeFor" >&2
+    exit 1
+fi
+if grep -nE 'readWord|writeWord|readSpan|writeSpan|maybeCache' \
+    $(ls internal/hybriddsm/*.go | grep -v _test.go); then
+    echo "hybriddsm has a second access path: readRun/writeRun are the only ones" >&2
+    exit 1
+fi
+# touchLocal must stay small enough to inline into those routines (it
+# cost 4-10 % of the word path each time it stopped).
+inlined=$(go build -gcflags=-m ./internal/swdsm ./internal/hybriddsm ./internal/ivy 2>&1 |
+    grep -c 'can inline (\*node).touchLocal' || true)
+if [ "$inlined" -ne 3 ]; then
+    echo "touchLocal inlines in $inlined of swdsm, hybriddsm, ivy; want 3" >&2
+    exit 1
+fi
+
 # Line budget: the five substrates plus hsync, non-test files, non-blank
 # non-comment lines. 3,874 before the synchronization paths, the page
-# cache entry and the block accessors were each written once; growth past
-# the budget means a duplicate came back.
-budget=3500
+# cache entry and the block accessors were each written once, 3,310 before
+# each substrate's accessors were folded into one routine per direction;
+# growth past the budget means a duplicate came back.
+budget=3150
 lines=$(cat $(ls internal/swdsm/*.go internal/ivy/*.go internal/hybriddsm/*.go \
     internal/multidsm/*.go internal/hsync/*.go internal/smp/*.go | grep -v _test.go) |
     sed 's/^[[:space:]]*//' | grep -v -e '^$' -e '^//' | wc -l)
@@ -105,6 +128,10 @@ go test -race -run 'TestAttributionInvariantAllSubstrates' ./internal/perfmon/
 # times: the script must be schedule-independent), and a node that panics
 # never leaves a peer blocked in a barrier or on a lock, on any substrate.
 go test -race -count=5 -run 'TestSyncScriptIdentity' ./internal/bench/
+# The data paths' counterpart: what every substrate's ten accessors
+# charge, count, record and return, against goldens from before they were
+# folded into one routine per direction.
+go test -race -count=5 -run 'TestAccessScriptIdentity' ./internal/bench/
 go test -race -run 'TestNodePanicUnblocksPeers' ./internal/core/
 go test -race -run 'TestManager|TestAbortWakesWaiters' ./internal/hsync/
 
@@ -153,7 +180,8 @@ go test -race -run 'TestPNodesIdentity|TestPNodesFaultDeterminism|TestPNodesCras
 
 # Allocation gates: the pooled hot paths must not allocate in steady
 # state (page fetch and message send at exactly 0 allocs/op; diff flush
-# with zero marginal cost per page). Plain mode only — the race runtime
+# with zero marginal cost per page; the word accessors of every substrate
+# at 0 — TestWordAccessZeroAlloc). Plain mode only — the race runtime
 # inserts its own allocations and would drown the signal.
 go test -run 'ZeroAlloc' ./internal/bench/
 
