@@ -103,3 +103,52 @@ func TestFailingCampaignKeepsProfile(t *testing.T) {
 		t.Error("a failed campaign still wrote its report")
 	}
 }
+
+// flagEvidence is hamsterbench's part of the surface-evidence matrix (see
+// TestSurfaceEvidence in internal/bench): each flag names the committed
+// test that holds the table, figure, artifact or property the flag
+// selects. A flag with no entry fails tier-1.
+var flagEvidence = map[string]struct{ file, needle string }{
+	"size":       {"internal/bench/bench_test.go", "func TestAllSeriesShape("},
+	"models":     {"internal/apicount/apicount_test.go", "func TestCountModelsOnRealTree("},
+	"table1":     {"internal/bench/bench_test.go", "func TestTable1Render("},
+	"table2":     {"internal/apicount/apicount_test.go", "func TestCountModelsOnRealTree("},
+	"fig2":       {"internal/bench/bench_test.go", "func TestFigure2OverheadIsSingleDigit("},
+	"fig3":       {"internal/bench/bench_test.go", "func TestFigure3HybridWins("},
+	"fig4":       {"internal/bench/bench_test.go", "func TestFigure4SMPWinsExceptMatMult("},
+	"ablations":  {"internal/bench/bench_test.go", "func TestAblationsShapes("},
+	"campaign":   {"internal/bench/campaign_test.go", "var artifactPins = "},
+	"json":       {"internal/bench/campaign_test.go", "var artifactPins = "},
+	"faults":     {"internal/bench/faultcampaign_test.go", "func TestFaultCampaignKernels("},
+	"faultseed":  {"internal/bench/faultcampaign_test.go", "func TestFaultCampaignKernels("},
+	"parallel":   {"internal/bench/parallel_test.go", "func TestParallelRunnerByteIdentity("},
+	"cpuprofile": {"cmd/hamsterbench/main_test.go", "func TestFailingCampaignKeepsProfile("},
+	"memprofile": {"cmd/hamsterbench/main_test.go", "func TestFailingCampaignKeepsProfile("},
+}
+
+func TestSurfaceEvidence(t *testing.T) {
+	// -h makes the flag package print every defined flag (its own
+	// VisitAll) to stderr, one "  -name ..." line each.
+	var stdout, stderr bytes.Buffer
+	run([]string{"-h"}, &stdout, &stderr, bench.Campaigns())
+	flags := 0
+	for _, line := range strings.Split(stderr.String(), "\n") {
+		if !strings.HasPrefix(line, "  -") {
+			continue
+		}
+		flags++
+		name := strings.Fields(line)[0][1:]
+		ev, ok := flagEvidence[name]
+		if !ok {
+			t.Errorf("flag -%s has no evidence: name the committed test that holds what it selects (flagEvidence), or delete it", name)
+			continue
+		}
+		src, err := os.ReadFile(filepath.Join("..", "..", ev.file))
+		if err != nil || !strings.Contains(string(src), ev.needle) {
+			t.Errorf("flag -%s: its evidence %q is not in %s (%v)", name, ev.needle, ev.file, err)
+		}
+	}
+	if flags != 15 || len(flagEvidence) != flags {
+		t.Errorf("hamsterbench has %d flags and %d evidence entries, want 15 of each", flags, len(flagEvidence))
+	}
+}

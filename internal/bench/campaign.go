@@ -10,12 +10,10 @@ import (
 	"hamster/internal/apps"
 	"hamster/internal/checkpoint"
 	"hamster/internal/consengine"
-	"hamster/internal/hybriddsm"
-	"hamster/internal/ivy"
+	"hamster/internal/core"
 	"hamster/internal/platform"
 	"hamster/internal/serve"
 	"hamster/internal/simnet"
-	"hamster/internal/smp"
 	"hamster/internal/swdsm"
 	"hamster/internal/vclock"
 )
@@ -43,8 +41,7 @@ type Cluster struct {
 	// selecting that engine on the software DSM.
 	Platform string
 	Nodes    int
-	// Topology is a simnet preset name; "" leaves the fabric at its zero
-	// value, which TestTopologyFlatIdentity pins identical to "flat".
+	// Topology is a simnet preset name; "" is "flat".
 	Topology    string
 	Aggregation swdsm.Aggregation
 	// Faults, when set, is installed on the interconnect before the run.
@@ -56,18 +53,10 @@ type Cluster struct {
 	CheckpointIncremental bool
 }
 
-// engine maps the platform name to a consistency-engine selector.
-func (c Cluster) engine() string {
-	if c.Platform == "swdsm" {
-		return ""
-	}
-	return c.Platform
-}
-
-// Build constructs the bare substrate: the selection core.New performs,
-// without the core services wrapped around it.
+// Build constructs the bare substrate: core.NewSubstrate on the cluster's
+// configuration, without the core services wrapped around it.
 func (c Cluster) Build() (platform.Substrate, error) {
-	sub, err := c.build()
+	sub, err := core.NewSubstrate(c.config())
 	if err != nil {
 		return nil, err
 	}
@@ -82,34 +71,9 @@ func (c Cluster) Build() (platform.Substrate, error) {
 	return sub, nil
 }
 
-func (c Cluster) build() (platform.Substrate, error) {
-	switch c.Platform {
-	case "smp":
-		return smp.New(smp.Config{CPUs: c.Nodes})
-	case "hybriddsm":
-		return hybriddsm.New(hybriddsm.Config{Nodes: c.Nodes})
-	}
-	eng, err := consengine.NormalizeName(c.engine())
-	if err != nil {
-		return nil, err
-	}
-	var topo simnet.Topology
-	if c.Topology != "" {
-		if topo, err = simnet.TopologyPreset(c.Topology); err != nil {
-			return nil, err
-		}
-	}
-	if eng == consengine.IVYName {
-		return ivy.New(ivy.Config{Nodes: c.Nodes, Topology: topo})
-	}
-	cfg := swdsm.Config{Nodes: c.Nodes, Topology: topo, Aggregation: c.Aggregation}
-	if eng == consengine.EagerRCName {
-		cfg.Protocol = swdsm.EagerRC
-	}
-	return swdsm.New(cfg)
-}
-
-// config is the same cluster as a core-services configuration.
+// config is the cluster as the one cluster description. A Platform that
+// is no platform name selects that consistency engine on the software
+// DSM; Validate rejects it if it is no engine name either.
 func (c Cluster) config() hamster.Config {
 	cfg := hamster.Config{
 		Platform:              hamster.SWDSM,
@@ -119,13 +83,10 @@ func (c Cluster) config() hamster.Config {
 		CheckpointEvery:       c.CheckpointEvery,
 		CheckpointIncremental: c.CheckpointIncremental,
 	}
-	switch c.Platform {
-	case "smp":
-		cfg.Platform = hamster.SMP
-	case "hybriddsm":
-		cfg.Platform = hamster.HybridDSM
-	default:
-		cfg.Engine = c.engine()
+	if kind, err := platform.ParseKind(c.Platform); err == nil {
+		cfg.Platform = kind
+	} else {
+		cfg.Engine = c.Platform
 	}
 	return cfg
 }

@@ -45,8 +45,7 @@ type ringObs struct {
 func runRingObs(t *testing.T, nodes, rounds int, pnodes bool) ringObs {
 	t.Helper()
 	rt, err := hamster.New(hamster.Config{
-		Platform: hamster.SWDSM, Nodes: nodes,
-		ParallelNodes: pnodes, PerfEventCap: 4 * rounds,
+		Platform: hamster.SWDSM, Nodes: nodes, ParallelNodes: pnodes,
 	})
 	if err != nil {
 		t.Fatal(err)

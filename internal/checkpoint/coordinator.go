@@ -26,10 +26,9 @@ type Options struct {
 	// Incremental enables dirty-page delta capture after the first full
 	// snapshot of the run.
 	Incremental bool
-	// Sink receives sealed snapshots; nil selects NewMemorySink(Keep).
+	// Sink receives sealed snapshots; nil selects an in-memory ring of the
+	// last DefaultKeep epochs.
 	Sink Sink
-	// Keep bounds the default in-memory ring.
-	Keep int
 	// PageCopyNs and DiffScanNs are the modeled per-page capture costs
 	// (the substrate's cost model, so checkpoint work is priced like the
 	// protocol work it mirrors).
@@ -86,7 +85,7 @@ func NewCoordinator(opts Options, prov Provider, layer *amsg.Layer, clocks []*vc
 	}
 	sink := opts.Sink
 	if sink == nil {
-		sink = NewMemorySink(opts.Keep)
+		sink = NewMemorySink(DefaultKeep)
 	}
 	c := &Coordinator{
 		opts:    opts,

@@ -4,20 +4,22 @@
 // remote job start, the SCI-VM's script-based startup, OS process control
 // on multiprocessors).
 //
-// The format is line-oriented:
+// The format is line-oriented and has four keys:
 //
 //	# comment
-//	platform  = software-dsm | hybrid-dsm | smp
+//	platform  = software-dsm | hybrid-dsm | smp   (platform.ParseKind's names)
 //	messaging = coalesced | separate
 //	threaded  = true | false
 //	node      = <name> [<address>]
-//	cache_pages     = <n>      (software DSM page cache)
-//	migrate_after   = <n>      (software DSM home migration, 0 = off)
-//	cache_threshold = <n>      (hybrid DSM read-cache trigger, -1 = off)
-//	posted_writes   = true | false
 //
 // Repeating "node" lines enumerate the cluster; on SMP platforms each node
-// line stands for one CPU.
+// line stands for one CPU. The file describes what a startup file
+// describes — which machines, which base architecture, which messaging
+// stack, which task model — and parses into a core.Config
+// (RuntimeConfig), the one cluster description; what an experiment varies
+// beyond that (engine, topology, aggregation, checkpointing) is set on the
+// core.Config by the front end that runs the experiment. Every key is
+// held to a committed measurement by TestSurfaceEvidence.
 package cluster
 
 import (
@@ -40,24 +42,16 @@ type NodeSpec struct {
 
 // FileConfig is a parsed configuration file.
 type FileConfig struct {
-	Platform       platform.Kind
-	Messaging      machine.MessagingMode
-	Threaded       bool
-	Nodes          []NodeSpec
-	CachePages     int
-	MigrateAfter   int
-	CacheThreshold int
-	PostedWrites   bool
+	Platform  platform.Kind
+	Messaging machine.MessagingMode
+	Threaded  bool
+	Nodes     []NodeSpec
 }
 
 // Default returns the configuration used when a key is absent: a
-// four-node software-DSM cluster with coalesced messaging.
+// software-DSM cluster with coalesced messaging.
 func Default() FileConfig {
-	return FileConfig{
-		Platform:     platform.SWDSM,
-		Messaging:    machine.Coalesced,
-		PostedWrites: true,
-	}
+	return FileConfig{Platform: platform.SWDSM, Messaging: machine.Coalesced}
 }
 
 // Parse reads a configuration file.
@@ -76,8 +70,11 @@ func Parse(r io.Reader) (FileConfig, error) {
 			return cfg, fmt.Errorf("cluster: line %d: expected key = value, got %q", lineNo, line)
 		}
 		key = strings.TrimSpace(key)
-		value = strings.TrimSpace(value)
-		if err := cfg.set(key, value); err != nil {
+		set, ok := keys[key]
+		if !ok {
+			return cfg, fmt.Errorf("cluster: line %d: unknown key %q", lineNo, key)
+		}
+		if err := set(&cfg, strings.TrimSpace(value)); err != nil {
 			return cfg, fmt.Errorf("cluster: line %d: %w", lineNo, err)
 		}
 	}
@@ -90,20 +87,17 @@ func Parse(r io.Reader) (FileConfig, error) {
 	return cfg, nil
 }
 
-func (c *FileConfig) set(key, value string) error {
-	switch key {
-	case "platform":
-		switch value {
-		case "software-dsm", "swdsm", "beowulf":
-			c.Platform = platform.SWDSM
-		case "hybrid-dsm", "sci-vm", "numa":
-			c.Platform = platform.HybridDSM
-		case "smp", "hardware-dsm":
-			c.Platform = platform.SMP
-		default:
-			return fmt.Errorf("unknown platform %q", value)
+// keys is the file format: one setter per key.
+var keys = map[string]func(c *FileConfig, value string) error{
+	"platform": func(c *FileConfig, value string) error {
+		kind, err := platform.ParseKind(value)
+		if err != nil {
+			return err
 		}
-	case "messaging":
+		c.Platform = kind
+		return nil
+	},
+	"messaging": func(c *FileConfig, value string) error {
 		switch value {
 		case "coalesced", "integrated":
 			c.Messaging = machine.Coalesced
@@ -112,13 +106,17 @@ func (c *FileConfig) set(key, value string) error {
 		default:
 			return fmt.Errorf("unknown messaging mode %q", value)
 		}
-	case "threaded":
+		return nil
+	},
+	"threaded": func(c *FileConfig, value string) error {
 		b, err := strconv.ParseBool(value)
 		if err != nil {
 			return fmt.Errorf("bad threaded value %q", value)
 		}
 		c.Threaded = b
-	case "node":
+		return nil
+	},
+	"node": func(c *FileConfig, value string) error {
 		fields := strings.Fields(value)
 		if len(fields) == 0 {
 			return fmt.Errorf("empty node line")
@@ -128,92 +126,17 @@ func (c *FileConfig) set(key, value string) error {
 			spec.Address = fields[1]
 		}
 		c.Nodes = append(c.Nodes, spec)
-	case "cache_pages":
-		n, err := strconv.Atoi(value)
-		if err != nil || n < 0 {
-			return fmt.Errorf("bad cache_pages %q", value)
-		}
-		c.CachePages = n
-	case "migrate_after":
-		n, err := strconv.Atoi(value)
-		if err != nil || n < 0 {
-			return fmt.Errorf("bad migrate_after %q", value)
-		}
-		c.MigrateAfter = n
-	case "cache_threshold":
-		n, err := strconv.Atoi(value)
-		if err != nil {
-			return fmt.Errorf("bad cache_threshold %q", value)
-		}
-		c.CacheThreshold = n
-	case "posted_writes":
-		b, err := strconv.ParseBool(value)
-		if err != nil {
-			return fmt.Errorf("bad posted_writes %q", value)
-		}
-		c.PostedWrites = b
-	default:
-		return fmt.Errorf("unknown key %q", key)
-	}
-	return nil
+		return nil
+	},
 }
 
 // RuntimeConfig converts a parsed file into a core configuration — the
 // single switch point that retargets an unmodified binary (§5.4).
 func (c FileConfig) RuntimeConfig() core.Config {
 	return core.Config{
-		Platform:                  c.Platform,
-		Nodes:                     len(c.Nodes),
-		Messaging:                 c.Messaging,
-		Threaded:                  c.Threaded,
-		SWDSMCachePages:           c.CachePages,
-		SWDSMMigrateAfter:         c.MigrateAfter,
-		HybridCacheThreshold:      c.CacheThreshold,
-		HybridDisablePostedWrites: !c.PostedWrites,
-	}
-}
-
-// Render writes the configuration back out in file format.
-func (c FileConfig) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "platform = %s\n", platformName(c.Platform))
-	if c.Messaging == machine.Separate {
-		b.WriteString("messaging = separate\n")
-	} else {
-		b.WriteString("messaging = coalesced\n")
-	}
-	if c.Threaded {
-		b.WriteString("threaded = true\n")
-	}
-	if c.CachePages != 0 {
-		fmt.Fprintf(&b, "cache_pages = %d\n", c.CachePages)
-	}
-	if c.MigrateAfter != 0 {
-		fmt.Fprintf(&b, "migrate_after = %d\n", c.MigrateAfter)
-	}
-	if c.CacheThreshold != 0 {
-		fmt.Fprintf(&b, "cache_threshold = %d\n", c.CacheThreshold)
-	}
-	if !c.PostedWrites {
-		b.WriteString("posted_writes = false\n")
-	}
-	for _, n := range c.Nodes {
-		if n.Address != "" {
-			fmt.Fprintf(&b, "node = %s %s\n", n.Name, n.Address)
-		} else {
-			fmt.Fprintf(&b, "node = %s\n", n.Name)
-		}
-	}
-	return b.String()
-}
-
-func platformName(k platform.Kind) string {
-	switch k {
-	case platform.SMP:
-		return "smp"
-	case platform.HybridDSM:
-		return "hybrid-dsm"
-	default:
-		return "software-dsm"
+		Platform:  c.Platform,
+		Nodes:     len(c.Nodes),
+		Messaging: c.Messaging,
+		Threaded:  c.Threaded,
 	}
 }

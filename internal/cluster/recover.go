@@ -35,7 +35,7 @@ func RunRecoverable(cfg core.Config, plan simnet.FaultPlan, setup func(*core.Run
 	if cfg.CheckpointEvery > 0 && cfg.CheckpointSink == nil {
 		// The sink must outlive each attempt's runtime, or the snapshots
 		// would die with the crashed run.
-		cfg.CheckpointSink = checkpoint.NewMemorySink(cfg.CheckpointKeep)
+		cfg.CheckpointSink = checkpoint.NewMemorySink(checkpoint.DefaultKeep)
 	}
 	remaining := plan
 	recoveries := 0

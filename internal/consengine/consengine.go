@@ -70,8 +70,8 @@ func (m Model) String() string {
 // strongest first, so this is a simple comparison.
 func (m Model) AtLeast(o Model) bool { return m <= o }
 
-// ParseModel resolves a model name (as used by Config.RequireModel and
-// CLI flags) to its Model.
+// ParseModel resolves a model name (a substrate's capability string) to
+// its Model.
 func ParseModel(s string) (Model, error) {
 	switch s {
 	case "sequential":

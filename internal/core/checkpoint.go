@@ -29,23 +29,18 @@ type resumeState struct {
 }
 
 // attachCheckpointer builds the checkpoint coordinator for a runtime whose
-// Config enables it. Only the software DSM has the page-granular capture
-// surface; other substrates reject the configuration.
+// Config enables it. Validate admits that only on the scope-protocol
+// software DSM, the one substrate with a page-granular capture surface.
 func (rt *Runtime) attachCheckpointer() error {
-	type ckptSub interface {
+	sub := rt.sub.(interface {
 		checkpoint.Provider
 		Layer() *amsg.Layer
-	}
-	sub, ok := rt.sub.(ckptSub)
-	if !ok {
-		return fmt.Errorf("core: checkpointing requires the software DSM substrate, not %v", rt.sub.Kind())
-	}
+	})
 	p := rt.sub.Params()
 	c, err := checkpoint.NewCoordinator(checkpoint.Options{
 		Every:       rt.cfg.CheckpointEvery,
 		Incremental: rt.cfg.CheckpointIncremental,
 		Sink:        rt.cfg.CheckpointSink,
-		Keep:        rt.cfg.CheckpointKeep,
 		PageCopyNs:  p.CPU.PageCopyNs,
 		DiffScanNs:  p.CPU.DiffScanNs,
 		AppState:    func(node int) [][]byte { return rt.envs[node].appState() },

@@ -72,8 +72,6 @@ func TestEngineValidation(t *testing.T) {
 		{"ivy+checkpoint", Config{Platform: platform.SWDSM, Nodes: 2, Engine: "ivy", CheckpointEvery: 4}, "checkpointing"},
 		{"ivy+aggregation", Config{Platform: platform.SWDSM, Nodes: 2, Engine: "ivy",
 			SWDSMAggregation: swdsm.Aggregation{Batch: true}}, "aggregation"},
-		{"ivy+migration", Config{Platform: platform.SWDSM, Nodes: 2, Engine: "ivy", SWDSMMigrateAfter: 3}, "home migration"},
-		{"ivy+cachecap", Config{Platform: platform.SWDSM, Nodes: 2, Engine: "ivy", SWDSMCachePages: 8}, "cache-page cap"},
 	}
 	for _, tc := range cases {
 		_, err := New(tc.cfg)
@@ -87,30 +85,30 @@ func TestEngineValidation(t *testing.T) {
 }
 
 func TestRequireModel(t *testing.T) {
+	require := func(engine string, m ConsModel) error {
+		rt, err := New(Config{Platform: platform.SWDSM, Nodes: 2, Engine: engine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
+		return rt.Env(0).Cons.Require(m)
+	}
 	// A sequential requirement on the default (scope) engine must fail at
 	// setup — not silently run under weaker semantics.
-	_, err := New(Config{Platform: platform.SWDSM, Nodes: 2, RequireModel: "sequential"})
+	err := require("", Sequential)
 	if err == nil {
-		t.Fatal("RequireModel sequential on the scope engine must fail")
+		t.Fatal("Require(Sequential) on the scope engine must fail")
 	}
 	if !strings.Contains(err.Error(), "scope") || !strings.Contains(err.Error(), "sequential") {
 		t.Fatalf("error %q must name both models", err)
 	}
 	// The same requirement is satisfiable by selecting the ivy engine.
-	rt, err := New(Config{Platform: platform.SWDSM, Nodes: 2, Engine: "ivy", RequireModel: "sequential"})
-	if err != nil {
+	if err := require("ivy", Sequential); err != nil {
 		t.Fatal(err)
 	}
-	rt.Close()
 	// Weaker requirements pass on the default engine.
-	rt, err = New(Config{Platform: platform.SWDSM, Nodes: 2, RequireModel: "entry"})
-	if err != nil {
+	if err := require("", Entry); err != nil {
 		t.Fatal(err)
-	}
-	rt.Close()
-	// Unknown model names are rejected with the valid set.
-	if _, err := New(Config{Platform: platform.SWDSM, Nodes: 2, RequireModel: "causal"}); err == nil {
-		t.Fatal("unknown RequireModel must fail")
 	}
 }
 

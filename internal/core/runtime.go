@@ -30,9 +30,14 @@ import (
 	"hamster/internal/vclock"
 )
 
-// Config selects and parameterizes the base architecture. This is the
-// "configuration file" of §5.4: changing only this between runs retargets
-// identical application binaries across platforms.
+// Config is the one description of a cluster: the "configuration file" of
+// §5.4. Changing only this between runs retargets identical application
+// binaries across platforms. The node configuration file
+// (internal/cluster), hamsterrun's flags and the campaign harness's
+// clusters (internal/bench) all produce one, Validate is the only code
+// that decides whether it can be built, and NewSubstrate the only code
+// that builds it. Every field is set by a committed measurement
+// (TestSurfaceEvidence, internal/bench).
 type Config struct {
 	// Platform picks the base architecture.
 	Platform platform.Kind
@@ -67,9 +72,8 @@ type Config struct {
 	// (eager release consistency on the same twin/diff machinery), or
 	// "ivy" (write-invalidate with distributed dynamic ownership —
 	// sequentially consistent). Software DSM only. The IVY engine has no
-	// twins, diffs, or barrier epochs, so checkpointing, protocol
-	// aggregation, home migration, and the cache-page cap are rejected
-	// with it rather than silently ignored.
+	// twins, diffs, or barrier epochs, so checkpointing and protocol
+	// aggregation are rejected with it rather than silently ignored.
 	Engine string
 	// Topology names the simulated switch fabric: "" or "flat" (the
 	// all-to-all legacy network, bit-identical to the pre-topology
@@ -80,32 +84,11 @@ type Config struct {
 	// nodes the DSM also switches to tree barriers and distributed lock
 	// queues aligned with the topology.
 	Topology string
-	// RequireModel, when non-empty, names the weakest consistency model
-	// the program needs ("sequential", "processor", "release", "scope",
-	// "entry"). New fails with a descriptive error when the selected
-	// engine declares a weaker model, instead of silently running the
-	// program under weaker semantics.
-	RequireModel string
 
-	// SWDSMCachePages caps the software DSM's per-node page cache.
-	SWDSMCachePages int
-	// SWDSMMigrateAfter enables the software DSM's home migration after
-	// that many consecutive single-writer intervals (0 = off).
-	SWDSMMigrateAfter int
 	// SWDSMAggregation configures the software DSM's protocol aggregation
 	// layer (batched diff flush, notice piggybacking, adaptive prefetch).
 	// The zero value is off and bit-identical to the baseline protocol.
 	SWDSMAggregation swdsm.Aggregation
-	// HybridCacheThreshold tunes the hybrid DSM's read-caching trigger
-	// (negative disables caching).
-	HybridCacheThreshold int
-	// HybridDisablePostedWrites makes hybrid remote writes synchronous.
-	HybridDisablePostedWrites bool
-
-	// PerfEventCap overrides the per-node capacity of the protocol event
-	// recorder (0 = perfmon.DefaultCapacity). The recorder is always
-	// attached but starts disabled; enable it with Runtime.Perf().Enable().
-	PerfEventCap int
 
 	// CheckpointEvery enables coordinated checkpointing: a consistent
 	// snapshot at every Nth framework barrier (0 = off — no hook is
@@ -115,11 +98,51 @@ type Config struct {
 	// dirty-page deltas against the previous epoch.
 	CheckpointIncremental bool
 	// CheckpointSink overrides the snapshot store (nil = an in-memory
-	// ring of the last CheckpointKeep epochs).
+	// ring of the last checkpoint.DefaultKeep epochs).
 	CheckpointSink checkpoint.Sink
-	// CheckpointKeep bounds the default in-memory ring (0 = the
-	// checkpoint package's default).
-	CheckpointKeep int
+}
+
+// Validate reports why c describes no cluster the framework can build:
+// the first offending field, and the property of the platform or protocol
+// that rules the value out. Nothing is constructed. New and NewSubstrate
+// call it first, and a front end that wants the error before it boots
+// anything (hamsterrun) calls it directly — no other code decides which
+// combinations exist.
+func (c Config) Validate() error {
+	if c.Nodes <= 0 {
+		return fmt.Errorf("core: Config.Nodes must be at least 1, got %d", c.Nodes)
+	}
+	if c.Platform != platform.SMP && c.Platform != platform.HybridDSM && c.Platform != platform.SWDSM {
+		return fmt.Errorf("core: Config.Platform %d names no base architecture", int(c.Platform))
+	}
+	engine, err := consengine.NormalizeName(c.Engine)
+	if err != nil {
+		return fmt.Errorf("core: Config.Engine: %w", err)
+	}
+	topo, err := simnet.TopologyPreset(c.Topology)
+	if err != nil {
+		return fmt.Errorf("core: Config.Topology: %w", err)
+	}
+	dsm, onIVY := c.Platform == platform.SWDSM, engine == consengine.IVYName
+	switch {
+	case c.Engine != "" && !dsm:
+		return fmt.Errorf("core: Config.Engine %q selects a software DSM consistency engine; platform %v has a fixed hardware protocol", c.Engine, c.Platform)
+	case !topo.IsFlat() && !dsm:
+		return fmt.Errorf("core: Config.Topology %q shapes the software DSM's switched interconnect; platform %v has no switch fabric (the SMP bus and the hybrid SAN are not topology-aware)", c.Topology, c.Platform)
+	case c.SWDSMAggregation.Enabled() && !dsm:
+		return fmt.Errorf("core: Config.SWDSMAggregation batches the software DSM's diff and write-notice messages; platform %v keeps memory coherent in hardware and sends none", c.Platform)
+	case c.CheckpointEvery < 0:
+		return fmt.Errorf("core: Config.CheckpointEvery must be >= 0 (barriers between snapshots, 0 = off), got %d", c.CheckpointEvery)
+	case c.CheckpointEvery > 0 && !dsm:
+		return fmt.Errorf("core: Config.CheckpointEvery=%d: checkpointing needs the software DSM, whose home frames, twins and write notices are the state a snapshot captures; platform %v exposes no page-granular capture surface", c.CheckpointEvery, c.Platform)
+	case c.CheckpointEvery > 0 && onIVY:
+		return fmt.Errorf("core: Config.CheckpointEvery=%d: the ivy engine does not support checkpointing: snapshots hook the scope protocol's barrier epochs, and ivy keeps ownership and copysets instead of home frames", c.CheckpointEvery)
+	case c.SWDSMAggregation.Enabled() && onIVY:
+		return fmt.Errorf("core: Config.SWDSMAggregation: the ivy engine does not support protocol aggregation: batched diff flush and write-notice piggybacking are scope-protocol machinery, and ivy sends neither diffs nor notices")
+	case c.ParallelNodes && c.Threaded:
+		return fmt.Errorf("core: Config.ParallelNodes is incompatible with Config.Threaded: co-located tasks can send while their node blocks in a receive, which breaks the conservative engine's blocked-receiver horizon bound")
+	}
+	return nil
 }
 
 // Runtime is one HAMSTER instance: a configured base architecture plus the
@@ -155,104 +178,67 @@ type collResult struct {
 	err    error
 }
 
-// New builds a runtime, constructing the requested substrate.
-func New(cfg Config) (*Runtime, error) {
-	if cfg.Nodes <= 0 {
-		return nil, fmt.Errorf("core: need at least one node, got %d", cfg.Nodes)
+// NewSubstrate validates cfg, then selects and constructs the base
+// architecture it describes — bare, without the core services. It is the
+// one place a Config becomes a substrate: New wraps the services around
+// its result, and the campaign harness (bench.Cluster.Build) runs kernels
+// directly on it. The software DSM engines own their active-message
+// layer; the default engine gets the exact configuration the pre-engine
+// code built (gated by TestEngineDefaultIdentity).
+func NewSubstrate(cfg Config) (platform.Substrate, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	params := cfg.Params
 	if params.Name == "" {
 		params = machine.Default()
 	}
-	engine, err := consengine.NormalizeName(cfg.Engine)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if cfg.Engine != "" && cfg.Platform != platform.SWDSM {
-		return nil, fmt.Errorf("core: Config.Engine %q selects a software DSM consistency engine; platform %v has a fixed hardware protocol", cfg.Engine, cfg.Platform)
-	}
-	topo, err := simnet.TopologyPreset(cfg.Topology)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if !topo.IsFlat() && cfg.Platform != platform.SWDSM {
-		return nil, fmt.Errorf("core: Config.Topology %q shapes the software DSM's switched interconnect; platform %v has no switch fabric (the SMP bus and the hybrid SAN are not topology-aware)", cfg.Topology, cfg.Platform)
-	}
-	if cfg.ParallelNodes && cfg.Threaded {
-		return nil, fmt.Errorf("core: ParallelNodes is incompatible with Threaded: co-located tasks can send while their node blocks in a receive, which breaks the conservative engine's blocked-receiver horizon bound")
-	}
-	if engine == consengine.IVYName {
-		switch {
-		case cfg.CheckpointEvery > 0:
-			return nil, fmt.Errorf("core: the ivy engine does not support checkpointing (CheckpointEvery=%d): snapshots hook the scope protocol's barrier epochs", cfg.CheckpointEvery)
-		case cfg.SWDSMAggregation.Enabled():
-			return nil, fmt.Errorf("core: the ivy engine does not support protocol aggregation: batched diff flush and write-notice piggybacking are scope-protocol machinery")
-		case cfg.SWDSMMigrateAfter > 0:
-			return nil, fmt.Errorf("core: the ivy engine does not support home migration (SWDSMMigrateAfter=%d): ownership already migrates to writers", cfg.SWDSMMigrateAfter)
-		case cfg.SWDSMCachePages > 0:
-			return nil, fmt.Errorf("core: the ivy engine does not support a cache-page cap (SWDSMCachePages=%d): read copies are tracked by owners, not evicted locally", cfg.SWDSMCachePages)
-		}
-	}
-	rt := &Runtime{cfg: cfg}
-
 	switch cfg.Platform {
-	case platform.SWDSM:
-		eff := params.WithMessaging(cfg.Messaging)
-		if cfg.Messaging == machine.Coalesced {
-			// One layer carries the DSM protocol AND user messaging.
-			clocks := make([]*vclock.Clock, cfg.Nodes)
-			for i := range clocks {
-				clocks[i] = &vclock.Clock{}
-			}
-			net := simnet.NewTopo(eff.Ethernet, clocks, topo)
-			layer := amsg.New(net, eff.Ethernet)
-			sub, err := buildEngine(cfg, engine, eff, layer, topo)
-			if err != nil {
-				return nil, err
-			}
-			rt.sub = sub
-			rt.msgs = net
-			rt.am = layer
-		} else {
-			sub, err := buildEngine(cfg, engine, eff, nil, topo)
-			if err != nil {
-				return nil, err
-			}
-			rt.sub = sub
-			rt.msgs = simnet.NewTopo(eff.Ethernet, substrateClocks(sub), topo)
-			rt.am = layerOf(sub)
-		}
-	case platform.HybridDSM:
-		d, err := hybriddsm.New(hybriddsm.Config{
-			Nodes: cfg.Nodes, Params: params,
-			CacheThreshold:      cfg.HybridCacheThreshold,
-			DisablePostedWrites: cfg.HybridDisablePostedWrites,
-		})
-		if err != nil {
-			return nil, err
-		}
-		rt.sub = d
-		rt.msgs = simnet.New(params.SANLink(), substrateClocks(d))
 	case platform.SMP:
-		s, err := smp.New(smp.Config{CPUs: cfg.Nodes, Params: params})
-		if err != nil {
-			return nil, err
-		}
-		rt.sub = s
-		rt.msgs = simnet.New(params.BusLink(), substrateClocks(s))
-	default:
-		return nil, fmt.Errorf("core: unknown platform %v", cfg.Platform)
+		return built(smp.New(smp.Config{CPUs: cfg.Nodes, Params: params}))
+	case platform.HybridDSM:
+		return built(hybriddsm.New(hybriddsm.Config{Nodes: cfg.Nodes, Params: params}))
 	}
-	if cfg.RequireModel != "" {
-		want, err := consengine.ParseModel(cfg.RequireModel)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		native, name := declaredModel(rt.sub)
-		if !native.AtLeast(want) {
-			return nil, fmt.Errorf("core: Config.RequireModel %q: engine %s declares %v consistency, weaker than %v — select a stronger engine (e.g. Engine: %q for sequential)",
-				cfg.RequireModel, name, native, want, consengine.IVYName)
-		}
+	params = params.WithMessaging(cfg.Messaging)
+	topo, _ := simnet.TopologyPreset(cfg.Topology) // Validate accepted the name
+	if cfg.Engine == consengine.IVYName {
+		return built(ivy.New(ivy.Config{Nodes: cfg.Nodes, Params: params, Topology: topo}))
+	}
+	sc := swdsm.Config{Nodes: cfg.Nodes, Params: params, Topology: topo, Aggregation: cfg.SWDSMAggregation}
+	if cfg.Engine == consengine.EagerRCName {
+		sc.Protocol = swdsm.EagerRC
+	}
+	return built(swdsm.New(sc))
+}
+
+// built widens a constructor's result to the interface without wrapping a
+// nil pointer in a non-nil Substrate on failure.
+func built[S platform.Substrate](sub S, err error) (platform.Substrate, error) {
+	if err != nil {
+		return nil, err
+	}
+	return sub, nil
+}
+
+// New builds a runtime: the substrate cfg describes with the core
+// services around it.
+func New(cfg Config) (*Runtime, error) {
+	sub, err := NewSubstrate(cfg)
+	if err != nil {
+		return nil, err
+	}
+	rt := &Runtime{cfg: cfg, sub: sub, am: layerOf(sub)}
+	p := sub.Params()
+	switch {
+	case cfg.Platform == platform.SMP:
+		rt.msgs = simnet.New(p.BusLink(), substrateClocks(sub))
+	case cfg.Platform == platform.HybridDSM:
+		rt.msgs = simnet.New(p.SANLink(), substrateClocks(sub))
+	case cfg.Messaging == machine.Coalesced:
+		// One layer carries the DSM protocol AND user messaging.
+		rt.msgs = rt.am.Network()
+	default:
+		rt.msgs = simnet.NewTopo(p.Ethernet, substrateClocks(sub), rt.am.Network().Topology())
 	}
 	if cfg.ParallelNodes {
 		// Installed before any node goroutine exists, so the gate pointer
@@ -263,9 +249,10 @@ func New(cfg Config) (*Runtime, error) {
 		// (see DESIGN §5i) — so that is the fabric the engine gates.
 		rt.msgs.EnableGate()
 	}
-	rt.attachRecorder(cfg.PerfEventCap)
+	rt.attachRecorder()
 	if cfg.CheckpointEvery > 0 {
 		if err := rt.attachCheckpointer(); err != nil {
+			rt.Close()
 			return nil, err
 		}
 	}
@@ -273,30 +260,8 @@ func New(cfg Config) (*Runtime, error) {
 	return rt, nil
 }
 
-// buildEngine constructs the selected software-DSM consistency engine.
-// A non-nil layer is the coalesced-messaging case: protocol and user
-// messages share it. The default path hands swdsm.New the exact
-// configuration the pre-engine code did, keeping default runs
-// bit-identical (gated by TestEngineDefaultIdentity).
-func buildEngine(cfg Config, engine string, eff machine.Params, layer *amsg.Layer, topo simnet.Topology) (platform.Substrate, error) {
-	if engine == consengine.IVYName {
-		return ivy.New(ivy.Config{Nodes: cfg.Nodes, Params: eff, Layer: layer, Topology: topo})
-	}
-	sc := swdsm.Config{
-		Nodes: cfg.Nodes, Params: eff,
-		CachePages: cfg.SWDSMCachePages, Layer: layer,
-		MigrateAfter: cfg.SWDSMMigrateAfter,
-		Aggregation:  cfg.SWDSMAggregation,
-		Topology:     topo,
-	}
-	if engine == consengine.EagerRCName {
-		sc.Protocol = swdsm.EagerRC
-	}
-	return swdsm.New(sc)
-}
-
-// layerOf extracts a substrate's private active-message layer, when it
-// has one (separate-messaging software DSM engines).
+// layerOf extracts a substrate's active-message layer, when it has one
+// (the software DSM engines).
 func layerOf(sub platform.Substrate) *amsg.Layer {
 	if ld, ok := sub.(interface{ Layer() *amsg.Layer }); ok {
 		return ld.Layer()
@@ -309,22 +274,8 @@ func layerOf(sub platform.Substrate) *amsg.Layer {
 // themselves; hardware substrates are mapped from their capability
 // string.
 func declaredModel(sub platform.Substrate) (consengine.Model, string) {
-	if e, ok := sub.(consengine.Engine); ok {
-		return e.DeclaredModel(), e.EngineName()
-	}
-	name := sub.Kind().String()
-	switch sub.Caps().ConsistencyModel {
-	case "sequential":
-		return consengine.Sequential, name
-	case "processor":
-		return consengine.Processor, name
-	case "scope":
-		return consengine.Scope, name
-	case "entry":
-		return consengine.Entry, name
-	default:
-		return consengine.Release, name
-	}
+	e := consengine.Wrap(sub)
+	return e.DeclaredModel(), e.EngineName()
 }
 
 // NewWithSubstrate wraps an existing substrate (used by tests and by the
@@ -335,10 +286,8 @@ func NewWithSubstrate(sub platform.Substrate, msgLink machine.Link, threaded boo
 		sub: sub,
 	}
 	rt.msgs = simnet.New(msgLink, substrateClocks(sub))
-	if ld, ok := sub.(interface{ Layer() *amsg.Layer }); ok {
-		rt.am = ld.Layer()
-	}
-	rt.attachRecorder(0)
+	rt.am = layerOf(sub)
+	rt.attachRecorder()
 	rt.buildEnvs()
 	return rt
 }
@@ -348,8 +297,8 @@ func NewWithSubstrate(sub platform.Substrate, msgLink machine.Link, threaded boo
 // Attachment happens before any node goroutine starts, so the recorder
 // pointers are published by goroutine creation and the hot-path check is a
 // single atomic load of the enable flag.
-func (rt *Runtime) attachRecorder(capacity int) {
-	rt.perf = perfmon.New(rt.sub.Nodes(), capacity)
+func (rt *Runtime) attachRecorder() {
+	rt.perf = perfmon.New(rt.sub.Nodes(), 0)
 	rt.sub.SetRecorder(rt.perf)
 	rt.msgs.SetRecorder(rt.perf)
 }

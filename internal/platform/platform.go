@@ -33,6 +33,8 @@
 package platform
 
 import (
+	"fmt"
+
 	"hamster/internal/machine"
 	"hamster/internal/memsim"
 	"hamster/internal/perfmon"
@@ -62,6 +64,22 @@ func (k Kind) String() string {
 		return "software-dsm"
 	default:
 		return "unknown"
+	}
+}
+
+// ParseKind resolves a platform name to its Kind. It is the only name
+// table: the configuration file's platform key, hamsterrun's -platform
+// and the campaign harness's cluster labels all go through it.
+func ParseKind(name string) (Kind, error) {
+	switch name {
+	case "smp", "hardware-dsm":
+		return SMP, nil
+	case "hybrid-dsm", "hybriddsm", "sci-vm", "numa":
+		return HybridDSM, nil
+	case "software-dsm", "swdsm", "beowulf":
+		return SWDSM, nil
+	default:
+		return 0, fmt.Errorf("unknown platform %q (valid: smp, hybrid-dsm, software-dsm)", name)
 	}
 }
 

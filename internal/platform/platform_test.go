@@ -57,6 +57,24 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+func TestParseKind(t *testing.T) {
+	for name, want := range map[string]platform.Kind{
+		"smp": platform.SMP, "hardware-dsm": platform.SMP,
+		"hybrid-dsm": platform.HybridDSM, "hybriddsm": platform.HybridDSM, "sci-vm": platform.HybridDSM, "numa": platform.HybridDSM,
+		"software-dsm": platform.SWDSM, "swdsm": platform.SWDSM, "beowulf": platform.SWDSM,
+	} {
+		if got, err := platform.ParseKind(name); err != nil || got != want {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	// An engine name is not a platform: the campaign harness relies on it.
+	for _, name := range []string{"", "scope", "ivy", "vax"} {
+		if _, err := platform.ParseKind(name); err == nil {
+			t.Errorf("ParseKind(%q) succeeded", name)
+		}
+	}
+}
+
 func TestSupportsPolicy(t *testing.T) {
 	c := platform.Caps{Placement: []memsim.Policy{memsim.Block, memsim.Cyclic}}
 	if !c.SupportsPolicy(memsim.Block) || c.SupportsPolicy(memsim.FirstTouch) {

@@ -4,9 +4,11 @@
 // -cpuprofile/-memprofile flags through these two helpers, so the
 // profiling workflow (see DESIGN.md §5i) is identical across commands.
 //
-// Profiles are written only on a clean return from main; error paths
-// that os.Exit early skip them, which is acceptable — a run that died
-// validating flags has no interesting profile.
+// Both commands are a run function that returns its exit status, with
+// the stop function and WriteHeap deferred right after flag validation:
+// a run that fails or aborts still leaves its profiles behind. A command
+// line rejected during validation has no interesting profile and writes
+// none.
 package prof
 
 import (

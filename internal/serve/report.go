@@ -60,22 +60,3 @@ func renderNodeSection(cfg Config, l *layout, nr *NodeResult) string {
 	}
 	return b.String()
 }
-
-// Render is the human-readable run summary.
-func (r *Report) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "serve %s: %d nodes, %d shards, zipf %.2f, seed %d\n",
-		r.Cfg.Workload, r.Nodes, r.Cfg.ShardsPerNode*r.Nodes, r.Cfg.ZipfSkew, r.Cfg.Seed)
-	fmt.Fprintf(&b, "  sessions %d  ops %d (stall events %d)  checksum %#016x\n",
-		r.Sessions, r.Applied, r.Stalled, r.Checksum)
-	if !r.Cfg.Direct {
-		fmt.Fprintf(&b, "  offered %.0f ops/s  achieved %.0f ops/s  horizon %d ns  busy %d ns\n",
-			r.OfferedPerSec, r.AchievedPerSec, r.HorizonNs, r.MaxBusyNs)
-		fmt.Fprintf(&b, "  latency mean %d ns  p50 %d  p95 %d  p99 %d\n",
-			r.MeanNs, r.P50Ns, r.P95Ns, r.P99Ns)
-	}
-	if r.Recoveries > 0 {
-		fmt.Fprintf(&b, "  recovered from %d crash(es) mid-traffic\n", r.Recoveries)
-	}
-	return b.String()
-}

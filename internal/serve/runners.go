@@ -43,9 +43,6 @@ type Report struct {
 	// latest modeled completion across consumers.
 	HorizonNs uint64
 	MaxBusyNs uint64
-
-	// Recoveries counts crash recoveries (recoverable runs only).
-	Recoveries int
 }
 
 // buildReport aggregates and cross-checks per-node results: every node
@@ -140,9 +137,5 @@ func RunRecoverable(cfg Config, hcfg hamster.Config, plan simnet.FaultPlan) (*Re
 	}
 	defer rt.Close()
 	rep, err := buildReport(cfg, rows)
-	if err != nil {
-		return nil, recoveries, err
-	}
-	rep.Recoveries = recoveries
-	return rep, recoveries, nil
+	return rep, recoveries, err
 }

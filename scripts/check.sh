@@ -103,10 +103,11 @@ if [ "$lines" -gt "$budget" ]; then
     echo "line budget exceeded" >&2
     exit 1
 fi
-# ... with one cluster builder (figures, ablations and the allocation
-# probes build their own fixed machines) and one standard kernel table.
+# ... with no cluster builder of its own (bench.Cluster.Build is
+# core.NewSubstrate; figures, ablations and the allocation probes build
+# their own fixed machines) and one standard kernel table.
 if grep -lE 'swdsm\.New\(|ivy\.New\(' $(ls internal/bench/*.go | grep -v _test.go) |
-    grep -v -x -e internal/bench/campaign.go -e internal/bench/ablation.go \
+    grep -v -x -e internal/bench/ablation.go \
         -e internal/bench/bench.go -e internal/bench/allocprobe.go; then
     echo "a second engine builder in internal/bench: use bench.Cluster" >&2
     exit 1
@@ -116,6 +117,36 @@ if [ "$standard" -ne 1 ]; then
     echo "the standard kernel set is written in $standard .go files, want 1: use bench.StandardKernels" >&2
     exit 1
 fi
+
+# One cluster description: core.Config is validated by Config.Validate
+# and built by core.NewSubstrate and by nothing else. hamsterrun names
+# engines and topologies only in flag usage strings (Validate checks
+# them), platform names are parsed by platform.ParseKind alone, and the
+# four files a second vocabulary would grow in are on a budget: 1,449
+# lines when the cluster file, bench.Cluster and hamsterrun each had
+# their own name tables, selection and rejections.
+if grep -nE 'EngineNames\(\)|TopologyNames\(\)' cmd/hamsterrun/main.go | grep -v 'fs\.StringVar('; then
+    echo "hamsterrun checks engine or topology names itself: that is Config.Validate's job" >&2
+    exit 1
+fi
+parsers=$(grep -rlF '"hybrid-dsm"' --include='*.go' --exclude='*_test.go' . | tr '\n' ' ')
+if [ "$parsers" != "./internal/platform/platform.go " ]; then
+    echo "platform names are parsed in: $parsers; want internal/platform/platform.go (ParseKind) alone" >&2
+    exit 1
+fi
+budget=1200
+lines=$(cat cmd/hamsterrun/main.go internal/cluster/cluster.go internal/core/runtime.go internal/bench/campaign.go |
+    sed 's/^[[:space:]]*//' | grep -v -e '^$' -e '^//' | wc -l)
+echo "cluster description code lines: $lines (budget $budget)"
+if [ "$lines" -gt "$budget" ]; then
+    echo "line budget exceeded" >&2
+    exit 1
+fi
+# Every Config field, flag and file key has a committed measurement behind
+# it, and every feature x engine cell works or is rejected by Validate
+# with a reason.
+go test -run 'TestSurfaceEvidence' ./internal/bench/ ./internal/cluster/ ./cmd/hamsterrun/ ./cmd/hamsterbench/
+go test -race -run 'TestConfigMatrix' ./internal/core/
 
 # The attribution invariant is the load-bearing contract of the perfmon
 # subsystem; run it by name under the race detector so a failure is
