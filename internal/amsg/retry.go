@@ -116,9 +116,6 @@ func (l *Layer) fitPolicy(p RetryPolicy) RetryPolicy {
 	return p
 }
 
-// RetryPolicyInUse returns the effective (default-filled) policy.
-func (l *Layer) RetryPolicyInUse() RetryPolicy { return l.policy }
-
 // callKey is the idempotency key of one logical call: the caller plus a
 // per-caller sequence number, assigned once per Call/Notify and reused
 // across its retransmissions.

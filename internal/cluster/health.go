@@ -72,7 +72,6 @@ type Monitor struct {
 	missed []int
 	status []NodeStatus
 	reason []string
-	hooks  []func(amsg.NodeID)
 }
 
 // NewMonitor builds a monitor over the layer and registers the heartbeat
@@ -129,10 +128,8 @@ func (m *Monitor) Probe(from, to amsg.NodeID) NodeStatus {
 	m.reason[to] = err.Error()
 	declared := m.missed[to] >= m.threshold
 	misses := m.missed[to]
-	var hooks []func(amsg.NodeID)
 	if declared {
 		m.status[to] = Down
-		hooks = m.hooks
 	}
 	st := m.status[to]
 	m.mu.Unlock()
@@ -143,52 +140,8 @@ func (m *Monitor) Probe(from, to amsg.NodeID) NodeStatus {
 			m.rec.Record(int(from), perfmon.EvNodeDown,
 				m.layer.Network().Clock(from).Now(), 0, uint64(to), uint64(misses))
 		}
-		// Hooks run outside the monitor lock: a subscriber may probe,
-		// query status, or kick off recovery from its callback.
-		for _, fn := range hooks {
-			fn(to)
-		}
 	}
 	return st
-}
-
-// OnNodeDown subscribes fn to down transitions: it is called once per
-// node declared down (by Probe or NoteDown), after the peer has been
-// fenced off in the amsg layer and outside the monitor lock. Subscribe
-// before probing starts; the recovery orchestrator uses this to trigger
-// checkpoint rollback instead of polling Status.
-func (m *Monitor) OnNodeDown(fn func(amsg.NodeID)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.hooks = append(m.hooks, fn)
-}
-
-// NoteDown records an externally detected failure (e.g. a capture commit
-// or protocol call that errored out mid-run) as a Down transition,
-// fencing the node and firing the OnNodeDown hooks exactly as a probe
-// would. Idempotent: a node already down fires nothing.
-func (m *Monitor) NoteDown(id amsg.NodeID, reason string) {
-	m.mu.Lock()
-	if m.status[id] == Down {
-		m.mu.Unlock()
-		return
-	}
-	m.status[id] = Down
-	m.reason[id] = reason
-	if m.missed[id] == 0 {
-		m.missed[id] = m.threshold
-	}
-	hooks := m.hooks
-	m.mu.Unlock()
-
-	m.layer.MarkDown(id)
-	if m.rec != nil && m.rec.Enabled() {
-		m.rec.Record(0, perfmon.EvNodeDown,
-			m.layer.Network().Clock(0).Now(), 0, uint64(id), uint64(m.threshold))
-	}
-	for _, fn := range hooks {
-		fn(id)
-	}
 }
 
 // Sweep probes every peer of from, repeating up to the miss threshold so

@@ -2,17 +2,16 @@ package cluster
 
 // Crash recovery: the rollback half of HAMSTER's cluster control. A run
 // under a fault plan with Recover set is supervised here — when a planned
-// crash takes the run down, the health monitor declares the victim dead
-// (firing its OnNodeDown subscribers), the surviving state is rolled back
-// to the last sealed checkpoint epoch, and a replacement node is
-// re-admitted through the unified startup path: the next attempt boots via
-// the exact same core construction as a fresh run, seeded with the
-// materialized snapshot, and resumes from the captured barrier.
+// crash takes the run down, the victim is the plan's earliest remaining
+// crash, the surviving state is rolled back to the last sealed checkpoint
+// epoch, and a replacement node is re-admitted through the unified startup
+// path: the next attempt boots via the exact same core construction as a
+// fresh run, seeded with the materialized snapshot, and resumes from the
+// captured barrier. Without Recover the run's failure reason is the error.
 
 import (
 	"fmt"
 
-	"hamster/internal/amsg"
 	"hamster/internal/checkpoint"
 	"hamster/internal/core"
 	"hamster/internal/simnet"
@@ -45,10 +44,6 @@ func RunRecoverable(cfg core.Config, plan simnet.FaultPlan, setup func(*core.Run
 		if err != nil {
 			return nil, recoveries, err
 		}
-		var mon *Monitor
-		if rt.AMsg() != nil {
-			mon = NewMonitor(rt.AMsg(), 0, rt.Perf())
-		}
 		rt.SetFaults(remaining)
 		if setup != nil {
 			setup(rt)
@@ -59,9 +54,6 @@ func RunRecoverable(cfg core.Config, plan simnet.FaultPlan, setup func(*core.Run
 		}
 		rt.Close()
 		if !remaining.Recover {
-			if mon != nil {
-				return nil, recoveries, fmt.Errorf("cluster: run failed (%v); %s", reason, mon.Diagnostic())
-			}
 			return nil, recoveries, fmt.Errorf("cluster: run failed: %v", reason)
 		}
 		victim := -1
@@ -75,12 +67,6 @@ func RunRecoverable(cfg core.Config, plan simnet.FaultPlan, setup func(*core.Run
 		}
 		if victim < 0 {
 			return nil, recoveries, fmt.Errorf("cluster: run failed with no planned crash left to recover from: %v", reason)
-		}
-		node := remaining.NodeFaults[victim].Node
-		if mon != nil {
-			// Drive the failure through the detector so EvNodeDown is
-			// recorded and OnNodeDown subscribers see the transition.
-			mon.NoteDown(amsg.NodeID(node), fmt.Sprintf("run aborted: %v", reason))
 		}
 		if cfg.CheckpointSink != nil {
 			rs, err = checkpoint.Materialize(cfg.CheckpointSink.Chain())

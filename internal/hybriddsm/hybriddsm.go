@@ -77,10 +77,8 @@ type Config struct {
 // no CPU is interrupted at any home node — and the manager drives this
 // engine's FlushInterval/InvalidatePages at every boundary.
 type DSM struct {
+	platform.Base
 	*hsync.Manager
-	params    machine.Params
-	space     *memsim.Space
-	clocks    []*vclock.Clock
 	nodes     []*node
 	cacheCap  int
 	threshold int
@@ -114,30 +112,11 @@ type node struct {
 
 // New builds a hybrid-DSM cluster.
 func New(cfg Config) (*DSM, error) {
-	if cfg.Nodes <= 0 {
-		return nil, fmt.Errorf("hybriddsm: need at least one node, got %d", cfg.Nodes)
+	base, err := platform.NewBase("hybriddsm", cfg.Nodes, cfg.Params, cfg.Space, cfg.Clocks)
+	if err != nil {
+		return nil, err
 	}
-	params := cfg.Params
-	if params.Name == "" {
-		params = machine.Default()
-	}
-	space := cfg.Space
-	if space == nil {
-		space = memsim.NewSpace(cfg.Nodes)
-	}
-	d := &DSM{
-		params: params,
-		space:  space,
-		clocks: make([]*vclock.Clock, cfg.Nodes),
-		nodes:  make([]*node, cfg.Nodes),
-		posted: !cfg.DisablePostedWrites,
-	}
-	if cfg.Clocks != nil {
-		if len(cfg.Clocks) != cfg.Nodes {
-			return nil, fmt.Errorf("hybriddsm: %d clocks for %d nodes", len(cfg.Clocks), cfg.Nodes)
-		}
-		copy(d.clocks, cfg.Clocks)
-	}
+	d := &DSM{Base: base, nodes: make([]*node, cfg.Nodes), posted: !cfg.DisablePostedWrites}
 	d.cacheCap = cfg.CachePages
 	if d.cacheCap <= 0 {
 		d.cacheCap = DefaultCachePages
@@ -151,14 +130,11 @@ func New(cfg Config) (*DSM, error) {
 		d.threshold = cfg.CacheThreshold
 	}
 	for i := range d.nodes {
-		if d.clocks[i] == nil {
-			d.clocks[i] = &vclock.Clock{}
-		}
 		d.nodes[i] = &node{
 			id:        i,
 			dsm:       d,
 			home:      pagestore.New(),
-			pcache:    machine.NewPageCache(params.Bus.CachePages),
+			pcache:    machine.NewPageCache(base.Cost.Bus.CachePages),
 			cache:     make(map[memsim.PageID]*cpage),
 			readCount: make(map[memsim.PageID]int),
 			written:   make(map[memsim.PageID]struct{}),
@@ -166,8 +142,8 @@ func New(cfg Config) (*DSM, error) {
 	}
 	d.Manager = hsync.NewManager(hsync.Config{
 		Name:   "hybriddsm",
-		Clocks: d.clocks,
-		Wire:   hsync.AtomicWire(params.SAN.SyncMsgNs, params.SAN.SyncMsgNs),
+		Clocks: d.Clocks,
+		Wire:   hsync.AtomicWire(base.Cost.SAN.SyncMsgNs, base.Cost.SAN.SyncMsgNs),
 		Engine: d,
 	})
 	return d, nil
@@ -176,41 +152,14 @@ func New(cfg Config) (*DSM, error) {
 // Kind implements platform.Substrate.
 func (d *DSM) Kind() platform.Kind { return platform.HybridDSM }
 
-// Nodes implements platform.Substrate.
-func (d *DSM) Nodes() int { return len(d.nodes) }
-
-// Clock implements platform.Substrate.
-func (d *DSM) Clock(node int) *vclock.Clock { return d.clocks[node] }
-
-// Space implements platform.Substrate.
-func (d *DSM) Space() *memsim.Space { return d.space }
-
-// Params implements platform.Substrate.
-func (d *DSM) Params() machine.Params { return d.params }
-
 // Caps implements platform.Substrate.
 func (d *DSM) Caps() platform.Caps {
 	return platform.Caps{
 		RemoteAccess:     true,
 		PageCaching:      d.threshold > 0,
 		ConsistencyModel: "release",
-		Placement: []memsim.Policy{
-			memsim.Block, memsim.Cyclic, memsim.FirstTouch, memsim.Fixed,
-		},
+		Placement:        platform.Policies(),
 	}
-}
-
-// Alloc implements platform.Substrate.
-func (d *DSM) Alloc(size uint64, name string, pol memsim.Policy, fixedNode int) (memsim.Region, error) {
-	return d.space.Alloc(size, name, pol, fixedNode)
-}
-
-// Free implements platform.Substrate.
-func (d *DSM) Free(r memsim.Region) error { return d.space.Free(r) }
-
-// Compute implements platform.Substrate.
-func (d *DSM) Compute(node int, flops uint64) {
-	d.clocks[node].Advance(vclock.Duration(flops) * d.params.CPU.FlopNs)
 }
 
 // NodeStats implements platform.Substrate. Call while the node is
@@ -242,7 +191,7 @@ func (d *DSM) access(nodeID int) *node {
 // touchLocal charges the CPU-cache model for one local page reference.
 func (n *node) touchLocal(p memsim.PageID) {
 	if !n.pcache.Touch(uint64(p)) {
-		n.dsm.clocks[n.id].AdvanceCat(vclock.CatMemory, n.dsm.params.Bus.MissCost())
+		n.dsm.Clocks[n.id].AdvanceCat(vclock.CatMemory, n.dsm.Cost.Bus.MissCost())
 		n.stats.CacheMisses++
 	}
 }
@@ -261,9 +210,9 @@ func (n *node) touchLocal(p memsim.PageID) {
 // single-word reads would take, charged in one go.
 func (n *node) readRun(p memsim.PageID, count, unit int, get func(fr []byte)) {
 	d := n.dsm
-	clk := d.clocks[n.id]
-	access := d.params.CPU.AccessNs * vclock.Duration(unit)
-	home := d.space.HomeFor(p, n.id)
+	clk := d.Clocks[n.id]
+	access := d.Cost.CPU.AccessNs * vclock.Duration(unit)
+	home := d.Mem.HomeFor(p, n.id)
 	var cp *cpage
 	if home != n.id {
 		cp = n.cache[p]
@@ -295,8 +244,8 @@ func (n *node) readRun(p memsim.PageID, count, unit int, get func(fr []byte)) {
 		}
 	}
 	words := vclock.Duration(pio * unit)
-	clk.AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs*words)
-	clk.AdvanceCat(vclock.CatNetwork, d.params.SAN.RemoteReadNs*words)
+	clk.AdvanceCat(vclock.CatMemory, d.Cost.CPU.AccessNs*words)
+	clk.AdvanceCat(vclock.CatNetwork, d.Cost.SAN.RemoteReadNs*words)
 	n.stats.Reads += uint64(pio)
 	n.stats.RemoteReads += uint64(words)
 	if rec := d.rec; rec != nil && rec.Enabled() {
@@ -320,10 +269,10 @@ func (n *node) readRun(p memsim.PageID, count, unit int, get func(fr []byte)) {
 // block transfer, evicting from the cold end past the cache's capacity.
 func (n *node) install(p memsim.PageID, home int, homeData []byte) {
 	d := n.dsm
-	clk := d.clocks[n.id]
+	clk := d.Clocks[n.id]
 	t0 := clk.Now()
-	clk.AdvanceCat(vclock.CatNetwork, d.params.SAN.PageFetchNs)
-	clk.AdvanceCat(vclock.CatMemory, d.params.CPU.PageCopyNs)
+	clk.AdvanceCat(vclock.CatNetwork, d.Cost.SAN.PageFetchNs)
+	clk.AdvanceCat(vclock.CatMemory, d.Cost.CPU.PageCopyNs)
 	cp := cpagePool.Get()
 	cp.Data = pagestore.GetPage()
 	copy(cp.Data, homeData)
@@ -356,20 +305,20 @@ func (n *node) drop(cp *cpage) {
 // PIO store at the remote-read latency.
 func (n *node) writeRun(p memsim.PageID, count, unit int, put func(fr []byte)) {
 	d := n.dsm
-	clk := d.clocks[n.id]
+	clk := d.Clocks[n.id]
 	words := vclock.Duration(count * unit)
-	clk.AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs*words)
+	clk.AdvanceCat(vclock.CatMemory, d.Cost.CPU.AccessNs*words)
 	n.stats.Writes += uint64(count)
 	n.written[p] = struct{}{}
-	home := d.space.HomeFor(p, n.id)
+	home := d.Mem.HomeFor(p, n.id)
 	if home == n.id {
 		n.touchLocal(p)
 	} else {
 		if d.posted {
-			clk.AdvanceCat(vclock.CatNetwork, d.params.SAN.RemoteWriteNs*words)
+			clk.AdvanceCat(vclock.CatNetwork, d.Cost.SAN.RemoteWriteNs*words)
 			n.postedOut += int(words)
 		} else {
-			clk.AdvanceCat(vclock.CatNetwork, d.params.SAN.RemoteReadNs*words)
+			clk.AdvanceCat(vclock.CatNetwork, d.Cost.SAN.RemoteReadNs*words)
 		}
 		n.stats.RemoteWrites += uint64(words)
 		if rec := d.rec; rec != nil && rec.Enabled() {
@@ -431,7 +380,7 @@ func (d *DSM) WriteBytes(nodeID int, a memsim.Addr, data []byte) {
 // storeBarrier drains the posted-write FIFO.
 func (n *node) storeBarrier() {
 	if n.postedOut > 0 {
-		n.dsm.clocks[n.id].AdvanceCat(vclock.CatNetwork, n.dsm.params.SAN.StoreBarrierNs)
+		n.dsm.Clocks[n.id].AdvanceCat(vclock.CatNetwork, n.dsm.Cost.SAN.StoreBarrierNs)
 		n.postedOut = 0
 	}
 }

@@ -71,26 +71,24 @@ const (
 	kindInvalidate
 )
 
-// Config parameterizes an IVY cluster. The fields mirror swdsm.Config so
-// core and multidsm compose either engine the same way.
+// Config parameterizes an IVY cluster: the cluster-shape fields of
+// swdsm.Config (the engine always builds its own network, which core
+// adopts for coalesced user messaging), so multidsm composes either engine
+// the same way.
 type Config struct {
 	// Nodes is the cluster size.
 	Nodes int
 	// Params is the cost model; zero value means machine.Default().
 	Params machine.Params
-	// Layer optionally supplies a shared active-message layer (HAMSTER's
-	// coalesced messaging). When nil the DSM builds a private network.
-	Layer *amsg.Layer
 	// Space optionally supplies a shared global address space (multi-DSM
 	// composition, §6). When nil the DSM owns a private space.
 	Space *memsim.Space
 	// Clocks optionally supplies shared per-node clocks (multi-DSM
-	// composition). Length must equal Nodes. Ignored when Layer is set.
+	// composition). Length must equal Nodes.
 	Clocks []*vclock.Clock
 	// Topology places the nodes in a switch fabric (see simnet.Topology);
-	// the zero value is the flat legacy network. Ignored when Layer is
-	// set — the layer's network already has a topology, which the DSM
-	// adopts for its synchronization cost arithmetic.
+	// the zero value is the flat legacy network. The DSM's synchronization
+	// cost arithmetic follows it too.
 	Topology simnet.Topology
 }
 
@@ -135,12 +133,10 @@ type ipage struct {
 // manager's threshold the lock tokens migrate along probable-holder
 // chains — this engine's page-ownership machinery applied to locks.
 type DSM struct {
+	platform.Base
 	*hsync.Manager
-	params machine.Params
-	space  *memsim.Space
-	clocks []*vclock.Clock
-	layer  *amsg.Layer
-	nodes  []*node
+	layer *amsg.Layer
+	nodes []*node
 
 	rec *perfmon.Recorder // protocol event recorder; nil until attached
 }
@@ -172,51 +168,17 @@ type node struct {
 
 // New builds an IVY cluster.
 func New(cfg Config) (*DSM, error) {
-	if cfg.Nodes <= 0 {
-		return nil, fmt.Errorf("ivy: need at least one node, got %d", cfg.Nodes)
+	base, err := platform.NewBase("ivy", cfg.Nodes, cfg.Params, cfg.Space, cfg.Clocks)
+	if err != nil {
+		return nil, err
 	}
-	params := cfg.Params
-	if params.Name == "" {
-		params = machine.Default()
-	}
-	space := cfg.Space
-	if space == nil {
-		space = memsim.NewSpace(cfg.Nodes)
-	}
-	d := &DSM{
-		params: params,
-		space:  space,
-		clocks: make([]*vclock.Clock, cfg.Nodes),
-		nodes:  make([]*node, cfg.Nodes),
-	}
-	if cfg.Clocks != nil {
-		if len(cfg.Clocks) != cfg.Nodes {
-			return nil, fmt.Errorf("ivy: %d clocks for %d nodes", len(cfg.Clocks), cfg.Nodes)
-		}
-		copy(d.clocks, cfg.Clocks)
-	} else {
-		for i := range d.clocks {
-			d.clocks[i] = &vclock.Clock{}
-		}
-	}
-	if cfg.Layer != nil {
-		if cfg.Layer.Network().Size() != cfg.Nodes {
-			return nil, fmt.Errorf("ivy: shared layer has %d nodes, want %d",
-				cfg.Layer.Network().Size(), cfg.Nodes)
-		}
-		d.layer = cfg.Layer
-		for i := range d.clocks {
-			d.clocks[i] = cfg.Layer.Network().Clock(simnet.NodeID(i))
-		}
-	} else {
-		net := simnet.NewTopo(params.Ethernet, d.clocks, cfg.Topology)
-		d.layer = amsg.New(net, params.Ethernet)
-	}
+	d := &DSM{Base: base, nodes: make([]*node, cfg.Nodes)}
+	d.layer = amsg.New(simnet.NewTopo(base.Cost.Ethernet, d.Clocks, cfg.Topology), base.Cost.Ethernet)
 	for i := range d.nodes {
 		n := &node{
 			id:     i,
 			dsm:    d,
-			pcache: machine.NewPageCache(params.Bus.CachePages),
+			pcache: machine.NewPageCache(base.Cost.Bus.CachePages),
 			pages:  make(map[memsim.PageID]*ipage),
 		}
 		n.cond = sync.NewCond(&n.mu)
@@ -225,8 +187,8 @@ func New(cfg Config) (*DSM, error) {
 	}
 	topo := d.layer.Network().Topology()
 	d.Manager = hsync.NewManager(hsync.Config{
-		Name: "ivy", Clocks: d.clocks, Topology: topo,
-		Wire:        hsync.EthernetWire(params.Ethernet, topo),
+		Name: "ivy", Clocks: d.Clocks, Topology: topo,
+		Wire:        hsync.EthernetWire(base.Cost.Ethernet, topo),
 		LiveRelease: d.layer.Network().CallFaultsActive,
 	})
 	return d, nil
@@ -254,71 +216,65 @@ func (n *node) bootstrapOwned(p memsim.PageID) *ipage {
 	return e
 }
 
+// pageHandler is the prologue the read- and write-page handlers share:
+// under n.mu, find the page's owned entry — bootstrapping an untouched
+// page at its home, which becomes initial owner on the first request —
+// and wait out any invalidation round before grant builds the reply. A
+// node that does not own the page answers with its best hint instead.
+func (n *node) pageHandler(grant func(e *ipage, from int) []byte) amsg.Handler {
+	return func(from amsg.NodeID, req []byte) ([]byte, vclock.Duration) {
+		p := memsim.PageID(binary.LittleEndian.Uint64(req))
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		for {
+			e := n.pages[p]
+			if e == nil && n.dsm.Mem.Home(p) == n.id {
+				e = n.bootstrapOwned(p)
+			}
+			if e == nil || e.state != pOwned {
+				return hintReply(n.hintLocked(p)), 0
+			}
+			if !e.pending {
+				return grant(e, int(from)), n.dsm.Cost.CPU.PageCopyNs
+			}
+			n.cond.Wait()
+		}
+	}
+}
+
 func (d *DSM) registerHandlers(n *node) {
 	id := simnet.NodeID(n.id)
-	d.layer.Register(id, kindReadPage, func(from amsg.NodeID, req []byte) ([]byte, vclock.Duration) {
-		p := memsim.PageID(binary.LittleEndian.Uint64(req))
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		for {
-			e := n.pages[p]
-			if e == nil && n.dsm.space.Home(p) == n.id {
-				// Lazy home bootstrap: the home becomes initial owner on
-				// the first request for an untouched page.
-				e = n.bootstrapOwned(p)
+	d.layer.Register(id, kindReadPage, n.pageHandler(func(e *ipage, from int) []byte {
+		e.copyset[from] = struct{}{}
+		out := make([]byte, 1+memsim.PageSize)
+		out[0] = 1
+		copy(out[1:], e.data)
+		return out
+	}))
+	d.layer.Register(id, kindWritePage, n.pageHandler(func(e *ipage, from int) []byte {
+		// Grant: relinquish the copy, hand over page + copyset (minus the
+		// requester), repoint the hint at the new owner.
+		out := make([]byte, 1+4+8*len(e.copyset)+memsim.PageSize)
+		out[0] = 1
+		members := 0
+		for m := range e.copyset {
+			if m == from {
+				continue
 			}
-			if e == nil || e.state != pOwned {
-				return hintReply(n.hintLocked(p)), 0
-			}
-			if !e.pending {
-				e.copyset[int(from)] = struct{}{}
-				out := make([]byte, 1+memsim.PageSize)
-				out[0] = 1
-				copy(out[1:], e.data)
-				return out, d.params.CPU.PageCopyNs
-			}
-			n.cond.Wait()
+			binary.LittleEndian.PutUint64(out[5+8*members:], uint64(m))
+			members++
 		}
-	})
-	d.layer.Register(id, kindWritePage, func(from amsg.NodeID, req []byte) ([]byte, vclock.Duration) {
-		p := memsim.PageID(binary.LittleEndian.Uint64(req))
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		for {
-			e := n.pages[p]
-			if e == nil && n.dsm.space.Home(p) == n.id {
-				e = n.bootstrapOwned(p)
-			}
-			if e == nil || e.state != pOwned {
-				return hintReply(n.hintLocked(p)), 0
-			}
-			if !e.pending {
-				// Grant: relinquish the copy, hand over page + copyset
-				// (minus the requester), repoint the hint at the new owner.
-				out := make([]byte, 1+4+8*len(e.copyset)+memsim.PageSize)
-				out[0] = 1
-				members := 0
-				for m := range e.copyset {
-					if m == int(from) {
-						continue
-					}
-					binary.LittleEndian.PutUint64(out[5+8*members:], uint64(m))
-					members++
-				}
-				binary.LittleEndian.PutUint32(out[1:], uint32(members))
-				copy(out[5+8*members:], e.data)
-				out = out[:5+8*members+memsim.PageSize]
-				e.state = pHint
-				e.data = nil
-				e.copyset = nil
-				e.hint = int(from)
-				e.gen++
-				n.revoke.Add(1)
-				return out, d.params.CPU.PageCopyNs
-			}
-			n.cond.Wait()
-		}
-	})
+		binary.LittleEndian.PutUint32(out[1:], uint32(members))
+		copy(out[5+8*members:], e.data)
+		out = out[:5+8*members+memsim.PageSize]
+		e.state = pHint
+		e.data = nil
+		e.copyset = nil
+		e.hint = from
+		e.gen++
+		n.revoke.Add(1)
+		return out
+	}))
 	d.layer.Register(id, kindInvalidate, func(from amsg.NodeID, req []byte) ([]byte, vclock.Duration) {
 		p := memsim.PageID(binary.LittleEndian.Uint64(req))
 		owner := int(binary.LittleEndian.Uint64(req[8:]))
@@ -353,7 +309,7 @@ func (n *node) hintLocked(p memsim.PageID) int {
 	if e := n.pages[p]; e != nil && e.hint >= 0 {
 		return e.hint
 	}
-	if h := n.dsm.space.Home(p); h >= 0 {
+	if h := n.dsm.Mem.Home(p); h >= 0 {
 		return h
 	}
 	return n.id
@@ -377,7 +333,7 @@ func (n *node) nextHop(p memsim.PageID) int {
 		return h
 	}
 	n.mu.Unlock()
-	return n.dsm.space.HomeFor(p, n.id)
+	return n.dsm.Mem.HomeFor(p, n.id)
 }
 
 // pageReq encodes the one-word request shared by the read and write
@@ -405,40 +361,59 @@ func (n *node) selfFault(p memsim.PageID, want pstate) bool {
 	return e.state >= want
 }
 
-// readFault chases the hint chain to the owner and installs a read copy.
-func (n *node) readFault(p memsim.PageID) {
-	d := n.dsm
-	clk := d.clocks[n.id]
-	t0 := clk.Now()
+// chase is the hint-chain walk both faults share: ask the next hop for a
+// read copy (want pRead) or ownership (pOwned), follow hint replies, and
+// return the granting node, its reply and the entry's invalidation count
+// from before the request — or ok=false when the fault resolved at this
+// node (selfFault) and there is nothing to install.
+func (n *node) chase(p memsim.PageID, want pstate) (target int, resp []byte, gen uint64, ok bool) {
+	kind, verb := kindReadPage, "fetch"
+	if want == pOwned {
+		kind, verb = kindWritePage, "take ownership of"
+	}
 	for {
-		target := n.nextHop(p)
+		target = n.nextHop(p)
 		if target == n.id {
-			if n.selfFault(p, pRead) {
-				return
+			if n.selfFault(p, want) {
+				return target, nil, 0, false
 			}
 			continue // a handler granted the page away meanwhile
 		}
 		n.mu.Lock()
-		gen := n.entry(p).gen
+		if e := n.pages[p]; e != nil {
+			gen = e.gen
+		}
 		n.mu.Unlock()
 		n.stats.ProtocolMsgs++
 		enc := amsg.GetEnc()
-		resp, err := d.layer.CallErr(simnet.NodeID(n.id), simnet.NodeID(target), kindReadPage, pageReq(enc, p))
+		resp, err := n.dsm.layer.CallErr(simnet.NodeID(n.id), simnet.NodeID(target), kind, pageReq(enc, p))
 		enc.Free()
 		if err != nil {
-			panic(fmt.Sprintf("ivy: node %d cannot fetch page %d from node %d: %v", n.id, p, target, err))
+			panic(fmt.Sprintf("ivy: node %d cannot %s page %d from node %d: %v", n.id, verb, p, target, err))
 		}
-		if resp[0] != 1 {
-			hint := int(binary.LittleEndian.Uint64(resp[1:]))
-			if hint == n.id {
-				continue // stale pointer back at us; retry via our own state
-			}
+		if resp[0] == 1 {
+			return target, resp, gen, true
+		}
+		// A hint back at us is stale; the retry goes via our own state.
+		if hint := int(binary.LittleEndian.Uint64(resp[1:])); hint != n.id {
 			n.mu.Lock()
 			n.entry(p).hint = hint
 			n.mu.Unlock()
-			continue
 		}
-		clk.AdvanceCat(vclock.CatMemory, d.params.CPU.PageCopyNs)
+	}
+}
+
+// readFault chases the hint chain to the owner and installs a read copy.
+func (n *node) readFault(p memsim.PageID) {
+	d := n.dsm
+	clk := d.Clocks[n.id]
+	t0 := clk.Now()
+	for {
+		target, resp, gen, ok := n.chase(p, pRead)
+		if !ok {
+			return
+		}
+		clk.AdvanceCat(vclock.CatMemory, d.Cost.CPU.PageCopyNs)
 		n.mu.Lock()
 		e := n.entry(p)
 		if e.gen != gen {
@@ -464,62 +439,39 @@ func (n *node) readFault(p memsim.PageID) {
 // invalidates the inherited copyset before returning.
 func (n *node) writeFault(p memsim.PageID) {
 	d := n.dsm
-	clk := d.clocks[n.id]
+	clk := d.Clocks[n.id]
 	t0 := clk.Now()
-	for {
-		target := n.nextHop(p)
-		if target == n.id {
-			if n.selfFault(p, pOwned) {
-				return
-			}
-			continue
-		}
-		n.stats.ProtocolMsgs++
-		enc := amsg.GetEnc()
-		resp, err := d.layer.CallErr(simnet.NodeID(n.id), simnet.NodeID(target), kindWritePage, pageReq(enc, p))
-		enc.Free()
-		if err != nil {
-			panic(fmt.Sprintf("ivy: node %d cannot take ownership of page %d from node %d: %v", n.id, p, target, err))
-		}
-		if resp[0] != 1 {
-			hint := int(binary.LittleEndian.Uint64(resp[1:]))
-			if hint == n.id {
-				continue
-			}
-			n.mu.Lock()
-			n.entry(p).hint = hint
-			n.mu.Unlock()
-			continue
-		}
-		count := int(binary.LittleEndian.Uint32(resp[1:]))
-		members := make([]int, count)
-		for i := 0; i < count; i++ {
-			members[i] = int(binary.LittleEndian.Uint64(resp[5+8*i:]))
-		}
-		slices.Sort(members)
-		clk.AdvanceCat(vclock.CatMemory, d.params.CPU.PageCopyNs)
-		n.mu.Lock()
-		e := n.entry(p)
-		e.state = pOwned
-		e.data = resp[5+8*count:]
-		e.copyset = make(map[int]struct{})
-		e.hint = -1
-		e.pending = len(members) > 0
-		n.window.Put(p, n.revoke.Load(), e.data)
-		n.mu.Unlock()
-		n.stats.PageFaults++
-		n.stats.HomeMigrations++ // ownership arrivals
-		if rec := d.rec; rec != nil && rec.Enabled() {
-			rec.Record(n.id, perfmon.EvHomeMigrate, t0, vclock.Since(t0, clk.Now()), uint64(p), uint64(target))
-		}
-		if len(members) > 0 {
-			n.invalidateMembers(p, members)
-			n.mu.Lock()
-			e.pending = false
-			n.cond.Broadcast()
-			n.mu.Unlock()
-		}
+	target, resp, _, ok := n.chase(p, pOwned)
+	if !ok {
 		return
+	}
+	count := int(binary.LittleEndian.Uint32(resp[1:]))
+	members := make([]int, count)
+	for i := 0; i < count; i++ {
+		members[i] = int(binary.LittleEndian.Uint64(resp[5+8*i:]))
+	}
+	slices.Sort(members)
+	clk.AdvanceCat(vclock.CatMemory, d.Cost.CPU.PageCopyNs)
+	n.mu.Lock()
+	e := n.entry(p)
+	e.state = pOwned
+	e.data = resp[5+8*count:]
+	e.copyset = make(map[int]struct{})
+	e.hint = -1
+	e.pending = len(members) > 0
+	n.window.Put(p, n.revoke.Load(), e.data)
+	n.mu.Unlock()
+	n.stats.PageFaults++
+	n.stats.HomeMigrations++ // ownership arrivals
+	if rec := d.rec; rec != nil && rec.Enabled() {
+		rec.Record(n.id, perfmon.EvHomeMigrate, t0, vclock.Since(t0, clk.Now()), uint64(p), uint64(target))
+	}
+	if len(members) > 0 {
+		n.invalidateMembers(p, members)
+		n.mu.Lock()
+		e.pending = false
+		n.cond.Broadcast()
+		n.mu.Unlock()
 	}
 }
 
@@ -528,7 +480,7 @@ func (n *node) writeFault(p memsim.PageID) {
 // pending flag must already exclude concurrent transfers.
 func (n *node) invalidateMembers(p memsim.PageID, members []int) {
 	d := n.dsm
-	clk := d.clocks[n.id]
+	clk := d.Clocks[n.id]
 	t0 := clk.Now()
 	for _, m := range members {
 		enc := amsg.GetEnc()
@@ -548,7 +500,7 @@ func (n *node) invalidateMembers(p memsim.PageID, members []int) {
 // charge for costWords words, the CPU-cache touch, reads counted — and
 // returns the page's bytes, valid for the caller's immediate loads.
 func (n *node) readPage(p memsim.PageID, costWords, reads int) []byte {
-	n.dsm.clocks[n.id].AdvanceCat(vclock.CatMemory, n.dsm.params.CPU.AccessNs*vclock.Duration(costWords))
+	n.dsm.Clocks[n.id].AdvanceCat(vclock.CatMemory, n.dsm.Cost.CPU.AccessNs*vclock.Duration(costWords))
 	n.touchLocal(p)
 	n.stats.Reads += uint64(reads)
 	if buf := n.window.Get(p, n.revoke.Load()); buf != nil {
@@ -614,7 +566,7 @@ func (n *node) invalRound(p memsim.PageID, e *ipage) {
 // inline into readPage and writePage (one call less per simulated word).
 func (n *node) touchLocal(p memsim.PageID) {
 	if !n.pcache.Touch(uint64(p)) {
-		n.dsm.clocks[n.id].AdvanceCat(vclock.CatMemory, n.dsm.params.Bus.MissCost())
+		n.dsm.Clocks[n.id].AdvanceCat(vclock.CatMemory, n.dsm.Cost.Bus.MissCost())
 		n.stats.CacheMisses++
 	}
 }
@@ -623,7 +575,7 @@ func (n *node) touchLocal(p memsim.PageID) {
 // the owned entry comes back with n.mu HELD (see writableFrame); the
 // caller stores and unlocks.
 func (n *node) writePage(p memsim.PageID, costWords, writes int) *ipage {
-	n.dsm.clocks[n.id].AdvanceCat(vclock.CatMemory, n.dsm.params.CPU.AccessNs*vclock.Duration(costWords))
+	n.dsm.Clocks[n.id].AdvanceCat(vclock.CatMemory, n.dsm.Cost.CPU.AccessNs*vclock.Duration(costWords))
 	n.touchLocal(p)
 	n.stats.Writes += uint64(writes)
 	return n.writableFrame(p)
@@ -639,20 +591,8 @@ func (d *DSM) access(nodeID int) *node {
 // Kind implements platform.Substrate.
 func (d *DSM) Kind() platform.Kind { return platform.SWDSM }
 
-// Nodes implements platform.Substrate.
-func (d *DSM) Nodes() int { return len(d.nodes) }
-
-// Clock implements platform.Substrate.
-func (d *DSM) Clock(node int) *vclock.Clock { return d.clocks[node] }
-
-// Space implements platform.Substrate.
-func (d *DSM) Space() *memsim.Space { return d.space }
-
-// Params implements platform.Substrate.
-func (d *DSM) Params() machine.Params { return d.params }
-
-// Layer exposes the active-message layer (for the coalesced-messaging
-// configuration and the integration tests).
+// Layer exposes the active-message layer: core adopts it for coalesced
+// user messaging, and the fault campaigns install plans on its network.
 func (d *DSM) Layer() *amsg.Layer { return d.layer }
 
 // Caps implements platform.Substrate.
@@ -660,9 +600,7 @@ func (d *DSM) Caps() platform.Caps {
 	return platform.Caps{
 		PageCaching:      true,
 		ConsistencyModel: "sequential",
-		Placement: []memsim.Policy{
-			memsim.Block, memsim.Cyclic, memsim.FirstTouch, memsim.Fixed,
-		},
+		Placement:        platform.Policies(),
 	}
 }
 
@@ -672,19 +610,6 @@ func (d *DSM) EngineName() string { return consengine.IVYName }
 // DeclaredModel implements consengine.Engine: synchronous write
 // invalidation makes every execution sequentially consistent.
 func (d *DSM) DeclaredModel() consengine.Model { return consengine.Sequential }
-
-// Alloc implements platform.Substrate.
-func (d *DSM) Alloc(size uint64, name string, pol memsim.Policy, fixedNode int) (memsim.Region, error) {
-	return d.space.Alloc(size, name, pol, fixedNode)
-}
-
-// Free implements platform.Substrate.
-func (d *DSM) Free(r memsim.Region) error { return d.space.Free(r) }
-
-// Compute implements platform.Substrate.
-func (d *DSM) Compute(node int, flops uint64) {
-	d.clocks[node].Advance(vclock.Duration(flops) * d.params.CPU.FlopNs)
-}
 
 // NodeStats implements platform.Substrate. HomeMigrations counts
 // ownership arrivals. Call only while the node's program is quiescent.

@@ -89,14 +89,13 @@ func (s *Stream) SetState(v uint64) { s.state = v }
 // sampler precomputes the CDF once and answers each draw with a binary
 // search, so sampling is deterministic, allocation-free, and O(log n).
 type Zipf struct {
-	cdf  []float64
-	skew float64
+	cdf []float64
 }
 
 // NewZipf builds a sampler over n ranks. n must be > 0; skew must be
 // >= 0.
 func NewZipf(n int, skew float64) *Zipf {
-	z := &Zipf{cdf: make([]float64, n), skew: skew}
+	z := &Zipf{cdf: make([]float64, n)}
 	sum := 0.0
 	for k := 0; k < n; k++ {
 		sum += 1 / math.Pow(float64(k+1), skew)
@@ -112,9 +111,6 @@ func NewZipf(n int, skew float64) *Zipf {
 
 // N returns the rank-space size.
 func (z *Zipf) N() int { return len(z.cdf) }
-
-// Skew returns the configured skew.
-func (z *Zipf) Skew() float64 { return z.skew }
 
 // Prob returns rank k's probability mass (tests check the sampler
 // against these).
@@ -169,12 +165,6 @@ func (a *Arrivals) Take() uint64 {
 	a.next += a.s.ExpNs(a.mean)
 	return t
 }
-
-// Draws exposes the embedded gap stream. Drawing from it interleaves
-// with the arrival gaps on the same stream; callers who need decision
-// draws (key choice, op mix) independent of the arrival process should
-// keep a separate Stream and use this only for state capture.
-func (a *Arrivals) Draws() *Stream { return &a.s }
 
 // State captures the process for checkpointing (stream position plus
 // pending arrival time).

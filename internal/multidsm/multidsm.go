@@ -41,7 +41,6 @@ import (
 	"hamster/internal/platform"
 	"hamster/internal/simnet"
 	"hamster/internal/swdsm"
-	"hamster/internal/vclock"
 )
 
 // Engine names one of the composed DSM mechanisms.
@@ -100,13 +99,11 @@ type Config struct {
 // hsync.Engine (see both) — the arrangement every substrate now uses with
 // its single engine.
 type DSM struct {
+	platform.Base // Alloc and Free are this type's own: they route
 	*hsync.Manager
-	params machine.Params
-	space  *memsim.Space
-	clocks []*vclock.Clock
-	sw     consengine.Composable // the page-based engine
-	hy     *hybriddsm.DSM
-	cfg    Config
+	sw  consengine.Composable // the page-based engine
+	hy  *hybriddsm.DSM
+	cfg Config
 
 	routeMu sync.RWMutex
 	routes  map[memsim.PageID]Engine
@@ -115,17 +112,9 @@ type DSM struct {
 // New builds a composed cluster: one address space, one clock per node,
 // two engines.
 func New(cfg Config) (*DSM, error) {
-	if cfg.Nodes <= 0 {
-		return nil, fmt.Errorf("multidsm: need at least one node, got %d", cfg.Nodes)
-	}
-	params := cfg.Params
-	if params.Name == "" {
-		params = machine.Default()
-	}
-	space := memsim.NewSpace(cfg.Nodes)
-	clocks := make([]*vclock.Clock, cfg.Nodes)
-	for i := range clocks {
-		clocks[i] = &vclock.Clock{}
+	base, err := platform.NewBase("multidsm", cfg.Nodes, cfg.Params, nil, nil)
+	if err != nil {
+		return nil, err
 	}
 	pageEngine, err := consengine.NormalizeName(cfg.PageEngine)
 	if err != nil {
@@ -137,12 +126,12 @@ func New(cfg Config) (*DSM, error) {
 			return nil, fmt.Errorf("multidsm: the ivy page engine does not support protocol aggregation: batched diff flush and write-notice piggybacking are scope-protocol machinery")
 		}
 		sw, err = ivy.New(ivy.Config{
-			Nodes: cfg.Nodes, Params: params, Space: space, Clocks: clocks,
+			Nodes: cfg.Nodes, Params: base.Cost, Space: base.Mem, Clocks: base.Clocks,
 			Topology: cfg.Topology,
 		})
 	} else {
 		sc := swdsm.Config{
-			Nodes: cfg.Nodes, Params: params, Space: space, Clocks: clocks,
+			Nodes: cfg.Nodes, Params: base.Cost, Space: base.Mem, Clocks: base.Clocks,
 			Aggregation: cfg.Aggregation,
 			Topology:    cfg.Topology,
 		}
@@ -155,25 +144,17 @@ func New(cfg Config) (*DSM, error) {
 		return nil, err
 	}
 	hy, err := hybriddsm.New(hybriddsm.Config{
-		Nodes: cfg.Nodes, Params: params, Space: space, Clocks: clocks,
+		Nodes: cfg.Nodes, Params: base.Cost, Space: base.Mem, Clocks: base.Clocks,
 		CacheThreshold: cfg.HybridCacheThreshold,
 	})
 	if err != nil {
 		return nil, err
 	}
-	d := &DSM{
-		params: params,
-		space:  space,
-		clocks: clocks,
-		sw:     sw,
-		hy:     hy,
-		cfg:    cfg,
-		routes: make(map[memsim.PageID]Engine),
-	}
-	wire := hsync.AtomicWire(params.SAN.SyncMsgNs, params.SAN.SyncMsgNs)
+	d := &DSM{Base: base, sw: sw, hy: hy, cfg: cfg, routes: make(map[memsim.PageID]Engine)}
+	wire := hsync.AtomicWire(base.Cost.SAN.SyncMsgNs, base.Cost.SAN.SyncMsgNs)
 	wire.Hier = true
 	d.Manager = hsync.NewManager(hsync.Config{
-		Name: "multidsm", Clocks: clocks, Wire: wire, Topology: cfg.Topology,
+		Name: "multidsm", Clocks: base.Clocks, Wire: wire, Topology: cfg.Topology,
 		Engine: both{sw, hy},
 	})
 	return d, nil
@@ -183,27 +164,13 @@ func New(cfg Config) (*DSM, error) {
 // a hybrid system (it requires the SAN for its unified synchronization).
 func (d *DSM) Kind() platform.Kind { return platform.HybridDSM }
 
-// Nodes implements platform.Substrate.
-func (d *DSM) Nodes() int { return len(d.clocks) }
-
-// Clock implements platform.Substrate.
-func (d *DSM) Clock(node int) *vclock.Clock { return d.clocks[node] }
-
-// Space implements platform.Substrate.
-func (d *DSM) Space() *memsim.Space { return d.space }
-
-// Params implements platform.Substrate.
-func (d *DSM) Params() machine.Params { return d.params }
-
 // Caps implements platform.Substrate.
 func (d *DSM) Caps() platform.Caps {
 	return platform.Caps{
 		RemoteAccess:     true,
 		PageCaching:      true,
 		ConsistencyModel: d.DeclaredModel().String(),
-		Placement: []memsim.Policy{
-			memsim.Block, memsim.Cyclic, memsim.FirstTouch, memsim.Fixed,
-		},
+		Placement:        platform.Policies(),
 	}
 }
 
@@ -245,7 +212,7 @@ func (d *DSM) engineFor(pol memsim.Policy) Engine {
 // Alloc implements platform.Substrate: the region is placed in the shared
 // space and its pages routed to the policy's engine.
 func (d *DSM) Alloc(size uint64, name string, pol memsim.Policy, fixedNode int) (memsim.Region, error) {
-	r, err := d.space.Alloc(size, name, pol, fixedNode)
+	r, err := d.Mem.Alloc(size, name, pol, fixedNode)
 	if err != nil {
 		return r, err
 	}
@@ -272,7 +239,7 @@ func (d *DSM) Free(r memsim.Region) error {
 		delete(d.routes, p)
 	}
 	d.routeMu.Unlock()
-	return d.space.Free(r)
+	return d.Mem.Free(r)
 }
 
 func (d *DSM) engine(a memsim.Addr) platform.Substrate {
@@ -358,11 +325,6 @@ func (d *DSM) ReadI64Block(node int, a memsim.Addr, dst []int64) {
 // WriteI64Block implements platform.Substrate.
 func (d *DSM) WriteI64Block(node int, a memsim.Addr, src []int64) {
 	blockRuns(d, a, src, func(e platform.Substrate, a memsim.Addr, b []int64) { e.WriteI64Block(node, a, b) })
-}
-
-// Compute implements platform.Substrate.
-func (d *DSM) Compute(node int, flops uint64) {
-	d.clocks[node].Advance(vclock.Duration(flops) * d.params.CPU.FlopNs)
 }
 
 // both drives the two engines as one at a synchronization boundary: one

@@ -345,10 +345,6 @@ func (n *Network) EnableGate() *vclock.Engine {
 	return e
 }
 
-// Gate returns the installed lookahead engine, or nil when delivery is
-// ungated.
-func (n *Network) Gate() *vclock.Engine { return n.gate }
-
 // MarkNodeDown tells the gate (if any) that a node is fail-stopped and
 // no longer bounds delivery horizons. Callers must only report nodes
 // whose outbound traffic the fault plan is eating — the health monitor's

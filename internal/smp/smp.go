@@ -42,13 +42,11 @@ type Config struct {
 // is one locked bus transaction, and hardware coherence leaves it no
 // consistency engine to drive.
 type SMP struct {
+	platform.Base
 	*hsync.Manager
-	params machine.Params
-	space  *memsim.Space
-	clocks []*vclock.Clock
-	mem    memsim.Table[[memsim.PageSize]byte] // the one physical memory
-	cpus   []*cpu
-	dram   vclock.Duration // contention-scaled DRAM cost, fixed per config
+	mem  memsim.Table[[memsim.PageSize]byte] // the one physical memory
+	cpus []*cpu
+	dram vclock.Duration // contention-scaled DRAM cost, fixed per config
 }
 
 // cpu holds the per-processor cache model. Owner-goroutine state only.
@@ -59,28 +57,18 @@ type cpu struct {
 
 // New builds an SMP.
 func New(cfg Config) (*SMP, error) {
-	if cfg.CPUs <= 0 {
-		return nil, fmt.Errorf("smp: need at least one CPU, got %d", cfg.CPUs)
+	base, err := platform.NewBase("smp", cfg.CPUs, cfg.Params, nil, nil)
+	if err != nil {
+		return nil, err
 	}
-	params := cfg.Params
-	if params.Name == "" {
-		params = machine.Default()
-	}
-	s := &SMP{
-		params: params,
-		space:  memsim.NewSpace(cfg.CPUs),
-		clocks: make([]*vclock.Clock, cfg.CPUs),
-		cpus:   make([]*cpu, cfg.CPUs),
-		dram:   params.Bus.EffectiveDRAM(cfg.CPUs),
-	}
+	s := &SMP{Base: base, cpus: make([]*cpu, cfg.CPUs), dram: base.Cost.Bus.EffectiveDRAM(cfg.CPUs)}
 	for i := range s.cpus {
-		s.clocks[i] = &vclock.Clock{}
-		s.cpus[i] = &cpu{pcache: machine.NewPageCache(params.Bus.CachePages)}
+		s.cpus[i] = &cpu{pcache: machine.NewPageCache(base.Cost.Bus.CachePages)}
 	}
 	s.Manager = hsync.NewManager(hsync.Config{
 		Name:   "smp",
-		Clocks: s.clocks,
-		Wire:   hsync.AtomicWire(params.Bus.SyncNs, 0),
+		Clocks: s.Clocks,
+		Wire:   hsync.AtomicWire(base.Cost.Bus.SyncNs, 0),
 	})
 	return s, nil
 }
@@ -88,41 +76,13 @@ func New(cfg Config) (*SMP, error) {
 // Kind implements platform.Substrate.
 func (s *SMP) Kind() platform.Kind { return platform.SMP }
 
-// Nodes implements platform.Substrate (CPUs act as nodes).
-func (s *SMP) Nodes() int { return len(s.cpus) }
-
-// Clock implements platform.Substrate.
-func (s *SMP) Clock(node int) *vclock.Clock { return s.clocks[node] }
-
-// Space implements platform.Substrate.
-func (s *SMP) Space() *memsim.Space { return s.space }
-
-// Params implements platform.Substrate.
-func (s *SMP) Params() machine.Params { return s.params }
-
 // Caps implements platform.Substrate.
 func (s *SMP) Caps() platform.Caps {
 	return platform.Caps{
 		HardwareCoherent: true,
 		ConsistencyModel: "processor",
-		Placement: []memsim.Policy{
-			memsim.Block, memsim.Cyclic, memsim.FirstTouch, memsim.Fixed,
-		},
+		Placement:        platform.Policies(),
 	}
-}
-
-// Alloc implements platform.Substrate. Placement annotations are accepted
-// but irrelevant on UMA hardware: all memory is equally close.
-func (s *SMP) Alloc(size uint64, name string, pol memsim.Policy, fixedNode int) (memsim.Region, error) {
-	return s.space.Alloc(size, name, pol, fixedNode)
-}
-
-// Free implements platform.Substrate.
-func (s *SMP) Free(r memsim.Region) error { return s.space.Free(r) }
-
-// Compute implements platform.Substrate.
-func (s *SMP) Compute(node int, flops uint64) {
-	s.clocks[node].Advance(vclock.Duration(flops) * s.params.CPU.FlopNs)
 }
 
 // NodeStats implements platform.Substrate.
@@ -157,7 +117,7 @@ func (s *SMP) frame(p memsim.PageID) []byte { return s.mem.GetOrCreate(p, newFra
 func (s *SMP) readPage(id int, p memsim.PageID, costWords, reads int) []byte {
 	c := s.cpuOf(id)
 	c.stats.Reads += uint64(reads)
-	s.clocks[id].AdvanceCat(vclock.CatMemory, s.params.CPU.AccessNs*vclock.Duration(costWords))
+	s.Clocks[id].AdvanceCat(vclock.CatMemory, s.Cost.CPU.AccessNs*vclock.Duration(costWords))
 	s.touchLocal(c, id, p)
 	return s.frame(p)
 }
@@ -166,7 +126,7 @@ func (s *SMP) readPage(id int, p memsim.PageID, costWords, reads int) []byte {
 func (s *SMP) writePage(id int, p memsim.PageID, costWords, writes int) []byte {
 	c := s.cpuOf(id)
 	c.stats.Writes += uint64(writes)
-	s.clocks[id].AdvanceCat(vclock.CatMemory, s.params.CPU.AccessNs*vclock.Duration(costWords))
+	s.Clocks[id].AdvanceCat(vclock.CatMemory, s.Cost.CPU.AccessNs*vclock.Duration(costWords))
 	s.touchLocal(c, id, p)
 	return s.frame(p)
 }
@@ -177,7 +137,7 @@ func (s *SMP) writePage(id int, p memsim.PageID, costWords, writes int) []byte {
 // except their buses are private while the SMP's CPUs share one.
 func (s *SMP) touchLocal(c *cpu, id int, p memsim.PageID) {
 	if !c.pcache.Touch(uint64(p)) {
-		s.clocks[id].AdvanceCat(vclock.CatMemory, s.dram)
+		s.Clocks[id].AdvanceCat(vclock.CatMemory, s.dram)
 		c.stats.CacheMisses++
 	}
 }
@@ -220,5 +180,5 @@ func (s *SMP) WriteBytes(id int, a memsim.Addr, data []byte) {
 
 // Fence implements platform.Substrate: a memory fence instruction.
 func (s *SMP) Fence(node int) {
-	s.clocks[node].AdvanceCat(vclock.CatProtocol, s.params.Bus.SyncNs)
+	s.Clocks[node].AdvanceCat(vclock.CatProtocol, s.Cost.Bus.SyncNs)
 }

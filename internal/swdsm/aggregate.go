@@ -127,22 +127,7 @@ func (d *DSM) registerAggHandlers(n *node) {
 		var total vclock.Duration
 		for i := 0; i < count; i++ {
 			p := memsim.PageID(dec.U64())
-			diff := dec.Blob()
-			hp := n.home.Frame(p)
-			hp.Mu.Lock()
-			err := applyDiff(hp.Data, diff)
-			hp.Mu.Unlock()
-			if err != nil {
-				panic(err) // internal protocol corruption
-			}
-			n.markCkptDirty(p)
-			// Same per-diff apply cost as the unbatched handler; batching
-			// saves messages, never modeled CPU work.
-			cost := d.params.CPU.PageCopyNs * vclock.Duration(len(diff)+1) / memsim.PageSize
-			if rec := d.rec; rec != nil && rec.Enabled() {
-				rec.Record(n.id, perfmon.EvDiffApply, d.clocks[n.id].Now(), cost, uint64(p), uint64(len(diff)))
-			}
-			total += cost
+			total += n.applyHome(p, dec.Blob())
 		}
 		return nil, total
 	})
@@ -158,7 +143,7 @@ func (d *DSM) registerAggHandlers(n *node) {
 			copy(out[i*memsim.PageSize:(i+1)*memsim.PageSize], hp.Data)
 			hp.Mu.Unlock()
 		}
-		return out, vclock.Duration(len(pages)) * d.params.CPU.PageCopyNs
+		return out, vclock.Duration(len(pages)) * d.Cost.CPU.PageCopyNs
 	})
 }
 
@@ -178,7 +163,7 @@ type homeDiff struct {
 // per page.
 func (n *node) flushBatched(pages []memsim.PageID) {
 	d := n.dsm
-	clk := d.clocks[n.id]
+	clk := d.Clocks[n.id]
 	batch := n.flushScratch[:0]
 	for _, p := range pages {
 		cp, ok := n.cache[p]
@@ -186,7 +171,7 @@ func (n *node) flushBatched(pages []memsim.PageID) {
 			continue
 		}
 		t0 := clk.Now()
-		clk.AdvanceCat(vclock.CatProtocol, d.params.CPU.DiffScanNs)
+		clk.AdvanceCat(vclock.CatProtocol, d.Cost.CPU.DiffScanNs)
 		diff := buildDiff(cp.Data, cp.Ext.twin)
 		putTwin(cp.Ext.twin)
 		cp.Ext.twin = nil
@@ -201,7 +186,7 @@ func (n *node) flushBatched(pages []memsim.PageID) {
 			rec.Record(n.id, perfmon.EvDiffCreate, t0, vclock.Since(t0, clk.Now()), uint64(p), uint64(len(diff)))
 		}
 		cp.Ext.diffStreak++
-		batch = append(batch, homeDiff{home: d.space.Home(p), p: p, diff: diff})
+		batch = append(batch, homeDiff{home: d.Mem.Home(p), p: p, diff: diff})
 	}
 	// Group by home with an in-place stable sort over the node's reusable
 	// scratch (no per-flush map, no per-home slices — the marginal
@@ -253,7 +238,7 @@ func (n *node) flushBatched(pages []memsim.PageID) {
 // bytes, none of the per-message software overhead — that is the whole
 // point of piggybacking. Zero for an empty list.
 func (d *DSM) piggybackNoticeCost(pages int) vclock.Duration {
-	return vclock.Duration(8*pages) * d.params.Ethernet.NsPerByte
+	return vclock.Duration(8*pages) * d.Cost.Ethernet.NsPerByte
 }
 
 // maybePrefetch runs at the tail of every demand fault: update the stride
@@ -290,7 +275,7 @@ func (n *node) maybePrefetch(p memsim.PageID, home int) {
 		// on speculation, and a differently-homed one belongs to another
 		// run. Stop at the first cached page — past it we would be
 		// re-fetching the node's own working set.
-		if n.dsm.space.Home(q) != home {
+		if n.dsm.Mem.Home(q) != home {
 			break
 		}
 		if _, cached := n.cache[q]; cached {
@@ -301,7 +286,7 @@ func (n *node) maybePrefetch(p memsim.PageID, home int) {
 	if len(run) == 0 {
 		return
 	}
-	clk := n.dsm.clocks[n.id]
+	clk := n.dsm.Clocks[n.id]
 	t0 := clk.Now()
 	enc := amsg.GetEnc()
 	req := enc.U64s(run).Bytes()
@@ -325,7 +310,7 @@ func (n *node) maybePrefetch(p memsim.PageID, home int) {
 		n.cache[q] = cp
 		pf.pending[q] = struct{}{}
 	}
-	clk.AdvanceCat(vclock.CatMemory, vclock.Duration(len(run))*n.dsm.params.CPU.PageCopyNs) // install copies
+	clk.AdvanceCat(vclock.CatMemory, vclock.Duration(len(run))*n.dsm.Cost.CPU.PageCopyNs) // install copies
 	n.stats.PrefetchRuns++
 	n.stats.PrefetchPages += uint64(len(run))
 	if rec := n.dsm.rec; rec != nil && rec.Enabled() {
@@ -376,7 +361,7 @@ func (n *node) notePrefetchDrop(p memsim.PageID) {
 		pf.cool = prefetchCooldown
 	}
 	if rec := n.dsm.rec; rec != nil && rec.Enabled() {
-		rec.Record(n.id, perfmon.EvPrefetchWaste, n.dsm.clocks[n.id].Now(), 0, uint64(p), 0)
+		rec.Record(n.id, perfmon.EvPrefetchWaste, n.dsm.Clocks[n.id].Now(), 0, uint64(p), 0)
 	}
 }
 

@@ -68,7 +68,7 @@ func (d *DSM) RestoreCached(node int, pages []memsim.PageID) {
 		if len(n.cache) >= d.cacheCap {
 			return
 		}
-		home := d.space.Home(p)
+		home := d.Mem.Home(p)
 		if home == memsim.NoHome || home == n.id {
 			continue
 		}

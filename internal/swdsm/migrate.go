@@ -106,7 +106,7 @@ func (d *DSM) registerMigrateHandler(n *node) {
 			// Never materialized at the old home: hand over a zero page.
 			data = make([]byte, memsim.PageSize)
 		}
-		return data, d.params.CPU.PageCopyNs
+		return data, d.Cost.CPU.PageCopyNs
 	})
 }
 
@@ -135,11 +135,11 @@ func (n *node) performMigrations(pages []memsim.PageID) {
 	d := n.dsm
 	n.bumpGen()
 	for _, p := range pages {
-		oldHome := d.space.Home(p)
+		oldHome := d.Mem.Home(p)
 		if oldHome == n.id || oldHome == memsim.NoHome {
 			continue
 		}
-		clk := d.clocks[n.id]
+		clk := d.Clocks[n.id]
 		t0 := clk.Now()
 		enc := amsg.GetEnc()
 		req := enc.U64(uint64(p)).Bytes()
@@ -167,8 +167,8 @@ func (n *node) performMigrations(pages []memsim.PageID) {
 		// The handover reply was copied into the home frame; the buffer
 		// (the old home's dropped frame) is dead and can serve page fetches.
 		pagestore.PutPage(data)
-		clk.AdvanceCat(vclock.CatMemory, d.params.CPU.PageCopyNs)
-		d.space.SetHome(p, n.id)
+		clk.AdvanceCat(vclock.CatMemory, d.Cost.CPU.PageCopyNs)
+		d.Mem.SetHome(p, n.id)
 		n.markCkptDirty(p)
 		if rec := d.rec; rec != nil && rec.Enabled() {
 			rec.Record(n.id, perfmon.EvHomeMigrate, t0, vclock.Since(t0, clk.Now()), uint64(p), uint64(oldHome))

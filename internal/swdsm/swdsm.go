@@ -14,10 +14,11 @@
 //
 // The paper integrates JiaJia as its Beowulf-architecture substrate (§3.2)
 // after replacing its startup and messaging with HAMSTER's coalesced layer
-// (§3.3); this package correspondingly accepts an externally provided
-// active-message layer, and the page cache is intentionally per-node real
-// storage: a protocol bug produces wrong benchmark results, not just wrong
-// cost numbers.
+// (§3.3); correspondingly this package builds one active-message layer
+// over its own network, and the core runtime adopts that layer (Layer) for
+// user messaging rather than stacking a second one beside it. The page
+// cache is intentionally per-node real storage: a protocol bug produces
+// wrong benchmark results, not just wrong cost numbers.
 //
 // The data path is two routines, readPage and writePage: all ten
 // platform.Substrate accessors call them with (words to charge, accesses
@@ -86,21 +87,15 @@ type Config struct {
 	Params machine.Params
 	// CachePages caps the per-node page cache (0 = DefaultCachePages).
 	CachePages int
-	// Layer optionally supplies a shared active-message layer (HAMSTER's
-	// coalesced messaging). When nil the DSM builds a private network —
-	// the "native JiaJia" configuration.
-	Layer *amsg.Layer
 	// Topology places the nodes in a switch fabric (see simnet.Topology);
-	// the zero value is the flat legacy network. Ignored when Layer is
-	// set — the layer's network already has a topology, which the DSM
-	// adopts for its own synchronization cost arithmetic.
+	// the zero value is the flat legacy network. The DSM's own network
+	// carries it, and its synchronization cost arithmetic follows it.
 	Topology simnet.Topology
 	// Space optionally supplies a shared global address space (multi-DSM
 	// composition, §6). When nil the DSM owns a private space.
 	Space *memsim.Space
 	// Clocks optionally supplies shared per-node clocks (multi-DSM
-	// composition). Length must equal Nodes. Ignored when Layer is set
-	// (the layer's network already carries the clocks).
+	// composition). Length must equal Nodes.
 	Clocks []*vclock.Clock
 	// MigrateAfter enables home migration (JiaJia's single-writer
 	// optimization): a page whose cached copy produced this many
@@ -128,13 +123,11 @@ type Config struct {
 // package supplies the consistency engine it drives (FlushInterval,
 // InvalidatePages) and the three protocol hooks in sync.go.
 type DSM struct {
+	platform.Base
 	*hsync.Manager
-	params machine.Params
-	space  *memsim.Space
-	clocks []*vclock.Clock
-	layer  *amsg.Layer
-	nodes  []*node
-	msg    hsync.CostFn // one protocol message under the adopted topology
+	layer *amsg.Layer
+	nodes []*node
+	msg   hsync.CostFn // one protocol message under the configured topology
 
 	cacheCap     int
 	migrateAfter int
@@ -242,56 +235,25 @@ func (n *node) bumpGen() { n.gen++ }
 
 // New builds a software-DSM cluster.
 func New(cfg Config) (*DSM, error) {
-	if cfg.Nodes <= 0 {
-		return nil, fmt.Errorf("swdsm: need at least one node, got %d", cfg.Nodes)
-	}
-	params := cfg.Params
-	if params.Name == "" {
-		params = machine.Default()
-	}
-	space := cfg.Space
-	if space == nil {
-		space = memsim.NewSpace(cfg.Nodes)
+	base, err := platform.NewBase("swdsm", cfg.Nodes, cfg.Params, cfg.Space, cfg.Clocks)
+	if err != nil {
+		return nil, err
 	}
 	d := &DSM{
-		params: params,
-		space:  space,
-		clocks: make([]*vclock.Clock, cfg.Nodes),
-		nodes:  make([]*node, cfg.Nodes),
+		Base: base, nodes: make([]*node, cfg.Nodes), cacheCap: cfg.CachePages,
+		protocol: cfg.Protocol, agg: cfg.Aggregation, dropInval: cfg.DropInvalidations,
+		migrateAfter: cfg.MigrateAfter, migration: newMigrationState(), vbMig: vclock.NewVBarrier(cfg.Nodes),
 	}
-	if cfg.Clocks != nil {
-		if len(cfg.Clocks) != cfg.Nodes {
-			return nil, fmt.Errorf("swdsm: %d clocks for %d nodes", len(cfg.Clocks), cfg.Nodes)
-		}
-		copy(d.clocks, cfg.Clocks)
-	} else {
-		for i := range d.clocks {
-			d.clocks[i] = &vclock.Clock{}
-		}
+	if d.cacheCap <= 0 {
+		d.cacheCap = DefaultCachePages
 	}
-	if cfg.Layer != nil {
-		if cfg.Layer.Network().Size() != cfg.Nodes {
-			return nil, fmt.Errorf("swdsm: shared layer has %d nodes, want %d",
-				cfg.Layer.Network().Size(), cfg.Nodes)
-		}
-		d.layer = cfg.Layer
-		for i := range d.clocks {
-			d.clocks[i] = cfg.Layer.Network().Clock(simnet.NodeID(i))
-		}
-	} else {
-		net := simnet.NewTopo(params.Ethernet, d.clocks, cfg.Topology)
-		d.layer = amsg.New(net, params.Ethernet)
-	}
-	cap := cfg.CachePages
-	if cap <= 0 {
-		cap = DefaultCachePages
-	}
+	d.layer = amsg.New(simnet.NewTopo(base.Cost.Ethernet, d.Clocks, cfg.Topology), base.Cost.Ethernet)
 	for i := range d.nodes {
 		n := &node{
 			id:        i,
 			dsm:       d,
 			home:      pagestore.New(),
-			pcache:    machine.NewPageCache(params.Bus.CachePages),
+			pcache:    machine.NewPageCache(base.Cost.Bus.CachePages),
 			cache:     make(map[memsim.PageID]*cpage),
 			dirty:     make(map[memsim.PageID]struct{}),
 			homeDirty: make(map[memsim.PageID]struct{}),
@@ -304,13 +266,6 @@ func New(cfg Config) (*DSM, error) {
 		d.registerAggHandlers(n)
 		d.registerMigrateHandler(n)
 	}
-	d.cacheCap = cap
-	d.protocol = cfg.Protocol
-	d.agg = cfg.Aggregation
-	d.dropInval = cfg.DropInvalidations
-	d.migrateAfter = cfg.MigrateAfter
-	d.migration = newMigrationState()
-	d.vbMig = vclock.NewVBarrier(cfg.Nodes)
 	// Under an active call-fault plan, retry timeouts desynchronize
 	// barrier arrivals; switch to the quiescent-instant release so seeded
 	// campaigns replay bit-identically (fault-free runs keep the legacy
@@ -336,46 +291,39 @@ func (d *DSM) registerHandlers(n *node) {
 		out := pagestore.GetPage()
 		copy(out, hp.Data)
 		hp.Mu.Unlock()
-		return out, d.params.CPU.PageCopyNs
+		return out, d.Cost.CPU.PageCopyNs
 	})
-	d.layer.Register(id, kindApplyDiff, func(from amsg.NodeID, req []byte) ([]byte, vclock.Duration) {
+	d.layer.Register(id, kindApplyDiff, func(_ amsg.NodeID, req []byte) ([]byte, vclock.Duration) {
 		dec := amsg.MakeDec(req)
 		p := memsim.PageID(dec.U64())
-		diff := dec.Blob()
-		hp := n.home.Frame(p)
-		hp.Mu.Lock()
-		err := applyDiff(hp.Data, diff)
-		hp.Mu.Unlock()
-		if err != nil {
-			panic(err) // internal protocol corruption
-		}
-		n.markCkptDirty(p)
-		// Applying a diff costs roughly a proportional share of a page copy.
-		cost := d.params.CPU.PageCopyNs * vclock.Duration(len(diff)+1) / memsim.PageSize
-		if rec := d.rec; rec != nil && rec.Enabled() {
-			rec.Record(n.id, perfmon.EvDiffApply, d.clocks[n.id].Now(), cost, uint64(p), uint64(len(diff)))
-		}
-		return nil, cost
+		return nil, n.applyHome(p, dec.Blob())
 	})
+}
+
+// applyHome patches home page p with one diff, singleton or batched, and
+// returns what applying it costs: roughly a proportional share of a page
+// copy (batching saves messages, never modeled CPU work).
+func (n *node) applyHome(p memsim.PageID, diff []byte) vclock.Duration {
+	hp := n.home.Frame(p)
+	hp.Mu.Lock()
+	err := applyDiff(hp.Data, diff)
+	hp.Mu.Unlock()
+	if err != nil {
+		panic(err) // internal protocol corruption
+	}
+	n.markCkptDirty(p)
+	cost := n.dsm.Cost.CPU.PageCopyNs * vclock.Duration(len(diff)+1) / memsim.PageSize
+	if rec := n.dsm.rec; rec != nil && rec.Enabled() {
+		rec.Record(n.id, perfmon.EvDiffApply, n.dsm.Clocks[n.id].Now(), cost, uint64(p), uint64(len(diff)))
+	}
+	return cost
 }
 
 // Kind implements platform.Substrate.
 func (d *DSM) Kind() platform.Kind { return platform.SWDSM }
 
-// Nodes implements platform.Substrate.
-func (d *DSM) Nodes() int { return len(d.nodes) }
-
-// Clock implements platform.Substrate.
-func (d *DSM) Clock(node int) *vclock.Clock { return d.clocks[node] }
-
-// Space implements platform.Substrate.
-func (d *DSM) Space() *memsim.Space { return d.space }
-
-// Params implements platform.Substrate.
-func (d *DSM) Params() machine.Params { return d.params }
-
-// Layer exposes the active-message layer (for the integration tests and
-// the coalesced-messaging configuration).
+// Layer exposes the active-message layer: core adopts it for coalesced
+// user messaging, and the fault campaigns install plans on its network.
 func (d *DSM) Layer() *amsg.Layer { return d.layer }
 
 // EngineName implements consengine.Engine: the protocol variant's name.
@@ -397,23 +345,8 @@ func (d *DSM) Caps() platform.Caps {
 	return platform.Caps{
 		PageCaching:      true,
 		ConsistencyModel: d.protocol.String(),
-		Placement: []memsim.Policy{
-			memsim.Block, memsim.Cyclic, memsim.FirstTouch, memsim.Fixed,
-		},
+		Placement:        platform.Policies(),
 	}
-}
-
-// Alloc implements platform.Substrate.
-func (d *DSM) Alloc(size uint64, name string, pol memsim.Policy, fixedNode int) (memsim.Region, error) {
-	return d.space.Alloc(size, name, pol, fixedNode)
-}
-
-// Free implements platform.Substrate.
-func (d *DSM) Free(r memsim.Region) error { return d.space.Free(r) }
-
-// Compute implements platform.Substrate.
-func (d *DSM) Compute(node int, flops uint64) {
-	d.clocks[node].Advance(vclock.Duration(flops) * d.params.CPU.FlopNs)
 }
 
 // NodeStats implements platform.Substrate. Call only while the node's
@@ -428,8 +361,7 @@ func (d *DSM) ResetStats(node int) {
 
 // SetRecorder implements platform.Substrate: attaches the recorder to the
 // protocol and to the messaging stack underneath it (the active-message
-// layer and its network), so one call instruments the whole path whether
-// the layer is private or HAMSTER's shared coalesced layer.
+// layer and its network), so one call instruments the whole path.
 func (d *DSM) SetRecorder(rec *perfmon.Recorder) {
 	d.rec = rec
 	d.Manager.SetRecorder(rec)
@@ -451,7 +383,7 @@ func (d *DSM) Close() { d.layer.Network().Close() }
 // remote fetch/diff handlers running on other goroutines (false sharing
 // between nodes is legal in DRF programs).
 func (n *node) readPage(p memsim.PageID, costWords, reads int) ([]byte, *pagestore.Frame) {
-	n.dsm.clocks[n.id].AdvanceCat(vclock.CatMemory, n.dsm.params.CPU.AccessNs*vclock.Duration(costWords))
+	n.dsm.Clocks[n.id].AdvanceCat(vclock.CatMemory, n.dsm.Cost.CPU.AccessNs*vclock.Duration(costWords))
 	n.stats.Reads += uint64(reads)
 	n.touchLocal(p)
 	if f := n.window.Get(p, n.gen); f != nil {
@@ -459,7 +391,7 @@ func (n *node) readPage(p memsim.PageID, costWords, reads int) ([]byte, *pagesto
 		// consistency action has intervened.
 		return n.windowFrame(f)
 	}
-	home := n.dsm.space.HomeFor(p, n.id)
+	home := n.dsm.Mem.HomeFor(p, n.id)
 	if home == n.id {
 		hp := n.home.Frame(p)
 		_, hd := n.homeDirty[p]
@@ -500,7 +432,7 @@ func (n *node) windowFrame(f *fastFrame) ([]byte, *pagestore.Frame) {
 
 // fault fetches a remote page into the cache.
 func (n *node) fault(p memsim.PageID, home int) *cpage {
-	clk := n.dsm.clocks[n.id]
+	clk := n.dsm.Clocks[n.id]
 	t0 := clk.Now()
 	enc := amsg.GetEnc()
 	req := enc.U64(uint64(p)).Bytes()
@@ -511,7 +443,7 @@ func (n *node) fault(p memsim.PageID, home int) *cpage {
 		// a re-resolved home gets one more chance. Beyond that the run is
 		// lost — the authoritative copy lives nowhere else — so fail with
 		// a diagnostic instead of computing on stale data.
-		if cur := n.dsm.space.Home(p); cur != home {
+		if cur := n.dsm.Mem.Home(p); cur != home {
 			home = cur
 			n.stats.ProtocolMsgs++
 			data, err = n.dsm.layer.CallErr(simnet.NodeID(n.id), simnet.NodeID(home), kindFetchPage, req)
@@ -520,8 +452,8 @@ func (n *node) fault(p memsim.PageID, home int) *cpage {
 			panic(fmt.Sprintf("swdsm: node %d cannot fetch page %d from home node %d: %v", n.id, p, home, err))
 		}
 	}
-	enc.Free()                                                    // the call returned: no reference to the request remains
-	clk.AdvanceCat(vclock.CatMemory, n.dsm.params.CPU.PageCopyNs) // install copy
+	enc.Free()                                                  // the call returned: no reference to the request remains
+	clk.AdvanceCat(vclock.CatMemory, n.dsm.Cost.CPU.PageCopyNs) // install copy
 	if rec := n.dsm.rec; rec != nil && rec.Enabled() {
 		rec.Record(n.id, perfmon.EvPageFault, t0, vclock.Since(t0, clk.Now()), uint64(p), uint64(home))
 	}
@@ -561,7 +493,7 @@ func (n *node) evictIfNeeded() {
 // a remote page from the first write of an interval on. A home frame comes
 // back locked, as from readPage.
 func (n *node) writePage(p memsim.PageID, costWords, writes int) ([]byte, *pagestore.Frame) {
-	n.dsm.clocks[n.id].AdvanceCat(vclock.CatMemory, n.dsm.params.CPU.AccessNs*vclock.Duration(costWords))
+	n.dsm.Clocks[n.id].AdvanceCat(vclock.CatMemory, n.dsm.Cost.CPU.AccessNs*vclock.Duration(costWords))
 	n.stats.Writes += uint64(writes)
 	n.touchLocal(p)
 	if f := n.window.Get(p, n.gen); f != nil && f.dirty {
@@ -570,7 +502,7 @@ func (n *node) writePage(p memsim.PageID, costWords, writes int) ([]byte, *pages
 		// pure bookkeeping re-checks.
 		return n.windowFrame(f)
 	}
-	home := n.dsm.space.HomeFor(p, n.id)
+	home := n.dsm.Mem.HomeFor(p, n.id)
 	if home == n.id {
 		n.homeDirty[p] = struct{}{}
 		hp := n.home.Frame(p)
@@ -586,11 +518,11 @@ func (n *node) writePage(p memsim.PageID, costWords, writes int) ([]byte, *pages
 		n.lru.MoveToFront(cp)
 	}
 	if cp.Ext.twin == nil {
-		clk := n.dsm.clocks[n.id]
+		clk := n.dsm.Clocks[n.id]
 		t0 := clk.Now()
 		cp.Ext.twin = getTwin()
 		copy(cp.Ext.twin, cp.Data)
-		clk.AdvanceCat(vclock.CatMemory, n.dsm.params.CPU.PageCopyNs)
+		clk.AdvanceCat(vclock.CatMemory, n.dsm.Cost.CPU.PageCopyNs)
 		n.stats.TwinsCreated++
 		n.dirty[p] = struct{}{}
 		if rec := n.dsm.rec; rec != nil && rec.Enabled() {
@@ -604,7 +536,7 @@ func (n *node) writePage(p memsim.PageID, costWords, writes int) ([]byte, *pages
 // touchLocal charges the CPU-cache model for one local page reference.
 func (n *node) touchLocal(p memsim.PageID) {
 	if !n.pcache.Touch(uint64(p)) {
-		n.dsm.clocks[n.id].AdvanceCat(vclock.CatMemory, n.dsm.params.Bus.MissCost())
+		n.dsm.Clocks[n.id].AdvanceCat(vclock.CatMemory, n.dsm.Cost.Bus.MissCost())
 		n.stats.CacheMisses++
 	}
 }

@@ -19,13 +19,13 @@ import (
 // synchronization — has something to add at a boundary.
 func (d *DSM) syncConfig(liveRelease func() bool) hsync.Config {
 	topo := d.layer.Network().Topology()
-	wire := hsync.EthernetWire(d.params.Ethernet, topo)
+	wire := hsync.EthernetWire(d.Cost.Ethernet, topo)
 	wire.Notices = true
 	if d.agg.Batch {
 		wire.Piggyback = d.piggybackNoticeCost
 	}
 	cfg := hsync.Config{
-		Name: "swdsm", Clocks: d.clocks, Wire: wire, Topology: topo,
+		Name: "swdsm", Clocks: d.Clocks, Wire: wire, Topology: topo,
 		Engine: d, LiveRelease: liveRelease, Rendezvous: []*vclock.VBarrier{d.vbMig},
 	}
 	if d.protocol == EagerRC {
@@ -49,10 +49,10 @@ func (d *DSM) broadcastNotices(nodeID int, pages []memsim.PageID) {
 	for m := range d.nodes {
 		if m != nodeID {
 			sum += d.msg(nodeID, m, hsync.NoticeBytes(len(pages)))
-			d.clocks[m].Steal(d.params.Ethernet.HandlerNs)
+			d.Clocks[m].Steal(d.Cost.Ethernet.HandlerNs)
 		}
 	}
-	d.clocks[nodeID].AdvanceCat(vclock.CatNetwork, sum)
+	d.Clocks[nodeID].AdvanceCat(vclock.CatNetwork, sum)
 	d.nodes[nodeID].stats.ProtocolMsgs += uint64(len(d.nodes) - 1)
 }
 
@@ -61,7 +61,7 @@ func (d *DSM) broadcastNotices(nodeID int, pages []memsim.PageID) {
 // retarget page homes.
 func (d *DSM) migrationPhase(nodeID int, epoch uint64) {
 	const manager = 0
-	n, clk := d.nodes[nodeID], d.clocks[nodeID]
+	n, clk := d.nodes[nodeID], d.Clocks[nodeID]
 	d.migration.depositWishes(epoch, nodeID, n.migrationWishes())
 	arrive := d.msg(nodeID, manager, hsync.NoticeBytes(0))
 	if nodeID == manager {
@@ -112,9 +112,9 @@ func (n *node) invalidate(pages []memsim.PageID) {
 // the home. The page stays cached and clean.
 func (n *node) flushPage(p memsim.PageID, cp *cpage) {
 	d := n.dsm
-	clk := d.clocks[n.id]
+	clk := d.Clocks[n.id]
 	t0 := clk.Now()
-	clk.AdvanceCat(vclock.CatProtocol, d.params.CPU.DiffScanNs)
+	clk.AdvanceCat(vclock.CatProtocol, d.Cost.CPU.DiffScanNs)
 	diff := buildDiff(cp.Data, cp.Ext.twin)
 	putTwin(cp.Ext.twin)
 	cp.Ext.twin = nil
@@ -123,7 +123,7 @@ func (n *node) flushPage(p memsim.PageID, cp *cpage) {
 		putDiff(diff)
 		return
 	}
-	home := d.space.Home(p)
+	home := d.Mem.Home(p)
 	// Enc.Blob copies the diff into the request, so the scratch buffer can
 	// be recycled as soon as the call returns — and the encoder with it.
 	enc := amsg.GetEnc()

@@ -158,9 +158,6 @@ func (d Duration) String() string {
 // Seconds returns the duration in seconds.
 func (d Duration) Seconds() float64 { return float64(d) / 1e9 }
 
-// Micros returns the duration in microseconds.
-func (d Duration) Micros() float64 { return float64(d) / 1e3 }
-
 // Clock is a per-node virtual clock.
 //
 // All methods are safe for concurrent use. Several tasks time-sharing one
