@@ -357,29 +357,38 @@ func runGuarded(sys *jiajia.System, kernel apps.Kernel) (results []apps.Result, 
 
 // faultReport prints what the fault campaign did to the run: wire-level
 // drops, protocol retries and timeouts, and the failure detector's view
-// of the cluster.
+// of the cluster. Retries come from the active-message layer's exact
+// counters; timeouts and node-downs are counted from the retained events,
+// so when the recorder dropped events the report says so.
 func faultReport(rt *hamster.Runtime, w io.Writer) {
+	layer := rt.AMsg()
 	drops := rt.Network().Drops()
-	if layer := rt.AMsg(); layer != nil && layer.Network() != rt.Network() {
+	if layer != nil && layer.Network() != rt.Network() {
 		drops += layer.Network().Drops()
 	}
 	rec := rt.Perf()
-	var retries, timeouts, downs uint64
+	var timeouts, downs, lost uint64
 	for n := 0; n < rec.Nodes(); n++ {
 		counts := rec.KindCount(n)
-		retries += counts[perfmon.EvRetry]
 		timeouts += counts[perfmon.EvTimeout]
 		downs += counts[perfmon.EvNodeDown]
+		lost += rec.Dropped(n)
+	}
+	var retries, suppressed uint64
+	if layer != nil {
+		for n := 0; n < rt.Nodes(); n++ {
+			r, s := layer.Stats(simnet.NodeID(n)).Faults()
+			retries += r
+			suppressed += s
+		}
 	}
 	fmt.Fprintf(w, "dropped msgs  %d\n", drops)
 	fmt.Fprintf(w, "retries       %d\n", retries)
 	fmt.Fprintf(w, "timeouts      %d\n", timeouts)
-	if layer := rt.AMsg(); layer != nil {
-		var suppressed uint64
-		for n := 0; n < rt.Nodes(); n++ {
-			_, s := layer.Stats(simnet.NodeID(n)).Faults()
-			suppressed += s
-		}
+	if lost > 0 {
+		fmt.Fprintf(w, "events dropped %d (timeouts and node-downs are lower bounds)\n", lost)
+	}
+	if layer != nil {
 		fmt.Fprintf(w, "dup suppressed %d\n", suppressed)
 		if layer.Network().Closed() {
 			// The run aborted and tore the network down: probing now

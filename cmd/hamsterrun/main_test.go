@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -11,6 +12,9 @@ import (
 	"testing"
 
 	"hamster"
+	"hamster/internal/perfmon"
+	"hamster/internal/simnet"
+	"hamster/models/jiajia"
 )
 
 // Every command line the command cannot honor exits 2 before anything
@@ -156,6 +160,52 @@ func TestAbortedRunKeepsProfile(t *testing.T) {
 		if info, err := os.Stat(path); err != nil || info.Size() == 0 {
 			t.Errorf("%s was not flushed: %v", filepath.Base(path), err)
 		}
+	}
+}
+
+// The fault report's retry count is exact even when the event recorder
+// has no room left: every node's ring is full before a lossy run starts,
+// so not one EvRetry is retained, and the report must still print the
+// active-message layer's counter and say that events were dropped.
+func TestFaultReportRetriesSurviveFullRings(t *testing.T) {
+	plan, err := simnet.FaultProfile("very-lossy", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := jiajia.Boot(hamster.Config{Platform: hamster.SWDSM, Nodes: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Shutdown()
+	rt := sys.Runtime()
+	rt.SetFaults(plan)
+	rec := rt.Perf()
+	rec.Enable()
+	for n := 0; n < rec.Nodes(); n++ {
+		for i := 0; i < perfmon.DefaultCapacity; i++ {
+			rec.Record(n, perfmon.EvService, 0, 0, 0, 0)
+		}
+	}
+	kernel, _, _ := pickKernel("sor-opt", 64, 2)
+	if _, err := runGuarded(sys, kernel); err != nil {
+		t.Fatal(err)
+	}
+
+	var want uint64
+	for n := 0; n < rt.Nodes(); n++ {
+		r, _ := rt.AMsg().Stats(simnet.NodeID(n)).Faults()
+		want += r
+	}
+	if want == 0 {
+		t.Fatal("the lossy plan caused no retries; the test proves nothing")
+	}
+	var out bytes.Buffer
+	faultReport(rt, &out)
+	if line := fmt.Sprintf("retries       %d\n", want); !strings.Contains(out.String(), line) {
+		t.Errorf("report does not print the layer's %d retries:\n%s", want, &out)
+	}
+	if !strings.Contains(out.String(), "events dropped ") {
+		t.Errorf("report hides that the recorder dropped events:\n%s", &out)
 	}
 }
 

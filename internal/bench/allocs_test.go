@@ -2,13 +2,17 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
+	"hamster/internal/consengine"
+	"hamster/internal/core"
 	"hamster/internal/hybriddsm"
 	"hamster/internal/ivy"
 	"hamster/internal/memsim"
 	"hamster/internal/pagestore"
 	"hamster/internal/platform"
+	"hamster/internal/simnet"
 	"hamster/internal/smp"
 	"hamster/internal/swdsm"
 )
@@ -184,6 +188,30 @@ func TestWordAccessZeroAlloc(t *testing.T) {
 			warm(op, hybriddsm.DefaultCacheThreshold) // faults, twins, caches and map buckets
 			if avg := testing.AllocsPerRun(50, op); avg != 0 {
 				t.Errorf("eight word accesses allocate %.2f objects, want 0", avg)
+			}
+		})
+	}
+}
+
+// TestBootAllocBudget bounds what booting and closing a 64-node runtime
+// allocates. The runtime attaches a disabled event recorder to every
+// layer; while it holds a ring per node from boot, this is ~170 MB, so a
+// ring allocated before Enable fails it.
+func TestBootAllocBudget(t *testing.T) {
+	skipUnderRace(t)
+	const budget = 4 << 20
+	for _, engine := range []string{consengine.ScopeName, consengine.IVYName} {
+		t.Run(engine, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			rt, err := core.New(core.Config{Platform: platform.SWDSM, Nodes: 64, Topology: simnet.TopoRack, Engine: engine})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt.Close()
+			runtime.ReadMemStats(&after)
+			if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+				t.Errorf("%s/64/rack boot+close allocated %.1f MB, budget %.0f MB", engine, float64(got)/(1<<20), float64(budget)/(1<<20))
 			}
 		})
 	}

@@ -293,10 +293,12 @@ func NewWithSubstrate(sub platform.Substrate, msgLink machine.Link, threaded boo
 }
 
 // attachRecorder creates the (initially disabled) protocol event recorder
-// and distributes it to the substrate and the user-messaging network.
-// Attachment happens before any node goroutine starts, so the recorder
-// pointers are published by goroutine creation and the hot-path check is a
-// single atomic load of the enable flag.
+// and distributes it to the substrate and the user-messaging network. It
+// costs only the per-node ring headers: the event rings are allocated by
+// the first Enable, so an untraced run never pays for them. Attachment
+// happens before any node goroutine starts, so the recorder pointers are
+// published by goroutine creation and the hot-path check is a single
+// atomic load of the enable flag.
 func (rt *Runtime) attachRecorder() {
 	rt.perf = perfmon.New(rt.sub.Nodes(), 0)
 	rt.sub.SetRecorder(rt.perf)
@@ -304,8 +306,9 @@ func (rt *Runtime) attachRecorder() {
 }
 
 // Perf returns the runtime's protocol event recorder. It is attached to
-// every layer at construction but disabled; call Enable before the run to
-// start collecting events, and read them out once the run is quiescent.
+// every layer at construction but disabled and without event rings; call
+// Enable before the run to allocate them and start collecting events, and
+// read them out once the run is quiescent.
 func (rt *Runtime) Perf() *perfmon.Recorder { return rt.perf }
 
 // Network returns the user-messaging network. With coalesced messaging on

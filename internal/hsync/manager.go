@@ -168,9 +168,9 @@ type lock struct {
 type nodeState struct {
 	acquires, barriers, msgs uint64
 	epoch                    uint64
-	// Reusable buffers: the drained notice list and the barrier's view of
-	// the lock table grow once, so steady synchronization allocates
-	// nothing here.
+	// Reusable buffers: the drained or collected notice list and the
+	// barrier's view of the lock table grow once, so steady
+	// synchronization allocates nothing here.
 	scratch []memsim.PageID
 	locks   []*lock
 }
@@ -443,7 +443,8 @@ func (m *Manager) Barrier(node int) {
 	m.vb.Arrive(clk, arrive, wave)
 
 	if m.cfg.Engine != nil {
-		others := m.exchange.CollectOthers(epoch, node)
+		others := m.exchange.CollectOthers(epoch, node, ns.scratch[:0])
+		ns.scratch = others
 		if w.Notices && node != 0 {
 			if m.tree != nil {
 				// The release wave carries the merged notices back down.

@@ -85,8 +85,11 @@ func (b *Board) Pending(node int) int {
 
 // EpochExchange merges per-node notices at barrier epochs. Every node
 // deposits its notices for epoch e before the barrier rendezvous and
-// collects everyone else's after it; the epoch's storage is reclaimed when
-// all nodes have collected.
+// collects everyone else's after it, appending them into a buffer it owns;
+// the epoch's storage is reclaimed when all nodes have collected. The
+// rendezvous orders every Deposit of an epoch before its collections, so
+// the lock only guards the epoch table: the N collections of an epoch copy
+// the deposited lists concurrently, each into its own buffer.
 type EpochExchange struct {
 	mu     sync.Mutex
 	nodes  int
@@ -94,7 +97,7 @@ type EpochExchange struct {
 }
 
 type epochData struct {
-	notices map[int][]memsim.PageID
+	notices [][]memsim.PageID // indexed by depositing node
 	fetched int
 }
 
@@ -110,38 +113,39 @@ func (e *EpochExchange) Deposit(epoch uint64, node int, pages []memsim.PageID) {
 	defer e.mu.Unlock()
 	ed, ok := e.epochs[epoch]
 	if !ok {
-		ed = &epochData{notices: make(map[int][]memsim.PageID)}
+		ed = &epochData{notices: make([][]memsim.PageID, e.nodes)}
 		e.epochs[epoch] = ed
 	}
 	ed.notices[node] = pages
 }
 
-// CollectOthers returns the union of all other nodes' notices for an
-// epoch. Must be called after the barrier rendezvous, exactly once per
-// node per epoch.
-func (e *EpochExchange) CollectOthers(epoch uint64, node int) []memsim.PageID {
+// CollectOthers appends the union of all other nodes' notices for an
+// epoch to dst and returns the extended slice (dst itself when nobody
+// deposited). Must be called after the barrier rendezvous, exactly once
+// per node per epoch. The caller owns dst; the exchange never aliases it.
+func (e *EpochExchange) CollectOthers(epoch uint64, node int, dst []memsim.PageID) []memsim.PageID {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	ed, ok := e.epochs[epoch]
-	if !ok {
-		return nil
-	}
-	// Walk depositors in node order, never map order: the collected list
-	// feeds invalidations whose flush traffic must be a pure function of
-	// program state for seeded fault campaigns to replay bit-identically
-	// (virtual totals commute, but message sequences are positional).
-	var out []memsim.PageID
-	for id := 0; id < e.nodes; id++ {
-		if id == node {
-			continue
+	if ok {
+		ed.fetched++
+		if ed.fetched == e.nodes {
+			delete(e.epochs, epoch)
 		}
-		out = append(out, ed.notices[id]...)
 	}
-	ed.fetched++
-	if ed.fetched == e.nodes {
-		delete(e.epochs, epoch)
+	e.mu.Unlock()
+	if !ok {
+		return dst
 	}
-	return out
+	// Append depositors in node order: the collected list feeds
+	// invalidations whose flush traffic must be a pure function of program
+	// state for seeded fault campaigns to replay bit-identically (virtual
+	// totals commute, but message sequences are positional).
+	for id, pages := range ed.notices {
+		if id != node {
+			dst = append(dst, pages...)
+		}
+	}
+	return dst
 }
 
 // LiveEpochs reports how many epochs still hold storage (tests).

@@ -6,10 +6,12 @@
 //
 // Design constraints, in order:
 //
-//  1. Near-zero cost when disabled. The hot path is
-//     `if rec != nil && rec.Enabled() { ... }`: one nil check and one
+//  1. Near-zero cost when disabled, in time and in memory. The hot path
+//     is `if rec != nil && rec.Enabled() { ... }`: one nil check and one
 //     atomic load, no allocations, no argument evaluation. Substrate
-//     access paths stay allocation-free (benchmark-enforced).
+//     access paths stay allocation-free (benchmark-enforced). A recorder
+//     that is never enabled holds only its per-node ring headers: the
+//     event buffers are allocated by the first Enable.
 //  2. Lock-free when enabled. Each node owns a fixed-capacity event
 //     buffer; writers claim slots with one atomic add. The recorder
 //     keeps the FIRST capacity events per node and counts the rest as
@@ -25,6 +27,8 @@
 package perfmon
 
 import (
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"hamster/internal/vclock"
@@ -193,8 +197,9 @@ type Event struct {
 
 // DefaultCapacity is the per-node event capacity used when a Recorder is
 // built with capacity 0: generous enough for verification-sized runs
-// (a 2-node SOR records a few thousand events) while bounding memory at
-// ~2.5 MiB per node.
+// (a 2-node SOR records a few thousand events). Each node's ring of
+// DefaultCapacity events (~2.5 MiB) is allocated at the first Enable,
+// never by New.
 const DefaultCapacity = 1 << 16
 
 // Recorder collects typed protocol events for a fixed set of nodes.
@@ -202,27 +207,26 @@ const DefaultCapacity = 1 << 16
 // and toggle with Enable/Disable. The zero cost-when-disabled contract
 // is the caller's half too: guard argument evaluation with Enabled().
 type Recorder struct {
-	on    atomic.Bool
-	rings []ring
+	on       atomic.Bool
+	rings    []ring
+	capacity int
+	grow     sync.Mutex // serializes Enable's ring allocation
 }
 
 type ring struct {
 	pos atomic.Uint64 // total events ever offered; slots [0,cap) hold the first cap
-	buf []Event
-	_   [32]byte // keep neighboring rings off one cache line
+	buf []Event       // nil until the first Enable; never replaced after
+	_   [32]byte      // keep neighboring rings off one cache line
 }
 
 // New builds a recorder for nodes nodes with the given per-node event
-// capacity (0 = DefaultCapacity). The recorder starts disabled.
+// capacity (0 = DefaultCapacity). The recorder starts disabled and
+// allocates no event buffer until it is enabled.
 func New(nodes, capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	r := &Recorder{rings: make([]ring, nodes)}
-	for i := range r.rings {
-		r.rings[i].buf = make([]Event, capacity)
-	}
-	return r
+	return &Recorder{rings: make([]ring, nodes), capacity: capacity}
 }
 
 // Nodes returns the number of per-node event buffers.
@@ -232,8 +236,20 @@ func (r *Recorder) Nodes() int { return len(r.rings) }
 // load on the hot path.
 func (r *Recorder) Enabled() bool { return r.on.Load() }
 
-// Enable starts recording.
-func (r *Recorder) Enable() { r.on.Store(true) }
+// Enable starts recording. The first call allocates every node's ring;
+// the store that turns recording on comes after, so a Record that sees
+// the recorder on also sees its buffer. Later calls keep the rings and
+// the events already in them.
+func (r *Recorder) Enable() {
+	r.grow.Lock()
+	defer r.grow.Unlock()
+	for i := range r.rings {
+		if r.rings[i].buf == nil {
+			r.rings[i].buf = make([]Event, r.capacity)
+		}
+	}
+	r.on.Store(true)
+}
 
 // Disable stops recording. Already-recorded events remain readable.
 func (r *Recorder) Disable() { r.on.Store(false) }
@@ -282,9 +298,7 @@ func (r *Recorder) Dropped(node int) uint64 {
 // Events returns a copy of one node's retained events in record order.
 // Quiescent use only.
 func (r *Recorder) Events(node int) []Event {
-	out := make([]Event, r.Len(node))
-	copy(out, r.rings[node].buf[:len(out)])
-	return out
+	return slices.Clone(r.rings[node].buf[:r.Len(node)])
 }
 
 // AllEvents returns every node's retained events, ordered by node then

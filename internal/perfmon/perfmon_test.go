@@ -3,6 +3,7 @@ package perfmon
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -98,6 +99,71 @@ func TestRecorderReset(t *testing.T) {
 	}
 	if !r.Enabled() {
 		t.Fatal("Reset changed the enabled state")
+	}
+}
+
+// A recorder that is never enabled costs its ring headers, not its rings:
+// a 64-node runtime boots with one attached.
+func TestNewAllocatesNoRings(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := New(64, 0)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("New(64, 0) allocated %d bytes, want < 64 KiB", got)
+	}
+	for n := 0; n < r.Nodes(); n++ {
+		if r.Len(n) != 0 || r.Dropped(n) != 0 || len(r.Events(n)) != 0 {
+			t.Fatalf("never-enabled node %d: Len %d, Dropped %d, %d events", n, r.Len(n), r.Dropped(n), len(r.Events(n)))
+		}
+	}
+	r.Reset()
+	if r.Enabled() {
+		t.Fatal("Reset enabled a never-enabled recorder")
+	}
+}
+
+// Rings are allocated once and never replaced: turning recording off and
+// on again keeps what was recorded and allocates nothing.
+func TestReenableKeepsEventsWithoutAllocating(t *testing.T) {
+	r := New(2, 8)
+	r.Enable()
+	r.Record(0, EvBarrier, 1, 0, 11, 0)
+	r.Record(1, EvBarrier, 2, 0, 12, 0)
+	r.Disable()
+	if allocs := testing.AllocsPerRun(10, r.Enable); allocs != 0 {
+		t.Fatalf("re-Enable allocated %.2f objects, want 0", allocs)
+	}
+	r.Record(0, EvBarrier, 3, 0, 13, 0)
+	evs := r.Events(0)
+	if len(evs) != 2 || evs[0].Arg1 != 11 || evs[1].Arg1 != 13 || r.Len(1) != 1 {
+		t.Fatalf("after Disable/Enable node 0 holds %+v, node 1 %d events", evs, r.Len(1))
+	}
+}
+
+// Enable may race with Record on other goroutines: a Record that sees the
+// recorder on must see its ring (run under -race).
+func TestEnableRacesRecord(t *testing.T) {
+	const workers, perW = 4, 2000
+	r := New(workers, workers*perW)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perW; i++ {
+				r.Record(w, EvService, vclock.Time(i), 0, uint64(w), uint64(i))
+			}
+		}(w)
+	}
+	r.Enable()
+	wg.Wait()
+	for w := 0; w < workers; w++ {
+		for _, ev := range r.Events(w) {
+			if ev.Kind != EvService || ev.Arg1 != uint64(w) {
+				t.Fatalf("node %d holds a torn event %+v", w, ev)
+			}
+		}
 	}
 }
 

@@ -235,6 +235,23 @@ go test -race -run 'TestPNodesIdentity|TestPNodesFaultDeterminism|TestPNodesCras
 # at 0 — TestWordAccessZeroAlloc). Plain mode only — the race runtime
 # inserts its own allocations and would drown the signal.
 go test -run 'ZeroAlloc' ./internal/bench/
+# A disabled recorder costs no memory: New allocates ring headers only,
+# Enable allocates the rings once (and races safely with Record), and a
+# 64-node boot stays inside 4 MB (170 MB when every node had a ring).
+go test -race -run 'TestNewAllocatesNoRings|TestReenableKeepsEventsWithoutAllocating|TestEnableRacesRecord' ./internal/perfmon/
+go test -run 'TestBootAllocBudget' ./internal/bench/
+ringmakers=$(awk '/^func /{fn=$0} /make\(\[\]Event/ && fn !~ /\) Enable\(\)/' internal/perfmon/perfmon.go)
+if [ -n "$ringmakers" ]; then
+    echo "perfmon allocates an event ring outside Enable: $ringmakers" >&2
+    exit 1
+fi
+# One notice union per barrier epoch, collected into the caller's buffer
+# by the one collect function.
+collects=$(grep -c 'func (e \*EpochExchange) Collect' internal/notices/notices.go || true)
+if grep -rn 'CollectOthersInto' --include='*.go' . || [ "$collects" -ne 1 ]; then
+    echo "a second EpochExchange collect function: CollectOthers(epoch, node, dst) is the one" >&2
+    exit 1
+fi
 
 # The pooled-buffer ownership chain must survive concurrent
 # fetch/evict/invalidate/flush churn under the race detector (also part
