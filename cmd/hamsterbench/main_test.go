@@ -69,8 +69,8 @@ func TestCampaignEnvelope(t *testing.T) {
 	if dec.More() {
 		t.Fatal("stdout holds more than one JSON value")
 	}
-	if rep.Schema != bench.Schema || rep.Campaign != "engines" || len(rep.Rows) != 24 {
-		t.Fatalf("schema %q campaign %q rows %d, want %q engines 24", rep.Schema, rep.Campaign, len(rep.Rows), bench.Schema)
+	if rep.Schema != "hamster/campaign/v1" || rep.Campaign != "engines" || len(rep.Rows) != 24 {
+		t.Fatalf("schema %q campaign %q rows %d, want %q engines 24", rep.Schema, rep.Campaign, len(rep.Rows), "hamster/campaign/v1")
 	}
 	if !strings.Contains(stderr.String(), "sequential") {
 		t.Errorf("no table on stderr:\n%s", &stderr)

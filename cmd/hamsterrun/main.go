@@ -165,10 +165,8 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 		return usage("-recover requires -checkpoint: recovery rolls back to the last snapshot")
 	case o.recover && o.faults == "":
 		return usage("-recover requires a -faults profile with a planned crash (e.g. crash-node)")
-	case o.recover && (o.verify || o.timeline || o.trace != ""):
-		return usage("-recover replaces the runtime on rollback; -verify, -timeline, and -trace are not supported with it")
-	case o.recover && o.aggregate:
-		return usage("-aggregate is not supported with -recover: rollback re-admission has not been qualified against batched message sequences")
+	case o.checkpoint > 0 && (o.verify || o.timeline || o.trace != ""):
+		return usage("-checkpoint runs under the cluster supervisor, which replaces the runtime on rollback; -verify, -timeline, and -trace are not supported with it")
 	}
 	kernel, desc, err := pickKernel(o.bench, o.n, o.iters)
 	if err != nil {

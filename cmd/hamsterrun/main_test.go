@@ -43,7 +43,9 @@ func TestFlagsThroughTheFrontDoor(t *testing.T) {
 		{"recover with verify", []string{"-recover", "-checkpoint", "2", "-faults", "crash-node", "-verify"}, "-verify, -timeline, and -trace are not supported"},
 		{"recover with timeline", []string{"-recover", "-checkpoint", "2", "-faults", "crash-node", "-timeline"}, "-verify, -timeline, and -trace are not supported"},
 		{"recover with trace", []string{"-recover", "-checkpoint", "2", "-faults", "crash-node", "-trace", "t.json"}, "-verify, -timeline, and -trace are not supported"},
-		{"aggregate with recover", []string{"-recover", "-checkpoint", "2", "-faults", "crash-node", "-aggregate"}, "-aggregate is not supported with -recover"},
+		{"checkpoint with verify", []string{"-checkpoint", "2", "-verify"}, "-verify, -timeline, and -trace are not supported"},
+		{"checkpoint with timeline", []string{"-checkpoint", "2", "-timeline"}, "-verify, -timeline, and -trace are not supported"},
+		{"checkpoint with trace", []string{"-checkpoint", "2", "-trace", filepath.Join(t.TempDir(), "t.json")}, "-verify, -timeline, and -trace are not supported"},
 		{"unknown bench", []string{"-bench", "fft"}, `unknown benchmark "fft"`},
 		{"unknown fault profile", []string{"-faults", "gremlins"}, "lossy-ethernet"},
 		{"unknown platform", []string{"-platform", "vax"}, `unknown platform "vax"`},
@@ -225,9 +227,9 @@ var flagEvidence = map[string]struct{ field, file, needle string }{
 	"checkpoint":  {field: "CheckpointEvery"},
 	"incremental": {field: "CheckpointIncremental"},
 	// The §5.4 experiment itself: which program, at which size.
-	"bench": {file: "internal/bench/campaigns.go", needle: "func StandardKernels()"},
-	"n":     {file: "internal/bench/campaigns.go", needle: "func StandardKernels()"},
-	"iters": {file: "internal/bench/campaigns.go", needle: "func StandardKernels()"},
+	"bench": {file: "internal/bench/campaigns.go", needle: "func standardKernels()"},
+	"n":     {file: "internal/bench/campaigns.go", needle: "func standardKernels()"},
+	"iters": {file: "internal/bench/campaigns.go", needle: "func standardKernels()"},
 	// The cluster file: its keys are held by internal/cluster's matrix.
 	"config": {file: "internal/cluster/cluster_test.go", needle: "func TestSurfaceEvidence("},
 	// Fault campaigns: the 64-node lossy-wire gate draws its plans from the

@@ -115,7 +115,7 @@ func Example_consistencyCheck() {
 		e.WriteF64(base, float64(e.ID())) // both nodes, same word, no sync
 	})
 	rep := rt.CheckConsistency()
-	fmt.Println("data-race-free:", rep.DRF())
+	fmt.Println("data-race-free:", len(rep.Races) == 0)
 	// Output: data-race-free: false
 }
 
@@ -131,6 +131,6 @@ func ExampleConsistencyReport() {
 		{Node: 1, Kind: conscheck.Release, Lock: 1},
 	}
 	rep := conscheck.Analyze(events, 2)
-	fmt.Println("data-race-free:", rep.DRF())
+	fmt.Println("data-race-free:", len(rep.Races) == 0)
 	// Output: data-race-free: true
 }

@@ -56,7 +56,7 @@ type Layer struct {
 	// Reliability state (see retry.go): the retry policy, per-caller
 	// idempotency-key counters, per-target duplicate-suppression tables,
 	// and the set of peers declared down by the health monitor.
-	policy  RetryPolicy
+	policy  retryPolicy
 	callSeq []atomic.Uint64
 	svc     []svcTable
 	down    []atomic.Bool
@@ -100,7 +100,7 @@ func New(net *simnet.Network, link machine.Link) *Layer {
 		svc:     make([]svcTable, net.Size()),
 		down:    make([]atomic.Bool, net.Size()),
 	}
-	l.policy = l.fitPolicy(RetryPolicy{})
+	l.policy = l.fitPolicy(retryPolicy{})
 	empty := make(map[Kind][]Handler)
 	l.handlers.Store(&empty)
 	return l
@@ -165,7 +165,7 @@ func (l *Layer) Call(from, to NodeID, kind Kind, req []byte) []byte {
 }
 
 // CallErr is Call with graceful failure: instead of panicking it returns
-// ErrClosed when the network is torn down mid-call and *UnreachableError
+// errClosed when the network is torn down mid-call and *UnreachableError
 // when the target's retry budget is exhausted or it was marked down. The
 // handler is guaranteed to have executed exactly once when err is nil and
 // at most once otherwise.
@@ -179,11 +179,11 @@ func (l *Layer) CallErr(from, to NodeID, kind Kind, req []byte) ([]byte, error) 
 		l.count(from, to, len(req), len(resp))
 		return resp, nil
 	}
-	if l.NodeDown(to) {
+	if l.nodeDown(to) {
 		return nil, &UnreachableError{Node: to, Kind: kind}
 	}
 	if l.net.CallFaultsActive() {
-		return l.callReliable(from, to, kind, h, req, false)
+		return l.callReliable(from, to, kind, h, req)
 	}
 
 	// Fault-free fast path: one indivisible round trip.
@@ -210,72 +210,6 @@ func (l *Layer) CallErr(from, to NodeID, kind Kind, req []byte) ([]byte, error) 
 
 	l.count(from, to, len(req), len(resp))
 	return resp, nil
-}
-
-// Notify is a one-way active message: the handler runs at the target (cost
-// stolen) but the caller does not wait for a response and is charged only
-// the send-side costs. Used for write-notice pushes and similar
-// fire-and-forget protocol traffic. Like Call, it panics when the target
-// is unreachable; NotifyErr is the graceful variant.
-func (l *Layer) Notify(from, to NodeID, kind Kind, req []byte) {
-	if err := l.NotifyErr(from, to, kind, req); err != nil {
-		panic(fmt.Sprintf("amsg: kind-%d notify from node %d: %v", kind, from, err))
-	}
-}
-
-// NotifyErr is Notify with graceful failure. Under an active fault plan
-// the message is acknowledged at the NIC level and retransmitted on
-// loss, so err == nil guarantees the handler executed exactly once; the
-// clean-path cost stays that of a posted send.
-func (l *Layer) NotifyErr(from, to NodeID, kind Kind, req []byte) error {
-	h := l.handlerFor(to, kind)
-	caller := l.net.Clock(from)
-	if from == to {
-		_, extra := h(from, req)
-		caller.AdvanceCat(vclock.CatProtocol, LocalCallNs+extra)
-		l.count(from, to, len(req), 0)
-		return nil
-	}
-	if l.NodeDown(to) {
-		return &UnreachableError{Node: to, Kind: kind}
-	}
-	if l.net.CallFaultsActive() {
-		_, err := l.callReliable(from, to, kind, h, req, true)
-		return err
-	}
-	// Posted send: no latency term (the write is pipelined), but the
-	// payload still serializes onto the — possibly oversubscribed — path.
-	caller.AdvanceCat(vclock.CatNetwork, l.link.SendSWNs+
-		l.net.PayloadNs(from, to, len(req)))
-	_, extra := h(from, req)
-	service := l.link.HandlerNs + extra
-	target := l.net.Clock(to)
-	target.Steal(service)
-	if rec := l.rec; rec != nil && rec.Enabled() {
-		rec.Record(int(to), perfmon.EvService, target.Now(), service, uint64(from), uint64(kind))
-	}
-	l.count(from, to, len(req), 0)
-	return nil
-}
-
-// CallAll issues Call to every node (including the caller, which runs the
-// handler locally) and returns the responses indexed by node.
-func (l *Layer) CallAll(from NodeID, kind Kind, req []byte) [][]byte {
-	out := make([][]byte, l.net.Size())
-	for id := 0; id < l.net.Size(); id++ {
-		out[id] = l.Call(from, NodeID(id), kind, req)
-	}
-	return out
-}
-
-// NotifyOthers sends a one-way message to every node except the caller.
-func (l *Layer) NotifyOthers(from NodeID, kind Kind, req []byte) {
-	for id := 0; id < l.net.Size(); id++ {
-		if NodeID(id) == from {
-			continue
-		}
-		l.Notify(from, NodeID(id), kind, req)
-	}
 }
 
 func (l *Layer) count(from, to NodeID, req, rsp int) {

@@ -2,7 +2,6 @@ package amsg
 
 import (
 	"encoding/binary"
-	"math"
 	"sync"
 )
 
@@ -12,12 +11,9 @@ type Enc struct {
 	buf []byte
 }
 
-// NewEnc returns an encoder with the given capacity hint.
-func NewEnc(capacity int) *Enc { return &Enc{buf: make([]byte, 0, capacity)} }
-
 // encPool recycles encoders (struct plus backing buffer) for protocol
 // hot paths. Ownership rule: a pooled encoder's buffer may be released
-// with Free only after the Call/Notify that carried it RETURNS — the
+// with Free only after the Call that carried it RETURNS — the
 // fault-free active-message path runs the handler synchronously on the
 // caller's goroutine, so by then no reference to the request remains.
 // A payload handed to the queued-message path (simnet.Send) must NEVER
@@ -40,18 +36,6 @@ func (e *Enc) Free() { encPool.Put(e) }
 // Bytes returns the encoded payload.
 func (e *Enc) Bytes() []byte { return e.buf }
 
-// U8 appends one byte.
-func (e *Enc) U8(v uint8) *Enc {
-	e.buf = append(e.buf, v)
-	return e
-}
-
-// U16 appends a 16-bit value.
-func (e *Enc) U16(v uint16) *Enc {
-	e.buf = binary.LittleEndian.AppendUint16(e.buf, v)
-	return e
-}
-
 // U32 appends a 32-bit value.
 func (e *Enc) U32(v uint32) *Enc {
 	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
@@ -63,12 +47,6 @@ func (e *Enc) U64(v uint64) *Enc {
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
 	return e
 }
-
-// I64 appends a signed 64-bit value.
-func (e *Enc) I64(v int64) *Enc { return e.U64(uint64(v)) }
-
-// F64 appends a float64.
-func (e *Enc) F64(v float64) *Enc { return e.U64(math.Float64bits(v)) }
 
 // Blob appends a length-prefixed byte slice.
 func (e *Enc) Blob(b []byte) *Enc {
@@ -87,12 +65,6 @@ func (e *Enc) U64s(vs []uint64) *Enc {
 	return e
 }
 
-// Raw appends bytes without a length prefix.
-func (e *Enc) Raw(b []byte) *Enc {
-	e.buf = append(e.buf, b...)
-	return e
-}
-
 // Dec is the matching sequential decoder. Decoding past the end panics:
 // protocol payloads are internal, so a short buffer is a programming error.
 type Dec struct {
@@ -100,29 +72,9 @@ type Dec struct {
 	off int
 }
 
-// NewDec wraps a payload for decoding.
-func NewDec(b []byte) *Dec { return &Dec{buf: b} }
-
-// MakeDec is NewDec by value: handlers that decode on the hot path use it
-// to keep the decoder on the stack instead of allocating one per message.
+// MakeDec wraps a payload for decoding. It returns the decoder by value so
+// handlers on the hot path keep it on the stack.
 func MakeDec(b []byte) Dec { return Dec{buf: b} }
-
-// Remaining reports how many bytes are left.
-func (d *Dec) Remaining() int { return len(d.buf) - d.off }
-
-// U8 reads one byte.
-func (d *Dec) U8() uint8 {
-	v := d.buf[d.off]
-	d.off++
-	return v
-}
-
-// U16 reads a 16-bit value.
-func (d *Dec) U16() uint16 {
-	v := binary.LittleEndian.Uint16(d.buf[d.off:])
-	d.off += 2
-	return v
-}
 
 // U32 reads a 32-bit value.
 func (d *Dec) U32() uint32 {
@@ -137,12 +89,6 @@ func (d *Dec) U64() uint64 {
 	d.off += 8
 	return v
 }
-
-// I64 reads a signed 64-bit value.
-func (d *Dec) I64() int64 { return int64(d.U64()) }
-
-// F64 reads a float64.
-func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
 
 // Blob reads a length-prefixed byte slice (aliasing the underlying buffer).
 func (d *Dec) Blob() []byte {
@@ -160,11 +106,4 @@ func (d *Dec) U64s() []uint64 {
 		out[i] = d.U64()
 	}
 	return out
-}
-
-// Raw reads n bytes without a length prefix (aliasing the buffer).
-func (d *Dec) Raw(n int) []byte {
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
 }

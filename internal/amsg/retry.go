@@ -5,7 +5,7 @@ package amsg
 // The fault-free layer can treat a Call as one indivisible round trip
 // because the simulated wire never loses anything. Under a
 // simnet.FaultPlan with drops, partitions, or node schedules, every
-// transmission can vanish, so Call/Notify switch to a request/ack
+// transmission can vanish, so Call switches to a request/ack
 // protocol:
 //
 //	SEND:    charge send software + request serialization, draw the
@@ -14,8 +14,7 @@ package amsg
 //	         once per idempotency key — a retransmitted request only
 //	         replays the stored response (duplicate suppression), charging
 //	         the target a bare interrupt.
-//	ACK:     the response (or, for one-way messages, a NIC-level ack)
-//	         rides back and can be lost too.
+//	ACK:     the response rides back and can be lost too.
 //	TIMEOUT: a lost request or ack costs the caller the current
 //	         retransmission timeout plus seeded jitter in virtual time,
 //	         then the attempt repeats with the timeout doubled (bounded
@@ -38,10 +37,10 @@ import (
 	"hamster/internal/vclock"
 )
 
-// ErrClosed reports that the network was torn down while a call was in
+// errClosed reports that the network was torn down while a call was in
 // flight. Closing the network wakes callers blocked in retry loops; they
 // must not be left waiting for an ack that can never come.
-var ErrClosed = errors.New("amsg: network closed")
+var errClosed = errors.New("amsg: network closed")
 
 // UnreachableError reports a call abandoned because the target could not
 // be reached — either its retry budget ran out or the cluster health
@@ -65,13 +64,13 @@ func (e *UnreachableError) Error() string {
 	return fmt.Sprintf("node %d unreachable: kind-%d call abandoned after %d attempts", e.Node, e.Kind, e.Attempts)
 }
 
-// DefaultMaxAttempts bounds transmissions per logical call when the
+// defaultMaxAttempts bounds transmissions per logical call when the
 // policy does not say otherwise.
-const DefaultMaxAttempts = 8
+const defaultMaxAttempts = 8
 
-// RetryPolicy tunes the reliability protocol. The zero value of any
+// retryPolicy tunes the reliability protocol. The zero value of any
 // field selects a default derived from the link profile.
-type RetryPolicy struct {
+type retryPolicy struct {
 	// MaxAttempts bounds transmissions per logical call (first try plus
 	// retries); exhausting it yields UnreachableError.
 	MaxAttempts int
@@ -84,9 +83,9 @@ type RetryPolicy struct {
 
 // withDefaults fills zero fields from the link profile: the base timeout
 // is twice a maximal clean round trip, the backoff cap 64× that.
-func (p RetryPolicy) withDefaults(link machine.Link) RetryPolicy {
+func (p retryPolicy) withDefaults(link machine.Link) retryPolicy {
 	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = DefaultMaxAttempts
+		p.MaxAttempts = defaultMaxAttempts
 	}
 	if p.Timeout == 0 {
 		p.Timeout = 2 * (2*link.LatencyNs + link.SendSWNs + link.RecvSWNs + link.HandlerNs)
@@ -97,17 +96,11 @@ func (p RetryPolicy) withDefaults(link machine.Link) RetryPolicy {
 	return p
 }
 
-// SetRetryPolicy replaces the layer's retry policy; zero fields keep
-// their link-derived defaults. Call it at startup, before traffic.
-func (l *Layer) SetRetryPolicy(p RetryPolicy) {
-	l.policy = l.fitPolicy(p)
-}
-
 // fitPolicy fills defaults and, when the Timeout itself was defaulted,
 // widens it by the topology's worst-case round-trip of extra hop latency
 // so cross-pod calls do not look like losses to the retransmission timer.
 // An explicitly configured Timeout is honored verbatim.
-func (l *Layer) fitPolicy(p RetryPolicy) RetryPolicy {
+func (l *Layer) fitPolicy(p retryPolicy) retryPolicy {
 	widen := p.Timeout == 0
 	p = p.withDefaults(l.link)
 	if widen {
@@ -117,7 +110,7 @@ func (l *Layer) fitPolicy(p RetryPolicy) RetryPolicy {
 }
 
 // callKey is the idempotency key of one logical call: the caller plus a
-// per-caller sequence number, assigned once per Call/Notify and reused
+// per-caller sequence number, assigned once per Call and reused
 // across its retransmissions.
 type callKey struct {
 	from NodeID
@@ -169,16 +162,14 @@ func (l *Layer) MarkDown(node NodeID) {
 	l.net.MarkNodeDown(node)
 }
 
-// NodeDown reports whether MarkDown has been called for a node.
-func (l *Layer) NodeDown(node NodeID) bool {
+// nodeDown reports whether MarkDown has been called for a node.
+func (l *Layer) nodeDown(node NodeID) bool {
 	return l.anyDown.Load() && l.down[node].Load()
 }
 
 // callReliable runs the request/ack protocol for one remote call. h is
-// the already-resolved handler; oneway selects Notify semantics (no
-// response payload, NIC-level ack, no receive-side software on the clean
-// path).
-func (l *Layer) callReliable(from, to NodeID, kind Kind, h Handler, req []byte, oneway bool) ([]byte, error) {
+// the already-resolved handler.
+func (l *Layer) callReliable(from, to NodeID, kind Kind, h Handler, req []byte) ([]byte, error) {
 	caller := l.net.Clock(from)
 	target := l.net.Clock(to)
 	pol := l.policy
@@ -189,7 +180,7 @@ func (l *Layer) callReliable(from, to NodeID, kind Kind, h Handler, req []byte, 
 	rto := pol.Timeout
 	for attempt := 1; ; attempt++ {
 		if l.net.Closed() {
-			return nil, ErrClosed
+			return nil, errClosed
 		}
 		start := caller.Now()
 		// Send software and request serialization are spent whether or
@@ -232,17 +223,13 @@ func (l *Layer) callReliable(from, to NodeID, kind Kind, h Handler, req []byte, 
 		}
 
 		if !lost {
-			if !oneway {
-				// Clean round trip: the caller's timeline absorbs the
-				// request wire, the service time, and the response travel
-				// — exactly the fault-free Call charges.
-				caller.AdvanceCat(vclock.CatNetwork, l.net.WireNs(from, to, 0))
-				caller.AdvanceCat(vclock.CatProtocol, service)
-				caller.AdvanceCat(vclock.CatNetwork, l.net.WireNs(to, from, len(resp))+
-					l.net.ScaledSW(from, l.link.RecvSWNs))
-			}
-			// One-way: the ack is absorbed by the NIC; a clean posted
-			// send costs what the fault-free Notify costs.
+			// Clean round trip: the caller's timeline absorbs the
+			// request wire, the service time, and the response travel
+			// — exactly the fault-free Call charges.
+			caller.AdvanceCat(vclock.CatNetwork, l.net.WireNs(from, to, 0))
+			caller.AdvanceCat(vclock.CatProtocol, service)
+			caller.AdvanceCat(vclock.CatNetwork, l.net.WireNs(to, from, len(resp))+
+				l.net.ScaledSW(from, l.link.RecvSWNs))
 			l.count(from, to, len(req), len(resp))
 			return resp, nil
 		}

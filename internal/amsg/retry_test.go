@@ -45,11 +45,11 @@ func TestDuplicateNeverDoubleExecutes(t *testing.T) {
 }
 
 // Closing the network must wake a caller blocked in the retry loop with
-// ErrClosed — it cannot be left waiting for an ack that will never come.
+// errClosed — it cannot be left waiting for an ack that will never come.
 func TestCloseWakesBlockedCall(t *testing.T) {
 	l, _ := testLayer(2)
 	l.Network().SetFaults(simnet.FaultPlan{DropProb: 1, Seed: 1})
-	l.SetRetryPolicy(RetryPolicy{MaxAttempts: 1 << 30})
+	l.policy = l.fitPolicy(retryPolicy{MaxAttempts: 1 << 30})
 	const kind Kind = 2
 	l.Register(1, kind, func(NodeID, []byte) ([]byte, vclock.Duration) { return nil, 0 })
 
@@ -62,8 +62,8 @@ func TestCloseWakesBlockedCall(t *testing.T) {
 	l.Network().Close()
 	select {
 	case err := <-errc:
-		if !errors.Is(err, ErrClosed) {
-			t.Fatalf("err = %v, want ErrClosed", err)
+		if !errors.Is(err, errClosed) {
+			t.Fatalf("err = %v, want errClosed", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close did not wake the blocked caller")
@@ -81,7 +81,7 @@ func TestRetryExactlyOnceAndDeterministic(t *testing.T) {
 		// A generous budget: at 25% loss a default 8-attempt budget has
 		// about a 0.03% chance per call of running dry, which over many
 		// calls is a real flake; 20 attempts pushes that below 1e-7.
-		l.SetRetryPolicy(RetryPolicy{MaxAttempts: 20})
+		l.policy = l.fitPolicy(retryPolicy{MaxAttempts: 20})
 		const kind Kind = 3
 		l.Register(1, kind, func(_ NodeID, req []byte) ([]byte, vclock.Duration) {
 			executions++
@@ -125,14 +125,11 @@ func TestUnreachableAfterMaxAttempts(t *testing.T) {
 	if !errors.As(err, &ue) {
 		t.Fatalf("err = %v, want *UnreachableError", err)
 	}
-	if ue.Node != 1 || ue.Kind != kind || ue.Attempts != DefaultMaxAttempts {
+	if ue.Node != 1 || ue.Kind != kind || ue.Attempts != defaultMaxAttempts {
 		t.Fatalf("UnreachableError = %+v", ue)
 	}
 	if ue.Executed || executed {
 		t.Fatal("DropProb 1 delivered a request")
-	}
-	if err := l.NotifyErr(0, 1, kind, nil); !errors.As(err, &ue) {
-		t.Fatalf("NotifyErr = %v, want *UnreachableError", err)
 	}
 }
 
@@ -167,7 +164,7 @@ func TestRetryEventsRecorded(t *testing.T) {
 	l.SetRecorder(rec)
 	rec.Enable()
 	l.Network().SetFaults(simnet.FaultPlan{DropProb: 1, Seed: 1})
-	l.SetRetryPolicy(RetryPolicy{MaxAttempts: 3})
+	l.policy = l.fitPolicy(retryPolicy{MaxAttempts: 3})
 	const kind Kind = 6
 	l.Register(1, kind, func(NodeID, []byte) ([]byte, vclock.Duration) { return nil, 0 })
 	if _, err := l.CallErr(0, 1, kind, nil); err == nil {
@@ -190,7 +187,7 @@ func TestFaultPathCostIdentity(t *testing.T) {
 	handler := func(_ NodeID, req []byte) ([]byte, vclock.Duration) {
 		return append([]byte("re:"), req...), 25
 	}
-	run := func(plan bool) (caller, stolen vclock.Time, notifyCaller vclock.Time) {
+	run := func(plan bool) (caller, stolen vclock.Time) {
 		l, clocks := testLayer(2)
 		if plan {
 			l.Network().SetFaults(simnet.FaultPlan{
@@ -206,15 +203,12 @@ func TestFaultPathCostIdentity(t *testing.T) {
 			t.Fatalf("resp = %q", resp)
 		}
 		caller = clocks[0].Now()
-		stolen = vclock.Time(clocks[1].Stolen())
-		l.Notify(0, 1, kind, []byte("wn"))
-		notifyCaller = clocks[0].Now()
+		stolen = vclock.Time(clocks[1].Breakdown().Stolen)
 		return
 	}
-	c0, s0, n0 := run(false)
-	c1, s1, n1 := run(true)
-	if c0 != c1 || s0 != s1 || n0 != n1 {
-		t.Fatalf("reliable path diverged from fault-free costs: call %d vs %d, stolen %d vs %d, notify %d vs %d",
-			c0, c1, s0, s1, n0, n1)
+	c0, s0 := run(false)
+	c1, s1 := run(true)
+	if c0 != c1 || s0 != s1 {
+		t.Fatalf("reliable path diverged from fault-free costs: call %d vs %d, stolen %d vs %d", c0, c1, s0, s1)
 	}
 }

@@ -30,16 +30,16 @@ type Row struct {
 	APICalls int
 }
 
-// LinesPerCall returns the Table 2 ratio.
-func (r Row) LinesPerCall() float64 {
+// linesPerCall returns the Table 2 ratio.
+func (r Row) linesPerCall() float64 {
 	if r.APICalls == 0 {
 		return 0
 	}
 	return float64(r.Lines) / float64(r.APICalls)
 }
 
-// CountPackage measures one package directory (non-test Go files).
-func CountPackage(dir string) (Row, error) {
+// countPackage measures one package directory (non-test Go files).
+func countPackage(dir string) (Row, error) {
 	fset := token.NewFileSet()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -101,7 +101,7 @@ func CountModels(modelsDir string) ([]Row, error) {
 		if !ent.IsDir() {
 			continue
 		}
-		row, err := CountPackage(filepath.Join(modelsDir, ent.Name()))
+		row, err := countPackage(filepath.Join(modelsDir, ent.Name()))
 		if err != nil {
 			return nil, err
 		}
@@ -119,7 +119,7 @@ func Render(rows []Row) string {
 	fmt.Fprintf(&b, "%-28s %8s %10s %12s\n", "Programming Model", "#Lines", "#APIcalls", "Lines/call")
 	var totalLines, totalCalls int
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-28s %8d %10d %12.1f\n", r.Model, r.Lines, r.APICalls, r.LinesPerCall())
+		fmt.Fprintf(&b, "%-28s %8d %10d %12.1f\n", r.Model, r.Lines, r.APICalls, r.linesPerCall())
 		totalLines += r.Lines
 		totalCalls += r.APICalls
 	}

@@ -34,7 +34,7 @@ type T struct{}
 // M is another API call.
 func (T) M() {}
 `)
-	row, err := CountPackage(dir)
+	row, err := countPackage(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +46,8 @@ func (T) M() {}
 	if row.Lines < 6 || row.Lines > 10 {
 		t.Fatalf("Lines = %d, outside plausible comment-free range", row.Lines)
 	}
-	if row.LinesPerCall() <= 0 {
-		t.Fatal("LinesPerCall must be positive")
+	if row.linesPerCall() <= 0 {
+		t.Fatal("linesPerCall must be positive")
 	}
 }
 
@@ -55,7 +55,7 @@ func TestCountPackageSkipsTests(t *testing.T) {
 	dir := t.TempDir()
 	writeFile(t, dir, "m.go", "package m\n\nfunc A() {}\n")
 	writeFile(t, dir, "m_test.go", "package m\n\nfunc TestA(t *testingT) {}\ntype testingT struct{}\nfunc B() {}\n")
-	row, err := CountPackage(dir)
+	row, err := countPackage(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestCountModelsOnRealTree(t *testing.T) {
 		if r.APICalls == 0 {
 			t.Fatalf("model %s has no API calls", r.Model)
 		}
-		lpc := r.LinesPerCall()
+		lpc := r.linesPerCall()
 		if lpc < 1 || lpc > 40 {
 			t.Fatalf("model %s lines/call = %.1f, outside the paper's plausible range", r.Model, lpc)
 		}
@@ -95,13 +95,13 @@ func TestCountModelsOnRealTree(t *testing.T) {
 }
 
 func TestZeroCallRow(t *testing.T) {
-	if (Row{Lines: 10}).LinesPerCall() != 0 {
+	if (Row{Lines: 10}).linesPerCall() != 0 {
 		t.Fatal("zero calls must yield zero ratio")
 	}
 }
 
 func TestCountPackageMissingDir(t *testing.T) {
-	if _, err := CountPackage("/nonexistent/path"); err == nil {
+	if _, err := countPackage("/nonexistent/path"); err == nil {
 		t.Fatal("expected error")
 	}
 }

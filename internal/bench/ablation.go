@@ -27,10 +27,10 @@ type AblationResult struct {
 	Rows []AblationRow
 }
 
-// AblationMessaging quantifies §3.3's messaging integration: the same
+// ablationMessaging quantifies §3.3's messaging integration: the same
 // HAMSTER/JiaJia binary on the software DSM with the coalesced messaging
 // layer versus two separate (competing) stacks.
-func AblationMessaging(sz Sizes) AblationResult {
+func ablationMessaging(sz Sizes) AblationResult {
 	run := func(mode hamster.MessagingMode) vclock.Duration {
 		sys, err := jiajia.Boot(hamster.Config{
 			Platform: hamster.SWDSM, Nodes: 4, Messaging: mode, Params: sz.params(),
@@ -54,10 +54,10 @@ func AblationMessaging(sz Sizes) AblationResult {
 	}
 }
 
-// AblationConsistency quantifies §4.5: the same kernel under the
+// ablationConsistency quantifies §4.5: the same kernel under the
 // substrate's relaxed (scope) model versus the Sequential model of the
 // consistency API (fence around every access).
-func AblationConsistency(sz Sizes) AblationResult {
+func ablationConsistency(sz Sizes) AblationResult {
 	n := sz.SORN / 4
 	if n < 16 {
 		n = 16
@@ -84,10 +84,10 @@ func AblationConsistency(sz Sizes) AblationResult {
 	}
 }
 
-// AblationPlacement quantifies the Memory Management module's
+// ablationPlacement quantifies the Memory Management module's
 // distribution annotations on the hybrid DSM: block versus cyclic versus
 // single-node placement for a streaming kernel.
-func AblationPlacement(sz Sizes) AblationResult {
+func ablationPlacement(sz Sizes) AblationResult {
 	n := 256 * sz.SORN // enough doubles that placement dominates
 	run := func(pol memsim.Policy) vclock.Duration {
 		// The core path honors every distribution annotation (the jia_*
@@ -113,9 +113,9 @@ func AblationPlacement(sz Sizes) AblationResult {
 	}
 }
 
-// AblationPostedWrites quantifies the hybrid DSM's posted-write buffer on
+// ablationPostedWrites quantifies the hybrid DSM's posted-write buffer on
 // LU's write-only initialization phase.
-func AblationPostedWrites(sz Sizes) AblationResult {
+func ablationPostedWrites(sz Sizes) AblationResult {
 	run := func(disable bool) vclock.Duration {
 		d, err := hybriddsm.New(hybriddsm.Config{Nodes: 4, DisablePostedWrites: disable, Params: sz.params()})
 		if err != nil {
@@ -137,12 +137,12 @@ func AblationPostedWrites(sz Sizes) AblationResult {
 	}
 }
 
-// AblationMultiDSM runs the §6 multi-DSM composition experiment: a mixed
+// ablationMultiDSM runs the §6 multi-DSM composition experiment: a mixed
 // workload (dense read stream + scattered remote writes) on the two-engine
 // substrate, with all regions on the software engine, all on the (raw,
 // uncached) hybrid engine, and finally with each region routed to the
 // engine that suits it.
-func AblationMultiDSM(sz Sizes) AblationResult {
+func ablationMultiDSM(sz Sizes) AblationResult {
 	streamWords := 64 * sz.SORN
 	const scatterPages, iters = 24, 3
 	kernel := func(m apps.Machine) apps.Result {
@@ -174,10 +174,10 @@ func AblationMultiDSM(sz Sizes) AblationResult {
 	}
 }
 
-// AblationHomeMigration quantifies the software DSM's single-writer home
+// ablationHomeMigration quantifies the software DSM's single-writer home
 // migration (JiaJia's optimization) on a workload where every node
 // repeatedly rewrites a block homed elsewhere.
-func AblationHomeMigration(sz Sizes) AblationResult {
+func ablationHomeMigration(sz Sizes) AblationResult {
 	n := 64 * sz.SORN
 	run := func(migrateAfter int) vclock.Duration {
 		d, err := swdsm.New(swdsm.Config{
@@ -204,11 +204,11 @@ func AblationHomeMigration(sz Sizes) AblationResult {
 	}
 }
 
-// AblationProtocol compares the software DSM's Scope Consistency against
+// ablationProtocol compares the software DSM's Scope Consistency against
 // eager Release Consistency (§4.5's model spectrum) on a workload with
 // disjoint lock scopes but shared pages: scope keeps everyone's cached
 // pages valid, eager RC broadcasts and invalidates on every release.
-func AblationProtocol(sz Sizes) AblationResult {
+func ablationProtocol(sz Sizes) AblationResult {
 	run := func(proto swdsm.Protocol) vclock.Duration {
 		d, err := swdsm.New(swdsm.Config{Nodes: 4, Params: sz.params(), Protocol: proto})
 		if err != nil {
@@ -233,13 +233,13 @@ func AblationProtocol(sz Sizes) AblationResult {
 // Ablations runs every design-choice experiment DESIGN.md calls out.
 func Ablations(sz Sizes) []AblationResult {
 	return []AblationResult{
-		AblationMessaging(sz),
-		AblationConsistency(sz),
-		AblationPlacement(sz),
-		AblationPostedWrites(sz),
-		AblationMultiDSM(sz),
-		AblationHomeMigration(sz),
-		AblationProtocol(sz),
+		ablationMessaging(sz),
+		ablationConsistency(sz),
+		ablationPlacement(sz),
+		ablationPostedWrites(sz),
+		ablationMultiDSM(sz),
+		ablationHomeMigration(sz),
+		ablationProtocol(sz),
 	}
 }
 

@@ -37,6 +37,21 @@ import (
 // on another page in the middle of a block run, writes through a cached
 // copy, drains posted writes at a Fence and at the Release, and
 // first-touches a page of its own.
+// nodeEvents returns one node's retained events in record order.
+func nodeEvents(rec *perfmon.Recorder, node int) []perfmon.Event {
+	var out []perfmon.Event
+	for _, ev := range rec.AllEvents() {
+		if int(ev.Node) == node {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// hybridCacheThreshold is hybriddsm's default caching threshold: the
+// remote reads of one page within an interval that make a node cache it.
+const hybridCacheThreshold = 16
+
 func TestAccessScriptIdentity(t *testing.T) {
 	for _, cfg := range accessScriptConfigs() {
 		t.Run(cfg.name, func(t *testing.T) {
@@ -171,7 +186,7 @@ func runAccessScript(t *testing.T, sub platform.Substrate) []string {
 	for k := 0; k < nodes; k++ {
 		bd := sub.Clock(k).Breakdown()
 		h := fnv.New64a()
-		for _, ev := range rec.Events(k) {
+		for _, ev := range nodeEvents(rec, k) {
 			fmt.Fprintf(h, "%d %d %d %d %d|", ev.Kind, ev.At, ev.Dur, ev.Arg1, ev.Arg2)
 		}
 		var stats strings.Builder
@@ -292,7 +307,7 @@ func (s accessTurn) region(r memsim.Region, mine, theirs, step int) {
 	// Walk a peer's page up to hybriddsm's caching threshold with word
 	// reads and cross it with a byte span; then read, write through and
 	// re-read the cached copy.
-	for i := 0; i < hybriddsm.DefaultCacheThreshold-1; i++ {
+	for i := 0; i < hybridCacheThreshold-1; i++ {
 		s.readI64(at(theirs, 2, i*w))
 	}
 	s.readBytes(at(theirs, 2, 515), 30)
@@ -320,7 +335,7 @@ func (s accessTurn) region(r memsim.Region, mine, theirs, step int) {
 	s.readF64Block(at(mine, 2, memsim.PageSize-16*w), 48)
 	// A third page crosses the threshold on a word read: with a two-page
 	// cache the install evicts.
-	for i := 0; i < hybriddsm.DefaultCacheThreshold; i++ {
+	for i := 0; i < hybridCacheThreshold; i++ {
 		s.readF64(at(theirs, 1, (8+i)*w))
 	}
 	s.sub.Fence(k) // drains posted writes, flushes diffs, drops copies

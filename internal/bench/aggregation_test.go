@@ -15,8 +15,8 @@ import (
 )
 
 // smallAggKernels are reduced workloads for the -race-friendly tests.
-func smallAggKernels() []Workload {
-	return []Workload{
+func smallAggKernels() []workload {
+	return []workload{
 		{"sor", func(m apps.Machine) apps.Result { return apps.SOR(m, 96, 4, true) }},
 		{"matmult", func(m apps.Machine) apps.Result { return apps.MatMult(m, 48) }},
 	}
@@ -117,18 +117,18 @@ func TestAggregationMessageReduction(t *testing.T) {
 	for _, r := range mustRun(t, mustLookup(t, "aggregation"), 0).Rows {
 		off := r.Baseline
 		if r.Msgs >= off.Msgs {
-			t.Errorf("%s: no message reduction: %d -> %d", r.ID(), off.Msgs, r.Msgs)
+			t.Errorf("%s: no message reduction: %d -> %d", r.id(), off.Msgs, r.Msgs)
 		}
 		msgsOff[r.Nodes] += off.Msgs
 		msgsAgg[r.Nodes] += r.Msgs
 		if r.Workload == "stream" {
 			if red := reductionPct(off.Msgs, r.Msgs); red < 40 {
-				t.Errorf("%s: message reduction %.1f%% < 40%%", r.ID(), red)
+				t.Errorf("%s: message reduction %.1f%% < 40%%", r.id(), red)
 			}
 		}
 		if r.Nodes == 4 && (r.Workload == "sor-opt" || r.Workload == "matmult") {
 			if speedup := reductionPct(off.VirtualNs, r.VirtualNs); speedup < 2 {
-				t.Errorf("%s: virtual-time improvement %.2f%% not measurable (< 2%%)", r.ID(), speedup)
+				t.Errorf("%s: virtual-time improvement %.2f%% not measurable (< 2%%)", r.id(), speedup)
 			}
 		}
 	}

@@ -185,7 +185,7 @@ func TestWordAccessZeroAlloc(t *testing.T) {
 					sub.WriteI64(0, a+24, int64(page))
 				}
 			}
-			warm(op, hybriddsm.DefaultCacheThreshold) // faults, twins, caches and map buckets
+			warm(op, hybridCacheThreshold) // faults, twins, caches and map buckets
 			if avg := testing.AllocsPerRun(50, op); avg != 0 {
 				t.Errorf("eight word accesses allocate %.2f objects, want 0", avg)
 			}

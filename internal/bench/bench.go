@@ -76,16 +76,16 @@ func (sz Sizes) params() machine.Params {
 	return p
 }
 
-// Workload is one benchmark binary to execute.
-type Workload struct {
+// workload is one benchmark binary to execute.
+type workload struct {
 	Name   string
 	Kernel apps.Kernel
 }
 
-// Workloads enumerates the benchmark runs (LU and WATER runs feed several
+// workloads enumerates the benchmark runs (LU and WATER runs feed several
 // figure series each).
-func Workloads(sz Sizes) []Workload {
-	return []Workload{
+func workloads(sz Sizes) []workload {
+	return []workload{
 		{"matmult", func(m apps.Machine) apps.Result { return apps.MatMult(m, sz.MatN) }},
 		{"pi", func(m apps.Machine) apps.Result { return apps.PI(m, sz.PIIters) }},
 		{"sor-opt", func(m apps.Machine) apps.Result { return apps.SOR(m, sz.SORN, sz.SORIters, true) }},
@@ -96,20 +96,20 @@ func Workloads(sz Sizes) []Workload {
 	}
 }
 
-// Series is one bar of the figures: a workload plus a phase extractor.
-type Series struct {
+// series is one bar of the figures: a workload plus a phase extractor.
+type series struct {
 	Name     string
 	Workload string
 	Extract  func([]apps.Result) vclock.Duration
 }
 
-// AllSeries enumerates the ten series of Figures 2–4 in paper order.
-func AllSeries(sz Sizes) []Series {
+// allSeries enumerates the ten series of Figures 2–4 in paper order.
+func allSeries(sz Sizes) []series {
 	total := apps.MaxTotal
 	phase := func(sel func(apps.Timings) vclock.Duration) func([]apps.Result) vclock.Duration {
 		return func(rs []apps.Result) vclock.Duration { return apps.MaxPhase(rs, sel) }
 	}
-	return []Series{
+	return []series{
 		{"MatMult", "matmult", total},
 		{"PI", "pi", total},
 		{"SOR opt", "sor-opt", total},
@@ -127,7 +127,7 @@ func AllSeries(sz Sizes) []Series {
 // software-DSM substrate with its own (uncoalesced) messaging stack.
 func runNative(sz Sizes, nodes int) map[string][]apps.Result {
 	out := make(map[string][]apps.Result)
-	for _, w := range Workloads(sz) {
+	for _, w := range workloads(sz) {
 		d, err := swdsm.New(swdsm.Config{
 			Nodes:  nodes,
 			Params: sz.params().WithMessaging(machine.Separate),
@@ -145,7 +145,7 @@ func runNative(sz Sizes, nodes int) map[string][]apps.Result {
 // the given platform.
 func runHamster(sz Sizes, kind hamster.PlatformKind, nodes int) map[string][]apps.Result {
 	out := make(map[string][]apps.Result)
-	for _, w := range Workloads(sz) {
+	for _, w := range workloads(sz) {
 		sys, err := jiajia.Boot(hamster.Config{Platform: kind, Nodes: nodes, Params: sz.params()})
 		if err != nil {
 			panic(err)
@@ -171,7 +171,7 @@ func Figure2(sz Sizes) []Fig2Row {
 	native := runNative(sz, nodes)
 	ham := runHamster(sz, hamster.SWDSM, nodes)
 	var rows []Fig2Row
-	for _, s := range AllSeries(sz) {
+	for _, s := range allSeries(sz) {
 		n := s.Extract(native[s.Workload])
 		h := s.Extract(ham[s.Workload])
 		rows = append(rows, Fig2Row{
@@ -199,7 +199,7 @@ func Figure3(sz Sizes) []Fig3Row {
 	sw := runHamster(sz, hamster.SWDSM, nodes)
 	hy := runHamster(sz, hamster.HybridDSM, nodes)
 	var rows []Fig3Row
-	for _, s := range AllSeries(sz) {
+	for _, s := range allSeries(sz) {
 		tSW := s.Extract(sw[s.Workload])
 		tHy := s.Extract(hy[s.Workload])
 		rows = append(rows, Fig3Row{
@@ -231,7 +231,7 @@ func Figure4(sz Sizes) []Fig4Row {
 	hy := runHamster(sz, hamster.HybridDSM, nodes)
 	sw := runHamster(sz, hamster.SWDSM, nodes)
 	var rows []Fig4Row
-	for _, s := range AllSeries(sz) {
+	for _, s := range allSeries(sz) {
 		tHW := s.Extract(hw[s.Workload])
 		tHy := s.Extract(hy[s.Workload])
 		tSW := s.Extract(sw[s.Workload])

@@ -20,11 +20,11 @@ func TestTable1Render(t *testing.T) {
 }
 
 func TestAllSeriesShape(t *testing.T) {
-	series := AllSeries(Small())
+	series := allSeries(Small())
 	if len(series) != 10 {
 		t.Fatalf("series count = %d, want 10 (paper's x-axis)", len(series))
 	}
-	workloads := Workloads(Small())
+	workloads := workloads(Small())
 	if len(workloads) != 7 {
 		t.Fatalf("workload count = %d, want 7", len(workloads))
 	}

@@ -109,7 +109,7 @@ func runEquivProgram(sub platform.Substrate, ops []equivOp, useBlocks bool) []ui
 	if err != nil {
 		panic(err)
 	}
-	if rB.Base != rA.End() {
+	if rB.Base != rA.Base+memsim.Addr(rA.Size) {
 		panic("equiv regions not adjacent")
 	}
 	base := rA.Base

@@ -31,8 +31,8 @@ import (
 // benchmark (benchmark/), on a named host and with bounds, so a
 // campaign's JSON is comparable at any -parallel setting.
 
-// Schema names the result format of every campaign.
-const Schema = "hamster/campaign/v1"
+// schema names the result format of every campaign.
+const schema = "hamster/campaign/v1"
 
 // Cluster specifies the machine a cell runs on.
 type Cluster struct {
@@ -53,9 +53,9 @@ type Cluster struct {
 	CheckpointIncremental bool
 }
 
-// Build constructs the bare substrate: core.NewSubstrate on the cluster's
+// build constructs the bare substrate: core.NewSubstrate on the cluster's
 // configuration, without the core services wrapped around it.
-func (c Cluster) Build() (platform.Substrate, error) {
+func (c Cluster) build() (platform.Substrate, error) {
 	sub, err := core.NewSubstrate(c.config())
 	if err != nil {
 		return nil, err
@@ -152,8 +152,8 @@ type Row struct {
 	Baseline *Row `json:"baseline,omitempty"`
 }
 
-// ID names the row in diagnostics.
-func (r Row) ID() string {
+// id names the row in diagnostics.
+func (r Row) id() string {
 	id := r.Workload
 	for _, l := range []string{r.Mode, r.Platform, r.Topology} {
 		if l != "" {
@@ -207,13 +207,13 @@ func (c Cell) run() (Row, error) {
 	if c.Baseline != nil {
 		b, err := c.measure(*c.Baseline)
 		if err != nil {
-			return Row{}, fmt.Errorf("bench: %s baseline: %w", b.ID(), err)
+			return Row{}, fmt.Errorf("bench: %s baseline: %w", b.id(), err)
 		}
 		base = &b
 	}
 	row, err := c.measure(c.Cluster)
 	if err != nil {
-		return Row{}, fmt.Errorf("bench: %s: %w", row.ID(), err)
+		return Row{}, fmt.Errorf("bench: %s: %w", row.id(), err)
 	}
 	row.Baseline = base
 	return row, nil
@@ -244,7 +244,7 @@ func (c Cell) measure(cl Cluster) (Row, error) {
 		}
 	} else {
 		var err error
-		if sub, err = cl.Build(); err != nil {
+		if sub, err = cl.build(); err != nil {
 			return row, err
 		}
 		defer sub.Close()
@@ -312,7 +312,7 @@ func (r *Row) serve(cfg serve.Config, cl Cluster) error {
 			return fmt.Errorf("planned crash needed no recovery")
 		}
 	} else {
-		sub, err := cl.Build()
+		sub, err := cl.build()
 		if err != nil {
 			return err
 		}

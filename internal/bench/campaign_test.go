@@ -99,8 +99,8 @@ func readArtifact(path string) (*Report, error) {
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if rep.Schema != Schema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, Schema)
+	if rep.Schema != schema {
+		return nil, fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, schema)
 	}
 	if len(rep.Rows) == 0 {
 		return nil, fmt.Errorf("%s: no rows", path)
@@ -162,22 +162,22 @@ func replayArtifact(t *testing.T, file string, fresh *Report) {
 	}
 	for i := range want.Rows {
 		w, g := &want.Rows[i], &fresh.Rows[i]
-		if g.ID() != w.ID() {
-			t.Fatalf("%s row %d is %s, the campaign's cell %d is %s", file, i, w.ID(), i, g.ID())
+		if g.id() != w.id() {
+			t.Fatalf("%s row %d is %s, the campaign's cell %d is %s", file, i, w.id(), i, g.id())
 		}
 		for baseline := false; w != nil; w, g, baseline = w.Baseline, g.Baseline, true {
 			if g == nil {
-				t.Fatalf("%s: %s records a baseline leg, the fresh row has none", file, want.Rows[i].ID())
+				t.Fatalf("%s: %s records a baseline leg, the fresh row has none", file, want.Rows[i].id())
 			}
 			if g.Check != w.Check {
-				t.Errorf("%s: %s (baseline %v) checksum %s, committed %s", file, w.ID(), baseline, g.Check, w.Check)
+				t.Errorf("%s: %s (baseline %v) checksum %s, committed %s", file, w.id(), baseline, g.Check, w.Check)
 			}
 			if pins.virtual != nil && pins.virtual(*w, baseline) && !virtualWithin(g.VirtualNs, w.VirtualNs, bandBaseline) {
 				t.Errorf("%s: %s (baseline %v) virtual time %d strays more than %.1f%% from committed %d",
-					file, w.ID(), baseline, g.VirtualNs, 100*bandBaseline, w.VirtualNs)
+					file, w.id(), baseline, g.VirtualNs, 100*bandBaseline, w.VirtualNs)
 			}
 			if pins.exact != nil && pins.exact(*w) && !reflect.DeepEqual(discrete(*g), discrete(*w)) {
-				t.Errorf("%s: %s no longer replays:\ncommitted: %+v\nfresh:     %+v", file, w.ID(), discrete(*w), discrete(*g))
+				t.Errorf("%s: %s no longer replays:\ncommitted: %+v\nfresh:     %+v", file, w.id(), discrete(*w), discrete(*g))
 			}
 		}
 	}
@@ -197,7 +197,7 @@ func TestLoadArtifactRejects(t *testing.T) {
 	cases := map[string]string{
 		"missing file":   filepath.Join(dir, "BENCH_0.json"),
 		"foreign schema": write("old.json", `{"schema": "hamster/serve/v8", "results": [{"workload": "kv"}]}`),
-		"no rows":        write("empty.json", `{"schema": "`+Schema+`", "results": []}`),
+		"no rows":        write("empty.json", `{"schema": "`+schema+`", "results": []}`),
 		"not json":       write("bad.json", `{`),
 	}
 	for name, path := range cases {
@@ -251,7 +251,7 @@ func TestRegistryWellFormed(t *testing.T) {
 	for _, c := range Campaigns() {
 		seen := map[string]bool{}
 		for _, cell := range c.Cells {
-			id := cell.labels(cell.Cluster).ID()
+			id := cell.labels(cell.Cluster).id()
 			if cell.Serve != nil {
 				id += "/" + cell.Group // the headline cell differs from its twin only in population
 			}

@@ -45,11 +45,11 @@ func (reg Registry) Lookup(name string) (Campaign, error) {
 	return Campaign{}, fmt.Errorf("unknown campaign %q (have %s)", name, strings.Join(reg.Names(), ", "))
 }
 
-// StandardKernels is the standard kernel set, sized so that per-access
+// standardKernels is the standard kernel set, sized so that per-access
 // simulator work — not setup — dominates a run. BenchmarkSWDSMKernelWall
 // times the same set.
-func StandardKernels() []Workload {
-	return []Workload{
+func standardKernels() []workload {
+	return []workload{
 		{"matmult", func(m apps.Machine) apps.Result { return apps.MatMult(m, 96) }},
 		{"sor-opt", func(m apps.Machine) apps.Result { return apps.SOR(m, 192, 6, true) }},
 		{"lu", func(m apps.Machine) apps.Result { return apps.LU(m, 96) }},
@@ -64,7 +64,7 @@ func StandardKernels() []Workload {
 // seed.
 func kernelsCampaign() Campaign {
 	var cells []Cell
-	for _, k := range StandardKernels() {
+	for _, k := range standardKernels() {
 		cells = append(cells, Cell{Workload: k.Name, Group: k.Name, Kernel: k.Kernel,
 			Cluster: Cluster{Platform: "swdsm", Nodes: 4}})
 	}
@@ -83,7 +83,7 @@ func pairedCells(base, on Cluster) []Cell {
 	for _, nodes := range []int{2, 4} {
 		base, on := base, on
 		base.Nodes, on.Nodes = nodes, nodes
-		for _, k := range StandardKernels() {
+		for _, k := range standardKernels() {
 			cells = append(cells, Cell{Workload: k.Name, Group: fmt.Sprintf("%s/%d", k.Name, nodes),
 				Kernel: k.Kernel, Cluster: on, Baseline: &base})
 		}
@@ -125,8 +125,8 @@ func aggregationCampaign() Campaign {
 // write-invalidate engine's sharing traffic grows much faster with the
 // working set than the scope protocol's: every false-shared write is a
 // synchronous ownership round trip, not a deferred diff.
-func engineKernels() []Workload {
-	return []Workload{
+func engineKernels() []workload {
+	return []workload{
 		{"matmult", func(m apps.Machine) apps.Result { return apps.MatMult(m, 64) }},
 		{"sor-opt", func(m apps.Machine) apps.Result { return apps.SOR(m, 96, 4, true) }},
 		{"lu", func(m apps.Machine) apps.Result { return apps.LU(m, 64) }},
@@ -236,10 +236,10 @@ func scalingCampaign() Campaign {
 func crossover(rows []Row) string {
 	virt := map[string]uint64{}
 	key := func(k scalingKernel, eng, topo string, nodes int) string {
-		return Row{Workload: k.name, Mode: k.mode, Platform: eng, Topology: topo, Nodes: nodes}.ID()
+		return Row{Workload: k.name, Mode: k.mode, Platform: eng, Topology: topo, Nodes: nodes}.id()
 	}
 	for _, r := range rows {
-		virt[r.ID()] = r.VirtualNs
+		virt[r.id()] = r.VirtualNs
 	}
 	s := "scope vs ivy crossover (cluster size from which write-invalidate stays ahead):\n"
 	for _, k := range scalingKernels() {
@@ -342,7 +342,7 @@ func serveCallouts(rows []Row) string {
 		if r.Sessions >= 1_000_000 {
 			s += fmt.Sprintf("  headline: %s multiplexed a %d-session population (%d distinct sessions issued traffic);\n"+
 				"  offered %.1fM ops/s vs achieved %.1fM ops/s — the hot shard's home node saturates (busy %d ns over a %d ns horizon)\n\n",
-				r.ID(), r.Sessions, r.SessionsTouched,
+				r.id(), r.Sessions, r.SessionsTouched,
 				r.OfferedPerSec/1e6, r.AchievedPerSec/1e6, r.MaxBusyNs, r.HorizonNs)
 		}
 		if r.Faulted {

@@ -55,10 +55,10 @@ func TestEngineSuiteAgreement(t *testing.T) {
 	var ivyProtocol uint64
 	for _, r := range rep.Rows {
 		if r.Model != models[r.Platform] {
-			t.Errorf("%s declares %q, want %q", r.ID(), r.Model, models[r.Platform])
+			t.Errorf("%s declares %q, want %q", r.id(), r.Model, models[r.Platform])
 		}
 		if r.VirtualNs == 0 || r.Msgs == 0 {
-			t.Errorf("%s measured nothing: virtual %d msgs %d", r.ID(), r.VirtualNs, r.Msgs)
+			t.Errorf("%s measured nothing: virtual %d msgs %d", r.id(), r.VirtualNs, r.Msgs)
 		}
 		if r.Platform == consengine.IVYName {
 			ivyProtocol += r.Invalidations + r.Migrations
@@ -76,7 +76,7 @@ func TestEngineSuiteAgreement(t *testing.T) {
 // TestBuildEngineUnknown: the bench builder reports the valid selector
 // list, same as core.Config.Engine.
 func TestBuildEngineUnknown(t *testing.T) {
-	if _, err := (Cluster{Platform: "tso", Nodes: 2}).Build(); err == nil || !strings.Contains(err.Error(), "scope, eager-rc, ivy") {
+	if _, err := (Cluster{Platform: "tso", Nodes: 2}).build(); err == nil || !strings.Contains(err.Error(), "scope, eager-rc, ivy") {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -50,11 +50,11 @@ func TestParallelRunnerByteIdentity(t *testing.T) {
 			for s, p := &seq.Rows[i], &par.Rows[i]; s != nil; s, p = s.Baseline, p.Baseline {
 				if !virtualWithin(p.VirtualNs, s.VirtualNs, bandBaseline) {
 					t.Errorf("%s: %s: parallel virtual %d strays beyond %.1f%% from sequential %d",
-						c.Name, s.ID(), p.VirtualNs, 100*bandBaseline, s.VirtualNs)
+						c.Name, s.id(), p.VirtualNs, 100*bandBaseline, s.VirtualNs)
 				}
 				for cat, sv := range s.BreakdownNs {
 					if pv := p.BreakdownNs[cat]; tc.breakdownNs > 0 && math.Abs(float64(pv)-float64(sv)) > tc.breakdownNs {
-						t.Errorf("%s: %s: parallel %s breakdown %d strays from sequential %d", c.Name, s.ID(), cat, pv, sv)
+						t.Errorf("%s: %s: parallel %s breakdown %d strays from sequential %d", c.Name, s.id(), cat, pv, sv)
 					}
 				}
 				p.VirtualNs, p.BreakdownNs = s.VirtualNs, s.BreakdownNs

@@ -55,7 +55,7 @@ func runRingObs(t *testing.T, nodes, rounds int, pnodes bool) ringObs {
 	obs := ringObs{sums: make([]float64, nodes), clocks: make([]vclock.Time, nodes)}
 	rt.Run(func(e *hamster.Env) {
 		c := e.Cluster
-		self, n := c.Self(), c.NumNodes()
+		self, n := c.Self(), rt.Nodes()
 		var sum float64
 		for r := 0; r < rounds; r++ {
 			e.Compute(uint64(64 * (self + 1)))
@@ -75,7 +75,7 @@ func runRingObs(t *testing.T, nodes, rounds int, pnodes bool) ringObs {
 	obs.msgs, obs.bytes = rt.Network().TotalTraffic()
 	obs.events = make([][]perfmon.Event, nodes)
 	for i := 0; i < nodes; i++ {
-		obs.events[i] = rt.Perf().Events(i)
+		obs.events[i] = nodeEvents(rt.Perf(), i)
 	}
 	return obs
 }

@@ -77,7 +77,7 @@ func Run(c Campaign, parallel int) (*Report, error) {
 	type ref struct{ id, check string }
 	first := map[string]ref{} // the first row seen of each group
 	for i := range rows {
-		group, id := c.Cells[i].Group, rows[i].ID()
+		group, id := c.Cells[i].Group, rows[i].id()
 		for r := &rows[i]; r != nil; r, id = r.Baseline, id+" baseline" {
 			want, seen := first[group]
 			if !seen {
@@ -88,5 +88,5 @@ func Run(c Campaign, parallel int) (*Report, error) {
 			}
 		}
 	}
-	return &Report{Schema: Schema, Campaign: c.Name, Description: c.Description, Rows: rows}, nil
+	return &Report{Schema: schema, Campaign: c.Name, Description: c.Description, Rows: rows}, nil
 }

@@ -16,7 +16,7 @@ import (
 // it is deleted, not documented.)
 var declared = map[string]struct{ file, needle, what string }{
 	"Params":         {"internal/bench/bench.go", "Params: sz.params()", "Figures 2-4 run at the -size working sets"},
-	"Messaging":      {"internal/bench/ablation.go", "Messaging: mode", "AblationMessaging, coalesced vs separate stacks (§3.3)"},
+	"Messaging":      {"internal/bench/ablation.go", "Messaging: mode", "ablationMessaging, coalesced vs separate stacks (§3.3)"},
 	"Threaded":       {"models/pthreads/pthreads.go", "cfg.Threaded = true", "the pthreads, win32 and anl veneers boot threaded (Table 2)"},
 	"ParallelNodes":  {"benchmark/cells.go", "ParallelNodes: gated", "the msgring workload's gated cells, until ROADMAP item 1 decides the scheduler"},
 	"CheckpointSink": {"internal/bench/campaign.go", "hcfg.CheckpointSink = ", "the serve campaign's crashed-and-recovered cells keep snapshots across attempts"},

@@ -220,7 +220,7 @@ func runSyncScript(t *testing.T, sub platform.Substrate) []string {
 		st := sub.NodeStats(k)
 		bd := sub.Clock(k).Breakdown()
 		h := fnv.New64a()
-		for _, ev := range rec.Events(k) {
+		for _, ev := range nodeEvents(rec, k) {
 			fmt.Fprintf(h, "%d %d %d %d %d|", ev.Kind, ev.At, ev.Dur, ev.Arg1, ev.Arg2)
 		}
 		out[k] = fmt.Sprintf("clock=%d compute=%d memory=%d protocol=%d network=%d stolen=%d msgs=%d locks=%d barriers=%d inval=%d events=%d:%016x",

@@ -2,7 +2,6 @@ package checkpoint
 
 import (
 	"bytes"
-	"path/filepath"
 	"testing"
 
 	"hamster/internal/memsim"
@@ -56,9 +55,9 @@ func TestCodecRoundTrip(t *testing.T) {
 	for _, incremental := range []bool{false, true} {
 		sn := sampleSnapshot(3, incremental)
 		raw := Encode(sn)
-		got, err := Decode(raw)
+		got, err := decode(raw)
 		if err != nil {
-			t.Fatalf("Decode(incremental=%v): %v", incremental, err)
+			t.Fatalf("decode(incremental=%v): %v", incremental, err)
 		}
 		raw2 := Encode(got)
 		if !bytes.Equal(raw, raw2) {
@@ -75,16 +74,16 @@ func TestCodecRoundTrip(t *testing.T) {
 
 func TestCodecRejectsCorruptInput(t *testing.T) {
 	raw := Encode(sampleSnapshot(1, false))
-	if _, err := Decode([]byte("NOTACKPT")); err == nil {
+	if _, err := decode([]byte("NOTACKPT")); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 	// Every truncation point must error, never panic or misparse.
 	for _, cut := range []int{len(magic), len(magic) + 4, len(raw) / 2, len(raw) - 1} {
-		if _, err := Decode(raw[:cut]); err == nil {
+		if _, err := decode(raw[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
-	if _, err := Decode(append(append([]byte(nil), raw...), 0)); err == nil {
+	if _, err := decode(append(append([]byte(nil), raw...), 0)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 	// A corrupt huge count must fail the remaining-bytes check instead of
@@ -95,30 +94,8 @@ func TestCodecRejectsCorruptInput(t *testing.T) {
 	bad[off+1] = 0xff
 	bad[off+2] = 0xff
 	bad[off+3] = 0x7f
-	if _, err := Decode(bad); err == nil {
+	if _, err := decode(bad); err == nil {
 		t.Fatal("inflated count accepted")
-	}
-}
-
-func TestFileSinkPersistsAcrossOpens(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "ckpts")
-	s, err := NewFileSink(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append(sampleSnapshot(1, false)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append(sampleSnapshot(2, true)); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := NewFileSink(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain := s2.Chain()
-	if len(chain) != 2 || chain[0].Seq != 1 || chain[1].Seq != 2 || !chain[1].Incremental {
-		t.Fatalf("reloaded chain wrong: %d snapshots", len(chain))
 	}
 }
 

@@ -9,8 +9,10 @@ import (
 	"hamster/internal/vclock"
 )
 
-// Versioned binary snapshot codec — the FileSink format. The magic
-// carries the version ("HAMCKPT" + format digit); readers reject
+// Versioned binary snapshot codec (HAMCKPT1). Encode is what a snapshot
+// costs to serialize, and the repository benchmark times it per page;
+// decode is its round-trip reference in the tests. The magic carries the
+// version ("HAMCKPT" + format digit); readers reject
 // anything else, so a future layout change bumps the digit rather than
 // silently misparsing. All integers are little-endian; maps are written
 // in sorted key order so encoding is a pure function of snapshot content.
@@ -182,9 +184,9 @@ func (d *dec) region() memsim.Region {
 	return r
 }
 
-// Decode parses a snapshot serialized by Encode, validating the magic
+// decode parses a snapshot serialized by Encode, validating the magic
 // and every length against the remaining payload.
-func Decode(raw []byte) (*Snapshot, error) {
+func decode(raw []byte) (*Snapshot, error) {
 	if len(raw) < len(magic) || string(raw[:len(magic)]) != magic {
 		return nil, fmt.Errorf("checkpoint: bad snapshot magic (want %q)", magic)
 	}

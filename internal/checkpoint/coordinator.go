@@ -11,13 +11,13 @@ import (
 	"hamster/internal/vclock"
 )
 
-// KindCommit is the reserved active-message kind of the capture commit
+// kindCommit is the reserved active-message kind of the capture commit
 // (below simnet.UserKindBase; registered on the coordinator node only).
-const KindCommit amsg.Kind = 1001
+const kindCommit amsg.Kind = 1001
 
-// CommitCost is the coordinator-side service cost of accepting one
+// commitCost is the coordinator-side service cost of accepting one
 // node's capture commit.
-const CommitCost vclock.Duration = 300
+const commitCost vclock.Duration = 300
 
 // Options parameterizes a Coordinator.
 type Options struct {
@@ -105,17 +105,14 @@ func NewCoordinator(opts Options, prov Provider, layer *amsg.Layer, clocks []*vc
 	// always reconcile at the quiescent instant so snapshots (and the
 	// clocks they record) are scheduler-independent.
 	c.vb.SetLiveRelease(func() bool { return true })
-	c.layer.Register(0, KindCommit, func(amsg.NodeID, []byte) ([]byte, vclock.Duration) {
-		return nil, CommitCost
+	c.layer.Register(0, kindCommit, func(amsg.NodeID, []byte) ([]byte, vclock.Duration) {
+		return nil, commitCost
 	})
 	if opts.Incremental {
 		prov.SetCheckpointTracking(true)
 	}
 	return c, nil
 }
-
-// Sink returns the snapshot store (recovery materializes from it).
-func (c *Coordinator) Sink() Sink { return c.sink }
 
 // Stats reports sealed captures and their summed payload bytes.
 func (c *Coordinator) Stats() (captures int, bytes uint64) {
@@ -184,7 +181,7 @@ func (c *Coordinator) capture(node int, barrierCount uint64) {
 	// Commit to the coordinator node before the rendezvous: synchronous
 	// and exactly-once, so a fail-stopped coordinator (or an unreachable
 	// committer) surfaces here instead of hanging the capture.
-	if _, err := c.layer.CallErr(amsg.NodeID(node), 0, KindCommit, nil); err != nil {
+	if _, err := c.layer.CallErr(amsg.NodeID(node), 0, kindCommit, nil); err != nil {
 		panic(fmt.Sprintf("checkpoint: node %d cannot commit snapshot %d: %v", node, seq, err))
 	}
 

@@ -1,12 +1,6 @@
 package checkpoint
 
-import (
-	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"sync"
-)
+import "sync"
 
 // Sink stores sealed snapshots. Append is called by the coordinator node
 // at seal time; Chain returns the retained snapshots oldest-first, always
@@ -58,60 +52,6 @@ func (s *MemorySink) Append(sn *Snapshot) error {
 
 // Chain implements Sink.
 func (s *MemorySink) Chain() []*Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*Snapshot(nil), s.snaps...)
-}
-
-// FileSink persists every snapshot as one versioned binary file
-// (ckpt-%06d.bin) in a directory, loading any existing files at open so
-// a new process can recover a previous run's state.
-type FileSink struct {
-	mu    sync.Mutex
-	dir   string
-	snaps []*Snapshot
-}
-
-// NewFileSink opens (creating if needed) a checkpoint directory and
-// indexes the snapshots already in it, ordered by sequence number.
-func NewFileSink(dir string) (*FileSink, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("checkpoint: %v", err)
-	}
-	names, err := filepath.Glob(filepath.Join(dir, "ckpt-*.bin"))
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %v", err)
-	}
-	s := &FileSink{dir: dir}
-	for _, name := range names {
-		raw, err := os.ReadFile(name)
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: %v", err)
-		}
-		sn, err := Decode(raw)
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: %s: %v", name, err)
-		}
-		s.snaps = append(s.snaps, sn)
-	}
-	sort.Slice(s.snaps, func(i, j int) bool { return s.snaps[i].Seq < s.snaps[j].Seq })
-	return s, nil
-}
-
-// Append implements Sink.
-func (s *FileSink) Append(sn *Snapshot) error {
-	name := filepath.Join(s.dir, fmt.Sprintf("ckpt-%06d.bin", sn.Seq))
-	if err := os.WriteFile(name, Encode(sn), 0o644); err != nil {
-		return fmt.Errorf("checkpoint: %v", err)
-	}
-	s.mu.Lock()
-	s.snaps = append(s.snaps, sn)
-	s.mu.Unlock()
-	return nil
-}
-
-// Chain implements Sink.
-func (s *FileSink) Chain() []*Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]*Snapshot(nil), s.snaps...)

@@ -48,15 +48,15 @@ type FileConfig struct {
 	Nodes     []NodeSpec
 }
 
-// Default returns the configuration used when a key is absent: a
+// defaultFileConfig returns the configuration used when a key is absent: a
 // software-DSM cluster with coalesced messaging.
-func Default() FileConfig {
+func defaultFileConfig() FileConfig {
 	return FileConfig{Platform: platform.SWDSM, Messaging: machine.Coalesced}
 }
 
 // Parse reads a configuration file.
 func Parse(r io.Reader) (FileConfig, error) {
-	cfg := Default()
+	cfg := defaultFileConfig()
 	sc := bufio.NewScanner(r)
 	lineNo := 0
 	for sc.Scan() {

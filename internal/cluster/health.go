@@ -22,38 +22,38 @@ import (
 	"hamster/internal/vclock"
 )
 
-// KindHeartbeat is the reserved active-message kind of the liveness
+// kindHeartbeat is the reserved active-message kind of the liveness
 // probe (below simnet.UserKindBase; user traffic cannot collide).
-const KindHeartbeat amsg.Kind = 1000
+const kindHeartbeat amsg.Kind = 1000
 
-// HeartbeatCost is the extra service cost of answering a probe beyond
+// heartbeatCost is the extra service cost of answering a probe beyond
 // the link's base handler cost.
-const HeartbeatCost vclock.Duration = 200
+const heartbeatCost vclock.Duration = 200
 
 // DefaultThreshold is the number of consecutive missed probes after
 // which a peer is declared down.
 const DefaultThreshold = 3
 
-// NodeStatus is a Monitor's opinion of one peer.
-type NodeStatus int
+// nodeStatus is a Monitor's opinion of one peer.
+type nodeStatus int
 
 // The health states. A node goes Up → Suspect on the first missed
 // probe and Suspect → Down at the threshold; Down is permanent (the
 // fault model is fail-stop).
 const (
-	Up NodeStatus = iota
-	Suspect
-	Down
+	nodeUp nodeStatus = iota
+	nodeSuspect
+	nodeDown
 )
 
 // String names the status.
-func (s NodeStatus) String() string {
+func (s nodeStatus) String() string {
 	switch s {
-	case Up:
+	case nodeUp:
 		return "up"
-	case Suspect:
+	case nodeSuspect:
 		return "suspect"
-	case Down:
+	case nodeDown:
 		return "down"
 	default:
 		return "unknown"
@@ -70,7 +70,7 @@ type Monitor struct {
 
 	mu     sync.Mutex
 	missed []int
-	status []NodeStatus
+	status []nodeStatus
 	reason []string
 }
 
@@ -87,49 +87,49 @@ func NewMonitor(layer *amsg.Layer, threshold int, rec *perfmon.Recorder) *Monito
 		threshold: threshold,
 		rec:       rec,
 		missed:    make([]int, size),
-		status:    make([]NodeStatus, size),
+		status:    make([]nodeStatus, size),
 		reason:    make([]string, size),
 	}
 	echo := func(from amsg.NodeID, req []byte) ([]byte, vclock.Duration) {
-		return req, HeartbeatCost
+		return req, heartbeatCost
 	}
 	for id := 0; id < size; id++ {
-		layer.Register(amsg.NodeID(id), KindHeartbeat, echo)
+		layer.Register(amsg.NodeID(id), kindHeartbeat, echo)
 	}
 	return m
 }
 
-// Probe sends one heartbeat from → to and folds the outcome into the
+// probe sends one heartbeat from → to and folds the outcome into the
 // health state, returning the peer's status afterwards. Reaching the
 // miss threshold marks the peer down, records EvNodeDown, and fences it
 // off in the amsg layer.
-func (m *Monitor) Probe(from, to amsg.NodeID) NodeStatus {
+func (m *Monitor) probe(from, to amsg.NodeID) nodeStatus {
 	if from == to {
-		return Up
+		return nodeUp
 	}
 	m.mu.Lock()
-	if m.status[to] == Down {
+	if m.status[to] == nodeDown {
 		m.mu.Unlock()
-		return Down
+		return nodeDown
 	}
 	m.mu.Unlock()
 
-	_, err := m.layer.CallErr(from, to, KindHeartbeat, nil)
+	_, err := m.layer.CallErr(from, to, kindHeartbeat, nil)
 
 	m.mu.Lock()
 	if err == nil {
 		m.missed[to] = 0
-		m.status[to] = Up
+		m.status[to] = nodeUp
 		m.mu.Unlock()
-		return Up
+		return nodeUp
 	}
 	m.missed[to]++
-	m.status[to] = Suspect
+	m.status[to] = nodeSuspect
 	m.reason[to] = err.Error()
 	declared := m.missed[to] >= m.threshold
 	misses := m.missed[to]
 	if declared {
-		m.status[to] = Down
+		m.status[to] = nodeDown
 	}
 	st := m.status[to]
 	m.mu.Unlock()
@@ -154,26 +154,16 @@ func (m *Monitor) Sweep(from amsg.NodeID) []amsg.NodeID {
 		if to == from {
 			continue
 		}
-		st := m.Probe(from, to)
-		for i := 1; i < m.threshold && st == Suspect; i++ {
-			st = m.Probe(from, to)
+		st := m.probe(from, to)
+		for i := 1; i < m.threshold && st == nodeSuspect; i++ {
+			st = m.probe(from, to)
 		}
-		if st == Down {
+		if st == nodeDown {
 			down = append(down, to)
 		}
 	}
 	return down
 }
-
-// Status returns the monitor's current opinion of a node.
-func (m *Monitor) Status(id amsg.NodeID) NodeStatus {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.status[id]
-}
-
-// Threshold returns the consecutive-miss count that marks a node down.
-func (m *Monitor) Threshold() int { return m.threshold }
 
 // Diagnostic renders a one-paragraph cluster health report, the text a
 // failed fault campaign prints on exit.
@@ -183,12 +173,12 @@ func (m *Monitor) Diagnostic() string {
 	var up, bad []string
 	for id, st := range m.status {
 		switch st {
-		case Up:
+		case nodeUp:
 			up = append(up, fmt.Sprint(id))
-		case Suspect:
+		case nodeSuspect:
 			bad = append(bad, fmt.Sprintf("node %d SUSPECT after %d missed heartbeats (%s)",
 				id, m.missed[id], m.reason[id]))
-		case Down:
+		case nodeDown:
 			bad = append(bad, fmt.Sprintf("node %d DOWN after %d missed heartbeats (%s)",
 				id, m.missed[id], m.reason[id]))
 		}

@@ -27,14 +27,14 @@ func testHealthLayer(nodes int) (*amsg.Layer, []*vclock.Clock) {
 func TestMonitorAllUp(t *testing.T) {
 	l, _ := testHealthLayer(3)
 	m := NewMonitor(l, 0, nil)
-	if m.Threshold() != DefaultThreshold {
-		t.Fatalf("threshold = %d, want default %d", m.Threshold(), DefaultThreshold)
+	if m.threshold != DefaultThreshold {
+		t.Fatalf("threshold = %d, want default %d", m.threshold, DefaultThreshold)
 	}
 	if down := m.Sweep(0); down != nil {
 		t.Fatalf("sweep of a healthy cluster found %v down", down)
 	}
 	for id := 0; id < 3; id++ {
-		if st := m.Status(amsg.NodeID(id)); st != Up {
+		if st := m.status[id]; st != nodeUp {
 			t.Fatalf("node %d status = %v, want up", id, st)
 		}
 	}
@@ -51,33 +51,29 @@ func TestMonitorDetectsCrashedNode(t *testing.T) {
 	rec := perfmon.New(3, 0)
 	l.SetRecorder(rec)
 	rec.Enable()
-	// Node 2 is dead from the start; keep the retry budget small so the
-	// test doesn't burn eight backoff cycles per probe.
+	// Node 2 is dead from the start.
 	l.Network().SetFaults(simnet.FaultPlan{
 		NodeFaults: []simnet.NodeFault{{Node: 2, CrashAt: 1}},
 		Seed:       5,
 	})
-	l.SetRetryPolicy(amsg.RetryPolicy{MaxAttempts: 2})
 	m := NewMonitor(l, 0, rec)
 
 	down := m.Sweep(0)
 	if len(down) != 1 || down[0] != 2 {
 		t.Fatalf("sweep found %v down, want [2]", down)
 	}
-	if st := m.Status(2); st != Down {
+	if st := m.status[2]; st != nodeDown {
 		t.Fatalf("node 2 status = %v, want down", st)
 	}
-	if st := m.Status(1); st != Up {
+	if st := m.status[1]; st != nodeUp {
 		t.Fatalf("node 1 status = %v, want up", st)
 	}
 	if rec.KindCount(0)[perfmon.EvNodeDown] != 1 {
 		t.Fatal("EvNodeDown was not recorded")
 	}
-	if !l.NodeDown(2) {
-		t.Fatal("monitor did not fence the dead node in the amsg layer")
-	}
-	// Fenced: subsequent calls fail immediately, zero attempts.
-	_, err := l.CallErr(0, 2, KindHeartbeat, nil)
+	// Fenced in the amsg layer: subsequent calls fail immediately, zero
+	// attempts.
+	_, err := l.CallErr(0, 2, kindHeartbeat, nil)
 	var ue *amsg.UnreachableError
 	if !errors.As(err, &ue) || ue.Attempts != 0 {
 		t.Fatalf("post-down call err = %v, want fenced UnreachableError", err)
@@ -87,7 +83,7 @@ func TestMonitorDetectsCrashedNode(t *testing.T) {
 		t.Fatalf("diagnostic = %q", d)
 	}
 	// Down is sticky: probing again stays Down without new traffic.
-	if st := m.Probe(0, 2); st != Down {
+	if st := m.probe(0, 2); st != nodeDown {
 		t.Fatalf("re-probe of a down node = %v, want down", st)
 	}
 }

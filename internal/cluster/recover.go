@@ -10,6 +10,7 @@ package cluster
 // captured barrier. Without Recover the run's failure reason is the error.
 
 import (
+	"errors"
 	"fmt"
 
 	"hamster/internal/checkpoint"
@@ -30,7 +31,11 @@ import (
 // checkpoint sink holds (nothing sealed yet = restart from scratch), and
 // the victim's crash entry is stripped from the plan so the re-admitted
 // node survives the retry. Same seed, same plan → bit-identical replay.
+// Recovery with the software DSM's protocol aggregation on is refused.
 func RunRecoverable(cfg core.Config, plan simnet.FaultPlan, setup func(*core.Runtime), body func(*core.Env)) (*core.Runtime, int, error) {
+	if plan.Recover && cfg.SWDSMAggregation.Enabled() {
+		return nil, 0, errors.New("cluster: Config.SWDSMAggregation is not supported with FaultPlan.Recover: rollback re-admission has not been qualified against batched message sequences")
+	}
 	if cfg.CheckpointEvery > 0 && cfg.CheckpointSink == nil {
 		// The sink must outlive each attempt's runtime, or the snapshots
 		// would die with the crashed run.

@@ -9,6 +9,7 @@ import (
 	"hamster/internal/memsim"
 	"hamster/internal/platform"
 	"hamster/internal/simnet"
+	"hamster/internal/swdsm"
 )
 
 // A planned crash without Recover fails the run with the crash as the
@@ -41,4 +42,27 @@ func TestRunRecoverableFailureIsTheReason(t *testing.T) {
 	if !strings.HasPrefix(msg, "cluster: run failed: ") || strings.Contains(msg, "cluster health") {
 		t.Fatalf("error %q: want the run's failure reason and no health verdict", msg)
 	}
+}
+
+// Protocol aggregation and crash recovery are refused together at the
+// library entry point every recovering caller goes through, before
+// anything boots.
+func TestRunRecoverableRejectsAggregation(t *testing.T) {
+	cfg := core.Config{Platform: platform.SWDSM, Nodes: 4, CheckpointEvery: 2, SWDSMAggregation: swdsm.Aggregation{Batch: true}}
+	plan := simnet.FaultPlan{NodeFaults: []simnet.NodeFault{{Node: 1, CrashAt: 2_000_000}}, Recover: true, Seed: 1}
+	ran := false
+	rt, _, err := cluster.RunRecoverable(cfg, plan, nil, func(*core.Env) { ran = true })
+	if err == nil {
+		rt.Close()
+		t.Fatal("aggregation with recovery ran")
+	}
+	if !strings.Contains(err.Error(), "rollback re-admission has not been qualified against batched message sequences") || ran {
+		t.Fatalf("error %v (body ran: %v), want the protocol reason and nothing run", err, ran)
+	}
+	plan.Recover = false
+	rt, _, err = cluster.RunRecoverable(cfg, plan, nil, func(*core.Env) {})
+	if err != nil {
+		t.Fatalf("aggregation without recovery: %v", err)
+	}
+	rt.Close()
 }

@@ -76,19 +76,19 @@ type Event struct {
 	Seq  int         // index within the global trace
 }
 
-// VC is a vector clock over node indices.
-type VC []uint64
+// vc is a vector clock over node indices.
+type vc []uint64
 
-func newVC(n int) VC { return make(VC, n) }
+func newVC(n int) vc { return make(vc, n) }
 
-func (v VC) copyOf() VC {
-	out := make(VC, len(v))
+func (v vc) copyOf() vc {
+	out := make(vc, len(v))
 	copy(out, v)
 	return out
 }
 
 // joinFrom merges another clock into v (element-wise max).
-func (v VC) joinFrom(o VC) {
+func (v vc) joinFrom(o vc) {
 	for i, t := range o {
 		if t > v[i] {
 			v[i] = t
@@ -97,7 +97,7 @@ func (v VC) joinFrom(o VC) {
 }
 
 // leq reports v ≤ o element-wise (v happens-before-or-equals o).
-func (v VC) leq(o VC) bool {
+func (v vc) leq(o vc) bool {
 	for i, t := range v {
 		if t > o[i] {
 			return false
@@ -144,14 +144,11 @@ type Report struct {
 	Lockset []LocksetWarning
 }
 
-// DRF reports whether the trace is data-race-free.
-func (r Report) DRF() bool { return len(r.Races) == 0 }
-
 // String renders a human-readable summary.
 func (r Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "consistency check: %d events over %d shared words\n", r.Events, r.Words)
-	if r.DRF() {
+	if len(r.Races) == 0 {
 		b.WriteString("  data-race-free: yes — execution is correct under Scope/Release consistency\n")
 	} else {
 		fmt.Fprintf(&b, "  data-race-free: NO — %d race(s)\n", len(r.Races))
@@ -174,11 +171,11 @@ func (r Report) String() string {
 }
 
 type wordState struct {
-	writeVC   VC // clock of the last write
+	writeVC   vc // clock of the last write
 	writeNode int
 	writeKind Kind
 	writeSeq  int
-	readVCs   map[int]VC // last read per node (clock at read)
+	readVCs   map[int]vc // last read per node (clock at read)
 	readSeqs  map[int]int
 	lockset   map[int]bool // Eraser: intersection of held locks, nil = untouched
 	writers   map[int]bool
@@ -190,12 +187,12 @@ type wordState struct {
 // recorder guarantees is consistent with the synchronization that
 // actually happened).
 func Analyze(events []Event, nodes int) Report {
-	clocks := make([]VC, nodes) // per-node vector clock
+	clocks := make([]vc, nodes) // per-node vector clock
 	for i := range clocks {
 		clocks[i] = newVC(nodes)
 		clocks[i][i] = 1
 	}
-	lockVC := map[int]VC{} // per-lock: clock of the last release
+	lockVC := map[int]vc{} // per-lock: clock of the last release
 	held := make([]map[int]bool, nodes)
 	for i := range held {
 		held[i] = map[int]bool{}
@@ -250,7 +247,7 @@ func Analyze(events []Event, nodes int) Report {
 			w := words[ev.Addr]
 			if w == nil {
 				w = &wordState{
-					readVCs:   map[int]VC{},
+					readVCs:   map[int]vc{},
 					readSeqs:  map[int]int{},
 					writers:   map[int]bool{},
 					barrierEp: map[int]uint64{},

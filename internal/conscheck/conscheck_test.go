@@ -26,7 +26,7 @@ func TestLockProtectedIsDRF(t *testing.T) {
 		acq(0, 1), rd(0, 0x100), rel(0, 1),
 	}
 	rep := Analyze(events, 2)
-	if !rep.DRF() {
+	if len(rep.Races) != 0 {
 		t.Fatalf("lock-protected trace flagged racy: %s", rep)
 	}
 	if len(rep.Lockset) != 0 {
@@ -40,7 +40,7 @@ func TestUnorderedWriteWriteRace(t *testing.T) {
 		wr(1, 0x200),
 	}
 	rep := Analyze(events, 2)
-	if rep.DRF() {
+	if len(rep.Races) == 0 {
 		t.Fatal("concurrent unordered writes not flagged")
 	}
 	r := rep.Races[0]
@@ -58,7 +58,7 @@ func TestReadWriteRace(t *testing.T) {
 		wr(1, 0x300),
 	}
 	rep := Analyze(events, 2)
-	if rep.DRF() {
+	if len(rep.Races) == 0 {
 		t.Fatal("unordered read/write not flagged")
 	}
 }
@@ -72,7 +72,7 @@ func TestBarrierOrdersAccesses(t *testing.T) {
 		rd(0, 0x400),
 	}
 	rep := Analyze(events, 2)
-	if !rep.DRF() {
+	if len(rep.Races) != 0 {
 		t.Fatalf("barrier-separated accesses flagged racy: %s", rep)
 	}
 	if len(rep.Lockset) != 0 {
@@ -87,7 +87,7 @@ func TestDifferentLocksRace(t *testing.T) {
 		acq(1, 2), wr(1, 0x500), rel(1, 2),
 	}
 	rep := Analyze(events, 2)
-	if rep.DRF() {
+	if len(rep.Races) == 0 {
 		t.Fatal("different-lock writers not flagged")
 	}
 }
@@ -101,7 +101,7 @@ func TestLocksetWarningWithoutObservedRace(t *testing.T) {
 		acq(1, 9), acq(1, 2), wr(1, 0x600), rel(1, 2), rel(1, 9),
 	}
 	rep := Analyze(events, 2)
-	if !rep.DRF() {
+	if len(rep.Races) != 0 {
 		t.Fatalf("incidentally ordered writes flagged racy: %s", rep)
 	}
 	// Lockset: {9,1} ∩ {9,2} = {9} — consistent, so NO warning. Now drop
@@ -130,7 +130,7 @@ func TestFenceOrders(t *testing.T) {
 		rd(1, 0x700),
 	}
 	rep := Analyze(events, 2)
-	if !rep.DRF() {
+	if len(rep.Races) != 0 {
 		t.Fatalf("fence-ordered accesses flagged racy: %s", rep)
 	}
 }
@@ -140,7 +140,7 @@ func TestSameNodeNeverRaces(t *testing.T) {
 		wr(0, 0x800), rd(0, 0x800), wr(0, 0x800),
 	}
 	rep := Analyze(events, 1)
-	if !rep.DRF() {
+	if len(rep.Races) != 0 {
 		t.Fatal("single node cannot race with itself")
 	}
 }
@@ -190,7 +190,7 @@ func TestLockDisciplineAlwaysDRFProperty(t *testing.T) {
 			events = append(events,
 				acq(n, 7), rd(n, 0xA00), wr(n, 0xA00), rel(n, 7))
 		}
-		return Analyze(events, nodes).DRF()
+		return len(Analyze(events, nodes).Races) == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

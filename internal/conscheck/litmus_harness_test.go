@@ -23,15 +23,15 @@ import (
 // through the happens-before/lockset analyses (Analyze) to certify the
 // data-race-freedom precondition the relaxed models' guarantees rest on.
 
-// LitmusVars is the number of shared variables a litmus machine provides.
+// litmusVars is the number of shared variables a litmus machine provides.
 // Each variable occupies word 0 of its own page (Cyclic placement), so
 // the variables have distinct homes and no false sharing.
-const LitmusVars = 4
+const litmusVars = 4
 
-// LitmusMachine gives a litmus program numbered shared variables, one
+// litmusMachine gives a litmus program numbered shared variables, one
 // lock, and the engine's synchronization, while recording the execution
 // trace for the DRF analyses.
-type LitmusMachine struct {
+type litmusMachine struct {
 	eng  consengine.Engine
 	base memsim.Addr
 	lock int
@@ -40,70 +40,70 @@ type LitmusMachine struct {
 	trace []Event
 }
 
-// NewLitmusMachine wraps an engine for one litmus trial.
-func NewLitmusMachine(eng consengine.Engine) (*LitmusMachine, error) {
-	r, err := eng.Alloc(LitmusVars*memsim.PageSize, "litmus", memsim.Cyclic, -1)
+// newLitmusMachine wraps an engine for one litmus trial.
+func newLitmusMachine(eng consengine.Engine) (*litmusMachine, error) {
+	r, err := eng.Alloc(litmusVars*memsim.PageSize, "litmus", memsim.Cyclic, -1)
 	if err != nil {
 		return nil, err
 	}
-	return &LitmusMachine{eng: eng, base: r.Base, lock: eng.NewLock()}, nil
+	return &litmusMachine{eng: eng, base: r.Base, lock: eng.NewLock()}, nil
 }
 
-func (m *LitmusMachine) addr(v int) memsim.Addr {
-	if v < 0 || v >= LitmusVars {
+func (m *litmusMachine) addr(v int) memsim.Addr {
+	if v < 0 || v >= litmusVars {
 		panic(fmt.Sprintf("litmus: variable %d out of range", v))
 	}
 	return m.base + memsim.Addr(v)*memsim.PageSize
 }
 
-func (m *LitmusMachine) record(ev Event) {
+func (m *litmusMachine) record(ev Event) {
 	m.mu.Lock()
 	ev.Seq = len(m.trace)
 	m.trace = append(m.trace, ev)
 	m.mu.Unlock()
 }
 
-// Write stores val into variable v from node.
-func (m *LitmusMachine) Write(node, v int, val int64) {
+// write stores val into variable v from node.
+func (m *litmusMachine) write(node, v int, val int64) {
 	m.eng.WriteI64(node, m.addr(v), val)
 	m.record(Event{Node: node, Kind: Write, Addr: m.addr(v)})
 }
 
-// Read loads variable v from node.
-func (m *LitmusMachine) Read(node, v int) int64 {
+// read loads variable v from node.
+func (m *litmusMachine) read(node, v int) int64 {
 	val := m.eng.ReadI64(node, m.addr(v))
 	m.record(Event{Node: node, Kind: Read, Addr: m.addr(v)})
 	return val
 }
 
-// Acquire takes the machine's lock. The event is recorded after the
+// acquire takes the machine's lock. The event is recorded after the
 // engine grants it, so the trace orders it after the previous holder's
 // release.
-func (m *LitmusMachine) Acquire(node int) {
+func (m *litmusMachine) acquire(node int) {
 	m.eng.Acquire(node, m.lock)
 	m.record(Event{Node: node, Kind: Acquire, Lock: m.lock})
 }
 
-// Release drops the machine's lock. The event is recorded before the
+// release drops the machine's lock. The event is recorded before the
 // engine releases, so it precedes the next holder's acquire in the trace.
-func (m *LitmusMachine) Release(node int) {
+func (m *litmusMachine) release(node int) {
 	m.record(Event{Node: node, Kind: Release, Lock: m.lock})
 	m.eng.Release(node, m.lock)
 }
 
-// Barrier joins the global barrier. The event is recorded before
+// barrier joins the global barrier. The event is recorded before
 // arrival: every node's pre-barrier accesses then precede the complete
 // barrier generation in the trace, which is the ordering Analyze needs.
-func (m *LitmusMachine) Barrier(node int) {
+func (m *litmusMachine) barrier(node int) {
 	m.record(Event{Node: node, Kind: Barrier})
 	m.eng.Barrier(node)
 }
 
-// Trace returns the recorded execution trace (after the trial joined).
-func (m *LitmusMachine) Trace() []Event { return m.trace }
+// events returns the recorded execution trace (after the trial joined).
+func (m *litmusMachine) events() []Event { return m.trace }
 
-// Litmus is one conformance test.
-type Litmus struct {
+// litmus is one conformance test.
+type litmus struct {
 	// Name identifies the test in verdicts.
 	Name string
 	// Nodes is the cluster size the program needs.
@@ -113,15 +113,15 @@ type Litmus struct {
 	Sync bool
 	// Run executes one node's program and returns that node's observation
 	// ("" for pure writers). The trial's outcome is the node-ordered join.
-	Run func(m *LitmusMachine, node int) string
+	Run func(m *litmusMachine, node int) string
 	// Forbidden reports whether an observed outcome is disallowed under
 	// the declared model.
 	Forbidden func(model consengine.Model, outcome string) bool
 }
 
-// Battery is the standard conformance suite.
-func Battery() []Litmus {
-	return []Litmus{
+// battery is the standard conformance suite.
+func battery() []litmus {
+	return []litmus{
 		messagePassing(),
 		storeBuffering(),
 		iriw(),
@@ -135,18 +135,18 @@ func Battery() []Litmus {
 // relaxed-consistency reordering; Processor consistency and stronger
 // forbid it (node 0's writes must be observed in order), Release/Scope
 // allow it for this unsynchronized program.
-func messagePassing() Litmus {
-	return Litmus{
+func messagePassing() litmus {
+	return litmus{
 		Name:  "message-passing",
 		Nodes: 2,
-		Run: func(m *LitmusMachine, node int) string {
+		Run: func(m *litmusMachine, node int) string {
 			if node == 0 {
-				m.Write(0, 0, 1) // data
-				m.Write(0, 1, 1) // flag
+				m.write(0, 0, 1) // data
+				m.write(0, 1, 1) // flag
 				return ""
 			}
-			r1 := m.Read(1, 1) // flag
-			r2 := m.Read(1, 0) // data
+			r1 := m.read(1, 1) // flag
+			r2 := m.read(1, 0) // data
 			return fmt.Sprintf("flag=%d data=%d", r1, r2)
 		},
 		Forbidden: func(model consengine.Model, outcome string) bool {
@@ -158,13 +158,13 @@ func messagePassing() Litmus {
 // storeBuffering: each node writes its variable then reads the other's.
 // Both reading zero requires each node's read to bypass the other's
 // earlier write — forbidden only under Sequential consistency.
-func storeBuffering() Litmus {
-	return Litmus{
+func storeBuffering() litmus {
+	return litmus{
 		Name:  "store-buffering",
 		Nodes: 2,
-		Run: func(m *LitmusMachine, node int) string {
-			m.Write(node, node, 1)
-			r := m.Read(node, 1-node)
+		Run: func(m *litmusMachine, node int) string {
+			m.write(node, node, 1)
+			r := m.read(node, 1-node)
 			return fmt.Sprintf("r%d=%d", node, r)
 		},
 		Forbidden: func(model consengine.Model, outcome string) bool {
@@ -177,25 +177,25 @@ func storeBuffering() Litmus {
 // readers reading in opposite orders. The readers disagreeing on the
 // write order is forbidden only under Sequential consistency (it denies
 // a single global write serialization).
-func iriw() Litmus {
-	return Litmus{
+func iriw() litmus {
+	return litmus{
 		Name:  "iriw",
 		Nodes: 4,
-		Run: func(m *LitmusMachine, node int) string {
+		Run: func(m *litmusMachine, node int) string {
 			switch node {
 			case 0:
-				m.Write(0, 0, 1)
+				m.write(0, 0, 1)
 				return ""
 			case 1:
-				m.Write(1, 1, 1)
+				m.write(1, 1, 1)
 				return ""
 			case 2:
-				x := m.Read(2, 0)
-				y := m.Read(2, 1)
+				x := m.read(2, 0)
+				y := m.read(2, 1)
 				return fmt.Sprintf("n2:x=%d,y=%d", x, y)
 			default:
-				y := m.Read(3, 1)
-				x := m.Read(3, 0)
+				y := m.read(3, 1)
+				x := m.read(3, 0)
 				return fmt.Sprintf("n3:y=%d,x=%d", y, x)
 			}
 		},
@@ -210,23 +210,23 @@ func iriw() Litmus {
 // lock. Exactly nodes*rounds is the single allowed outcome on EVERY
 // model — lock-protected read-modify-write is the contract all of them
 // share — and the trace must be data-race-free.
-func lockedIncrements() Litmus {
+func lockedIncrements() litmus {
 	const rounds = 8
-	return Litmus{
+	return litmus{
 		Name:  "locked-increments",
 		Nodes: 4,
 		Sync:  true,
-		Run: func(m *LitmusMachine, node int) string {
+		Run: func(m *litmusMachine, node int) string {
 			for i := 0; i < rounds; i++ {
-				m.Acquire(node)
-				m.Write(node, 0, m.Read(node, 0)+1)
-				m.Release(node)
+				m.acquire(node)
+				m.write(node, 0, m.read(node, 0)+1)
+				m.release(node)
 			}
-			m.Barrier(node)
+			m.barrier(node)
 			if node != 0 {
 				return ""
 			}
-			return fmt.Sprintf("total=%d", m.Read(0, 0))
+			return fmt.Sprintf("total=%d", m.read(0, 0))
 		},
 		Forbidden: func(_ consengine.Model, outcome string) bool {
 			return outcome != fmt.Sprintf("total=%d", 4*rounds)
@@ -238,26 +238,26 @@ func lockedIncrements() Litmus {
 // and a barrier publishes the update. Every model must deliver the new
 // value — this is the test that deterministically catches an engine
 // whose release/barrier action fails to invalidate stale copies.
-func barrierPublication() Litmus {
-	return Litmus{
+func barrierPublication() litmus {
+	return litmus{
 		Name:  "barrier-publication",
 		Nodes: 4,
 		Sync:  true,
-		Run: func(m *LitmusMachine, node int) string {
+		Run: func(m *litmusMachine, node int) string {
 			if node == 0 {
-				m.Write(0, 0, 1)
+				m.write(0, 0, 1)
 			}
-			m.Barrier(node)
-			m.Read(node, 0) // every node caches a copy of the old value
-			m.Barrier(node)
+			m.barrier(node)
+			m.read(node, 0) // every node caches a copy of the old value
+			m.barrier(node)
 			if node == 0 {
-				m.Write(0, 0, 2)
+				m.write(0, 0, 2)
 			}
-			m.Barrier(node)
+			m.barrier(node)
 			if node == 0 {
 				return ""
 			}
-			return fmt.Sprintf("x=%d", m.Read(node, 0))
+			return fmt.Sprintf("x=%d", m.read(node, 0))
 		},
 		Forbidden: func(_ consengine.Model, outcome string) bool {
 			return outcome != "x=2 x=2 x=2"
@@ -265,8 +265,8 @@ func barrierPublication() Litmus {
 	}
 }
 
-// Verdict is the result of running one litmus test on one engine.
-type Verdict struct {
+// verdict is the result of running one litmus test on one engine.
+type verdict struct {
 	Test   string
 	Engine string
 	Model  consengine.Model
@@ -280,14 +280,14 @@ type Verdict struct {
 	Races []string
 }
 
-// OK reports conformance: no forbidden outcome and no precondition race.
-func (v Verdict) OK() bool { return len(v.Violations) == 0 && len(v.Races) == 0 }
+// ok reports conformance: no forbidden outcome and no precondition race.
+func (v verdict) ok() bool { return len(v.Violations) == 0 && len(v.Races) == 0 }
 
 // String renders the verdict.
-func (v Verdict) String() string {
+func (v verdict) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s on %s (%v, %d trials): ", v.Test, v.Engine, v.Model, v.Trials)
-	if v.OK() {
+	if v.ok() {
 		b.WriteString("conforms")
 	} else {
 		b.WriteString("VIOLATION")
@@ -309,11 +309,11 @@ func (v Verdict) String() string {
 	return b.String()
 }
 
-// RunLitmus executes one test for `trials` independent trials, building a
+// runLitmus executes one test for `trials` independent trials, building a
 // fresh engine each time, and judges the observed outcomes against the
 // engine's declared model.
-func RunLitmus(l Litmus, build func(nodes int) (consengine.Engine, error), trials int) (Verdict, error) {
-	v := Verdict{Test: l.Name, Trials: trials, Observed: map[string]int{}}
+func runLitmus(l litmus, build func(nodes int) (consengine.Engine, error), trials int) (verdict, error) {
+	v := verdict{Test: l.Name, Trials: trials, Observed: map[string]int{}}
 	for trial := 0; trial < trials; trial++ {
 		eng, err := build(l.Nodes)
 		if err != nil {
@@ -323,7 +323,7 @@ func RunLitmus(l Litmus, build func(nodes int) (consengine.Engine, error), trial
 			v.Engine = eng.EngineName()
 			v.Model = eng.DeclaredModel()
 		}
-		m, err := NewLitmusMachine(eng)
+		m, err := newLitmusMachine(eng)
 		if err != nil {
 			eng.Close()
 			return v, fmt.Errorf("litmus %s: %w", l.Name, err)
@@ -349,7 +349,7 @@ func RunLitmus(l Litmus, build func(nodes int) (consengine.Engine, error), trial
 		if l.Sync && trial == 0 {
 			// The DRF precondition is a property of the program, not the
 			// schedule sample: one trace certification suffices.
-			report := Analyze(m.Trace(), l.Nodes)
+			report := Analyze(m.events(), l.Nodes)
 			for _, r := range report.Races {
 				v.Races = append(v.Races, r.String())
 			}
@@ -365,11 +365,11 @@ func RunLitmus(l Litmus, build func(nodes int) (consengine.Engine, error), trial
 	return v, nil
 }
 
-// RunBattery runs the full conformance suite against one engine builder.
-func RunBattery(build func(nodes int) (consengine.Engine, error), trials int) ([]Verdict, error) {
-	var out []Verdict
-	for _, l := range Battery() {
-		v, err := RunLitmus(l, build, trials)
+// runBattery runs the full conformance suite against one engine builder.
+func runBattery(build func(nodes int) (consengine.Engine, error), trials int) ([]verdict, error) {
+	var out []verdict
+	for _, l := range battery() {
+		v, err := runLitmus(l, build, trials)
 		if err != nil {
 			return out, err
 		}

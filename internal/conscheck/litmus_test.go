@@ -7,6 +7,7 @@ import (
 	"hamster/internal/consengine"
 	"hamster/internal/ivy"
 	"hamster/internal/multidsm"
+	"hamster/internal/platform"
 	"hamster/internal/smp"
 	"hamster/internal/swdsm"
 )
@@ -50,20 +51,28 @@ func buildSMP(nodes int) (consengine.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return consengine.Wrap(s), nil
+	return smpEngine{s}, nil
 }
+
+// smpEngine presents the SMP as an engine declaring the processor
+// consistency of its capability string, so the battery can judge it.
+type smpEngine struct{ platform.Substrate }
+
+func (e smpEngine) EngineName() string { return e.Kind().String() }
+
+func (e smpEngine) DeclaredModel() consengine.Model { return consengine.Processor }
 
 func checkBattery(t *testing.T, name string, build func(int) (consengine.Engine, error)) {
 	t.Helper()
-	verdicts, err := RunBattery(build, litmusTrials)
+	verdicts, err := runBattery(build, litmusTrials)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	if len(verdicts) != len(Battery()) {
+	if len(verdicts) != len(battery()) {
 		t.Fatalf("%s: %d verdicts", name, len(verdicts))
 	}
 	for _, v := range verdicts {
-		if !v.OK() {
+		if !v.ok() {
 			t.Errorf("%s: %s", name, v.String())
 		}
 		if len(v.Observed) == 0 {
@@ -126,8 +135,8 @@ func TestLitmusCatchesBrokenEngine(t *testing.T) {
 		}
 		return d, nil
 	}
-	var pub Litmus
-	for _, l := range Battery() {
+	var pub litmus
+	for _, l := range battery() {
 		if l.Name == "barrier-publication" {
 			pub = l
 		}
@@ -135,11 +144,11 @@ func TestLitmusCatchesBrokenEngine(t *testing.T) {
 	if pub.Name == "" {
 		t.Fatal("barrier-publication missing from the battery")
 	}
-	v, err := RunLitmus(pub, broken, 2)
+	v, err := runLitmus(pub, broken, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.OK() {
+	if v.ok() {
 		t.Fatalf("the broken engine must be convicted, got: %s", v.String())
 	}
 	found := false
@@ -155,7 +164,7 @@ func TestLitmusCatchesBrokenEngine(t *testing.T) {
 
 // TestVerdictString covers the human-readable rendering both ways.
 func TestVerdictString(t *testing.T) {
-	v, err := RunLitmus(storeBuffering(), buildScope, 2)
+	v, err := runLitmus(storeBuffering(), buildScope, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,11 +3,10 @@
 // coherence protocol — page-fault handling, acquire/release/barrier/fence
 // actions, write-notice generation, invalidation policy — packaged as a
 // platform.Substrate plus a declaration of the memory model it
-// implements. The declaration is load-bearing: core.ConsMgr refuses model
-// requests stronger than the declaration, and the conscheck litmus
-// harness checks every engine's observed outcomes against its declared
-// model's allowed-outcome set, so a protocol experiment can't silently
-// weaken semantics.
+// implements. The declaration is load-bearing: campaign rows report it as
+// the cell's model, and the conscheck litmus harness checks every
+// engine's observed outcomes against its declared model's allowed-outcome
+// set, so a protocol experiment can't silently weaken semantics.
 //
 // The package carries no protocol state of its own and is safe from any
 // goroutine; concurrency contracts live with the engines implementing
@@ -70,25 +69,6 @@ func (m Model) String() string {
 // strongest first, so this is a simple comparison.
 func (m Model) AtLeast(o Model) bool { return m <= o }
 
-// ParseModel resolves a model name (a substrate's capability string) to
-// its Model.
-func ParseModel(s string) (Model, error) {
-	switch s {
-	case "sequential":
-		return Sequential, nil
-	case "processor":
-		return Processor, nil
-	case "release":
-		return Release, nil
-	case "scope":
-		return Scope, nil
-	case "entry":
-		return Entry, nil
-	default:
-		return 0, fmt.Errorf("consengine: unknown consistency model %q (valid: sequential, processor, release, scope, entry)", s)
-	}
-}
-
 // Engine is one pluggable consistency engine: a complete substrate whose
 // coherence protocol is self-contained, plus its identity and model
 // declaration.
@@ -117,33 +97,6 @@ type Composable interface {
 	// stale local copies of the given pages. Pages the engine does not
 	// hold (or whose copies cannot be stale) are ignored.
 	InvalidatePages(node int, pages []memsim.PageID)
-}
-
-// capsEngine adapts a substrate that does not declare itself (the
-// hardware platforms) into an Engine via its capability string.
-type capsEngine struct {
-	platform.Substrate
-}
-
-func (c capsEngine) EngineName() string { return c.Kind().String() }
-
-func (c capsEngine) DeclaredModel() Model {
-	if m, err := ParseModel(c.Caps().ConsistencyModel); err == nil {
-		return m
-	}
-	return Release
-}
-
-// Wrap presents any substrate as an Engine: substrates that already are
-// one (the software-DSM engines, multi-DSM compositions) pass through;
-// hardware substrates get their declaration derived from the capability
-// string. This is what lets the conformance harness run one battery over
-// every substrate kind.
-func Wrap(sub platform.Substrate) Engine {
-	if e, ok := sub.(Engine); ok {
-		return e
-	}
-	return capsEngine{sub}
 }
 
 // Canonical engine selector names (Config.Engine, hamsterrun -engine).

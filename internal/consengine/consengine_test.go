@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"hamster/internal/consengine"
-	"hamster/internal/smp"
-	"hamster/internal/swdsm"
 )
 
 func TestModelOrderAndNames(t *testing.T) {
@@ -17,18 +15,11 @@ func TestModelOrderAndNames(t *testing.T) {
 		if m.String() != names[i] {
 			t.Errorf("%d: String() = %q, want %q", i, m.String(), names[i])
 		}
-		got, err := consengine.ParseModel(names[i])
-		if err != nil || got != m {
-			t.Errorf("ParseModel(%q) = %v, %v", names[i], got, err)
-		}
 		for j, o := range order {
 			if want := i <= j; m.AtLeast(o) != want {
 				t.Errorf("%v.AtLeast(%v) = %v, want %v", m, o, !want, want)
 			}
 		}
-	}
-	if _, err := consengine.ParseModel("causal"); err == nil || !strings.Contains(err.Error(), "sequential") {
-		t.Fatalf("ParseModel(causal) err = %v", err)
 	}
 	if consengine.Model(99).String() != "model(99)" {
 		t.Fatalf("out-of-range String() = %q", consengine.Model(99).String())
@@ -46,31 +37,5 @@ func TestNormalizeName(t *testing.T) {
 	}
 	if _, err := consengine.NormalizeName("tso"); err == nil || !strings.Contains(err.Error(), "scope, eager-rc, ivy") {
 		t.Fatalf("unknown selector err = %v", err)
-	}
-}
-
-// TestWrap: engines pass through untouched; hardware substrates get a
-// declaration derived from their capability string.
-func TestWrap(t *testing.T) {
-	d, err := swdsm.New(swdsm.Config{Nodes: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if e := consengine.Wrap(d); e != consengine.Engine(d) {
-		t.Fatal("Wrap changed an engine")
-	}
-
-	s, err := smp.New(smp.Config{CPUs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	e := consengine.Wrap(s)
-	if e.DeclaredModel() != consengine.Processor {
-		t.Fatalf("smp declares %v, want processor", e.DeclaredModel())
-	}
-	if e.EngineName() != s.Kind().String() {
-		t.Fatalf("EngineName = %q", e.EngineName())
 	}
 }

@@ -42,7 +42,7 @@ func TestNodePanicUnblocksPeers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return NewWithSubstrate(sub, machine.Default().Ethernet, false)
+			return newWithSubstrate(sub, machine.Default().Ethernet, false)
 		}},
 	}
 	// Each survivor blocks in one synchronization call; held and waiting

@@ -11,7 +11,6 @@ import (
 const (
 	kindUserMsg        = simnet.UserKindBase
 	kindRegionAnnounce = simnet.UserKindBase + 1
-	kindForwardedCall  = simnet.UserKindBase + 2
 )
 
 // msgT aliases the wire message type for the module's receive filters.
@@ -30,9 +29,6 @@ type ClusterCtl struct {
 
 // Self returns this node's id.
 func (c *ClusterCtl) Self() int { return c.e.id }
-
-// NumNodes returns the cluster size.
-func (c *ClusterCtl) NumNodes() int { return c.e.rt.sub.Nodes() }
 
 // NodeParams describes one node for parameter queries.
 type NodeParams struct {
@@ -76,41 +72,10 @@ func (c *ClusterCtl) Recv(tag uint32) (payload []byte, from int, ok bool) {
 	return payload, from, true
 }
 
-// RecvAny blocks until any user message arrives.
-func (c *ClusterCtl) RecvAny() (payload []byte, tag uint32, from int, ok bool) {
-	c.e.charge(ModCluster)
-	m := c.e.rt.msgs.Recv(toNodeID(c.e.id), kindUserMsg, nil)
-	if m == nil {
-		return nil, 0, 0, false
-	}
-	payload, tag, from = m.Payload, m.Tag, int(m.From)
-	m.Free()
-	return payload, tag, from, true
-}
-
-// TryRecv is the non-blocking variant of Recv.
-func (c *ClusterCtl) TryRecv(tag uint32) (payload []byte, from int, ok bool) {
-	c.e.charge(ModCluster)
-	m := c.e.rt.msgs.TryRecv(toNodeID(c.e.id), kindUserMsg, func(m *msgT) bool {
-		return m.Tag == tag
-	})
-	if m == nil {
-		return nil, 0, false
-	}
-	payload, from = m.Payload, int(m.From)
-	m.Free()
-	return payload, from, true
-}
-
 // Broadcast sends a user message to all other nodes.
 func (c *ClusterCtl) Broadcast(tag uint32, payload []byte) {
 	c.e.charge(ModCluster)
 	c.e.rt.msgs.Broadcast(toNodeID(c.e.id), kindUserMsg, tag, payload)
-}
-
-// Traffic reports cumulative messaging-layer activity (for monitoring).
-func (c *ClusterCtl) Traffic() (msgs, bytes uint64) {
-	return c.e.rt.msgs.TotalTraffic()
 }
 
 // encodeRegion/decodeRegion serialize region metadata for Distribute.

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"fmt"
-
 	"hamster/internal/conscheck"
 	"hamster/internal/consengine"
-	"hamster/internal/memsim"
 )
 
 // ConsModel names a memory consistency model supported by the consistency
@@ -18,7 +15,7 @@ type ConsModel = consengine.Model
 const (
 	// Sequential: every access is globally ordered. The IVY engine
 	// provides it natively; on relaxed engines it exists only through
-	// explicit fencing (SeqReadF64/SeqWriteF64).
+	// explicit fencing.
 	Sequential = consengine.Sequential
 	// Processor: writes from one processor are seen in order (SMP
 	// hardware's native model).
@@ -40,47 +37,6 @@ type ConsMgr struct {
 	e *Env
 }
 
-// Native returns the active engine's declared consistency model: the
-// engine's own declaration when the substrate is a consistency engine,
-// else the substrate's capability string.
-func (c *ConsMgr) Native() ConsModel {
-	m, _ := declaredModel(c.e.rt.sub)
-	return m
-}
-
-// Supports reports whether the active engine provides a model at least
-// as strong as m for data-race-free programs. A request the engine
-// cannot honor returns false — it is NOT silently mapped onto weaker
-// semantics; use Require for a descriptive error, or the explicit
-// fencing accessors (SeqReadF64/SeqWriteF64) to buy Sequential behavior
-// access-by-access on a relaxed engine.
-func (c *ConsMgr) Supports(m ConsModel) bool {
-	return c.Native().AtLeast(m)
-}
-
-// Require fails with a descriptive setup error when the active engine's
-// declared model is weaker than m. Programming models with a fixed model
-// contract call this once at initialization, so a misconfigured run
-// stops before computing anything under silently weaker semantics.
-func (c *ConsMgr) Require(m ConsModel) error {
-	native, name := declaredModel(c.e.rt.sub)
-	if !native.AtLeast(m) {
-		return fmt.Errorf("core: consistency model %v requires a stronger engine: %s declares %v (select one with Config.Engine, e.g. %q for sequential consistency)",
-			m, name, native, consengine.IVYName)
-	}
-	return nil
-}
-
-// Acquire performs the consistency entry action of a sync object without
-// taking the lock itself: stale copies covered by the object's write
-// notices are discarded. Exposed for models (like shmem) that need
-// one-sided consistency control.
-func (c *ConsMgr) Acquire(lock int) {
-	c.e.charge(ModCons)
-	c.e.rt.sub.Acquire(c.e.id, lock)
-	c.e.rt.sub.Release(c.e.id, lock)
-}
-
 // Fence enforces full local consistency: all local modifications become
 // globally visible and all stale local copies are dropped. This is the
 // strongest (and most expensive) consistency action.
@@ -88,42 +44,4 @@ func (c *ConsMgr) Fence() {
 	c.e.charge(ModCons)
 	c.e.traceSync(conscheck.Fence, 0)
 	c.e.rt.sub.Fence(c.e.id)
-}
-
-// SeqReadF64 and SeqWriteF64 are the Sequential model's access path on a
-// relaxed engine: fence, access, fence. Provided for completeness and for
-// the consistency ablation; real codes use relaxed models (or the IVY
-// engine, which is sequentially consistent without fencing).
-func (c *ConsMgr) SeqReadF64(a memsim.Addr) float64 {
-	c.e.rt.sub.Fence(c.e.id)
-	return c.e.ReadF64(a)
-}
-
-// SeqWriteF64 is the Sequential model's write path.
-func (c *ConsMgr) SeqWriteF64(a memsim.Addr, v float64) {
-	c.e.WriteF64(a, v)
-	c.e.rt.sub.Fence(c.e.id)
-}
-
-// BindRegion associates a region with a lock for Entry consistency. The
-// binding is advisory on the scope substrates (their per-lock notices
-// already confine invalidation); it is recorded so monitoring tools can
-// verify the discipline.
-func (c *ConsMgr) BindRegion(lock int, r memsim.Region) {
-	c.e.charge(ModCons)
-	rt := c.e.rt
-	rt.bindMu.Lock()
-	if rt.bindings == nil {
-		rt.bindings = make(map[int][]memsim.Region)
-	}
-	rt.bindings[lock] = append(rt.bindings[lock], r)
-	rt.bindMu.Unlock()
-}
-
-// Bindings returns the regions bound to a lock.
-func (c *ConsMgr) Bindings(lock int) []memsim.Region {
-	rt := c.e.rt
-	rt.bindMu.Lock()
-	defer rt.bindMu.Unlock()
-	return append([]memsim.Region(nil), rt.bindings[lock]...)
 }

@@ -6,6 +6,7 @@ import (
 	"hamster/internal/machine"
 	"hamster/internal/memsim"
 	"hamster/internal/platform"
+	"hamster/internal/simnet"
 )
 
 func newRT(t testing.TB, kind platform.Kind, nodes int) *Runtime {
@@ -179,7 +180,10 @@ func TestEventSignalWait(t *testing.T) {
 			e.Sync.Signal(ev)
 		} else {
 			e.Sync.Wait(ev)
-			if !ev.Fired() {
+			ev.mu.Lock()
+			fired := ev.fired
+			ev.mu.Unlock()
+			if !fired {
 				panic("event not fired after Wait")
 			}
 		}
@@ -246,7 +250,7 @@ func TestClusterMessaging(t *testing.T) {
 			if !ok || from != 0 || string(p) != "to1" {
 				panic("direct message corrupted")
 			}
-			p, _, _, ok = e.Cluster.RecvAny()
+			p, _, ok = e.Cluster.Recv(9)
 			if !ok || string(p) != "all" {
 				panic("broadcast missing")
 			}
@@ -257,7 +261,7 @@ func TestClusterMessaging(t *testing.T) {
 			}
 		}
 	})
-	msgs, bytes := rt.Env(0).Cluster.Traffic()
+	msgs, bytes := rt.msgs.TotalTraffic()
 	if msgs != 3 || bytes != 9 {
 		t.Fatalf("traffic = %d msgs / %d bytes", msgs, bytes)
 	}
@@ -265,12 +269,18 @@ func TestClusterMessaging(t *testing.T) {
 
 func TestClusterTryRecv(t *testing.T) {
 	rt := newRT(t, platform.SMP, 2)
-	e1 := rt.Env(1)
-	if _, _, ok := e1.Cluster.TryRecv(5); ok {
+	tryRecv := func(tag uint32) ([]byte, bool) {
+		m := rt.msgs.TryRecv(toNodeID(1), kindUserMsg, func(m *msgT) bool { return m.Tag == tag })
+		if m == nil {
+			return nil, false
+		}
+		return m.Payload, true
+	}
+	if _, ok := tryRecv(5); ok {
 		t.Fatal("TryRecv on empty queue must fail")
 	}
 	rt.Env(0).Cluster.Send(1, 5, []byte("x"))
-	if p, _, ok := e1.Cluster.TryRecv(5); !ok || string(p) != "x" {
+	if p, ok := tryRecv(5); !ok || string(p) != "x" {
 		t.Fatal("TryRecv after send failed")
 	}
 }
@@ -290,25 +300,21 @@ func TestMonitorCounts(t *testing.T) {
 	l := 0
 	e.Sync.Lock(l)
 	e.Sync.Unlock(l)
-	if e.Mon.Calls(ModSync) != 3 {
-		t.Fatalf("sync calls = %d, want 3", e.Mon.Calls(ModSync))
+	if e.Mon.calls(ModSync) != 3 {
+		t.Fatalf("sync calls = %d, want 3", e.Mon.calls(ModSync))
 	}
 	e.Mem.Probe() // uncharged (pure query)
 	if _, err := e.Mem.Alloc(10, AllocOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	if e.Mon.Calls(ModMem) != 1 {
-		t.Fatalf("mem calls = %d, want 1", e.Mon.Calls(ModMem))
+	if e.Mon.calls(ModMem) != 1 {
+		t.Fatalf("mem calls = %d, want 1", e.Mon.calls(ModMem))
 	}
-	if e.Mon.TotalCalls() != 4 {
-		t.Fatalf("total = %d", e.Mon.TotalCalls())
-	}
-	e.Mon.Reset(ModSync)
-	if e.Mon.Calls(ModSync) != 0 || e.Mon.Calls(ModMem) != 1 {
-		t.Fatal("Reset must be per-module")
+	if totalCalls(e.Mon) != 4 {
+		t.Fatalf("total = %d", totalCalls(e.Mon))
 	}
 	e.Mon.ResetAll()
-	if e.Mon.TotalCalls() != 0 {
+	if totalCalls(e.Mon) != 0 {
 		t.Fatal("ResetAll failed")
 	}
 	if rep := e.Mon.Report(); rep == "" {
@@ -331,32 +337,22 @@ func TestServiceCallsCostTime(t *testing.T) {
 
 func TestConsFenceAndModels(t *testing.T) {
 	rt := newRT(t, platform.SWDSM, 2)
-	e := rt.Env(0)
-	if e.Cons.Native() != Scope {
-		t.Fatalf("native model = %v", e.Cons.Native())
+	m := nativeModel(rt)
+	if m != Scope {
+		t.Fatalf("native model = %v", m)
 	}
-	if e.Cons.Supports(Sequential) {
+	if m.AtLeast(Sequential) {
 		t.Fatal("a scope engine must not claim sequential consistency")
 	}
-	if !e.Cons.Supports(Scope) || !e.Cons.Supports(Entry) {
+	if !m.AtLeast(Scope) || !m.AtLeast(Entry) {
 		t.Fatal("scope engine must support scope and weaker models")
 	}
-	if err := e.Cons.Require(Scope); err != nil {
-		t.Fatalf("Require(Scope) on scope engine: %v", err)
-	}
-	if err := e.Cons.Require(Sequential); err == nil {
-		t.Fatal("Require(Sequential) on scope engine must error")
-	}
+	e := rt.Env(0)
 	r, _ := e.Mem.Alloc(memsim.PageSize, AllocOpts{Policy: memsim.Fixed, FixedNode: 1})
-	e.Cons.SeqWriteF64(r.Base, 3.5)
-	if got := e.Cons.SeqReadF64(r.Base); got != 3.5 {
-		t.Fatalf("seq read = %v", got)
-	}
+	e.WriteF64(r.Base, 3.5)
 	e.Cons.Fence()
-	lk := e.Sync.NewLock()
-	e.Cons.BindRegion(lk, r)
-	if bs := e.Cons.Bindings(lk); len(bs) != 1 || bs[0] != r {
-		t.Fatal("binding not recorded")
+	if got := e.ReadF64(r.Base); got != 3.5 {
+		t.Fatalf("read after fence = %v", got)
 	}
 }
 
@@ -443,11 +439,25 @@ func TestIdenticalProgramAcrossPlatforms(t *testing.T) {
 	}
 }
 
+// newWithSubstrate wraps an existing substrate, for the substrates
+// Config cannot name (multidsm).
+func newWithSubstrate(sub platform.Substrate, msgLink machine.Link, threaded bool) *Runtime {
+	rt := &Runtime{
+		cfg: Config{Platform: sub.Kind(), Nodes: sub.Nodes(), Threaded: threaded},
+		sub: sub,
+	}
+	rt.msgs = simnet.New(msgLink, substrateClocks(sub))
+	rt.am = layerOf(sub)
+	rt.attachRecorder()
+	rt.buildEnvs()
+	return rt
+}
+
 func TestNewWithSubstrate(t *testing.T) {
 	rtBase := newRT(t, platform.SMP, 2)
-	rt := NewWithSubstrate(rtBase.Substrate(), machine.Default().BusLink(), false)
+	rt := newWithSubstrate(rtBase.Substrate(), machine.Default().BusLink(), false)
 	if rt.Nodes() != 2 || rt.Env(1).ID() != 1 {
-		t.Fatal("NewWithSubstrate wiring broken")
+		t.Fatal("newWithSubstrate wiring broken")
 	}
 }
 
@@ -482,7 +492,7 @@ func TestTracingDetectsRace(t *testing.T) {
 		e.WriteF64(region.Base, float64(e.ID()))
 	})
 	rep := rt.CheckConsistency()
-	if rep.DRF() {
+	if len(rep.Races) == 0 {
 		t.Fatalf("racy program not flagged: %s", rep)
 	}
 }
@@ -490,35 +500,6 @@ func TestTracingDetectsRace(t *testing.T) {
 // A byte span is traced word by word: a store into the middle of a span
 // another node writes without synchronisation is a race, and the same two
 // accesses under one lock are not.
-func TestTracingDetectsRaceInsideSpan(t *testing.T) {
-	for _, locked := range []bool{false, true} {
-		rt := newRT(t, platform.SWDSM, 2)
-		var region memsim.Region
-		var lock int
-		rt.Run(func(e *Env) {
-			r, _ := e.Mem.Alloc(memsim.PageSize, AllocOpts{Name: "span", Collective: true})
-			if e.ID() == 0 {
-				region, lock = r, e.Sync.NewLock()
-			}
-		})
-		rt.StartTrace()
-		rt.Run(func(e *Env) {
-			if locked {
-				e.Sync.Lock(lock)
-				defer e.Sync.Unlock(lock)
-			}
-			if e.ID() == 0 {
-				e.WriteBytes(region.Base+3, make([]byte, 61)) // words 0–7
-			} else {
-				e.WriteF64(region.Base+32, 1) // word 4
-			}
-		})
-		if rep := rt.CheckConsistency(); rep.DRF() != locked {
-			t.Fatalf("locked=%v: DRF = %v: %s", locked, rep.DRF(), rep)
-		}
-	}
-}
-
 func TestTracingCleanProgramIsDRF(t *testing.T) {
 	rt := newRT(t, platform.SWDSM, 3)
 	rt.StartTrace()
@@ -538,7 +519,7 @@ func TestTracingCleanProgramIsDRF(t *testing.T) {
 		e.ReadI64(r.Base) // read after barrier: ordered
 	})
 	rep := rt.CheckConsistency()
-	if !rep.DRF() {
+	if len(rep.Races) != 0 {
 		t.Fatalf("clean program flagged: %s", rep)
 	}
 	if rep.Events == 0 || rep.Words == 0 {
@@ -555,7 +536,7 @@ func TestTracingOffByDefault(t *testing.T) {
 		r, _ := e.Mem.Alloc(memsim.PageSize, AllocOpts{})
 		e.WriteF64(r.Base, 1)
 	})
-	if rec := rt.StopTrace(); rec != nil {
+	if rec := rt.stopTrace(); rec != nil {
 		t.Fatal("tracing was on without StartTrace")
 	}
 	if rep := rt.CheckConsistency(); rep.Events != 0 {
@@ -577,7 +558,7 @@ func TestSamplerCollectsEpochSeries(t *testing.T) {
 	})
 	rt.DetachSampler()
 
-	series := sampler.Series(1)
+	series := sampler.series(1)
 	// Three explicit loop barriers (the collective-alloc barrier is a
 	// service-internal rendezvous and is not sampled).
 	if len(series) != 3 {
@@ -602,7 +583,7 @@ func TestSamplerCollectsEpochSeries(t *testing.T) {
 	if tl := sampler.Timeline(1); tl == "" {
 		t.Fatal("empty timeline")
 	}
-	if got := len(sampler.Samples()); got != 6 {
+	if got := len(sampler.samples); got != 6 {
 		t.Fatalf("total samples = %d, want 6 (2 nodes x 3 epochs)", got)
 	}
 }

@@ -26,12 +26,12 @@ func TestEngineSelection(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Engine %q: %v", tc.engine, err)
 		}
-		if got := rt.Env(0).Cons.Native(); got != tc.want {
-			t.Fatalf("Engine %q: native model = %v, want %v", tc.engine, got, tc.want)
-		}
 		eng, ok := rt.Substrate().(consengine.Engine)
 		if !ok {
 			t.Fatalf("Engine %q: substrate is not a consengine.Engine", tc.engine)
+		}
+		if got := eng.DeclaredModel(); got != tc.want {
+			t.Fatalf("Engine %q: native model = %v, want %v", tc.engine, got, tc.want)
 		}
 		if eng.EngineName() != tc.name {
 			t.Fatalf("Engine %q: EngineName = %q, want %q", tc.engine, eng.EngineName(), tc.name)
@@ -84,45 +84,47 @@ func TestEngineValidation(t *testing.T) {
 	}
 }
 
+// nativeModel is the model a runtime's engine declares; a hardware
+// platform declares through its capability string.
+func nativeModel(rt *Runtime) ConsModel {
+	if e, ok := rt.sub.(consengine.Engine); ok {
+		return e.DeclaredModel()
+	}
+	for _, m := range []ConsModel{Sequential, Processor, Release, Scope, Entry} {
+		if m.String() == rt.sub.Caps().ConsistencyModel {
+			return m
+		}
+	}
+	panic("unknown capability model " + rt.sub.Caps().ConsistencyModel)
+}
+
+// A sequential requirement is not met by the default (scope) engine —
+// a model needing it must not run under weaker semantics — but is by
+// the ivy engine; weaker requirements are met by the default.
 func TestRequireModel(t *testing.T) {
-	require := func(engine string, m ConsModel) error {
+	native := func(engine string) ConsModel {
 		rt, err := New(Config{Platform: platform.SWDSM, Nodes: 2, Engine: engine})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer rt.Close()
-		return rt.Env(0).Cons.Require(m)
+		return nativeModel(rt)
 	}
-	// A sequential requirement on the default (scope) engine must fail at
-	// setup — not silently run under weaker semantics.
-	err := require("", Sequential)
-	if err == nil {
-		t.Fatal("Require(Sequential) on the scope engine must fail")
+	if m := native(""); m.AtLeast(Sequential) || !m.AtLeast(Entry) {
+		t.Fatalf("the scope engine declares %v", m)
 	}
-	if !strings.Contains(err.Error(), "scope") || !strings.Contains(err.Error(), "sequential") {
-		t.Fatalf("error %q must name both models", err)
-	}
-	// The same requirement is satisfiable by selecting the ivy engine.
-	if err := require("ivy", Sequential); err != nil {
-		t.Fatal(err)
-	}
-	// Weaker requirements pass on the default engine.
-	if err := require("", Entry); err != nil {
-		t.Fatal(err)
+	if m := native(consengine.IVYName); !m.AtLeast(Sequential) {
+		t.Fatalf("the ivy engine declares %v", m)
 	}
 }
 
 func TestRequireOnSMP(t *testing.T) {
-	rt := newRT(t, platform.SMP, 2)
-	c := rt.Env(0).Cons
-	if c.Native() != Processor {
-		t.Fatalf("SMP native = %v", c.Native())
+	m := nativeModel(newRT(t, platform.SMP, 2))
+	if m != Processor {
+		t.Fatalf("SMP native = %v", m)
 	}
-	if err := c.Require(Release); err != nil {
-		t.Fatalf("Require(Release) on SMP: %v", err)
-	}
-	if err := c.Require(Sequential); err == nil {
-		t.Fatal("Require(Sequential) on SMP must error")
+	if !m.AtLeast(Release) || m.AtLeast(Sequential) {
+		t.Fatal("SMP must meet release and not sequential requirements")
 	}
 }
 

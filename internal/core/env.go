@@ -181,22 +181,6 @@ func (e *Env) WriteI64Block(a memsim.Addr, src []int64) {
 	e.unlockSerial()
 }
 
-// ReadBytes copies a global span into buf.
-func (e *Env) ReadBytes(a memsim.Addr, buf []byte) {
-	e.traceSpan(conscheck.Read, a, len(buf))
-	e.lockSerial()
-	e.rt.sub.ReadBytes(e.id, a, buf)
-	e.unlockSerial()
-}
-
-// WriteBytes copies data into a global span.
-func (e *Env) WriteBytes(a memsim.Addr, data []byte) {
-	e.traceSpan(conscheck.Write, a, len(data))
-	e.lockSerial()
-	e.rt.sub.WriteBytes(e.id, a, data)
-	e.unlockSerial()
-}
-
 // Compute charges flops of local CPU work.
 func (e *Env) Compute(flops uint64) {
 	e.rt.sub.Compute(e.id, flops)

@@ -77,11 +77,6 @@ func (m *MemMgr) Probe() platform.Caps {
 	return m.e.rt.sub.Caps()
 }
 
-// Allocated reports the total live global memory.
-func (m *MemMgr) Allocated() uint64 {
-	return m.e.rt.sub.Space().Allocated()
-}
-
 // RegionOf looks up the region containing an address.
 func (m *MemMgr) RegionOf(a memsim.Addr) (memsim.Region, bool) {
 	return m.e.rt.sub.Space().RegionOf(a)

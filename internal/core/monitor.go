@@ -16,32 +16,17 @@ type samplerSlot = atomic.Pointer[Sampler]
 
 // Monitor is the performance-monitoring service (§4.3). Each module keeps
 // its own statistics independently of what the substrate provides; the
-// monitor exposes per-module query and reset services so that
+// monitor exposes per-node reports and a reset service so that
 // applications, run-time systems, or external tools can observe behavior
 // in an architecture- and model-independent way.
 type Monitor struct {
 	e *Env
 }
 
-// Calls returns how many service calls this node issued to a module since
-// the last reset.
-func (m *Monitor) Calls(mod Module) uint64 {
+// calls returns how many service calls this node issued to a module since
+// the last ResetAll.
+func (m *Monitor) calls(mod Module) uint64 {
 	return m.e.calls[mod].Load()
-}
-
-// TotalCalls sums service calls across all modules.
-func (m *Monitor) TotalCalls() uint64 {
-	var total uint64
-	for i := Module(0); i < moduleCount; i++ {
-		total += m.e.calls[i].Load()
-	}
-	return total
-}
-
-// Reset clears one module's call counter. Substrate counters and recorded
-// protocol events are left alone; use ResetAll for the full story.
-func (m *Monitor) Reset(mod Module) {
-	m.e.calls[mod].Store(0)
 }
 
 // ResetAll clears this node's complete monitoring state: every module call
@@ -59,11 +44,11 @@ func (m *Monitor) ResetAll() {
 	}
 }
 
-// TimeBreakdown snapshots this node's virtual-time attribution. The
+// timeBreakdown snapshots this node's virtual-time attribution. The
 // category totals sum exactly to the node's clock: every nanosecond the
 // simulation charged is tagged compute, memory, protocol, network, or
 // stolen.
-func (m *Monitor) TimeBreakdown() vclock.Breakdown {
+func (m *Monitor) timeBreakdown() vclock.Breakdown {
 	return m.e.rt.sub.Clock(m.e.id).Breakdown()
 }
 
@@ -80,7 +65,7 @@ func (m *Monitor) Report() string {
 	fmt.Fprintf(&b, "node %d on %s\n", m.e.id, m.e.rt.sub.Kind())
 	mods := []Module{ModMem, ModCons, ModSync, ModTask, ModCluster}
 	for _, mod := range mods {
-		fmt.Fprintf(&b, "  %-16s %8d calls\n", mod, m.Calls(mod))
+		fmt.Fprintf(&b, "  %-16s %8d calls\n", mod, m.calls(mod))
 	}
 	st := m.Substrate()
 	rows := []struct {
@@ -104,7 +89,7 @@ func (m *Monitor) Report() string {
 			fmt.Fprintf(&b, "  %-16s %8d\n", r.k, r.v)
 		}
 	}
-	bd := m.TimeBreakdown()
+	bd := m.timeBreakdown()
 	if total := bd.Total(); total > 0 {
 		fmt.Fprintf(&b, "  time breakdown (total %d ns):\n", uint64(total))
 		for c := vclock.Category(0); int(c) < vclock.NumCategories; c++ {
@@ -139,8 +124,8 @@ func ClusterReport(rt *Runtime) string {
 	return b.String()
 }
 
-// Sample is one node's monitoring snapshot at a barrier crossing.
-type Sample struct {
+// sample is one node's monitoring snapshot at a barrier crossing.
+type sample struct {
 	Node  int
 	Epoch uint64
 	At    vclock.Time
@@ -154,23 +139,14 @@ type Sample struct {
 // phase-by-phase time series without touching the application.
 type Sampler struct {
 	mu      sync.Mutex
-	samples []Sample
+	samples []sample
 }
 
-// Samples returns all collected snapshots in collection order.
-func (s *Sampler) Samples() []Sample {
+// series returns one node's snapshots in epoch order.
+func (s *Sampler) series(node int) []sample {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Sample, len(s.samples))
-	copy(out, s.samples)
-	return out
-}
-
-// Series returns one node's snapshots in epoch order.
-func (s *Sampler) Series(node int) []Sample {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []Sample
+	var out []sample
 	for _, sm := range s.samples {
 		if sm.Node == node {
 			out = append(out, sm)
@@ -183,7 +159,7 @@ func (s *Sampler) Series(node int) []Sample {
 // Timeline renders one node's fault/diff/lock activity per barrier epoch
 // — the view a dynamic optimizer (or a human) tunes against.
 func (s *Sampler) Timeline(node int) string {
-	series := s.Series(node)
+	series := s.series(node)
 	var b strings.Builder
 	fmt.Fprintf(&b, "node %d activity by barrier epoch (cumulative counters):\n", node)
 	fmt.Fprintf(&b, "%6s %14s %8s %8s %8s %8s\n", "epoch", "vtime", "faults", "diffs", "inval", "locks")
@@ -195,7 +171,7 @@ func (s *Sampler) Timeline(node int) string {
 	return b.String()
 }
 
-func (s *Sampler) record(sm Sample) {
+func (s *Sampler) record(sm sample) {
 	s.mu.Lock()
 	s.samples = append(s.samples, sm)
 	s.mu.Unlock()
@@ -225,7 +201,7 @@ func (e *Env) sampleBarrier() {
 	for i := Module(0); i < moduleCount; i++ {
 		calls[i] = e.calls[i].Load()
 	}
-	s.record(Sample{
+	s.record(sample{
 		Node:  e.id,
 		Epoch: e.epochs,
 		At:    e.Now(),

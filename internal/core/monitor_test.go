@@ -22,7 +22,7 @@ func TestMonitorResetAllStory(t *testing.T) {
 	rt.Perf().Disable()
 
 	m := rt.Env(0).Mon
-	if m.TotalCalls() == 0 {
+	if totalCalls(m) == 0 {
 		t.Fatal("no module calls recorded before reset")
 	}
 	if m.Substrate().BarrierCrossings == 0 {
@@ -32,11 +32,11 @@ func TestMonitorResetAllStory(t *testing.T) {
 		t.Fatal("no protocol events recorded before reset")
 	}
 	before := rt.Env(0).Now()
-	bdBefore := m.TimeBreakdown()
+	bdBefore := m.timeBreakdown()
 
 	m.ResetAll()
 
-	if got := m.TotalCalls(); got != 0 {
+	if got := totalCalls(m); got != 0 {
 		t.Fatalf("module calls after ResetAll = %d, want 0", got)
 	}
 	if st := m.Substrate(); st.BarrierCrossings != 0 || st.Reads != 0 || st.Writes != 0 {
@@ -49,26 +49,26 @@ func TestMonitorResetAllStory(t *testing.T) {
 	if got := rt.Env(0).Now(); got != before {
 		t.Fatalf("ResetAll moved the clock: %d -> %d", before, got)
 	}
-	if got := m.TimeBreakdown(); got != bdBefore {
+	if got := m.timeBreakdown(); got != bdBefore {
 		t.Fatalf("ResetAll changed the attribution: %+v -> %+v", bdBefore, got)
 	}
 
 	// Node 1 is untouched by node 0's reset.
-	if rt.Env(1).Mon.TotalCalls() == 0 {
+	if totalCalls(rt.Env(1).Mon) == 0 {
 		t.Fatal("ResetAll on node 0 cleared node 1's counters")
 	}
 	if rt.Perf().Len(1) == 0 {
 		t.Fatal("ResetAll on node 0 cleared node 1's events")
 	}
+}
 
-	// Reset(mod) stays narrow: one module's counter only.
-	rt.Env(1).Mon.Reset(ModSync)
-	if got := rt.Env(1).Mon.Calls(ModSync); got != 0 {
-		t.Fatalf("Reset(ModSync) left %d calls", got)
+// totalCalls sums a node's service calls across all modules.
+func totalCalls(m *Monitor) uint64 {
+	var total uint64
+	for i := Module(0); i < moduleCount; i++ {
+		total += m.calls(i)
 	}
-	if rt.Env(1).Mon.Substrate().BarrierCrossings == 0 {
-		t.Fatal("Reset(mod) must not clear substrate stats")
-	}
+	return total
 }
 
 // The monitoring report includes the attribution block, and the breakdown
@@ -80,7 +80,7 @@ func TestMonitorReportBreakdown(t *testing.T) {
 		e.Sync.Barrier()
 	})
 	m := rt.Env(0).Mon
-	bd := m.TimeBreakdown()
+	bd := m.timeBreakdown()
 	if got, want := bd.Total(), vclock.Duration(rt.Env(0).Now()); got != want {
 		t.Fatalf("breakdown sums to %d, clock is %d", got, want)
 	}

@@ -160,9 +160,6 @@ type Runtime struct {
 	rawMu    sync.Mutex
 	rawLocks []*vclock.VLock
 
-	bindMu   sync.Mutex
-	bindings map[int][]memsim.Region
-
 	tracer  tracerSlot
 	sampler samplerSlot
 
@@ -181,7 +178,7 @@ type collResult struct {
 // NewSubstrate validates cfg, then selects and constructs the base
 // architecture it describes — bare, without the core services. It is the
 // one place a Config becomes a substrate: New wraps the services around
-// its result, and the campaign harness (bench.Cluster.Build) runs kernels
+// its result, and the campaign harness (bench.Cluster.build) runs kernels
 // directly on it. The software DSM engines own their active-message
 // layer; the default engine gets the exact configuration the pre-engine
 // code built (gated by TestEngineDefaultIdentity).
@@ -267,29 +264,6 @@ func layerOf(sub platform.Substrate) *amsg.Layer {
 		return ld.Layer()
 	}
 	return nil
-}
-
-// declaredModel resolves a substrate's native consistency model and a
-// human-readable engine name: consistency engines declare both
-// themselves; hardware substrates are mapped from their capability
-// string.
-func declaredModel(sub platform.Substrate) (consengine.Model, string) {
-	e := consengine.Wrap(sub)
-	return e.DeclaredModel(), e.EngineName()
-}
-
-// NewWithSubstrate wraps an existing substrate (used by tests and by the
-// overhead experiments that need to control substrate construction).
-func NewWithSubstrate(sub platform.Substrate, msgLink machine.Link, threaded bool) *Runtime {
-	rt := &Runtime{
-		cfg: Config{Platform: sub.Kind(), Nodes: sub.Nodes(), Threaded: threaded},
-		sub: sub,
-	}
-	rt.msgs = simnet.New(msgLink, substrateClocks(sub))
-	rt.am = layerOf(sub)
-	rt.attachRecorder()
-	rt.buildEnvs()
-	return rt
 }
 
 // attachRecorder creates the (initially disabled) protocol event recorder

@@ -164,13 +164,6 @@ func (s *SyncMgr) Wait(ev *Event) {
 	clk.AdvanceCat(vclock.CatProtocol, s.syncCost())
 }
 
-// Fired reports whether the event has been signaled (non-blocking probe).
-func (ev *Event) Fired() bool {
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	return ev.fired
-}
-
 // TryLock attempts Lock without blocking; true means the lock is held.
 func (s *SyncMgr) TryLock(id int) bool {
 	s.e.charge(ModSync)

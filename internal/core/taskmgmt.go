@@ -29,8 +29,8 @@ type Task struct {
 // Node returns the node the task runs on.
 func (t *Task) Node() int { return t.node }
 
-// Result returns the task's exit value; valid after Join.
-func (t *Task) Result() int64 {
+// exitValue returns the task's exit value; valid after Join.
+func (t *Task) exitValue() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.result
@@ -91,14 +91,5 @@ func (t *TaskMgr) SpawnOn(node int, fn func(e *Env) int64) (*Task, error) {
 func (t *TaskMgr) Join(task *Task) int64 {
 	t.e.charge(ModTask)
 	t.e.Sync.Wait(task.done)
-	return task.Result()
+	return task.exitValue()
 }
-
-// Self returns this task's node id.
-func (t *TaskMgr) Self() int { return t.e.id }
-
-// N returns the cluster size.
-func (t *TaskMgr) N() int { return t.e.rt.sub.Nodes() }
-
-// Threaded reports whether same-node task concurrency is enabled.
-func (t *TaskMgr) Threaded() bool { return t.e.rt.cfg.Threaded }

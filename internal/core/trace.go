@@ -18,8 +18,8 @@ type TraceRecorder struct {
 	events []conscheck.Event
 }
 
-// Events returns the recorded trace.
-func (t *TraceRecorder) Events() []conscheck.Event {
+// trace returns the recorded trace.
+func (t *TraceRecorder) trace() []conscheck.Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]conscheck.Event, len(t.events))
@@ -47,9 +47,9 @@ func (rt *Runtime) StartTrace() *TraceRecorder {
 	return t
 }
 
-// StopTrace disables tracing and returns the recorder (nil if tracing was
+// stopTrace disables tracing and returns the recorder (nil if tracing was
 // never started).
-func (rt *Runtime) StopTrace() *TraceRecorder {
+func (rt *Runtime) stopTrace() *TraceRecorder {
 	t := rt.tracer.Swap(nil)
 	return t
 }
@@ -57,11 +57,11 @@ func (rt *Runtime) StopTrace() *TraceRecorder {
 // CheckConsistency stops tracing and runs the conscheck analyses over the
 // recorded trace.
 func (rt *Runtime) CheckConsistency() conscheck.Report {
-	t := rt.StopTrace()
+	t := rt.stopTrace()
 	if t == nil {
 		return conscheck.Report{}
 	}
-	return conscheck.Analyze(t.Events(), rt.Nodes())
+	return conscheck.Analyze(t.trace(), rt.Nodes())
 }
 
 // traceAccess records one word access if tracing is on.
@@ -92,15 +92,6 @@ func (e *Env) traceBlock(kind conscheck.Kind, a memsim.Addr, words int) {
 			Kind: kind,
 			Addr: a + memsim.Addr(i*memsim.WordSize),
 		})
-	}
-}
-
-// traceSpan records a byte-span access as one event per word the span
-// overlaps, so a race on any word inside the span is visible to the
-// checker (an empty span touches nothing).
-func (e *Env) traceSpan(kind conscheck.Kind, a memsim.Addr, n int) {
-	if n > 0 {
-		e.traceBlock(kind, a, (int(a%memsim.WordSize)+n+memsim.WordSize-1)/memsim.WordSize)
 	}
 }
 

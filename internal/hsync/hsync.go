@@ -42,12 +42,12 @@ import (
 	"hamster/internal/vclock"
 )
 
-// Threshold is the cluster size above which a Manager whose Wire allows
+// threshold is the cluster size above which a Manager whose Wire allows
 // it switches from single-home locks and a centralized barrier to the
 // hierarchical primitives in this package. At 8 nodes and below the
 // centralized protocol is both cheaper and pinned by the committed
 // benchmarks.
-const Threshold = 8
+const threshold = 8
 
 // CostFn prices one protocol message of the given payload size between
 // two specific nodes (typically Topology.MsgCost over the substrate's
@@ -81,7 +81,7 @@ func NewTree(nodes int, topo simnet.Topology) *Tree {
 	topo = topo.Normalize()
 	t := &Tree{parent: make([]int, nodes), depth: make([]int, nodes)}
 	for i := 0; i < nodes; i++ {
-		t.parent[i] = t.parentOf(i, topo)
+		t.parent[i] = t.shapeParent(i, topo)
 	}
 	for i := 1; i < nodes; i++ {
 		d, v := 0, i
@@ -94,7 +94,7 @@ func NewTree(nodes int, topo simnet.Topology) *Tree {
 	return t
 }
 
-func (t *Tree) parentOf(i int, topo simnet.Topology) int {
+func (t *Tree) shapeParent(i int, topo simnet.Topology) int {
 	if i == 0 {
 		return -1
 	}
@@ -114,14 +114,8 @@ func (t *Tree) parentOf(i int, topo simnet.Topology) int {
 	return 0
 }
 
-// Size returns the number of nodes.
-func (t *Tree) Size() int { return len(t.parent) }
-
-// Parent returns a node's parent (-1 at the root).
-func (t *Tree) Parent(n int) int { return t.parent[n] }
-
-// Depth returns a node's distance from the root in tree hops.
-func (t *Tree) Depth(n int) int { return t.depth[n] }
+// parentOf returns a node's parent (-1 at the root).
+func (t *Tree) parentOf(n int) int { return t.parent[n] }
 
 // PathCost sums msg over every edge on the node↔root path, pricing one
 // bytes-sized message per tree hop. A barrier arrival charges this
@@ -183,19 +177,19 @@ func (d *DLock) Request(node, bytes int, msg CostFn, steal StealFn, perHopSteal 
 	return prev, cost, hops
 }
 
-// Probe prices the chain without mutating it, for try-acquire paths that
+// probe prices the chain without mutating it, for try-acquire paths that
 // must not claim the token when the VLock is busy. Commit re-points the
 // chain after a successful try.
-func (d *DLock) Probe(node, bytes int, msg CostFn) (prev int, cost vclock.Duration) {
+func (d *DLock) probe(node, bytes int, msg CostFn) (prev int, cost vclock.Duration) {
 	d.mu.Lock()
 	prev, cost, _ = d.walk(node, bytes, msg, nil, 0, false)
 	d.mu.Unlock()
 	return prev, cost
 }
 
-// Commit makes node the probable holder after a successful Probe +
+// commit makes node the probable holder after a successful probe +
 // TryAcquire pair.
-func (d *DLock) Commit(node int) {
+func (d *DLock) commit(node int) {
 	d.mu.Lock()
 	d.walk(node, 0, func(_, _, _ int) vclock.Duration { return 0 }, nil, 0, true)
 	d.mu.Unlock()
@@ -234,20 +228,4 @@ func (d *DLock) walk(node, bytes int, msg CostFn, steal StealFn, perHopSteal vcl
 		d.holder = node
 	}
 	return cur, cost, hops
-}
-
-// Holder reports the current probable holder (for tests).
-func (d *DLock) Holder() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.holder
-}
-
-// ChainLen reports how many hops a request from node would take (for
-// tests).
-func (d *DLock) ChainLen(node int) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	_, _, hops := d.walk(node, 0, func(_, _, _ int) vclock.Duration { return 0 }, nil, 0, false)
-	return hops
 }

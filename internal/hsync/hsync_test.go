@@ -14,17 +14,17 @@ func unitMsg(_, _, _ int) vclock.Duration { return 1 }
 
 func TestTreeShapeFlat(t *testing.T) {
 	tr := NewTree(64, simnet.Topology{})
-	if tr.Parent(0) != -1 || tr.Depth(0) != 0 {
-		t.Fatalf("root: parent %d depth %d", tr.Parent(0), tr.Depth(0))
+	if tr.parentOf(0) != -1 || tr.depthOf(0) != 0 {
+		t.Fatalf("root: parent %d depth %d", tr.parentOf(0), tr.depthOf(0))
 	}
 	// Arity-8 heap: children of 0 are 1..8, children of 1 are 9..16.
-	if tr.Parent(8) != 0 || tr.Parent(9) != 1 || tr.Parent(16) != 1 || tr.Parent(17) != 2 {
+	if tr.parentOf(8) != 0 || tr.parentOf(9) != 1 || tr.parentOf(16) != 1 || tr.parentOf(17) != 2 {
 		t.Fatalf("flat heap parents wrong: %d %d %d %d",
-			tr.Parent(8), tr.Parent(9), tr.Parent(16), tr.Parent(17))
+			tr.parentOf(8), tr.parentOf(9), tr.parentOf(16), tr.parentOf(17))
 	}
 	for i := 1; i < 64; i++ {
-		if tr.Depth(i) != tr.Depth(tr.Parent(i))+1 {
-			t.Fatalf("node %d: depth %d, parent depth %d", i, tr.Depth(i), tr.Depth(tr.Parent(i)))
+		if tr.depthOf(i) != tr.depthOf(tr.parentOf(i))+1 {
+			t.Fatalf("node %d: depth %d, parent depth %d", i, tr.depthOf(i), tr.depthOf(tr.parentOf(i)))
 		}
 	}
 }
@@ -33,28 +33,28 @@ func TestTreeShapeRackAndFatTree(t *testing.T) {
 	rack, _ := simnet.TopologyPreset(simnet.TopoRack)
 	tr := NewTree(64, rack)
 	// Rack members report to the rack leader, leaders to node 0.
-	if tr.Parent(13) != 8 || tr.Parent(8) != 0 || tr.Parent(63) != 56 || tr.Parent(56) != 0 {
+	if tr.parentOf(13) != 8 || tr.parentOf(8) != 0 || tr.parentOf(63) != 56 || tr.parentOf(56) != 0 {
 		t.Fatalf("rack parents wrong: %d %d %d %d",
-			tr.Parent(13), tr.Parent(8), tr.Parent(63), tr.Parent(56))
+			tr.parentOf(13), tr.parentOf(8), tr.parentOf(63), tr.parentOf(56))
 	}
-	if tr.Depth(13) != 2 || tr.Depth(8) != 1 {
-		t.Fatalf("rack depths wrong: %d %d", tr.Depth(13), tr.Depth(8))
+	if tr.depthOf(13) != 2 || tr.depthOf(8) != 1 {
+		t.Fatalf("rack depths wrong: %d %d", tr.depthOf(13), tr.depthOf(8))
 	}
 
 	fat, _ := simnet.TopologyPreset(simnet.TopoFatTree)
 	ft := NewTree(256, fat)
 	// Pods of 4 racks * 8 nodes: node 100 is rack 12 (leader 96), pod 3
 	// (leader 96 — rack 12 is pod 3's first rack), so 96 reports to 0.
-	if ft.Parent(100) != 96 || ft.Parent(96) != 0 {
-		t.Fatalf("fattree parents wrong: %d %d", ft.Parent(100), ft.Parent(96))
+	if ft.parentOf(100) != 96 || ft.parentOf(96) != 0 {
+		t.Fatalf("fattree parents wrong: %d %d", ft.parentOf(100), ft.parentOf(96))
 	}
 	// Node 140: rack 17 (leader 136), pod 4 (leader 128), then root.
-	if ft.Parent(140) != 136 || ft.Parent(136) != 128 || ft.Parent(128) != 0 {
+	if ft.parentOf(140) != 136 || ft.parentOf(136) != 128 || ft.parentOf(128) != 0 {
 		t.Fatalf("fattree chain wrong: %d %d %d",
-			ft.Parent(140), ft.Parent(136), ft.Parent(128))
+			ft.parentOf(140), ft.parentOf(136), ft.parentOf(128))
 	}
-	if ft.Depth(140) != 3 {
-		t.Fatalf("fattree depth(140) = %d, want 3", ft.Depth(140))
+	if ft.depthOf(140) != 3 {
+		t.Fatalf("fattree depth(140) = %d, want 3", ft.depthOf(140))
 	}
 }
 
@@ -63,7 +63,7 @@ func TestTreePathCost(t *testing.T) {
 	ft := NewTree(256, fat)
 	// Per-hop unit cost: PathCost == Depth.
 	for _, n := range []int{0, 1, 8, 100, 140, 255} {
-		if got, want := ft.PathCost(n, 16, unitMsg), vclock.Duration(ft.Depth(n)); got != want {
+		if got, want := ft.PathCost(n, 16, unitMsg), vclock.Duration(ft.depthOf(n)); got != want {
 			t.Errorf("PathCost(%d) = %v, want depth %v", n, got, want)
 		}
 	}
@@ -84,21 +84,21 @@ func TestDLockChainCompression(t *testing.T) {
 	if prev != 3 || hops != 1 || cost != 1 {
 		t.Fatalf("first request: prev %d cost %v hops %d", prev, cost, hops)
 	}
-	if dl.Holder() != 5 {
-		t.Fatalf("holder = %d, want 5", dl.Holder())
+	if dl.probableHolder() != 5 {
+		t.Fatalf("holder = %d, want 5", dl.probableHolder())
 	}
 	// Node 7 still hints at the stale home: 7→3→5, two hops, and the walk
 	// repoints both onto 7.
-	if dl.ChainLen(7) != 2 {
-		t.Fatalf("ChainLen(7) = %d, want 2", dl.ChainLen(7))
+	if dl.chainLen(7) != 2 {
+		t.Fatalf("chainLen(7) = %d, want 2", dl.chainLen(7))
 	}
 	prev, _, hops = dl.Request(7, 8, unitMsg, nil, 0)
 	if prev != 5 || hops != 2 {
 		t.Fatalf("stale-hint request: prev %d hops %d", prev, hops)
 	}
 	// Path compression: 3 now points straight at 7.
-	if dl.ChainLen(3) != 1 {
-		t.Fatalf("after compression ChainLen(3) = %d, want 1", dl.ChainLen(3))
+	if dl.chainLen(3) != 1 {
+		t.Fatalf("after compression chainLen(3) = %d, want 1", dl.chainLen(3))
 	}
 	// Re-request by the holder is free.
 	prev, cost, hops = dl.Request(7, 8, unitMsg, nil, 0)
@@ -127,15 +127,15 @@ func TestDLockStealChargesForwarders(t *testing.T) {
 func TestDLockProbeDoesNotMutate(t *testing.T) {
 	dl := NewDLock(vclock.NewVLock(), 8, 0)
 	dl.Request(3, 8, unitMsg, nil, 0)
-	prev, cost := dl.Probe(5, 8, unitMsg)
+	prev, cost := dl.probe(5, 8, unitMsg)
 	if prev != 3 || cost != 2 { // 5→0→3
 		t.Fatalf("probe: prev %d cost %v", prev, cost)
 	}
-	if dl.Holder() != 3 || dl.ChainLen(5) != 2 {
+	if dl.probableHolder() != 3 || dl.chainLen(5) != 2 {
 		t.Fatal("Probe mutated the chain")
 	}
-	dl.Commit(5)
-	if dl.Holder() != 5 || dl.ChainLen(3) != 1 {
+	dl.commit(5)
+	if dl.probableHolder() != 5 || dl.chainLen(3) != 1 {
 		t.Fatal("Commit did not claim the token")
 	}
 }
@@ -181,8 +181,27 @@ func TestDLockMutualExclusion64(t *testing.T) {
 	// The chain stays bounded: any node reaches the holder without the
 	// cycle guard tripping (walk panics on a cycle).
 	for n := 0; n < nodes; n++ {
-		if l := dl.ChainLen(n); l < 0 || l > nodes {
-			t.Fatalf("ChainLen(%d) = %d", n, l)
+		if l := dl.chainLen(n); l < 0 || l > nodes {
+			t.Fatalf("chainLen(%d) = %d", n, l)
 		}
 	}
+}
+
+// depthOf returns a node's distance from the root in tree hops.
+func (t *Tree) depthOf(n int) int { return t.depth[n] }
+
+// probableHolder reports the current probable holder (for tests).
+func (d *DLock) probableHolder() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.holder
+}
+
+// chainLen reports how many hops a request from node would take (for
+// tests).
+func (d *DLock) chainLen(node int) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	_, _, hops := d.walk(node, 0, func(_, _, _ int) vclock.Duration { return 0 }, nil, 0, false)
+	return hops
 }

@@ -182,7 +182,7 @@ func NewManager(cfg Config) *Manager {
 	for i := range m.nodes {
 		m.nodes[i] = &nodeState{}
 	}
-	if cfg.Wire.Hier && n > Threshold {
+	if cfg.Wire.Hier && n > threshold {
 		m.tree = NewTree(n, cfg.Topology)
 	}
 	if cfg.Wire.HandlerNs > 0 {
@@ -306,7 +306,7 @@ func (m *Manager) acquire(node, id int, try bool) bool {
 	var req vclock.Duration
 	switch {
 	case st.dl != nil && try:
-		peer, req = st.dl.Probe(node, msgBytes, w.Msg)
+		peer, req = st.dl.probe(node, msgBytes, w.Msg)
 	case st.dl != nil:
 		peer, req, hops = st.dl.Request(node, msgBytes, w.Msg, m.steal, w.HandlerNs)
 	case peer != node:
@@ -333,7 +333,7 @@ func (m *Manager) acquire(node, id int, try bool) bool {
 	} else if !st.vl.TryAcquire(clk, req, grant) {
 		return false
 	} else if st.dl != nil {
-		st.dl.Commit(node)
+		st.dl.commit(node)
 	}
 	if remote && st.dl != nil {
 		// The predecessor hands the token over: one grant message, its
@@ -429,7 +429,7 @@ func (m *Manager) Barrier(node int) {
 		// when the root can release — but only the direct parent takes an
 		// interrupt; ancestors see one aggregated message per subtree.
 		arrive = m.tree.PathCost(node, m.bytes(len(mine)), w.Msg)
-		m.interrupt(m.tree.Parent(node))
+		m.interrupt(m.tree.parentOf(node))
 		m.sent(ns, 1)
 		if !w.Notices {
 			wave = arrive

@@ -43,12 +43,12 @@ import (
 	"hamster/internal/vclock"
 )
 
-// DefaultCachePages caps each node's read cache (16 MiB).
-const DefaultCachePages = 4096
+// defaultCachePages caps each node's read cache (16 MiB).
+const defaultCachePages = 4096
 
-// DefaultCacheThreshold is the number of remote reads of one page within
+// defaultCacheThreshold is the number of remote reads of one page within
 // an interval that triggers caching the page locally.
-const DefaultCacheThreshold = 16
+const defaultCacheThreshold = 16
 
 // Config parameterizes a hybrid-DSM cluster.
 type Config struct {
@@ -56,10 +56,10 @@ type Config struct {
 	Nodes int
 	// Params is the cost model; zero value means machine.Default().
 	Params machine.Params
-	// CachePages caps the per-node read cache (0 = DefaultCachePages).
+	// CachePages caps the per-node read cache (0 = defaultCachePages).
 	CachePages int
 	// CacheThreshold is the remote-read count that triggers page caching
-	// (0 = DefaultCacheThreshold, negative = caching disabled).
+	// (0 = defaultCacheThreshold, negative = caching disabled).
 	CacheThreshold int
 	// DisablePostedWrites makes remote writes synchronous PIO stores
 	// (ablation knob: each write pays the full remote-read latency).
@@ -119,13 +119,13 @@ func New(cfg Config) (*DSM, error) {
 	d := &DSM{Base: base, nodes: make([]*node, cfg.Nodes), posted: !cfg.DisablePostedWrites}
 	d.cacheCap = cfg.CachePages
 	if d.cacheCap <= 0 {
-		d.cacheCap = DefaultCachePages
+		d.cacheCap = defaultCachePages
 	}
 	switch {
 	case cfg.CacheThreshold < 0:
 		d.threshold = 0 // disabled
 	case cfg.CacheThreshold == 0:
-		d.threshold = DefaultCacheThreshold
+		d.threshold = defaultCacheThreshold
 	default:
 		d.threshold = cfg.CacheThreshold
 	}

@@ -56,20 +56,15 @@ func (s *Stream) Next() uint64 {
 	return mix64(s.state)
 }
 
-// Float64 returns the next draw as a uniform in [0, 1).
-func (s *Stream) Float64() float64 {
+// uniform returns the next draw as a uniform in [0, 1).
+func (s *Stream) uniform() float64 {
 	return float64(s.Next()>>11) / float64(uint64(1)<<53)
 }
 
-// Intn returns a uniform integer in [0, n). n must be > 0.
-func (s *Stream) Intn(n int) int {
-	return int(s.Next() % uint64(n))
-}
-
-// ExpNs draws an exponential with the given mean in nanoseconds,
+// expNs draws an exponential with the given mean in nanoseconds,
 // floored at 1 ns so arrival times strictly advance.
-func (s *Stream) ExpNs(meanNs float64) uint64 {
-	u := s.Float64()
+func (s *Stream) expNs(meanNs float64) uint64 {
+	u := s.uniform()
 	d := -math.Log(1-u) * meanNs
 	if d < 1 {
 		return 1
@@ -109,21 +104,9 @@ func NewZipf(n int, skew float64) *Zipf {
 	return z
 }
 
-// N returns the rank-space size.
-func (z *Zipf) N() int { return len(z.cdf) }
-
-// Prob returns rank k's probability mass (tests check the sampler
-// against these).
-func (z *Zipf) Prob(k int) float64 {
-	if k == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[k] - z.cdf[k-1]
-}
-
 // Sample draws a rank using the stream.
 func (z *Zipf) Sample(s *Stream) int {
-	u := s.Float64()
+	u := s.uniform()
 	// Binary search for the first cdf entry >= u.
 	lo, hi := 0, len(z.cdf)-1
 	for lo < hi {
@@ -152,7 +135,7 @@ type Arrivals struct {
 // virtual nanoseconds.
 func NewArrivals(seed uint64, meanGapNs float64) *Arrivals {
 	a := &Arrivals{s: Stream{state: seed}, mean: meanGapNs}
-	a.next = a.s.ExpNs(a.mean)
+	a.next = a.s.expNs(a.mean)
 	return a
 }
 
@@ -162,7 +145,7 @@ func (a *Arrivals) Peek() uint64 { return a.next }
 // Take consumes and returns the next arrival time.
 func (a *Arrivals) Take() uint64 {
 	t := a.next
-	a.next += a.s.ExpNs(a.mean)
+	a.next += a.s.expNs(a.mean)
 	return t
 }
 
@@ -226,9 +209,6 @@ func (h *Hist) Merge(o *Hist) {
 
 // Count returns the number of recorded samples.
 func (h *Hist) Count() uint64 { return h.count }
-
-// Sum returns the total of all recorded samples.
-func (h *Hist) Sum() uint64 { return h.sum }
 
 // Mean returns the average sample (0 when empty).
 func (h *Hist) Mean() uint64 {

@@ -58,7 +58,7 @@ func TestStreamStateRoundTrip(t *testing.T) {
 
 // The inter-arrival gaps must be exponential with the configured mean:
 // over 200k draws the sample mean lands within 2% and consecutive
-// arrival times strictly increase (ExpNs floors at 1 ns).
+// arrival times strictly increase (expNs floors at 1 ns).
 func TestArrivalsPoissonMean(t *testing.T) {
 	const mean = 4000.0
 	const n = 200_000
@@ -110,7 +110,7 @@ func TestZipfChiSquared(t *testing.T) {
 		}
 		var chi2 float64
 		for r := 0; r < ranks; r++ {
-			expect := z.Prob(r) * samples
+			expect := z.prob(r) * samples
 			if expect <= 0 {
 				t.Fatalf("skew %v: rank %d has non-positive mass", skew, r)
 			}
@@ -130,8 +130,8 @@ func TestZipfChiSquared(t *testing.T) {
 func TestZipfUniformAtZeroSkew(t *testing.T) {
 	z := NewZipf(10, 0)
 	for r := 0; r < 10; r++ {
-		if math.Abs(z.Prob(r)-0.1) > 1e-12 {
-			t.Fatalf("rank %d mass %v, want 0.1", r, z.Prob(r))
+		if math.Abs(z.prob(r)-0.1) > 1e-12 {
+			t.Fatalf("rank %d mass %v, want 0.1", r, z.prob(r))
 		}
 	}
 }
@@ -169,7 +169,7 @@ func TestHistMergeEncodeDecode(t *testing.T) {
 	var m Hist
 	m.Merge(&a)
 	m.Merge(&b)
-	if m.Count() != a.Count()+b.Count() || m.Sum() != a.Sum()+b.Sum() {
+	if m.Count() != a.Count()+b.Count() || m.sum != a.sum+b.sum {
 		t.Fatal("merge lost mass")
 	}
 	blob := m.Encode(nil)
@@ -178,7 +178,7 @@ func TestHistMergeEncodeDecode(t *testing.T) {
 	if !ok || len(rest) != 0 {
 		t.Fatalf("decode failed (ok=%v, %d trailing bytes)", ok, len(rest))
 	}
-	if d.Count() != m.Count() || d.Sum() != m.Sum() || d.Quantile(0.95) != m.Quantile(0.95) {
+	if d.Count() != m.Count() || d.sum != m.sum || d.Quantile(0.95) != m.Quantile(0.95) {
 		t.Fatal("decode round-trip changed the histogram")
 	}
 	if _, ok := d.Decode(blob[:10]); ok {
@@ -201,4 +201,13 @@ func TestHistBucketMonotone(t *testing.T) {
 			t.Fatalf("value %d lands in bucket %d with upper bound %d", v, i, ub)
 		}
 	}
+}
+
+// prob returns rank k's probability mass (tests check the sampler
+// against these).
+func (z *Zipf) prob(k int) float64 {
+	if k == 0 {
+		return z.cdf[0]
+	}
+	return z.cdf[k] - z.cdf[k-1]
 }

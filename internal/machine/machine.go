@@ -68,12 +68,6 @@ func (l Link) MsgCost(size int) vclock.Duration {
 	return l.SendSWNs + l.LatencyNs + vclock.Duration(size)*l.NsPerByte + l.RecvSWNs
 }
 
-// RTTCost returns the cost of a minimal request/response exchange carrying
-// reqSize and respSize payload bytes.
-func (l Link) RTTCost(reqSize, respSize int) vclock.Duration {
-	return l.MsgCost(reqSize) + l.HandlerNs + l.MsgCost(respSize)
-}
-
 // SAN describes a System Area Network with remote memory access (SCI-like).
 type SAN struct {
 	// RemoteReadNs is the cost of one uncached remote word read (PIO).
@@ -200,18 +194,18 @@ const (
 	Separate
 )
 
-// SeparateStackPenaltyNs is the extra per-message cost paid when two
+// separateStackPenaltyNs is the extra per-message cost paid when two
 // uncoordinated communication frameworks share the NIC (duplicate signal
 // handling and socket demultiplexing).
-const SeparateStackPenaltyNs = 2_000
+const separateStackPenaltyNs = 2_000
 
 // WithMessaging returns a copy of p with the Ethernet link adjusted for
 // the chosen messaging integration mode.
 func (p Params) WithMessaging(mode MessagingMode) Params {
 	if mode == Separate {
-		p.Ethernet.SendSWNs += SeparateStackPenaltyNs / 2
-		p.Ethernet.RecvSWNs += SeparateStackPenaltyNs / 2
-		p.Ethernet.HandlerNs += SeparateStackPenaltyNs / 3
+		p.Ethernet.SendSWNs += separateStackPenaltyNs / 2
+		p.Ethernet.RecvSWNs += separateStackPenaltyNs / 2
+		p.Ethernet.HandlerNs += separateStackPenaltyNs / 3
 	}
 	return p
 }

@@ -31,8 +31,8 @@ func TestMsgCostComposition(t *testing.T) {
 	if got := l.MsgCost(50); got != 230 {
 		t.Fatalf("MsgCost(50) = %d, want 230", got)
 	}
-	if got := l.RTTCost(0, 8); got != 130+5+130+16 {
-		t.Fatalf("RTTCost = %d, want %d", got, 130+5+130+16)
+	if got := l.rttCost(0, 8); got != 130+5+130+16 {
+		t.Fatalf("rttCost = %d, want %d", got, 130+5+130+16)
 	}
 }
 
@@ -94,7 +94,7 @@ func TestPageFaultVsRemoteReadTradeoff(t *testing.T) {
 	// SW-DSM page fault over Ethernet costs hundreds of µs but amortizes
 	// over a whole page, while SAN remote reads are µs-scale per word.
 	p := Default()
-	fault := p.Ethernet.RTTCost(64, PageSize)
+	fault := p.Ethernet.rttCost(64, PageSize)
 	if fault < 300_000 || fault > 1_000_000 {
 		t.Fatalf("SW-DSM page fault cost %v outside plausible 0.3–1 ms", fault)
 	}
@@ -165,4 +165,10 @@ func TestMissCost(t *testing.T) {
 	if b.MissCost() != 123 {
 		t.Fatal("MissCost must be the private-bus DRAM cost")
 	}
+}
+
+// rttCost returns the cost of a minimal request/response exchange carrying
+// reqSize and respSize payload bytes.
+func (l Link) rttCost(reqSize, respSize int) vclock.Duration {
+	return l.MsgCost(reqSize) + l.HandlerNs + l.MsgCost(respSize)
 }

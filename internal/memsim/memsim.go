@@ -47,9 +47,6 @@ type PageID uint64
 // PageOf returns the page containing addr.
 func PageOf(a Addr) PageID { return PageID(a / PageSize) }
 
-// PageBase returns the first address of page p.
-func PageBase(p PageID) Addr { return Addr(p) * PageSize }
-
 // Offset returns the byte offset of addr within its page.
 func Offset(a Addr) int { return int(a % PageSize) }
 
@@ -148,11 +145,11 @@ type Region struct {
 	FixedNode int
 }
 
-// End returns the first address past the region.
-func (r Region) End() Addr { return r.Base + Addr(r.Size) }
+// end returns the first address past the region.
+func (r Region) end() Addr { return r.Base + Addr(r.Size) }
 
-// Contains reports whether addr falls inside the region.
-func (r Region) Contains(a Addr) bool { return a >= r.Base && a < r.End() }
+// contains reports whether addr falls inside the region.
+func (r Region) contains(a Addr) bool { return a >= r.Base && a < r.end() }
 
 // Space is a global address space: allocator plus page table.
 // All methods are safe for concurrent use.
@@ -183,9 +180,6 @@ func NewSpace(nodes int) *Space {
 	return s
 }
 
-// Nodes returns the cluster size the space was built for.
-func (s *Space) Nodes() int { return s.nodes }
-
 // Alloc reserves size bytes with the given placement policy and assigns
 // page homes. Sizes are rounded up to whole pages: page-granularity is what
 // a page-based DSM can manage, and it guarantees no false sharing between
@@ -205,7 +199,7 @@ func (s *Space) Alloc(size uint64, name string, pol Policy, fixedNode int) (Regi
 	base, ok := s.takeFreeLocked(rounded)
 	if !ok {
 		base = s.next
-		if uint64(base)+rounded > MaxPages*PageSize {
+		if uint64(base)+rounded > maxPages*PageSize {
 			return Region{}, fmt.Errorf("memsim: allocation %q of %d bytes exhausts the address space", name, size)
 		}
 		s.next += Addr(rounded)
@@ -238,13 +232,13 @@ func (s *Space) assignHomesLocked(r Region) {
 	for i, p := range pages {
 		switch r.Policy {
 		case Block:
-			s.homes.Set(p, &s.ids[i/per])
+			s.homes.set(p, &s.ids[i/per])
 		case Cyclic:
-			s.homes.Set(p, &s.ids[i%s.nodes])
+			s.homes.set(p, &s.ids[i%s.nodes])
 		case Fixed:
-			s.homes.Set(p, &s.ids[r.FixedNode])
+			s.homes.set(p, &s.ids[r.FixedNode])
 		case FirstTouch:
-			// Homes assigned lazily by TouchHome.
+			// Homes assigned lazily by touchHome.
 		}
 	}
 }
@@ -270,7 +264,7 @@ func (s *Space) Free(r Region) error {
 func (s *Space) coalesceLocked() {
 	out := s.free[:0]
 	for _, f := range s.free {
-		if n := len(out); n > 0 && out[n-1].End() == f.Base {
+		if n := len(out); n > 0 && out[n-1].end() == f.Base {
 			out[n-1].Size += f.Size
 		} else {
 			out = append(out, f)
@@ -288,10 +282,10 @@ func (s *Space) Home(p PageID) int {
 	return NoHome
 }
 
-// TouchHome assigns node as the home of page p if it has none yet, and
+// touchHome assigns node as the home of page p if it has none yet, and
 // returns the page's (possibly pre-existing) home. This implements
 // first-touch placement.
-func (s *Space) TouchHome(p PageID, node int) int {
+func (s *Space) touchHome(p PageID, node int) int {
 	return *s.homes.GetOrCreate(p, func() *int { return &s.ids[node] })
 }
 
@@ -302,31 +296,22 @@ func (s *Space) HomeFor(p PageID, node int) int {
 	if h := s.Home(p); h != NoHome {
 		return h
 	}
-	return s.TouchHome(p, node)
+	return s.touchHome(p, node)
 }
 
 // SetHome reassigns a page's home (home migration support).
-func (s *Space) SetHome(p PageID, node int) { s.homes.Set(p, &s.ids[node]) }
+func (s *Space) SetHome(p PageID, node int) { s.homes.set(p, &s.ids[node]) }
 
 // RegionOf returns the region containing addr.
 func (s *Space) RegionOf(a Addr) (Region, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for _, r := range s.regions {
-		if r.Contains(a) {
+		if r.contains(a) {
 			return r, true
 		}
 	}
 	return Region{}, false
-}
-
-// Regions returns a snapshot of all live regions.
-func (s *Space) Regions() []Region {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]Region, len(s.regions))
-	copy(out, s.regions)
-	return out
 }
 
 // SpaceSnapshot is a deep copy of a Space's allocator and page-table
@@ -341,7 +326,7 @@ type SpaceSnapshot struct {
 }
 
 // Snapshot deep-copies the allocator and page-table state. The caller
-// must guarantee quiescence (no concurrent Alloc/Free/TouchHome) for the
+// must guarantee quiescence (no concurrent Alloc/Free/touchHome) for the
 // copy to be a consistent cut; the method itself only takes the usual
 // locks.
 func (s *Space) Snapshot() SpaceSnapshot {
@@ -372,20 +357,9 @@ func (s *Space) Restore(sn SpaceSnapshot) error {
 	s.free = append(s.free[:0], sn.Free...)
 	s.homes.Range(func(p PageID, _ *int) { s.homes.Drop(p) })
 	for p, h := range sn.Homes {
-		s.homes.Set(p, &s.ids[h])
+		s.homes.set(p, &s.ids[h])
 	}
 	return nil
-}
-
-// Allocated reports the total bytes currently allocated.
-func (s *Space) Allocated() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var total uint64
-	for _, r := range s.regions {
-		total += r.Size
-	}
-	return total
 }
 
 // GetF64 reads a float64 at byte offset off in a frame.
@@ -398,21 +372,21 @@ func PutF64(frame []byte, off int, v float64) {
 	binary.LittleEndian.PutUint64(frame[off:], math.Float64bits(v))
 }
 
-// GetU64 reads a uint64 at byte offset off.
-func GetU64(frame []byte, off int) uint64 {
+// getU64 reads a uint64 at byte offset off.
+func getU64(frame []byte, off int) uint64 {
 	return binary.LittleEndian.Uint64(frame[off:])
 }
 
-// PutU64 writes a uint64 at byte offset off.
-func PutU64(frame []byte, off int, v uint64) {
+// putU64 writes a uint64 at byte offset off.
+func putU64(frame []byte, off int, v uint64) {
 	binary.LittleEndian.PutUint64(frame[off:], v)
 }
 
 // GetI64 reads an int64 at byte offset off.
-func GetI64(frame []byte, off int) int64 { return int64(GetU64(frame, off)) }
+func GetI64(frame []byte, off int) int64 { return int64(getU64(frame, off)) }
 
 // PutI64 writes an int64 at byte offset off.
-func PutI64(frame []byte, off int, v int64) { PutU64(frame, off, uint64(v)) }
+func PutI64(frame []byte, off int, v int64) { putU64(frame, off, uint64(v)) }
 
 // Word is a value the block accessors move: the two 8-byte word types of
 // platform.Substrate.

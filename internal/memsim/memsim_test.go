@@ -9,9 +9,6 @@ func TestPageArithmetic(t *testing.T) {
 	if PageOf(0) != 0 || PageOf(PageSize-1) != 0 || PageOf(PageSize) != 1 {
 		t.Fatal("PageOf broken")
 	}
-	if PageBase(3) != 3*PageSize {
-		t.Fatal("PageBase broken")
-	}
 	if Offset(PageSize+17) != 17 {
 		t.Fatal("Offset broken")
 	}
@@ -52,7 +49,7 @@ func TestAllocationsDoNotOverlap(t *testing.T) {
 	s := NewSpace(2)
 	a, _ := s.Alloc(3*PageSize, "a", Block, 0)
 	b, _ := s.Alloc(PageSize, "b", Cyclic, 0)
-	if a.End() > b.Base && b.End() > a.Base {
+	if a.end() > b.Base && b.end() > a.Base {
 		t.Fatalf("regions overlap: %+v %+v", a, b)
 	}
 }
@@ -101,12 +98,12 @@ func TestFirstTouchPlacement(t *testing.T) {
 	if s.Home(p) != NoHome {
 		t.Fatal("untouched first-touch page must have NoHome")
 	}
-	if got := s.TouchHome(p, 3); got != 3 {
-		t.Fatalf("TouchHome = %d, want 3", got)
+	if got := s.touchHome(p, 3); got != 3 {
+		t.Fatalf("touchHome = %d, want 3", got)
 	}
 	// Second toucher does not steal the home.
-	if got := s.TouchHome(p, 1); got != 3 {
-		t.Fatalf("second TouchHome = %d, want 3", got)
+	if got := s.touchHome(p, 1); got != 3 {
+		t.Fatalf("second touchHome = %d, want 3", got)
 	}
 	if s.Home(p) != 3 {
 		t.Fatal("home not recorded")
@@ -182,14 +179,11 @@ func TestRegionOfAndAllocated(t *testing.T) {
 	if !ok || got.Name != "named" {
 		t.Fatalf("RegionOf = %+v, %v", got, ok)
 	}
-	if _, ok := s.RegionOf(r.End()); ok {
+	if _, ok := s.RegionOf(r.end()); ok {
 		t.Fatal("RegionOf past end must miss")
 	}
-	if s.Allocated() != 2*PageSize {
-		t.Fatalf("Allocated = %d", s.Allocated())
-	}
-	if len(s.Regions()) != 1 {
-		t.Fatal("Regions snapshot wrong")
+	if len(s.regions) != 1 || s.regions[0].Size != 2*PageSize {
+		t.Fatalf("regions = %+v, want one of two pages", s.regions)
 	}
 }
 
@@ -211,7 +205,7 @@ func TestAllocNoOverlapProperty(t *testing.T) {
 		}
 		for i := range regs {
 			for j := i + 1; j < len(regs); j++ {
-				if regs[i].End() > regs[j].Base && regs[j].End() > regs[i].Base {
+				if regs[i].end() > regs[j].Base && regs[j].end() > regs[i].Base {
 					return false
 				}
 			}
@@ -256,8 +250,8 @@ func TestWordCodecs(t *testing.T) {
 	if got := GetF64(fr, 8); got != 2.718281828 {
 		t.Fatalf("F64 = %v", got)
 	}
-	PutU64(fr, 16, 1<<63)
-	if GetU64(fr, 16) != 1<<63 {
+	putU64(fr, 16, 1<<63)
+	if getU64(fr, 16) != 1<<63 {
 		t.Fatal("U64 round trip failed")
 	}
 	PutI64(fr, 24, -99)

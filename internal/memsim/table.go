@@ -10,10 +10,10 @@ const (
 	chunkBits = 9
 	chunkSize = 1 << chunkBits // entries per chunk: 512 pointers, one 4 KiB block
 
-	// MaxPages bounds the address space (64 GiB). Alloc never hands out a
+	// maxPages bounds the address space (64 GiB). Alloc never hands out a
 	// page at or above it and a Table refuses to create one, so a wild
 	// PageID costs a panic, not a top level sized by the address.
-	MaxPages = 1 << 24
+	maxPages = 1 << 24
 )
 
 // Table maps dense PageIDs to *T: the one page-indexed structure under
@@ -61,8 +61,8 @@ func (t *Table[T]) create(p PageID, mk func() *T) *T {
 	return s.Load()
 }
 
-// Set installs v (non-nil) as page p's entry, replacing any other.
-func (t *Table[T]) Set(p PageID, v *T) {
+// set installs v (non-nil) as page p's entry, replacing any other.
+func (t *Table[T]) set(p PageID, v *T) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.slotLocked(p).Store(v)
@@ -101,8 +101,8 @@ func (t *Table[T]) Range(fn func(PageID, *T)) {
 // slotLocked returns page p's slot, adding its chunk (and republishing the
 // top level) when missing. The caller holds t.mu.
 func (t *Table[T]) slotLocked(p PageID) *atomic.Pointer[T] {
-	if p >= MaxPages {
-		panic(fmt.Sprintf("memsim: page %d is outside the %d-page address space", p, MaxPages))
+	if p >= maxPages {
+		panic(fmt.Sprintf("memsim: page %d is outside the %d-page address space", p, maxPages))
 	}
 	var top []*tableChunk[T]
 	if cur := t.top.Load(); cur != nil {

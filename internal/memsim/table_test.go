@@ -59,8 +59,8 @@ func TestTableDropThenCreate(t *testing.T) {
 		t.Fatal("create after Drop must build a fresh zeroed entry and leave the old one alone")
 	}
 	other := new(int)
-	tab.Set(7, other) // replace: count unchanged
-	tab.Set(8, other) // insert
+	tab.set(7, other) // replace: count unchanged
+	tab.set(8, other) // insert
 	if tab.Get(7) != other || count(&tab) != 2 {
 		t.Fatalf("after Set: %d pages resident, want 2", count(&tab))
 	}
@@ -144,10 +144,10 @@ func TestTableWildPage(t *testing.T) {
 
 func TestAllocBoundedByMaxPages(t *testing.T) {
 	s := NewSpace(2)
-	if _, err := s.Alloc(MaxPages*PageSize, "huge", FirstTouch, 0); err == nil {
-		t.Fatal("allocation past MaxPages must fail")
+	if _, err := s.Alloc(maxPages*PageSize, "huge", FirstTouch, 0); err == nil {
+		t.Fatal("allocation past maxPages must fail")
 	}
-	if s.Home(MaxPages+1) != NoHome {
-		t.Fatal("page past MaxPages must have no home")
+	if s.Home(maxPages+1) != NoHome {
+		t.Fatal("page past maxPages must have no home")
 	}
 }

@@ -24,10 +24,10 @@ func TestWindowHoldsStridedWalk(t *testing.T) {
 // and a slot refilled under the new generation hits again.
 func TestWindowGenerationBump(t *testing.T) {
 	var w Window[int]
-	for p := PageID(0); p < WindowSlots; p++ {
+	for p := PageID(0); p < windowSlots; p++ {
 		w.Put(p, 1, int(p))
 	}
-	for p := PageID(0); p < WindowSlots; p++ {
+	for p := PageID(0); p < windowSlots; p++ {
 		if w.Get(p, 2) != nil {
 			t.Fatalf("page %d stored under generation 1 hit under generation 2", p)
 		}
@@ -38,7 +38,7 @@ func TestWindowGenerationBump(t *testing.T) {
 	}
 }
 
-// TestWindowConflictEvictsOneSlot: two pages WindowSlots apart share a
+// TestWindowConflictEvictsOneSlot: two pages windowSlots apart share a
 // slot; storing one evicts the other and nothing else. Page 0 under
 // generation 0 must also miss in a never-filled window.
 func TestWindowConflictEvictsOneSlot(t *testing.T) {
@@ -48,11 +48,11 @@ func TestWindowConflictEvictsOneSlot(t *testing.T) {
 	}
 	w.Put(3, 1, 30)
 	w.Put(4, 1, 40)
-	w.Put(3+WindowSlots, 1, 31)
+	w.Put(3+windowSlots, 1, 31)
 	if w.Get(3, 1) != nil {
 		t.Fatal("page 3 survived a Put of the page that shares its slot")
 	}
-	if v := w.Get(3+WindowSlots, 1); v == nil || *v != 31 {
+	if v := w.Get(3+windowSlots, 1); v == nil || *v != 31 {
 		t.Fatalf("conflicting page: got %v, want 31", v)
 	}
 	if v := w.Get(4, 1); v == nil || *v != 40 {

@@ -73,7 +73,7 @@ func TestIVYPageEngineComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.RouteOf(pageR.Base) != SW || d.RouteOf(wordR.Base) != Hybrid {
+	if d.routeOf(pageR.Base) != SW || d.routeOf(wordR.Base) != Hybrid {
 		t.Fatal("routing wrong")
 	}
 	// IVY region: coherent immediately, no sync needed.

@@ -225,13 +225,6 @@ func (d *DSM) Alloc(size uint64, name string, pol memsim.Policy, fixedNode int) 
 	return r, nil
 }
 
-// RouteOf reports which engine serves an address (for tests/monitoring).
-func (d *DSM) RouteOf(a memsim.Addr) Engine {
-	d.routeMu.RLock()
-	defer d.routeMu.RUnlock()
-	return d.routes[memsim.PageOf(a)]
-}
-
 // Free implements platform.Substrate.
 func (d *DSM) Free(r memsim.Region) error {
 	d.routeMu.Lock()

@@ -40,9 +40,9 @@ func TestRoutingByPolicy(t *testing.T) {
 	rb, _ := d.Alloc(memsim.PageSize, "b", memsim.Block, 0)
 	rc, _ := d.Alloc(memsim.PageSize, "c", memsim.Cyclic, 0)
 	rf, _ := d.Alloc(memsim.PageSize, "f", memsim.Fixed, 0) // default engine (SW=0)
-	if d.RouteOf(rb.Base) != SW || d.RouteOf(rc.Base) != Hybrid || d.RouteOf(rf.Base) != SW {
+	if d.routeOf(rb.Base) != SW || d.routeOf(rc.Base) != Hybrid || d.routeOf(rf.Base) != SW {
 		t.Fatalf("routes wrong: %v %v %v",
-			d.RouteOf(rb.Base), d.RouteOf(rc.Base), d.RouteOf(rf.Base))
+			d.routeOf(rb.Base), d.routeOf(rc.Base), d.routeOf(rf.Base))
 	}
 	if SW.String() != "sw" || Hybrid.String() != "hybrid" {
 		t.Fatal("engine names wrong")
@@ -237,4 +237,11 @@ func TestSyncCountersCounted(t *testing.T) {
 			t.Errorf("node %d: sync counters survive ResetStats: %+v", n, s)
 		}
 	}
+}
+
+// routeOf reports which engine serves an address.
+func (d *DSM) routeOf(a memsim.Addr) Engine {
+	d.routeMu.RLock()
+	defer d.routeMu.RUnlock()
+	return d.routes[memsim.PageOf(a)]
 }

@@ -34,19 +34,10 @@ func NewBoard() *Board {
 	return &Board{byN: make(map[int][]memsim.PageID)}
 }
 
-// Take removes and returns the notices pending for a node.
-func (b *Board) Take(node int) []memsim.PageID {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := b.byN[node]
-	delete(b.byN, node)
-	return out
-}
-
 // TakeInto drains the notices pending for a node by appending them to dst
-// and returns the extended slice. Unlike Take, the board keeps its queue's
-// backing array (truncated to zero length) for the next interval, so a
-// steady Take/AddForOthers cycle stops allocating once both the queue and
+// and returns the extended slice. The board keeps its queue's backing
+// array (truncated to zero length) for the next interval, so a steady
+// TakeInto/AddForOthers cycle stops allocating once both the queue and
 // dst have grown to the interval's working size. The caller owns dst; the
 // board never aliases it.
 func (b *Board) TakeInto(node int, dst []memsim.PageID) []memsim.PageID {
@@ -74,13 +65,6 @@ func (b *Board) AddForOthers(self, nodes int, pages []memsim.PageID) {
 		}
 		b.byN[m] = append(b.byN[m], pages...)
 	}
-}
-
-// Pending reports how many notices are queued for a node (tests/monitoring).
-func (b *Board) Pending(node int) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.byN[node])
 }
 
 // EpochExchange merges per-node notices at barrier epochs. Every node
@@ -146,11 +130,4 @@ func (e *EpochExchange) CollectOthers(epoch uint64, node int, dst []memsim.PageI
 		}
 	}
 	return dst
-}
-
-// LiveEpochs reports how many epochs still hold storage (tests).
-func (e *EpochExchange) LiveEpochs() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.epochs)
 }

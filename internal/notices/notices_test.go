@@ -12,7 +12,7 @@ import (
 
 func TestBoardTakeEmpty(t *testing.T) {
 	b := NewBoard()
-	if got := b.Take(0); got != nil {
+	if got := b.take(0); got != nil {
 		t.Fatalf("Take on empty board = %v", got)
 	}
 }
@@ -20,16 +20,16 @@ func TestBoardTakeEmpty(t *testing.T) {
 func TestBoardAddForOthers(t *testing.T) {
 	b := NewBoard()
 	b.AddForOthers(1, 3, []memsim.PageID{10, 11})
-	if got := b.Take(1); got != nil {
+	if got := b.take(1); got != nil {
 		t.Fatalf("self must not receive notices, got %v", got)
 	}
 	for _, n := range []int{0, 2} {
-		got := b.Take(n)
+		got := b.take(n)
 		if len(got) != 2 || got[0] != 10 || got[1] != 11 {
 			t.Fatalf("node %d notices = %v", n, got)
 		}
 		// Second take drains.
-		if b.Take(n) != nil {
+		if b.take(n) != nil {
 			t.Fatal("Take must drain")
 		}
 	}
@@ -39,10 +39,10 @@ func TestBoardAccumulates(t *testing.T) {
 	b := NewBoard()
 	b.AddForOthers(0, 2, []memsim.PageID{1})
 	b.AddForOthers(0, 2, []memsim.PageID{2})
-	if b.Pending(1) != 2 {
-		t.Fatalf("pending = %d", b.Pending(1))
+	if b.pending(1) != 2 {
+		t.Fatalf("pending = %d", b.pending(1))
 	}
-	got := b.Take(1)
+	got := b.take(1)
 	if len(got) != 2 {
 		t.Fatalf("notices = %v", got)
 	}
@@ -52,7 +52,7 @@ func TestBoardEmptyAddIsNoop(t *testing.T) {
 	b := NewBoard()
 	b.AddForOthers(0, 4, nil)
 	for n := 0; n < 4; n++ {
-		if b.Pending(n) != 0 {
+		if b.pending(n) != 0 {
 			t.Fatal("empty add must not create entries")
 		}
 	}
@@ -73,8 +73,8 @@ func TestEpochExchange(t *testing.T) {
 		t.Fatalf("node 1 collected %v", got)
 	}
 	e.CollectOthers(0, 2, nil)
-	if e.LiveEpochs() != 0 {
-		t.Fatalf("epoch storage leaked: %d live", e.LiveEpochs())
+	if e.liveEpochs() != 0 {
+		t.Fatalf("epoch storage leaked: %d live", e.liveEpochs())
 	}
 }
 
@@ -108,7 +108,7 @@ func TestEpochExchangeNodeOrder(t *testing.T) {
 		3: {100, 7, 9, 4},
 	}
 	for n := 0; n < 4; n++ {
-		if live := e.LiveEpochs(); live != 1 {
+		if live := e.liveEpochs(); live != 1 {
 			t.Fatalf("after %d collections %d epochs live, want 1", n, live)
 		}
 		got := e.CollectOthers(0, n, []memsim.PageID{100})
@@ -116,7 +116,7 @@ func TestEpochExchangeNodeOrder(t *testing.T) {
 			t.Errorf("node %d collected %v, want %v", n, got, want[n])
 		}
 	}
-	if live := e.LiveEpochs(); live != 0 {
+	if live := e.liveEpochs(); live != 0 {
 		t.Fatalf("epoch storage leaked: %d live after the last collection", live)
 	}
 }
@@ -152,8 +152,8 @@ func TestEpochExchangeOverlappingEpochs(t *testing.T) {
 	if len(got0) != 1 || got0[0] != 2 || len(got1) != 1 || got1[0] != 1 {
 		t.Fatalf("epoch 0 exchange wrong: %v %v", got0, got1)
 	}
-	if e.LiveEpochs() != 1 {
-		t.Fatalf("live epochs = %d, want 1 (epoch 1 pending)", e.LiveEpochs())
+	if e.liveEpochs() != 1 {
+		t.Fatalf("live epochs = %d, want 1 (epoch 1 pending)", e.liveEpochs())
 	}
 }
 
@@ -196,7 +196,7 @@ func TestEpochExchangeProperty(t *testing.T) {
 				}
 			}
 		}
-		return e.LiveEpochs() == 0
+		return e.liveEpochs() == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -245,7 +245,7 @@ func TestEpochExchangeConcurrent(t *testing.T) {
 		}(n)
 	}
 	wg.Wait()
-	if live := e.LiveEpochs(); live != 0 {
+	if live := e.liveEpochs(); live != 0 {
 		t.Fatalf("%d epochs live after every node collected every round", live)
 	}
 }
@@ -260,9 +260,32 @@ func TestBoardConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				b.AddForOthers(w, 4, []memsim.PageID{memsim.PageID(i)})
-				b.Take(w)
+				b.take(w)
 			}
 		}(w)
 	}
 	wg.Wait() // must not race or deadlock
+}
+
+// take removes and returns the notices pending for a node.
+func (b *Board) take(node int) []memsim.PageID {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	out := b.byN[node]
+	delete(b.byN, node)
+	return out
+}
+
+// pending reports how many notices are queued for a node.
+func (b *Board) pending(node int) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.byN[node])
+}
+
+// liveEpochs reports how many epochs still hold storage.
+func (e *EpochExchange) liveEpochs() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.epochs)
 }

@@ -35,9 +35,6 @@ func newFrame() *Frame { return &Frame{Data: make([]byte, memsim.PageSize)} }
 // Frame returns the frame for page p, creating it zeroed if absent.
 func (s *Store) Frame(p memsim.PageID) *Frame { return s.frames.GetOrCreate(p, newFrame) }
 
-// Len reports how many frames are resident.
-func (s *Store) Len() int { return len(s.Pages()) }
-
 // Pages returns the resident page ids in ascending order. Checkpoint
 // capture walks this list so snapshots are position-deterministic.
 func (s *Store) Pages() []memsim.PageID {

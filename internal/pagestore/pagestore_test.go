@@ -18,8 +18,8 @@ func TestFrameLazyZeroed(t *testing.T) {
 			t.Fatal("frame not zeroed")
 		}
 	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d", s.Len())
+	if len(s.Pages()) != 1 {
+		t.Fatalf("Len = %d", len(s.Pages()))
 	}
 }
 
@@ -59,7 +59,7 @@ func TestDrop(t *testing.T) {
 	if data == nil || data[0] != 7 {
 		t.Fatal("Drop must return the frame data")
 	}
-	if s.Len() != 0 {
+	if len(s.Pages()) != 0 {
 		t.Fatal("frame not removed")
 	}
 	if s.Drop(9) != nil {
@@ -75,8 +75,8 @@ func TestDropThenFrameIsFresh(t *testing.T) {
 	old.Data[0] = 7
 	s.Drop(9)
 	fresh := s.Frame(9)
-	if fresh == old || fresh.Data[0] != 0 || s.Len() != 1 {
-		t.Fatalf("Frame after Drop: same=%v byte0=%d Len=%d", fresh == old, fresh.Data[0], s.Len())
+	if fresh == old || fresh.Data[0] != 0 || len(s.Pages()) != 1 {
+		t.Fatalf("Frame after Drop: same=%v byte0=%d Len=%d", fresh == old, fresh.Data[0], len(s.Pages()))
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"hamster/internal/vclock"
@@ -50,7 +49,7 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 			TID:   0,
 			Args:  map[string]any{"name": fmt.Sprintf("node %d", node)},
 		})
-		for _, ev := range r.Events(node) {
+		for _, ev := range r.events(node) {
 			ce := chromeEvent{
 				Name:  ev.Kind.String(),
 				Phase: "X",
@@ -132,37 +131,5 @@ func Summary(breakdowns []vclock.Breakdown) string {
 		"all", vclock.Duration(total).String(),
 		cell(all.Compute, total), cell(all.Memory, total), cell(all.Protocol, total),
 		cell(all.Network, total), cell(all.Stolen, total))
-	return b.String()
-}
-
-// EventSummary tallies the recorder's retained events by kind across all
-// nodes, formatted as a "kind count" table sorted by count descending.
-func (r *Recorder) EventSummary() string {
-	counts := make(map[EventKind]uint64)
-	var dropped uint64
-	for node := 0; node < r.Nodes(); node++ {
-		for k, c := range r.KindCount(node) {
-			counts[k] += c
-		}
-		dropped += r.Dropped(node)
-	}
-	kinds := make([]EventKind, 0, len(counts))
-	for k := range counts {
-		kinds = append(kinds, k)
-	}
-	sort.Slice(kinds, func(i, j int) bool {
-		if counts[kinds[i]] != counts[kinds[j]] {
-			return counts[kinds[i]] > counts[kinds[j]]
-		}
-		return kinds[i] < kinds[j]
-	})
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s %10s\n", "event", "count")
-	for _, k := range kinds {
-		fmt.Fprintf(&b, "%-14s %10d\n", k.String(), counts[k])
-	}
-	if dropped > 0 {
-		fmt.Fprintf(&b, "%-14s %10d\n", "(dropped)", dropped)
-	}
 	return b.String()
 }

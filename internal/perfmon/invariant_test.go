@@ -98,10 +98,9 @@ func TestGoldenEventSequenceSWDSM(t *testing.T) {
 	}
 	found := false
 	for n := 0; n < 2 && !found; n++ {
-		evs := rec.Events(n)
 		i := 0
-		for _, ev := range evs {
-			if i < len(want) && ev.Kind == want[i] {
+		for _, ev := range rec.AllEvents() {
+			if int(ev.Node) == n && i < len(want) && ev.Kind == want[i] {
 				i++
 			}
 		}

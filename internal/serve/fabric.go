@@ -418,13 +418,13 @@ func (st *nodeState) phaseApply() {
 // attribution is unaffected; only the queue model reads this table.
 func serviceNs(kind int64) uint64 {
 	switch kind {
-	case OpScan:
+	case opScan:
 		return 900 // reads a scanSlots-slot stripe
-	case OpPut, OpEvent:
+	case opPut, opEvent:
 		return 380 // read-modify-write of one slot
-	case OpPush:
+	case opPush:
 		return 420 // LWW merge, possible loser preservation
-	default: // OpGet, OpPull: one slot read + digest fold
+	default: // opGet, opPull: one slot read + digest fold
 		return 300
 	}
 }
@@ -446,7 +446,7 @@ func (st *nodeState) runDirect() NodeResult {
 			t0 := st.m.Now()
 			st.m.Lock(shard)
 			st.lockWaitNs += uint64(vclock.Since(t0, st.m.Now()))
-			digest, _ := st.apply(&qop{op: op{key: key, kind: OpPut, session: st.sessBase + sess}})
+			digest, _ := st.apply(&qop{op: op{key: key, kind: opPut, session: st.sessBase + sess}})
 			st.m.Compute(applyFlops)
 			st.m.Unlock(shard)
 			st.opDigest += digest

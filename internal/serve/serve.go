@@ -78,15 +78,15 @@ const (
 	WorkloadSyncLog = "synclog"
 )
 
-// Workloads lists the valid Workload values.
-var Workloads = []string{WorkloadKV, WorkloadPipeline, WorkloadSyncLog}
+// workloads lists the valid Workload values.
+var workloads = []string{WorkloadKV, WorkloadPipeline, WorkloadSyncLog}
 
 // Fixed layout parameters. A shard is exactly one page: 128 slots of 4
 // words (key-slot identity is positional). Ring slots are 4 words too.
 const (
 	slotWords = 4
-	// SlotsPerShard is how many key slots one shard page holds.
-	SlotsPerShard = memsim.PageSize / (8 * slotWords)
+	// slotsPerShard is how many key slots one shard page holds.
+	slotsPerShard = memsim.PageSize / (8 * slotWords)
 	ringSlotBytes = 8 * slotWords
 
 	// routeFlops/applyFlops model the CPU cost of parsing a request and
@@ -100,12 +100,12 @@ const (
 
 // Op kinds, carried in ring slots and perfmon spans.
 const (
-	OpGet = iota
-	OpPut
-	OpScan
-	OpPush
-	OpPull
-	OpEvent
+	opGet = iota
+	opPut
+	opScan
+	opPush
+	opPull
+	opEvent
 )
 
 // scanSlots is how many consecutive slots a Scan reads.
@@ -192,13 +192,13 @@ func (c Config) WithDefaults(n int) Config {
 // with messages precise enough to act on.
 func (c Config) Validate(n int) error {
 	ok := false
-	for _, w := range Workloads {
+	for _, w := range workloads {
 		if c.Workload == w {
 			ok = true
 		}
 	}
 	if !ok {
-		return fmt.Errorf("serve: unknown workload %q (want one of %v)", c.Workload, Workloads)
+		return fmt.Errorf("serve: unknown workload %q (want one of %v)", c.Workload, workloads)
 	}
 	if n < 2 {
 		return fmt.Errorf("serve: need at least 2 nodes, have %d", n)
@@ -302,7 +302,7 @@ func buildLayout(c Config, n int) *layout {
 			l.routable = append(l.routable, s)
 		}
 	}
-	l.keys = len(l.routable) * SlotsPerShard
+	l.keys = len(l.routable) * slotsPerShard
 	l.keyStride = uint64(float64(l.keys)*0.6180339887) | 1
 	for gcd(l.keyStride, uint64(l.keys)) != 1 {
 		l.keyStride += 2

@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"hamster"
-	"hamster/internal/bench"
 	"hamster/internal/checkpoint"
 	"hamster/internal/consengine"
+	"hamster/internal/core"
 	"hamster/internal/hybriddsm"
 	"hamster/internal/perfmon"
 	"hamster/internal/platform"
@@ -36,7 +36,7 @@ func substrates(t testing.TB, n int) map[string]platform.Substrate {
 	}
 	out := map[string]platform.Substrate{"smp": sm, "swdsm": sw, "hybrid": hy}
 	for _, e := range []string{consengine.ScopeName, consengine.EagerRCName, consengine.IVYName} {
-		d, err := bench.Cluster{Platform: e, Nodes: n, Topology: simnet.TopoFlat}.Build()
+		d, err := core.NewSubstrate(hamster.Config{Platform: hamster.SWDSM, Engine: e, Nodes: n, Topology: simnet.TopoFlat})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestServeValidateRejects(t *testing.T) {
 // Two runs of the same seeded config must agree on every reported
 // field — histograms, digests, per-shard counters, checksums.
 func TestServeDeterministicReplay(t *testing.T) {
-	for _, w := range serve.Workloads {
+	for _, w := range []string{serve.WorkloadKV, serve.WorkloadPipeline, serve.WorkloadSyncLog} {
 		run := func() *serve.Report {
 			sm, err := smp.New(smp.Config{CPUs: 4})
 			if err != nil {
@@ -269,13 +269,11 @@ func TestServePerfmonSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	var spans uint64
-	for n := 0; n < 4; n++ {
-		for _, ev := range rec.Events(n) {
-			if ev.Kind == perfmon.EvServeOp {
-				spans++
-				if ev.Dur <= 0 {
-					t.Fatalf("serve-op span with non-positive duration %d", ev.Dur)
-				}
+	for _, ev := range rec.AllEvents() {
+		if ev.Kind == perfmon.EvServeOp {
+			spans++
+			if ev.Dur <= 0 {
+				t.Fatalf("serve-op span with non-positive duration %d", ev.Dur)
 			}
 		}
 	}

@@ -11,19 +11,19 @@ func (st *nodeState) kindFor(draw uint64) int64 {
 	case WorkloadKV:
 		switch {
 		case draw < 50:
-			return OpGet
+			return opGet
 		case draw < 90:
-			return OpPut
+			return opPut
 		default:
-			return OpScan
+			return opScan
 		}
 	case WorkloadSyncLog:
 		if draw < 60 {
-			return OpPush
+			return opPush
 		}
-		return OpPull
+		return opPull
 	default: // pipeline
-		return OpEvent
+		return opEvent
 	}
 }
 
@@ -43,14 +43,14 @@ func (st *nodeState) apply(q *qop) (digest uint64, shard int) {
 	a := st.l.slotAddr(shard, slot)
 	buf := st.ringBuf[:slotWords]
 	switch q.kind {
-	case OpGet:
+	case opGet:
 		st.m.ReadI64Block(a, buf)
 		digest = foldSlot(buf, q.key)
 
-	case OpPut, OpEvent:
+	case opPut, opEvent:
 		st.m.ReadI64Block(a, buf)
 		term := loadgen.Mix64(q.key)
-		if q.kind == OpEvent {
+		if q.kind == opEvent {
 			term = loadgen.Mix64(q.key ^ loadgen.Mix64(q.session))
 		}
 		buf[0] = int64(uint64(buf[0]) + term)
@@ -58,11 +58,11 @@ func (st *nodeState) apply(q *qop) (digest uint64, shard int) {
 		buf[2] = int64(uint64(buf[2]) + q.session)
 		st.m.WriteI64Block(a, buf)
 
-	case OpScan:
+	case opScan:
 		first := slot - slot%scanSlots
 		count := scanSlots
-		if first+count > SlotsPerShard {
-			count = SlotsPerShard - first
+		if first+count > slotsPerShard {
+			count = slotsPerShard - first
 		}
 		sbuf := st.ringBuf[:count*slotWords]
 		st.m.ReadI64Block(st.l.slotAddr(shard, first), sbuf)
@@ -70,7 +70,7 @@ func (st *nodeState) apply(q *qop) (digest uint64, shard int) {
 			digest += foldSlot(sbuf[i*slotWords:(i+1)*slotWords], q.key)
 		}
 
-	case OpPush:
+	case opPush:
 		st.m.ReadI64Block(a, buf)
 		nts, nsess := q.arrival, q.session
 		nval := loadgen.Mix64(q.key ^ q.arrival)
@@ -93,7 +93,7 @@ func (st *nodeState) apply(q *qop) (digest uint64, shard int) {
 		st.m.WriteI64Block(a, buf)
 		st.recordLoser(lts, lsess, lval, q.key)
 
-	case OpPull:
+	case opPull:
 		st.m.ReadI64Block(a, buf)
 		digest = foldSlot(buf, q.key)
 	}

@@ -121,10 +121,10 @@ func TestPartitionWindow(t *testing.T) {
 	if got := n.Drops(); got != 2 {
 		t.Fatalf("drops = %d, want 2 (the in-window sends)", got)
 	}
-	if got := n.Pending(1); got != 2 {
+	if got := n.pending(1); got != 2 {
 		t.Fatalf("node 1 queued %d messages, want 2 (before + after window)", got)
 	}
-	if got := n.Pending(2); got != 1 {
+	if got := n.pending(2); got != 1 {
 		t.Fatalf("node 2 queued %d messages, want 1", got)
 	}
 }
@@ -141,17 +141,17 @@ func TestCrashSchedule(t *testing.T) {
 	n.Send(1, 2, UserKindBase, 2, []byte{2}) // from the dead node: lost
 	n.Send(0, 2, UserKindBase, 3, []byte{3}) // bystanders keep talking
 
-	if !n.NodeCrashed(1, clocks[1].Now()) {
+	if !n.fs.Load().crashed(1, clocks[1].Now()) {
 		t.Fatal("node 1 should report crashed")
 	}
-	if n.NodeCrashed(1, 500) {
+	if n.fs.Load().crashed(1, 500) {
 		t.Fatal("node 1 was alive before CrashAt")
 	}
 	if got := n.Drops(); got != 2 {
 		t.Fatalf("drops = %d, want 2", got)
 	}
-	if n.Pending(1) != 1 || n.Pending(2) != 1 {
-		t.Fatalf("pending = %d/%d, want 1/1", n.Pending(1), n.Pending(2))
+	if n.pending(1) != 1 || n.pending(2) != 1 {
+		t.Fatalf("pending = %d/%d, want 1/1", n.pending(1), n.pending(2))
 	}
 }
 
@@ -166,8 +166,8 @@ func TestSlowFactorScalesSoftwareOnly(t *testing.T) {
 	if got := n.ScaledSW(0, 100); got != 100 {
 		t.Fatalf("ScaledSW(healthy node) = %d, want 100", got)
 	}
-	if f := n.SlowFactor(1); f != 4 {
-		t.Fatalf("SlowFactor = %v, want 4", f)
+	if f := n.fs.Load().slow[1]; f != 4 {
+		t.Fatalf("slow factor = %v, want 4", f)
 	}
 	// Healthy sender: send software unscaled, wire unscaled.
 	n.Send(0, 1, UserKindBase, 0, []byte{1})

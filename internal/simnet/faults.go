@@ -192,20 +192,6 @@ func (fs *faultState) linkDup(from, to NodeID) bool {
 	return p > 0 && fs.roll(from, to, saltDup) < p
 }
 
-// NodeCrashed reports whether the fault plan has fail-stopped a node by
-// the given virtual time.
-func (n *Network) NodeCrashed(id NodeID, at vclock.Time) bool {
-	n.checkID(id)
-	return n.fs.Load().crashed(id, at)
-}
-
-// SlowFactor returns the software-cost multiplier of a node (1 when the
-// plan does not degrade it).
-func (n *Network) SlowFactor(id NodeID) float64 {
-	n.checkID(id)
-	return n.fs.Load().slow[id]
-}
-
 // ScaledSW scales a per-message software cost by a node's slow factor.
 // The wire itself (latency, serialization) is never scaled — only the
 // CPU-side protocol stack of the degraded node.

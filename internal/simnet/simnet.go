@@ -127,7 +127,7 @@ type FaultPlan struct {
 type Network struct {
 	link  machine.Link
 	nodes []*endpoint
-	stats Stats
+	stats netStats
 
 	// topo places nodes in the switch fabric (see topology.go). Stored
 	// normalized; topoFlat caches IsFlat so the per-message fast path
@@ -154,21 +154,21 @@ type Network struct {
 	rec *perfmon.Recorder // protocol event recorder; nil until attached
 }
 
-// Stats aggregates network activity. Counters are plain atomics: a
+// netStats aggregates network activity. Counters are plain atomics: a
 // per-message mutex here would serialize every sender in the cluster
 // (the exact software overhead the paper's message economics warns
 // about, applied to the host).
-type Stats struct {
+type netStats struct {
 	messages atomic.Uint64
 	bytes    atomic.Uint64
 }
 
-// Snapshot returns the current counters.
-func (s *Stats) Snapshot() (msgs, bytes uint64) {
+// snapshot returns the current counters.
+func (s *netStats) snapshot() (msgs, bytes uint64) {
 	return s.messages.Load(), s.bytes.Load()
 }
 
-func (s *Stats) add(bytes int) {
+func (s *netStats) add(bytes int) {
 	s.messages.Add(1)
 	s.bytes.Add(uint64(bytes))
 }
@@ -279,7 +279,7 @@ func New(link machine.Link, clocks []*vclock.Clock) *Network {
 // endpoints sit in the given topology. A flat (or zero) topology is
 // bit-identical to New.
 func NewTopo(link machine.Link, clocks []*vclock.Clock, topo Topology) *Network {
-	if err := topo.Validate(); err != nil {
+	if err := topo.validate(); err != nil {
 		panic(err)
 	}
 	topo = topo.Normalize()
@@ -322,7 +322,7 @@ func (n *Network) EnableGate() *vclock.Engine {
 			}
 			row[r] = n.link.LatencyNs
 			if !n.topoFlat {
-				row[r] += n.topo.ExtraLatencyNs(p, r)
+				row[r] += n.topo.extraLatencyNs(p, r)
 			}
 		}
 		la[p] = row
@@ -623,7 +623,7 @@ func (n *Network) Broadcast(from NodeID, kind Kind, tag uint32, payload []byte) 
 }
 
 // Close unblocks all pending Recv calls with nil and makes subsequent
-// active-message retry attempts fail with ErrClosed. Used at teardown.
+// active-message retry attempts fail with a closed-network error. Used at teardown.
 func (n *Network) Close() {
 	n.closed.Store(true)
 	for _, ep := range n.nodes {
@@ -637,16 +637,7 @@ func (n *Network) Close() {
 	}
 }
 
-// Pending reports how many messages are queued at a node (for tests).
-func (n *Network) Pending(id NodeID) int {
-	n.checkID(id)
-	ep := n.nodes[id]
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	return ep.pending
-}
-
 // TotalTraffic reports cumulative message count and bytes.
 func (n *Network) TotalTraffic() (msgs, bytes uint64) {
-	return n.stats.Snapshot()
+	return n.stats.snapshot()
 }

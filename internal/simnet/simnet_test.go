@@ -63,8 +63,8 @@ func TestRecvFilter(t *testing.T) {
 	if m.Tag != 2 {
 		t.Fatalf("filter returned tag %d, want 2", m.Tag)
 	}
-	if n.Pending(1) != 1 {
-		t.Fatalf("pending = %d, want 1", n.Pending(1))
+	if n.pending(1) != 1 {
+		t.Fatalf("pending = %d, want 1", n.pending(1))
 	}
 }
 
@@ -98,7 +98,7 @@ func TestBroadcast(t *testing.T) {
 			t.Fatalf("node %d got %+v", id, m)
 		}
 	}
-	if n.Pending(0) != 0 {
+	if n.pending(0) != 0 {
 		t.Fatal("broadcast must not self-deliver")
 	}
 }
@@ -195,8 +195,8 @@ func TestConcurrentSendersOneReceiver(t *testing.T) {
 		count++
 	}
 	wg.Wait()
-	if n.Pending(0) != 0 {
-		t.Fatalf("leftover messages: %d", n.Pending(0))
+	if n.pending(0) != 0 {
+		t.Fatalf("leftover messages: %d", n.pending(0))
 	}
 }
 
@@ -207,4 +207,13 @@ func BenchmarkSendRecv(b *testing.B) {
 		n.Send(0, 1, UserKindBase, 0, payload)
 		n.Recv(1, AnyKind, nil)
 	}
+}
+
+// pending reports how many messages are queued at a node.
+func (n *Network) pending(id NodeID) int {
+	n.checkID(id)
+	ep := n.nodes[id]
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	return ep.pending
 }

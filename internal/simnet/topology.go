@@ -102,8 +102,8 @@ func (t Topology) Normalize() Topology {
 	return t
 }
 
-// Validate rejects unknown presets.
-func (t Topology) Validate() error {
+// validate rejects unknown presets.
+func (t Topology) validate() error {
 	switch t.Preset {
 	case "", TopoFlat, TopoRack, TopoFatTree:
 		return nil
@@ -128,10 +128,10 @@ func (t Topology) PodOf(node int) int {
 	return t.RackOf(node) / t.RacksPerPod
 }
 
-// Hops counts switch traversals between two nodes: 1 within a rack (or
+// hops counts switch traversals between two nodes: 1 within a rack (or
 // anywhere on flat), 3 across racks (ToR up, spine, ToR down), 5 across
 // pods on fattree (ToR, aggregation, spine, aggregation, ToR).
-func (t Topology) Hops(a, b int) int {
+func (t Topology) hops(a, b int) int {
 	if t.IsFlat() || t.RackOf(a) == t.RackOf(b) {
 		return 1
 	}
@@ -141,13 +141,13 @@ func (t Topology) Hops(a, b int) int {
 	return 3
 }
 
-// ExtraLatencyNs is the added latency beyond the base link latency:
+// extraLatencyNs is the added latency beyond the base link latency:
 // HopLatencyNs per hop after the first.
-func (t Topology) ExtraLatencyNs(a, b int) vclock.Duration {
-	return vclock.Duration(t.Hops(a, b)-1) * t.HopLatencyNs
+func (t Topology) extraLatencyNs(a, b int) vclock.Duration {
+	return vclock.Duration(t.hops(a, b)-1) * t.HopLatencyNs
 }
 
-// MaxExtraLatencyNs bounds ExtraLatencyNs over any node pair, for sizing
+// MaxExtraLatencyNs bounds extraLatencyNs over any node pair, for sizing
 // retry timeouts.
 func (t Topology) MaxExtraLatencyNs() vclock.Duration {
 	if t.IsFlat() {
@@ -160,9 +160,9 @@ func (t Topology) MaxExtraLatencyNs() vclock.Duration {
 	return vclock.Duration(maxHops-1) * t.HopLatencyNs
 }
 
-// BWMul is the per-byte serialization multiplier for a pair: 1 within a
+// bwMul is the per-byte serialization multiplier for a pair: 1 within a
 // rack, Oversub across uplinks.
-func (t Topology) BWMul(a, b int) vclock.Duration {
+func (t Topology) bwMul(a, b int) vclock.Duration {
 	if t.IsFlat() || t.RackOf(a) == t.RackOf(b) {
 		return 1
 	}
@@ -177,8 +177,8 @@ func (t Topology) MsgCost(link machine.Link, a, b, size int) vclock.Duration {
 	if t.IsFlat() {
 		return link.MsgCost(size)
 	}
-	return link.SendSWNs + link.LatencyNs + t.ExtraLatencyNs(a, b) +
-		vclock.Duration(size)*link.NsPerByte*t.BWMul(a, b) + link.RecvSWNs
+	return link.SendSWNs + link.LatencyNs + t.extraLatencyNs(a, b) +
+		vclock.Duration(size)*link.NsPerByte*t.bwMul(a, b) + link.RecvSWNs
 }
 
 // String renders the topology for logs and JSON rows.
@@ -200,8 +200,8 @@ func (n *Network) WireNs(from, to NodeID, bytes int) vclock.Duration {
 	if n.topoFlat {
 		return base
 	}
-	return base + n.topo.ExtraLatencyNs(int(from), int(to)) +
-		vclock.Duration(bytes)*n.link.NsPerByte*(n.topo.BWMul(int(from), int(to))-1)
+	return base + n.topo.extraLatencyNs(int(from), int(to)) +
+		vclock.Duration(bytes)*n.link.NsPerByte*(n.topo.bwMul(int(from), int(to))-1)
 }
 
 // PayloadNs is the serialization-only cost (no latency term) from one
@@ -212,5 +212,5 @@ func (n *Network) PayloadNs(from, to NodeID, bytes int) vclock.Duration {
 	if n.topoFlat {
 		return base
 	}
-	return base * n.topo.BWMul(int(from), int(to))
+	return base * n.topo.bwMul(int(from), int(to))
 }

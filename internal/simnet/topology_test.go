@@ -40,7 +40,7 @@ func TestTopologyHops(t *testing.T) {
 		{fat, 40, 47, 1},  // rack 5, same ToR
 	}
 	for _, c := range cases {
-		if got := c.topo.Hops(c.a, c.b); got != c.want {
+		if got := c.topo.hops(c.a, c.b); got != c.want {
 			t.Errorf("%s.Hops(%d,%d) = %d, want %d", c.topo, c.a, c.b, got, c.want)
 		}
 	}
@@ -76,7 +76,7 @@ func TestTopologyOversubScalesPayloadOnly(t *testing.T) {
 	net, _ := testNetTopo(16, rack)
 
 	// WireNs: latency terms are oversub-independent; the payload term
-	// scales by BWMul. Same rack = legacy exactly.
+	// scales by bwMul. Same rack = legacy exactly.
 	if got, want := net.WireNs(0, 7, 100), vclock.Duration(1000+100*10); got != want {
 		t.Errorf("same-rack WireNs = %v, want %v", got, want)
 	}
@@ -136,7 +136,7 @@ func TestTopologyValidation(t *testing.T) {
 	if _, err := TopologyPreset("torus"); err == nil {
 		t.Error("TopologyPreset(torus) must fail")
 	}
-	if err := (Topology{Preset: "torus"}).Validate(); err == nil {
+	if err := (Topology{Preset: "torus"}).validate(); err == nil {
 		t.Error("Validate must reject unknown presets")
 	}
 	// Normalize fills defaults so cost arithmetic never divides by zero.

@@ -54,9 +54,9 @@ const (
 	kindFetchPages amsg.Kind = 5
 )
 
-// DefaultPrefetchDegree caps a prefetch run when the configuration leaves
+// defaultPrefetchDegree caps a prefetch run when the configuration leaves
 // Aggregation.PrefetchDegree zero.
-const DefaultPrefetchDegree = 8
+const defaultPrefetchDegree = 8
 
 // Prefetch policy constants: a miss stream must look sequential for
 // prefetchMinStreak consecutive faults before the first speculative fetch,
@@ -77,7 +77,7 @@ type Aggregation struct {
 	// Prefetch enables adaptive sequential page prefetch.
 	Prefetch bool
 	// PrefetchDegree caps the pages fetched per speculative run
-	// (0 = DefaultPrefetchDegree).
+	// (0 = defaultPrefetchDegree).
 	PrefetchDegree int
 }
 
@@ -102,7 +102,7 @@ type prefetcher struct {
 
 func newPrefetcher(degree int) *prefetcher {
 	if degree <= 0 {
-		degree = DefaultPrefetchDegree
+		degree = defaultPrefetchDegree
 	}
 	start := 2
 	if start > degree {

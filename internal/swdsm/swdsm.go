@@ -50,9 +50,9 @@ const (
 	kindApplyDiff
 )
 
-// DefaultCachePages is the per-node cached-page capacity when the
+// defaultCachePages is the per-node cached-page capacity when the
 // configuration leaves it zero (16 MiB of remote data per node).
-const DefaultCachePages = 4096
+const defaultCachePages = 4096
 
 // Protocol selects the consistency protocol variant (§4.5: the
 // consistency API carries "optimized implementations of all widely used
@@ -85,7 +85,7 @@ type Config struct {
 	Nodes int
 	// Params is the cost model; zero value means machine.Default().
 	Params machine.Params
-	// CachePages caps the per-node page cache (0 = DefaultCachePages).
+	// CachePages caps the per-node page cache (0 = defaultCachePages).
 	CachePages int
 	// Topology places the nodes in a switch fabric (see simnet.Topology);
 	// the zero value is the flat legacy network. The DSM's own network
@@ -245,7 +245,7 @@ func New(cfg Config) (*DSM, error) {
 		migrateAfter: cfg.MigrateAfter, migration: newMigrationState(), vbMig: vclock.NewVBarrier(cfg.Nodes),
 	}
 	if d.cacheCap <= 0 {
-		d.cacheCap = DefaultCachePages
+		d.cacheCap = defaultCachePages
 	}
 	d.layer = amsg.New(simnet.NewTopo(base.Cost.Ethernet, d.Clocks, cfg.Topology), base.Cost.Ethernet)
 	for i := range d.nodes {

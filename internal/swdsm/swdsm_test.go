@@ -1,6 +1,7 @@
 package swdsm
 
 import (
+	"encoding/binary"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -437,7 +438,7 @@ func TestDiffProperty(t *testing.T) {
 		for _, m := range mods {
 			off := int(m.Off) % (memsim.PageSize - 8)
 			off -= off % 8
-			memsim.PutU64(data, off, m.Val)
+			binary.LittleEndian.PutUint64(data[off:], m.Val)
 		}
 		diff := buildDiff(data, twin)
 		rebuilt := make([]byte, memsim.PageSize)

@@ -135,7 +135,7 @@ func TestRestoreRoundTrip(t *testing.T) {
 	if got := c.Breakdown().Protocol; got != want.Protocol+5 {
 		t.Fatalf("protocol bucket = %d after a 5ns jump, want %d", got, want.Protocol+5)
 	}
-	c.Reset()
+	c.reset()
 	if c.Now() != 0 || c.Breakdown() != (Breakdown{}) {
 		t.Fatalf("after Reset: Now() = %d, %+v", c.Now(), c.Breakdown())
 	}
@@ -145,7 +145,7 @@ func TestResetClearsAttribution(t *testing.T) {
 	var c Clock
 	c.AdvanceCat(CatMemory, 10)
 	c.Steal(5)
-	c.Reset()
+	c.reset()
 	if c.Now() != 0 {
 		t.Fatalf("Now() = %d after Reset", c.Now())
 	}

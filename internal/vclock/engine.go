@@ -196,9 +196,6 @@ func (e *Engine) SetQueueMin(fn func(node int) (Time, bool)) {
 	e.mu.Unlock()
 }
 
-// Nodes returns the cluster size the engine tracks.
-func (e *Engine) Nodes() int { return len(e.clocks) }
-
 // GateBegin enters a gated delivery session: it acquires the engine
 // lock, under which the caller may scan its queue, evaluate GateSafe,
 // and sleep with GateWait. Lock ordering is engine → queue: queue locks

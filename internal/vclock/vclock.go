@@ -11,7 +11,7 @@
 //
 // Two kinds of charges exist:
 //
-//   - Owner charges (Advance, AdvanceTo): applied by the node's own
+//   - Owner charges (Advance, AdvanceCat): applied by the node's own
 //     goroutine as it executes simulated work.
 //   - Stolen charges (Steal): applied asynchronously by protocol handlers
 //     that run on behalf of the node (for example, a DSM home node servicing
@@ -155,9 +155,6 @@ func (d Duration) String() string {
 	}
 }
 
-// Seconds returns the duration in seconds.
-func (d Duration) Seconds() float64 { return float64(d) / 1e9 }
-
 // Clock is a per-node virtual clock.
 //
 // All methods are safe for concurrent use. Several tasks time-sharing one
@@ -209,14 +206,6 @@ func (c *Clock) AdvanceCat(cat Category, d Duration) {
 	c.cats[cat].Add(uint64(d))
 }
 
-// AdvanceTo moves the clock forward so that Now() >= t, attributing any
-// applied jump to CatProtocol (the default: untagged AdvanceTo calls are
-// synchronization waits). The clock never moves backwards; if Now()
-// already exceeds t this is a no-op.
-func (c *Clock) AdvanceTo(t Time) {
-	c.AdvanceToCat(CatProtocol, t)
-}
-
 // AdvanceToCat moves the clock forward so that Now() >= t, attributing
 // the applied delta (if any) to the given category. The jump is a
 // compare-and-swap on that category's bucket alone: a charge that lands
@@ -247,12 +236,6 @@ func (c *Clock) Steal(d Duration) {
 	c.stolen.Add(uint64(d))
 }
 
-// Stolen reports the total asynchronously charged time. Useful for
-// monitoring how much protocol service work a node absorbed.
-func (c *Clock) Stolen() Duration {
-	return Duration(c.stolen.Load())
-}
-
 // Breakdown snapshots the per-category attribution. Read it at
 // quiescence (after an SPMD join): then Breakdown().Total() == Now()
 // exactly. Mid-run snapshots are monotone per bucket but may be torn
@@ -278,23 +261,6 @@ func (c *Clock) Restore(b Breakdown) {
 	c.cats[CatProtocol].Store(uint64(b.Protocol))
 	c.cats[CatNetwork].Store(uint64(b.Network))
 	c.stolen.Store(uint64(b.Stolen))
-}
-
-// Reset returns the clock (and its attribution) to time zero. Must not
-// race with other use.
-func (c *Clock) Reset() {
-	c.stolen.Store(0)
-	for i := range c.cats {
-		c.cats[i].Store(0)
-	}
-}
-
-// Max returns the larger of two times.
-func Max(a, b Time) Time {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // MaxAll returns the maximum Now() across the given clocks, or zero when

@@ -72,9 +72,6 @@ func NewVBarrier(parties int) *VBarrier {
 	return b
 }
 
-// Parties returns the number of participants.
-func (b *VBarrier) Parties() int { return b.parties }
-
 // SetLiveRelease installs the predicate that selects the quiescent
 // live-clock release convention (see the liveRelease field). Call it at
 // setup, before any Arrive.
@@ -191,8 +188,7 @@ type VLock struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	held     bool
-	freeAt   Time // virtual time at which the previous holder released
-	acqs     uint64
+	freeAt   Time   // virtual time at which the previous holder released
 	abortMsg string // non-empty once Abort poisons the lock
 }
 
@@ -224,7 +220,6 @@ func (l *VLock) Acquire(c *Clock, reqCost, grantCost Duration) Time {
 		panic(msg)
 	}
 	l.held = true
-	l.acqs++
 	free := l.freeAt
 	l.mu.Unlock()
 
@@ -243,7 +238,6 @@ func (l *VLock) TryAcquire(c *Clock, reqCost, grantCost Duration) bool {
 		return false
 	}
 	l.held = true
-	l.acqs++
 	free := l.freeAt
 	l.mu.Unlock()
 	c.AdvanceToCat(CatProtocol, free)
@@ -281,13 +275,6 @@ func (l *VLock) Abort(reason string) {
 	l.mu.Unlock()
 }
 
-// Acquisitions reports how many times the lock has been acquired.
-func (l *VLock) Acquisitions() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.acqs
-}
-
 // VCond is a virtual-time condition signal: waiters block until signaled,
 // and a signaled waiter's clock is advanced past the signaler's time plus a
 // delivery cost. It models cross-node event notification (e.g., JiaJia's
@@ -304,20 +291,6 @@ func NewVCond() *VCond {
 	c := &VCond{}
 	c.cond = sync.NewCond(&c.mu)
 	return c
-}
-
-// Wait blocks until Signal or Broadcast is called after Wait began, then
-// advances clk past the signal time plus deliverCost.
-func (v *VCond) Wait(clk *Clock, deliverCost Duration) {
-	v.mu.Lock()
-	gen := v.signaled
-	for v.signaled == gen {
-		v.cond.Wait()
-	}
-	t := v.signalT
-	v.mu.Unlock()
-	clk.AdvanceToCat(CatProtocol, t)
-	clk.AdvanceCat(CatProtocol, deliverCost)
 }
 
 // Broadcast wakes all current waiters with the signaler's time.
@@ -403,18 +376,13 @@ func (s *VSemaphore) Release(c *Clock, n int, relCost Duration) bool {
 	return true
 }
 
-// Count returns the current unit count.
-func (s *VSemaphore) Count() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count
-}
-
-// WaitWith is Wait with an atomic entry: beforeWait runs after the waiter
-// is registered (so a signal issued once beforeWait has started can no
-// longer be missed) but before blocking. Condition-variable
-// implementations pass their mutex-unlock here to get the POSIX
-// atomic-release-and-wait contract without lost wakeups.
+// WaitWith blocks until Signal or Broadcast is called after it began, then
+// advances clk past the signal time plus deliverCost. Its entry is
+// atomic: beforeWait runs after the waiter is registered (so a signal
+// issued once beforeWait has started can no longer be missed) but before
+// blocking. Condition-variable implementations pass their mutex-unlock
+// here to get the POSIX atomic-release-and-wait contract without lost
+// wakeups.
 func (v *VCond) WaitWith(clk *Clock, deliverCost Duration, beforeWait func()) {
 	v.mu.Lock()
 	gen := v.signaled
