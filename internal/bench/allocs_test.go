@@ -235,17 +235,21 @@ func BenchmarkPageFetch(b *testing.B) {
 // BenchmarkStridedRead walks one word per page down 72 consecutive pages
 // (MatMult's B column) from node 1 of a 4-node cluster, pages dealt
 // round-robin so the walk mixes home and cached frames. Every page is
-// resident after the first pass, so an op is 72 accessor fast paths: a
-// window too narrow for the walk, or a read path that takes a lock again,
-// shows up here in ns/op (and any garbage in allocs/op, want 0).
+// resident after the warmup (one pass faults a page into scope and ivy;
+// the hybrid DSM caches it at its read threshold), so an op is 72 accessor
+// fast paths: a window too narrow for the walk, or a read path that takes
+// a lock again, shows up here in ns/op (and any garbage in allocs/op,
+// want 0).
 func BenchmarkStridedRead(b *testing.B) {
 	const pages, nodes = 72, 4
 	engines := []struct {
-		name string
-		boot func() (platform.Substrate, error)
+		name   string
+		boot   func() (platform.Substrate, error)
+		passes int
 	}{
-		{"scope", func() (platform.Substrate, error) { return swdsm.New(swdsm.Config{Nodes: nodes}) }},
-		{"ivy", func() (platform.Substrate, error) { return ivy.New(ivy.Config{Nodes: nodes}) }},
+		{"scope", func() (platform.Substrate, error) { return swdsm.New(swdsm.Config{Nodes: nodes}) }, 1},
+		{"ivy", func() (platform.Substrate, error) { return ivy.New(ivy.Config{Nodes: nodes}) }, 1},
+		{"hybriddsm", func() (platform.Substrate, error) { return hybriddsm.New(hybriddsm.Config{Nodes: nodes}) }, hybridCacheThreshold},
 	}
 	for _, e := range engines {
 		b.Run(e.name, func(b *testing.B) {
@@ -264,7 +268,7 @@ func BenchmarkStridedRead(b *testing.B) {
 					sum += d.ReadF64(1, r.Base+memsim.Addr(i*memsim.PageSize))
 				}
 			}
-			warm(op, 1) // faults every page in
+			warm(op, e.passes) // every page home or cached from here on
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -28,7 +28,23 @@
 // and a callback that loads from or stores to the frame. They are also
 // the only code that takes a home frame's lock, and they release it
 // themselves. Everything else a node owns — cache, LRU, read counts,
-// written set, statistics — belongs to its goroutine and is unlocked.
+// written set, page window, statistics — belongs to its goroutine and is
+// unlocked.
+//
+// The page window (memsim.Window, as in swdsm and ivy) holds one slot per
+// recently resolved page: its home frame, its cached copy or nil, its home
+// node, and whether the page is already in the interval's written set.
+// An access after the page's first in the interval resolves it with one
+// window probe instead of the home lookup, the cache map and the frame
+// table, and a repeat write skips the written-set store too. (A PIO read
+// still steps the page's read count toward the caching threshold.) Two
+// events move the node's generation and so drop every slot: drop, through
+// which eviction, acquire and barrier notices and Fence retire cached
+// copies, and collectNotices, the interval end that clears the written
+// set. A slot thus lives until the node's next interval boundary or
+// dropped copy; a page becomes cached only in pioRead, which stores the
+// new copy in its slot. Home frames are never migrated or dropped, so a
+// slot's frame pointer cannot go stale in between.
 package hybriddsm
 
 import (
@@ -93,6 +109,14 @@ type cpage = pagestore.Entry[struct{}]
 
 var cpagePool pagestore.EntryPool[struct{}]
 
+// slot is what a node's window remembers about a resolved page.
+type slot struct {
+	hf      *pagestore.Frame // the page's home frame
+	cp      *cpage           // this node's cached copy, or nil
+	home    int
+	written bool // the page is in this interval's written set
+}
+
 type node struct {
 	id   int
 	dsm  *DSM
@@ -105,7 +129,9 @@ type node struct {
 	lru       pagestore.LRU[struct{}]
 	readCount map[memsim.PageID]int
 	written   map[memsim.PageID]struct{}
-	postedOut int // posted writes since the last store barrier
+	postedOut int    // posted writes since the last store barrier
+	gen       uint64 // invalidates every window slot when bumped
+	window    memsim.Window[slot]
 
 	stats platform.Stats
 }
@@ -203,38 +229,54 @@ func (n *node) touchLocal(p memsim.PageID) {
 // one read counted and one step toward the caching threshold; every word
 // pays the access charge and, over the SAN, one PIO load.
 //
-// A page homed here or cached here serves the whole run at local cost.
-// Otherwise the accesses are PIO loads until the page's read count
-// reaches the threshold; the page is then fetched in one block transfer
-// and the accesses left in the run hit the new copy — the steps count×unit
-// single-word reads would take, charged in one go.
+// A page homed here or cached here serves the whole run at local cost;
+// an uncached remote page goes to pioRead.
 func (n *node) readRun(p memsim.PageID, count, unit int, get func(fr []byte)) {
-	d := n.dsm
-	clk := d.Clocks[n.id]
-	access := d.Cost.CPU.AccessNs * vclock.Duration(unit)
-	home := d.Mem.HomeFor(p, n.id)
-	var cp *cpage
-	if home != n.id {
-		cp = n.cache[p]
+	s := n.window.Get(p, n.gen)
+	if s == nil {
+		s = n.resolve(p)
 	}
-	if home == n.id || cp != nil {
-		clk.AdvanceCat(vclock.CatMemory, access*vclock.Duration(count))
-		n.stats.Reads += uint64(count)
-		n.touchLocal(p)
-		if cp != nil {
-			n.lru.MoveToFront(cp)
-			get(cp.Data)
-			return
-		}
-		// The home frame's lock keeps the owner's in-place accesses
-		// coherent with peers' PIO loads and stores of the same page.
-		hp := n.home.Frame(p)
-		hp.Mu.Lock()
-		get(hp.Data)
-		hp.Mu.Unlock()
+	if s.cp == nil && s.home != n.id {
+		n.pioRead(p, s, count, unit, get)
 		return
 	}
+	d := n.dsm
+	d.Clocks[n.id].AdvanceCat(vclock.CatMemory, d.Cost.CPU.AccessNs*vclock.Duration(unit)*vclock.Duration(count))
+	n.stats.Reads += uint64(count)
+	n.touchLocal(p)
+	if s.cp != nil {
+		n.lru.MoveToFront(s.cp)
+		get(s.cp.Data)
+		return
+	}
+	// The home frame's lock keeps the owner's in-place accesses coherent
+	// with peers' PIO loads and stores of the same page.
+	s.hf.Mu.Lock()
+	get(s.hf.Data)
+	s.hf.Mu.Unlock()
+}
 
+// resolve looks page p up without the window — its home, its home frame
+// and, for a remote page, this node's cached copy or nil — and stores the
+// result as p's slot.
+func (n *node) resolve(p memsim.PageID) *slot {
+	v := slot{home: n.dsm.Mem.HomeFor(p, n.id)}
+	if v.home != n.id {
+		v.cp = n.cache[p]
+	}
+	v.hf = n.dsm.nodes[v.home].home.Frame(p)
+	n.window.Put(p, n.gen, v)
+	return n.window.Get(p, n.gen)
+}
+
+// pioRead serves readRun's accesses to the uncached remote page of slot
+// s: PIO loads until the page's read count reaches the threshold; the
+// page is then fetched in one block transfer, and the accesses left in
+// the run hit the new copy — the steps count×unit single-word reads would
+// take, charged in one go.
+func (n *node) pioRead(p memsim.PageID, s *slot, count, unit int, get func(fr []byte)) {
+	d := n.dsm
+	clk := d.Clocks[n.id]
 	pio, caches := count, false
 	if d.threshold > 0 {
 		if left := d.threshold - n.readCount[p]; left <= count {
@@ -251,23 +293,30 @@ func (n *node) readRun(p memsim.PageID, count, unit int, get func(fr []byte)) {
 	if rec := d.rec; rec != nil && rec.Enabled() {
 		rec.Record(n.id, perfmon.EvRemoteRead, clk.Now(), 0, uint64(p), uint64(words))
 	}
-	hf := d.nodes[home].home.Frame(p)
-	hf.Mu.Lock()
-	get(hf.Data)
-	if caches {
-		n.install(p, home, hf.Data) // the copy happens under the home's lock
+	s.hf.Mu.Lock()
+	get(s.hf.Data)
+	if !caches {
+		s.hf.Mu.Unlock()
+		return
 	}
-	hf.Mu.Unlock()
+	// install may evict, moving the generation on, so the page's slot is
+	// stored afresh under the new one. The copy into the cache happens
+	// under the home's lock.
+	v := *s
+	v.cp = n.install(p, v.home, v.hf.Data)
+	v.hf.Mu.Unlock()
+	n.window.Put(p, n.gen, v)
 	if rest := count - pio; rest > 0 {
-		clk.AdvanceCat(vclock.CatMemory, access*vclock.Duration(rest))
+		clk.AdvanceCat(vclock.CatMemory, d.Cost.CPU.AccessNs*vclock.Duration(unit)*vclock.Duration(rest))
 		n.stats.Reads += uint64(rest)
 		n.touchLocal(p)
 	}
 }
 
 // install fetches a hot remote page into the local read cache in one
-// block transfer, evicting from the cold end past the cache's capacity.
-func (n *node) install(p memsim.PageID, home int, homeData []byte) {
+// block transfer, evicting from the cold end past the cache's capacity,
+// and returns the new copy.
+func (n *node) install(p memsim.PageID, home int, homeData []byte) *cpage {
 	d := n.dsm
 	clk := d.Clocks[n.id]
 	t0 := clk.Now()
@@ -288,10 +337,12 @@ func (n *node) install(p memsim.PageID, home int, homeData []byte) {
 		n.drop(n.lru.Back())
 		n.stats.Evictions++
 	}
+	return cp
 }
 
-// drop retires one cached copy.
+// drop retires one cached copy, and with it every window slot.
 func (n *node) drop(cp *cpage) {
+	n.gen++
 	n.lru.Remove(cp)
 	delete(n.cache, cp.Page)
 	cpagePool.Put(cp)
@@ -302,16 +353,24 @@ func (n *node) drop(cp *cpage) {
 // stores. Writes go straight through to the home copy (no twins, no
 // diffs): a remote store is posted — it completes locally and drains at
 // the next store barrier — or, with posted writes disabled, a synchronous
-// PIO store at the remote-read latency.
+// PIO store at the remote-read latency. A page's first write in the
+// interval enters it in the written set and marks its window slot, so
+// the writes after it resolve the page with the window probe alone.
 func (n *node) writeRun(p memsim.PageID, count, unit int, put func(fr []byte)) {
 	d := n.dsm
 	clk := d.Clocks[n.id]
 	words := vclock.Duration(count * unit)
 	clk.AdvanceCat(vclock.CatMemory, d.Cost.CPU.AccessNs*words)
 	n.stats.Writes += uint64(count)
-	n.written[p] = struct{}{}
-	home := d.Mem.HomeFor(p, n.id)
-	if home == n.id {
+	s := n.window.Get(p, n.gen)
+	if s == nil {
+		s = n.resolve(p)
+	}
+	if !s.written {
+		n.written[p] = struct{}{}
+		s.written = true
+	}
+	if s.home == n.id {
 		n.touchLocal(p)
 	} else {
 		if d.posted {
@@ -325,14 +384,13 @@ func (n *node) writeRun(p memsim.PageID, count, unit int, put func(fr []byte)) {
 			rec.Record(n.id, perfmon.EvRemoteWrite, clk.Now(), 0, uint64(p), uint64(words))
 		}
 		// Keep a locally cached copy coherent with our own store.
-		if cp, ok := n.cache[p]; ok {
-			put(cp.Data)
+		if s.cp != nil {
+			put(s.cp.Data)
 		}
 	}
-	hf := d.nodes[home].home.Frame(p)
-	hf.Mu.Lock()
-	put(hf.Data)
-	hf.Mu.Unlock()
+	s.hf.Mu.Lock()
+	put(s.hf.Data)
+	s.hf.Mu.Unlock()
 }
 
 // ReadF64 implements platform.Substrate.
@@ -385,8 +443,10 @@ func (n *node) storeBarrier() {
 	}
 }
 
-// collectNotices empties the interval's written-page set.
+// collectNotices empties the interval's written-page set, and with it
+// every window slot's written bit.
 func (n *node) collectNotices() []memsim.PageID {
+	n.gen++
 	out := make([]memsim.PageID, 0, len(n.written))
 	for p := range n.written {
 		out = append(out, p)

@@ -344,3 +344,124 @@ func BenchmarkPostedRemoteWrite(b *testing.B) {
 		d.WriteF64(1, r.Base, 1)
 	}
 }
+
+// TestWindowInvalidation covers each way a node's window slot goes stale:
+// its cached copy is dropped (barrier notice, acquire notice, Fence,
+// eviction) or its interval ends and the written set is cleared. In every
+// case the access after the event must resolve the page afresh.
+func TestWindowInvalidation(t *testing.T) {
+	// cached boots two nodes that cache a remote page on its first read and
+	// allocates pages pages homed at node 0.
+	cached := func(t *testing.T, cachePages, pages int) (*DSM, memsim.Region) {
+		d, err := New(Config{Nodes: 2, CacheThreshold: 1, CachePages: cachePages})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(d.Close)
+		r, err := d.Alloc(uint64(pages)*memsim.PageSize, "x", memsim.Fixed, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, r
+	}
+	page := func(r memsim.Region, i int) memsim.Addr { return r.Base + memsim.Addr(i*memsim.PageSize) }
+
+	t.Run("barrier-notice", func(t *testing.T) {
+		d, r := cached(t, 0, 1)
+		var got float64
+		spmd(d, func(id int) {
+			if id == 1 {
+				d.ReadF64(1, r.Base) // cached, and in the window
+			}
+			d.Barrier(id)
+			if id == 1 {
+				d.ReadF64(1, r.Base) // in the window again, this interval
+			} else {
+				d.WriteF64(0, r.Base, 7.5)
+			}
+			d.Barrier(id)
+			if id == 1 {
+				got = d.ReadF64(1, r.Base)
+			}
+		})
+		if got != 7.5 {
+			t.Fatalf("read after the barrier = %v, want 7.5", got)
+		}
+	})
+
+	t.Run("acquire-notice", func(t *testing.T) {
+		d, r := cached(t, 0, 1)
+		l := d.NewLock()
+		d.ReadF64(1, r.Base)
+		d.Acquire(0, l)
+		d.WriteF64(0, r.Base, 2.25)
+		d.Release(0, l)
+		d.Acquire(1, l) // drops node 1's copy; no interval end on node 1
+		if got := d.ReadF64(1, r.Base); got != 2.25 {
+			t.Fatalf("read after the acquire = %v, want 2.25", got)
+		}
+		d.Release(1, l)
+	})
+
+	t.Run("fence", func(t *testing.T) {
+		d, r := cached(t, 0, 1)
+		d.ReadF64(1, r.Base)
+		d.WriteF64(0, r.Base, 4)
+		d.Fence(1)
+		if got := d.ReadF64(1, r.Base); got != 4 {
+			t.Fatalf("read after the fence = %v, want 4", got)
+		}
+	})
+
+	t.Run("eviction", func(t *testing.T) {
+		// Four pages through a two-page cache: pages 0 and 1 are evicted,
+		// and their entries recycle into the copies of pages 2 and 3.
+		d, r := cached(t, 2, 4)
+		for i := 0; i < 4; i++ {
+			d.ReadF64(1, page(r, i))
+		}
+		if ev := d.NodeStats(1).Evictions; ev != 2 {
+			t.Fatalf("evictions = %d, want 2", ev)
+		}
+		d.WriteF64(1, page(r, 0), 9)
+		if got := d.ReadF64(0, page(r, 0)); got != 9 {
+			t.Fatalf("home value of the evicted page = %v, want 9", got)
+		}
+		for i := 2; i < 4; i++ {
+			if got := d.ReadF64(1, page(r, i)); got != 0 {
+				t.Fatalf("cached page %d reads %v after a write to evicted page 0, want 0", i, got)
+			}
+		}
+	})
+
+	t.Run("written-twice", func(t *testing.T) {
+		d, r := cached(t, 0, 1)
+		p := memsim.PageOf(r.Base)
+		for interval := 1; interval <= 2; interval++ {
+			d.WriteF64(0, r.Base, float64(interval))
+			if got := d.FlushInterval(0); len(got) != 1 || got[0] != p {
+				t.Fatalf("interval %d notices = %v, want [%d]", interval, got, p)
+			}
+		}
+
+		d, r = cached(t, 0, 1)
+		var got [2]float64
+		spmd(d, func(id int) {
+			for interval := 1; interval <= 2; interval++ {
+				if id == 0 {
+					d.WriteF64(0, r.Base, float64(interval))
+				} else {
+					d.ReadF64(1, r.Base) // a cached copy through the barrier
+				}
+				d.Barrier(id)
+				if id == 1 {
+					got[interval-1] = d.ReadF64(1, r.Base)
+				}
+				d.Barrier(id)
+			}
+		})
+		if got != [2]float64{1, 2} {
+			t.Fatalf("peer reads after each interval's barrier = %v, want [1 2]", got)
+		}
+	})
+}

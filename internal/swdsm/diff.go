@@ -129,32 +129,3 @@ func BuildDiff(data, shadow []byte) []byte {
 // encoded diff (checkpoint materialization replaying incremental epochs
 // onto a full snapshot).
 func ApplyDiff(frame, diff []byte) error { return applyDiff(frame, diff) }
-
-// encodeNotices serializes a write-notice page list.
-func encodeNotices(pages []memsim.PageID) []byte {
-	out := make([]byte, 0, 4+8*len(pages))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(pages)))
-	for _, p := range pages {
-		out = binary.LittleEndian.AppendUint64(out, uint64(p))
-	}
-	return out
-}
-
-// decodeNotices parses a write-notice page list, validating the payload
-// length against the declared count so a truncated or corrupt message
-// surfaces as an error instead of an index panic.
-func decodeNotices(b []byte) ([]memsim.PageID, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("swdsm: notice list too short: %d bytes", len(b))
-	}
-	n := int(binary.LittleEndian.Uint32(b))
-	if want := 4 + 8*n; len(b) < want {
-		return nil, fmt.Errorf("swdsm: truncated notice list: %d pages need %d bytes, have %d",
-			n, want, len(b))
-	}
-	out := make([]memsim.PageID, n)
-	for i := 0; i < n; i++ {
-		out[i] = memsim.PageID(binary.LittleEndian.Uint64(b[4+8*i:]))
-	}
-	return out, nil
-}

@@ -458,50 +458,6 @@ func TestDiffProperty(t *testing.T) {
 	}
 }
 
-func TestNoticesCodecRoundTrip(t *testing.T) {
-	f := func(raw []uint64) bool {
-		pages := make([]memsim.PageID, len(raw))
-		for i, v := range raw {
-			pages[i] = memsim.PageID(v)
-		}
-		got, err := decodeNotices(encodeNotices(pages))
-		if err != nil || len(got) != len(pages) {
-			return false
-		}
-		for i := range got {
-			if got[i] != pages[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDecodeNoticesMalformed(t *testing.T) {
-	cases := []struct {
-		name string
-		b    []byte
-	}{
-		{"empty", nil},
-		{"short header", []byte{1, 0}},
-		{"truncated payload", func() []byte {
-			enc := encodeNotices([]memsim.PageID{1, 2, 3})
-			return enc[:len(enc)-5]
-		}()},
-		{"huge declared count", []byte{0xff, 0xff, 0xff, 0xff}},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if got, err := decodeNotices(c.b); err == nil {
-				t.Fatalf("decodeNotices(%v) = %v, want error", c.b, got)
-			}
-		})
-	}
-}
-
 func BenchmarkLocalRead(b *testing.B) {
 	d := newDSM(b, 2)
 	r, _ := d.Alloc(memsim.PageSize, "x", memsim.Fixed, 0)

@@ -280,6 +280,9 @@ go test -race -run 'TestConcurrentFrameCreation|TestDropThenFrameIsFresh|TestPag
 # contract run by name before the full suite.
 go test -race -count=20 -run 'TestLitmusIVY' ./internal/conscheck/
 go test -race -run 'TestHammer|TestOwnUpgradeRefreshesWindow|TestSelfFaultAfterHandlerBootstrap' ./internal/ivy/
+# hybriddsm resolves pages through the same window: every event that
+# drops a cached copy or ends an interval must drop the node's slots.
+go test -race -run 'TestWindowInvalidation' ./internal/hybriddsm/
 go test -race -run 'TestWindow' ./internal/memsim/
 go test -race -run 'TestAdvanceToCatRacesOtherBucket|TestRestoreRoundTrip|TestClockFillsWholeLines' ./internal/vclock/
 # Compile-and-run smoke of the strided-read benchmark (one iteration).
