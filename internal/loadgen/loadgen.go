@@ -15,7 +15,9 @@
 // function.
 //
 // Concurrency: a Stream/Arrivals/Hist belongs to one goroutine; Zipf is
-// immutable after construction and safe to share.
+// immutable after construction and safe to share. Building one costs a
+// math.Pow per rank, so serve builds one per run and every node samples
+// from it.
 package loadgen
 
 import (
@@ -81,10 +83,16 @@ func (s *Stream) SetState(v uint64) { s.state = v }
 // Zipf samples ranks 0..n-1 with probability proportional to
 // 1/(rank+1)^skew. skew = 0 degrades to the uniform distribution; the
 // serving literature's standard skew is ~0.99 (YCSB's zipfian). The
-// sampler precomputes the CDF once and answers each draw with a binary
-// search, so sampling is deterministic, allocation-free, and O(log n).
+// sampler precomputes the CDF once, plus a guide table (Chen & Asau's
+// indexed search): for G, the smallest power of two >= n, guide[g] is
+// the first rank whose cdf entry is >= g/G. A draw u searches only the
+// ranks [guide[g], guide[g+1]] of its cell g = floor(u·G), so sampling is
+// deterministic, allocation-free, O(1) expected, and returns exactly the
+// rank a binary search over the whole CDF would.
 type Zipf struct {
-	cdf []float64
+	cdf   []float64
+	guide []int32
+	cells float64 // G: a power of two, so u·G and g/G are exact
 }
 
 // NewZipf builds a sampler over n ranks. n must be > 0; skew must be
@@ -101,14 +109,29 @@ func NewZipf(n int, skew float64) *Zipf {
 		z.cdf[k] *= inv
 	}
 	z.cdf[n-1] = 1 // guard against rounding shortfall
+	cells := 1 << bits.Len(uint(n-1))
+	z.cells = float64(cells)
+	z.guide = make([]int32, cells+1)
+	k := 0
+	for g := range z.guide {
+		for z.cdf[k] < float64(g)/z.cells {
+			k++
+		}
+		z.guide[g] = int32(k)
+	}
 	return z
 }
 
 // Sample draws a rank using the stream.
-func (z *Zipf) Sample(s *Stream) int {
-	u := s.uniform()
-	// Binary search for the first cdf entry >= u.
-	lo, hi := 0, len(z.cdf)-1
+func (z *Zipf) Sample(s *Stream) int { return z.rank(s.uniform()) }
+
+// rank returns the first rank whose cdf entry is >= u, for u in [0, 1).
+// With g = floor(u·G): every rank below guide[g] has cdf < g/G <= u, and
+// cdf[guide[g+1]] >= (g+1)/G > u, so the answer lies in
+// [guide[g], guide[g+1]], both ends included.
+func (z *Zipf) rank(u float64) int {
+	g := int(u * z.cells)
+	lo, hi := int(z.guide[g]), int(z.guide[g+1])
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if z.cdf[mid] < u {
@@ -158,7 +181,8 @@ func (a *Arrivals) SetState(stream, next uint64) { a.s.state, a.next = stream, n
 
 // histBuckets bounds the bucket array: values below 64 ns are exact,
 // larger values land in 32 sub-buckets per power of two (~3% relative
-// resolution) up to 2^63 ns.
+// resolution) up to 2^63 ns. Larger values saturate into the last
+// bucket, whose reported bound is 2^63-1.
 const histBuckets = 64 + 32*57
 
 // Hist is a log-bucketed latency histogram. Adds are O(1), merges are
@@ -176,6 +200,9 @@ type Hist struct {
 func bucketOf(v uint64) int {
 	if v < 64 {
 		return int(v)
+	}
+	if v >= 1<<63 {
+		return histBuckets - 1
 	}
 	e := bits.Len64(v) - 7 // v in [64<<e, 128<<e)
 	return 64 + 32*e + int((v-(64<<e))>>(e+1))

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"bytes"
 	"math"
 	"testing"
 )
@@ -201,6 +202,97 @@ func TestHistBucketMonotone(t *testing.T) {
 			t.Fatalf("value %d lands in bucket %d with upper bound %d", v, i, ub)
 		}
 	}
+}
+
+// The guide table only narrows the search: for every table size around
+// a power of two and every skew, the guided rank of a draw must be the
+// first cdf entry >= u that a search over the whole table finds —
+// including draws that land exactly on a cell boundary g/G or exactly on
+// a cdf entry, where an off-by-one in either guide bound would show.
+func TestZipfGuideMatchesSearch(t *testing.T) {
+	full := func(z *Zipf, u float64) int {
+		lo, hi := 0, len(z.cdf)-1
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if z.cdf[mid] < u {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		return lo
+	}
+	for _, n := range []int{1, 2, 3, 7, 8192, 8193} {
+		for _, skew := range []float64{0, 0.99, 3} {
+			z := NewZipf(n, skew)
+			var us []float64
+			for g := 0; g < len(z.guide)-1; g++ {
+				us = append(us, float64(g)/z.cells)
+			}
+			for _, c := range z.cdf {
+				if c < 1 {
+					us = append(us, c, math.Nextafter(c, 0), math.Nextafter(c, 1))
+				}
+			}
+			s := NewStream(uint64(n) ^ math.Float64bits(skew))
+			for i := 0; i < 50_000; i++ {
+				us = append(us, s.uniform())
+			}
+			for _, u := range us {
+				if got, want := z.rank(u), full(z, u); got != want {
+					t.Fatalf("n=%d skew=%v u=%v: guided rank %d, full search %d", n, skew, u, got, want)
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkZipfSample(b *testing.B) {
+	z, s := NewZipf(8192, 0.99), NewStream(1)
+	sink := 0
+	for i := 0; i < b.N; i++ {
+		sink += z.Sample(s)
+	}
+	if sink < 0 {
+		b.Fatal(sink)
+	}
+}
+
+// Samples at or above 2^63 ns saturate into the last bucket instead of
+// indexing past the array.
+func TestHistSaturates(t *testing.T) {
+	var h Hist
+	h.Add(1 << 63)
+	h.Add(math.MaxUint64)
+	if h.Count() != 2 {
+		t.Fatalf("count %d, want 2", h.Count())
+	}
+	if got, want := h.Quantile(1), bucketMax(histBuckets-1); got != want {
+		t.Fatalf("Quantile(1) = %d, want the last bucket's bound %d", got, want)
+	}
+}
+
+// Decode must never panic, and a successful decode must consume exactly
+// the bytes that re-encode the decoded histogram. The seed corpus is
+// committed under testdata/fuzz/FuzzHistDecode: empty and short inputs,
+// a blob one byte short, and a whole blob with trailing bytes.
+func FuzzHistDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var d Hist
+		rest, ok := d.Decode(data)
+		if !ok {
+			if len(rest) != len(data) {
+				t.Fatalf("failed decode consumed %d bytes", len(data)-len(rest))
+			}
+			return
+		}
+		consumed := data[:len(data)-len(rest)]
+		if enc := d.Encode(nil); !bytes.Equal(enc, consumed) {
+			t.Fatalf("re-encode of %d consumed bytes differs (%d bytes)", len(consumed), len(enc))
+		}
+		d.Quantile(0.99)
+		d.Mean()
+	})
 }
 
 // prob returns rank k's probability mass (tests check the sampler

@@ -3,7 +3,7 @@ package serve
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"hamster/internal/apps"
 	"hamster/internal/loadgen"
@@ -68,7 +68,7 @@ type nodeState struct {
 	t0      vclock.Time
 }
 
-func newNodeState(cfg Config, m apps.Machine) *nodeState {
+func newNodeState(cfg Config, m apps.Machine, zipf *loadgen.Zipf) *nodeState {
 	n := m.N()
 	l := buildLayout(cfg, n)
 	st := &nodeState{
@@ -83,7 +83,7 @@ func newNodeState(cfg Config, m apps.Machine) *nodeState {
 	st.sessBase = uint64(st.id) * st.perNodeSessions
 	st.arr = loadgen.NewArrivals(cfg.Seed^loadgen.Mix64(uint64(st.id)*2+1), cfg.MeanGapNs)
 	st.dec = *loadgen.NewStream(cfg.Seed ^ loadgen.Mix64(uint64(st.id)*2+2))
-	st.zipf = loadgen.NewZipf(l.keys, cfg.ZipfSkew)
+	st.zipf = zipf
 	st.pendq = make([][]op, n)
 	st.written = make([]uint64, n)
 	st.consumed = make([]uint64, n)
@@ -332,20 +332,26 @@ func (st *nodeState) phaseIngest() {
 			st.consumed[p] += newOps
 		}
 	}
-	// (arrival, producer) is a total order: one producer's arrivals
-	// strictly increase, so ties across producers break by rank.
-	sort.Slice(st.queue, func(i, j int) bool {
-		a, b := &st.queue[i], &st.queue[j]
-		if a.arrival != b.arrival {
-			return a.arrival < b.arrival
-		}
-		return a.prod < b.prod
-	})
+	slices.SortFunc(st.queue, ingestOrder)
 	abuf := st.ioBuf[:l.prods]
 	for p := 0; p < l.prods; p++ {
 		abuf[p] = int64(st.consumed[p])
 	}
 	m.WriteI64Block(l.acurAddr(st.id), abuf)
+}
+
+// ingestOrder orders the merged queue by (arrival, producer). That is a
+// total order — one producer's arrivals strictly increase, because expNs
+// floors every gap at 1 ns — so the unstable sort has exactly one
+// answer: the one a stable sort of the producer-major queue gives.
+func ingestOrder(a, b qop) int {
+	if a.arrival != b.arrival {
+		if a.arrival < b.arrival {
+			return -1
+		}
+		return 1
+	}
+	return a.prod - b.prod
 }
 
 // readRing pops count ops from ring (p → self) starting at cursor
@@ -550,8 +556,8 @@ type sectionAdder interface {
 
 // runNode is the SPMD body: one node's full run, depositing the rich
 // result into out[id] and returning the apps-level summary.
-func runNode(cfg Config, m apps.Machine, out []NodeResult) apps.Result {
-	st := newNodeState(cfg, m)
+func runNode(cfg Config, m apps.Machine, zipf *loadgen.Zipf, out []NodeResult) apps.Result {
+	st := newNodeState(cfg, m, zipf)
 	st.t0 = m.Now()
 	if sa, ok := m.(sectionAdder); ok {
 		id := st.id
@@ -577,7 +583,10 @@ func runNode(cfg Config, m apps.Machine, out []NodeResult) apps.Result {
 
 // Kernel adapts a serve run to the apps.Kernel shape so every existing
 // runner (bare substrate, core services, jiajia, recoverable) can
-// execute it. out must have one slot per node.
+// execute it. out must have one slot per node. The key-popularity table
+// is built here, once per run: every node, and a recovered node that
+// re-runs the kernel, samples the same immutable table.
 func Kernel(cfg Config, out []NodeResult) apps.Kernel {
-	return func(m apps.Machine) apps.Result { return runNode(cfg, m, out) }
+	zipf := loadgen.NewZipf(buildLayout(cfg, len(out)).keys, cfg.ZipfSkew)
+	return func(m apps.Machine) apps.Result { return runNode(cfg, m, zipf, out) }
 }

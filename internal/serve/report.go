@@ -1,8 +1,9 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"hamster/internal/memsim"
@@ -41,11 +42,8 @@ func renderNodeSection(cfg Config, l *layout, nr *NodeResult) string {
 			hots = append(hots, hot{s, n})
 		}
 	}
-	sort.Slice(hots, func(i, j int) bool {
-		if hots[i].ops != hots[j].ops {
-			return hots[i].ops > hots[j].ops
-		}
-		return hots[i].shard < hots[j].shard
+	slices.SortFunc(hots, func(a, b hot) int {
+		return cmp.Or(cmp.Compare(b.ops, a.ops), cmp.Compare(a.shard, b.shard))
 	})
 	if len(hots) > 5 {
 		hots = hots[:5]

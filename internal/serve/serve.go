@@ -57,6 +57,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 
 	"hamster/internal/apps"
 	"hamster/internal/memsim"
@@ -210,8 +211,8 @@ func (c Config) Validate(n int) error {
 		return fmt.Errorf("serve: %d shards (%d/node × %d nodes) exceed the %d-entry lock table — every shard needs a private latch",
 			c.ShardsPerNode*n, c.ShardsPerNode, n, apps.LockTableSize)
 	}
-	if c.ZipfSkew < 0 {
-		return fmt.Errorf("serve: ZipfSkew must be >= 0, have %v", c.ZipfSkew)
+	if !(c.ZipfSkew >= 0) || math.IsInf(c.ZipfSkew, 1) {
+		return fmt.Errorf("serve: ZipfSkew must be finite and >= 0, have %v", c.ZipfSkew)
 	}
 	if c.Direct {
 		if c.DirectOps < 1 {
@@ -228,8 +229,8 @@ func (c Config) Validate(n int) error {
 	if c.WindowNs < 1 {
 		return fmt.Errorf("serve: WindowNs must be >= 1, have %d", c.WindowNs)
 	}
-	if c.MeanGapNs <= 0 {
-		return fmt.Errorf("serve: MeanGapNs must be > 0, have %v", c.MeanGapNs)
+	if !(c.MeanGapNs > 0) || math.IsInf(c.MeanGapNs, 1) {
+		return fmt.Errorf("serve: MeanGapNs must be finite and > 0, have %v", c.MeanGapNs)
 	}
 	if c.Sessions < 1 {
 		return fmt.Errorf("serve: Sessions must be >= 1, have %d", c.Sessions)

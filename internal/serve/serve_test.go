@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -63,6 +64,10 @@ func TestServeValidateRejects(t *testing.T) {
 		{"negative skew", serve.Config{Workload: serve.WorkloadKV, ZipfSkew: -1}, 4, "ZipfSkew"},
 		{"ragged rings", serve.Config{Workload: serve.WorkloadKV, RingSlots: 100}, 4, "RingSlots"},
 		{"bad gap", serve.Config{Workload: serve.WorkloadKV, MeanGapNs: -3}, 4, "MeanGapNs"},
+		{"NaN skew", serve.Config{Workload: serve.WorkloadKV, ZipfSkew: math.NaN()}, 4, "ZipfSkew"},
+		{"infinite skew", serve.Config{Workload: serve.WorkloadKV, ZipfSkew: math.Inf(1)}, 4, "ZipfSkew"},
+		{"NaN gap", serve.Config{Workload: serve.WorkloadKV, MeanGapNs: math.NaN()}, 4, "MeanGapNs"},
+		{"infinite gap", serve.Config{Workload: serve.WorkloadKV, MeanGapNs: math.Inf(1)}, 4, "MeanGapNs"},
 	}
 	for _, c := range cases {
 		cfg := c.cfg.WithDefaults(c.n)

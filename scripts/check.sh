@@ -226,6 +226,23 @@ go test -race -run 'TestLitmusDefaultEngine|TestLitmusCatchesBrokenEngine' ./int
 # fabric's portability contract. Run under the race detector because the
 # SPSC rings and shard latches are touched from every node goroutine.
 go test -race -run 'TestServeEngineConformance' ./internal/serve/
+# The serve fabric pays no host time the model never charges: one Zipf
+# table per run (built in serve.Kernel), sampled through its guide table,
+# and a generic sort on the ingest queue's total order. The guided sample
+# must equal a full-table search, the comparator must order ties as a
+# stable sort does, Validate must reject non-finite floats, and the
+# histogram decoder's seed corpus must replay without a panic.
+go test -run 'TestZipfGuideMatchesSearch|TestHistSaturates|FuzzHistDecode' ./internal/loadgen/
+go test -run 'TestIngestOrderMatchesStableSort|TestServeValidateRejects' ./internal/serve/
+if grep -rn 'sort\.Slice' --include='*.go' --exclude='*_test.go' internal/serve; then
+    echo "internal/serve sorts with reflection: use slices.SortFunc" >&2
+    exit 1
+fi
+zipfs=$(grep -rF 'loadgen.NewZipf(' --include='*.go' --exclude='*_test.go' internal/serve | wc -l)
+if [ "$zipfs" -ne 1 ]; then
+    echo "internal/serve builds $zipfs Zipf tables, want 1 (serve.Kernel, once per run)" >&2
+    exit 1
+fi
 
 # Parallel-node identity gate: Config.ParallelNodes swaps the reference
 # scheduler for the conservative lookahead engine, and nothing modeled
