@@ -1,26 +1,27 @@
-// Command hamsterbench regenerates the paper's evaluation (§5): Table 1,
-// Table 2, Figures 2–4, and the design-choice ablations, printing
-// paper-style text renderings. It also runs the repository's modeled
-// campaigns.
+// Command hamsterbench regenerates the paper's evaluation (§5) and runs
+// the repository's other modeled campaigns.
 //
 // Usage:
 //
-//	hamsterbench [-size small|default|paper] [-models DIR]
-//	             [-table1] [-table2] [-fig2] [-fig3] [-fig4] [-ablations]
-//	hamsterbench -campaign NAME -json FILE [-parallel N]
+//	hamsterbench [-size small|default|paper] [-models DIR] [-parallel N]
+//	hamsterbench -table2 [-models DIR]
+//	hamsterbench -campaign NAME [-json FILE] [-size S] [-parallel N]
 //	             [-faults PROFILE [-faultseed SEED]]
 //
-// With no selection flags, every table, figure and ablation runs.
+// With no selection flag it prints Table 2 (implementation complexity of
+// the programming models) and runs the paper's two campaigns: figures
+// (Table 1 and Figures 2–4) and ablations (the design choices DESIGN.md
+// calls out). -size sets their working sets; no other campaign reads it.
 //
 // -campaign NAME runs one campaign from internal/bench's registry and
-// writes its report to -json FILE ("-" for stdout), the text table to
-// stderr. An unknown name lists the registry with each campaign's
-// one-line description. Every campaign is emitted under one schema, and
-// its rows hold modeled quantities only — virtual times, checksums,
-// protocol counters, latency quantiles — so a report is comparable at
-// any -parallel setting; host time is measured by benchmark/run.sh. A
-// campaign fails if two cells of one agreement group compute different
-// checksums.
+// prints its table to stdout; with -json FILE it also writes the report
+// there ("-" for stdout) and the table goes to stderr. An unknown name
+// lists the registry with each campaign's summary. Every campaign is
+// emitted under one schema, and its rows hold modeled quantities only —
+// virtual times, checksums, protocol counters, latency quantiles — so a
+// report is comparable at any -parallel setting; host time is measured by
+// benchmark/run.sh. A campaign fails if two cells of one agreement group
+// compute different checksums.
 //
 // -faults PROFILE reruns the kernels campaign under a seeded fault
 // campaign (see internal/simnet), adding retransmission counts; the
@@ -31,7 +32,8 @@
 // cluster, so modeled results are identical at any parallelism and rows
 // are always emitted in cell order.
 //
-// -cpuprofile FILE collects a CPU profile from the end of flag
+// Every flag combination the command cannot honor exits 2 before anything
+// runs. -cpuprofile FILE collects a CPU profile from the end of flag
 // validation to exit, also when the run fails; -memprofile FILE writes a
 // heap snapshot at exit. Inspect either with "go tool pprof FILE".
 package main
@@ -43,7 +45,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"hamster/internal/apicount"
 	"hamster/internal/bench"
@@ -52,48 +53,21 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, bench.Campaigns()))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, bench.Campaigns))
 }
 
 // run is the whole command; it returns the exit status. Everything up to
 // prof.StartCPU is flag validation and returns 2; from there on every
 // return passes through the deferred profile flush, so a failing run
 // still leaves its profile behind.
-func run(args []string, stdout, stderr io.Writer, registry bench.Registry) (status int) {
+func run(args []string, stdout, stderr io.Writer, campaigns func(bench.Sizes) bench.Registry) (status int) {
 	fs := flag.NewFlagSet("hamsterbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	size := fs.String("size", "default", "workload sizes: small, default, or paper")
+	size := fs.String("size", "default", "working sets of the figures and ablations campaigns: small, default, or paper")
 	modelsDir := fs.String("models", "models", "path to the programming-model packages (Table 2)")
-	var sz bench.Sizes
-	sections := []struct {
-		flag, name, usage string
-		render            func() (string, error)
-		set               *bool
-	}{
-		{flag: "table1", name: "table1", usage: "print Table 1 (benchmarks and working sets)",
-			render: func() (string, error) { return bench.RenderTable1(bench.Table1(sz)), nil }},
-		{flag: "table2", name: "table2", usage: "print Table 2 (implementation complexity)",
-			render: func() (string, error) {
-				rows, err := apicount.CountModels(*modelsDir)
-				if err != nil {
-					return "", err
-				}
-				return "Table 2: Implementation Complexity of Programming Models Using HAMSTER\n\n" + apicount.Render(rows), nil
-			}},
-		{flag: "fig2", name: "figure2", usage: "run Figure 2 (HAMSTER overhead vs native JiaJia)",
-			render: func() (string, error) { return bench.RenderFigure2(bench.Figure2(sz)), nil }},
-		{flag: "fig3", name: "figure3", usage: "run Figure 3 (hybrid vs software DSM)",
-			render: func() (string, error) { return bench.RenderFigure3(bench.Figure3(sz)), nil }},
-		{flag: "fig4", name: "figure4", usage: "run Figure 4 (hardware vs hybrid vs software DSM)",
-			render: func() (string, error) { return bench.RenderFigure4(bench.Figure4(sz)), nil }},
-		{flag: "ablations", name: "ablations", usage: "run the design-choice ablations",
-			render: func() (string, error) { return bench.RenderAblations(bench.Ablations(sz)), nil }},
-	}
-	for i := range sections {
-		sections[i].set = fs.Bool(sections[i].flag, false, sections[i].usage)
-	}
-	campaign := fs.String("campaign", "", "run one modeled campaign (needs -json): "+strings.Join(registry.Names(), ", "))
-	jsonOut := fs.String("json", "", "write the -campaign report to this file (\"-\" for stdout)")
+	table2 := fs.Bool("table2", false, "print Table 2 (implementation complexity) only")
+	campaign := fs.String("campaign", "", "run one campaign: "+strings.Join(campaigns(bench.Default()).Names(), ", "))
+	jsonOut := fs.String("json", "", "also write the -campaign report to this file (\"-\" for stdout; the table then goes to stderr)")
 	faults := fs.String("faults", "", "run -campaign kernels under a seeded fault campaign: "+strings.Join(simnet.FaultProfiles(), ", "))
 	faultSeed := fs.Int64("faultseed", 1, "seed of the fault campaign's deterministic draws")
 	par := fs.Int("parallel", 0, "run independent campaign cells on up to N goroutines (0 = GOMAXPROCS, 1 = sequential); modeled results are identical at any setting")
@@ -102,59 +76,62 @@ func run(args []string, stdout, stderr io.Writer, registry bench.Registry) (stat
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	usage := func(format string, a ...any) int {
 		fmt.Fprintf(stderr, format+"\n", a...)
 		return 2
 	}
 
-	switch *size {
-	case "small":
-		sz = bench.Small()
-	case "default":
-		sz = bench.Default()
-	case "paper":
-		sz = bench.Paper()
-	default:
+	sizes, ok := map[string]func() bench.Sizes{"small": bench.Small, "default": bench.Default, "paper": bench.Paper}[*size]
+	if !ok {
 		return usage("unknown -size %q (have small, default, paper)", *size)
 	}
-	if *par < 0 {
-		return usage("-parallel must be >= 0, got %d", *par)
-	}
-	anyFigure := false
-	for _, s := range sections {
-		anyFigure = anyFigure || *s.set
-	}
-	var camp bench.Campaign
+	registry := campaigns(sizes())
+	// What runs: one campaign, Table 2 alone, or Table 2 and the sized
+	// campaigns — the paper's evaluation.
+	var camps []bench.Campaign
 	switch {
-	case *campaign == "" && *jsonOut != "":
-		return usage("-json writes a campaign report: add -campaign NAME (%s)", strings.Join(registry.Names(), ", "))
-	case *campaign == "" && *faults != "":
-		return usage("-faults applies to the kernels campaign: add -campaign kernels -json FILE")
 	case *campaign != "":
-		var err error
-		if camp, err = registry.Lookup(*campaign); err != nil {
+		camp, err := registry.Lookup(*campaign)
+		if err != nil {
 			fmt.Fprintln(stderr, err)
 			for _, c := range registry {
-				fmt.Fprintf(stderr, "  %-12s %s\n", c.Name, c.Description)
+				summary, _, _ := strings.Cut(c.Description, "\n")
+				fmt.Fprintf(stderr, "  %-12s %s\n", c.Name, summary)
 			}
 			return 2
 		}
-		if *jsonOut == "" {
-			return usage("-campaign %s needs -json FILE for its report (\"-\" for stdout)", *campaign)
-		}
-		if anyFigure {
-			return usage("-campaign runs instead of the tables and figures: drop -table1/-table2/-fig2/-fig3/-fig4/-ablations, or run them in a second invocation")
-		}
-		if *faults != "" {
-			if *campaign != "kernels" {
-				return usage("-faults applies to the kernels campaign only: use -campaign kernels, or drop -faults")
+		camps = []bench.Campaign{camp}
+	case !*table2:
+		for _, c := range registry {
+			if c.Sized {
+				camps = append(camps, c)
 			}
-			plan, err := simnet.FaultProfile(*faults, *faultSeed)
-			if err != nil {
-				return usage("%v", err)
-			}
-			camp = camp.WithFaults(plan)
 		}
+	}
+	switch {
+	case *par < 0:
+		return usage("-parallel must be >= 0, got %d", *par)
+	case *campaign != "" && *table2:
+		return usage("-campaign runs instead of Table 2: drop -table2, or run it in a second invocation")
+	case *jsonOut != "" && *campaign == "":
+		return usage("-json writes a campaign report: add -campaign NAME (%s)", strings.Join(registry.Names(), ", "))
+	case *faults != "" && *campaign != "kernels":
+		return usage("-faults applies to the kernels campaign only: add -campaign kernels, or drop -faults")
+	case set["faultseed"] && *faults == "":
+		return usage("-faultseed seeds a fault campaign: add -faults PROFILE, or drop -faultseed")
+	case set["size"] && (len(camps) == 0 || !camps[0].Sized):
+		return usage("-size sets the working sets of the figures and ablations campaigns, and none of them runs: drop -size")
+	case set["models"] && *campaign != "":
+		return usage("-models locates the sources Table 2 counts, and Table 2 does not print with -campaign: drop -models")
+	}
+	if *faults != "" {
+		plan, err := simnet.FaultProfile(*faults, *faultSeed)
+		if err != nil {
+			return usage("%v", err)
+		}
+		camps[0] = camps[0].WithFaults(plan)
 	}
 
 	stopCPU, err := prof.StartCPU(*cpuProfile)
@@ -169,47 +146,38 @@ func run(args []string, stdout, stderr io.Writer, registry bench.Registry) (stat
 		}
 	}()
 
-	if *campaign != "" {
-		rep, err := bench.Run(camp, *par)
+	if *campaign == "" {
+		rows, err := apicount.CountModels(*modelsDir)
+		if err != nil {
+			fmt.Fprintf(stderr, "table2: %v\n", err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "Table 2: Implementation Complexity of Programming Models Using HAMSTER\n\n%s\n", apicount.Render(rows))
+	}
+	for _, c := range camps {
+		rep, err := bench.Run(c, *par)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		if *faults != "" {
-			rep.FaultProfile, rep.FaultSeed = *faults, *faultSeed
+		table := stdout
+		if *jsonOut != "" {
+			if *faults != "" {
+				rep.FaultProfile, rep.FaultSeed = *faults, *faultSeed
+			}
+			blob, err := json.MarshalIndent(rep, "", "  ")
+			if err == nil && *jsonOut == "-" {
+				_, err = stdout.Write(append(blob, '\n'))
+			} else if err == nil {
+				err = os.WriteFile(*jsonOut, append(blob, '\n'), 0o644)
+			}
+			if err != nil {
+				fmt.Fprintf(stderr, "bench: %v\n", err)
+				return 1
+			}
+			table = stderr
 		}
-		blob, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(stderr, "bench: %v\n", err)
-			return 1
-		}
-		blob = append(blob, '\n')
-		if *jsonOut == "-" {
-			_, err = stdout.Write(blob)
-		} else {
-			err = os.WriteFile(*jsonOut, blob, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(stderr, "bench: %v\n", err)
-			return 1
-		}
-		fmt.Fprint(stderr, bench.Render(camp, rep))
-		return 0
-	}
-
-	fmt.Fprintf(stdout, "HAMSTER evaluation harness — workload size %q\n\n", *size)
-	for _, s := range sections {
-		if anyFigure && !*s.set {
-			continue
-		}
-		start := time.Now()
-		text, err := s.render()
-		if err != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", s.name, err)
-			return 1
-		}
-		fmt.Fprintln(stdout, text)
-		fmt.Fprintf(stdout, "[%s finished in %v]\n\n", s.name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintln(table, bench.Render(c, rep))
 	}
 	return 0
 }

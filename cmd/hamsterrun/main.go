@@ -18,10 +18,12 @@
 // checkpointing on a platform that has no such thing, and the ivy
 // engine's two exclusions are its errors, printed verbatim with exit
 // status 2 before anything boots. The command itself checks only what is
-// a relation between flags (-incremental, -recover and -prefetch need the
-// flag they modify). A -config file (see internal/cluster for the format)
-// replaces -platform/-nodes, mirroring how the original framework switched
-// platforms with a node configuration file.
+// a relation between flags (-incremental, -recover, -prefetch and
+// -faultseed need the flag they modify; -iters needs a benchmark that
+// iterates) and rejects negative sizes. A -config file (see internal/cluster for the format)
+// replaces -platform/-nodes (setting either beside it exits 2),
+// mirroring how the original framework switched platforms with a node
+// configuration file.
 //
 // -checkpoint N captures a coordinated snapshot every N barriers on the
 // software DSM; -incremental switches captures after the first to
@@ -49,6 +51,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"hamster"
@@ -150,13 +153,24 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	usage := func(format string, a ...any) int {
 		fmt.Fprintf(stderr, format+"\n", a...)
 		return 2
 	}
 
-	// Relations between flags, which no Config can express.
+	// Relations between flags, which no Config can express, and flags a
+	// run would otherwise silently ignore.
 	switch {
+	case o.n < 0 || o.iters < 0:
+		return usage("-n and -iters must be >= 0 (0 = the benchmark's default), got -n %d -iters %d", o.n, o.iters)
+	case set["iters"] && slices.Contains([]string{"matmult", "pi", "lu"}, o.bench):
+		return usage("-iters: %s takes no iteration count; drop -iters", o.bench)
+	case o.config != "" && (set["platform"] || set["nodes"]):
+		return usage("-config replaces -platform and -nodes: drop them, or drop -config")
+	case set["faultseed"] && o.faults == "":
+		return usage("-faultseed seeds a fault campaign: add -faults PROFILE, or drop -faultseed")
 	case o.incremental && o.checkpoint == 0:
 		return usage("-incremental requires -checkpoint")
 	case o.prefetch && !o.aggregate:

@@ -50,6 +50,14 @@ func TestFlagsThroughTheFrontDoor(t *testing.T) {
 		{"unknown fault profile", []string{"-faults", "gremlins"}, "lossy-ethernet"},
 		{"unknown platform", []string{"-platform", "vax"}, `unknown platform "vax"`},
 		{"missing config file", []string{"-config", filepath.Join(t.TempDir(), "absent.conf")}, "absent.conf"},
+		{"faultseed without faults", []string{"-faultseed", "7", "-bench", "pi", "-n", "1000", "-nodes", "2"}, "-faultseed seeds a fault campaign"},
+		{"iters with matmult", []string{"-bench", "matmult", "-iters", "3"}, "matmult takes no iteration count"},
+		{"iters with pi", []string{"-bench", "pi", "-iters", "0"}, "pi takes no iteration count"},
+		{"iters with lu", []string{"-bench", "lu", "-iters", "2"}, "lu takes no iteration count"},
+		{"negative n", []string{"-bench", "sor", "-n", "-64"}, "-n and -iters must be >= 0"},
+		{"negative iters", []string{"-bench", "water", "-iters", "-1"}, "-n and -iters must be >= 0"},
+		{"platform with config", []string{"-config", "two.conf", "-platform", "smp"}, "-config replaces -platform and -nodes"},
+		{"nodes with config", []string{"-config", "two.conf", "-nodes", "8"}, "-config replaces -platform and -nodes"},
 
 		{"no nodes", []string{"-nodes", "0"},
 			validate(hamster.Config{Platform: hamster.SWDSM})},

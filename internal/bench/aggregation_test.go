@@ -197,7 +197,7 @@ func TestAggregationFaultReplay(t *testing.T) {
 // capture dirty-page tracking exactly like per-page application, so the
 // checkpointed run's result matches the uncheckpointed one.
 func TestAggregationCheckpointCompat(t *testing.T) {
-	plain := Cluster{Platform: "swdsm", Nodes: 4, Core: true,
+	plain := Cluster{Platform: "swdsm", Nodes: 4, Binding: onCore,
 		Aggregation: swdsm.Aggregation{Batch: true, Prefetch: true}}
 	ckpt := plain
 	ckpt.CheckpointEvery, ckpt.CheckpointIncremental = 2, true

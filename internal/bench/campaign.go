@@ -1,3 +1,19 @@
+// Package bench is the experiment harness: every modeled experiment of
+// the repository is a campaign of one registry, run by one runner and
+// emitted under one schema. The paper's evaluation (§5) is two of them:
+//
+//   - figures: Table 1's seven workloads as JiaJia programs on six
+//     clusters, from which Figure 2 (overhead of HAMSTER against native
+//     JiaJia, 4 nodes), Figure 3 (Hybrid-DSM against SW-DSM, 4 nodes) and
+//     Figure 4 (Hardware- vs Hybrid- vs Software-DSM, 2 nodes) are
+//     derived; Table 1 is its description.
+//   - ablations: the design choices DESIGN.md calls out, each as legs of
+//     one program on machines that differ in that one choice.
+//
+// Table 2 (implementation complexity of the programming models) is
+// internal/apicount's. Absolute numbers depend on the simulator's cost
+// model; the reproduction target is the shape — signs, rough factors,
+// crossovers (see EXPERIMENTS.md).
 package bench
 
 import (
@@ -16,6 +32,7 @@ import (
 	"hamster/internal/simnet"
 	"hamster/internal/swdsm"
 	"hamster/internal/vclock"
+	"hamster/models/jiajia"
 )
 
 // The campaign harness. A campaign is data: a name, a description and a
@@ -44,19 +61,42 @@ type Cluster struct {
 	// Topology is a simnet preset name; "" is "flat".
 	Topology    string
 	Aggregation swdsm.Aggregation
+	// Params is the cost model (zero: the testbed's) and Messaging the
+	// §3.3 messaging integration.
+	Params    hamster.MachineParams
+	Messaging hamster.MessagingMode
 	// Faults, when set, is installed on the interconnect before the run.
 	Faults *simnet.FaultPlan
-	// Core runs the program through the full core services instead of on
-	// the bare substrate. Checkpointing lives there.
-	Core                  bool
+	// Binding is how the program reaches the machine; checkpointing lives
+	// in the core services.
+	Binding binding
+	// New, when set, builds the bare substrate in place of
+	// core.NewSubstrate: one of substrates.go's constructors, for a knob
+	// that is no hamster.Config field.
+	New                   func(hamster.Config) (platform.Substrate, error)
 	CheckpointEvery       int
 	CheckpointIncremental bool
 }
 
-// build constructs the bare substrate: core.NewSubstrate on the cluster's
-// configuration, without the core services wrapped around it.
+// binding is how a cell's program reaches the machine.
+type binding int
+
+const (
+	bare      binding = iota // the apps adapter on the bare substrate
+	onCore                   // the core services
+	onCoreSeq                // the core services, a fence around every access (§4.5's Sequential model)
+	onJiaJia                 // the JiaJia veneer over the core services
+)
+
+// build constructs the bare substrate: core.NewSubstrate (or the
+// cluster's own constructor) on the cluster's configuration, without the
+// core services wrapped around it.
 func (c Cluster) build() (platform.Substrate, error) {
-	sub, err := core.NewSubstrate(c.config())
+	newSubstrate := core.NewSubstrate
+	if c.New != nil {
+		newSubstrate = c.New
+	}
+	sub, err := newSubstrate(c.config())
 	if err != nil {
 		return nil, err
 	}
@@ -80,6 +120,8 @@ func (c Cluster) config() hamster.Config {
 		Nodes:                 c.Nodes,
 		Topology:              c.Topology,
 		SWDSMAggregation:      c.Aggregation,
+		Params:                c.Params,
+		Messaging:             c.Messaging,
 		CheckpointEvery:       c.CheckpointEvery,
 		CheckpointIncremental: c.CheckpointIncremental,
 	}
@@ -95,8 +137,10 @@ func (c Cluster) config() hamster.Config {
 // modeled result. Fields a cell does not produce stay zero and are
 // omitted from the JSON.
 type Row struct {
-	Workload string  `json:"workload"`
-	Mode     string  `json:"mode,omitempty"`    // scaling: "strong" or "weak"
+	Workload string `json:"workload"`
+	// Mode is scaling's "strong" or "weak", the figures' "native" or
+	// "hamster", an ablation's leg.
+	Mode     string  `json:"mode,omitempty"`
 	Problem  int     `json:"problem,omitempty"` // scaling: the kernel's size parameter
 	Platform string  `json:"platform"`
 	Model    string  `json:"model,omitempty"` // the engine's declared consistency model
@@ -112,6 +156,12 @@ type Row struct {
 	// bits.
 	Check     string `json:"check"`
 	VirtualNs uint64 `json:"virtual_ns,omitempty"`
+	// The slowest node's phases (apps.Timings): initialization, total
+	// after initialization, computational core and barrier waits.
+	InitNs      uint64 `json:"init_ns,omitempty"`
+	AfterInitNs uint64 `json:"after_init_ns,omitempty"`
+	CoreNs      uint64 `json:"core_ns,omitempty"`
+	BarNs       uint64 `json:"bar_ns,omitempty"`
 	// BreakdownNs attributes virtual time by category, summed over all
 	// nodes. Per node the categories sum exactly to the node's clock.
 	BreakdownNs map[string]uint64 `json:"breakdown_ns,omitempty"`
@@ -229,8 +279,24 @@ func (c Cell) measure(cl Cluster) (Row, error) {
 	}
 	var sub platform.Substrate
 	var res []apps.Result
-	if cl.Core {
-		rt, err := hamster.New(cl.config())
+	if cl.Binding == bare {
+		var err error
+		if sub, err = cl.build(); err != nil {
+			return row, err
+		}
+		defer sub.Close()
+		res = apps.RunOnSubstrate(sub, c.Kernel)
+	} else {
+		var rt *hamster.Runtime
+		var sys *jiajia.System
+		var err error
+		if cl.Binding == onJiaJia {
+			if sys, err = jiajia.Boot(cl.config()); err == nil {
+				rt = sys.Runtime()
+			}
+		} else {
+			rt, err = hamster.New(cl.config())
+		}
 		if err != nil {
 			return row, err
 		}
@@ -238,19 +304,26 @@ func (c Cell) measure(cl Cluster) (Row, error) {
 		if cl.Faults != nil {
 			rt.SetFaults(*cl.Faults)
 		}
-		res, sub = apps.RunOnEnv(rt, c.Kernel), rt.Substrate()
+		switch cl.Binding {
+		case onCore:
+			res = apps.RunOnEnv(rt, c.Kernel)
+		case onCoreSeq:
+			res = apps.RunOnEnvSeq(rt, c.Kernel)
+		default:
+			res = apps.RunOnJia(sys, c.Kernel)
+		}
+		sub = rt.Substrate()
 		if ck := rt.Checkpoints(); ck != nil {
 			row.Captures, row.CaptureBytes = ck.Stats()
 		}
-	} else {
-		var err error
-		if sub, err = cl.build(); err != nil {
-			return row, err
-		}
-		defer sub.Close()
-		res = apps.RunOnSubstrate(sub, c.Kernel)
 	}
 	row.VirtualNs = uint64(apps.MaxTotal(res))
+	for _, r := range res {
+		row.InitNs = max(row.InitNs, uint64(r.T.Init))
+		row.AfterInitNs = max(row.AfterInitNs, uint64(r.T.Total-r.T.Init))
+		row.CoreNs = max(row.CoreNs, uint64(r.T.Core))
+		row.BarNs = max(row.BarNs, uint64(r.T.Bar))
+	}
 	row.Check = checkString(res[0].Check)
 	row.tally(sub)
 	return row, nil
@@ -333,9 +406,12 @@ func (r *Row) serve(cfg serve.Config, cl Cluster) error {
 
 // Campaign is a named list of cells plus how to print it.
 type Campaign struct {
-	Name        string
+	Name string
+	// Description's first line is the campaign's summary.
 	Description string
-	Cells       []Cell
+	// Sized marks a campaign built at the -size working sets.
+	Sized bool
+	Cells []Cell
 	// Columns names the table columns, in order (see columns).
 	Columns []string
 	// Footer, when set, renders the campaign's call-outs below the table.

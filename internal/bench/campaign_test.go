@@ -38,10 +38,11 @@ func virtualWithin(got, want uint64, band float64) bool {
 	return math.Abs(float64(got)-float64(want)) <= float64(want)*band
 }
 
-// mustLookup returns a registered campaign.
+// mustLookup returns a registered campaign, the paper's two at the
+// small sizes.
 func mustLookup(t *testing.T, name string) Campaign {
 	t.Helper()
-	c, err := Campaigns().Lookup(name)
+	c, err := Campaigns(Small()).Lookup(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,9 +156,11 @@ func replayArtifact(t *testing.T, file string, fresh *Report) {
 		t.Fatalf("%s records %d rows of campaign %s, the fresh run has %d of %s",
 			file, len(want.Rows), want.Campaign, len(fresh.Rows), fresh.Campaign)
 	}
-	// discrete masks what no artifact pins exactly.
+	// discrete masks what no artifact pins exactly: the virtual times,
+	// including the phase maxima the artifacts predate.
 	discrete := func(r Row) Row {
 		r.VirtualNs, r.BreakdownNs, r.Baseline = 0, nil, nil
+		r.InitNs, r.AfterInitNs, r.CoreNs, r.BarNs = 0, 0, 0, 0
 		return r
 	}
 	for i := range want.Rows {
@@ -242,13 +245,29 @@ func TestRunAgreementCheck(t *testing.T) {
 }
 
 // Every campaign names only known columns and unique cells, and the
-// registry is the six the CLI documents.
+// registry is the eight the CLI documents, of which exactly the paper's
+// two read the sizes.
 func TestRegistryWellFormed(t *testing.T) {
-	want := []string{"kernels", "checkpoint", "aggregation", "engines", "scaling", "serve"}
-	if got := Campaigns().Names(); !reflect.DeepEqual(got, want) {
+	want := []string{"figures", "ablations", "kernels", "checkpoint", "aggregation", "engines", "scaling", "serve"}
+	if got := Campaigns(Small()).Names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("registry %v, want %v", got, want)
 	}
-	for _, c := range Campaigns() {
+	// What a campaign is at a size: its description, labels and
+	// cluster descriptions.
+	sig := func(c Campaign) string {
+		s := c.Description
+		for _, cell := range c.Cells {
+			s += fmt.Sprintf("%+v %+v\n", cell.labels(cell.Cluster), cell.Cluster.config())
+		}
+		return s
+	}
+	small, paper := Campaigns(Small()), Campaigns(Paper())
+	for i, c := range small {
+		if differ := sig(c) != sig(paper[i]); differ != c.Sized {
+			t.Errorf("%s: Sized is %v, but the small and paper sizes build different campaigns: %v", c.Name, c.Sized, differ)
+		}
+	}
+	for _, c := range small {
 		seen := map[string]bool{}
 		for _, cell := range c.Cells {
 			id := cell.labels(cell.Cluster).id()
@@ -266,7 +285,7 @@ func TestRegistryWellFormed(t *testing.T) {
 		}
 		Render(c, &Report{Rows: rows}) // panics on an unknown column
 	}
-	if _, err := Campaigns().Lookup("walltime"); err == nil || !strings.Contains(err.Error(), "kernels, checkpoint") {
+	if _, err := small.Lookup("walltime"); err == nil || !strings.Contains(err.Error(), "figures, ablations, kernels") {
 		t.Fatalf("unknown campaign: err = %v", err)
 	}
 }

@@ -12,16 +12,16 @@ import (
 	"hamster/internal/swdsm"
 )
 
-// The six campaigns, each a cell list over the one harness of
-// campaign.go.
+// The eight campaigns, each a cell list over the one harness of
+// campaign.go (the paper's two are in paper.go).
 
 // Registry is the list of campaigns hamsterbench -campaign selects from.
 type Registry []Campaign
 
 // Campaigns returns the registry.
-func Campaigns() Registry {
+func Campaigns(sz Sizes) Registry {
 	return Registry{
-		kernelsCampaign(), checkpointCampaign(), aggregationCampaign(),
+		figuresCampaign(sz), ablationsCampaign(sz), kernelsCampaign(), checkpointCampaign(), aggregationCampaign(),
 		enginesCampaign(), scalingCampaign(), serveCampaign(),
 	}
 }
@@ -43,6 +43,12 @@ func (reg Registry) Lookup(name string) (Campaign, error) {
 		}
 	}
 	return Campaign{}, fmt.Errorf("unknown campaign %q (have %s)", name, strings.Join(reg.Names(), ", "))
+}
+
+// workload is one named kernel.
+type workload struct {
+	Name   string
+	Kernel apps.Kernel
 }
 
 // standardKernels is the standard kernel set, sized so that per-access
@@ -95,7 +101,7 @@ func pairedCells(base, on Cluster) []Cell {
 // through the core services (checkpointing lives there), so the baseline
 // is the honest reference for the checkpointed leg.
 func checkpointCampaign() Campaign {
-	base := Cluster{Platform: "swdsm", Core: true}
+	base := Cluster{Platform: "swdsm", Binding: onCore}
 	on := base
 	on.CheckpointEvery, on.CheckpointIncremental = 2, true
 	return Campaign{

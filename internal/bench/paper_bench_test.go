@@ -1,35 +1,20 @@
-// Benchmarks regenerating the paper's evaluation, one per table and
-// figure (plus the DESIGN.md ablations). Each benchmark iteration runs the
-// complete experiment at test-scale working sets and reports the paper's
-// headline metric via b.ReportMetric; run the hamsterbench command for
-// full-size, paper-style renderings.
+// Benchmarks regenerating the paper's evaluation: Table 2, the figures
+// campaign and the ablations campaign. Each iteration runs the complete
+// experiment at test-scale working sets and reports the paper's headline
+// metrics via b.ReportMetric; run the hamsterbench command for full-size,
+// paper-style renderings.
 //
 //	go test -run '^$' -bench=. -benchmem ./internal/bench/
 package bench
 
 import (
+	"math"
 	"testing"
 
 	"hamster/internal/apicount"
 	"hamster/internal/apps"
 	"hamster/internal/swdsm"
 )
-
-// BenchmarkTable1Workloads executes every Table 1 workload once on the
-// software DSM through the full HAMSTER stack (the configuration the
-// paper's Table 1 accompanies).
-func BenchmarkTable1Workloads(b *testing.B) {
-	sz := Small()
-	if rows := Table1(sz); len(rows) != 5 {
-		b.Fatalf("table 1 rows = %d", len(rows))
-	}
-	for i := 0; i < b.N; i++ {
-		rows := Figure2(sz) // runs all workloads native+HAMSTER
-		if len(rows) != 10 {
-			b.Fatal("workload sweep incomplete")
-		}
-	}
-}
 
 // BenchmarkTable2Complexity measures the Table 2 counting pass over the
 // programming-model packages (the paper's nine plus the openmp extension).
@@ -51,114 +36,50 @@ func BenchmarkTable2Complexity(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure2Overhead regenerates Figure 2 (HAMSTER vs native JiaJia,
-// 4 nodes) and reports the worst-case absolute overhead percentage.
-func BenchmarkFigure2Overhead(b *testing.B) {
-	sz := Small()
+// BenchmarkFigures runs the figures campaign — every Table 1 workload on
+// the six clusters of Figures 2–4 — and reports each figure's headline:
+// Figure 2's worst-case absolute overhead, Figure 3's unoptimized SOR
+// advantage (the locality result) and Figure 4's MatMult hybrid speed
+// relative to the SMP (the separate-memory-bus crossover).
+func BenchmarkFigures(b *testing.B) {
+	c, err := Campaigns(Small()).Lookup("figures")
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < b.N; i++ {
-		rows := Figure2(sz)
+		rep, err := Run(c, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
 		worst := 0.0
-		for _, r := range rows {
-			if v := r.OverheadPct; v > worst {
-				worst = v
-			} else if -v > worst {
-				worst = -v
+		for _, r := range figureBars(Small(), rep.Rows) {
+			worst = max(worst, math.Abs(r.overhead))
+			switch r.name {
+			case "SOR":
+				b.ReportMetric(r.advantage, "sor-advantage%")
+			case "MatMult":
+				b.ReportMetric(r.hybridSpeed, "matmult-hybrid%")
 			}
 		}
 		b.ReportMetric(worst, "max|overhead|%")
 	}
 }
 
-// BenchmarkFigure3HybridVsSW regenerates Figure 3 (hybrid vs software DSM,
-// 4 nodes) and reports the unoptimized SOR advantage — the paper's
-// headline locality result.
-func BenchmarkFigure3HybridVsSW(b *testing.B) {
-	sz := Small()
+// BenchmarkAblations runs the ablations campaign and reports each
+// ablation's last leg relative to its first.
+func BenchmarkAblations(b *testing.B) {
+	c, err := Campaigns(Small()).Lookup("ablations")
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < b.N; i++ {
-		rows := Figure3(sz)
-		for _, r := range rows {
-			if r.Name == "SOR" {
-				b.ReportMetric(r.AdvantagePct, "sor-advantage%")
-			}
+		rep, err := Run(c, 0)
+		if err != nil {
+			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkFigure4ThreePlatforms regenerates Figure 4 (hardware vs hybrid
-// vs software DSM, 2 nodes) and reports MatMult's hybrid speed relative to
-// the SMP — the separate-memory-bus crossover.
-func BenchmarkFigure4ThreePlatforms(b *testing.B) {
-	sz := Small()
-	for i := 0; i < b.N; i++ {
-		rows := Figure4(sz)
-		for _, r := range rows {
-			if r.Name == "MatMult" {
-				b.ReportMetric(r.HybridPct, "matmult-hybrid%")
-			}
+		for name, legs := range ablationLegs(rep.Rows) {
+			b.ReportMetric(legs[len(legs)-1].ratio, name+"-last/first")
 		}
-	}
-}
-
-// BenchmarkAblationMessaging quantifies §3.3's coalesced messaging layer.
-func BenchmarkAblationMessaging(b *testing.B) {
-	sz := Small()
-	for i := 0; i < b.N; i++ {
-		a := ablationMessaging(sz)
-		b.ReportMetric(float64(a.Rows[1].Time)/float64(a.Rows[0].Time), "separate/coalesced")
-	}
-}
-
-// BenchmarkAblationConsistency quantifies relaxed vs sequential
-// consistency (§4.5).
-func BenchmarkAblationConsistency(b *testing.B) {
-	sz := Small()
-	for i := 0; i < b.N; i++ {
-		a := ablationConsistency(sz)
-		b.ReportMetric(float64(a.Rows[1].Time)/float64(a.Rows[0].Time), "seq/scope")
-	}
-}
-
-// BenchmarkAblationPlacement quantifies the distribution annotations.
-func BenchmarkAblationPlacement(b *testing.B) {
-	sz := Small()
-	for i := 0; i < b.N; i++ {
-		a := ablationPlacement(sz)
-		b.ReportMetric(float64(a.Rows[2].Time)/float64(a.Rows[0].Time), "fixed/block")
-	}
-}
-
-// BenchmarkAblationPostedWrites quantifies the hybrid DSM's posted-write
-// buffer on write-only initialization.
-func BenchmarkAblationPostedWrites(b *testing.B) {
-	sz := Small()
-	for i := 0; i < b.N; i++ {
-		a := ablationPostedWrites(sz)
-		b.ReportMetric(float64(a.Rows[1].Time)/float64(a.Rows[0].Time), "pio/posted")
-	}
-}
-
-// BenchmarkAblationMultiDSM quantifies §6's multi-DSM composition: the
-// mixed workload's time under custom-tailored routing relative to the
-// better pure engine.
-func BenchmarkAblationMultiDSM(b *testing.B) {
-	sz := Small()
-	for i := 0; i < b.N; i++ {
-		a := ablationMultiDSM(sz)
-		best := a.Rows[0].Time
-		if a.Rows[1].Time < best {
-			best = a.Rows[1].Time
-		}
-		b.ReportMetric(float64(a.Rows[2].Time)/float64(best), "mix/best-pure")
-	}
-}
-
-// BenchmarkAblationHomeMigration quantifies the software DSM's
-// single-writer home migration.
-func BenchmarkAblationHomeMigration(b *testing.B) {
-	sz := Small()
-	for i := 0; i < b.N; i++ {
-		a := ablationHomeMigration(sz)
-		b.ReportMetric(float64(a.Rows[1].Time)/float64(a.Rows[0].Time), "migrated/off")
 	}
 }
 

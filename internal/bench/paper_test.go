@@ -6,35 +6,62 @@ import (
 	"testing"
 )
 
-func TestTable1Render(t *testing.T) {
-	rows := Table1(Default())
-	if len(rows) != 5 {
-		t.Fatalf("Table 1 has %d rows, want 5", len(rows))
-	}
-	out := RenderTable1(rows)
-	for _, want := range []string{"Matrix Multiplication", "WATER", "288 / 343"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Table 1 missing %q:\n%s", want, out)
+// figureRows runs the figures campaign's cells on the given figure legs
+// (figureLegs indices), one cell at a time, at the small sizes. Each
+// figure test runs only the legs its figure compares.
+func figureRows(t *testing.T, legs ...int) []Row {
+	t.Helper()
+	c := mustLookup(t, "figures")
+	var cells []Cell
+	for _, cell := range c.Cells {
+		for _, i := range legs {
+			if l := figureLegs[i]; cell.Mode == l.mode && cell.Cluster.Platform == l.platform && cell.Cluster.Nodes == l.nodes {
+				cells = append(cells, cell)
+			}
 		}
+	}
+	c.Cells = cells
+	rep := mustRun(t, c, 1)
+	t.Logf("\n%s", Render(c, rep))
+	return rep.Rows
+}
+
+func TestTable1Render(t *testing.T) {
+	c, err := Campaigns(Default()).Lookup("figures")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"Table 1: Benchmarks", "Matrix Multiplication", "256x256 matrix", "WATER", "288 / 343"} {
+		if !strings.Contains(c.Description, want) {
+			t.Fatalf("Table 1 missing %q:\n%s", want, c.Description)
+		}
+	}
+	if n := strings.Count(c.Description, "\n"); n != 9 {
+		t.Errorf("the figures description has %d lines, want a summary, a blank, Table 1's title, a blank, a header and 5 rows:\n%s", n+1, c.Description)
 	}
 }
 
 func TestAllSeriesShape(t *testing.T) {
-	series := allSeries(Small())
-	if len(series) != 10 {
-		t.Fatalf("series count = %d, want 10 (paper's x-axis)", len(series))
+	c := mustLookup(t, "figures")
+	if len(c.Cells) != 7*len(figureLegs) || len(figureLegs) != 6 {
+		t.Fatalf("figures campaign has %d cells on %d legs, want 42 on 6", len(c.Cells), len(figureLegs))
 	}
-	workloads := workloads(Small())
+	workloads := map[string]bool{}
+	rows := make([]Row, len(c.Cells))
+	for i, cell := range c.Cells {
+		workloads[cell.Workload] = true
+		rows[i] = cell.labels(cell.Cluster)
+	}
 	if len(workloads) != 7 {
 		t.Fatalf("workload count = %d, want 7", len(workloads))
 	}
-	names := map[string]bool{}
-	for _, w := range workloads {
-		names[w.Name] = true
+	series := figureSeries(Small())
+	if len(series) != 10 || len(figureBars(Small(), rows)) != 10 {
+		t.Fatalf("series count = %d, want 10 (paper's x-axis)", len(series))
 	}
 	for _, s := range series {
-		if !names[s.Workload] {
-			t.Fatalf("series %s references unknown workload %s", s.Name, s.Workload)
+		if !workloads[s.workload] {
+			t.Fatalf("series %s references unknown workload %s", s.name, s.workload)
 		}
 	}
 }
@@ -43,12 +70,12 @@ func TestFigure2OverheadIsSingleDigit(t *testing.T) {
 	// §5.3: "a very small influence on overall performance behavior: in
 	// single-digit percentages. In many cases, we even observe slight
 	// performance increases."
-	rows := Figure2(Small())
-	if len(rows) != 10 {
-		t.Fatalf("rows = %d", len(rows))
+	bars := figureBars(Small(), figureRows(t, 0, 1))
+	if len(bars) != 10 {
+		t.Fatalf("bars = %d", len(bars))
 	}
 	sawGain := false
-	for _, r := range rows {
+	for _, r := range bars {
 		// WATER is the one lock-heavy series: both the native and the
 		// framework run acquire contended VLocks, so their virtual
 		// times depend on the real-time grant order the Go scheduler
@@ -60,130 +87,114 @@ func TestFigure2OverheadIsSingleDigit(t *testing.T) {
 		// messaging layer produces) without betting on grant order.
 		// All other series are synchronization-free and deterministic.
 		bound := 10.0
-		if strings.HasPrefix(r.Name, "WATER") {
+		if strings.HasPrefix(r.name, "WATER") {
 			bound = 25.0
 		}
-		if math.Abs(r.OverheadPct) > bound {
-			t.Errorf("%s: overhead %.2f%% outside bound %.0f%%", r.Name, r.OverheadPct, bound)
+		if math.Abs(r.overhead) > bound {
+			t.Errorf("%s: overhead %.2f%% outside bound %.0f%%", r.name, r.overhead, bound)
 		}
-		if r.OverheadPct < 0 {
+		if r.overhead < 0 {
 			sawGain = true
 		}
 	}
 	if !sawGain {
 		t.Error("expected at least one performance gain (negative overhead)")
 	}
-	t.Logf("\n%s", RenderFigure2(rows))
 }
 
 func TestFigure3HybridWins(t *testing.T) {
 	// Figure 3's shape: the hybrid DSM outperforms the software DSM
 	// overall; the gap is large for the unoptimized SOR and the LU
 	// series, small for the locality-optimized codes and PI.
-	rows := Figure3(Small())
-	byName := map[string]Fig3Row{}
-	for _, r := range rows {
-		byName[r.Name] = r
+	bars := figureBars(Small(), figureRows(t, 1, 2))
+	byName := map[string]figureBar{}
+	for _, r := range bars {
+		byName[r.name] = r
 	}
 	for _, name := range []string{"SOR", "LU all", "LU bar"} {
-		if byName[name].AdvantagePct < 10 {
-			t.Errorf("%s: hybrid advantage %.1f%%, expected substantial", name, byName[name].AdvantagePct)
+		if byName[name].advantage < 10 {
+			t.Errorf("%s: hybrid advantage %.1f%%, expected substantial", name, byName[name].advantage)
 		}
 	}
-	if pi := byName["PI"].AdvantagePct; math.Abs(pi) > 10 {
+	if pi := byName["PI"].advantage; math.Abs(pi) > 10 {
 		t.Errorf("PI: advantage %.1f%%, expected near zero", pi)
 	}
-	if byName["SOR"].AdvantagePct <= byName["SOR opt"].AdvantagePct {
+	if byName["SOR"].advantage <= byName["SOR opt"].advantage {
 		t.Errorf("unopt SOR advantage (%.1f%%) must exceed opt SOR (%.1f%%) — the locality claim",
-			byName["SOR"].AdvantagePct, byName["SOR opt"].AdvantagePct)
+			byName["SOR"].advantage, byName["SOR opt"].advantage)
 	}
 	neg := 0
-	for _, r := range rows {
-		if r.AdvantagePct < -10 {
+	for _, r := range bars {
+		if r.advantage < -10 {
 			neg++
 		}
 	}
 	if neg > 1 {
 		t.Errorf("%d series show hybrid clearly losing — Figure 3 shows hybrid >= SW overall", neg)
 	}
-	t.Logf("\n%s", RenderFigure3(rows))
 }
 
 func TestFigure4SMPWinsExceptMatMult(t *testing.T) {
 	// Figure 4's shape: the SMP outperforms both DSM systems for most
 	// codes; the exception is the memory-bound MatMult, which profits
 	// from the DSM nodes' separate memory buses.
-	rows := Figure4(Small())
-	byName := map[string]Fig4Row{}
-	for _, r := range rows {
-		byName[r.Name] = r
+	bars := figureBars(Small(), figureRows(t, 3, 4, 5))
+	byName := map[string]figureBar{}
+	for _, r := range bars {
+		byName[r.name] = r
 	}
 	mm := byName["MatMult"]
-	if mm.HybridPct <= 100 && mm.SWPct <= 100 {
+	if mm.hybridSpeed <= 100 && mm.swSpeed <= 100 {
 		t.Errorf("MatMult: neither DSM beats the SMP (hybrid %.1f%%, sw %.1f%%) — the separate-bus effect is missing",
-			mm.HybridPct, mm.SWPct)
+			mm.hybridSpeed, mm.swSpeed)
 	}
 	slower := 0
-	for _, r := range rows {
-		if r.Name == "MatMult" {
+	for _, r := range bars {
+		if r.name == "MatMult" {
 			continue
 		}
-		if r.HybridPct < 100 || r.SWPct < 100 {
+		if r.hybridSpeed < 100 || r.swSpeed < 100 {
 			slower++
 		}
 	}
 	if slower < 6 {
 		t.Errorf("only %d non-MatMult series run slower than SMP on a DSM; expected the tight coupling to win most", slower)
 	}
-	t.Logf("\n%s", RenderFigure4(rows))
 }
 
 func TestAblationsShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablations take a few seconds")
 	}
-	results := Ablations(Small())
-	if len(results) != 7 {
-		t.Fatalf("ablation count = %d", len(results))
+	c := mustLookup(t, "ablations")
+	rep := mustRun(t, c, 1)
+	t.Logf("\n%s", Render(c, rep))
+	legs := ablationLegs(rep.Rows)
+	if len(legs) != 7 || len(rep.Rows) != 16 {
+		t.Fatalf("%d ablations with %d legs, want 7 with 16", len(legs), len(rep.Rows))
 	}
-	get := func(name string) AblationResult {
-		for _, a := range results {
-			if strings.Contains(a.Name, name) {
-				return a
-			}
-		}
-		t.Fatalf("ablation %q missing", name)
-		return AblationResult{}
-	}
-	msg := get("messaging")
-	if msg.Rows[0].Time >= msg.Rows[1].Time {
+	ratio := func(ablation string, leg int) float64 { return legs[ablation][leg].ratio }
+	if ratio("messaging", 1) <= 1 {
 		t.Error("coalesced messaging must beat separate stacks")
 	}
-	cons := get("consistency")
-	if float64(cons.Rows[1].Time) < 3*float64(cons.Rows[0].Time) {
+	if ratio("consistency", 1) < 3 {
 		t.Error("sequential consistency must be dramatically slower than scope")
 	}
-	place := get("distribution")
-	if place.Rows[0].Time >= place.Rows[2].Time {
+	if ratio("placement", 2) <= 1 {
 		t.Error("block placement must beat all-on-node-0 for the stream kernel")
 	}
-	posted := get("posted")
-	if float64(posted.Rows[1].Time) < 2*float64(posted.Rows[0].Time) {
+	if ratio(postedWrites, 1) < 2 {
 		t.Error("PIO writes must be far slower than posted writes for write-only init")
 	}
-	mix := get("multi-DSM")
-	if mix.Rows[2].Time >= mix.Rows[0].Time || mix.Rows[2].Time >= mix.Rows[1].Time {
+	if ratio("multi-dsm", 2) >= 1 || ratio("multi-dsm", 2) >= ratio("multi-dsm", 1) {
 		t.Error("custom-tailored mix must beat both pure engines (§6)")
 	}
-	mig := get("migration")
-	if float64(mig.Rows[0].Time) < 1.3*float64(mig.Rows[1].Time) {
+	if 1/ratio("home-migration", 1) < 1.3 {
 		t.Error("home migration must substantially speed up the single-writer stream")
 	}
-	proto := get("protocol")
-	if float64(proto.Rows[1].Time) < 1.3*float64(proto.Rows[0].Time) {
+	if ratio("protocol", 1) < 1.3 {
 		t.Error("eager RC must be substantially slower than scope on disjoint scopes")
 	}
-	t.Logf("\n%s", RenderAblations(results))
 }
 
 func TestBarRendering(t *testing.T) {

@@ -15,8 +15,6 @@ import (
 // the field. (ROADMAP item 8: a knob with no committed measurement behind
 // it is deleted, not documented.)
 var declared = map[string]struct{ file, needle, what string }{
-	"Params":         {"internal/bench/bench.go", "Params: sz.params()", "Figures 2-4 run at the -size working sets"},
-	"Messaging":      {"internal/bench/ablation.go", "Messaging: mode", "ablationMessaging, coalesced vs separate stacks (§3.3)"},
 	"Threaded":       {"models/pthreads/pthreads.go", "cfg.Threaded = true", "the pthreads, win32 and anl veneers boot threaded (Table 2)"},
 	"ParallelNodes":  {"benchmark/cells.go", "ParallelNodes: gated", "the msgring workload's gated cells, until ROADMAP item 1 decides the scheduler"},
 	"CheckpointSink": {"internal/bench/campaign.go", "hcfg.CheckpointSink = ", "the serve campaign's crashed-and-recovered cells keep snapshots across attempts"},
@@ -41,7 +39,7 @@ func TestSurfaceEvidence(t *testing.T) {
 			}
 		}
 	}
-	for _, c := range Campaigns() {
+	for _, c := range Campaigns(Small()) {
 		for _, cell := range c.Cells {
 			note(c.Name, cell.Cluster)
 			if cell.Baseline != nil {
