@@ -79,7 +79,8 @@ type syncScriptConfig struct {
 
 // syncScriptConfigs lists every substrate and engine variant with its own
 // synchronization pricing. Above 8 nodes the Ethernet substrates and
-// multidsm's SAN tier are on a rack topology.
+// multidsm's SAN tier are on a rack topology, except multi-scope, which
+// is flat at every size.
 func syncScriptConfigs() []syncScriptConfig {
 	topo := func(nodes int) simnet.Topology {
 		if nodes <= 8 {
@@ -95,8 +96,12 @@ func syncScriptConfigs() []syncScriptConfig {
 	}
 	multi := func(engine string) func(int) (platform.Substrate, error) {
 		return func(nodes int) (platform.Substrate, error) {
+			tp := topo(nodes)
+			if engine == "scope" {
+				tp = simnet.Topology{}
+			}
 			return multidsm.New(multidsm.Config{
-				Nodes: nodes, Topology: topo(nodes), PageEngine: engine,
+				Nodes: nodes, Topology: tp, PageEngine: engine,
 				DefaultEngine: multidsm.SW,
 				PolicyRoutes:  map[memsim.Policy]multidsm.Engine{memsim.Block: multidsm.Hybrid},
 			})
