@@ -18,13 +18,23 @@ import (
 )
 
 // exportAllowlist holds the exported names under internal/ that no other
-// package's non-test code reaches but that stay exported, each with its
-// reason. Keys are "pkg.Name" or "pkg.Type.Method".
+// package's non-test code reaches, and the configStructs fields it never
+// writes, that stay exported, each with its reason. Keys are "pkg.Name",
+// "pkg.Type.Method" or "pkg.Type.Field".
 var exportAllowlist = map[string]string{
-	"vclock.CatCompute":      "one of the five Category values, which callers range over as a set (vclock.NumCategories)",
-	"vclock.CatStolen":       "one of the five Category values, which callers range over as a set (vclock.NumCategories)",
-	"swdsm.ScopeConsistency": "the zero Protocol, named beside EagerRC so the pair reads as a set; callers select a protocol by engine name (core.NewSubstrate), and swdsm is in benchmark/'s dependency graph, which the evaluation harness's fold into campaigns left unchanged",
+	"vclock.CatCompute":              "one of the five Category values, which callers range over as a set (vclock.NumCategories)",
+	"vclock.CatStolen":               "one of the five Category values, which callers range over as a set (vclock.NumCategories)",
+	"swdsm.ScopeConsistency":         "the zero Protocol, named beside EagerRC so the pair reads as a set; callers select a protocol by engine name (core.NewSubstrate), and swdsm is in benchmark/'s dependency graph, which the evaluation harness's fold into campaigns left unchanged",
+	"swdsm.Config.DropInvalidations": "a test seam: the deliberately broken engine conscheck's negative control must catch (TestLitmusCatchesBrokenEngine)",
+	"hybriddsm.Config.CachePages":    "a test seam: the access script shrinks the page cache to 2 pages to reach the eviction path, which no workload reaches at the 4,096-page default",
 }
+
+// configStructs names the structs whose exported fields are held to the
+// same rule as exported names: each field of a struct so named under
+// internal/ is written, through a composite-literal key or an assignment,
+// by non-test code in another package, or is on exportAllowlist. An option
+// only tests set is a code path only tests take.
+var configStructs = map[string]bool{"Config": true, "Options": true, "Aggregation": true}
 
 // TestNoDeadExports holds the API to its callers: every exported
 // declaration in internal/ (func, method, type, const, var) is referenced
@@ -33,7 +43,9 @@ var exportAllowlist = map[string]string{
 // benchmark/ module — or is a method that satisfies an interface somebody
 // calls, or is a type in the signature of a name that passes, or is on
 // exportAllowlist with a reason. A name used only inside its package is
-// unexported; a name used only by tests is deleted with its tests.
+// unexported; a name used only by tests is deleted with its tests. The
+// exported fields of configStructs are held to the same rule with
+// "written" for "referenced".
 func TestNoDeadExports(t *testing.T) {
 	r, err := checkExports(".", exportAllowlist)
 	if err != nil {
@@ -41,7 +53,7 @@ func TestNoDeadExports(t *testing.T) {
 	}
 	t.Logf("exported %d, allowlisted %d", r.exported, r.allowlisted)
 	for _, d := range r.dead {
-		t.Errorf("no caller outside its package: %s", d)
+		t.Errorf("no caller (or, for a field, no writer) outside its package: %s", d)
 	}
 	for _, s := range r.stale {
 		t.Errorf("allowlist entry %s", s)
@@ -50,9 +62,10 @@ func TestNoDeadExports(t *testing.T) {
 
 // TestNoDeadExportsConvicts runs the checker over a fixture module so the
 // gate cannot go silently permissive: of testdata/deadexports's exports, an
-// uncalled one and a test-only one are convicted, and a method that only
-// an interface call reaches and a function that only the fixture's second
-// (benchmark/) module calls pass.
+// uncalled one, a test-only one and a Config field only a test sets are
+// convicted, and a method that only an interface call reaches, a function
+// that only the fixture's second (benchmark/) module calls and a Config
+// field only that module sets pass.
 func TestNoDeadExportsConvicts(t *testing.T) {
 	r, err := checkExports(filepath.Join("testdata", "deadexports"), map[string]string{"lib.Gone": "stale"})
 	if err != nil {
@@ -62,7 +75,7 @@ func TestNoDeadExportsConvicts(t *testing.T) {
 	for _, d := range r.dead {
 		dead = append(dead, strings.Fields(d)[0])
 	}
-	if want := []string{"lib.Dead", "lib.TestOnly"}; strings.Join(dead, " ") != strings.Join(want, " ") {
+	if want := []string{"lib.Config.TestKnob", "lib.Dead", "lib.TestOnly"}; strings.Join(dead, " ") != strings.Join(want, " ") {
 		t.Errorf("convicted %v, want %v", r.dead, want)
 	}
 	if len(r.stale) != 1 || !strings.HasPrefix(r.stale[0], "lib.Gone") {
@@ -125,11 +138,40 @@ func checkExports(root string, allow map[string]string) (exportReport, error) {
 		}
 	}
 
-	// Every reference from another package's non-test code, and every
-	// interface method called anywhere.
+	// Every reference from another package's non-test code, every
+	// interface method called anywhere, and every struct field another
+	// package's non-test code writes through a composite-literal key or an
+	// assignment.
 	used := map[types.Object]bool{}
 	called := map[*types.Func]bool{}
+	written := map[types.Object]bool{}
 	for path, p := range l.pkgs {
+		write := func(id *ast.Ident) {
+			if v, ok := p.info.Uses[id].(*types.Var); ok && v.IsField() && v.Pkg().Path() != path {
+				written[v] = true
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						write(id)
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							write(sel.Sel)
+						}
+					}
+				case *ast.IncDecStmt:
+					if sel, ok := n.X.(*ast.SelectorExpr); ok {
+						write(sel.Sel)
+					}
+				}
+				return true
+			})
+		}
 		for _, obj := range p.info.Uses {
 			if f, ok := obj.(*types.Func); ok {
 				obj = f.Origin()
@@ -186,7 +228,7 @@ func checkExports(root string, allow map[string]string) (exportReport, error) {
 		obj types.Object
 		pos token.Position
 	}
-	var decls []decl
+	var decls, fields []decl
 	internal := mainMod + "/internal/"
 	for path, p := range l.pkgs {
 		if !strings.HasPrefix(path, internal) {
@@ -214,6 +256,15 @@ func checkExports(root string, allow map[string]string) (exportReport, error) {
 							if s.Name.IsExported() {
 								add(s.Name.Name, s.Name)
 							}
+							if st, ok := s.Type.(*ast.StructType); ok && configStructs[s.Name.Name] {
+								for _, fld := range st.Fields.List {
+									for _, n := range fld.Names {
+										if n.IsExported() {
+											fields = append(fields, decl{p.pkg.Name() + "." + s.Name.Name + "." + n.Name, p.info.Defs[n], l.fset.Position(n.Pos())})
+										}
+									}
+								}
+							}
 						case *ast.ValueSpec:
 							for _, n := range s.Names {
 								if n.IsExported() {
@@ -227,10 +278,15 @@ func checkExports(root string, allow map[string]string) (exportReport, error) {
 		}
 	}
 
-	r := exportReport{exported: len(decls)}
+	r := exportReport{exported: len(decls) + len(fields)}
 	pass := map[types.Object]bool{}
 	for _, d := range decls {
 		if used[d.obj] {
+			pass[d.obj] = true
+		}
+	}
+	for _, d := range fields {
+		if written[d.obj] {
 			pass[d.obj] = true
 		}
 	}
@@ -251,7 +307,7 @@ func checkExports(root string, allow map[string]string) (exportReport, error) {
 		}
 	}
 	allowed := map[string]bool{}
-	for _, d := range decls {
+	for _, d := range append(decls, fields...) {
 		switch {
 		case pass[d.obj]:
 		case allow[d.key] != "":

@@ -47,8 +47,4 @@ var accessScriptGolden = map[string][]string{
 		"clock=20042074 compute=0 memory=334263 protocol=7364499 network=11697880 stolen=645432 Reads=1102 Writes=300 BlockReads=30 BlockWrites=16 PageFaults=26 RemoteReads=184 RemoteWrites=58 TwinsCreated=12 DiffsCreated=12 DiffBytes=840 Invalidations=23 LockAcquires=2 CacheMisses=20 ProtocolMsgs=30 read=3b7093f9f9815720 events=212:45c1b7ea1e699f68",
 		"clock=26632149 compute=0 memory=351430 protocol=13017775 network=12663640 stolen=599304 Reads=1104 Writes=300 BlockReads=30 BlockWrites=16 PageFaults=28 RemoteReads=184 RemoteWrites=58 TwinsCreated=12 DiffsCreated=12 DiffBytes=704 Invalidations=25 LockAcquires=2 CacheMisses=22 ProtocolMsgs=32 read=8d89ecccff004d4f events=212:cc1fc32eaf6a3ee2",
 	},
-	"multi-ivy": {
-		"clock=16301778 compute=0 memory=227663 protocol=6394715 network=9215400 stolen=464000 Reads=1102 Writes=300 BlockReads=30 BlockWrites=16 PageFaults=25 RemoteReads=184 RemoteWrites=58 Invalidations=7 LockAcquires=2 CacheMisses=20 HomeMigrations=10 ProtocolMsgs=17 read=3b7093f9f9815720 events=163:5851d3fe49e06f77",
-		"clock=21281053 compute=0 memory=253030 protocol=9952063 network=10681560 stolen=394400 Reads=1104 Writes=300 BlockReads=30 BlockWrites=16 PageFaults=28 RemoteReads=184 RemoteWrites=58 Invalidations=7 LockAcquires=2 CacheMisses=22 HomeMigrations=13 ProtocolMsgs=20 read=8d89ecccff004d4f events=163:d2695dd585ed3fce",
-	},
 }

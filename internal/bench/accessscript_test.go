@@ -101,15 +101,6 @@ func accessScriptConfigs() []accessScriptConfig {
 			return swdsm.New(cfg)
 		}
 	}
-	multi := func(engine string) func() (platform.Substrate, error) {
-		return func() (platform.Substrate, error) {
-			return multidsm.New(multidsm.Config{
-				Nodes: nodes, PageEngine: engine,
-				DefaultEngine: multidsm.SW,
-				PolicyRoutes:  map[memsim.Policy]multidsm.Engine{memsim.Block: multidsm.Hybrid},
-			})
-		}
-	}
 	return []accessScriptConfig{
 		{"smp", func() (platform.Substrate, error) { return smp.New(smp.Config{CPUs: nodes}) }},
 		{"hybrid", hy(hybriddsm.Config{})},
@@ -120,8 +111,13 @@ func accessScriptConfigs() []accessScriptConfig {
 		{"swdsm-eager-rc", sw(swdsm.Config{Protocol: swdsm.EagerRC})},
 		{"swdsm-cache2", sw(swdsm.Config{CachePages: 2})},
 		{"ivy", func() (platform.Substrate, error) { return ivy.New(ivy.Config{Nodes: nodes}) }},
-		{"multi-scope", multi("scope")},
-		{"multi-ivy", multi("ivy")},
+		{"multi-scope", func() (platform.Substrate, error) {
+			return multidsm.New(multidsm.Config{
+				Nodes:         nodes,
+				DefaultEngine: multidsm.SW,
+				PolicyRoutes:  map[memsim.Policy]multidsm.Engine{memsim.Block: multidsm.Hybrid},
+			})
+		}},
 	}
 }
 

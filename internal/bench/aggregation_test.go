@@ -6,8 +6,6 @@ import (
 	"hamster"
 	"hamster/internal/apps"
 	"hamster/internal/hybriddsm"
-	"hamster/internal/memsim"
-	"hamster/internal/multidsm"
 	"hamster/internal/platform"
 	"hamster/internal/simnet"
 	"hamster/internal/smp"
@@ -60,13 +58,6 @@ func buildAggSub(t *testing.T, kind string, agg swdsm.Aggregation) platform.Subs
 		sub, err = hybriddsm.New(hybriddsm.Config{Nodes: equivNodes})
 	case "swdsm":
 		sub, err = swdsm.New(swdsm.Config{Nodes: equivNodes, Aggregation: agg})
-	case "multidsm":
-		sub, err = multidsm.New(multidsm.Config{
-			Nodes:         equivNodes,
-			PolicyRoutes:  map[memsim.Policy]multidsm.Engine{memsim.Cyclic: multidsm.Hybrid},
-			DefaultEngine: multidsm.SW,
-			Aggregation:   agg,
-		})
 	default:
 		t.Fatalf("unknown substrate kind %q", kind)
 	}
@@ -81,7 +72,7 @@ func buildAggSub(t *testing.T, kind string, agg swdsm.Aggregation) platform.Subs
 // Aggregation changes message economics, never results.
 func TestAggregationEquivalence(t *testing.T) {
 	on := swdsm.Aggregation{Batch: true, Prefetch: true}
-	for _, kind := range []string{"smp", "hybriddsm", "swdsm", "multidsm"} {
+	for _, kind := range []string{"smp", "hybriddsm", "swdsm"} {
 		kind := kind
 		t.Run(kind, func(t *testing.T) {
 			for _, c := range smallAggKernels() {

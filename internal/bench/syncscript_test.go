@@ -78,9 +78,8 @@ type syncScriptConfig struct {
 }
 
 // syncScriptConfigs lists every substrate and engine variant with its own
-// synchronization pricing. Above 8 nodes the Ethernet substrates and
-// multidsm's SAN tier are on a rack topology, except multi-scope, which
-// is flat at every size.
+// synchronization pricing. Above 8 nodes the Ethernet substrates are on a
+// rack topology; multidsm is flat at every size.
 func syncScriptConfigs() []syncScriptConfig {
 	topo := func(nodes int) simnet.Topology {
 		if nodes <= 8 {
@@ -94,19 +93,6 @@ func syncScriptConfigs() []syncScriptConfig {
 			return swdsm.New(swdsm.Config{Nodes: nodes, Topology: topo(nodes), Protocol: proto, Aggregation: agg})
 		}
 	}
-	multi := func(engine string) func(int) (platform.Substrate, error) {
-		return func(nodes int) (platform.Substrate, error) {
-			tp := topo(nodes)
-			if engine == "scope" {
-				tp = simnet.Topology{}
-			}
-			return multidsm.New(multidsm.Config{
-				Nodes: nodes, Topology: tp, PageEngine: engine,
-				DefaultEngine: multidsm.SW,
-				PolicyRoutes:  map[memsim.Policy]multidsm.Engine{memsim.Block: multidsm.Hybrid},
-			})
-		}
-	}
 	return []syncScriptConfig{
 		{"smp", func(nodes int) (platform.Substrate, error) { return smp.New(smp.Config{CPUs: nodes}) }},
 		{"hybrid", func(nodes int) (platform.Substrate, error) {
@@ -118,8 +104,13 @@ func syncScriptConfigs() []syncScriptConfig {
 		{"ivy", func(nodes int) (platform.Substrate, error) {
 			return ivy.New(ivy.Config{Nodes: nodes, Topology: topo(nodes)})
 		}},
-		{"multi-scope", multi("scope")},
-		{"multi-ivy", multi("ivy")},
+		{"multi-scope", func(nodes int) (platform.Substrate, error) {
+			return multidsm.New(multidsm.Config{
+				Nodes:         nodes,
+				DefaultEngine: multidsm.SW,
+				PolicyRoutes:  map[memsim.Policy]multidsm.Engine{memsim.Block: multidsm.Hybrid},
+			})
+		}},
 	}
 }
 

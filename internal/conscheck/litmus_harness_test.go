@@ -150,7 +150,7 @@ func messagePassing() litmus {
 			return fmt.Sprintf("flag=%d data=%d", r1, r2)
 		},
 		Forbidden: func(model consengine.Model, outcome string) bool {
-			return model.AtLeast(consengine.Processor) && outcome == "flag=1 data=0"
+			return model <= consengine.Processor && outcome == "flag=1 data=0"
 		},
 	}
 }
@@ -168,7 +168,7 @@ func storeBuffering() litmus {
 			return fmt.Sprintf("r%d=%d", node, r)
 		},
 		Forbidden: func(model consengine.Model, outcome string) bool {
-			return model.AtLeast(consengine.Sequential) && outcome == "r0=0 r1=0"
+			return model <= consengine.Sequential && outcome == "r0=0 r1=0"
 		},
 	}
 }
@@ -200,7 +200,7 @@ func iriw() litmus {
 			}
 		},
 		Forbidden: func(model consengine.Model, outcome string) bool {
-			return model.AtLeast(consengine.Sequential) &&
+			return model <= consengine.Sequential &&
 				outcome == "n2:x=1,y=0 n3:y=1,x=0"
 		},
 	}
@@ -268,7 +268,6 @@ func barrierPublication() litmus {
 // verdict is the result of running one litmus test on one engine.
 type verdict struct {
 	Test   string
-	Engine string
 	Model  consengine.Model
 	Trials int
 	// Observed maps each distinct outcome to its occurrence count.
@@ -286,7 +285,7 @@ func (v verdict) ok() bool { return len(v.Violations) == 0 && len(v.Races) == 0 
 // String renders the verdict.
 func (v verdict) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s on %s (%v, %d trials): ", v.Test, v.Engine, v.Model, v.Trials)
+	fmt.Fprintf(&b, "%s (%v, %d trials): ", v.Test, v.Model, v.Trials)
 	if v.ok() {
 		b.WriteString("conforms")
 	} else {
@@ -320,7 +319,6 @@ func runLitmus(l litmus, build func(nodes int) (consengine.Engine, error), trial
 			return v, fmt.Errorf("litmus %s: building engine: %w", l.Name, err)
 		}
 		if trial == 0 {
-			v.Engine = eng.EngineName()
 			v.Model = eng.DeclaredModel()
 		}
 		m, err := newLitmusMachine(eng)

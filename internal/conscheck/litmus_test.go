@@ -6,7 +6,6 @@ import (
 
 	"hamster/internal/consengine"
 	"hamster/internal/ivy"
-	"hamster/internal/multidsm"
 	"hamster/internal/platform"
 	"hamster/internal/smp"
 	"hamster/internal/swdsm"
@@ -38,14 +37,6 @@ func buildIVY(nodes int) (consengine.Engine, error) {
 	return d, nil
 }
 
-func buildMultiIVY(nodes int) (consengine.Engine, error) {
-	d, err := multidsm.New(multidsm.Config{Nodes: nodes, PageEngine: "ivy"})
-	if err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
 func buildSMP(nodes int) (consengine.Engine, error) {
 	s, err := smp.New(smp.Config{CPUs: nodes})
 	if err != nil {
@@ -57,8 +48,6 @@ func buildSMP(nodes int) (consengine.Engine, error) {
 // smpEngine presents the SMP as an engine declaring the processor
 // consistency of its capability string, so the battery can judge it.
 type smpEngine struct{ platform.Substrate }
-
-func (e smpEngine) EngineName() string { return e.Kind().String() }
 
 func (e smpEngine) DeclaredModel() consengine.Model { return consengine.Processor }
 
@@ -96,21 +85,6 @@ func TestLitmusEagerRC(t *testing.T) {
 // outcome (store buffering, IRIW disagreement) is forbidden for it.
 func TestLitmusIVY(t *testing.T) {
 	checkBattery(t, "ivy", buildIVY)
-}
-
-// TestLitmusIVYOnMultiDSM runs the battery on the multidsm substrate with
-// the IVY page engine serving every allocation: the composition inherits
-// (and must honor) the Sequential declaration.
-func TestLitmusIVYOnMultiDSM(t *testing.T) {
-	eng, err := buildMultiIVY(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.DeclaredModel() != consengine.Sequential {
-		t.Fatalf("multidsm+ivy declares %v", eng.DeclaredModel())
-	}
-	eng.Close()
-	checkBattery(t, "multi-ivy", buildMultiIVY)
 }
 
 func TestLitmusSMP(t *testing.T) {

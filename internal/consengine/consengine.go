@@ -10,19 +10,19 @@
 //
 // The package carries no protocol state of its own and is safe from any
 // goroutine; concurrency contracts live with the engines implementing
-// the interfaces.
+// the interface.
 package consengine
 
 import (
 	"fmt"
 	"strings"
 
-	"hamster/internal/memsim"
 	"hamster/internal/platform"
 )
 
-// Model names a memory consistency model, strongest first — the order is
-// part of the contract (see AtLeast).
+// Model names a memory consistency model. The values are ordered
+// strongest first, and the order is part of the contract: m <= o means an
+// engine declaring m correctly serves every program written against o.
 type Model int
 
 // Supported consistency models, strongest first.
@@ -64,39 +64,14 @@ func (m Model) String() string {
 	}
 }
 
-// AtLeast reports whether m's guarantees subsume o's: an engine declaring
-// m correctly serves every program written against o. Models are ordered
-// strongest first, so this is a simple comparison.
-func (m Model) AtLeast(o Model) bool { return m <= o }
-
 // Engine is one pluggable consistency engine: a complete substrate whose
-// coherence protocol is self-contained, plus its identity and model
-// declaration.
+// coherence protocol is self-contained, plus its model declaration.
 type Engine interface {
 	platform.Substrate
-	// EngineName returns the engine's canonical selector name (one of
-	// Names).
-	EngineName() string
 	// DeclaredModel is the strongest model the engine claims to
 	// implement for data-race-free programs — the claim the conscheck
 	// litmus harness verifies.
 	DeclaredModel() Model
-}
-
-// Composable is an Engine whose consistency actions can be driven by an
-// external synchronization layer — the hook multi-DSM composition (§6)
-// uses to unify two engines under one lock/barrier layer. Both methods
-// must be called from the node's own goroutine.
-type Composable interface {
-	Engine
-	// FlushInterval publishes the node's interval modifications and
-	// returns its write notices (empty for engines, like IVY, whose
-	// writes are globally visible immediately).
-	FlushInterval(node int) []memsim.PageID
-	// InvalidatePages applies foreign write notices: the node drops any
-	// stale local copies of the given pages. Pages the engine does not
-	// hold (or whose copies cannot be stale) are ignored.
-	InvalidatePages(node int, pages []memsim.PageID)
 }
 
 // Canonical engine selector names (Config.Engine, hamsterrun -engine).

@@ -15,10 +15,8 @@ func TestModelOrderAndNames(t *testing.T) {
 		if m.String() != names[i] {
 			t.Errorf("%d: String() = %q, want %q", i, m.String(), names[i])
 		}
-		for j, o := range order {
-			if want := i <= j; m.AtLeast(o) != want {
-				t.Errorf("%v.AtLeast(%v) = %v, want %v", m, o, !want, want)
-			}
+		if i > 0 && order[i-1] >= m {
+			t.Errorf("%v does not order after %v: models order strongest first", m, order[i-1])
 		}
 	}
 	if consengine.Model(99).String() != "model(99)" {

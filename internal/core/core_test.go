@@ -341,10 +341,11 @@ func TestConsFenceAndModels(t *testing.T) {
 	if m != Scope {
 		t.Fatalf("native model = %v", m)
 	}
-	if m.AtLeast(Sequential) {
+	// Models order strongest first.
+	if m <= Sequential {
 		t.Fatal("a scope engine must not claim sequential consistency")
 	}
-	if !m.AtLeast(Scope) || !m.AtLeast(Entry) {
+	if m > Scope || m > Entry {
 		t.Fatal("scope engine must support scope and weaker models")
 	}
 	e := rt.Env(0)

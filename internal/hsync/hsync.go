@@ -4,7 +4,7 @@
 // boundaries, the per-node counters and event records, and abort. The
 // paper makes synchronization and consistency orthogonal modules; here
 // that is literal — the Manager knows nothing about pages and drives a
-// consistency engine through the two consengine.Composable hooks
+// consistency engine through the two hooks of its Engine interface
 // (FlushInterval at a release point, InvalidatePages at an acquire
 // point), the arrangement internal/multidsm introduced for two engines
 // and every substrate now uses for its one. What differs between

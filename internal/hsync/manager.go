@@ -72,10 +72,9 @@ func AtomicWire(op, grant vclock.Duration) Wire {
 	return Wire{Msg: func(_, _, _ int) vclock.Duration { return op }, GrantNs: grant}
 }
 
-// Engine is the consistency side of a synchronization boundary — the two
-// consengine.Composable hooks. The Manager calls both on the node's own
-// goroutine, after the rendezvous cost is charged and before the
-// operation's event is recorded.
+// Engine is the consistency side of a synchronization boundary. The
+// Manager calls both hooks on the node's own goroutine, after the
+// rendezvous cost is charged and before the operation's event is recorded.
 type Engine interface {
 	// FlushInterval publishes the node's interval modifications and
 	// returns its write notices. The returned slice becomes the Manager's.

@@ -480,7 +480,7 @@ func (d *DSM) Fence(nodeID int) {
 	}
 }
 
-// FlushInterval implements consengine.Composable and hsync.Engine: drain
+// FlushInterval implements hsync.Engine: drain
 // this node's posted writes and return the interval's write notices. Call
 // from the node's own goroutine.
 func (d *DSM) FlushInterval(nodeID int) []memsim.PageID {
@@ -489,7 +489,7 @@ func (d *DSM) FlushInterval(nodeID int) []memsim.PageID {
 	return n.collectNotices()
 }
 
-// InvalidatePages implements consengine.Composable and hsync.Engine: drop
+// InvalidatePages implements hsync.Engine: drop
 // this node's cached copies of the given pages.
 func (d *DSM) InvalidatePages(nodeID int, pages []memsim.PageID) {
 	d.access(nodeID).invalidate(pages)

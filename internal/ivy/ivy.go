@@ -71,21 +71,14 @@ const (
 	kindInvalidate
 )
 
-// Config parameterizes an IVY cluster: the cluster-shape fields of
-// swdsm.Config (the engine always builds its own network, which core
-// adopts for coalesced user messaging), so multidsm composes either engine
-// the same way.
+// Config parameterizes an IVY cluster. The engine always owns its address
+// space and clocks, and builds its own network, which core adopts for
+// coalesced user messaging.
 type Config struct {
 	// Nodes is the cluster size.
 	Nodes int
 	// Params is the cost model; zero value means machine.Default().
 	Params machine.Params
-	// Space optionally supplies a shared global address space (multi-DSM
-	// composition, §6). When nil the DSM owns a private space.
-	Space *memsim.Space
-	// Clocks optionally supplies shared per-node clocks (multi-DSM
-	// composition). Length must equal Nodes.
-	Clocks []*vclock.Clock
 	// Topology places the nodes in a switch fabric (see simnet.Topology);
 	// the zero value is the flat legacy network. The DSM's synchronization
 	// cost arithmetic follows it too.
@@ -168,7 +161,7 @@ type node struct {
 
 // New builds an IVY cluster.
 func New(cfg Config) (*DSM, error) {
-	base, err := platform.NewBase("ivy", cfg.Nodes, cfg.Params, cfg.Space, cfg.Clocks)
+	base, err := platform.NewBase("ivy", cfg.Nodes, cfg.Params, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -603,9 +596,6 @@ func (d *DSM) Caps() platform.Caps {
 		Placement:        platform.Policies(),
 	}
 }
-
-// EngineName implements consengine.Engine.
-func (d *DSM) EngineName() string { return consengine.IVYName }
 
 // DeclaredModel implements consengine.Engine: synchronous write
 // invalidation makes every execution sequentially consistent.

@@ -21,9 +21,6 @@ func newDSM(t testing.TB, nodes int) *DSM {
 
 func TestDeclaration(t *testing.T) {
 	d := newDSM(t, 2)
-	if d.EngineName() != consengine.IVYName {
-		t.Fatalf("EngineName = %q", d.EngineName())
-	}
 	if d.DeclaredModel() != consengine.Sequential {
 		t.Fatalf("DeclaredModel = %v", d.DeclaredModel())
 	}
@@ -247,33 +244,6 @@ func TestBlockWordEquivalence(t *testing.T) {
 	if bNs != wNs {
 		t.Fatalf("virtual time: block %d vs word %d", bNs, wNs)
 	}
-}
-
-// TestComposableHooks: FlushInterval is always empty (writes perform
-// globally) and InvalidatePages drops exactly the read copies.
-func TestComposableHooks(t *testing.T) {
-	d := newDSM(t, 2)
-	r, err := d.Alloc(memsim.PageSize, "x", memsim.Fixed, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.WriteF64(0, r.Base, 5)
-	if got := d.ReadF64(1, r.Base); got != 5 {
-		t.Fatalf("read = %v", got)
-	}
-	if notes := d.FlushInterval(0); len(notes) != 0 {
-		t.Fatalf("FlushInterval = %v", notes)
-	}
-	p := memsim.PageOf(r.Base)
-	d.InvalidatePages(1, []memsim.PageID{p})
-	if d.NodeStats(1).Invalidations != 1 {
-		t.Fatal("read copy not dropped")
-	}
-	d.InvalidatePages(0, []memsim.PageID{p}) // owned: must be kept
-	if got := d.ReadF64(0, r.Base); got != 5 {
-		t.Fatalf("owner copy lost: %v", got)
-	}
-	var _ consengine.Composable = d
 }
 
 func TestTryAcquireAndFence(t *testing.T) {

@@ -28,18 +28,15 @@
 package multidsm
 
 import (
-	"fmt"
 	"sync"
 
 	"hamster/internal/consengine"
 	"hamster/internal/hsync"
 	"hamster/internal/hybriddsm"
-	"hamster/internal/ivy"
 	"hamster/internal/machine"
 	"hamster/internal/memsim"
 	"hamster/internal/perfmon"
 	"hamster/internal/platform"
-	"hamster/internal/simnet"
 	"hamster/internal/swdsm"
 )
 
@@ -76,22 +73,6 @@ type Config struct {
 	// HybridCacheThreshold configures the hybrid engine's read caching
 	// (negative disables it — the raw SCI-VM configuration).
 	HybridCacheThreshold int
-	// Aggregation configures the software engine's protocol aggregation
-	// layer (see swdsm.Aggregation); the zero value is off.
-	Aggregation swdsm.Aggregation
-	// PageEngine selects the page-based engine's consistency protocol by
-	// consengine name: "" or "scope" (the default), "eager-rc", or "ivy".
-	// IVY composes cleanly with the unified synchronization layer — its
-	// FlushInterval is empty because writes perform globally as they
-	// happen — but not with Aggregation (scope-protocol machinery).
-	PageEngine string
-	// Topology places the nodes in a switch fabric (see simnet.Topology);
-	// it shapes the page engine's Ethernet-side message costs and, once
-	// the unified sync layer goes hierarchical, aligns its reduction tree
-	// with the racks. The SAN carrying the sync tokens itself stays
-	// uniform (SyncMsgNs per hop): hierarchy buys queue decentralization
-	// there, not cheaper hops.
-	Topology simnet.Topology
 }
 
 // DSM is one composed cluster. Synchronization is the embedded manager
@@ -101,7 +82,7 @@ type Config struct {
 type DSM struct {
 	platform.Base // Alloc and Free are this type's own: they route
 	*hsync.Manager
-	sw  consengine.Composable // the page-based engine
+	sw  *swdsm.DSM // the page-based engine
 	hy  *hybriddsm.DSM
 	cfg Config
 
@@ -116,30 +97,7 @@ func New(cfg Config) (*DSM, error) {
 	if err != nil {
 		return nil, err
 	}
-	pageEngine, err := consengine.NormalizeName(cfg.PageEngine)
-	if err != nil {
-		return nil, fmt.Errorf("multidsm: %w", err)
-	}
-	var sw consengine.Composable
-	if pageEngine == consengine.IVYName {
-		if cfg.Aggregation.Enabled() {
-			return nil, fmt.Errorf("multidsm: the ivy page engine does not support protocol aggregation: batched diff flush and write-notice piggybacking are scope-protocol machinery")
-		}
-		sw, err = ivy.New(ivy.Config{
-			Nodes: cfg.Nodes, Params: base.Cost, Space: base.Mem, Clocks: base.Clocks,
-			Topology: cfg.Topology,
-		})
-	} else {
-		sc := swdsm.Config{
-			Nodes: cfg.Nodes, Params: base.Cost, Space: base.Mem, Clocks: base.Clocks,
-			Aggregation: cfg.Aggregation,
-			Topology:    cfg.Topology,
-		}
-		if pageEngine == consengine.EagerRCName {
-			sc.Protocol = swdsm.EagerRC
-		}
-		sw, err = swdsm.New(sc)
-	}
+	sw, err := swdsm.New(swdsm.Config{Nodes: cfg.Nodes, Params: base.Cost, Space: base.Mem, Clocks: base.Clocks})
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +112,7 @@ func New(cfg Config) (*DSM, error) {
 	wire := hsync.AtomicWire(base.Cost.SAN.SyncMsgNs, base.Cost.SAN.SyncMsgNs)
 	wire.Hier = true
 	d.Manager = hsync.NewManager(hsync.Config{
-		Name: "multidsm", Clocks: base.Clocks, Wire: wire, Topology: cfg.Topology,
+		Name: "multidsm", Clocks: base.Clocks, Wire: wire,
 		Engine: both{sw, hy},
 	})
 	return d, nil
@@ -174,32 +132,11 @@ func (d *DSM) Caps() platform.Caps {
 	}
 }
 
-// EngineName implements consengine.Engine.
-func (d *DSM) EngineName() string {
-	return "multi(" + d.sw.EngineName() + "+hybrid)"
-}
-
 // DeclaredModel implements consengine.Engine. The composition is only as
-// strong as the engines an allocation can reach: when every route leads
-// to the page engine, its model holds for the whole system; once any
-// policy routes to the hybrid engine, the weakest of the two mechanisms
-// governs (the hybrid path is Release under the unified sync layer).
-func (d *DSM) DeclaredModel() consengine.Model {
-	pm := d.sw.DeclaredModel()
-	allSW := d.cfg.DefaultEngine == SW
-	for _, e := range d.cfg.PolicyRoutes {
-		if e != SW {
-			allSW = false
-		}
-	}
-	if allSW {
-		return pm
-	}
-	if pm.AtLeast(consengine.Release) {
-		return consengine.Release
-	}
-	return pm
-}
+// strong as the weakest engine an allocation can reach: the hybrid path is
+// Release under the unified sync layer, and the page engine's Scope is
+// weaker, so Scope governs whatever the routes.
+func (d *DSM) DeclaredModel() consengine.Model { return d.sw.DeclaredModel() }
 
 // engineFor picks the engine serving a policy.
 func (d *DSM) engineFor(pol memsim.Policy) Engine {
@@ -323,7 +260,7 @@ func (d *DSM) WriteI64Block(node int, a memsim.Addr, src []int64) {
 // both drives the two engines as one at a synchronization boundary: one
 // unified lock or barrier performs BOTH engines' consistency actions.
 type both struct {
-	sw consengine.Composable
+	sw *swdsm.DSM
 	hy *hybriddsm.DSM
 }
 

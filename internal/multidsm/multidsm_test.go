@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hamster/internal/apps"
+	"hamster/internal/consengine"
 	"hamster/internal/memsim"
 	"hamster/internal/platform"
 )
@@ -46,6 +47,11 @@ func TestRoutingByPolicy(t *testing.T) {
 	}
 	if SW.String() != "sw" || Hybrid.String() != "hybrid" {
 		t.Fatal("engine names wrong")
+	}
+	// A hybrid route does not relax the composition below the page
+	// engine's Scope, which is already weaker than the hybrid path.
+	if got := d.DeclaredModel(); got != consengine.Scope {
+		t.Fatalf("declared %v, want scope", got)
 	}
 }
 

@@ -30,11 +30,8 @@ func TestPooledBufferAliasing(t *testing.T) {
 	d, err := swdsm.New(swdsm.Config{
 		Nodes:      4,
 		CachePages: 4, // < pages: every scan evicts, retiring buffers mid-use
-		Aggregation: swdsm.Aggregation{
-			Batch:          true,
-			Prefetch:       true,
-			PrefetchDegree: 4, // carved multi-page reply windows
-		},
+		// Prefetch carves multi-page reply windows.
+		Aggregation: swdsm.Aggregation{Batch: true, Prefetch: true},
 	})
 	if err != nil {
 		t.Fatal(err)

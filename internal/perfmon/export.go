@@ -95,7 +95,7 @@ func eventCategory(k EventKind) string {
 		return "network"
 	case EvLockAcquire, EvLockRelease, EvBarrier:
 		return "sync"
-	case EvService, EvServeOp:
+	case EvService:
 		return "service"
 	default:
 		return "other"

@@ -116,10 +116,6 @@ const (
 	// EvPrefetchWaste is a misprediction: a prefetched page dropped
 	// (evicted or invalidated) before any access used it. Arg1 = page.
 	EvPrefetchWaste
-	// EvServeOp spans one applied serve-workload op in the modeled
-	// queue: At = service start, Dur = modeled service time.
-	// Arg1 = shard, Arg2 = op kind (internal/serve).
-	EvServeOp
 
 	numEventKinds
 )
@@ -175,8 +171,6 @@ func (k EventKind) String() string {
 		return "prefetch"
 	case EvPrefetchWaste:
 		return "prefetch-waste"
-	case EvServeOp:
-		return "serve-op"
 	default:
 		return "unknown"
 	}

@@ -8,7 +8,6 @@ import (
 	"hamster/internal/apps"
 	"hamster/internal/loadgen"
 	"hamster/internal/memsim"
-	"hamster/internal/perfmon"
 	"hamster/internal/vclock"
 )
 
@@ -97,7 +96,7 @@ func newNodeState(cfg Config, m apps.Machine, zipf *loadgen.Zipf) *nodeState {
 	st.shardSvcNs = make([]uint64, l.shards)
 	st.sweep = make([]bool, l.shards)
 	st.acked = make([]uint64, n)
-	st.ringBuf = make([]int64, cfg.RingSlots*slotWords)
+	st.ringBuf = make([]int64, ringSlots*slotWords)
 	st.ioBuf = make([]int64, n+1)
 	return st
 }
@@ -108,11 +107,9 @@ func newNodeState(cfg Config, m apps.Machine, zipf *loadgen.Zipf) *nodeState {
 func (st *nodeState) allocRegions() {
 	l, m := st.l, st.m
 	l.kv = m.Alloc(uint64(l.shards)*memsim.PageSize, "serve.kv", memsim.Block)
-	if !st.cfg.Direct {
-		l.ring = m.Alloc(uint64(st.n*st.n)*l.ringBytes, "serve.ring", memsim.Block)
-		l.wcur = m.Alloc(uint64(st.n)*memsim.PageSize, "serve.wcur", memsim.Block)
-		l.acur = m.Alloc(uint64(st.n)*memsim.PageSize, "serve.acur", memsim.Block)
-	}
+	l.ring = m.Alloc(uint64(st.n*st.n)*ringBytes, "serve.ring", memsim.Block)
+	l.wcur = m.Alloc(uint64(st.n)*memsim.PageSize, "serve.wcur", memsim.Block)
+	l.acur = m.Alloc(uint64(st.n)*memsim.PageSize, "serve.acur", memsim.Block)
 	l.stat = m.Alloc(uint64(st.n)*memsim.PageSize, "serve.stat", memsim.Block)
 	if st.cfg.Workload == WorkloadSyncLog {
 		l.loser = m.Alloc(uint64(st.n)*memsim.PageSize, "serve.loser", memsim.Block)
@@ -141,21 +138,18 @@ func (st *nodeState) warmup() {
 	if !st.inited {
 		l, m := st.l, st.m
 		for s := 0; s < l.shards; s++ {
-			if l.shardHome(s, st.cfg) == st.id {
+			if l.shardHome(s) == st.id {
 				m.WriteI64(l.kv+memsim.Addr(s)*memsim.PageSize, 0)
 			}
 		}
-		if !st.cfg.Direct {
-			ringPages := int(l.ringBytes / memsim.PageSize)
-			for p := 0; p < st.n; p++ {
-				base := l.ring + memsim.Addr(uint64(st.id*st.n+p)*l.ringBytes)
-				for pg := 0; pg < ringPages; pg++ {
-					m.WriteI64(base+memsim.Addr(pg)*memsim.PageSize, 0)
-				}
+		for p := 0; p < st.n; p++ {
+			base := l.ring + memsim.Addr(uint64(st.id*st.n+p)*ringBytes)
+			for pg := 0; pg < ringBytes/memsim.PageSize; pg++ {
+				m.WriteI64(base+memsim.Addr(pg)*memsim.PageSize, 0)
 			}
-			m.WriteI64(l.wcurAddr(st.id), 0)
-			m.WriteI64(l.acurAddr(st.id), 0)
 		}
+		m.WriteI64(l.wcurAddr(st.id), 0)
+		m.WriteI64(l.acurAddr(st.id), 0)
 		m.WriteI64(l.statAddr(st.id), 0)
 		if st.cfg.Workload == WorkloadSyncLog {
 			m.WriteI64(l.loserAddr(st.id), 0)
@@ -249,7 +243,7 @@ func (st *nodeState) phaseRoute() bool {
 			shard, _ := l.shardOf(key)
 			o := op{key: key, kind: st.kindFor(kindDraw), arrival: t, session: st.sessBase + sess}
 			st.markSession(sess)
-			c := l.shardHome(shard, st.cfg)
+			c := l.shardHome(shard)
 			st.pendq[c] = append(st.pendq[c], o)
 			st.routed++
 			generated++
@@ -260,7 +254,7 @@ func (st *nodeState) phaseRoute() bool {
 	var pushed, pendLeft uint64
 	for c := 0; c < n; c++ {
 		q := st.pendq[c]
-		avail := st.cfg.RingSlots - int(st.written[c]-st.acked[c])
+		avail := ringSlots - int(st.written[c]-st.acked[c])
 		k := len(q)
 		if k > avail {
 			k = avail
@@ -288,10 +282,9 @@ func (st *nodeState) phaseRoute() bool {
 // writeRing publishes ops into ring (self → c) starting at cursor
 // start, wrapping at the ring size (at most two block writes).
 func (st *nodeState) writeRing(c, start int, ops []op) {
-	rs := st.cfg.RingSlots
 	for i := 0; i < len(ops); {
-		idx := (start + i) % rs
-		run := rs - idx
+		idx := (start + i) % ringSlots
+		run := ringSlots - idx
 		if run > len(ops)-i {
 			run = len(ops) - i
 		}
@@ -357,10 +350,9 @@ func ingestOrder(a, b qop) int {
 // readRing pops count ops from ring (p → self) starting at cursor
 // start (at most two block reads).
 func (st *nodeState) readRing(p, start, count int) {
-	rs := st.cfg.RingSlots
 	for i := 0; i < count; {
-		idx := (start + i) % rs
-		run := rs - idx
+		idx := (start + i) % ringSlots
+		run := ringSlots - idx
 		if run > count-i {
 			run = count - i
 		}
@@ -405,10 +397,6 @@ func (st *nodeState) phaseApply() {
 			st.shardOps[shard]++
 			st.shardSvcNs[shard] += svc
 			st.sweep[shard] = true
-			if r := st.cfg.Recorder; r != nil && r.Enabled() {
-				r.Record(st.id, perfmon.EvServeOp, vclock.Time(start), vclock.Duration(svc),
-					uint64(shard), uint64(q.kind))
-			}
 		}
 	}
 	st.round++
@@ -435,38 +423,6 @@ func serviceNs(kind int64) uint64 {
 	}
 }
 
-// runDirect executes direct mode: per-op shard locks, no routing. The
-// whole op loop is one checkpoint phase — there are no interior
-// barriers, so a crash resumes from the pre-loop snapshot and re-runs
-// it in full.
-func (st *nodeState) runDirect() NodeResult {
-	if st.round < 1 {
-		for i := 0; i < st.cfg.DirectOps; i++ {
-			kindDraw := st.dec.Next() % 100
-			rank := st.zipf.Sample(&st.dec)
-			sess := st.dec.Next() % st.perNodeSessions
-			_ = kindDraw // direct mode is all locked increments
-			key := st.l.keyFor(rank)
-			shard, _ := st.l.shardOf(key)
-			st.markSession(sess)
-			t0 := st.m.Now()
-			st.m.Lock(shard)
-			st.lockWaitNs += uint64(vclock.Since(t0, st.m.Now()))
-			digest, _ := st.apply(&qop{op: op{key: key, kind: opPut, session: st.sessBase + sess}})
-			st.m.Compute(applyFlops)
-			st.m.Unlock(shard)
-			st.opDigest += digest
-			st.shardOps[shard]++
-			st.routed++
-			st.applied++
-		}
-		st.round = 1
-		st.commit()
-	}
-	st.m.Barrier()
-	return st.finish()
-}
-
 // finish folds the shard pages into the global checksum through the
 // stat pages: every node folds what it homes, publishes, and reads all
 // folds back, so each node independently computes the identical global
@@ -476,7 +432,7 @@ func (st *nodeState) finish() NodeResult {
 	var fold uint64
 	page := make([]int64, memsim.PageSize/8)
 	for s := 0; s < l.shards; s++ {
-		if l.shardHome(s, st.cfg) != st.id {
+		if l.shardHome(s) != st.id {
 			continue
 		}
 		m.ReadI64Block(l.kv+memsim.Addr(s)*memsim.PageSize, page)
@@ -568,12 +524,7 @@ func runNode(cfg Config, m apps.Machine, zipf *loadgen.Zipf, out []NodeResult) a
 	st.allocRegions()
 	st.register()
 	st.warmup()
-	var nr NodeResult
-	if cfg.Direct {
-		nr = st.runDirect()
-	} else {
-		nr = st.runFabric()
-	}
+	nr := st.runFabric()
 	out[m.ID()] = nr
 	return apps.Result{
 		Check: float64(nr.Checksum % (1 << 52)),

@@ -54,7 +54,7 @@ func renderNodeSection(cfg Config, l *layout, nr *NodeResult) string {
 			avg = nr.ShardSvcNs[h.shard] / h.ops
 		}
 		fmt.Fprintf(&b, "    hot shard %2d (page %d, home %d): %d ops, %d ns/op\n",
-			h.shard, memsim.PageOf(l.kv)+memsim.PageID(h.shard), l.shardHome(h.shard, cfg), h.ops, avg)
+			h.shard, memsim.PageOf(l.kv)+memsim.PageID(h.shard), l.shardHome(h.shard), h.ops, avg)
 	}
 	return b.String()
 }

@@ -46,8 +46,8 @@ type Report struct {
 }
 
 // buildReport aggregates and cross-checks per-node results: every node
-// must have computed the identical global checksum and totals, and in
-// routed mode every routed op must have been applied.
+// must have computed the identical global checksum and totals, and every
+// routed op must have been applied.
 func buildReport(cfg Config, rows []NodeResult) (*Report, error) {
 	r := &Report{Cfg: cfg, Nodes: len(rows), PerNode: rows}
 	var hist loadgen.Hist
@@ -70,7 +70,7 @@ func buildReport(cfg Config, rows []NodeResult) (*Report, error) {
 	r.Applied = rows[0].TotalApplied
 	r.Stalled = rows[0].TotalStalled
 	r.Sessions = rows[0].TotalSessions
-	if !cfg.Direct && r.Applied != r.Routed {
+	if r.Applied != r.Routed {
 		return nil, fmt.Errorf("serve: %d ops routed but %d applied — fabric lost or duplicated work",
 			r.Routed, r.Applied)
 	}
@@ -78,16 +78,11 @@ func buildReport(cfg Config, rows []NodeResult) (*Report, error) {
 	r.P50Ns = hist.Quantile(0.50)
 	r.P95Ns = hist.Quantile(0.95)
 	r.P99Ns = hist.Quantile(0.99)
-	if !cfg.Direct {
-		r.HorizonNs = uint64(cfg.Windows) * cfg.WindowNs
-		r.OfferedPerSec = float64(cfg.producers(len(rows))) / cfg.MeanGapNs * 1e9
-		denom := r.HorizonNs
-		if r.MaxBusyNs > denom {
-			denom = r.MaxBusyNs
-		}
-		if denom > 0 {
-			r.AchievedPerSec = float64(r.Applied) / float64(denom) * 1e9
-		}
+	r.HorizonNs = uint64(cfg.Windows) * cfg.WindowNs
+	r.OfferedPerSec = float64(cfg.producers(len(rows))) / cfg.MeanGapNs * 1e9
+	denom := max(r.HorizonNs, r.MaxBusyNs)
+	if denom > 0 {
+		r.AchievedPerSec = float64(r.Applied) / float64(denom) * 1e9
 	}
 	return r, nil
 }

@@ -61,7 +61,6 @@ import (
 
 	"hamster/internal/apps"
 	"hamster/internal/memsim"
-	"hamster/internal/perfmon"
 )
 
 // Workload names.
@@ -89,6 +88,13 @@ const (
 	// slotsPerShard is how many key slots one shard page holds.
 	slotsPerShard = memsim.PageSize / (8 * slotWords)
 	ringSlotBytes = 8 * slotWords
+	// ringSlots bounds each producer→consumer ring: two whole pages.
+	ringSlots = 256
+	ringBytes = ringSlots * ringSlotBytes
+	// maxShardsPerNode caps the shards a node homes; fewer when the
+	// cluster is large, so every shard keeps a private latch in the lock
+	// table.
+	maxShardsPerNode = 8
 
 	// routeFlops/applyFlops model the CPU cost of parsing a request and
 	// executing it against the store.
@@ -134,42 +140,14 @@ type Config struct {
 	ZipfSkew float64
 	// Seed feeds every generator stream.
 	Seed uint64
-	// ShardsPerNode sets the shard count (total = per-node × nodes).
-	// 0 = auto: min(8, LockTableSize/nodes), so every shard has a
-	// private latch in the lock table.
-	ShardsPerNode int
-	// RingSlots bounds each producer→consumer ring (multiple of 128 so
-	// rings are whole pages). 0 = 256.
-	RingSlots int
-	// Direct switches to direct mode: no routing fabric — every node
-	// applies locked increments straight to the shards under per-shard
-	// locks. Real lock contention, order-independent checksums, no
-	// latency model; this is the conformance and lock-stress mode.
-	Direct bool
-	// DirectOps is the per-node op count in direct mode.
-	DirectOps int
-	// Recorder, when non-nil and enabled, receives one EvServeOp span
-	// per applied op (modeled start/duration, shard, kind).
-	Recorder *perfmon.Recorder
 }
 
-// WithDefaults returns the config with unset sizing fields filled for a
-// cluster of n nodes.
+// WithDefaults returns the config with unset fields filled for a cluster
+// of n nodes. No default depends on n; the shard count, which does, is
+// shardsPerNode's.
 func (c Config) WithDefaults(n int) Config {
 	if c.Workload == "" {
 		c.Workload = WorkloadKV
-	}
-	if c.ShardsPerNode == 0 {
-		c.ShardsPerNode = apps.LockTableSize / n
-		if c.ShardsPerNode > 8 {
-			c.ShardsPerNode = 8
-		}
-		if c.ShardsPerNode < 1 {
-			c.ShardsPerNode = 1
-		}
-	}
-	if c.RingSlots == 0 {
-		c.RingSlots = 256
 	}
 	if c.Windows == 0 {
 		c.Windows = 24
@@ -182,9 +160,6 @@ func (c Config) WithDefaults(n int) Config {
 	}
 	if c.Sessions == 0 {
 		c.Sessions = 100_000
-	}
-	if c.DirectOps == 0 {
-		c.DirectOps = 2000
 	}
 	return c
 }
@@ -204,24 +179,12 @@ func (c Config) Validate(n int) error {
 	if n < 2 {
 		return fmt.Errorf("serve: need at least 2 nodes, have %d", n)
 	}
-	if c.ShardsPerNode < 1 {
-		return fmt.Errorf("serve: ShardsPerNode must be >= 1, have %d", c.ShardsPerNode)
-	}
-	if c.ShardsPerNode*n > apps.LockTableSize {
-		return fmt.Errorf("serve: %d shards (%d/node × %d nodes) exceed the %d-entry lock table — every shard needs a private latch",
-			c.ShardsPerNode*n, c.ShardsPerNode, n, apps.LockTableSize)
+	if n > apps.LockTableSize {
+		return fmt.Errorf("serve: %d nodes need at least %d shards, more than the %d-entry lock table holds — every shard needs a private latch",
+			n, n, apps.LockTableSize)
 	}
 	if !(c.ZipfSkew >= 0) || math.IsInf(c.ZipfSkew, 1) {
 		return fmt.Errorf("serve: ZipfSkew must be finite and >= 0, have %v", c.ZipfSkew)
-	}
-	if c.Direct {
-		if c.DirectOps < 1 {
-			return fmt.Errorf("serve: DirectOps must be >= 1 in direct mode, have %d", c.DirectOps)
-		}
-		return nil
-	}
-	if c.RingSlots < 128 || c.RingSlots%128 != 0 {
-		return fmt.Errorf("serve: RingSlots must be a positive multiple of 128 (whole ring pages), have %d", c.RingSlots)
 	}
 	if c.Windows < 1 {
 		return fmt.Errorf("serve: Windows must be >= 1, have %d", c.Windows)
@@ -241,6 +204,12 @@ func (c Config) Validate(n int) error {
 	return nil
 }
 
+// shardsPerNode is how many shards each of n nodes homes: as many as fit
+// the lock table, between 1 and maxShardsPerNode.
+func shardsPerNode(n int) int {
+	return max(1, min(maxShardsPerNode, apps.LockTableSize/n))
+}
+
 // producers returns how many nodes generate traffic: all of them,
 // except in the pipeline workload where the first half produce and the
 // rest consume.
@@ -256,8 +225,8 @@ func (c Config) producers(n int) int {
 // the home assignment is the closed form the fabric relies on:
 //
 //	kv     shards pages, one shard per page; shard s homed at
-//	       s/ShardsPerNode — the consumer that applies its ops.
-//	ring   N×N rings of RingSlots×4 words, consumer-major, so the
+//	       s/shardsPerNode — the consumer that applies its ops.
+//	ring   N×N rings of ringSlots×4 words, consumer-major, so the
 //	       pages of ring (p→c) are homed at consumer c.
 //	wcur   one page per producer: words[0..N-1] cumulative ops written
 //	       per consumer, word[N] the backpressure carryover count.
@@ -267,12 +236,11 @@ func (c Config) producers(n int) int {
 //	loser  (synclog) one page per node: a bounded ring of displaced
 //	       losing versions.
 type layout struct {
-	nodes     int
-	prods     int
-	shards    int
-	keys      int
-	ringSlots int
-	ringBytes uint64
+	nodes   int
+	prods   int
+	perNode int // shards per node
+	shards  int
+	keys    int
 
 	kv    memsim.Addr
 	ring  memsim.Addr
@@ -292,14 +260,13 @@ type layout struct {
 
 func buildLayout(c Config, n int) *layout {
 	l := &layout{
-		nodes:     n,
-		prods:     c.producers(n),
-		shards:    c.ShardsPerNode * n,
-		ringSlots: c.RingSlots,
-		ringBytes: uint64(c.RingSlots * ringSlotBytes),
+		nodes:   n,
+		prods:   c.producers(n),
+		perNode: shardsPerNode(n),
 	}
+	l.shards = l.perNode * n
 	for s := 0; s < l.shards; s++ {
-		if c.Workload != WorkloadPipeline || l.shardHome(s, c) >= l.prods {
+		if c.Workload != WorkloadPipeline || l.shardHome(s) >= l.prods {
 			l.routable = append(l.routable, s)
 		}
 	}
@@ -319,7 +286,7 @@ func gcd(a, b uint64) uint64 {
 }
 
 // shardHome is the node that homes (and applies) shard s.
-func (l *layout) shardHome(s int, c Config) int { return s / c.ShardsPerNode }
+func (l *layout) shardHome(s int) int { return s / l.perNode }
 
 // keyFor scatters a popularity rank into the key space.
 func (l *layout) keyFor(rank int) uint64 {
@@ -338,7 +305,7 @@ func (l *layout) slotAddr(shard, slot int) memsim.Addr {
 }
 
 func (l *layout) ringSlot(p, c, idx int) memsim.Addr {
-	return l.ring + memsim.Addr((uint64(c*l.nodes+p)*uint64(l.ringSlots)+uint64(idx))*ringSlotBytes)
+	return l.ring + memsim.Addr((uint64(c*l.nodes+p)*ringSlots+uint64(idx))*ringSlotBytes)
 }
 
 func (l *layout) wcurAddr(p int) memsim.Addr  { return l.wcur + memsim.Addr(p)*memsim.PageSize }

@@ -18,7 +18,7 @@ package swdsm
 //     separate notice message of the baseline protocol disappears.
 //  3. Adaptive sequential prefetch: a per-node stride tracker watches the
 //     miss stream, and once it turns sequential fetches a run of up to
-//     PrefetchDegree same-home pages in one kindFetchPages call.
+//     maxPrefetchDegree same-home pages in one kindFetchPages call.
 //     Mispredictions (prefetched pages evicted or invalidated unused)
 //     halve the degree and impose a cooldown, so an irregular phase cannot
 //     keep paying for wasted transfers.
@@ -54,9 +54,8 @@ const (
 	kindFetchPages amsg.Kind = 5
 )
 
-// defaultPrefetchDegree caps a prefetch run when the configuration leaves
-// Aggregation.PrefetchDegree zero.
-const defaultPrefetchDegree = 8
+// maxPrefetchDegree caps a prefetch run.
+const maxPrefetchDegree = 8
 
 // Prefetch policy constants: a miss stream must look sequential for
 // prefetchMinStreak consecutive faults before the first speculative fetch,
@@ -76,9 +75,6 @@ type Aggregation struct {
 	Batch bool
 	// Prefetch enables adaptive sequential page prefetch.
 	Prefetch bool
-	// PrefetchDegree caps the pages fetched per speculative run
-	// (0 = defaultPrefetchDegree).
-	PrefetchDegree int
 }
 
 // Enabled reports whether any aggregation mechanism is on.
@@ -89,10 +85,9 @@ func (a Aggregation) Enabled() bool { return a.Batch || a.Prefetch }
 type prefetcher struct {
 	last   memsim.PageID // page of the most recent demand fault
 	streak int           // consecutive +1-stride faults observed
-	degree int           // current run cap (adaptive, 1..maxDegree)
+	degree int           // current run cap (adaptive, 1..maxPrefetchDegree)
 	hitRun int           // prefetched pages consumed since the last waste
 	cool   int           // faults to sit out after collapsing to degree 1
-	max    int           // configured degree ceiling
 
 	// pending tracks installed-but-unreferenced prefetched pages: a first
 	// access moves one to the hit column, an eviction or invalidation
@@ -100,19 +95,8 @@ type prefetcher struct {
 	pending map[memsim.PageID]struct{}
 }
 
-func newPrefetcher(degree int) *prefetcher {
-	if degree <= 0 {
-		degree = defaultPrefetchDegree
-	}
-	start := 2
-	if start > degree {
-		start = degree
-	}
-	return &prefetcher{
-		degree:  start,
-		max:     degree,
-		pending: make(map[memsim.PageID]struct{}),
-	}
+func newPrefetcher() *prefetcher {
+	return &prefetcher{degree: 2, pending: make(map[memsim.PageID]struct{})}
 }
 
 // registerAggHandlers installs the home-side handlers of the batched
@@ -332,11 +316,8 @@ func (n *node) notePrefetchHit(p memsim.PageID) {
 	delete(pf.pending, p)
 	n.stats.PrefetchHits++
 	pf.hitRun++
-	if pf.hitRun >= 2*pf.degree && pf.degree < pf.max {
-		pf.degree *= 2
-		if pf.degree > pf.max {
-			pf.degree = pf.max
-		}
+	if pf.hitRun >= 2*pf.degree && pf.degree < maxPrefetchDegree {
+		pf.degree = min(2*pf.degree, maxPrefetchDegree)
 		pf.hitRun = 0
 	}
 }
@@ -371,6 +352,5 @@ func (n *node) resetPrefetch() {
 	if n.pf == nil {
 		return
 	}
-	deg := n.pf.max
-	n.pf = newPrefetcher(deg)
+	n.pf = newPrefetcher()
 }

@@ -259,7 +259,7 @@ func New(cfg Config) (*DSM, error) {
 			homeDirty: make(map[memsim.PageID]struct{}),
 		}
 		if cfg.Aggregation.Prefetch {
-			n.pf = newPrefetcher(cfg.Aggregation.PrefetchDegree)
+			n.pf = newPrefetcher()
 		}
 		d.nodes[i] = n
 		d.registerHandlers(n)
@@ -325,9 +325,6 @@ func (d *DSM) Kind() platform.Kind { return platform.SWDSM }
 // Layer exposes the active-message layer: core adopts it for coalesced
 // user messaging, and the fault campaigns install plans on its network.
 func (d *DSM) Layer() *amsg.Layer { return d.layer }
-
-// EngineName implements consengine.Engine: the protocol variant's name.
-func (d *DSM) EngineName() string { return d.protocol.String() }
 
 // DeclaredModel implements consengine.Engine: the model this protocol
 // claims for data-race-free programs — Scope for the default protocol,

@@ -207,7 +207,7 @@ func (d *DSM) Fence(nodeID int) {
 	}
 }
 
-// FlushInterval implements consengine.Composable and hsync.Engine: flush
+// FlushInterval implements hsync.Engine: flush
 // this node's interval modifications home and return the write notices —
 // what a synchronization manager (this cluster's own, or a multi-DSM
 // composition's, §6) calls at a release point. Call from the node's own
@@ -216,7 +216,7 @@ func (d *DSM) FlushInterval(nodeID int) []memsim.PageID {
 	return d.access(nodeID).flushAll()
 }
 
-// InvalidatePages implements consengine.Composable and hsync.Engine: drop
+// InvalidatePages implements hsync.Engine: drop
 // this node's cached copies of the given pages (flushing dirty ones
 // first) — the acquire-side hook. Pages this engine does not cache are
 // ignored.

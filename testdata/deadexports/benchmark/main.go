@@ -7,4 +7,4 @@ import (
 	"fixture/internal/lib"
 )
 
-func main() { fmt.Println(lib.BenchOnly()) }
+func main() { fmt.Println(lib.BenchOnly(), lib.Knobs(lib.Config{BenchKnob: 1})) }

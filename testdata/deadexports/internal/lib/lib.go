@@ -34,3 +34,15 @@ func (p Point) Size() int { return p.X }
 
 // String is reached only through fmt.Stringer: passes.
 func (p Point) String() string { return fmt.Sprint("point ", p.X) }
+
+// Config is the gate's configuration-struct case: its fields are held to
+// being written outside lib.
+type Config struct {
+	// TestKnob is set only by lib's tests: convicted.
+	TestKnob int
+	// BenchKnob is set only by the benchmark/ module: passes.
+	BenchKnob int
+}
+
+// Knobs sums a configuration.
+func Knobs(c Config) int { return c.TestKnob + c.BenchKnob }

@@ -11,3 +11,11 @@ func TestTestOnly(t *testing.T) {
 		t.Fatal("TestOnly")
 	}
 }
+
+func TestKnobs(t *testing.T) {
+	var c lib.Config
+	c.TestKnob = 2
+	if lib.Knobs(c) != 2 {
+		t.Fatal("Knobs")
+	}
+}
