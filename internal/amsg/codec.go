@@ -65,7 +65,8 @@ func (e *Enc) U64s(vs []uint64) *Enc {
 	return e
 }
 
-// Dec is the matching sequential decoder. Decoding past the end panics:
+// Dec is the matching sequential decoder. Decoding past the end panics
+// with a bounds error, before anything is allocated for what is not there:
 // protocol payloads are internal, so a short buffer is a programming error.
 type Dec struct {
 	buf []byte
@@ -92,18 +93,25 @@ func (d *Dec) U64() uint64 {
 
 // Blob reads a length-prefixed byte slice (aliasing the underlying buffer).
 func (d *Dec) Blob() []byte {
-	n := int(d.U32())
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
+	return d.next(int(d.U32()))
 }
 
 // U64s reads a count-prefixed list of 64-bit values (see Enc.U64s).
 func (d *Dec) U64s() []uint64 {
 	n := int(d.U32())
+	words := d.next(8 * n) // a count the payload cannot hold panics here, unallocated
 	out := make([]uint64, n)
 	for i := range out {
-		out[i] = d.U64()
+		out[i] = binary.LittleEndian.Uint64(words[8*i:])
 	}
 	return out
+}
+
+// next consumes the following n bytes. The three-index slice bounds the
+// read by the payload's length, not the capacity behind it (a pooled
+// encoder's buffer has more).
+func (d *Dec) next(n int) []byte {
+	b := d.buf[d.off : d.off+n : len(d.buf)]
+	d.off += n
+	return b
 }
