@@ -13,7 +13,7 @@
 //	node      = <name> [<address>]
 //
 // Repeating "node" lines enumerate the cluster; on SMP platforms each node
-// line stands for one CPU. The file describes what a startup file
+// line stands for one CPU. Every other key appears at most once. The file describes what a startup file
 // describes — which machines, which base architecture, which messaging
 // stack, which task model — and parses into a core.Config
 // (RuntimeConfig), the one cluster description; what an experiment varies
@@ -59,6 +59,7 @@ func Parse(r io.Reader) (FileConfig, error) {
 	cfg := defaultFileConfig()
 	sc := bufio.NewScanner(r)
 	lineNo := 0
+	first := map[string]int{} // key -> the line that set it
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -73,6 +74,12 @@ func Parse(r io.Reader) (FileConfig, error) {
 		set, ok := keys[key]
 		if !ok {
 			return cfg, fmt.Errorf("cluster: line %d: unknown key %q", lineNo, key)
+		}
+		if prev := first[key]; prev != 0 {
+			return cfg, fmt.Errorf("cluster: line %d: %s is already set on line %d", lineNo, key, prev)
+		}
+		if key != "node" {
+			first[key] = lineNo
 		}
 		if err := set(&cfg, strings.TrimSpace(value)); err != nil {
 			return cfg, fmt.Errorf("cluster: line %d: %w", lineNo, err)
@@ -120,6 +127,9 @@ var keys = map[string]func(c *FileConfig, value string) error{
 		fields := strings.Fields(value)
 		if len(fields) == 0 {
 			return fmt.Errorf("empty node line")
+		}
+		if len(fields) > 2 {
+			return fmt.Errorf("node line has %d fields, want <name> [<address>]", len(fields))
 		}
 		spec := NodeSpec{Name: fields[0]}
 		if len(fields) > 1 {

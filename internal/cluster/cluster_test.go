@@ -54,19 +54,25 @@ func TestParsePlatformAliases(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	cases := []string{
-		"platform = vax\nnode = a\n",
-		"messaging = smoke\nnode = a\n",
-		"nonsense line\n",
-		"unknownkey = 1\nnode = a\n",
-		"cache_pages = 2048\nnode = a\n", // a key the format no longer has
-		"threaded = maybe\nnode = a\n",
-		"node = \n",
-		"platform = smp\n", // no nodes
+	cases := []struct{ in, want string }{
+		{"platform = vax\nnode = a\n", "line 1"},
+		{"messaging = smoke\nnode = a\n", "line 1"},
+		{"nonsense line\n", "line 1"},
+		{"unknownkey = 1\nnode = a\n", "line 1"},
+		{"cache_pages = 2048\nnode = a\n", "line 1"}, // a key the format no longer has
+		{"threaded = maybe\nnode = a\n", "line 1"},
+		{"node = \n", "line 1"},
+		{"platform = smp\n", "no node lines"},
+		{"node = a 10.0.0.1 typo\n", "line 1: node line has 3 fields"},
+		{"node = a\nnode = b 10.0.0.2 # rack 2\n", "line 2: node line has 5 fields"},
+		{"platform = smp\nnode = a\nplatform = hybrid-dsm\n", "line 3: platform is already set on line 1"},
+		{"messaging = separate\n# comment\nmessaging = separate\nnode = a\n", "line 3: messaging is already set on line 1"},
+		{"threaded = true\nnode = a\nthreaded = false\n", "line 3: threaded is already set on line 1"},
 	}
 	for _, c := range cases {
-		if _, err := Parse(strings.NewReader(c)); err == nil {
-			t.Fatalf("expected error for %q", c)
+		_, err := Parse(strings.NewReader(c.in))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%q: error %v, want mention of %q", c.in, err, c.want)
 		}
 	}
 }
