@@ -105,7 +105,7 @@ const (
 	pipeHopNs = 2000
 )
 
-// Op kinds, carried in ring slots and perfmon spans.
+// Op kinds, carried in ring slots.
 const (
 	opGet = iota
 	opPut
@@ -180,8 +180,8 @@ func (c Config) Validate(n int) error {
 		return fmt.Errorf("serve: need at least 2 nodes, have %d", n)
 	}
 	if n > apps.LockTableSize {
-		return fmt.Errorf("serve: %d nodes need at least %d shards, more than the %d-entry lock table holds — every shard needs a private latch",
-			n, n, apps.LockTableSize)
+		return fmt.Errorf("serve: %d nodes exceed the %d-entry lock table — every node homes a shard, and every shard needs a private latch",
+			n, apps.LockTableSize)
 	}
 	if !(c.ZipfSkew >= 0) || math.IsInf(c.ZipfSkew, 1) {
 		return fmt.Errorf("serve: ZipfSkew must be finite and >= 0, have %v", c.ZipfSkew)
