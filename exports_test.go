@@ -164,10 +164,6 @@ func checkExports(root string, allow map[string]string) (exportReport, error) {
 							write(sel.Sel)
 						}
 					}
-				case *ast.IncDecStmt:
-					if sel, ok := n.X.(*ast.SelectorExpr); ok {
-						write(sel.Sel)
-					}
 				}
 				return true
 			})
