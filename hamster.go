@@ -73,7 +73,8 @@ type (
 	CondVar = core.CondVar
 	// Semaphore is a cluster-wide counting semaphore.
 	Semaphore = core.Semaphore
-	// Task is a joinable forwarded task.
+	// Task is a thread of a runtime: the initial thread, or a joinable
+	// forwarded task.
 	Task = core.Task
 	// Module identifies a management module for monitoring.
 	Module = core.Module

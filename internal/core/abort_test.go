@@ -12,12 +12,13 @@ import (
 	"hamster/internal/platform"
 )
 
-// TestNodePanicUnblocksPeers: a node that panics must not leave its peers
-// blocked forever in a barrier it will never reach or on a lock it will
-// never release — Run has to come back with the original panic. Every
-// substrate gets this from the synchronization manager it embeds; before
-// that, only the two software-DSM engines implemented AbortSync and the
-// others hung here.
+// TestNodePanicUnblocksPeers: a node or task that panics must not leave
+// its peers blocked forever in a barrier it will never reach or on a lock
+// it will never release — Run, Join and Main have to come back with the
+// original panic. Every substrate gets this from the synchronization
+// manager it embeds; before that, only the two software-DSM engines
+// implemented AbortSync and the others hung here. Tasks once had no
+// recover at all: a panicking task killed the process.
 func TestNodePanicUnblocksPeers(t *testing.T) {
 	viaConfig := func(cfg Config) func(t *testing.T) *Runtime {
 		return func(t *testing.T) *Runtime {
@@ -46,19 +47,25 @@ func TestNodePanicUnblocksPeers(t *testing.T) {
 		}},
 	}
 	// Each survivor blocks in one synchronization call; held and waiting
-	// order the two nodes on the host so the survivor is at (or about to
+	// order the two sides on the host so the survivor is at (or about to
 	// enter) that call when its peer dies.
+	inRun := func(body func(e *Env, lock int, held, waiting chan struct{})) func(*Runtime, int) {
+		return func(rt *Runtime, lock int) {
+			held, waiting := make(chan struct{}), make(chan struct{})
+			rt.Run(func(e *Env) { body(e, lock, held, waiting) })
+		}
+	}
 	survivors := []struct {
 		name string
-		run  func(e *Env, lock int, held, waiting chan struct{})
+		run  func(rt *Runtime, lock int)
 	}{
-		{"barrier", func(e *Env, _ int, held, waiting chan struct{}) {
+		{"barrier", inRun(func(e *Env, _ int, held, waiting chan struct{}) {
 			if e.ID() == 1 {
 				panic("boom")
 			}
 			e.Sync.Barrier()
-		}},
-		{"lock", func(e *Env, lock int, held, waiting chan struct{}) {
+		})},
+		{"lock", inRun(func(e *Env, lock int, held, waiting chan struct{}) {
 			if e.ID() == 1 {
 				e.Sync.Lock(lock)
 				close(held)
@@ -68,6 +75,61 @@ func TestNodePanicUnblocksPeers(t *testing.T) {
 			<-held
 			close(waiting)
 			e.Sync.Lock(lock)
+		})},
+		// A task's panic reaches its joiner.
+		{"task-join", func(rt *Runtime, _ int) {
+			rt.Main(func(e *Env, _ *Task) {
+				task, _ := e.Task.SpawnOn(1, func(*Env, *Task) int64 { panic("boom") })
+				e.Task.Join(task)
+			})
+		}},
+		// A task's panic releases the initial thread from a barrier the
+		// task will never reach.
+		{"task-barrier", func(rt *Runtime, _ int) {
+			rt.Main(func(e *Env, _ *Task) {
+				e.Task.SpawnOn(1, func(*Env, *Task) int64 { panic("boom") })
+				e.Sync.Barrier()
+			})
+		}},
+		// ... and from a lock the task holds.
+		{"task-lock", func(rt *Runtime, lock int) {
+			rt.Main(func(e *Env, _ *Task) {
+				held, waiting := make(chan struct{}), make(chan struct{})
+				e.Task.SpawnOn(1, func(e *Env, _ *Task) int64 {
+					e.Sync.Lock(lock)
+					close(held)
+					<-waiting
+					panic("boom")
+				})
+				<-held
+				close(waiting)
+				e.Sync.Lock(lock)
+			})
+		}},
+		// The initial thread's panic reaches Main's caller and releases
+		// a task waiting on a lock it holds: joining the task afterwards
+		// re-raises the abort instead of hanging.
+		{"main-lock", func(rt *Runtime, lock int) {
+			var task *Task
+			defer func() {
+				r := recover()
+				func() {
+					defer func() { recover() }()
+					rt.Env(0).Task.Join(task)
+				}()
+				panic(r)
+			}()
+			rt.Main(func(e *Env, _ *Task) {
+				e.Sync.Lock(lock)
+				waiting := make(chan struct{})
+				task, _ = e.Task.SpawnOn(1, func(e *Env, _ *Task) int64 {
+					close(waiting)
+					e.Sync.Lock(lock)
+					return 0
+				})
+				<-waiting
+				panic("boom")
+			})
 		}},
 	}
 	for _, sub := range substrates {
@@ -76,19 +138,18 @@ func TestNodePanicUnblocksPeers(t *testing.T) {
 				rt := sub.build(t)
 				defer rt.Close()
 				lock := rt.Substrate().NewLock()
-				held, waiting := make(chan struct{}), make(chan struct{})
 				raised := make(chan any, 1)
 				go func() {
 					defer func() { raised <- recover() }()
-					rt.Run(func(e *Env) { sv.run(e, lock, held, waiting) })
+					sv.run(rt, lock)
 				}()
 				select {
 				case r := <-raised:
 					if !strings.Contains(fmt.Sprint(r), "boom") {
-						t.Fatalf("Run re-raised %v, want the failed node's panic", r)
+						t.Fatalf("re-raised %v, want the failed node's panic", r)
 					}
 				case <-time.After(5 * time.Second):
-					t.Fatal("Run still blocked 5 s after a node panicked")
+					t.Fatal("still blocked 5 s after a node panicked")
 				}
 			})
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"math"
 
 	"hamster/internal/memsim"
 	"hamster/internal/simnet"
@@ -72,10 +73,49 @@ func (c *ClusterCtl) Recv(tag uint32) (payload []byte, from int, ok bool) {
 	return payload, from, true
 }
 
-// Broadcast sends a user message to all other nodes.
-func (c *ClusterCtl) Broadcast(tag uint32, payload []byte) {
+// broadcast sends a user message to all other nodes.
+func (c *ClusterCtl) broadcast(tag uint32, payload []byte) {
 	c.e.charge(ModCluster)
 	c.e.rt.msgs.Broadcast(toNodeID(c.e.id), kindUserMsg, tag, payload)
+}
+
+// ReduceF64 combines one value per node and returns the result to every
+// node: the others send theirs to node 0 on tag up, node 0 folds them into
+// its own with combine, in arrival order, and broadcasts the result on tag
+// down. Every node must call it with the same tags and combine.
+func (c *ClusterCtl) ReduceF64(up, down uint32, v float64, combine func(acc, v float64) float64) float64 {
+	if c.e.id != 0 {
+		c.Send(0, up, f64Bytes(v))
+		return c.recvF64(down)
+	}
+	for i := 1; i < c.e.N(); i++ {
+		v = combine(v, c.recvF64(up))
+	}
+	c.broadcast(down, f64Bytes(v))
+	return v
+}
+
+// BcastF64 returns root's v on every node: root broadcasts it on tag and
+// the others receive it.
+func (c *ClusterCtl) BcastF64(tag uint32, root int, v float64) float64 {
+	if c.e.id == root {
+		c.broadcast(tag, f64Bytes(v))
+		return v
+	}
+	return c.recvF64(tag)
+}
+
+// recvF64 receives one value of a collective.
+func (c *ClusterCtl) recvF64(tag uint32) float64 {
+	payload, _, ok := c.Recv(tag)
+	if !ok {
+		panic("core: collective interrupted: the runtime is closed")
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(payload))
+}
+
+func f64Bytes(v float64) []byte {
+	return binary.LittleEndian.AppendUint64(make([]byte, 0, 8), math.Float64bits(v))
 }
 
 // encodeRegion/decodeRegion serialize region metadata for Distribute.

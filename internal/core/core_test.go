@@ -209,7 +209,7 @@ func TestTaskSpawnOnAndJoin(t *testing.T) {
 	}
 	defer rt.Close()
 	e0 := rt.Env(0)
-	task, err := e0.Task.SpawnOn(1, func(e *Env) int64 {
+	task, err := e0.Task.SpawnOn(1, func(e *Env, _ *Task) int64 {
 		if e.ID() != 1 {
 			t.Errorf("task ran on node %d, want 1", e.ID())
 		}
@@ -231,9 +231,45 @@ func TestTaskSpawnOnAndJoin(t *testing.T) {
 	}
 }
 
+// TestTaskNumbersAndPlacement: tasks are numbered per runtime in spawn
+// call order after the initial thread's 0, only Spawn advances the
+// round-robin placement, and a task's exit code is reported once a Join
+// has returned it.
+func TestTaskNumbersAndPlacement(t *testing.T) {
+	rt, err := New(Config{Platform: platform.SMP, Nodes: 3, Threaded: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	rt.Main(func(e *Env, self *Task) {
+		if self.Num() != 0 || self.Node() != 0 {
+			t.Errorf("initial thread is task %d on node %d, want 0 on 0", self.Num(), self.Node())
+		}
+		body := func(e *Env, self *Task) int64 { return self.Num()*10 + int64(e.ID()) }
+		on, err := e.Task.SpawnOn(0, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks := []*Task{on, e.Task.Spawn(body), e.Task.Spawn(body), e.Task.Spawn(body), e.Task.Spawn(body)}
+		for i, want := range [][2]int64{{1, 0}, {2, 1}, {3, 2}, {4, 0}, {5, 1}} {
+			task := tasks[i]
+			if code, ok := task.ExitCode(); ok || code != 0 {
+				t.Errorf("task %d reports exit (%d, %t) before a join", task.Num(), code, ok)
+			}
+			got := e.Task.Join(task)
+			if task.Num() != want[0] || int64(task.Node()) != want[1] || got != want[0]*10+want[1] {
+				t.Errorf("task %d on node %d exited %d, want task %d on node %d", task.Num(), task.Node(), got, want[0], want[1])
+			}
+			if code, ok := task.ExitCode(); !ok || code != got {
+				t.Errorf("task %d reports exit (%d, %t) after joining %d", task.Num(), code, ok, got)
+			}
+		}
+	})
+}
+
 func TestTaskSpawnInvalidNode(t *testing.T) {
 	rt := newRT(t, platform.SMP, 2)
-	if _, err := rt.Env(0).Task.SpawnOn(9, func(*Env) int64 { return 0 }); err == nil {
+	if _, err := rt.Env(0).Task.SpawnOn(9, func(*Env, *Task) int64 { return 0 }); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -244,7 +280,7 @@ func TestClusterMessaging(t *testing.T) {
 		switch e.ID() {
 		case 0:
 			e.Cluster.Send(1, 7, []byte("to1"))
-			e.Cluster.Broadcast(9, []byte("all"))
+			e.Cluster.broadcast(9, []byte("all"))
 		case 1:
 			p, from, ok := e.Cluster.Recv(7)
 			if !ok || from != 0 || string(p) != "to1" {
@@ -612,7 +648,7 @@ func TestThreadedModeSerializesSameNodeTasks(t *testing.T) {
 
 	var tasks []*Task
 	for k := 0; k < 3; k++ {
-		task, err := e0.Task.SpawnOn(0, func(e *Env) int64 {
+		task, err := e0.Task.SpawnOn(0, func(e *Env, _ *Task) int64 {
 			for i := 0; i < 50; i++ {
 				e.Sync.Lock(lock)
 				a := r.Base + memsim.Addr(8*(i%100))

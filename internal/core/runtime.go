@@ -160,6 +160,11 @@ type Runtime struct {
 	rawMu    sync.Mutex
 	rawLocks []*vclock.VLock
 
+	tasks taskCounts
+
+	failMu  sync.Mutex
+	failure any // the first panic of any node or task goroutine
+
 	tracer  tracerSlot
 	sampler samplerSlot
 
@@ -346,53 +351,70 @@ func (rt *Runtime) Env(node int) *Env { return rt.envs[node] }
 // other nodes finish.
 func (rt *Runtime) Run(fn func(e *Env)) {
 	var wg sync.WaitGroup
-	var panicMu sync.Mutex
-	var firstPanic any
+	var failed atomic.Bool
 	for _, e := range rt.envs {
 		// A fresh run revives nodes a previous Run retired from the
 		// conservative gate's horizon (no-op when ungated).
 		rt.msgs.SetNodeRetired(toNodeID(e.id), false)
 	}
+	wg.Add(len(rt.envs))
 	for _, e := range rt.envs {
-		wg.Add(1)
-		go func(e *Env) {
-			defer wg.Done()
-			// Runs before the panic handler on unwind: either way this
-			// node will never send again, so it stops bounding peers'
-			// delivery horizons (no-op when ungated).
-			defer rt.msgs.SetNodeRetired(toNodeID(e.id), true)
-			defer func() {
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					first := firstPanic == nil
-					if first {
-						firstPanic = r
-					}
-					panicMu.Unlock()
-					// Unblock peers: poison barriers/locks so nobody waits
-					// for a node that will never arrive, then close the
-					// network to wake blocked receivers and retry loops.
-					// Peers woken this way panic in turn and land back
-					// here; only the first panic is re-raised.
-					if first {
-						reason := fmt.Sprintf("node %d failed: %v", e.id, r)
-						if ab, ok := rt.sub.(interface{ AbortSync(string) }); ok {
-							ab.AbortSync(reason)
-						}
-						if rt.ckpt != nil {
-							rt.ckpt.Abort(reason)
-						}
-					}
-					rt.msgs.Close()
-				}
-			}()
-			fn(e)
-		}(e)
+		rt.goNode(e.id, func() { fn(e) }, func(failure any) {
+			// Either way this node will never send again, so it stops
+			// bounding peers' delivery horizons (no-op when ungated).
+			rt.msgs.SetNodeRetired(toNodeID(e.id), true)
+			if failure != nil {
+				failed.Store(true)
+			}
+			wg.Done()
+		})
 	}
 	wg.Wait()
-	if firstPanic != nil {
-		panic(firstPanic)
+	if failed.Load() {
+		rt.failMu.Lock()
+		defer rt.failMu.Unlock()
+		panic(rt.failure)
 	}
+}
+
+// goNode runs fn on a new goroutine for node: the one place the runtime
+// starts a node or task goroutine. A panic in fn fails the runtime; exit
+// runs last either way, with the panic or nil.
+func (rt *Runtime) goNode(node int, fn func(), exit func(failure any)) {
+	go func() {
+		var failure any
+		defer func() { exit(failure) }()
+		defer func() {
+			if failure = recover(); failure != nil {
+				rt.fail(node, failure)
+			}
+		}()
+		fn()
+	}()
+}
+
+// fail unblocks the peers of a node or task that panicked with r. The
+// first failure is kept for Run to re-raise and poisons the barriers and
+// locks, so nobody waits for a node that will never arrive; every failure
+// closes the network to wake blocked receivers and retry loops. Peers
+// woken this way panic in turn and land back here.
+func (rt *Runtime) fail(node int, r any) {
+	rt.failMu.Lock()
+	first := rt.failure == nil
+	if first {
+		rt.failure = r
+	}
+	rt.failMu.Unlock()
+	if first {
+		reason := fmt.Sprintf("node %d failed: %v", node, r)
+		if ab, ok := rt.sub.(interface{ AbortSync(string) }); ok {
+			ab.AbortSync(reason)
+		}
+		if rt.ckpt != nil {
+			rt.ckpt.Abort(reason)
+		}
+	}
+	rt.msgs.Close()
 }
 
 // Close shuts the runtime down, unblocking any waiting receivers.

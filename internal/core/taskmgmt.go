@@ -10,35 +10,85 @@ import (
 // TaskMgr is the Task Management module (§4.2). It deliberately does not
 // define a thread API of its own — that would impose semantics on the
 // models — but provides the mechanisms thread models are built from:
-// node-targeted task spawning (the forwarding primitive of §5.2) and
-// joinable handles. Thread models keep platform-native semantics by
-// layering their own call signatures over these services.
+// node-targeted task spawning (the forwarding primitive of §5.2),
+// round-robin placement, per-runtime task numbers, and joinable handles
+// that keep their exit state. Thread models keep platform-native semantics
+// by layering their own call signatures over these services.
 type TaskMgr struct {
 	e *Env
 }
 
-// Task is a joinable spawned task.
+// Task is one thread of a runtime: the initial thread Runtime.Main runs,
+// or a joinable spawned task.
 type Task struct {
-	id     uint64
-	node   int
-	done   *Event
-	result int64 // word-sized exit value (pthread-style return/exit codes)
-	mu     sync.Mutex
+	num  int64
+	node int
+	done *Event // nil for the initial thread
+
+	mu      sync.Mutex
+	result  int64 // word-sized exit value (pthread-style return/exit codes)
+	failure any   // the task's panic, re-raised by Join
+	joined  bool
 }
+
+// Num returns the task's number in its runtime: 0 for the initial thread,
+// then 1, 2, ... in the order the spawns were called.
+func (t *Task) Num() int64 { return t.num }
 
 // Node returns the node the task runs on.
 func (t *Task) Node() int { return t.node }
 
-// exitValue returns the task's exit value; valid after Join.
-func (t *Task) exitValue() int64 {
+// ExitCode reports the task's exit value and whether a Join has returned
+// it; (0, false) until one has.
+func (t *Task) ExitCode() (int64, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.result
+	if !t.joined {
+		return 0, false
+	}
+	return t.result, true
 }
 
-var taskSeq struct {
-	mu sync.Mutex
-	n  uint64
+// taskCounts numbers a runtime's tasks and places its round-robin spawns.
+type taskCounts struct {
+	mu      sync.Mutex
+	spawned int64
+	placed  int
+}
+
+// newTask numbers the next task and, for node -1, places it on the next
+// node round-robin: the k-th placed spawn lands on node k mod N, so the
+// first leaves node 0, where the initial thread runs.
+func (rt *Runtime) newTask(node int) *Task {
+	c := &rt.tasks
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.spawned++
+	if node < 0 {
+		c.placed++
+		node = c.placed % rt.sub.Nodes()
+	}
+	return &Task{num: c.spawned, node: node}
+}
+
+// Main runs fn as the initial thread of a thread model — task 0, on node
+// 0 — on the caller's goroutine. A panic in it aborts the runtime as a
+// spawned task's does, then reaches the caller.
+func (rt *Runtime) Main(fn func(e *Env, self *Task)) {
+	defer func() {
+		if r := recover(); r != nil {
+			rt.fail(0, r)
+			panic(r)
+		}
+	}()
+	fn(rt.envs[0], &Task{node: 0})
+}
+
+// Spawn starts fn as a task on the next node round-robin (see newTask)
+// and returns a joinable handle, as SpawnOn does.
+func (t *TaskMgr) Spawn(fn func(e *Env, self *Task) int64) *Task {
+	t.e.charge(ModTask)
+	return t.start(t.e.rt.newTask(-1), fn)
 }
 
 // SpawnOn starts fn as a task on the given node and returns a joinable
@@ -47,20 +97,19 @@ var taskSeq struct {
 // task begins no earlier than the request's arrival. The task's execution
 // charges the target node's clock; in Threaded mode, substrate access from
 // concurrent same-node tasks is serialized (time-sharing one CPU).
-func (t *TaskMgr) SpawnOn(node int, fn func(e *Env) int64) (*Task, error) {
+func (t *TaskMgr) SpawnOn(node int, fn func(e *Env, self *Task) int64) (*Task, error) {
 	t.e.charge(ModTask)
-	rt := t.e.rt
-	if node < 0 || node >= rt.sub.Nodes() {
+	if node < 0 || node >= t.e.N() {
 		return nil, fmt.Errorf("core: spawn on invalid node %d", node)
 	}
+	return t.start(t.e.rt.newTask(node), fn), nil
+}
 
-	taskSeq.mu.Lock()
-	taskSeq.n++
-	id := taskSeq.n
-	taskSeq.mu.Unlock()
-
+// start forwards task to its node and runs fn there. A panic in fn aborts
+// the runtime and is kept for Join.
+func (t *TaskMgr) start(task *Task, fn func(e *Env, self *Task) int64) *Task {
+	rt, node := t.e.rt, task.node
 	target := rt.envs[node]
-	task := &Task{id: id, node: node}
 	task.done = t.e.Sync.NewEvent()
 
 	// Forwarding cost: one message to the target node.
@@ -75,21 +124,30 @@ func (t *TaskMgr) SpawnOn(node int, fn func(e *Env) int64) (*Task, error) {
 		startAt = caller.Now() + vclock.Time(link.LatencyNs) + vclock.Time(link.RecvSWNs)
 	}
 
-	go func() {
+	var res int64
+	rt.goNode(node, func() {
 		rt.sub.Clock(node).AdvanceToCat(vclock.CatNetwork, startAt)
-		res := fn(target)
+		res = fn(target, task)
+	}, func(failure any) {
 		task.mu.Lock()
-		task.result = res
+		task.result, task.failure = res, failure
 		task.mu.Unlock()
 		target.Sync.Signal(task.done)
-	}()
-	return task, nil
+	})
+	return task
 }
 
 // Join blocks until the task completes, reconciling the joiner's clock
-// with the task's completion time.
+// with the task's completion time, and returns its exit value. If the
+// task panicked, Join re-raises the panic.
 func (t *TaskMgr) Join(task *Task) int64 {
 	t.e.charge(ModTask)
 	t.e.Sync.Wait(task.done)
-	return task.exitValue()
+	task.mu.Lock()
+	defer task.mu.Unlock()
+	if task.failure != nil {
+		panic(task.failure)
+	}
+	task.joined = true
+	return task.result
 }

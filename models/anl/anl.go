@@ -5,7 +5,8 @@
 //
 // Execution model: the master runs on node 0 and CREATEs one worker per
 // remaining node (the standard one-process-per-processor SPLASH setup);
-// BARRIER is then the global barrier across all tasks.
+// BARRIER is then the global barrier across all tasks. A pid is the
+// task's Task Management number and CREATE is its round-robin spawn.
 //
 //	MAIN_ENV/MAIN_INITENV -> Boot / System.MainEnv
 //	MAIN_END              -> System.Shutdown
@@ -28,11 +29,9 @@ import (
 
 // System is one booted ANL world.
 type System struct {
-	rt      *hamster.Runtime
-	mu      sync.Mutex
-	nextPid int
-	nextNd  int
-	tasks   []*hamster.Task
+	rt    *hamster.Runtime
+	mu    sync.Mutex
+	tasks []*hamster.Task
 }
 
 // Boot prepares the environment (MAIN_ENV + MAIN_INITENV). Threaded mode
@@ -44,7 +43,7 @@ func Boot(cfg hamster.Config) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("anl: %w", err)
 	}
-	return &System{rt: rt, nextPid: 1, nextNd: 1}, nil
+	return &System{rt: rt}, nil
 }
 
 // Shutdown performs MAIN_END.
@@ -55,23 +54,18 @@ func (s *System) Runtime() *hamster.Runtime { return s.rt }
 
 // MainEnv runs the master program on node 0.
 func (s *System) MainEnv(main func(a *ANL)) {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		main(&ANL{e: s.rt.Env(0), sys: s, pid: 0})
-	}()
-	<-done
+	s.rt.Main(func(e *hamster.Env, self *hamster.Task) { main(&ANL{e: e, sys: s, self: self}) })
 }
 
 // ANL is one task's macro surface.
 type ANL struct {
-	e   *hamster.Env
-	sys *System
-	pid int
+	e    *hamster.Env
+	sys  *System
+	self *hamster.Task
 }
 
 // GetPid returns the task id (master = 0).
-func (a *ANL) GetPid() int { return a.pid }
+func (a *ANL) GetPid() int { return int(a.self.Num()) }
 
 // NProcs returns the node count (the usual SPLASH P).
 func (a *ANL) NProcs() int { return a.e.N() }
@@ -79,24 +73,13 @@ func (a *ANL) NProcs() int { return a.e.N() }
 // Create performs CREATE(worker): the worker starts on the next node,
 // round-robin, with its own pid.
 func (a *ANL) Create(worker func(a *ANL)) {
-	s := a.sys
-	s.mu.Lock()
-	pid := s.nextPid
-	s.nextPid++
-	node := s.nextNd % a.e.N()
-	s.nextNd++
-	s.mu.Unlock()
-
-	task, err := a.e.Task.SpawnOn(node, func(e *hamster.Env) int64 {
-		worker(&ANL{e: e, sys: s, pid: pid})
+	task := a.e.Task.Spawn(func(e *hamster.Env, self *hamster.Task) int64 {
+		worker(&ANL{e: e, sys: a.sys, self: self})
 		return 0
 	})
-	if err != nil {
-		panic(fmt.Sprintf("anl: CREATE: %v", err))
-	}
-	s.mu.Lock()
-	s.tasks = append(s.tasks, task)
-	s.mu.Unlock()
+	a.sys.mu.Lock()
+	a.sys.tasks = append(a.sys.tasks, task)
+	a.sys.mu.Unlock()
 }
 
 // WaitForEnd performs WAIT_FOR_END(n): join the first n created workers.

@@ -20,13 +20,12 @@
 //
 // Each OpenMP "thread" is one cluster node; shared variables live in
 // HAMSTER's global memory, so the same OpenMP-ish program runs on the
-// SMP, the hybrid DSM, or the software DSM unchanged.
+// SMP, the hybrid DSM, or the software DSM unchanged. The reduction is
+// Cluster Control's ReduceF64.
 package openmp
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 
 	"hamster"
@@ -195,25 +194,7 @@ func (o *OMP) Master(fn func()) {
 // ReduceSumF64 performs reduction(+:x): combines one value per thread and
 // returns the total to all of them.
 func (o *OMP) ReduceSumF64(v float64) float64 {
-	const tagUp, tagDown = 0x0517, 0x0518
-	if o.ThreadNum() == 0 {
-		acc := v
-		for i := 1; i < o.NumThreads(); i++ {
-			payload, _, ok := o.e.Cluster.Recv(tagUp)
-			if !ok {
-				panic("openmp: reduction interrupted")
-			}
-			acc += getF64(payload)
-		}
-		o.e.Cluster.Broadcast(tagDown, encF64(acc))
-		return acc
-	}
-	o.e.Cluster.Send(0, tagUp, encF64(v))
-	payload, _, ok := o.e.Cluster.Recv(tagDown)
-	if !ok {
-		panic("openmp: reduction interrupted")
-	}
-	return getF64(payload)
+	return o.e.Cluster.ReduceF64(0x0517, 0x0518, v, func(a, b float64) float64 { return a + b })
 }
 
 // SetLock performs omp_set_lock.
@@ -254,13 +235,3 @@ func (o *OMP) Compute(flops uint64) { o.e.Compute(flops) }
 
 // Env exposes the raw HAMSTER services.
 func (o *OMP) Env() *hamster.Env { return o.e }
-
-func encF64(v float64) []byte {
-	buf := make([]byte, 8)
-	binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-	return buf
-}
-
-func getF64(b []byte) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
-}

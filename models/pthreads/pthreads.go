@@ -1,9 +1,12 @@
 // Package pthreads implements a distributed POSIX-threads programming
 // model on top of HAMSTER (§5.2's "distributed thread APIs", detailed in
 // Schulz PACT 2000). Threads are placed across cluster nodes; creation
-// forwards to the node the thread should run on via the Task Management
-// module's messaging — the forwarding framework the paper deliberately
-// keeps out of the core services and builds in the model layer instead.
+// forwards to the node the thread should run on through the Task
+// Management module, which also numbers the threads (the initial thread
+// is 0), places default-attribute threads round-robin, and starts every
+// thread goroutine. The model adds the pthread call signatures and builds
+// mutexes, condition variables, barriers and once from the other
+// services.
 //
 // Method names mirror the pthread_* entry points:
 //
@@ -40,10 +43,7 @@ import (
 
 // System is one booted distributed-pthreads world.
 type System struct {
-	rt     *hamster.Runtime
-	mu     sync.Mutex
-	nextID int64
-	nextNd int
+	rt *hamster.Runtime
 }
 
 // Boot starts the model. Threaded mode is forced: multiple threads may
@@ -54,7 +54,7 @@ func Boot(cfg hamster.Config) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pthreads: %w", err)
 	}
-	return &System{rt: rt, nextID: 1, nextNd: 1}, nil
+	return &System{rt: rt}, nil
 }
 
 // Shutdown stops the model.
@@ -65,29 +65,27 @@ func (s *System) Runtime() *hamster.Runtime { return s.rt }
 
 // Main runs the initial thread on node 0.
 func (s *System) Main(main func(pt *PT)) {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		main(&PT{e: s.rt.Env(0), sys: s, tid: 0})
-	}()
-	<-done
+	s.rt.Main(func(e *hamster.Env, self *hamster.Task) { main(&PT{e: e, self: self}) })
 }
 
 // PT is one thread's handle on the pthread call surface.
 type PT struct {
-	e   *hamster.Env
-	sys *System
-	tid int64
+	e    *hamster.Env
+	self *hamster.Task
+}
+
+// thread adapts a thread function to a Task Management task body.
+func thread(fn func(pt *PT) int64) func(*hamster.Env, *hamster.Task) int64 {
+	return func(e *hamster.Env, self *hamster.Task) int64 { return fn(&PT{e: e, self: self}) }
 }
 
 // Thread is a joinable thread handle (pthread_t).
 type Thread struct {
-	tid  int64
 	task *hamster.Task
 }
 
 // TID returns the thread's id (the value pthread_create writes back).
-func (t *Thread) TID() int64 { return t.tid }
+func (t *Thread) TID() int64 { return t.task.Num() }
 
 // Node returns the node the thread runs on (a distributed-model
 // extension).
@@ -96,35 +94,24 @@ func (t *Thread) Node() int { return t.task.Node() }
 // Create performs pthread_create with default attributes: the new thread
 // is placed on the next node round-robin.
 func (p *PT) Create(fn func(pt *PT) int64) (*Thread, error) {
-	p.sys.mu.Lock()
-	node := p.sys.nextNd % p.e.N()
-	p.sys.nextNd++
-	p.sys.mu.Unlock()
-	return p.CreateOn(node, fn)
+	return &Thread{task: p.e.Task.Spawn(thread(fn))}, nil
 }
 
 // CreateOn performs pthread_create with an explicit node attribute: the
 // create call is forwarded to that node, which starts the thread locally.
 func (p *PT) CreateOn(node int, fn func(pt *PT) int64) (*Thread, error) {
-	p.sys.mu.Lock()
-	tid := p.sys.nextID
-	p.sys.nextID++
-	p.sys.mu.Unlock()
-
-	task, err := p.e.Task.SpawnOn(node, func(e *hamster.Env) int64 {
-		return fn(&PT{e: e, sys: p.sys, tid: tid})
-	})
+	task, err := p.e.Task.SpawnOn(node, thread(fn))
 	if err != nil {
 		return nil, fmt.Errorf("pthreads: create: %w", err)
 	}
-	return &Thread{tid: tid, task: task}, nil
+	return &Thread{task: task}, nil
 }
 
 // Join performs pthread_join, returning the thread's exit value.
 func (p *PT) Join(th *Thread) int64 { return p.e.Task.Join(th.task) }
 
 // Self performs pthread_self.
-func (p *PT) Self() int64 { return p.tid }
+func (p *PT) Self() int64 { return p.self.Num() }
 
 // Equal performs pthread_equal.
 func (p *PT) Equal(a, b int64) bool { return a == b }

@@ -35,7 +35,7 @@ func TestCreateJoinAcrossNodes(t *testing.T) {
 		}
 		for _, th := range ths {
 			code := pt.Join(th)
-			if code != th.tid*10 {
+			if code != th.TID()*10 {
 				panic("exit code mismatch")
 			}
 		}

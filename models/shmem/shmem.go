@@ -25,12 +25,13 @@
 //	shmem_atomic_fetch_add     -> PE.AtomicFetchAddI64
 //	shmem_set_lock / clear/test-> PE.SetLock / ClearLock / TestLock
 //	shmem_wait_until           -> PE.WaitUntilI64
+//
+// The reductions and the broadcast are Cluster Control's collectives
+// (ReduceF64 with the model's combine function, BcastF64).
 package shmem
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 
@@ -145,8 +146,11 @@ func (p *PE) Free(a SymAddr) {
 	p.e.Sync.Barrier()
 	if p.MyPE() == 0 {
 		reg, ok := p.e.Mem.RegionOf(h.base)
-		if ok {
-			_ = p.e.Mem.Free(reg)
+		if !ok {
+			panic("shmem: shmem_free of an unknown or freed allocation")
+		}
+		if err := p.e.Mem.Free(reg); err != nil {
+			panic(fmt.Sprintf("shmem: shmem_free: %v", err))
 		}
 	}
 	p.e.Sync.Barrier()
@@ -239,52 +243,15 @@ func (p *PE) MinToAllF64(v float64) float64 {
 	})
 }
 
-// reduce combines one value per PE at PE 0 and redistributes the result
-// over the cluster messaging layer.
+// reduce combines one value per PE with combine and returns the result to
+// every PE.
 func (p *PE) reduce(v float64, combine func(a, b float64) float64) float64 {
-	const tagUp, tagDown = 0x5100, 0x5101
-	if p.MyPE() == 0 {
-		acc := v
-		for i := 1; i < p.NPEs(); i++ {
-			payload, _, ok := p.e.Cluster.Recv(tagUp)
-			if !ok {
-				panic("shmem: reduction interrupted")
-			}
-			acc = combine(acc, getF64(payload))
-		}
-		p.e.Cluster.Broadcast(tagDown, encF64(acc))
-		return acc
-	}
-	p.e.Cluster.Send(0, tagUp, encF64(v))
-	payload, _, ok := p.e.Cluster.Recv(tagDown)
-	if !ok {
-		panic("shmem: reduction interrupted")
-	}
-	return getF64(payload)
+	return p.e.Cluster.ReduceF64(0x5100, 0x5101, v, combine)
 }
 
 // BroadcastF64 performs shmem_broadcast64 for one value from root.
 func (p *PE) BroadcastF64(root int, v float64) float64 {
-	const tag = 0x5102
-	if p.MyPE() == root {
-		p.e.Cluster.Broadcast(tag, encF64(v))
-		return v
-	}
-	payload, _, ok := p.e.Cluster.Recv(tag)
-	if !ok {
-		panic("shmem: broadcast interrupted")
-	}
-	return getF64(payload)
-}
-
-func encF64(v float64) []byte {
-	buf := make([]byte, 8)
-	binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-	return buf
-}
-
-func getF64(b []byte) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
+	return p.e.Cluster.BcastF64(0x5102, root, v)
 }
 
 // AtomicAddI64 performs shmem_atomic_add on target PE's instance.

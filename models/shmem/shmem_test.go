@@ -1,6 +1,8 @@
 package shmem
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"hamster"
@@ -186,6 +188,23 @@ func TestFreeCollective(t *testing.T) {
 	s := boot(t, hamster.SWDSM, 2)
 	s.Run(func(pe *PE) {
 		x := pe.Malloc(64)
+		pe.Free(x)
+	})
+}
+
+// TestFreeTwicePanics: the second shmem_free of one allocation finds no
+// region; PE 0 panics, and Run re-raises it, instead of returning as if
+// the region had been freed.
+func TestFreeTwicePanics(t *testing.T) {
+	s := boot(t, hamster.SWDSM, 2)
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "shmem_free of an unknown or freed allocation") {
+			t.Fatalf("second Free raised %v, want the unknown-allocation panic", r)
+		}
+	}()
+	s.Run(func(pe *PE) {
+		x := pe.Malloc(64)
+		pe.Free(x)
 		pe.Free(x)
 	})
 }

@@ -2,18 +2,18 @@
 // user-friendly abstraction over the raw HAMSTER services (§5.2). It was
 // the first model implemented in the original project and forms the basis
 // for the DSM-style models (JiaJia, HLRC); its calls bundle broader
-// functionality (reductions, broadcasts, timed sections) at the price of a
-// larger implementation, which is why the paper's Table 2 shows it near
-// the top of the lines-per-call range.
+// functionality (reductions, broadcasts, timed sections), which in the
+// original cost a larger implementation — the paper's Table 2 shows it
+// near the top of the lines-per-call range. Here the reductions and
+// broadcasts are Cluster Control's collectives (ReduceF64, BcastF64), so
+// each is one call with the model's own tags and combine function.
 //
 // All allocation calls are collective with an implicit barrier, matching
 // the SPMD/JiaJia/HLRC allocation style.
 package spmd
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"hamster"
 )
@@ -131,61 +131,22 @@ const (
 )
 
 // ReduceF64 performs a cluster-wide reduction; every process receives the
-// result. Built from the messaging layer: leaves send to the root, the
-// root combines and broadcasts.
+// result.
 func (p *Proc) ReduceF64(val float64, op ReduceOp) float64 {
-	const tagUp, tagDown = 0x52aa, 0x52bb
-	enc := func(v float64) []byte {
-		buf := make([]byte, 8)
-		putF64(buf, v)
-		return buf
-	}
-	if p.Me() == 0 {
-		acc := val
-		for i := 1; i < p.NProcs(); i++ {
-			payload, _, ok := p.e.Cluster.Recv(tagUp)
-			if !ok {
-				panic("spmd: reduce interrupted")
-			}
-			v := getF64(payload)
-			switch op {
-			case Sum:
-				acc += v
-			case Max:
-				if v > acc {
-					acc = v
-				}
-			case Min:
-				if v < acc {
-					acc = v
-				}
-			}
+	return p.e.Cluster.ReduceF64(0x52aa, 0x52bb, val, func(acc, v float64) float64 {
+		switch {
+		case op == Sum:
+			return acc + v
+		case op == Max && v > acc, op == Min && v < acc:
+			return v
 		}
-		p.e.Cluster.Broadcast(tagDown, enc(acc))
 		return acc
-	}
-	p.e.Cluster.Send(0, tagUp, enc(val))
-	payload, _, ok := p.e.Cluster.Recv(tagDown)
-	if !ok {
-		panic("spmd: reduce interrupted")
-	}
-	return getF64(payload)
+	})
 }
 
 // BcastF64 broadcasts a value from root to all processes.
 func (p *Proc) BcastF64(root int, val float64) float64 {
-	const tag = 0x52cc
-	if p.Me() == root {
-		buf := make([]byte, 8)
-		putF64(buf, val)
-		p.e.Cluster.Broadcast(tag, buf)
-		return val
-	}
-	payload, _, ok := p.e.Cluster.Recv(tag)
-	if !ok {
-		panic("spmd: bcast interrupted")
-	}
-	return getF64(payload)
+	return p.e.Cluster.BcastF64(0x52cc, root, val)
 }
 
 // Send transmits bytes to another process (external messaging, §3.3).
@@ -216,14 +177,6 @@ func (p *Proc) ResetStats() { p.e.Mon.ResetAll() }
 // that need a service the SPMD abstraction does not surface).
 func (p *Proc) Env() *hamster.Env { return p.e }
 
-func putF64(b []byte, v float64) {
-	binary.LittleEndian.PutUint64(b, math.Float64bits(v))
-}
-
-func getF64(b []byte) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
-}
-
 // CreateEvent makes a sticky cluster-wide event (the SPMD model exports
 // most HAMSTER services in user-friendly form; events back run-time
 // systems built on it).
@@ -238,7 +191,7 @@ func (p *Proc) WaitEvent(ev *hamster.Event) { p.e.Sync.Wait(ev) }
 // Spawn forwards a task to another process's node and returns a joinable
 // handle (the Task Management service surfaced in the SPMD model).
 func (p *Proc) Spawn(node int, fn func(q *Proc) int64) (*hamster.Task, error) {
-	return p.e.Task.SpawnOn(node, func(e *hamster.Env) int64 {
+	return p.e.Task.SpawnOn(node, func(e *hamster.Env, _ *hamster.Task) int64 {
 		return fn(&Proc{e: e})
 	})
 }

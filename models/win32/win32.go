@@ -3,7 +3,9 @@
 // paper because of the breadth of the handle-based API). Threads, mutexes,
 // events, and semaphores are uniform kernel objects waited on through
 // WaitForSingleObject/WaitForMultipleObjects, which is exactly what the
-// model layer reconstructs from HAMSTER's synchronization services.
+// model layer reconstructs from HAMSTER's synchronization services. A
+// thread object is a Task Management task: its id, its round-robin node
+// and its exit code come from the core service.
 //
 // Method names mirror the Win32 entry points:
 //
@@ -47,10 +49,7 @@ const Infinite = ^uint32(0)
 
 // System is one booted distributed-Win32 world.
 type System struct {
-	rt     *hamster.Runtime
-	mu     sync.Mutex
-	nextID int64
-	nextNd int
+	rt *hamster.Runtime
 }
 
 // Boot starts the model (Threaded mode forced).
@@ -60,7 +59,7 @@ func Boot(cfg hamster.Config) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("win32: %w", err)
 	}
-	return &System{rt: rt, nextID: 1, nextNd: 1}, nil
+	return &System{rt: rt}, nil
 }
 
 // Shutdown stops the model.
@@ -71,19 +70,13 @@ func (s *System) Runtime() *hamster.Runtime { return s.rt }
 
 // Main runs the initial thread on node 0.
 func (s *System) Main(main func(w *W32)) {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		main(&W32{e: s.rt.Env(0), sys: s, tid: 0})
-	}()
-	<-done
+	s.rt.Main(func(e *hamster.Env, self *hamster.Task) { main(&W32{e: e, self: self}) })
 }
 
 // W32 is one thread's handle on the API surface.
 type W32 struct {
-	e   *hamster.Env
-	sys *System
-	tid int64
+	e    *hamster.Env
+	self *hamster.Task
 }
 
 // Handle is a waitable kernel object.
@@ -97,28 +90,14 @@ type Handle interface {
 
 // ThreadHandle is a thread object; signaled when the thread exits.
 type ThreadHandle struct {
-	tid  int64
 	task *hamster.Task
-	exit int64
-	done bool
-	mu   sync.Mutex
 }
 
 func (t *ThreadHandle) wait(w *W32, tryOnly bool) bool {
-	t.mu.Lock()
-	done := t.done
-	t.mu.Unlock()
-	if done {
-		return true
+	if _, done := t.task.ExitCode(); done || tryOnly {
+		return done
 	}
-	if tryOnly {
-		return false
-	}
-	code := w.e.Task.Join(t.task)
-	t.mu.Lock()
-	t.done = true
-	t.exit = code
-	t.mu.Unlock()
+	w.e.Task.Join(t.task)
 	return true
 }
 
@@ -184,38 +163,29 @@ func (s *SemaphoreHandle) closeHandle() {}
 
 // CreateThread starts a thread on the next node, round-robin.
 func (w *W32) CreateThread(fn func(w *W32) int64) (*ThreadHandle, error) {
-	w.sys.mu.Lock()
-	node := w.sys.nextNd % w.e.N()
-	w.sys.nextNd++
-	w.sys.mu.Unlock()
-	return w.CreateThreadOn(node, fn)
+	return &ThreadHandle{task: w.e.Task.Spawn(thread(fn))}, nil
 }
 
 // CreateThreadOn starts a thread on an explicit node (the forwarding case
 // of §5.2: the creation routine executes on the node the thread runs on).
 func (w *W32) CreateThreadOn(node int, fn func(w *W32) int64) (*ThreadHandle, error) {
-	w.sys.mu.Lock()
-	tid := w.sys.nextID
-	w.sys.nextID++
-	w.sys.mu.Unlock()
-	task, err := w.e.Task.SpawnOn(node, func(e *hamster.Env) int64 {
-		return fn(&W32{e: e, sys: w.sys, tid: tid})
-	})
+	task, err := w.e.Task.SpawnOn(node, thread(fn))
 	if err != nil {
 		return nil, fmt.Errorf("win32: CreateThread: %w", err)
 	}
-	return &ThreadHandle{tid: tid, task: task}, nil
+	return &ThreadHandle{task: task}, nil
+}
+
+// thread adapts a thread function to a Task Management task body.
+func thread(fn func(w *W32) int64) func(*hamster.Env, *hamster.Task) int64 {
+	return func(e *hamster.Env, self *hamster.Task) int64 { return fn(&W32{e: e, self: self}) }
 }
 
 // GetCurrentThreadID returns the caller's thread id.
-func (w *W32) GetCurrentThreadID() int64 { return w.tid }
+func (w *W32) GetCurrentThreadID() int64 { return w.self.Num() }
 
-// GetExitCodeThread returns a finished thread's exit code.
-func (w *W32) GetExitCodeThread(t *ThreadHandle) (int64, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.exit, t.done
-}
+// GetExitCodeThread returns a waited-for thread's exit code.
+func (w *W32) GetExitCodeThread(t *ThreadHandle) (int64, bool) { return t.task.ExitCode() }
 
 // WaitForSingleObject waits for a handle. Timeout 0 polls; Infinite
 // blocks. (Finite nonzero timeouts are not modeled — virtual time has no

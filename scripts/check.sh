@@ -148,15 +148,15 @@ substrate_budget() {
 }
 step substrate_budget
 
-# One campaign harness: internal/bench (allocprobe.go aside) plus the
-# hamsterbench command, non-test files, counted the same way. 2,051 when
+# One campaign harness: internal/bench plus the hamsterbench command,
+# non-test files, counted the same way. 2,051 when
 # every campaign had its own runner, row type, schema, render and engine
 # builder, 1,346 while the paper's figures and ablations still ran on a
 # second harness beside the campaigns; growth past the budget means one
 # of them came back.
 harness_budget() {
     budget=1148
-    lines=$(cat $(ls internal/bench/*.go | grep -v -e _test.go -e allocprobe.go) cmd/hamsterbench/main.go |
+    lines=$(cat $(ls internal/bench/*.go | grep -v _test.go) cmd/hamsterbench/main.go |
         sed 's/^[[:space:]]*//' | grep -v -e '^$' -e '^//' | wc -l)
     echo "campaign harness code lines: $lines (budget $budget)"
     if [ "$lines" -gt "$budget" ]; then
@@ -167,11 +167,10 @@ harness_budget() {
 step harness_budget
 # ... with no cluster builder of its own (bench.Cluster.build is
 # core.NewSubstrate; the ablation legs whose knob is no Config field name
-# a constructor in substrates.go, and the allocation probes build their
-# own fixed machines) and one standard kernel table.
+# a constructor in substrates.go) and one standard kernel table.
 one_cluster_builder() {
     if grep -lE '(swdsm|ivy|hybriddsm|multidsm|smp)\.New\(' $(ls internal/bench/*.go | grep -v _test.go) |
-        grep -v -x -e internal/bench/substrates.go -e internal/bench/allocprobe.go; then
+        grep -v -x -e internal/bench/substrates.go; then
         echo "a second engine builder in internal/bench: use bench.Cluster" >&2
         return 1
     fi
@@ -210,6 +209,38 @@ one_cluster_description() {
     fi
 }
 step one_cluster_description
+# One spawn site per runtime: Task Management numbers, places and starts
+# every thread, and Cluster Control owns the reductions and broadcasts, so
+# no model starts a goroutine, makes a channel or broadcasts by hand, and
+# core starts every node and task goroutine in one go statement
+# (Runtime.goNode). Before, three thread models each kept thread ids,
+# round-robin placement and a goroutine for the initial thread, and three
+# collective models each wrote reduce and broadcast with their own float
+# codec. The models' golden pins what those calls observably do.
+one_spawn_site() {
+    models_go=$(ls models/*/*.go | grep -v _test.go)
+    if grep -nE '(^|[^[:alnum:]_.])go (func|[[:alnum:]_.]+\()' $models_go; then
+        echo "a model starts a goroutine: spawn through Task Management (Env.Task)" >&2
+        return 1
+    fi
+    if grep -nF 'make(chan' $models_go; then
+        echo "a model makes a channel: threads and joins are Task Management's" >&2
+        return 1
+    fi
+    if grep -nF 'Cluster.Broadcast(' $models_go; then
+        echo "a model broadcasts by hand: use Cluster.ReduceF64 / Cluster.BcastF64" >&2
+        return 1
+    fi
+    spawns=$(cat $(ls internal/core/*.go | grep -v _test.go) |
+        grep -cE '(^|[^[:alnum:]_.])go (func|[[:alnum:]_.]+\()' || true)
+    if [ "$spawns" -ne 1 ]; then
+        echo "internal/core has $spawns go statements, want 1 (Runtime.goNode)" >&2
+        return 1
+    fi
+}
+step one_spawn_site
+step go test -race -count=5 -run 'TestModelScriptIdentity' .
+
 # Every Config field, flag and file key has a committed measurement behind
 # it, and every feature x engine cell works or is rejected by Validate
 # with a reason.
