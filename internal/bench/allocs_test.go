@@ -57,6 +57,45 @@ func TestPageFetchZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestIvyFaultCycleZeroAllocPages pins ivy's page faults at no page
+// allocation: grants are built in the requester's reply scratch and the
+// copies live on pagestore's page list. One cycle is read faults at two
+// nodes, an owner write that invalidates both, then ownership to a third
+// node and back. A reply allocated per grant cost about 19.7 kB and 8
+// objects a cycle; what remains are the copyset and member lists, about
+// 256 bytes.
+func TestIvyFaultCycleZeroAllocPages(t *testing.T) {
+	skipUnderRace(t)
+	d, err := ivy.New(ivy.Config{Nodes: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	r, err := d.Alloc(memsim.PageSize, "ivycycle", memsim.Fixed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle := func() {
+		d.ReadF64(1, r.Base)
+		d.ReadF64(2, r.Base)
+		d.WriteF64(0, r.Base, 1) // invalidates nodes 1 and 2
+		d.WriteF64(3, r.Base, 2) // ownership to node 3 ...
+		d.WriteF64(0, r.Base, 3) // ... and back
+	}
+	warm(cycle, 8)
+	const cycles = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	warm(cycle, cycles)
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / cycles
+	objects := float64(after.Mallocs-before.Mallocs) / cycles
+	t.Logf("ivy fault cycle: %.0f bytes, %.1f objects", bytes, objects)
+	if bytes >= memsim.PageSize {
+		t.Errorf("ivy fault cycle allocates %.0f bytes (%.1f objects), want under one page (%d)", bytes, objects, memsim.PageSize)
+	}
+}
+
 // TestMessageSendZeroAlloc pins the per-message simnet path — fault-state
 // load, stats, enqueue, dequeue, pool return — at zero steady-state heap
 // allocations.

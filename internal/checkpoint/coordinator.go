@@ -6,6 +6,7 @@ import (
 
 	"hamster/internal/amsg"
 	"hamster/internal/memsim"
+	"hamster/internal/pagestore"
 	"hamster/internal/perfmon"
 	"hamster/internal/swdsm"
 	"hamster/internal/vclock"
@@ -248,7 +249,8 @@ func (c *Coordinator) capturePages(node int, incremental bool) ([]PageCapture, u
 		c.shadow[node] = make(map[memsim.PageID][]byte)
 	}
 	shadow := c.shadow[node]
-	buf := make([]byte, memsim.PageSize)
+	buf := pagestore.GetPage()
+	defer pagestore.PutPage(buf)
 	var caps []PageCapture
 	var captured uint64
 	if !incremental {

@@ -8,9 +8,39 @@ import (
 
 	"hamster/internal/consengine"
 	"hamster/internal/machine"
+	"hamster/internal/memsim"
 	"hamster/internal/multidsm"
 	"hamster/internal/platform"
 )
+
+// everySubstrate builds a two-node runtime on each of the five substrates.
+var everySubstrate = []struct {
+	name  string
+	build func(t *testing.T) *Runtime
+}{
+	{"smp", viaConfig(Config{Platform: platform.SMP})},
+	{"hybriddsm", viaConfig(Config{Platform: platform.HybridDSM})},
+	{"swdsm-scope", viaConfig(Config{Platform: platform.SWDSM})},
+	{"swdsm-ivy", viaConfig(Config{Platform: platform.SWDSM, Engine: consengine.IVYName})},
+	{"multidsm", func(t *testing.T) *Runtime {
+		sub, err := multidsm.New(multidsm.Config{Nodes: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return newWithSubstrate(sub, machine.Default().Ethernet, false)
+	}},
+}
+
+func viaConfig(cfg Config) func(t *testing.T) *Runtime {
+	return func(t *testing.T) *Runtime {
+		cfg.Nodes = 2
+		rt, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rt
+	}
+}
 
 // TestNodePanicUnblocksPeers: a node or task that panics must not leave
 // its peers blocked forever in a barrier it will never reach or on a lock
@@ -20,32 +50,6 @@ import (
 // implemented AbortSync and the others hung here. Tasks once had no
 // recover at all: a panicking task killed the process.
 func TestNodePanicUnblocksPeers(t *testing.T) {
-	viaConfig := func(cfg Config) func(t *testing.T) *Runtime {
-		return func(t *testing.T) *Runtime {
-			cfg.Nodes = 2
-			rt, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return rt
-		}
-	}
-	substrates := []struct {
-		name  string
-		build func(t *testing.T) *Runtime
-	}{
-		{"smp", viaConfig(Config{Platform: platform.SMP})},
-		{"hybriddsm", viaConfig(Config{Platform: platform.HybridDSM})},
-		{"swdsm-scope", viaConfig(Config{Platform: platform.SWDSM})},
-		{"swdsm-ivy", viaConfig(Config{Platform: platform.SWDSM, Engine: consengine.IVYName})},
-		{"multidsm", func(t *testing.T) *Runtime {
-			sub, err := multidsm.New(multidsm.Config{Nodes: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return newWithSubstrate(sub, machine.Default().Ethernet, false)
-		}},
-	}
 	// Each survivor blocks in one synchronization call; held and waiting
 	// order the two sides on the host so the survivor is at (or about to
 	// enter) that call when its peer dies.
@@ -132,7 +136,7 @@ func TestNodePanicUnblocksPeers(t *testing.T) {
 			})
 		}},
 	}
-	for _, sub := range substrates {
+	for _, sub := range everySubstrate {
 		for _, sv := range survivors {
 			t.Run(sub.name+"/"+sv.name, func(t *testing.T) {
 				rt := sub.build(t)
@@ -154,4 +158,49 @@ func TestNodePanicUnblocksPeers(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestCloseNeedsQuiescence: Close hands the substrate's page buffers back
+// for the next runtime, so it panics, naming the task, while one still
+// runs, and a substrate access after it panics instead of reading a
+// buffer another runtime may own by then.
+func TestCloseNeedsQuiescence(t *testing.T) {
+	for _, sub := range everySubstrate {
+		t.Run(sub.name, func(t *testing.T) {
+			rt := sub.build(t)
+			var r memsim.Region
+			release := make(chan struct{})
+			var task *Task
+			rt.Main(func(e *Env, _ *Task) {
+				var err error
+				if r, err = e.Mem.Alloc(memsim.PageSize, AllocOpts{Name: "x"}); err != nil {
+					t.Fatal(err)
+				}
+				task, _ = e.Task.SpawnOn(1, func(e *Env, _ *Task) int64 {
+					<-release
+					return 0
+				})
+			})
+			if msg := panicOf(rt.Close); !strings.Contains(msg, "task 1 on node 1 is still running") {
+				t.Fatalf("Close with an unjoined task: panic %q, want it named", msg)
+			}
+			close(release)
+			rt.Env(0).Task.Join(task)
+			rt.Close()
+			if msg := panicOf(func() { rt.Env(1).ReadF64(r.Base) }); !strings.Contains(msg, "after Close") {
+				t.Fatalf("read after Close: panic %q, want an access-after-Close panic", msg)
+			}
+		})
+	}
+}
+
+// panicOf runs fn and returns what it panicked with, "" when it did not.
+func panicOf(fn func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	fn()
+	return ""
 }

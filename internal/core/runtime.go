@@ -161,6 +161,7 @@ type Runtime struct {
 	rawLocks []*vclock.VLock
 
 	tasks taskCounts
+	live  liveSet // the node and task goroutines still running
 
 	failMu  sync.Mutex
 	failure any // the first panic of any node or task goroutine
@@ -359,7 +360,7 @@ func (rt *Runtime) Run(fn func(e *Env)) {
 	}
 	wg.Add(len(rt.envs))
 	for _, e := range rt.envs {
-		rt.goNode(e.id, func() { fn(e) }, func(failure any) {
+		rt.goNode(e.id, 0, func() { fn(e) }, func(failure any) {
 			// Either way this node will never send again, so it stops
 			// bounding peers' delivery horizons (no-op when ungated).
 			rt.msgs.SetNodeRetired(toNodeID(e.id), true)
@@ -377,13 +378,20 @@ func (rt *Runtime) Run(fn func(e *Env)) {
 	}
 }
 
-// goNode runs fn on a new goroutine for node: the one place the runtime
-// starts a node or task goroutine. A panic in fn fails the runtime; exit
-// runs last either way, with the panic or nil.
-func (rt *Runtime) goNode(node int, fn func(), exit func(failure any)) {
+// goNode runs fn on a new goroutine for node, as task number task (0 for
+// a node of Run): the one place the runtime starts a node or task
+// goroutine, so the one place Close's leak check learns of them. A panic
+// in fn fails the runtime; exit runs last either way, with the panic or
+// nil, after the goroutine has left the live set.
+func (rt *Runtime) goNode(node int, task int64, fn func(), exit func(failure any)) {
+	id := goroutineID{task: task, node: node}
+	rt.live.enter(id)
 	go func() {
 		var failure any
-		defer func() { exit(failure) }()
+		defer func() {
+			rt.live.leave(id)
+			exit(failure)
+		}()
 		defer func() {
 			if failure = recover(); failure != nil {
 				rt.fail(node, failure)
@@ -417,9 +425,18 @@ func (rt *Runtime) fail(node int, r any) {
 	rt.msgs.Close()
 }
 
-// Close shuts the runtime down, unblocking any waiting receivers.
+// Close shuts the runtime down, unblocking any waiting receivers, and
+// hands the substrate's page buffers back for the next runtime to reuse.
+// That is safe only once no node or task goroutine can touch them: Close
+// panics naming one that is still running (an unjoined task, say) —
+// unless the runtime failed, when every survivor is already being woken
+// (see fail) and Close waits for them.
 func (rt *Runtime) Close() {
 	rt.msgs.Close()
+	rt.failMu.Lock()
+	failed := rt.failure != nil
+	rt.failMu.Unlock()
+	rt.live.quiesce(failed)
 	rt.sub.Close()
 }
 

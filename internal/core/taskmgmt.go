@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 
 	"hamster/internal/vclock"
@@ -125,7 +127,7 @@ func (t *TaskMgr) start(task *Task, fn func(e *Env, self *Task) int64) *Task {
 	}
 
 	var res int64
-	rt.goNode(node, func() {
+	rt.goNode(node, task.num, func() {
 		rt.sub.Clock(node).AdvanceToCat(vclock.CatNetwork, startAt)
 		res = fn(target, task)
 	}, func(failure any) {
@@ -150,4 +152,61 @@ func (t *TaskMgr) Join(task *Task) int64 {
 	}
 	task.joined = true
 	return task.result
+}
+
+// goroutineID names a goroutine goNode started: a task, or (task 0) a
+// node of Run.
+type goroutineID struct {
+	task int64
+	node int
+}
+
+func (g goroutineID) String() string {
+	if g.task == 0 {
+		return fmt.Sprintf("node %d", g.node)
+	}
+	return fmt.Sprintf("task %d on node %d", g.task, g.node)
+}
+
+// liveSet lists the goroutines goNode started that are still running.
+type liveSet struct {
+	mu      sync.Mutex
+	left    sync.Cond // broadcast whenever one leaves
+	running []goroutineID
+}
+
+func (s *liveSet) enter(g goroutineID) {
+	s.mu.Lock()
+	s.running = append(s.running, g)
+	s.mu.Unlock()
+}
+
+func (s *liveSet) leave(g goroutineID) {
+	s.mu.Lock()
+	i := slices.Index(s.running, g)
+	s.running[i] = s.running[len(s.running)-1]
+	s.running = s.running[:len(s.running)-1]
+	s.left.Broadcast()
+	s.mu.Unlock()
+}
+
+// quiesce returns once no goroutine is running: at once, when none is;
+// after they have all left, when wait is set; otherwise it panics naming
+// those still running.
+func (s *liveSet) quiesce(wait bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.left.L = &s.mu
+	for wait && len(s.running) > 0 {
+		s.left.Wait()
+	}
+	if len(s.running) == 0 {
+		return
+	}
+	names := make([]string, len(s.running))
+	for i, g := range s.running {
+		names[i] = g.String()
+	}
+	slices.Sort(names)
+	panic(fmt.Sprintf("core: Close while %s is still running: join it first", strings.Join(names, ", ")))
 }

@@ -48,8 +48,6 @@
 package hybriddsm
 
 import (
-	"fmt"
-
 	"hamster/internal/hsync"
 	"hamster/internal/machine"
 	"hamster/internal/memsim"
@@ -103,8 +101,8 @@ type DSM struct {
 	rec *perfmon.Recorder // protocol event recorder; nil until attached
 }
 
-// cpage is one read-cached remote page; structs and page buffers recycle
-// through pagestore's pools.
+// cpage is one read-cached remote page; structs recycle through
+// pagestore's entry pool, page buffers through its page list.
 type cpage = pagestore.Entry[struct{}]
 
 var cpagePool pagestore.EntryPool[struct{}]
@@ -204,12 +202,22 @@ func (d *DSM) SetRecorder(rec *perfmon.Recorder) {
 	d.Manager.SetRecorder(rec)
 }
 
-// Close implements platform.Substrate.
-func (d *DSM) Close() {}
+// Close implements platform.Substrate: at quiescence it hands every
+// cached copy and home frame back to the page list. Accesses after it
+// panic (access); a second Close has nothing left to hand back.
+func (d *DSM) Close() {
+	for _, n := range d.nodes {
+		for _, cp := range n.cache {
+			n.drop(cp)
+		}
+		n.home.Close()
+	}
+	d.nodes = nil
+}
 
 func (d *DSM) access(nodeID int) *node {
 	if nodeID < 0 || nodeID >= len(d.nodes) {
-		panic(fmt.Sprintf("hybriddsm: invalid node %d", nodeID))
+		panic(platform.BadNode("hybriddsm", nodeID, d.nodes == nil))
 	}
 	return d.nodes[nodeID]
 }

@@ -27,17 +27,25 @@
 // middle.
 //
 // Reads take no lock. A page buffer is written only by its current
-// owner's own goroutine: a read copy is a fresh reply buffer nobody writes
-// again, a grant copies the page out and forgets the buffer, an
-// invalidation forgets it. So each node keeps a window of the buffers it
-// may read (owner goroutine only) and an atomic revoke epoch that every
+// owner's own goroutine: a read copy is a page-list buffer (see
+// pagestore/cache.go) the requester filled from the grant and nobody
+// writes again, a grant copies the page out and takes the buffer away, an
+// invalidation takes it away. So each node keeps a window of the buffers
+// it may read (owner goroutine only) and an atomic revoke epoch that every
 // handler bumps, under the node's mutex, when it takes read permission
 // away. A read whose window entry still carries the current epoch loads
 // its word from the buffer; it linearizes at the epoch load — a writer
 // performs only after its synchronous invalidation bumped the epoch, so a
 // read that saw the old epoch is ordered before that write, and one that
 // sees the new epoch misses and faults. Writes, faults and handlers take
-// the mutex.
+// the mutex. A buffer a handler takes away may still be under such a
+// read, so the handler does not recycle it: it queues it on the node, and
+// the node's own goroutine hands the queue back to the page list at its
+// next window miss, where it holds no buffer.
+//
+// Grant replies are built in the requesting node's reply scratch:
+// handlers run on the requester's goroutine, one call at a time, so the
+// requester owns it until it has copied the page out.
 //
 // Ownership chase lengths under contention depend on goroutine
 // scheduling, so message counts and virtual times of contended runs are
@@ -57,6 +65,7 @@ import (
 	"hamster/internal/hsync"
 	"hamster/internal/machine"
 	"hamster/internal/memsim"
+	"hamster/internal/pagestore"
 	"hamster/internal/perfmon"
 	"hamster/internal/platform"
 	"hamster/internal/simnet"
@@ -151,11 +160,18 @@ type node struct {
 	// under mu; the owner goroutine loads it without.
 	revoke atomic.Uint64
 
-	// mu guards pages and invalidations: protocol handlers run on other
-	// goroutines against this state. cond signals pending-flag clears.
+	// reply is the scratch the handlers of this node's requests build
+	// their grants in; see the package doc.
+	reply []byte
+
+	// mu guards pages, retired and invalidations: protocol handlers run on
+	// other goroutines against this state. cond signals pending-flag
+	// clears. retired holds the buffers handlers took away, until the
+	// owner goroutine's next window miss recycles them.
 	mu            sync.Mutex
 	cond          *sync.Cond
 	pages         map[memsim.PageID]*ipage
+	retired       [][]byte
 	invalidations uint64
 }
 
@@ -204,9 +220,40 @@ func (n *node) entry(p memsim.PageID) *ipage {
 func (n *node) bootstrapOwned(p memsim.PageID) *ipage {
 	e := n.entry(p)
 	e.state = pOwned
-	e.data = make([]byte, memsim.PageSize)
+	e.data = pagestore.GetZeroedPage()
 	e.copyset = make(map[int]struct{})
 	return e
+}
+
+// retire takes a buffer away from this node: it waits in the node's queue
+// until recycleLocked, since the owner goroutine may still be reading it.
+// Call with n.mu held.
+func (n *node) retire(b []byte) {
+	n.retired = append(n.retired, b)
+	n.revoke.Add(1)
+}
+
+// recycleLocked hands the buffers handlers took away back to the page
+// list. Call with n.mu held, from the node's own goroutine at a window
+// miss (or from Close): only there does it hold no buffer it read
+// through the window.
+func (n *node) recycleLocked() {
+	for i, b := range n.retired {
+		pagestore.PutPage(b)
+		n.retired[i] = nil
+	}
+	n.retired = n.retired[:0]
+}
+
+// replyTo returns the requesting node's reply scratch, size bytes long.
+// It is sized once for the largest grant (every other node in the
+// copyset).
+func (d *DSM) replyTo(from, size int) []byte {
+	r := d.nodes[from]
+	if r.reply == nil {
+		r.reply = make([]byte, 5+8*len(d.nodes)+memsim.PageSize)
+	}
+	return r.reply[:size]
 }
 
 // pageHandler is the prologue the read- and write-page handlers share:
@@ -239,7 +286,7 @@ func (d *DSM) registerHandlers(n *node) {
 	id := simnet.NodeID(n.id)
 	d.layer.Register(id, kindReadPage, n.pageHandler(func(e *ipage, from int) []byte {
 		e.copyset[from] = struct{}{}
-		out := make([]byte, 1+memsim.PageSize)
+		out := d.replyTo(from, 1+memsim.PageSize)
 		out[0] = 1
 		copy(out[1:], e.data)
 		return out
@@ -247,7 +294,7 @@ func (d *DSM) registerHandlers(n *node) {
 	d.layer.Register(id, kindWritePage, n.pageHandler(func(e *ipage, from int) []byte {
 		// Grant: relinquish the copy, hand over page + copyset (minus the
 		// requester), repoint the hint at the new owner.
-		out := make([]byte, 1+4+8*len(e.copyset)+memsim.PageSize)
+		out := d.replyTo(from, 1+4+8*len(e.copyset)+memsim.PageSize)
 		out[0] = 1
 		members := 0
 		for m := range e.copyset {
@@ -260,12 +307,12 @@ func (d *DSM) registerHandlers(n *node) {
 		binary.LittleEndian.PutUint32(out[1:], uint32(members))
 		copy(out[5+8*members:], e.data)
 		out = out[:5+8*members+memsim.PageSize]
+		n.retire(e.data)
 		e.state = pHint
 		e.data = nil
 		e.copyset = nil
 		e.hint = from
 		e.gen++
-		n.revoke.Add(1)
 		return out
 	}))
 	d.layer.Register(id, kindInvalidate, func(from amsg.NodeID, req []byte) ([]byte, vclock.Duration) {
@@ -287,12 +334,12 @@ func (d *DSM) registerHandlers(n *node) {
 }
 
 // dropReadCopy takes a read copy away: the entry keeps only its hint and
-// the revoke epoch moves on, so the owner goroutine's window stops
-// serving the buffer. Call with n.mu held.
+// the revoke epoch moves on (retire), so the owner goroutine's window
+// stops serving the buffer. Call with n.mu held.
 func (n *node) dropReadCopy(e *ipage) {
+	n.retire(e.data)
 	e.state = pHint
 	e.data = nil
-	n.revoke.Add(1)
 	n.invalidations++
 }
 
@@ -407,16 +454,19 @@ func (n *node) readFault(p memsim.PageID) {
 			return
 		}
 		clk.AdvanceCat(vclock.CatMemory, d.Cost.CPU.PageCopyNs)
+		data := pagestore.GetPage()
+		copy(data, resp[1:])
 		n.mu.Lock()
 		e := n.entry(p)
 		if e.gen != gen {
 			// Invalidated between reply generation and install: the copy
 			// is already stale, refetch from the new owner.
 			n.mu.Unlock()
+			pagestore.PutPage(data)
 			continue
 		}
 		e.state = pRead
-		e.data = resp[1:]
+		e.data = data
 		e.hint = target
 		n.window.Put(p, n.revoke.Load(), e.data)
 		n.mu.Unlock()
@@ -445,15 +495,22 @@ func (n *node) writeFault(p memsim.PageID) {
 	}
 	slices.Sort(members)
 	clk.AdvanceCat(vclock.CatMemory, d.Cost.CPU.PageCopyNs)
+	data := pagestore.GetPage()
+	copy(data, resp[5+8*count:])
 	n.mu.Lock()
 	e := n.entry(p)
+	// A read copy this write upgrades was left out of the grant's copyset;
+	// nothing but this goroutine's window, whose slot Put replaces, still
+	// reaches it.
+	upgraded := e.data
 	e.state = pOwned
-	e.data = resp[5+8*count:]
+	e.data = data
 	e.copyset = make(map[int]struct{})
 	e.hint = -1
 	e.pending = len(members) > 0
 	n.window.Put(p, n.revoke.Load(), e.data)
 	n.mu.Unlock()
+	pagestore.PutPage(upgraded)
 	n.stats.PageFaults++
 	n.stats.HomeMigrations++ // ownership arrivals
 	if rec := d.rec; rec != nil && rec.Enabled() {
@@ -503,10 +560,12 @@ func (n *node) readPage(p memsim.PageID, costWords, reads int) []byte {
 }
 
 // readableFrame is readPage's window miss: it finds (faulting as needed)
-// the valid local copy under n.mu and leaves it in the window.
+// the valid local copy under n.mu and leaves it in the window. The miss
+// is where the node recycles the buffers handlers took from it.
 func (n *node) readableFrame(p memsim.PageID) []byte {
 	for {
 		n.mu.Lock()
+		n.recycleLocked()
 		if e := n.pages[p]; e != nil && e.state != pHint {
 			data := e.data
 			n.window.Put(p, n.revoke.Load(), data)
@@ -520,10 +579,12 @@ func (n *node) readableFrame(p memsim.PageID) []byte {
 
 // writableFrame returns the owned page entry with an empty copyset, n.mu
 // HELD; the caller writes and unlocks. Running the invalidation round
-// before the write performs is the sequential-consistency guarantee.
+// before the write performs is the sequential-consistency guarantee. Like
+// readableFrame, it recycles the node's retired buffers.
 func (n *node) writableFrame(p memsim.PageID) *ipage {
 	for {
 		n.mu.Lock()
+		n.recycleLocked()
 		e := n.pages[p]
 		if e != nil && e.state == pOwned {
 			if len(e.copyset) > 0 {
@@ -576,7 +637,7 @@ func (n *node) writePage(p memsim.PageID, costWords, writes int) *ipage {
 
 func (d *DSM) access(nodeID int) *node {
 	if nodeID < 0 || nodeID >= len(d.nodes) {
-		panic(fmt.Sprintf("ivy: invalid node %d", nodeID))
+		panic(platform.BadNode("ivy", nodeID, d.nodes == nil))
 	}
 	return d.nodes[nodeID]
 }
@@ -629,8 +690,23 @@ func (d *DSM) SetRecorder(rec *perfmon.Recorder) {
 	d.layer.SetRecorder(rec)
 }
 
-// Close implements platform.Substrate.
-func (d *DSM) Close() { d.layer.Network().Close() }
+// Close implements platform.Substrate: it closes the network and, at
+// quiescence, hands every copy and retired buffer back to the page list.
+// Accesses after it panic (access); a second Close has nothing left to
+// hand back.
+func (d *DSM) Close() {
+	d.layer.Network().Close()
+	for _, n := range d.nodes {
+		n.mu.Lock()
+		for _, e := range n.pages {
+			pagestore.PutPage(e.data)
+			e.data = nil
+		}
+		n.recycleLocked()
+		n.mu.Unlock()
+	}
+	d.nodes = nil
+}
 
 // ReadF64 implements platform.Substrate.
 func (d *DSM) ReadF64(nodeID int, a memsim.Addr) float64 {

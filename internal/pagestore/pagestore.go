@@ -30,7 +30,7 @@ type Store struct {
 // New returns an empty store.
 func New() *Store { return &Store{} }
 
-func newFrame() *Frame { return &Frame{Data: make([]byte, memsim.PageSize)} }
+func newFrame() *Frame { return &Frame{Data: GetZeroedPage()} }
 
 // Frame returns the frame for page p, creating it zeroed if absent.
 func (s *Store) Frame(p memsim.PageID) *Frame { return s.frames.GetOrCreate(p, newFrame) }
@@ -61,10 +61,22 @@ func (s *Store) CopyFrame(p memsim.PageID, dst []byte) bool {
 }
 
 // Drop removes a page's frame (home migration gives up the authoritative
-// copy). Returns the dropped frame's data, or nil if absent.
+// copy). Returns the dropped frame's data, or nil if absent; the caller
+// owns it from then on.
 func (s *Store) Drop(p memsim.PageID) []byte {
 	if f := s.frames.Drop(p); f != nil {
 		return f.Data
 	}
 	return nil
+}
+
+// Close drops every frame and hands its buffer back to the page list.
+// Call at quiescence only: nobody may hold a frame of this store. A
+// second Close finds the store empty.
+func (s *Store) Close() {
+	s.frames.Range(func(p memsim.PageID, _ *Frame) {
+		if f := s.frames.Drop(p); f != nil {
+			PutPage(f.Data)
+		}
+	})
 }

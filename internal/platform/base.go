@@ -78,3 +78,13 @@ func (b *Base) Free(r memsim.Region) error { return b.Mem.Free(r) }
 func (b *Base) Compute(node int, flops uint64) {
 	b.Clocks[node].Advance(vclock.Duration(flops) * b.Cost.CPU.FlopNs)
 }
+
+// BadNode is the panic message of an access a substrate cannot serve: the
+// node is out of range, or the substrate is closed and its page buffers
+// are back on the page list, where a later runtime may be writing them.
+func BadNode(pkg string, node int, closed bool) string {
+	if closed {
+		return fmt.Sprintf("%s: node %d accessed memory after Close", pkg, node)
+	}
+	return fmt.Sprintf("%s: invalid node %d", pkg, node)
+}

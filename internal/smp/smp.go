@@ -20,11 +20,10 @@
 package smp
 
 import (
-	"fmt"
-
 	"hamster/internal/hsync"
 	"hamster/internal/machine"
 	"hamster/internal/memsim"
+	"hamster/internal/pagestore"
 	"hamster/internal/platform"
 	"hamster/internal/vclock"
 )
@@ -94,17 +93,26 @@ func (s *SMP) ResetStats(node int) {
 	s.ResetSyncStats(node)
 }
 
-// Close implements platform.Substrate.
-func (s *SMP) Close() {}
+// Close implements platform.Substrate: at quiescence it hands every frame
+// back to the page list. Accesses after it panic (cpuOf); a second Close
+// has nothing left to hand back.
+func (s *SMP) Close() {
+	s.mem.Range(func(p memsim.PageID, _ *[memsim.PageSize]byte) {
+		if f := s.mem.Drop(p); f != nil {
+			pagestore.PutPage(f[:])
+		}
+	})
+	s.cpus = nil
+}
 
 func (s *SMP) cpuOf(id int) *cpu {
 	if id < 0 || id >= len(s.cpus) {
-		panic(fmt.Sprintf("smp: invalid CPU %d", id))
+		panic(platform.BadNode("smp", id, s.cpus == nil))
 	}
 	return s.cpus[id]
 }
 
-func newFrame() *[memsim.PageSize]byte { return new([memsim.PageSize]byte) }
+func newFrame() *[memsim.PageSize]byte { return (*[memsim.PageSize]byte)(pagestore.GetZeroedPage()) }
 
 // frame returns page p's bytes, zeroed on first use like anonymous mmap.
 func (s *SMP) frame(p memsim.PageID) []byte { return s.mem.GetOrCreate(p, newFrame)[:] }

@@ -37,6 +37,7 @@ import (
 
 	"hamster/internal/amsg"
 	"hamster/internal/memsim"
+	"hamster/internal/pagestore"
 	"hamster/internal/perfmon"
 	"hamster/internal/simnet"
 	"hamster/internal/vclock"
@@ -119,7 +120,8 @@ func (d *DSM) registerAggHandlers(n *node) {
 		dec := amsg.MakeDec(req)
 		pages := dec.U64s()
 		// One allocation amortized over the whole run; the requester carves
-		// it into per-page windows that retire individually (see pool.go).
+		// it into per-page windows that retire individually onto the page
+		// list (see pagestore/cache.go).
 		out := make([]byte, len(pages)*memsim.PageSize)
 		for i, v := range pages {
 			hp := n.home.Frame(memsim.PageID(v))
@@ -157,7 +159,7 @@ func (n *node) flushBatched(pages []memsim.PageID) {
 		t0 := clk.Now()
 		clk.AdvanceCat(vclock.CatProtocol, d.Cost.CPU.DiffScanNs)
 		diff := buildDiff(cp.Data, cp.Ext.twin)
-		putTwin(cp.Ext.twin)
+		pagestore.PutPage(cp.Ext.twin)
 		cp.Ext.twin = nil
 		delete(n.dirty, p)
 		if len(diff) == 0 {

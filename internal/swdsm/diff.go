@@ -33,23 +33,13 @@ const maxDiffBytes = diffRunHeader + memsim.PageSize
 // one twin per written page per interval, one diff per flush. Both are
 // strictly node-local and dead by the time they are released (Enc.Blob
 // copies the diff into the message; the twin is discarded after the scan),
-// so they recycle through pools.
-// Both pools store array pointers, not slices: Put-ting a []byte boxes
-// its header into an interface and allocates — see pagePool (pool.go).
-var twinPool = sync.Pool{
-	New: func() any { return new([memsim.PageSize]byte) },
-}
-
+// so they recycle: twins are page buffers and live on pagestore's page
+// list (GetPage/PutPage, ownership chain in pagestore/cache.go); diff
+// scratch is one run header longer than a page and keeps a pool of its
+// own, which stores array pointers, not slices — Put-ting a []byte boxes
+// its header into an interface and allocates.
 var diffPool = sync.Pool{
 	New: func() any { return new([maxDiffBytes]byte) },
-}
-
-func getTwin() []byte { return twinPool.Get().(*[memsim.PageSize]byte)[:] }
-
-func putTwin(b []byte) {
-	if cap(b) >= memsim.PageSize {
-		twinPool.Put((*[memsim.PageSize]byte)(b[:memsim.PageSize]))
-	}
 }
 
 // putDiff recycles a buildDiff result. Safe on the nil empty-diff return.

@@ -104,7 +104,7 @@ func (d *DSM) registerMigrateHandler(n *node) {
 		data := n.home.Drop(p)
 		if data == nil {
 			// Never materialized at the old home: hand over a zero page.
-			data = make([]byte, memsim.PageSize)
+			data = pagestore.GetZeroedPage()
 		}
 		return data, d.Cost.CPU.PageCopyNs
 	})
@@ -165,7 +165,8 @@ func (n *node) performMigrations(pages []memsim.PageID) {
 		copy(hp.Data, data)
 		hp.Mu.Unlock()
 		// The handover reply was copied into the home frame; the buffer
-		// (the old home's dropped frame) is dead and can serve page fetches.
+		// (the old home's dropped frame, or the zero page) is dead and goes
+		// back to the page list.
 		pagestore.PutPage(data)
 		clk.AdvanceCat(vclock.CatMemory, d.Cost.CPU.PageCopyNs)
 		d.Mem.SetHome(p, n.id)

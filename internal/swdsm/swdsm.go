@@ -147,8 +147,8 @@ type DSM struct {
 }
 
 // cpage is one cached remote page. Owned exclusively by the node's
-// goroutine; structs and their page buffers recycle through pagestore's
-// pools.
+// goroutine; structs recycle through pagestore's entry pool, their page
+// buffers through its page list.
 type cpage = pagestore.Entry[pageExt]
 
 var cpagePool pagestore.EntryPool[pageExt]
@@ -285,9 +285,9 @@ func (d *DSM) registerHandlers(n *node) {
 		p := memsim.PageID(dec.U64())
 		hp := n.home.Frame(p)
 		hp.Mu.Lock()
-		// The reply buffer comes from the page pool and will BECOME the
-		// requester's cached copy; it re-enters the pool when that copy is
-		// retired (see pool.go for the ownership chain).
+		// The reply buffer comes from the page list and will BECOME the
+		// requester's cached copy; it goes back when that copy is retired
+		// (see pagestore/cache.go for the ownership chain).
 		out := pagestore.GetPage()
 		copy(out, hp.Data)
 		hp.Mu.Unlock()
@@ -365,8 +365,21 @@ func (d *DSM) SetRecorder(rec *perfmon.Recorder) {
 	d.layer.SetRecorder(rec)
 }
 
-// Close implements platform.Substrate.
-func (d *DSM) Close() { d.layer.Network().Close() }
+// Close implements platform.Substrate: it closes the network and, at
+// quiescence, hands every page buffer the cluster holds back to the page
+// list — cached copies, their twins and the home frames. Accesses after
+// it panic (access); a second Close has nothing left to hand back.
+func (d *DSM) Close() {
+	d.layer.Network().Close()
+	for _, n := range d.nodes {
+		for _, cp := range n.cache {
+			pagestore.PutPage(cp.Ext.twin)
+			cpagePool.Put(cp)
+		}
+		n.home.Close()
+	}
+	d.nodes = nil
+}
 
 // readPage is the one read path under all five read accessors: it charges
 // costWords words of access, counts reads accesses, runs the CPU-cache
@@ -517,7 +530,7 @@ func (n *node) writePage(p memsim.PageID, costWords, writes int) ([]byte, *pages
 	if cp.Ext.twin == nil {
 		clk := n.dsm.Clocks[n.id]
 		t0 := clk.Now()
-		cp.Ext.twin = getTwin()
+		cp.Ext.twin = pagestore.GetPage()
 		copy(cp.Ext.twin, cp.Data)
 		clk.AdvanceCat(vclock.CatMemory, n.dsm.Cost.CPU.PageCopyNs)
 		n.stats.TwinsCreated++
@@ -540,7 +553,7 @@ func (n *node) touchLocal(p memsim.PageID) {
 
 func (d *DSM) access(nodeID int) *node {
 	if nodeID < 0 || nodeID >= len(d.nodes) {
-		panic(fmt.Sprintf("swdsm: invalid node %d", nodeID))
+		panic(platform.BadNode("swdsm", nodeID, d.nodes == nil))
 	}
 	return d.nodes[nodeID]
 }

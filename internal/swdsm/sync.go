@@ -8,6 +8,7 @@ import (
 	"hamster/internal/hsync"
 	"hamster/internal/memsim"
 	"hamster/internal/notices"
+	"hamster/internal/pagestore"
 	"hamster/internal/perfmon"
 	"hamster/internal/simnet"
 	"hamster/internal/vclock"
@@ -116,7 +117,7 @@ func (n *node) flushPage(p memsim.PageID, cp *cpage) {
 	t0 := clk.Now()
 	clk.AdvanceCat(vclock.CatProtocol, d.Cost.CPU.DiffScanNs)
 	diff := buildDiff(cp.Data, cp.Ext.twin)
-	putTwin(cp.Ext.twin)
+	pagestore.PutPage(cp.Ext.twin)
 	cp.Ext.twin = nil
 	delete(n.dirty, p)
 	if len(diff) == 0 {

@@ -380,11 +380,34 @@ one_notice_collect() {
 }
 step one_notice_collect
 
-# The pooled-buffer ownership chain must survive concurrent
-# fetch/evict/invalidate/flush churn under the race detector (also part
-# of the full suite below; named here so a pool regression is
-# unmistakable).
+# One page allocator: every page-sized buffer comes from pagestore's free
+# list and goes back to it, including at Close. A sync.Pool is emptied by
+# the garbage collector every second cycle, and a pass runs a dozen, so
+# page buffers were 84 % of the bytes sync-scale allocated while they sat
+# in one. No non-test Go of this module outside internal/pagestore makes a
+# page buffer itself, and no sync.Pool holds page-sized arrays (the
+# benchmark/ module is a separate module and not scanned).
+one_page_allocator() {
+    if grep -rnE 'make\(\[\]byte, memsim\.PageSize|new\(\[memsim\.PageSize\]byte\)' \
+        --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=pagestore .; then
+        echo "a page buffer made outside the page list: use pagestore.GetPage / GetZeroedPage" >&2
+        return 1
+    fi
+    if grep -rn -A3 --include='*.go' 'sync\.Pool{' . | grep -E 'PageSize\]byte'; then
+        echo "a sync.Pool holds page-sized arrays: the GC empties it; use the page list" >&2
+        return 1
+    fi
+}
+step one_page_allocator
+# The recycling tests, by name under the race detector (also part of the
+# full suite below; named here so a recycling regression is
+# unmistakable): the ownership chain survives swdsm's
+# fetch/evict/invalidate/flush churn and ivy's ownership churn under
+# lock-free readers, a runtime reads zeros where a closed one left its
+# stamps, Close hands every buffer back exactly once, and Close refuses a
+# runtime with a task still running.
 step go test -race -run 'TestPooledBufferAliasing' ./internal/pagestore/
+step go test -race -run 'TestCloseNeedsQuiescence' ./internal/core/
 
 # The page table under every frame and home lookup reads with atomic
 # loads only; its creation, drop and top-level-growth paths must stay
