@@ -198,7 +198,7 @@ func (l *Layer) CallErr(from, to NodeID, kind Kind, req []byte) ([]byte, error) 
 	resp, extra := h(from, req)
 	service := l.link.HandlerNs + extra
 	target := l.net.Clock(to)
-	target.Steal(service)
+	target.Steal(caller.OwnNow(), service)
 	caller.AdvanceCat(vclock.CatProtocol, service)
 	if rec := l.rec; rec != nil && rec.Enabled() {
 		rec.Record(int(to), perfmon.EvService, target.Now(), service, uint64(from), uint64(kind))

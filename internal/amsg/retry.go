@@ -206,14 +206,16 @@ func (l *Layer) callReliable(from, to NodeID, kind Kind, h Handler, req []byte) 
 				resp = r
 				service += l.net.ScaledSW(to, extra)
 			}
-			target.Steal(service)
+			// The request reaches the target one wire after it was sent.
+			at := caller.OwnNow() + vclock.Time(l.net.WireNs(from, to, 0))
+			target.Steal(at, service)
 			if rec := l.rec; rec != nil && rec.Enabled() {
 				rec.Record(int(to), perfmon.EvService, target.Now(), service, uint64(from), uint64(kind))
 			}
 			// A network-duplicated copy of the request costs the target
 			// one more suppressed interrupt, nothing else.
 			if l.net.LinkDup(from, to) {
-				target.Steal(l.net.ScaledSW(to, l.link.HandlerNs))
+				target.Steal(at, l.net.ScaledSW(to, l.link.HandlerNs))
 				l.addSuppressed(to)
 			}
 			// The response (or ack) can be lost on the way back. The

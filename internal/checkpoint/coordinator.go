@@ -102,10 +102,6 @@ func NewCoordinator(opts Options, prov Provider, layer *amsg.Layer, clocks []*vc
 		hasBase: make([]bool, len(clocks)),
 		pending: make(map[uint64]*Snapshot),
 	}
-	// Capture commits can race with retry timeouts under a fault plan;
-	// always reconcile at the quiescent instant so snapshots (and the
-	// clocks they record) are scheduler-independent.
-	c.vb.SetLiveRelease(func() bool { return true })
 	c.layer.Register(0, kindCommit, func(amsg.NodeID, []byte) ([]byte, vclock.Duration) {
 		return nil, commitCost
 	})

@@ -98,9 +98,6 @@ type Config struct {
 	// carries none (hardware coherence, write-invalidate engines whose
 	// copies are never stale).
 	Engine Engine
-	// LiveRelease selects the barrier's quiescent release convention
-	// (see vclock.VBarrier.SetLiveRelease); nil keeps the legacy one.
-	LiveRelease func() bool
 	// Rendezvous lists barriers the substrate runs beside the manager's
 	// own, so that AbortSync poisons them too.
 	Rendezvous []*vclock.VBarrier
@@ -145,8 +142,10 @@ type Manager struct {
 	tree     *Tree // nil on the flat paths
 	vb       *vclock.VBarrier
 	exchange *notices.EpochExchange
-	steal    StealFn // forwarding interrupts on hint chains; nil when handler-free
-	rec      *perfmon.Recorder
+	// stealFrom[n] charges a forwarding interrupt on a hint chain to the
+	// node it names, timestamped by requester n; nil when handler-free.
+	stealFrom []StealFn
+	rec       *perfmon.Recorder
 
 	mu    sync.Mutex
 	locks []*lock
@@ -185,13 +184,13 @@ func NewManager(cfg Config) *Manager {
 		m.tree = NewTree(n, cfg.Topology)
 	}
 	if cfg.Wire.HandlerNs > 0 {
-		m.steal = func(node int, d vclock.Duration) { cfg.Clocks[node].Steal(d) }
+		m.stealFrom = make([]StealFn, n)
+		for from, clk := range cfg.Clocks {
+			m.stealFrom[from] = func(node int, d vclock.Duration) { cfg.Clocks[node].Steal(clk.OwnNow(), d) }
+		}
 	}
 	if cfg.Engine != nil {
 		m.exchange = notices.NewEpochExchange(n)
-	}
-	if cfg.LiveRelease != nil {
-		m.vb.SetLiveRelease(cfg.LiveRelease)
 	}
 	return m
 }
@@ -250,16 +249,20 @@ func (m *Manager) lock(id int) *lock {
 	return m.locks[id]
 }
 
-// interrupt charges the handler that services one message at node.
-func (m *Manager) interrupt(node int) {
-	if m.steal != nil {
-		m.steal(node, m.cfg.Wire.HandlerNs)
+// handlers reports whether messages interrupt the nodes they reach.
+func (m *Manager) handlers() bool { return m.stealFrom != nil }
+
+// interrupt charges the handler that services one message at node, the
+// message having reached it at virtual time at.
+func (m *Manager) interrupt(node int, at vclock.Time) {
+	if m.handlers() {
+		m.cfg.Clocks[node].Steal(at, m.cfg.Wire.HandlerNs)
 	}
 }
 
 // sent counts k protocol messages (none on a handler-free fabric).
 func (m *Manager) sent(ns *nodeState, k int) {
-	if m.steal != nil {
+	if m.handlers() {
 		ns.msgs += uint64(k)
 	}
 }
@@ -307,10 +310,14 @@ func (m *Manager) acquire(node, id int, try bool) bool {
 	case st.dl != nil && try:
 		peer, req = st.dl.probe(node, msgBytes, w.Msg)
 	case st.dl != nil:
-		peer, req, hops = st.dl.Request(node, msgBytes, w.Msg, m.steal, w.HandlerNs)
+		var steal StealFn
+		if m.handlers() {
+			steal = m.stealFrom[node]
+		}
+		peer, req, hops = st.dl.Request(node, msgBytes, w.Msg, steal, w.HandlerNs)
 	case peer != node:
 		req = w.Msg(node, peer, msgBytes)
-		m.interrupt(peer)
+		m.interrupt(peer, clk.OwnNow()+vclock.Time(req))
 	}
 	remote := peer != node
 	if remote {
@@ -321,7 +328,7 @@ func (m *Manager) acquire(node, id int, try bool) bool {
 	case !remote:
 		req = w.LocalNs
 	case w.Notices: // priced below, once the list is drained
-	case m.steal == nil:
+	case !m.handlers():
 		grant = w.GrantNs
 	case st.dl != nil:
 		grant = w.Msg(peer, node, msgBytes)
@@ -337,7 +344,7 @@ func (m *Manager) acquire(node, id int, try bool) bool {
 	if remote && st.dl != nil {
 		// The predecessor hands the token over: one grant message, its
 		// interrupt paid by the node that held the tail of the queue.
-		m.interrupt(peer)
+		m.interrupt(peer, clk.OwnNow())
 		m.sent(ns, 1)
 	}
 
@@ -386,7 +393,7 @@ func (m *Manager) Release(node, id int) {
 	rel := w.LocalNs
 	if st.dl == nil && st.home != node {
 		rel = w.Msg(node, st.home, m.bytes(len(pages)))
-		m.interrupt(st.home)
+		m.interrupt(st.home, clk.OwnNow()+vclock.Time(rel))
 		m.sent(ns, 1)
 	}
 	st.vl.Release(clk, rel)
@@ -417,7 +424,7 @@ func (m *Manager) Barrier(node int) {
 	// Arrival, and the release wave when it is payload-free.
 	var arrive, wave vclock.Duration
 	switch {
-	case m.steal == nil && (m.tree == nil || node == 0):
+	case !m.handlers() && (m.tree == nil || node == 0):
 		// The counter lives in the fabric: one operation in, one out.
 		arrive = w.Msg(node, 0, msgBytes)
 		wave = arrive
@@ -428,7 +435,8 @@ func (m *Manager) Barrier(node int) {
 		// when the root can release — but only the direct parent takes an
 		// interrupt; ancestors see one aggregated message per subtree.
 		arrive = m.tree.PathCost(node, m.bytes(len(mine)), w.Msg)
-		m.interrupt(m.tree.parentOf(node))
+		parent := m.tree.parentOf(node)
+		m.interrupt(parent, clk.OwnNow()+vclock.Time(w.Msg(node, parent, m.bytes(len(mine)))))
 		m.sent(ns, 1)
 		if !w.Notices {
 			wave = arrive
@@ -436,7 +444,7 @@ func (m *Manager) Barrier(node int) {
 		}
 	default:
 		arrive = w.Msg(node, 0, m.bytes(len(mine)))
-		m.interrupt(0)
+		m.interrupt(0, clk.OwnNow()+vclock.Time(arrive))
 		m.sent(ns, 1)
 	}
 	m.vb.Arrive(clk, arrive, wave)

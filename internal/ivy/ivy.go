@@ -197,8 +197,7 @@ func New(cfg Config) (*DSM, error) {
 	topo := d.layer.Network().Topology()
 	d.Manager = hsync.NewManager(hsync.Config{
 		Name: "ivy", Clocks: d.Clocks, Topology: topo,
-		Wire:        hsync.EthernetWire(base.Cost.Ethernet, topo),
-		LiveRelease: d.layer.Network().CallFaultsActive,
+		Wire: hsync.EthernetWire(base.Cost.Ethernet, topo),
 	})
 	return d, nil
 }
@@ -406,13 +405,21 @@ func (n *node) selfFault(p memsim.PageID, want pstate) bool {
 // return the granting node, its reply and the entry's invalidation count
 // from before the request — or ok=false when the fault resolved at this
 // node (selfFault) and there is nothing to install.
+//
+// Hints learned at different times can point non-owners at each other, a
+// cycle the owner is not on. A walk that takes more hops than there are
+// nodes is in one, so it asks the other nodes in turn until one grants.
 func (n *node) chase(p memsim.PageID, want pstate) (target int, resp []byte, gen uint64, ok bool) {
 	kind, verb := kindReadPage, "fetch"
 	if want == pOwned {
 		kind, verb = kindWritePage, "take ownership of"
 	}
-	for {
+	nodes := len(n.dsm.nodes)
+	for hops := 0; ; hops++ {
 		target = n.nextHop(p)
+		if nodes > 1 && hops > nodes {
+			target = (n.id + 1 + (hops-nodes-1)%(nodes-1)) % nodes
+		}
 		if target == n.id {
 			if n.selfFault(p, want) {
 				return target, nil, 0, false

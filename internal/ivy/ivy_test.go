@@ -3,6 +3,7 @@ package ivy
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"hamster/internal/consengine"
 	"hamster/internal/memsim"
@@ -284,5 +285,39 @@ func TestVirtualTimeAdvances(t *testing.T) {
 	}
 	if d.NodeStats(0).PageFaults != 1 {
 		t.Fatalf("page faults = %d", d.NodeStats(0).PageFaults)
+	}
+}
+
+// TestStaleHintCycleResolves: probable-owner hints learned at different
+// times can point two non-owners at each other. Node 0 asks node 1, whose
+// hint names node 0 — a reply the chase ignores — so without a way out
+// node 0 would ask node 1 forever while node 2 owns the page.
+func TestStaleHintCycleResolves(t *testing.T) {
+	d := newDSM(t, 3)
+	r, err := d.Alloc(memsim.PageSize, "x", memsim.Fixed, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.WriteF64(2, r.Base, 1) // node 2, the home, becomes the owner
+	p := memsim.PageOf(r.Base)
+	for id, hint := range []int{1, 0} {
+		n := d.nodes[id]
+		n.mu.Lock()
+		e := n.entry(p)
+		e.state, e.hint = pHint, hint
+		n.mu.Unlock()
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		d.WriteF64(0, r.Base, 5)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("node 0's write fault is still chasing the 0 <-> 1 hint cycle")
+	}
+	if got := d.ReadF64(1, r.Base); got != 5 {
+		t.Fatalf("node 1 reads %v after node 0's write, want 5", got)
 	}
 }

@@ -266,13 +266,7 @@ func New(cfg Config) (*DSM, error) {
 		d.registerAggHandlers(n)
 		d.registerMigrateHandler(n)
 	}
-	// Under an active call-fault plan, retry timeouts desynchronize
-	// barrier arrivals; switch to the quiescent-instant release so seeded
-	// campaigns replay bit-identically (fault-free runs keep the legacy
-	// snapshot convention and its exact numbers).
-	faults := d.layer.Network().CallFaultsActive
-	d.vbMig.SetLiveRelease(faults)
-	sc := d.syncConfig(faults)
+	sc := d.syncConfig()
 	d.msg = sc.Wire.Msg
 	d.Manager = hsync.NewManager(sc)
 	return d, nil

@@ -18,7 +18,7 @@ import (
 // Ethernet wire whose messages carry write notices, this engine's two
 // consistency hooks, and the three places where the protocol — not
 // synchronization — has something to add at a boundary.
-func (d *DSM) syncConfig(liveRelease func() bool) hsync.Config {
+func (d *DSM) syncConfig() hsync.Config {
 	topo := d.layer.Network().Topology()
 	wire := hsync.EthernetWire(d.Cost.Ethernet, topo)
 	wire.Notices = true
@@ -27,7 +27,7 @@ func (d *DSM) syncConfig(liveRelease func() bool) hsync.Config {
 	}
 	cfg := hsync.Config{
 		Name: "swdsm", Clocks: d.Clocks, Wire: wire, Topology: topo,
-		Engine: d, LiveRelease: liveRelease, Rendezvous: []*vclock.VBarrier{d.vbMig},
+		Engine: d, Rendezvous: []*vclock.VBarrier{d.vbMig},
 	}
 	if d.protocol == EagerRC {
 		// Eager RC: one global board, so any acquire applies every pending
@@ -49,8 +49,9 @@ func (d *DSM) broadcastNotices(nodeID int, pages []memsim.PageID) {
 	var sum vclock.Duration
 	for m := range d.nodes {
 		if m != nodeID {
-			sum += d.msg(nodeID, m, hsync.NoticeBytes(len(pages)))
-			d.Clocks[m].Steal(d.Cost.Ethernet.HandlerNs)
+			wire := d.msg(nodeID, m, hsync.NoticeBytes(len(pages)))
+			sum += wire
+			d.Clocks[m].Steal(d.Clocks[nodeID].OwnNow()+vclock.Time(wire), d.Cost.Ethernet.HandlerNs)
 		}
 	}
 	d.Clocks[nodeID].AdvanceCat(vclock.CatNetwork, sum)

@@ -15,7 +15,7 @@ func TestAdvanceCatSumsToLocal(t *testing.T) {
 	c.AdvanceCat(CatProtocol, 7)
 	c.AdvanceCat(CatNetwork, 12)
 	c.Advance(5) // untagged defaults to compute
-	c.Steal(40)
+	c.Steal(0, 40)
 
 	bd := c.Breakdown()
 	if bd.Compute != 105 || bd.Memory != 30 || bd.Protocol != 7 || bd.Network != 12 || bd.Stolen != 40 {
@@ -46,7 +46,7 @@ func TestAdvanceToCatAttributesDelta(t *testing.T) {
 // is Now-relative, so the bucket gets exactly what local gained.
 func TestAdvanceToCatWithStolenTime(t *testing.T) {
 	var c Clock
-	c.Steal(100)
+	c.Steal(0, 100)
 	c.AdvanceToCat(CatProtocol, 60) // already past: no-op
 	if got := c.Breakdown().Protocol; got != 0 {
 		t.Fatalf("protocol bucket = %d, want 0", got)
@@ -81,7 +81,7 @@ func TestAttributionConcurrentSum(t *testing.T) {
 				case 2:
 					c.AdvanceCat(CatNetwork, 1)
 				default:
-					c.Steal(1)
+					c.Steal(0, 1)
 				}
 			}
 		}(w)
@@ -144,7 +144,7 @@ func TestRestoreRoundTrip(t *testing.T) {
 func TestResetClearsAttribution(t *testing.T) {
 	var c Clock
 	c.AdvanceCat(CatMemory, 10)
-	c.Steal(5)
+	c.Steal(0, 5)
 	c.reset()
 	if c.Now() != 0 {
 		t.Fatalf("Now() = %d after Reset", c.Now())

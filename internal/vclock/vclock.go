@@ -20,12 +20,20 @@
 //
 // Stolen charges model the SIGIO-style interrupt handling of classic
 // software DSM systems such as JiaJia: the serving node keeps computing, but
-// its total virtual time grows by the handler cost.
+// its total virtual time grows by the handler cost. Each carries the virtual
+// time its message reached the node, and a barrier decides from that time
+// alone whether the charge delayed the node's arrival or fell into its wait
+// (see VBarrier), so barrier-structured runs do not depend on which side of
+// an arrival a handler happened to run on the host.
 package vclock
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Time is a point in virtual time, in nanoseconds since simulation start.
@@ -172,10 +180,38 @@ type Clock struct {
 	// charge is one atomic add and the attribution sums to the clock by
 	// construction.
 	cats   [localCategories]atomic.Uint64
-	stolen atomic.Uint64 // asynchronous protocol-handler charges
+	stolen atomic.Uint64 // asynchronous protocol-handler charges, all of them
+	// base is stolen as of the node's last barrier. OwnNow adds it to the
+	// owner charges, so a clock read for a steal's timestamp never depends
+	// on which of the current phase's charges have landed yet.
+	base   atomic.Uint64
+	ledger ledger
 
-	_ [128 - (1+localCategories)*8]byte
+	_ [128 - (2+int(localCategories))*8 - int(unsafe.Sizeof(ledger{}))]byte
 }
+
+// ledger sorts the stolen charges of the current barrier phase into those
+// that delay the node's next barrier arrival and those its wait absorbs.
+type ledger struct {
+	mu sync.Mutex
+	// counted sums the charges already known to delay the arrival: their
+	// message reached the node before the node's own clock got there.
+	counted uint64
+	// pending holds the others until the barrier, which knows where the
+	// node's arrival lies.
+	pending []steal
+}
+
+// steal is one stolen charge: d nanoseconds for a message that reached
+// the node at virtual time at.
+type steal struct {
+	at Time
+	d  Duration
+}
+
+// maxPending bounds the charges a ledger holds for one phase. A node that
+// meets no barrier for that long has the later ones counted at once.
+const maxPending = 1 << 12
 
 // local sums the owner-charge buckets. Each only grows, so a sum read
 // while other goroutines charge lies between the clock's value when the
@@ -229,11 +265,64 @@ func (c *Clock) AdvanceToCat(cat Category, t Time) {
 	}
 }
 
-// Steal charges d nanoseconds of asynchronous handler work to the node.
-// Safe to call from any goroutine. Stolen time is its own attribution
-// category (CatStolen).
-func (c *Clock) Steal(d Duration) {
+// OwnNow returns Now without the stolen charges that landed since the
+// node's last barrier: a function of the node's own charges, whatever
+// other nodes' handlers have done meanwhile. It timestamps the messages
+// the node sends, for Steal.
+func (c *Clock) OwnNow() Time {
+	return Time(c.local() + c.base.Load())
+}
+
+// Steal charges d nanoseconds of asynchronous handler work to the node,
+// for a message that reached it at virtual time at (the sender's OwnNow
+// plus the wire). Safe to call from any goroutine. Stolen time is its own
+// attribution category (CatStolen) and Now includes it at once. Whether
+// it also delays the node's next barrier arrival is decided from at: a
+// message that reached the node before the node reached the barrier
+// interrupted its work; one that reached it later fell into its wait.
+func (c *Clock) Steal(at Time, d Duration) {
 	c.stolen.Add(uint64(d))
+	l := &c.ledger
+	l.mu.Lock()
+	// The node's own clock only grows until the barrier, so a message
+	// that is already behind it is behind the arrival too.
+	if uint64(at) < c.local()+c.base.Load()+l.counted || len(l.pending) == maxPending {
+		l.counted += uint64(d)
+	} else {
+		l.pending = append(l.pending, steal{at, d})
+	}
+	l.mu.Unlock()
+}
+
+// arrival returns the node's barrier arrival time: its own clock plus
+// every stolen charge whose message reached it before it got there, in
+// order of those messages' times. Call it at a quiescent rendezvous, when
+// every charge of the phase has landed; then the result depends on the
+// charges' times and amounts only, never on the order they landed in.
+func (c *Clock) arrival() Time {
+	l := &c.ledger
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	a := c.local() + c.base.Load() + l.counted
+	slices.SortFunc(l.pending, func(x, y steal) int { return cmp.Compare(x.at, y.at) })
+	for _, s := range l.pending {
+		if uint64(s.at) >= a {
+			break // this message and every later one found the node waiting
+		}
+		a += uint64(s.d)
+	}
+	return Time(a)
+}
+
+// settle closes the node's barrier phase: every stolen charge so far
+// becomes part of OwnNow. Quiescent use only, after the reconciliation.
+func (c *Clock) settle() {
+	l := &c.ledger
+	l.mu.Lock()
+	c.base.Store(c.stolen.Load())
+	l.counted = 0
+	l.pending = l.pending[:0]
+	l.mu.Unlock()
 }
 
 // Breakdown snapshots the per-category attribution. Read it at
@@ -261,6 +350,7 @@ func (c *Clock) Restore(b Breakdown) {
 	c.cats[CatProtocol].Store(uint64(b.Protocol))
 	c.cats[CatNetwork].Store(uint64(b.Network))
 	c.stolen.Store(uint64(b.Stolen))
+	c.settle()
 }
 
 // MaxAll returns the maximum Now() across the given clocks, or zero when

@@ -37,7 +37,7 @@ func TestClockAdvanceToMonotonic(t *testing.T) {
 func TestClockSteal(t *testing.T) {
 	var c Clock
 	c.Advance(100)
-	c.Steal(40)
+	c.Steal(0, 40)
 	if got := c.Now(); got != 140 {
 		t.Fatalf("Now = %d, want 140", got)
 	}
@@ -53,7 +53,7 @@ func TestClockSteal(t *testing.T) {
 
 func TestClockStealBelowStolen(t *testing.T) {
 	var c Clock
-	c.Steal(100)
+	c.Steal(0, 100)
 	c.AdvanceToCat(CatProtocol, 50) // target already passed via stolen time
 	if got := c.Now(); got != 100 {
 		t.Fatalf("Now = %d, want 100", got)
@@ -63,7 +63,7 @@ func TestClockStealBelowStolen(t *testing.T) {
 func TestClockReset(t *testing.T) {
 	var c Clock
 	c.Advance(10)
-	c.Steal(5)
+	c.Steal(0, 5)
 	c.reset()
 	if c.Now() != 0 || c.Breakdown().Stolen != 0 {
 		t.Fatalf("Reset did not zero the clock: now=%d stolen=%d", c.Now(), c.Breakdown().Stolen)
@@ -79,7 +79,7 @@ func TestClockConcurrentSteal(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < per; j++ {
-				c.Steal(1)
+				c.Steal(0, 1)
 			}
 		}()
 	}
@@ -158,7 +158,7 @@ func TestAdvanceStealSumProperty(t *testing.T) {
 				want += uint64(adv[i])
 			}
 			if i < len(st) {
-				c.Steal(Duration(st[i]))
+				c.Steal(0, Duration(st[i]))
 				want += uint64(st[i])
 			}
 		}
@@ -188,6 +188,47 @@ func TestVBarrierReconcilesClocks(t *testing.T) {
 	for i, c := range clocks {
 		if got := c.Now(); got != 415 {
 			t.Errorf("clock %d = %d, want 415", i, got)
+		}
+	}
+}
+
+// TestVBarrierStealOrderIndependent: a stolen charge delays a party's
+// arrival when its message reached the party before the party's own
+// clock got to the barrier, whichever side of the arrival it lands on in
+// host time. A reaches the barrier at 100; the messages at 60 and 105
+// (105 is before 100+10) interrupt its work, the one at 130 finds it
+// waiting. So B is released at 120 and A, whose absorbed handler still
+// ran, at 130 — in every host order.
+func TestVBarrierStealOrderIndependent(t *testing.T) {
+	steals := []struct{ at, d uint64 }{{130, 10}, {60, 10}, {105, 10}}
+	for before := 0; before <= len(steals); before++ {
+		var a, b Clock
+		a.Advance(100)
+		bar := NewVBarrier(2)
+		steal := func(i int) { a.Steal(Time(steals[i].at), Duration(steals[i].d)) }
+		for i := 0; i < before; i++ {
+			steal(i)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			bar.Arrive(&a, 0, 0)
+		}()
+		for parked := false; !parked; {
+			bar.mu.Lock()
+			parked = bar.arrived == 1
+			bar.mu.Unlock()
+		}
+		for i := before; i < len(steals); i++ {
+			steal(i)
+		}
+		bar.Arrive(&b, 0, 0)
+		<-done
+		if a.Now() != 130 || b.Now() != 120 {
+			t.Errorf("%d steals before A arrived: A at %d, B at %d; want 130, 120", before, a.Now(), b.Now())
+		}
+		if a.OwnNow() != a.Now() {
+			t.Errorf("%d steals before A arrived: OwnNow %d after the barrier, Now %d", before, a.OwnNow(), a.Now())
 		}
 	}
 }
@@ -437,4 +478,5 @@ func (c *Clock) reset() {
 	for i := range c.cats {
 		c.cats[i].Store(0)
 	}
+	c.settle()
 }

@@ -9,53 +9,32 @@ import "sync"
 // VBarrier is a virtual-time barrier for a fixed set of participants.
 //
 // Arrive blocks the calling goroutine until all parties have arrived, then
-// advances the caller's clock to the maximum arrival time across all
-// parties plus the supplied per-party release cost. This models the
-// semantics of any real barrier — nobody leaves before the last arrival —
-// while letting each platform charge its own communication cost.
+// advances the caller's clock to the latest arrival plus the supplied
+// per-party release cost. This models the semantics of any real barrier —
+// nobody leaves before the last arrival — while letting each platform
+// charge its own communication cost.
 //
 // Reconciliation happens at a quiescent instant. When the last party
 // arrives, every other party is blocked inside Arrive, so no stolen
-// charge (Clock.Steal runs on the issuing party's goroutine, before that
-// party arrives) can still be in flight. The last arriver advances every
-// participant's clock to the release time right there, under the barrier
-// mutex, before anyone is released. Steals from the next phase can then
-// only land after the reconciliation, never race with it, which keeps
-// barrier-structured runs bit-identical across schedules even when fault
-// retries desynchronize the arrivals.
+// charge of the phase (Clock.Steal runs on the issuing party's goroutine,
+// before that party arrives) can still be in flight. The last arriver
+// takes each participant's arrival from its clock's ledger — own charges
+// plus the stolen charges whose messages reached it before it got there;
+// a later message found it waiting and its handler ran in the wait — then
+// advances every clock to the latest arrival and closes every ledger,
+// under the barrier mutex, before anyone is released. Steals from the
+// next phase can only land after that. The release is therefore a pure
+// function of the parties' own charges and their messages' virtual times:
+// barrier-structured runs are bit-identical across host schedules, with
+// or without fault retries desynchronizing the arrivals.
 type VBarrier struct {
 	mu       sync.Mutex
 	parties  int
 	arrived  int
-	maxT     Time     // accumulating max arrival for the current generation
 	clocks   []*Clock // participants of the current generation
 	gen      uint64
-	relT     map[uint64]relEntry // releases of completed generations
-	readers  map[uint64]int      // parties that still need to read relT[gen]
 	release  *sync.Cond
 	abortMsg string // non-empty once Abort poisons the barrier
-
-	// liveRelease, when set and returning true, switches the barrier to
-	// the deterministic release convention: the release time is the max
-	// of the live clocks at the quiescent rendezvous instant (not of the
-	// arrival snapshots), and all participants are reconciled under the
-	// barrier mutex before anyone is released. The legacy convention
-	// absorbs a handler interrupt that lands on an already-arrived or
-	// not-yet-woken node into its wait — but which side of an arrival or
-	// wakeup a concurrent interrupt lands on is scheduler-dependent, so
-	// once fault retries desynchronize the arrivals it stops being a pure
-	// function of the program. Substrates set this to their network's
-	// CallFaultsActive so that seeded fault campaigns replay
-	// bit-identically while fault-free runs keep the legacy numbers.
-	liveRelease func() bool
-}
-
-// relEntry is one generation's release: the reconciliation target and
-// which convention produced it (live = clocks already reconciled at the
-// rendezvous; legacy = each waiter reconciles after waking).
-type relEntry struct {
-	at   Time
-	live bool
 }
 
 // NewVBarrier creates a barrier for the given number of parties.
@@ -63,33 +42,15 @@ func NewVBarrier(parties int) *VBarrier {
 	if parties <= 0 {
 		panic("vclock: barrier parties must be positive")
 	}
-	b := &VBarrier{
-		parties: parties,
-		relT:    make(map[uint64]relEntry),
-		readers: make(map[uint64]int),
-	}
+	b := &VBarrier{parties: parties}
 	b.release = sync.NewCond(&b.mu)
 	return b
 }
 
-// SetLiveRelease installs the predicate that selects the quiescent
-// live-clock release convention (see the liveRelease field). Call it at
-// setup, before any Arrive.
-func (b *VBarrier) SetLiveRelease(f func() bool) {
-	b.mu.Lock()
-	b.liveRelease = f
-	b.mu.Unlock()
-}
-
 // Arrive enters the barrier at the clock's current time plus arriveCost
 // (the cost of announcing arrival), blocks until all parties arrive, and
-// leaves with the clock advanced to max(clocks within THIS generation)
-// + releaseCost. Release times are recorded per generation: real-time
-// scheduling can let a fast party race ahead into the next barrier
-// generation before a slow waiter has woken up, and the fast party's new
-// arrival time must never inflate the timestamp handed to the previous
-// generation's waiters.
-// It returns the reconciled release time.
+// leaves with the clock advanced to the latest arrival of THIS generation
+// plus releaseCost. It returns the caller's time on leaving.
 func (b *VBarrier) Arrive(c *Clock, arriveCost, releaseCost Duration) Time {
 	c.AdvanceCat(CatProtocol, arriveCost)
 
@@ -101,64 +62,36 @@ func (b *VBarrier) Arrive(c *Clock, arriveCost, releaseCost Duration) Time {
 	}
 	myGen := b.gen
 	b.clocks = append(b.clocks, c)
-	if t := c.Now(); t > b.maxT {
-		b.maxT = t
-	}
 	b.arrived++
 	if b.arrived == b.parties {
-		rel := relEntry{at: b.maxT}
-		if b.liveRelease != nil && b.liveRelease() {
-			// Deterministic mode (active fault plan). This is a quiescent
-			// instant: every party is inside Arrive, so no stolen charge
-			// can still be in flight. Take the release time from the live
-			// clocks — whose steal totals are schedule-independent here —
-			// rather than the arrival snapshots (which depend on which
-			// side of an arrival each interrupt happened to land), and
-			// reconcile every participant before anyone leaves, so steals
-			// from the next phase can only land after the reconciliation.
-			rel.live = true
-			for _, pc := range b.clocks {
-				if t := pc.Now(); t > rel.at {
-					rel.at = t
-				}
-			}
-			for _, pc := range b.clocks {
-				pc.AdvanceToCat(CatProtocol, rel.at)
+		var rel Time
+		for _, pc := range b.clocks {
+			if t := pc.arrival(); t > rel {
+				rel = t
 			}
 		}
+		for _, pc := range b.clocks {
+			pc.AdvanceToCat(CatProtocol, rel)
+			pc.settle()
+		}
 		b.clocks = b.clocks[:0]
-		b.relT[myGen] = rel
-		b.readers[myGen] = b.parties
 		b.arrived = 0
-		b.maxT = 0
 		b.gen++
 		b.release.Broadcast()
 	} else {
-		for {
+		// A fast party cannot start the next generation before this one
+		// has woken: the next generation needs this party's arrival too.
+		for b.gen == myGen {
 			if b.abortMsg != "" {
 				msg := b.abortMsg
 				b.mu.Unlock()
 				panic(msg)
 			}
-			if _, done := b.relT[myGen]; done {
-				break
-			}
 			b.release.Wait()
 		}
 	}
-	rel := b.relT[myGen]
-	b.readers[myGen]--
-	if b.readers[myGen] == 0 {
-		delete(b.readers, myGen)
-		delete(b.relT, myGen)
-	}
 	b.mu.Unlock()
 
-	if !rel.live {
-		// Legacy convention: reconcile after waking, so an interrupt that
-		// landed on this waiter in the meantime is absorbed by the wait.
-		c.AdvanceToCat(CatProtocol, rel.at)
-	}
 	c.AdvanceCat(CatProtocol, releaseCost)
 	return c.Now()
 }
