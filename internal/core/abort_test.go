@@ -135,16 +135,32 @@ func TestNodePanicUnblocksPeers(t *testing.T) {
 				panic("boom")
 			})
 		}},
+		// The initial thread's panic cannot wake a task waiting on an
+		// event, a condition variable or a semaphore only it would have
+		// posted; the task stays blocked, and Close, deferred while the
+		// panic unwinds, must still return and let the panic through.
+		{"main-event", mainDiesWhile(func(e *Env) {
+			ev := e.Sync.NewEvent()
+			waitIn(e, func(e *Env) { e.Sync.Wait(ev) })
+		})},
+		{"main-cond", mainDiesWhile(func(e *Env) {
+			cv := e.Sync.NewCond()
+			waitIn(e, func(e *Env) { e.Sync.CondWait(cv, func() {}, func() {}) })
+		})},
+		{"main-sem", mainDiesWhile(func(e *Env) {
+			sem := e.Sync.NewSemaphore(0, 0)
+			waitIn(e, func(e *Env) { e.Sync.SemAcquire(sem) })
+		})},
 	}
 	for _, sub := range everySubstrate {
 		for _, sv := range survivors {
 			t.Run(sub.name+"/"+sv.name, func(t *testing.T) {
 				rt := sub.build(t)
-				defer rt.Close()
 				lock := rt.Substrate().NewLock()
 				raised := make(chan any, 1)
 				go func() {
 					defer func() { raised <- recover() }()
+					defer rt.Close()
 					sv.run(rt, lock)
 				}()
 				select {
@@ -158,6 +174,28 @@ func TestNodePanicUnblocksPeers(t *testing.T) {
 			})
 		}
 	}
+}
+
+// mainDiesWhile runs setup on the initial thread, then panics there.
+func mainDiesWhile(setup func(e *Env)) func(*Runtime, int) {
+	return func(rt *Runtime, _ int) {
+		rt.Main(func(e *Env, _ *Task) {
+			setup(e)
+			panic("boom")
+		})
+	}
+}
+
+// waitIn starts a task on node 1 that blocks in wait and returns once the
+// task is about to enter it.
+func waitIn(e *Env, wait func(e *Env)) {
+	waiting := make(chan struct{})
+	e.Task.SpawnOn(1, func(e *Env, _ *Task) int64 {
+		close(waiting)
+		wait(e)
+		return 0
+	})
+	<-waiting
 }
 
 // TestCloseNeedsQuiescence: Close hands the substrate's page buffers back

@@ -428,15 +428,24 @@ func (rt *Runtime) fail(node int, r any) {
 // Close shuts the runtime down, unblocking any waiting receivers, and
 // hands the substrate's page buffers back for the next runtime to reuse.
 // That is safe only once no node or task goroutine can touch them: Close
-// panics naming one that is still running (an unjoined task, say) —
-// unless the runtime failed, when every survivor is already being woken
-// (see fail) and Close waits for them.
+// panics naming one that is still running (an unjoined task, say). A
+// failed runtime is the exception. Its survivors may be blocked where the
+// failure cannot wake them (on an event or a semaphore), and Close may be
+// running in a deferred call while the failure unwinds, so it neither
+// waits nor panics: it closes the networks and leaves every buffer to the
+// garbage collector.
 func (rt *Runtime) Close() {
 	rt.msgs.Close()
 	rt.failMu.Lock()
 	failed := rt.failure != nil
 	rt.failMu.Unlock()
-	rt.live.quiesce(failed)
+	if failed {
+		if rt.am != nil {
+			rt.am.Network().Close()
+		}
+		return
+	}
+	rt.live.quiesce()
 	rt.sub.Close()
 }
 

@@ -171,7 +171,6 @@ func (g goroutineID) String() string {
 // liveSet lists the goroutines goNode started that are still running.
 type liveSet struct {
 	mu      sync.Mutex
-	left    sync.Cond // broadcast whenever one leaves
 	running []goroutineID
 }
 
@@ -186,20 +185,14 @@ func (s *liveSet) leave(g goroutineID) {
 	i := slices.Index(s.running, g)
 	s.running[i] = s.running[len(s.running)-1]
 	s.running = s.running[:len(s.running)-1]
-	s.left.Broadcast()
 	s.mu.Unlock()
 }
 
-// quiesce returns once no goroutine is running: at once, when none is;
-// after they have all left, when wait is set; otherwise it panics naming
-// those still running.
-func (s *liveSet) quiesce(wait bool) {
+// quiesce returns when no goroutine is running and otherwise panics
+// naming those that are.
+func (s *liveSet) quiesce() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.left.L = &s.mu
-	for wait && len(s.running) > 0 {
-		s.left.Wait()
-	}
 	if len(s.running) == 0 {
 		return
 	}

@@ -58,6 +58,10 @@ type CostFn func(from, to, bytes int) vclock.Duration
 // forwarding work done on its behalf by another goroutine.
 type StealFn func(node int, d vclock.Duration)
 
+// stealAt is a StealFn that also learns the virtual time the message
+// reached the node, for vclock.Clock.Steal.
+type stealAt func(node int, at vclock.Time, d vclock.Duration)
+
 // Tree is a reduction/broadcast tree over node ids, aligned with the
 // topology when it has racks: members report to their rack's first node,
 // rack leaders to their pod's first node (fattree), pod leaders to node
@@ -171,8 +175,19 @@ func NewDLock(vl *vclock.VLock, nodes, home int) *DLock {
 // the VLock, and the chain length in hops. steal charges each forwarding
 // node perHopSteal for the interrupt that relayed the request.
 func (d *DLock) Request(node, bytes int, msg CostFn, steal StealFn, perHopSteal vclock.Duration) (prev int, cost vclock.Duration, hops int) {
+	var at stealAt
+	if steal != nil {
+		at = func(n int, _ vclock.Time, c vclock.Duration) { steal(n, c) }
+	}
+	return d.requestAt(node, 0, bytes, msg, at, perHopSteal)
+}
+
+// requestAt is Request for a requester whose clock read sent when the
+// request left it: steal learns that the request reached each forwarder
+// at sent plus the wires so far.
+func (d *DLock) requestAt(node int, sent vclock.Time, bytes int, msg CostFn, steal stealAt, perHopSteal vclock.Duration) (prev int, cost vclock.Duration, hops int) {
 	d.mu.Lock()
-	prev, cost, hops = d.walk(node, bytes, msg, steal, perHopSteal, true)
+	prev, cost, hops = d.walk(node, sent, bytes, msg, steal, perHopSteal, true)
 	d.mu.Unlock()
 	return prev, cost, hops
 }
@@ -182,7 +197,7 @@ func (d *DLock) Request(node, bytes int, msg CostFn, steal StealFn, perHopSteal 
 // chain after a successful try.
 func (d *DLock) probe(node, bytes int, msg CostFn) (prev int, cost vclock.Duration) {
 	d.mu.Lock()
-	prev, cost, _ = d.walk(node, bytes, msg, nil, 0, false)
+	prev, cost, _ = d.walk(node, 0, bytes, msg, nil, 0, false)
 	d.mu.Unlock()
 	return prev, cost
 }
@@ -191,14 +206,14 @@ func (d *DLock) probe(node, bytes int, msg CostFn) (prev int, cost vclock.Durati
 // TryAcquire pair.
 func (d *DLock) commit(node int) {
 	d.mu.Lock()
-	d.walk(node, 0, func(_, _, _ int) vclock.Duration { return 0 }, nil, 0, true)
+	d.walk(node, 0, 0, func(_, _, _ int) vclock.Duration { return 0 }, nil, 0, true)
 	d.mu.Unlock()
 }
 
 // walk follows the hint chain from node to the current holder, charging
 // one message per hop, and (when compress) re-points every visited hint
 // at node and installs node as holder. Caller holds d.mu.
-func (d *DLock) walk(node, bytes int, msg CostFn, steal StealFn, perHopSteal vclock.Duration, compress bool) (int, vclock.Duration, int) {
+func (d *DLock) walk(node int, sent vclock.Time, bytes int, msg CostFn, steal stealAt, perHopSteal vclock.Duration, compress bool) (int, vclock.Duration, int) {
 	var cost vclock.Duration
 	hops := 0
 	cur := node
@@ -212,7 +227,7 @@ func (d *DLock) walk(node, bytes int, msg CostFn, steal StealFn, perHopSteal vcl
 		cost += msg(cur, next, bytes)
 		hops++
 		if steal != nil && next != node {
-			steal(next, perHopSteal)
+			steal(next, sent+vclock.Time(cost), perHopSteal)
 		}
 		if compress {
 			d.hint[cur] = node

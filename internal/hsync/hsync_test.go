@@ -124,6 +124,20 @@ func TestDLockStealChargesForwarders(t *testing.T) {
 	}
 }
 
+// TestDLockHopsArriveAlongTheWire: each forwarding interrupt is stamped
+// with the time the request reached that node — the requester's clock
+// when it sent the request plus the wires of the hops so far.
+func TestDLockHopsArriveAlongTheWire(t *testing.T) {
+	dl := NewDLock(vclock.NewVLock(), 8, 0)
+	dl.Request(1, 8, unitMsg, nil, 0) // holder: 1, node 2 still hints 0
+	var at []vclock.Time
+	dl.requestAt(2, 1000, 8, unitMsg, func(_ int, t0 vclock.Time, _ vclock.Duration) { at = append(at, t0) }, 50)
+	w := vclock.Time(unitMsg(2, 0, 8))
+	if len(at) != 2 || at[0] != 1000+w || at[1] != 1000+2*w {
+		t.Fatalf("arrivals = %v, want [%d %d]", at, 1000+w, 1000+2*w)
+	}
+}
+
 func TestDLockProbeDoesNotMutate(t *testing.T) {
 	dl := NewDLock(vclock.NewVLock(), 8, 0)
 	dl.Request(3, 8, unitMsg, nil, 0)
@@ -202,6 +216,6 @@ func (d *DLock) probableHolder() int {
 func (d *DLock) chainLen(node int) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	_, _, hops := d.walk(node, 0, func(_, _, _ int) vclock.Duration { return 0 }, nil, 0, false)
+	_, _, hops := d.walk(node, 0, 0, func(_, _, _ int) vclock.Duration { return 0 }, nil, 0, false)
 	return hops
 }

@@ -142,10 +142,8 @@ type Manager struct {
 	tree     *Tree // nil on the flat paths
 	vb       *vclock.VBarrier
 	exchange *notices.EpochExchange
-	// stealFrom[n] charges a forwarding interrupt on a hint chain to the
-	// node it names, timestamped by requester n; nil when handler-free.
-	stealFrom []StealFn
-	rec       *perfmon.Recorder
+	steal    stealAt // charges a message's interrupt; nil when handler-free
+	rec      *perfmon.Recorder
 
 	mu    sync.Mutex
 	locks []*lock
@@ -184,10 +182,7 @@ func NewManager(cfg Config) *Manager {
 		m.tree = NewTree(n, cfg.Topology)
 	}
 	if cfg.Wire.HandlerNs > 0 {
-		m.stealFrom = make([]StealFn, n)
-		for from, clk := range cfg.Clocks {
-			m.stealFrom[from] = func(node int, d vclock.Duration) { cfg.Clocks[node].Steal(clk.OwnNow(), d) }
-		}
+		m.steal = func(node int, at vclock.Time, d vclock.Duration) { cfg.Clocks[node].Steal(at, d) }
 	}
 	if cfg.Engine != nil {
 		m.exchange = notices.NewEpochExchange(n)
@@ -250,13 +245,13 @@ func (m *Manager) lock(id int) *lock {
 }
 
 // handlers reports whether messages interrupt the nodes they reach.
-func (m *Manager) handlers() bool { return m.stealFrom != nil }
+func (m *Manager) handlers() bool { return m.steal != nil }
 
 // interrupt charges the handler that services one message at node, the
 // message having reached it at virtual time at.
 func (m *Manager) interrupt(node int, at vclock.Time) {
 	if m.handlers() {
-		m.cfg.Clocks[node].Steal(at, m.cfg.Wire.HandlerNs)
+		m.steal(node, at, m.cfg.Wire.HandlerNs)
 	}
 }
 
@@ -310,11 +305,7 @@ func (m *Manager) acquire(node, id int, try bool) bool {
 	case st.dl != nil && try:
 		peer, req = st.dl.probe(node, msgBytes, w.Msg)
 	case st.dl != nil:
-		var steal StealFn
-		if m.handlers() {
-			steal = m.stealFrom[node]
-		}
-		peer, req, hops = st.dl.Request(node, msgBytes, w.Msg, steal, w.HandlerNs)
+		peer, req, hops = st.dl.requestAt(node, clk.OwnNow(), msgBytes, w.Msg, m.steal, w.HandlerNs)
 	case peer != node:
 		req = w.Msg(node, peer, msgBytes)
 		m.interrupt(peer, clk.OwnNow()+vclock.Time(req))
@@ -343,8 +334,9 @@ func (m *Manager) acquire(node, id int, try bool) bool {
 	}
 	if remote && st.dl != nil {
 		// The predecessor hands the token over: one grant message, its
-		// interrupt paid by the node that held the tail of the queue.
-		m.interrupt(peer, clk.OwnNow())
+		// interrupt paid by the node that held the tail of the queue when
+		// it sent the grant, one grant wire before the requester got it.
+		m.interrupt(peer, clk.OwnNow()-vclock.Time(grant))
 		m.sent(ns, 1)
 	}
 

@@ -10,10 +10,12 @@ import (
 // caches churn on every invalidation wave, and a hot loop must not pay
 // the allocator for it.
 //
-// Every page-sized buffer in the simulator — home frames, SMP frames,
-// cached copies, twins, ivy's copies, the migration zero page and the
-// checkpoint capture scratch — comes from one free list and goes back to
-// it. The list is a mutex-guarded stack of *[PageSize]byte: a sync.Pool
+// Every page buffer a substrate holds — home frames, SMP frames, cached
+// copies, twins, ivy's copies, the migration zero page — and the
+// checkpoint capture scratch come from one free list and go back to it.
+// The page images a checkpoint keeps (captured pages, incremental
+// shadows) are the one exception: they belong to their snapshot, which
+// outlives the runtime, and are allocated per capture. The list is a mutex-guarded stack of *[PageSize]byte: a sync.Pool
 // would be simpler, but the garbage collector empties a sync.Pool every
 // second cycle, and a simulation pass runs a dozen cycles, so nothing it
 // held survived from one cell to the next. The list only ever holds

@@ -200,6 +200,8 @@ type ledger struct {
 	// pending holds the others until the barrier, which knows where the
 	// node's arrival lies.
 	pending []steal
+	// limit is the length at which pending is next compacted.
+	limit int
 }
 
 // steal is one stolen charge: d nanoseconds for a message that reached
@@ -209,9 +211,9 @@ type steal struct {
 	d  Duration
 }
 
-// maxPending bounds the charges a ledger holds for one phase. A node that
-// meets no barrier for that long has the later ones counted at once.
-const maxPending = 1 << 12
+// compactAt is the length at which a ledger first compacts its pending
+// charges; after that it compacts whenever they have doubled since.
+const compactAt = 1 << 12
 
 // local sums the owner-charge buckets. Each only grows, so a sum read
 // while other goroutines charge lies between the clock's value when the
@@ -286,12 +288,34 @@ func (c *Clock) Steal(at Time, d Duration) {
 	l.mu.Lock()
 	// The node's own clock only grows until the barrier, so a message
 	// that is already behind it is behind the arrival too.
-	if uint64(at) < c.local()+c.base.Load()+l.counted || len(l.pending) == maxPending {
+	if uint64(at) < c.local()+c.base.Load()+l.counted {
 		l.counted += uint64(d)
-	} else {
-		l.pending = append(l.pending, steal{at, d})
+	} else if l.pending = append(l.pending, steal{at, d}); len(l.pending) >= max(l.limit, compactAt) {
+		c.compact()
 	}
 	l.mu.Unlock()
+}
+
+// compact counts, in message-time order, the pending charges whose
+// message reached the node before its own clock (plus what is already
+// counted) did, exactly as the barrier's fold will, and drops them from
+// the ledger. The rest stay, however many: they are the messages that
+// found the node behind them, a blocked node collects one per request
+// it serves, and counting any of them early would make the arrival
+// depend on the order they landed in. Compacting again only once they
+// have doubled keeps the sorting to O(log n) a charge. Caller holds the
+// ledger's mutex.
+func (c *Clock) compact() {
+	l := &c.ledger
+	slices.SortFunc(l.pending, func(x, y steal) int { return cmp.Compare(x.at, y.at) })
+	a := c.local() + c.base.Load() + l.counted
+	i := 0
+	for ; i < len(l.pending) && uint64(l.pending[i].at) < a; i++ {
+		a += uint64(l.pending[i].d)
+		l.counted += uint64(l.pending[i].d)
+	}
+	l.pending = append(l.pending[:0], l.pending[i:]...)
+	l.limit = 2 * len(l.pending)
 }
 
 // arrival returns the node's barrier arrival time: its own clock plus
@@ -322,6 +346,7 @@ func (c *Clock) settle() {
 	c.base.Store(c.stolen.Load())
 	l.counted = 0
 	l.pending = l.pending[:0]
+	l.limit = 0
 	l.mu.Unlock()
 }
 

@@ -1,6 +1,9 @@
 package vclock
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -230,6 +233,53 @@ func TestVBarrierStealOrderIndependent(t *testing.T) {
 		if a.OwnNow() != a.Now() {
 			t.Errorf("%d steals before A arrived: OwnNow %d after the barrier, Now %d", before, a.OwnNow(), a.Now())
 		}
+	}
+}
+
+// TestLedgerArrivalIsTheFold: however many charges a phase collects and
+// whenever the node's own clock moves between them, the arrival is the
+// fold the model defines — every charge in message-time order, each
+// delaying the node when its message came before the node got there —
+// over the node's final own clock. Ten thousand charges make the ledger
+// compact several times on the way.
+func TestLedgerArrivalIsTheFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 20; trial++ {
+		var c Clock
+		var all []steal
+		for i := 0; i < 10_000; i++ {
+			if rng.Intn(4) == 0 {
+				c.Advance(Duration(rng.Intn(40)))
+			}
+			s := steal{Time(rng.Intn(100_000)), Duration(1 + rng.Intn(20))}
+			c.Steal(s.at, s.d)
+			all = append(all, s)
+		}
+		slices.SortFunc(all, func(x, y steal) int { return cmp.Compare(x.at, y.at) })
+		want := c.OwnNow()
+		for _, s := range all {
+			if s.at >= want {
+				break
+			}
+			want += Time(s.d)
+		}
+		if got := c.arrival(); got != want {
+			t.Fatalf("trial %d: arrival %d, want the fold's %d", trial, got, want)
+		}
+	}
+}
+
+// TestLedgerKeepsChargesAheadOfABlockedNode: a node whose own clock stays
+// behind its messages (blocked, serving requests) keeps every charge
+// pending past the first compaction, rather than counting the later ones
+// at once.
+func TestLedgerKeepsChargesAheadOfABlockedNode(t *testing.T) {
+	var c Clock
+	for i := 0; i <= 2*compactAt; i++ {
+		c.Steal(Time(1000+i), 1)
+	}
+	if got := c.arrival(); got != 0 {
+		t.Errorf("arrival %d, want 0: every message came after the node stopped", got)
 	}
 }
 

@@ -380,8 +380,10 @@ one_notice_collect() {
 }
 step one_notice_collect
 
-# One page allocator: every page-sized buffer comes from pagestore's free
-# list and goes back to it, including at Close. A sync.Pool is emptied by
+# One page allocator: every page buffer a substrate holds comes from
+# pagestore's free list and goes back to it, including at Close (the page
+# images a checkpoint snapshot keeps are its own allocations, copied with
+# append, and not matched here). A sync.Pool is emptied by
 # the garbage collector every second cycle, and a pass runs a dozen, so
 # page buffers were 84 % of the bytes sync-scale allocated while they sat
 # in one. No non-test Go of this module outside internal/pagestore makes a
