@@ -156,7 +156,7 @@ type lock struct {
 	// the fabric and every node is remote to it.
 	home  int
 	vl    *vclock.VLock
-	board *notices.Board // notices released under this lock, per destination
+	board *notices.Board // notices released under this lock, until each node drains them
 	dl    *DLock         // distributed token queue; nil on the flat paths
 }
 

@@ -22,48 +22,94 @@ import (
 	"hamster/internal/memsim"
 )
 
-// Board holds per-destination pending notices for one synchronization
-// object (typically a lock).
+// Board holds the notices released under one synchronization object
+// (typically a lock) until each other node drains them. It is one
+// append-only page log: a post appends its pages once and marks the run
+// with its poster, and each node keeps a cursor into the run marks. A
+// drain copies the runs past the node's cursor that other nodes posted,
+// so a node receives every post but its own, in post order. Once every
+// cursor reaches the end — at the latest when a barrier drains every
+// board on every node — the log truncates and keeps its capacity.
 type Board struct {
-	mu  sync.Mutex
-	byN map[int][]memsim.PageID
+	mu      sync.Mutex
+	log     []memsim.PageID
+	runs    []run // one per post, in post order
+	cursor  []int // per node: how many runs it has drained or posted past
+	drained int   // nodes whose cursor is at len(runs)
+}
+
+// run marks one post: log[previous run's end:end], posted by poster.
+type run struct {
+	poster int
+	end    int
 }
 
 // NewBoard returns an empty board.
 func NewBoard() *Board {
-	return &Board{byN: make(map[int][]memsim.PageID)}
+	return &Board{}
 }
 
 // TakeInto drains the notices pending for a node by appending them to dst
-// and returns the extended slice. The board keeps its queue's backing
-// array (truncated to zero length) for the next interval, so a steady
-// TakeInto/AddForOthers cycle stops allocating once both the queue and
-// dst have grown to the interval's working size. The caller owns dst; the
-// board never aliases it.
+// and returns the extended slice. The board keeps its log's backing
+// array for the next interval, so a steady TakeInto/AddForOthers cycle
+// stops allocating once both the log and dst have grown to the
+// interval's working size. The caller owns dst; the board never aliases
+// it.
 func (b *Board) TakeInto(node int, dst []memsim.PageID) []memsim.PageID {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	q := b.byN[node]
-	if len(q) == 0 {
+	// An empty log may predate the first post, which sizes the cursors.
+	if len(b.runs) == 0 || b.cursor[node] == len(b.runs) {
 		return dst
 	}
-	dst = append(dst, q...)
-	b.byN[node] = q[:0]
+	c := b.cursor[node]
+	start := 0
+	if c > 0 {
+		start = b.runs[c-1].end
+	}
+	for _, r := range b.runs[c:] {
+		if r.poster != node {
+			dst = append(dst, b.log[start:r.end]...)
+		}
+		start = r.end
+	}
+	b.cursor[node] = len(b.runs)
+	b.drained++
+	b.settle()
 	return dst
 }
 
-// AddForOthers queues pages as pending notices for every node except self.
+// AddForOthers queues pages as pending notices for every node except
+// self. nodes is the cluster size, the same on every call to a board.
 func (b *Board) AddForOthers(self, nodes int, pages []memsim.PageID) {
 	if len(pages) == 0 {
 		return
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for m := 0; m < nodes; m++ {
-		if m == self {
-			continue
-		}
-		b.byN[m] = append(b.byN[m], pages...)
+	if b.cursor == nil {
+		b.cursor = make([]int, nodes)
+	}
+	// A poster with nothing else pending has nothing to drain in its own
+	// post: its cursor moves past it, so the log can still empty without
+	// the poster draining.
+	caughtUp := b.cursor[self] == len(b.runs)
+	b.log = append(b.log, pages...)
+	b.runs = append(b.runs, run{poster: self, end: len(b.log)})
+	b.drained = 0
+	if caughtUp {
+		b.cursor[self] = len(b.runs)
+		b.drained = 1
+		b.settle()
+	}
+}
+
+// settle empties the log, keeping its capacity, once every node has
+// drained it. Requires mu.
+func (b *Board) settle() {
+	if b.drained == len(b.cursor) {
+		b.log, b.runs = b.log[:0], b.runs[:0]
+		clear(b.cursor)
 	}
 }
 

@@ -1,6 +1,8 @@
 package notices
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"slices"
 	"sort"
 	"sync"
@@ -250,6 +252,117 @@ func TestEpochExchangeConcurrent(t *testing.T) {
 	}
 }
 
+// refBoard is the board's specification: one pending queue per
+// destination, each post copied into every queue but the poster's.
+type refBoard map[int][]memsim.PageID
+
+func (r refBoard) add(self, nodes int, pages []memsim.PageID) {
+	for m := 0; m < nodes; m++ {
+		if m != self {
+			r[m] = append(r[m], pages...)
+		}
+	}
+}
+
+func (r refBoard) take(node int, dst []memsim.PageID) []memsim.PageID {
+	dst = append(dst, r[node]...)
+	delete(r, node)
+	return dst
+}
+
+// The log board drains exactly what per-destination queues would, in the
+// same order, under random post/drain sequences: with one board per lock
+// (scope) and with one board every lock shares (eager release
+// consistency). A barrier drains every board on every node and must leave
+// each log empty.
+func TestBoardMatchesPerDestinationModel(t *testing.T) {
+	const locks, steps = 3, 3000
+	for _, nodes := range []int{1, 2, 5, 64} {
+		for _, shared := range []bool{false, true} {
+			t.Run(fmt.Sprintf("n=%d/shared=%v", nodes, shared), func(t *testing.T) {
+				s := rand.New(rand.NewPCG(uint64(nodes), 7))
+				boards := make([]*Board, locks)
+				refs := make([]refBoard, locks)
+				for l := range boards {
+					if l == 0 || !shared {
+						boards[l], refs[l] = NewBoard(), refBoard{}
+					} else {
+						boards[l], refs[l] = boards[0], refs[0]
+					}
+				}
+				var got, want []memsim.PageID
+				page := memsim.PageID(0)
+				for step := 0; step < steps; step++ {
+					l, node := s.IntN(locks), s.IntN(nodes)
+					switch r := s.IntN(100); {
+					case r < 45: // release
+						pages := make([]memsim.PageID, s.IntN(4))
+						for i := range pages {
+							page++
+							pages[i] = page
+						}
+						boards[l].AddForOthers(node, nodes, pages)
+						refs[l].add(node, nodes, pages)
+					case r < 97: // acquire, appending after what dst holds
+						got = boards[l].TakeInto(node, append(got[:0], 1<<40))
+						want = refs[l].take(node, append(want[:0], 1<<40))
+						if !slices.Equal(got, want) {
+							t.Fatalf("step %d: node %d took %v from lock %d, model has %v", step, node, got, l, want)
+						}
+					default: // barrier
+						for l := range boards {
+							for m := 0; m < nodes; m++ {
+								got = boards[l].TakeInto(m, got[:0])
+								want = refs[l].take(m, want[:0])
+								if !slices.Equal(got, want) {
+									t.Fatalf("step %d: barrier drain of node %d took %v from lock %d, model has %v",
+										step, m, got, l, want)
+								}
+							}
+						}
+						for l, b := range boards {
+							if n := b.logLen(); n != 0 {
+								t.Fatalf("step %d: lock %d's log holds %d pages after a barrier", step, l, n)
+							}
+						}
+					}
+					if n := boards[l].logLen(); nodes == 1 && n != 0 {
+						t.Fatalf("step %d: a one-node board holds %d pages nobody can drain", step, n)
+					}
+				}
+			})
+		}
+	}
+}
+
+// A warmed post/drain cycle allocates nothing: the log, its run marks and
+// the drain buffer keep their capacity across truncations. Each poster
+// hands the lock on without draining its own post, as a releaser does,
+// and the log still empties once the others have drained.
+func TestBoardCycleZeroAlloc(t *testing.T) {
+	const nodes = 64
+	b := NewBoard()
+	pages := []memsim.PageID{1, 2, 3, 4, 5, 6, 7, 8}
+	buf := make([]memsim.PageID, 0, len(pages))
+	cycle := func() {
+		for poster := 0; poster < nodes; poster += 16 {
+			b.AddForOthers(poster, nodes, pages)
+			for node := 0; node < nodes; node++ {
+				if node != poster {
+					buf = b.TakeInto(node, buf[:0])
+				}
+			}
+			if n := b.logLen(); n != 0 {
+				t.Fatalf("log holds %d pages after every other node drained %d's post", n, poster)
+			}
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Fatalf("warmed post/drain cycle: %.2f allocs", allocs)
+	}
+}
+
 func TestBoardConcurrent(t *testing.T) {
 	b := NewBoard()
 	var wg sync.WaitGroup
@@ -269,18 +382,33 @@ func TestBoardConcurrent(t *testing.T) {
 
 // take removes and returns the notices pending for a node.
 func (b *Board) take(node int) []memsim.PageID {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := b.byN[node]
-	delete(b.byN, node)
-	return out
+	return b.TakeInto(node, nil)
 }
 
-// pending reports how many notices are queued for a node.
+// pending reports how many notices are queued for a node: the pages of
+// the runs past its cursor that another node posted.
 func (b *Board) pending(node int) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.byN[node])
+	c := 0
+	if node < len(b.cursor) {
+		c = b.cursor[node]
+	}
+	n, start := 0, 0
+	for i, r := range b.runs {
+		if i >= c && r.poster != node {
+			n += r.end - start
+		}
+		start = r.end
+	}
+	return n
+}
+
+// logLen reports how many pages the board's log holds.
+func (b *Board) logLen() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.log)
 }
 
 // liveEpochs reports how many epochs still hold storage.

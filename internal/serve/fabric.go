@@ -3,19 +3,12 @@ package serve
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"hamster/internal/apps"
 	"hamster/internal/loadgen"
 	"hamster/internal/memsim"
 	"hamster/internal/vclock"
 )
-
-// qop is an op tagged with its producer for the deterministic merge.
-type qop struct {
-	op
-	prod int
-}
 
 // nodeState is one node's view of a run. Everything here is touched
 // only by the owning node's goroutine.
@@ -59,7 +52,8 @@ type nodeState struct {
 
 	// Transient (rebuilt every round, never checkpointed).
 	acked   []uint64 // acur mirror for self, refreshed each route phase
-	queue   []qop
+	queue   []op     // this round's pops: one run per producer, in arrival order
+	merge   runMerge // walks queue's runs in (arrival, producer) order
 	ringBuf []int64
 	ioBuf   []int64
 	ckpt    bool   // a checkpoint service captured our blob
@@ -96,6 +90,7 @@ func newNodeState(cfg Config, m apps.Machine, zipf *loadgen.Zipf) *nodeState {
 	st.shardSvcNs = make([]uint64, l.shards)
 	st.sweep = make([]bool, l.shards)
 	st.acked = make([]uint64, n)
+	st.merge = newRunMerge(st.id, l.prods)
 	st.ringBuf = make([]int64, ringSlots*slotWords)
 	st.ioBuf = make([]int64, n+1)
 	return st
@@ -303,7 +298,10 @@ func (st *nodeState) writeRing(c, start int, ops []op) {
 
 // phaseIngest is phase B: every node mirrors the producers' cursors
 // (the termination predicate needs the global view), and consumers pop
-// their rings and merge all producers' ops into arrival order.
+// their rings, one contiguous run per producer, and record each run's
+// bounds for the apply phase's merge. A run is in arrival order: the
+// carry-over in pendq is older than the window's new arrivals, and the
+// ring is FIFO.
 func (st *nodeState) phaseIngest() {
 	l, m, n := st.l, st.m, st.n
 	wbuf := st.ioBuf[:n+1]
@@ -319,32 +317,19 @@ func (st *nodeState) phaseIngest() {
 	}
 	st.queue = st.queue[:0]
 	for p := 0; p < l.prods; p++ {
+		start := len(st.queue)
 		newOps := st.wmirror[p][st.id] - st.consumed[p]
 		if newOps > 0 {
 			st.readRing(p, int(st.consumed[p]), int(newOps))
 			st.consumed[p] += newOps
 		}
+		st.merge.setRun(p, start, len(st.queue))
 	}
-	slices.SortFunc(st.queue, ingestOrder)
 	abuf := st.ioBuf[:l.prods]
 	for p := 0; p < l.prods; p++ {
 		abuf[p] = int64(st.consumed[p])
 	}
 	m.WriteI64Block(l.acurAddr(st.id), abuf)
-}
-
-// ingestOrder orders the merged queue by (arrival, producer). That is a
-// total order — one producer's arrivals strictly increase, because expNs
-// floors every gap at 1 ns — so the unstable sort has exactly one
-// answer: the one a stable sort of the producer-major queue gives.
-func ingestOrder(a, b qop) int {
-	if a.arrival != b.arrival {
-		if a.arrival < b.arrival {
-			return -1
-		}
-		return 1
-	}
-	return a.prod - b.prod
 }
 
 // readRing pops count ops from ring (p → self) starting at cursor
@@ -359,25 +344,26 @@ func (st *nodeState) readRing(p, start, count int) {
 		buf := st.ringBuf[:run*slotWords]
 		st.m.ReadI64Block(st.l.ringSlot(p, st.id, idx), buf)
 		for j := 0; j < run; j++ {
-			st.queue = append(st.queue, qop{op{
+			st.queue = append(st.queue, op{
 				key:     uint64(buf[slotWords*j]),
 				kind:    buf[slotWords*j+1],
 				arrival: uint64(buf[slotWords*j+2]),
 				session: uint64(buf[slotWords*j+3]),
-			}, p})
+			})
 		}
 		i += run
 	}
 }
 
-// phaseApply is phase C: consumers execute the merged queue against
-// their home-local shard pages. The phase is communication-free by
-// layout and service times come from the serviceNs model table, so the
-// latency histogram is bit-deterministic on every substrate, engine,
-// and goroutine schedule.
+// phaseApply is phase C: consumers execute the queue, merged into
+// (arrival, producer) order, against their home-local shard pages. The
+// phase is communication-free by layout and service times come from the
+// serviceNs model table, so the latency histogram is bit-deterministic
+// on every substrate, engine, and goroutine schedule.
 func (st *nodeState) phaseApply() {
 	if st.isCons {
-		for i := range st.queue {
+		st.merge.start(st.queue)
+		for i, ok := st.merge.pop(); ok; i, ok = st.merge.pop() {
 			q := &st.queue[i]
 			digest, shard := st.apply(q)
 			st.m.Compute(applyFlops)

@@ -26,11 +26,12 @@
 //	        shard latches (one lock acquire/release per dirtied shard
 //	        through the ordinary lock/hsync tier — the batch-latching
 //	        discipline of a real shard server).
-//	ingest: consumers read the producers' publication cursors, fetch
-//	        the new ring slots, and merge all producers' ops into one
-//	        queue ordered by (arrival time, producer) — a total order,
-//	        since each producer's arrivals strictly increase.
-//	apply:  consumers execute the merged ops against their own shard
+//	ingest: consumers read the producers' publication cursors and
+//	        fetch the new ring slots: one run per producer, already in
+//	        arrival order (carry-over first, the ring is FIFO).
+//	apply:  consumers merge the runs into (arrival time, producer)
+//	        order — a stable sort's order, for log P per op — and
+//	        execute the merged ops against their own shard
 //	        pages. Every page touched here is home-local by layout, so
 //	        the phase is communication-free on every substrate; the
 //	        per-op service times measured inside it are bit-identical
@@ -192,14 +193,14 @@ func (c Config) Validate(n int) error {
 	if c.WindowNs < 1 {
 		return fmt.Errorf("serve: WindowNs must be >= 1, have %d", c.WindowNs)
 	}
+	if uint64(c.Windows) > math.MaxUint64/c.WindowNs {
+		return fmt.Errorf("serve: horizon Windows × WindowNs = %d × %d ns overflows 64 bits", c.Windows, c.WindowNs)
+	}
 	if !(c.MeanGapNs > 0) || math.IsInf(c.MeanGapNs, 1) {
 		return fmt.Errorf("serve: MeanGapNs must be finite and > 0, have %v", c.MeanGapNs)
 	}
 	if c.Sessions < 1 {
 		return fmt.Errorf("serve: Sessions must be >= 1, have %d", c.Sessions)
-	}
-	if c.Workload == WorkloadPipeline && n < 2 {
-		return fmt.Errorf("serve: pipeline needs at least one producer and one consumer")
 	}
 	return nil
 }

@@ -66,6 +66,7 @@ func TestServeValidateRejects(t *testing.T) {
 		{"infinite skew", serve.Config{Workload: serve.WorkloadKV, ZipfSkew: math.Inf(1)}, 4, "ZipfSkew"},
 		{"NaN gap", serve.Config{Workload: serve.WorkloadKV, MeanGapNs: math.NaN()}, 4, "MeanGapNs"},
 		{"infinite gap", serve.Config{Workload: serve.WorkloadKV, MeanGapNs: math.Inf(1)}, 4, "MeanGapNs"},
+		{"horizon overflows", serve.Config{Workload: serve.WorkloadKV, Windows: 1 << 20, WindowNs: 1 << 44}, 4, "overflows"},
 	}
 	for _, c := range cases {
 		cfg := c.cfg.WithDefaults(c.n)

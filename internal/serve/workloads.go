@@ -38,7 +38,7 @@ func (st *nodeState) kindFor(draw uint64) int64 {
 //
 //	kv/pipeline: [value, version, sessionSum, 0]
 //	synclog:     [ts, session, value, versions]
-func (st *nodeState) apply(q *qop) (digest uint64, shard int) {
+func (st *nodeState) apply(q *op) (digest uint64, shard int) {
 	shard, slot := st.l.shardOf(q.key)
 	a := st.l.slotAddr(shard, slot)
 	buf := st.ringBuf[:slotWords]

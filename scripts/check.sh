@@ -313,10 +313,11 @@ step go test -race -run 'TestLitmusDefaultEngine|TestLitmusCatchesBrokenEngine' 
 step go test -race -run 'TestServeEngineConformance' ./internal/serve/
 # The serve fabric pays no host time the model never charges: one Zipf
 # table per run (built in serve.Kernel), sampled through its guide table,
-# and a generic sort on the ingest queue's total order. The guided sample
-# must equal a full-table search, the comparator must order ties as a
-# stable sort does, Validate must reject non-finite floats, and the
-# histogram decoder's seed corpus must replay without a panic.
+# and a merge of the producers' sorted runs at ingest. The guided sample
+# must equal a full-table search, the merge must order ties as a stable
+# sort does, Validate must reject non-finite floats and a horizon that
+# overflows, and the histogram decoder's seed corpus must replay without
+# a panic.
 step go test -run 'TestZipfGuideMatchesSearch|TestHistSaturates|FuzzHistDecode' ./internal/loadgen/
 step go test -run 'TestIngestOrderMatchesStableSort|TestServeValidateRejects' ./internal/serve/
 # The two decoders of page contents, by their committed seed corpora: a
@@ -331,6 +332,10 @@ step go test -run 'FuzzDec$' ./internal/amsg/
 serve_host_time() {
     if grep -rn 'sort\.Slice' --include='*.go' --exclude='*_test.go' internal/serve; then
         echo "internal/serve sorts with reflection: use slices.SortFunc" >&2
+        return 1
+    fi
+    if grep -rn 'slices\.Sort' --include=fabric.go --include=merge.go internal/serve; then
+        echo "the serve ingest sorts: it merges the producers' sorted runs (runMerge)" >&2
         return 1
     fi
     zipfs=$(grep -rF 'loadgen.NewZipf(' --include='*.go' --exclude='*_test.go' internal/serve | wc -l)
@@ -379,6 +384,10 @@ one_notice_collect() {
     fi
 }
 step one_notice_collect
+# A notice board is one page log with a cursor per node; it must drain
+# what per-destination queues would, in their order, under concurrent
+# posts and drains.
+step go test -race -run 'TestBoard' ./internal/notices/
 
 # One page allocator: every page buffer a substrate holds comes from
 # pagestore's free list and goes back to it, including at Close (the page
