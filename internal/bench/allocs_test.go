@@ -187,7 +187,8 @@ func TestPageLookupZeroAlloc(t *testing.T) {
 // hybrid DSM with caching off — read and written over the SAN. The word
 // accessors reach their substrate's one read or write routine through
 // values or closures built per call; this is the guard that none of them
-// escapes.
+// escapes. The core rows make the same accesses through core.Env, untraced
+// and not Threaded, which goes straight to the substrate.
 func TestWordAccessZeroAlloc(t *testing.T) {
 	skipUnderRace(t)
 	const nodes = 2
@@ -210,25 +211,68 @@ func TestWordAccessZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer sub.Close()
-			r, err := sub.Alloc(nodes*memsim.PageSize, "words", memsim.Cyclic, 0)
+			wordAccessZeroAlloc(t, sub, nodeZero{sub})
+		})
+	}
+	for _, c := range []struct {
+		name   string
+		kind   platform.Kind
+		engine string
+	}{
+		{"core-smp", platform.SMP, ""},
+		{"core-hybrid", platform.HybridDSM, ""},
+		{"core-swdsm", platform.SWDSM, ""},
+		{"core-ivy", platform.SWDSM, consengine.IVYName},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rt, err := core.New(core.Config{Platform: c.kind, Nodes: nodes, Engine: c.engine})
 			if err != nil {
 				t.Fatal(err)
 			}
-			var sink float64
-			op := func() {
-				for page := 0; page < nodes; page++ { // node 0's own page, then node 1's
-					a := r.Base + memsim.Addr(page*memsim.PageSize)
-					sink += sub.ReadF64(0, a)
-					sub.WriteF64(0, a+8, sink)
-					sink += float64(sub.ReadI64(0, a+16))
-					sub.WriteI64(0, a+24, int64(page))
-				}
-			}
-			warm(op, hybridCacheThreshold) // faults, twins, caches and map buckets
-			if avg := testing.AllocsPerRun(50, op); avg != 0 {
-				t.Errorf("eight word accesses allocate %.2f objects, want 0", avg)
-			}
+			defer rt.Close()
+			wordAccessZeroAlloc(t, rt.Substrate(), rt.Env(0))
 		})
+	}
+}
+
+// wordAccess is one node's four word accessors.
+type wordAccess interface {
+	ReadF64(memsim.Addr) float64
+	WriteF64(memsim.Addr, float64)
+	ReadI64(memsim.Addr) int64
+	WriteI64(memsim.Addr, int64)
+}
+
+// nodeZero is a substrate's word accessors as node 0 calls them.
+type nodeZero struct{ sub platform.Substrate }
+
+func (z nodeZero) ReadF64(a memsim.Addr) float64     { return z.sub.ReadF64(0, a) }
+func (z nodeZero) WriteF64(a memsim.Addr, v float64) { z.sub.WriteF64(0, a, v) }
+func (z nodeZero) ReadI64(a memsim.Addr) int64       { return z.sub.ReadI64(0, a) }
+func (z nodeZero) WriteI64(a memsim.Addr, v int64)   { z.sub.WriteI64(0, a, v) }
+
+// wordAccessZeroAlloc makes eight word accesses through acc, on node 0's
+// own page and then node 1's, and fails if they allocate once warm.
+func wordAccessZeroAlloc(t *testing.T, sub platform.Substrate, acc wordAccess) {
+	t.Helper()
+	nodes := sub.Nodes()
+	r, err := sub.Alloc(uint64(nodes)*memsim.PageSize, "words", memsim.Cyclic, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sink float64
+	op := func() {
+		for page := 0; page < nodes; page++ { // node 0's own page, then node 1's
+			a := r.Base + memsim.Addr(page*memsim.PageSize)
+			sink += acc.ReadF64(a)
+			acc.WriteF64(a+8, sink)
+			sink += float64(acc.ReadI64(a + 16))
+			acc.WriteI64(a+24, int64(page))
+		}
+	}
+	warm(op, hybridCacheThreshold) // faults, twins, caches and map buckets
+	if avg := testing.AllocsPerRun(50, op); avg != 0 {
+		t.Errorf("eight word accesses allocate %.2f objects, want 0", avg)
 	}
 }
 

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
+	"hamster/internal/conscheck"
 	"hamster/internal/machine"
 	"hamster/internal/memsim"
 	"hamster/internal/platform"
@@ -578,6 +580,86 @@ func TestTracingOffByDefault(t *testing.T) {
 	}
 	if rep := rt.CheckConsistency(); rep.Events != 0 {
 		t.Fatal("report from disabled tracing must be empty")
+	}
+}
+
+// TestStartTraceMidRun: the untraced accessors go straight to the
+// substrate, but they check for a tracer on every call, so a trace started
+// mid-run holds exactly the word and block accesses made after it, each
+// block as its words.
+func TestStartTraceMidRun(t *testing.T) {
+	rt := newRT(t, platform.SWDSM, 2)
+	e := rt.Env(0)
+	r, err := e.Mem.Alloc(memsim.PageSize, AllocOpts{Name: "mid", Policy: memsim.Fixed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, i := make([]float64, 2), make([]int64, 2)
+	all := func() {
+		e.ReadF64(r.Base + 3) // traced at its word
+		e.WriteF64(r.Base+8, 1)
+		e.ReadI64(r.Base + 16)
+		e.WriteI64(r.Base+24, 2)
+		e.ReadF64Block(r.Base+32, f)
+		e.WriteF64Block(r.Base+48, f)
+		e.ReadI64Block(r.Base+64, i)
+		e.WriteI64Block(r.Base+80, i)
+	}
+	all() // untraced
+	tr := rt.StartTrace()
+	all()
+	var want []conscheck.Event
+	for k, w := range []conscheck.Kind{conscheck.Read, conscheck.Write, conscheck.Read, conscheck.Write,
+		conscheck.Read, conscheck.Read, conscheck.Write, conscheck.Write,
+		conscheck.Read, conscheck.Read, conscheck.Write, conscheck.Write} {
+		want = append(want, conscheck.Event{Kind: w, Addr: r.Base + memsim.Addr(8*k), Seq: k})
+	}
+	if got := tr.trace(); !slices.Equal(got, want) {
+		t.Fatalf("trace started mid-run:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestThreadedAccessesSerialize: a Threaded runtime's accessors still take
+// the node's serialization lock. Three tasks on node 0 read and write
+// words of pages homed at node 1 with no lock of their own, so every
+// access runs the node's page cache, recency list, twins and counters;
+// under the race detector any two accesses that overlap fail the test.
+func TestThreadedAccessesSerialize(t *testing.T) {
+	rt, err := New(Config{Platform: platform.SWDSM, Nodes: 2, Threaded: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	e0 := rt.Env(0)
+	const pages, tasks, rounds = 4, 3, 200
+	r, err := e0.Mem.Alloc(pages*memsim.PageSize, AllocOpts{Name: "t", Policy: memsim.Fixed, FixedNode: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	word := func(page, task int) memsim.Addr { return r.Base + memsim.Addr(page*memsim.PageSize+8*task) }
+	var spawned []*Task
+	for k := 0; k < tasks; k++ {
+		task, err := e0.Task.SpawnOn(0, func(e *Env, _ *Task) int64 {
+			for i := 0; i < rounds; i++ {
+				a := word(i%pages, k)
+				e.WriteI64(a, e.ReadI64(a)+1)
+			}
+			return 0
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spawned = append(spawned, task)
+	}
+	for _, task := range spawned {
+		e0.Task.Join(task)
+	}
+	for p := 0; p < pages; p++ {
+		for k := 0; k < tasks; k++ {
+			if got := e0.ReadI64(word(p, k)); got != rounds/pages {
+				t.Fatalf("task %d's counter on page %d = %d, want %d", k, p, got, rounds/pages)
+			}
+		}
 	}
 }
 

@@ -46,7 +46,9 @@ func (m Module) String() string {
 // Memory accesses are raw — once global memory is established, loads and
 // stores hit the (simulated) hardware directly with no middleware on the
 // path, exactly as in the real framework. Only service calls pay the thin
-// per-call dispatch cost evaluated in Figure 2.
+// per-call dispatch cost evaluated in Figure 2. In host time too, an
+// access of an untraced runtime that is not Threaded is one check and a
+// direct substrate call (direct).
 type Env struct {
 	rt      *Runtime
 	id      int
@@ -92,7 +94,7 @@ func newEnv(rt *Runtime, id int) *Env {
 func (e *Env) ID() int { return e.id }
 
 // N returns the cluster size.
-func (e *Env) N() int { return e.rt.sub.Nodes() }
+func (e *Env) N() int { return len(e.rt.envs) }
 
 // charge records one service call for module m and pays the thin-layer
 // dispatch cost.
@@ -101,13 +103,21 @@ func (e *Env) charge(m Module) {
 	e.rt.sub.Clock(e.id).Advance(e.rt.sub.Params().CPU.CallNs)
 }
 
-func (e *Env) lockSerial() {
+// direct reports whether an access may go straight to the substrate: no
+// same-node task to serialize with (not Threaded) and no trace to record.
+func (e *Env) direct() bool { return e.serial == nil && e.rt.tracer.Load() == nil }
+
+// enter is the out-of-line prologue of a traced or Threaded access: it
+// records the access's words if tracing is on and takes the node's
+// serialization lock if Threaded. leave ends it.
+func (e *Env) enter(kind conscheck.Kind, a memsim.Addr, words int) {
+	e.traceBlock(kind, a, words)
 	if e.serial != nil {
 		e.serial.Lock()
 	}
 }
 
-func (e *Env) unlockSerial() {
+func (e *Env) leave() {
 	if e.serial != nil {
 		e.serial.Unlock()
 	}
@@ -115,70 +125,90 @@ func (e *Env) unlockSerial() {
 
 // ReadF64 reads one float64 from global memory.
 func (e *Env) ReadF64(a memsim.Addr) float64 {
-	e.traceAccess(conscheck.Read, a)
-	e.lockSerial()
-	v := e.rt.sub.ReadF64(e.id, a)
-	e.unlockSerial()
-	return v
+	if e.direct() {
+		return e.rt.sub.ReadF64(e.id, a)
+	}
+	e.enter(conscheck.Read, a, 1)
+	defer e.leave()
+	return e.rt.sub.ReadF64(e.id, a)
 }
 
 // WriteF64 writes one float64 to global memory.
 func (e *Env) WriteF64(a memsim.Addr, v float64) {
-	e.traceAccess(conscheck.Write, a)
-	e.lockSerial()
+	if e.direct() {
+		e.rt.sub.WriteF64(e.id, a, v)
+		return
+	}
+	e.enter(conscheck.Write, a, 1)
+	defer e.leave()
 	e.rt.sub.WriteF64(e.id, a, v)
-	e.unlockSerial()
 }
 
 // ReadI64 reads one int64 from global memory.
 func (e *Env) ReadI64(a memsim.Addr) int64 {
-	e.traceAccess(conscheck.Read, a)
-	e.lockSerial()
-	v := e.rt.sub.ReadI64(e.id, a)
-	e.unlockSerial()
-	return v
+	if e.direct() {
+		return e.rt.sub.ReadI64(e.id, a)
+	}
+	e.enter(conscheck.Read, a, 1)
+	defer e.leave()
+	return e.rt.sub.ReadI64(e.id, a)
 }
 
 // WriteI64 writes one int64 to global memory.
 func (e *Env) WriteI64(a memsim.Addr, v int64) {
-	e.traceAccess(conscheck.Write, a)
-	e.lockSerial()
+	if e.direct() {
+		e.rt.sub.WriteI64(e.id, a, v)
+		return
+	}
+	e.enter(conscheck.Write, a, 1)
+	defer e.leave()
 	e.rt.sub.WriteI64(e.id, a, v)
-	e.unlockSerial()
 }
 
 // ReadF64Block reads a contiguous float64 run through the substrate's
 // bulk fast path. Modeled cost and consistency actions are identical to
 // the per-word loop; only the real (simulator) cost is amortized.
 func (e *Env) ReadF64Block(a memsim.Addr, dst []float64) {
-	e.traceBlock(conscheck.Read, a, len(dst))
-	e.lockSerial()
+	if e.direct() {
+		e.rt.sub.ReadF64Block(e.id, a, dst)
+		return
+	}
+	e.enter(conscheck.Read, a, len(dst))
+	defer e.leave()
 	e.rt.sub.ReadF64Block(e.id, a, dst)
-	e.unlockSerial()
 }
 
 // WriteF64Block writes a contiguous float64 run through the bulk path.
 func (e *Env) WriteF64Block(a memsim.Addr, src []float64) {
-	e.traceBlock(conscheck.Write, a, len(src))
-	e.lockSerial()
+	if e.direct() {
+		e.rt.sub.WriteF64Block(e.id, a, src)
+		return
+	}
+	e.enter(conscheck.Write, a, len(src))
+	defer e.leave()
 	e.rt.sub.WriteF64Block(e.id, a, src)
-	e.unlockSerial()
 }
 
 // ReadI64Block reads a contiguous int64 run through the bulk path.
 func (e *Env) ReadI64Block(a memsim.Addr, dst []int64) {
-	e.traceBlock(conscheck.Read, a, len(dst))
-	e.lockSerial()
+	if e.direct() {
+		e.rt.sub.ReadI64Block(e.id, a, dst)
+		return
+	}
+	e.enter(conscheck.Read, a, len(dst))
+	defer e.leave()
 	e.rt.sub.ReadI64Block(e.id, a, dst)
-	e.unlockSerial()
 }
 
 // WriteI64Block writes a contiguous int64 run through the bulk path.
 func (e *Env) WriteI64Block(a memsim.Addr, src []int64) {
-	e.traceBlock(conscheck.Write, a, len(src))
-	e.lockSerial()
+	if e.direct() {
+		e.rt.sub.WriteI64Block(e.id, a, src)
+		return
+	}
+	e.enter(conscheck.Write, a, len(src))
+	defer e.leave()
 	e.rt.sub.WriteI64Block(e.id, a, src)
-	e.unlockSerial()
 }
 
 // Compute charges flops of local CPU work.

@@ -64,22 +64,10 @@ func (rt *Runtime) CheckConsistency() conscheck.Report {
 	return conscheck.Analyze(t.trace(), rt.Nodes())
 }
 
-// traceAccess records one word access if tracing is on.
-func (e *Env) traceAccess(kind conscheck.Kind, a memsim.Addr) {
-	t := e.rt.tracer.Load()
-	if t == nil {
-		return
-	}
-	t.record(conscheck.Event{
-		Node: e.id,
-		Kind: kind,
-		Addr: a - a%memsim.WordSize,
-	})
-}
-
-// traceBlock records a block access as its per-word events if tracing is
-// on — the checker sees exactly the trace the equivalent word loop would
-// produce, so block accesses participate in race detection word by word.
+// traceBlock records a word access, or a block access as its per-word
+// events, if tracing is on — the checker sees exactly the trace the
+// equivalent word loop would produce, so block accesses participate in
+// race detection word by word.
 func (e *Env) traceBlock(kind conscheck.Kind, a memsim.Addr, words int) {
 	t := e.rt.tracer.Load()
 	if t == nil {

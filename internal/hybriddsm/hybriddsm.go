@@ -260,7 +260,7 @@ func (n *node) readRun(p memsim.PageID, count, unit int, get func(fr []byte)) {
 	// The home frame's lock keeps the owner's in-place accesses coherent
 	// with peers' PIO loads and stores of the same page.
 	s.hf.Mu.Lock()
-	get(s.hf.Data)
+	get(s.hf.Bytes())
 	s.hf.Mu.Unlock()
 }
 
@@ -302,7 +302,7 @@ func (n *node) pioRead(p memsim.PageID, s *slot, count, unit int, get func(fr []
 		rec.Record(n.id, perfmon.EvRemoteRead, clk.Now(), 0, uint64(p), uint64(words))
 	}
 	s.hf.Mu.Lock()
-	get(s.hf.Data)
+	get(s.hf.Bytes())
 	if !caches {
 		s.hf.Mu.Unlock()
 		return
@@ -311,7 +311,7 @@ func (n *node) pioRead(p memsim.PageID, s *slot, count, unit int, get func(fr []
 	// stored afresh under the new one. The copy into the cache happens
 	// under the home's lock.
 	v := *s
-	v.cp = n.install(p, v.home, v.hf.Data)
+	v.cp = n.install(p, v.home, v.hf.Bytes())
 	v.hf.Mu.Unlock()
 	n.window.Put(p, n.gen, v)
 	if rest := count - pio; rest > 0 {
@@ -397,7 +397,7 @@ func (n *node) writeRun(p memsim.PageID, count, unit int, put func(fr []byte)) {
 		}
 	}
 	s.hf.Mu.Lock()
-	put(s.hf.Data)
+	put(s.hf.Bytes())
 	s.hf.Mu.Unlock()
 }
 

@@ -2,6 +2,7 @@ package pagestore
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"hamster/internal/memsim"
 )
@@ -28,12 +29,16 @@ import (
 // the requester, which installs it as the cached copy; the buffer returns
 // to the list only when that cached copy is retired (eviction,
 // invalidation, fence, home migration, checkpoint restore rebuild) or its
-// runtime closes. ivy's requester copies each grant out of its reply
-// scratch into a list buffer instead, and a copy a handler takes away
-// waits on its node until that node's own goroutine, which may still be
-// reading it, hands it back (see package ivy). Exactly one owner at every
-// step, so a buffer is never recycled while a reader still holds it, and
-// a substrate's Close hands back every buffer it still holds, once, at
+// runtime closes. A home frame's buffer is replaced, not patched, by a
+// diff: the handler fills a list buffer from the frame, applies the diff
+// to it and publishes it (Frame.Replace), and the buffer it replaced waits
+// on the home node until that node's own goroutine, which reads its home
+// frames without a lock, hands it back at its next access (see package
+// swdsm). ivy's requester copies each grant out of its reply scratch into
+// a list buffer instead, and a copy a handler takes away waits on its
+// node the same way (see package ivy). Exactly one owner at every step,
+// so a buffer is never recycled while a reader still holds it, and a
+// substrate's Close hands back every buffer it still holds, once, at
 // quiescence — the recycling tests (pool_test.go) hammer this chain under
 // -race and check every return against the list.
 //
@@ -87,11 +92,86 @@ func PutPage(b []byte) {
 		return
 	}
 	pages.mu.Lock()
-	defer pages.mu.Unlock()
+	putLocked((*page)(b))
+	pages.mu.Unlock()
+}
+
+// putLocked pushes b onto the list. Call with pages.mu held.
+func putLocked(b *page) {
 	if pages.check != nil {
-		pages.check.give((*page)(b))
+		pages.check.give(b)
 	}
-	pages.free = append(pages.free, (*page)(b))
+	pages.free = append(pages.free, b)
+}
+
+// Retired queues the page buffers taken away from under one node's
+// lock-free reads. A handler on any goroutine adds a buffer the node may
+// still be reading; the node's own goroutine recycles the queue where it
+// holds no buffer it read without a lock. A home node blocked in a lock
+// wait can collect hundreds of diffs' buffers, so a queue's storage comes
+// from a list of its own and goes back to it at Close: queues stop
+// allocating once they have grown as long as a run needs, instead of
+// growing again in every runtime. The zero value is an empty queue.
+type Retired struct {
+	mu   sync.Mutex
+	bufs []*page
+	any  atomic.Bool // len(bufs) > 0, for the owner's check without mu
+}
+
+// queues is Retired's storage list.
+var queues struct {
+	mu   sync.Mutex
+	free [][]*page
+}
+
+// Add queues b, a page buffer from the list. Any goroutine.
+func (r *Retired) Add(b []byte) {
+	r.mu.Lock()
+	if r.bufs == nil {
+		queues.mu.Lock()
+		if n := len(queues.free); n > 0 {
+			r.bufs = queues.free[n-1]
+			queues.free = queues.free[:n-1]
+		}
+		queues.mu.Unlock()
+	}
+	r.bufs = append(r.bufs, (*page)(b))
+	r.any.Store(true)
+	r.mu.Unlock()
+}
+
+// Recycle hands every queued buffer back to the page list. Call from the
+// node's own goroutine where it holds no buffer it read without a lock;
+// while the queue is empty it costs one atomic load.
+func (r *Retired) Recycle() {
+	if r.any.Load() {
+		r.recycle()
+	}
+}
+
+func (r *Retired) recycle() {
+	r.mu.Lock()
+	pages.mu.Lock()
+	for i, b := range r.bufs {
+		putLocked(b)
+		r.bufs[i] = nil
+	}
+	pages.mu.Unlock()
+	r.bufs = r.bufs[:0]
+	r.any.Store(false)
+	r.mu.Unlock()
+}
+
+// Close recycles the queue and hands its storage back to the storage
+// list. Call at quiescence; the queue may be used again afterwards.
+func (r *Retired) Close() {
+	r.recycle()
+	if r.bufs != nil {
+		queues.mu.Lock()
+		queues.free = append(queues.free, r.bufs)
+		queues.mu.Unlock()
+		r.bufs = nil
+	}
 }
 
 // returns is the recycling tests' duplicate check (export_test.go turns

@@ -10,10 +10,10 @@ import (
 func TestFrameLazyZeroed(t *testing.T) {
 	s := New()
 	f := s.Frame(7)
-	if len(f.Data) != memsim.PageSize {
-		t.Fatalf("len = %d", len(f.Data))
+	if len(f.Bytes()) != memsim.PageSize {
+		t.Fatalf("len = %d", len(f.Bytes()))
 	}
-	for _, b := range f.Data {
+	for _, b := range f.Bytes() {
 		if b != 0 {
 			t.Fatal("frame not zeroed")
 		}
@@ -26,8 +26,8 @@ func TestFrameLazyZeroed(t *testing.T) {
 func TestFrameIdentityStable(t *testing.T) {
 	s := New()
 	a := s.Frame(3)
-	a.Data[0] = 9
-	if b := s.Frame(3); b != a || b.Data[0] != 9 {
+	a.Bytes()[0] = 9
+	if b := s.Frame(3); b != a || b.Bytes()[0] != 9 {
 		t.Fatal("Frame must return the same frame")
 	}
 }
@@ -54,7 +54,7 @@ func TestConcurrentFrameCreation(t *testing.T) {
 func TestDrop(t *testing.T) {
 	s := New()
 	f := s.Frame(9)
-	f.Data[0] = 7
+	f.Bytes()[0] = 7
 	data := s.Drop(9)
 	if data == nil || data[0] != 7 {
 		t.Fatal("Drop must return the frame data")
@@ -72,11 +72,11 @@ func TestDrop(t *testing.T) {
 func TestDropThenFrameIsFresh(t *testing.T) {
 	s := New()
 	old := s.Frame(9)
-	old.Data[0] = 7
+	old.Bytes()[0] = 7
 	s.Drop(9)
 	fresh := s.Frame(9)
-	if fresh == old || fresh.Data[0] != 0 || len(s.Pages()) != 1 {
-		t.Fatalf("Frame after Drop: same=%v byte0=%d Len=%d", fresh == old, fresh.Data[0], len(s.Pages()))
+	if fresh == old || fresh.Bytes()[0] != 0 || len(s.Pages()) != 1 {
+		t.Fatalf("Frame after Drop: same=%v byte0=%d Len=%d", fresh == old, fresh.Bytes()[0], len(s.Pages()))
 	}
 }
 
@@ -148,8 +148,8 @@ func TestSnapshotWhileMutating(t *testing.T) {
 				default:
 				}
 				f.Mu.Lock()
-				for i := range f.Data {
-					f.Data[i] = byte(gen)
+				for i := range f.Bytes() {
+					f.Bytes()[i] = byte(gen)
 				}
 				f.Mu.Unlock()
 			}
@@ -173,4 +173,31 @@ func TestSnapshotWhileMutating(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestRetiredStorageOutlivesQueue: a closed queue's storage serves the
+// next queue, so a queue that once grew long does not grow again in the
+// next runtime; Recycle keeps the storage and empties the queue.
+func TestRetiredStorageOutlivesQueue(t *testing.T) {
+	const n = 100
+	fill := func(r *Retired) {
+		for i := 0; i < n; i++ {
+			r.Add(GetPage())
+		}
+	}
+	var a Retired
+	fill(&a)
+	a.Recycle()
+	if len(a.bufs) != 0 || a.any.Load() {
+		t.Fatalf("after Recycle the queue holds %d buffers", len(a.bufs))
+	}
+	fill(&a)
+	grown := &a.bufs[:1][0]
+	a.Close()
+	var b Retired
+	fill(&b)
+	if &b.bufs[:1][0] != grown {
+		t.Fatal("the next queue grew new storage instead of taking the closed one's")
+	}
+	b.Close()
 }

@@ -29,6 +29,7 @@ func TestPooledBufferAliasing(t *testing.T) {
 	t.Run("ivy-churn", ivyChurn)
 	t.Run("across-runtimes", acrossRuntimes)
 	t.Run("close-once", closeOnce)
+	t.Run("swdsm-retired", swdsmRetired)
 }
 
 // swdsmChurn hammers the ownership chain through the substrate that
@@ -358,6 +359,38 @@ func closeOnce(t *testing.T) {
 				t.Fatalf("after a second Close %d buffers are out, want %d", got, before)
 			}
 		})
+	}
+}
+
+// swdsmRetired: a diff replaces its home frame's buffer, and the replaced
+// buffer waits on the home node until that node's own goroutine, which may
+// be reading it, hands it back. Node 0 touches no memory while 100 diffs
+// land on its home pages, so all 100 are still waiting when Close must
+// hand them back.
+func swdsmRetired(t *testing.T) {
+	const pages, diffs = 4, 100
+	outstanding := pagestore.CheckReturns(t)
+	before := outstanding()
+	d, err := swdsm.New(swdsm.Config{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := d.Alloc(pages*memsim.PageSize, "retired", memsim.Fixed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := d.NewLock()
+	for i := 0; i < diffs; i++ {
+		d.Acquire(1, l)
+		d.WriteI64(1, r.Base+memsim.Addr(i%pages*memsim.PageSize), int64(i+1))
+		d.Release(1, l)
+	}
+	if got := outstanding() - before; got < diffs {
+		t.Fatalf("%d buffers out after %d diffs, want the %d replaced ones among them", got, diffs, diffs)
+	}
+	d.Close()
+	if got := outstanding(); got != before {
+		t.Fatalf("after Close %d buffers are still out, want %d", got, before)
 	}
 }
 

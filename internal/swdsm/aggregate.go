@@ -126,7 +126,7 @@ func (d *DSM) registerAggHandlers(n *node) {
 		for i, v := range pages {
 			hp := n.home.Frame(memsim.PageID(v))
 			hp.Mu.Lock()
-			copy(out[i*memsim.PageSize:(i+1)*memsim.PageSize], hp.Data)
+			copy(out[i*memsim.PageSize:(i+1)*memsim.PageSize], hp.Bytes())
 			hp.Mu.Unlock()
 		}
 		return out, vclock.Duration(len(pages)) * d.Cost.CPU.PageCopyNs

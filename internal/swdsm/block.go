@@ -22,9 +22,7 @@ func readBlock[T memsim.Word](d *DSM, nodeID int, a memsim.Addr, dst []T) {
 	n := d.access(nodeID)
 	n.stats.BlockReads++
 	memsim.WordRuns(a, len(dst), func(p memsim.PageID, off, count int) {
-		fr, hp := n.readPage(p, count, count)
-		memsim.GetWords(fr, off, dst[:count])
-		unlock(hp)
+		memsim.GetWords(n.readPage(p, count, count), off, dst[:count])
 		dst = dst[count:]
 	})
 }

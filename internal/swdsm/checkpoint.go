@@ -38,7 +38,7 @@ func (d *DSM) ReadPage(node int, p memsim.PageID, dst []byte) bool {
 func (d *DSM) WritePage(node int, p memsim.PageID, src []byte) {
 	hp := d.access(node).home.Frame(p)
 	hp.Mu.Lock()
-	copy(hp.Data, src)
+	copy(hp.Bytes(), src)
 	hp.Mu.Unlock()
 }
 

@@ -162,7 +162,7 @@ func (n *node) performMigrations(pages []memsim.PageID) {
 		}
 		hp := n.home.Frame(p)
 		hp.Mu.Lock()
-		copy(hp.Data, data)
+		copy(hp.Bytes(), data)
 		hp.Mu.Unlock()
 		// The handover reply was copied into the home frame; the buffer
 		// (the old home's dropped frame, or the zero page) is dead and goes

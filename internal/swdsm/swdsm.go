@@ -22,9 +22,14 @@
 //
 // The data path is two routines, readPage and writePage: all ten
 // platform.Substrate accessors call them with (words to charge, accesses
-// to count), load from or store to the frame they return, and release it
-// with unlock — a home frame comes back with its mutex held, because
-// remote fetch and diff handlers touch home frames from other goroutines.
+// to count) and load from or store to the bytes they return. A write to
+// a home frame holds the frame's mutex (writePage returns it held and the
+// accessor releases it with unlock), because fetch and diff handlers
+// copy home frames on other goroutines. A read of a home frame takes no
+// lock: diff handlers never write a home buffer in place but replace it
+// (applyHome), and the buffer they replace waits on its node until the
+// node's own goroutine, which may still be reading it, hands it back
+// (node.retired) — ivy's rule for its read copies.
 package swdsm
 
 import (
@@ -168,10 +173,9 @@ type pageExt struct {
 // every consistency action (acquire, release, barrier, fence), eviction,
 // and home migration bumps the generation, so the fast path can never
 // serve a frame across a synchronization point — Scope Consistency is
-// untouched. Home-resident frames still take the per-access frame mutex
-// (remote fetch and diff handlers touch them from other goroutines), and
-// cached frames still refresh their LRU position, so eviction order is
-// identical to the slow path's.
+// untouched. A home-resident frame is read through its current buffer
+// and written under its mutex; cached frames still refresh their LRU
+// position, so eviction order is identical to the slow path's.
 type fastFrame struct {
 	hp    *pagestore.Frame // home-resident frame, or
 	cp    *cpage           // cache entry of a cached (non-home) frame
@@ -213,6 +217,11 @@ type node struct {
 	// is on, so the off mode pays one nil check per hook site.
 	pf *prefetcher
 
+	// retired holds the home buffers diff handlers replaced, until the
+	// node's own goroutine hands them back at the start of its next
+	// access or generation bump.
+	retired pagestore.Retired
+
 	stats platform.Stats
 }
 
@@ -230,8 +239,13 @@ func (n *node) markCkptDirty(p memsim.PageID) {
 	n.ckptMu.Unlock()
 }
 
-// bumpGen invalidates the cached-frame fast path.
-func (n *node) bumpGen() { n.gen++ }
+// bumpGen invalidates the cached-frame fast path. Like the start of an
+// access it is a point where the node's goroutine holds no home buffer,
+// so it hands back the retired ones.
+func (n *node) bumpGen() {
+	n.gen++
+	n.retired.Recycle()
+}
 
 // New builds a software-DSM cluster.
 func New(cfg Config) (*DSM, error) {
@@ -283,7 +297,7 @@ func (d *DSM) registerHandlers(n *node) {
 		// requester's cached copy; it goes back when that copy is retired
 		// (see pagestore/cache.go for the ownership chain).
 		out := pagestore.GetPage()
-		copy(out, hp.Data)
+		copy(out, hp.Bytes())
 		hp.Mu.Unlock()
 		return out, d.Cost.CPU.PageCopyNs
 	})
@@ -294,13 +308,18 @@ func (d *DSM) registerHandlers(n *node) {
 	})
 }
 
-// applyHome patches home page p with one diff, singleton or batched, and
+// applyHome applies one diff, singleton or batched, to home page p and
 // returns what applying it costs: roughly a proportional share of a page
-// copy (batching saves messages, never modeled CPU work).
+// copy (batching saves messages, never modeled CPU work). The diff lands
+// in a copy that replaces the frame's buffer, never in the buffer the
+// node's own goroutine may be reading; the old one waits in retired.
 func (n *node) applyHome(p memsim.PageID, diff []byte) vclock.Duration {
 	hp := n.home.Frame(p)
 	hp.Mu.Lock()
-	err := applyDiff(hp.Data, diff)
+	next := pagestore.GetPage()
+	copy(next, hp.Bytes())
+	err := applyDiff(next, diff)
+	n.retired.Add(hp.Replace(next))
 	hp.Mu.Unlock()
 	if err != nil {
 		panic(err) // internal protocol corruption
@@ -361,8 +380,9 @@ func (d *DSM) SetRecorder(rec *perfmon.Recorder) {
 
 // Close implements platform.Substrate: it closes the network and, at
 // quiescence, hands every page buffer the cluster holds back to the page
-// list — cached copies, their twins and the home frames. Accesses after
-// it panic (access); a second Close has nothing left to hand back.
+// list — cached copies, their twins, the home frames and the buffers
+// diffs replaced. Accesses after it panic (access); a second Close has
+// nothing left to hand back.
 func (d *DSM) Close() {
 	d.layer.Network().Close()
 	for _, n := range d.nodes {
@@ -370,6 +390,7 @@ func (d *DSM) Close() {
 			pagestore.PutPage(cp.Ext.twin)
 			cpagePool.Put(cp)
 		}
+		n.retired.Close()
 		n.home.Close()
 	}
 	d.nodes = nil
@@ -379,59 +400,47 @@ func (d *DSM) Close() {
 // costWords words of access, counts reads accesses, runs the CPU-cache
 // model and returns the bytes of page p, fetching the page into the cache
 // on a miss. A word read is (1, 1), a byte span (1+len/8, 1), a block run
-// (count, count).
-//
-// When the page is homed locally the returned frame is non-nil and its
-// mutex is HELD: the caller releases it with unlock after performing the
-// access. This keeps the owner's in-place home accesses coherent with
-// remote fetch/diff handlers running on other goroutines (false sharing
-// between nodes is legal in DRF programs).
-func (n *node) readPage(p memsim.PageID, costWords, reads int) ([]byte, *pagestore.Frame) {
+// (count, count). The bytes are valid for the caller's immediate loads:
+// a home frame's current buffer, which no handler writes (see the package
+// doc), or a cached copy private to this node.
+func (n *node) readPage(p memsim.PageID, costWords, reads int) []byte {
 	n.dsm.Clocks[n.id].AdvanceCat(vclock.CatMemory, n.dsm.Cost.CPU.AccessNs*vclock.Duration(costWords))
 	n.stats.Reads += uint64(reads)
 	n.touchLocal(p)
+	n.retired.Recycle() // at every access: a node reading only window hits hands back too
 	if f := n.window.Get(p, n.gen); f != nil {
 		// Fast path: the page was resolved earlier in this interval and no
 		// consistency action has intervened.
-		return n.windowFrame(f)
+		if f.hp != nil {
+			return f.hp.Bytes()
+		}
+		n.lru.MoveToFront(f.cp)
+		return f.cp.Data
 	}
 	home := n.dsm.Mem.HomeFor(p, n.id)
 	if home == n.id {
 		hp := n.home.Frame(p)
 		_, hd := n.homeDirty[p]
 		n.window.Put(p, n.gen, fastFrame{hp: hp, dirty: hd})
-		hp.Mu.Lock()
-		return hp.Data, hp
+		return hp.Bytes()
 	}
 	if cp, ok := n.cache[p]; ok {
 		n.notePrefetchHit(p)
 		n.lru.MoveToFront(cp)
 		n.window.Put(p, n.gen, fastFrame{cp: cp, dirty: cp.Ext.twin != nil})
-		return cp.Data, nil
+		return cp.Data
 	}
 	cp := n.fault(p, home)
 	n.window.Put(p, n.gen, fastFrame{cp: cp})
-	return cp.Data, nil
+	return cp.Data
 }
 
-// unlock releases the home frame readPage or writePage returned locked;
-// cached frames (hp == nil) are private to their node and carry no lock.
+// unlock releases the home frame writePage returned locked; cached
+// frames (hp == nil) are private to their node and carry no lock.
 func unlock(hp *pagestore.Frame) {
 	if hp != nil {
 		hp.Mu.Unlock()
 	}
-}
-
-// windowFrame serves an access from a window entry: a home frame comes
-// back locked like the slow path's, a cached frame refreshes its LRU
-// position so eviction order matches the slow path.
-func (n *node) windowFrame(f *fastFrame) ([]byte, *pagestore.Frame) {
-	if f.hp != nil {
-		f.hp.Mu.Lock()
-		return f.hp.Data, f.hp
-	}
-	n.lru.MoveToFront(f.cp)
-	return f.cp.Data, nil
 }
 
 // fault fetches a remote page into the cache.
@@ -495,24 +504,29 @@ func (n *node) evictIfNeeded() {
 // writePage is readPage's counterpart under the five write accessors: same
 // bookkeeping, and the frame it returns is write-ready — a twin exists for
 // a remote page from the first write of an interval on. A home frame comes
-// back locked, as from readPage.
+// back with its mutex HELD, the caller releasing it with unlock after the
+// store: fetch and diff handlers copy home frames on other goroutines.
 func (n *node) writePage(p memsim.PageID, costWords, writes int) ([]byte, *pagestore.Frame) {
 	n.dsm.Clocks[n.id].AdvanceCat(vclock.CatMemory, n.dsm.Cost.CPU.AccessNs*vclock.Duration(costWords))
 	n.stats.Writes += uint64(writes)
 	n.touchLocal(p)
+	n.retired.Recycle()
 	if f := n.window.Get(p, n.gen); f != nil && f.dirty {
 		// Fast path: the page is already write-ready for this interval
 		// (twin created / homeDirty recorded), so the slow path would be
 		// pure bookkeeping re-checks.
-		return n.windowFrame(f)
+		if f.hp != nil {
+			return lockedBytes(f.hp)
+		}
+		n.lru.MoveToFront(f.cp)
+		return f.cp.Data, nil
 	}
 	home := n.dsm.Mem.HomeFor(p, n.id)
 	if home == n.id {
 		n.homeDirty[p] = struct{}{}
 		hp := n.home.Frame(p)
 		n.window.Put(p, n.gen, fastFrame{hp: hp, dirty: true})
-		hp.Mu.Lock()
-		return hp.Data, hp
+		return lockedBytes(hp)
 	}
 	cp, ok := n.cache[p]
 	if !ok {
@@ -537,6 +551,12 @@ func (n *node) writePage(p memsim.PageID, costWords, writes int) ([]byte, *pages
 	return cp.Data, nil
 }
 
+// lockedBytes locks a home frame for a write and returns its buffer.
+func lockedBytes(hp *pagestore.Frame) ([]byte, *pagestore.Frame) {
+	hp.Mu.Lock()
+	return hp.Bytes(), hp
+}
+
 // touchLocal charges the CPU-cache model for one local page reference.
 func (n *node) touchLocal(p memsim.PageID) {
 	if !n.pcache.Touch(uint64(p)) {
@@ -554,10 +574,7 @@ func (d *DSM) access(nodeID int) *node {
 
 // ReadF64 implements platform.Substrate.
 func (d *DSM) ReadF64(nodeID int, a memsim.Addr) float64 {
-	fr, hp := d.access(nodeID).readPage(memsim.PageOf(a), 1, 1)
-	v := memsim.GetF64(fr, memsim.Offset(a))
-	unlock(hp)
-	return v
+	return memsim.GetF64(d.access(nodeID).readPage(memsim.PageOf(a), 1, 1), memsim.Offset(a))
 }
 
 // WriteF64 implements platform.Substrate.
@@ -569,10 +586,7 @@ func (d *DSM) WriteF64(nodeID int, a memsim.Addr, v float64) {
 
 // ReadI64 implements platform.Substrate.
 func (d *DSM) ReadI64(nodeID int, a memsim.Addr) int64 {
-	fr, hp := d.access(nodeID).readPage(memsim.PageOf(a), 1, 1)
-	v := memsim.GetI64(fr, memsim.Offset(a))
-	unlock(hp)
-	return v
+	return memsim.GetI64(d.access(nodeID).readPage(memsim.PageOf(a), 1, 1), memsim.Offset(a))
 }
 
 // WriteI64 implements platform.Substrate.
@@ -586,9 +600,7 @@ func (d *DSM) WriteI64(nodeID int, a memsim.Addr, v int64) {
 func (d *DSM) ReadBytes(nodeID int, a memsim.Addr, buf []byte) {
 	n := d.access(nodeID)
 	memsim.ByteRuns(a, len(buf), func(p memsim.PageID, off, chunk int) {
-		fr, hp := n.readPage(p, 1+chunk/memsim.WordSize, 1)
-		copy(buf[:chunk], fr[off:off+chunk])
-		unlock(hp)
+		copy(buf[:chunk], n.readPage(p, 1+chunk/memsim.WordSize, 1)[off:off+chunk])
 		buf = buf[chunk:]
 	})
 }

@@ -303,7 +303,10 @@ step go test -race -run 'TestDLockMutualExclusion64' ./internal/hsync/
 # Consistency-engine conformance gate: the default engine must pass the
 # whole litmus battery under the race detector (the other engines and the
 # broken-engine negative control run in the same package's full suite).
-step go test -race -run 'TestLitmusDefaultEngine|TestLitmusCatchesBrokenEngine' ./internal/conscheck/
+# Its home nodes read their frames without a lock, so like ivy's battery
+# it runs 20 times: a rare schedule is what such a read gets wrong.
+step go test -race -count=20 -run 'TestLitmusDefaultEngine' ./internal/conscheck/
+step go test -race -run 'TestLitmusCatchesBrokenEngine' ./internal/conscheck/
 
 # Serve-conformance gate: the server workloads (sharded KV, pipeline,
 # sync log) must produce the identical checksum AND identical latency
@@ -434,6 +437,10 @@ step go test -race -run 'TestConcurrentFrameCreation|TestDropThenFrameIsFresh|Te
 # contract run by name before the full suite.
 step go test -race -count=20 -run 'TestLitmusIVY' ./internal/conscheck/
 step go test -race -run 'TestHammer|TestOwnUpgradeRefreshesWindow|TestSelfFaultAfterHandlerBootstrap' ./internal/ivy/
+# swdsm's home nodes read their own frames without a lock too (diffs
+# replace a frame's buffer; the home hands the old one back at its next
+# access): the two-page hammers race those reads with peers' diffs.
+step go test -race -run 'TestHomeHammer|TestHomeReadTakesNoFrameLock' ./internal/swdsm/
 # hybriddsm resolves pages through the same window: every event that
 # drops a cached copy or ends an interval must drop the node's slots.
 step go test -race -run 'TestWindowInvalidation' ./internal/hybriddsm/
