@@ -118,12 +118,6 @@ func (c *Coordinator) Stats() (captures int, bytes uint64) {
 	return c.captures, c.bytes
 }
 
-// Abort poisons the capture rendezvous so nodes blocked waiting for a
-// crashed peer's capture panic with the reason instead of deadlocking
-// (the runtime's per-node panic recovery calls it alongside the
-// substrate's AbortSync).
-func (c *Coordinator) Abort(reason string) { c.vb.Abort(reason) }
-
 // Seed primes a fresh coordinator with a restored run's position: the
 // barrier count captures resume from, and (for incremental mode) the
 // restored page images as diff baselines. Call before any node runs.

@@ -45,10 +45,11 @@ func viaConfig(cfg Config) func(t *testing.T) *Runtime {
 // TestNodePanicUnblocksPeers: a node or task that panics must not leave
 // its peers blocked forever in a barrier it will never reach or on a lock
 // it will never release — Run, Join and Main have to come back with the
-// original panic. Every substrate gets this from the synchronization
-// manager it embeds; before that, only the two software-DSM engines
-// implemented AbortSync and the others hung here. Tasks once had no
-// recover at all: a panicking task killed the process.
+// original panic. Every substrate gets this from its clocks: the failure
+// poisons them, and every wait parks through one. Before that, only the
+// two software-DSM engines could abort their waits and the others hung
+// here. Tasks once had no recover at all: a panicking task killed the
+// process.
 func TestNodePanicUnblocksPeers(t *testing.T) {
 	// Each survivor blocks in one synchronization call; held and waiting
 	// order the two sides on the host so the survivor is at (or about to
@@ -135,10 +136,10 @@ func TestNodePanicUnblocksPeers(t *testing.T) {
 				panic("boom")
 			})
 		}},
-		// The initial thread's panic cannot wake a task waiting on an
-		// event, a condition variable or a semaphore only it would have
-		// posted; the task stays blocked, and Close, deferred while the
-		// panic unwinds, must still return and let the panic through.
+		// The initial thread's panic wakes a task waiting on an event, a
+		// condition variable or a semaphore only it would have posted:
+		// the task panics out of its wait, and Close, deferred while the
+		// panic unwinds, waits for it, then lets the panic through.
 		{"main-event", mainDiesWhile(func(e *Env) {
 			ev := e.Sync.NewEvent()
 			waitIn(e, func(e *Env) { e.Sync.Wait(ev) })

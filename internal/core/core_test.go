@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"hamster/internal/conscheck"
@@ -176,16 +177,15 @@ func TestRawLockMutualExclusion(t *testing.T) {
 func TestEventSignalWait(t *testing.T) {
 	rt := newRT(t, platform.SMP, 2)
 	ev := rt.Env(0).Sync.NewEvent()
+	var signaling atomic.Bool
 	rt.Run(func(e *Env) {
 		if e.ID() == 0 {
 			e.Compute(100000)
+			signaling.Store(true)
 			e.Sync.Signal(ev)
 		} else {
 			e.Sync.Wait(ev)
-			ev.mu.Lock()
-			fired := ev.fired
-			ev.mu.Unlock()
-			if !fired {
+			if !signaling.Load() {
 				panic("event not fired after Wait")
 			}
 		}

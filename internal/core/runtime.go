@@ -402,50 +402,35 @@ func (rt *Runtime) goNode(node int, task int64, fn func(), exit func(failure any
 }
 
 // fail unblocks the peers of a node or task that panicked with r. The
-// first failure is kept for Run to re-raise and poisons the barriers and
-// locks, so nobody waits for a node that will never arrive; every failure
+// first failure is kept for Run to re-raise and poisons the cluster's
+// clocks, so every virtual-time wait, now or later, panics naming it
+// instead of waiting for a node that will never arrive; every failure
 // closes the network to wake blocked receivers and retry loops. Peers
 // woken this way panic in turn and land back here.
 func (rt *Runtime) fail(node int, r any) {
 	rt.failMu.Lock()
-	first := rt.failure == nil
-	if first {
+	if rt.failure == nil {
 		rt.failure = r
+		rt.sub.Clock(node).Poison(fmt.Sprintf("node %d failed: %v", node, r))
 	}
 	rt.failMu.Unlock()
-	if first {
-		reason := fmt.Sprintf("node %d failed: %v", node, r)
-		if ab, ok := rt.sub.(interface{ AbortSync(string) }); ok {
-			ab.AbortSync(reason)
-		}
-		if rt.ckpt != nil {
-			rt.ckpt.Abort(reason)
-		}
-	}
 	rt.msgs.Close()
 }
 
 // Close shuts the runtime down, unblocking any waiting receivers, and
 // hands the substrate's page buffers back for the next runtime to reuse.
-// That is safe only once no node or task goroutine can touch them: Close
-// panics naming one that is still running (an unjoined task, say). A
-// failed runtime is the exception. Its survivors may be blocked where the
-// failure cannot wake them (on an event or a semaphore), and Close may be
-// running in a deferred call while the failure unwinds, so it neither
-// waits nor panics: it closes the networks and leaves every buffer to the
-// garbage collector.
+// That is safe only once no node or task goroutine can touch them. A
+// healthy runtime must be quiescent: Close panics naming a goroutine that
+// is still running (an unjoined task, say). On a failed runtime Close,
+// which may be running in a deferred call while the failure unwinds,
+// waits for them instead: the failure poisoned every wait and closed the
+// network, so each survivor panics out of whatever it was blocked in.
 func (rt *Runtime) Close() {
 	rt.msgs.Close()
 	rt.failMu.Lock()
 	failed := rt.failure != nil
 	rt.failMu.Unlock()
-	if failed {
-		if rt.am != nil {
-			rt.am.Network().Close()
-		}
-		return
-	}
-	rt.live.quiesce()
+	rt.live.quiesce(failed)
 	rt.sub.Close()
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"hamster/internal/conscheck"
 	"hamster/internal/platform"
 	"hamster/internal/vclock"
@@ -120,48 +118,27 @@ func (s *SyncMgr) RawUnlock(id int) {
 // Event is a sticky cluster-wide event: once signaled, all current and
 // future waiters proceed, with their clocks advanced past the signal time.
 // Joins and completion notifications in the thread models build on it.
+// It is a condition whose waiters await any broadcast, past or future.
 type Event struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	fired bool
-	at    vclock.Time
+	vc vclock.VCond
 }
 
 // NewEvent creates an unfired event.
 func (s *SyncMgr) NewEvent() *Event {
 	s.e.charge(ModSync)
-	ev := &Event{}
-	ev.cond = sync.NewCond(&ev.mu)
-	return ev
+	return &Event{}
 }
 
 // Signal fires the event.
 func (s *SyncMgr) Signal(ev *Event) {
 	s.e.charge(ModSync)
-	clk := s.e.rt.sub.Clock(s.e.id)
-	clk.AdvanceCat(vclock.CatProtocol, s.syncCost())
-	now := clk.Now()
-	ev.mu.Lock()
-	ev.fired = true
-	if now > ev.at {
-		ev.at = now
-	}
-	ev.cond.Broadcast()
-	ev.mu.Unlock()
+	ev.vc.Broadcast(s.e.rt.sub.Clock(s.e.id), s.syncCost())
 }
 
 // Wait blocks until the event has fired.
 func (s *SyncMgr) Wait(ev *Event) {
 	s.e.charge(ModSync)
-	ev.mu.Lock()
-	for !ev.fired {
-		ev.cond.Wait()
-	}
-	t := ev.at
-	ev.mu.Unlock()
-	clk := s.e.rt.sub.Clock(s.e.id)
-	clk.AdvanceToCat(vclock.CatProtocol, t)
-	clk.AdvanceCat(vclock.CatProtocol, s.syncCost())
+	ev.vc.Await(s.e.rt.sub.Clock(s.e.id), s.syncCost())
 }
 
 // TryLock attempts Lock without blocking; true means the lock is held.
@@ -179,13 +156,13 @@ func (s *SyncMgr) TryLock(id int) bool {
 // event semantics. Unlike Event, a signal only wakes waiters already
 // waiting.
 type CondVar struct {
-	vc *vclock.VCond
+	vc vclock.VCond
 }
 
 // NewCond creates a condition variable.
 func (s *SyncMgr) NewCond() *CondVar {
 	s.e.charge(ModSync)
-	return &CondVar{vc: vclock.NewVCond()}
+	return &CondVar{}
 }
 
 // CondWait atomically releases the caller's mutex (via unlock), waits for

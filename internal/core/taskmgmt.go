@@ -172,11 +172,13 @@ func (g goroutineID) String() string {
 type liveSet struct {
 	mu      sync.Mutex
 	running []goroutineID
+	wg      sync.WaitGroup // counts running
 }
 
 func (s *liveSet) enter(g goroutineID) {
 	s.mu.Lock()
 	s.running = append(s.running, g)
+	s.wg.Add(1)
 	s.mu.Unlock()
 }
 
@@ -185,12 +187,16 @@ func (s *liveSet) leave(g goroutineID) {
 	i := slices.Index(s.running, g)
 	s.running[i] = s.running[len(s.running)-1]
 	s.running = s.running[:len(s.running)-1]
+	s.wg.Done()
 	s.mu.Unlock()
 }
 
 // quiesce returns when no goroutine is running and otherwise panics
-// naming those that are.
-func (s *liveSet) quiesce() {
+// naming those that are, or with wait, first waits for them to leave.
+func (s *liveSet) quiesce(wait bool) {
+	if wait {
+		s.wg.Wait()
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.running) == 0 {

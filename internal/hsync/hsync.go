@@ -1,7 +1,7 @@
 // Package hsync is the Synchronization Management service module of
 // every substrate (§4.2): one Manager owns the lock table, the barrier,
 // the routing of each request, the write-notice exchange that rides the
-// boundaries, the per-node counters and event records, and abort. The
+// boundaries, and the per-node counters and event records. The
 // paper makes synchronization and consistency orthogonal modules; here
 // that is literal — the Manager knows nothing about pages and drives a
 // consistency engine through the two hooks of its Engine interface

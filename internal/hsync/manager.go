@@ -98,9 +98,6 @@ type Config struct {
 	// carries none (hardware coherence, write-invalidate engines whose
 	// copies are never stale).
 	Engine Engine
-	// Rendezvous lists barriers the substrate runs beside the manager's
-	// own, so that AbortSync poisons them too.
-	Rendezvous []*vclock.VBarrier
 
 	// The remaining fields are protocol, not synchronization: what a
 	// consistency protocol does with the notices a boundary moves.
@@ -127,13 +124,13 @@ func NoticeBytes(pages int) int { return msgBytes + 8*pages }
 // Manager is the synchronization layer of a substrate: the lock table,
 // the barrier, the routing of every request (local, single home,
 // distributed queue; central manager, tree), the write-notice exchange
-// that rides them, the per-node counters and event records, and abort.
+// that rides them, and the per-node counters and event records.
 // Substrates embed it, so its methods are their platform.Substrate
 // synchronization methods.
 //
-// Concurrency: NewLock, LockCount, EnsureLocks and AbortSync may be
-// called from any goroutine. Acquire, TryAcquire, Release and Barrier run
-// on the goroutine of the node they name, one call per node at a time.
+// Concurrency: NewLock, LockCount and EnsureLocks may be called from any
+// goroutine. Acquire, TryAcquire, Release and Barrier run on the
+// goroutine of the node they name, one call per node at a time.
 // SetRecorder, SyncStats, ResetSyncStats, ProtocolEpoch and
 // RestoreProtocolState are for quiescent use.
 type Manager struct {
@@ -471,22 +468,6 @@ func (m *Manager) Barrier(node int) {
 	ns.barriers++
 	if rec := m.recorder(); rec != nil {
 		rec.Record(node, perfmon.EvBarrier, t0, vclock.Since(t0, clk.Now()), epoch, 0)
-	}
-}
-
-// AbortSync poisons the barrier, every listed rendezvous and every lock,
-// so that no goroutine stays blocked waiting for a failed peer: waiters,
-// and anyone arriving later, panic with the reason. The core runtime
-// calls it from its per-node panic recovery.
-func (m *Manager) AbortSync(reason string) {
-	m.vb.Abort(reason)
-	for _, vb := range m.cfg.Rendezvous {
-		vb.Abort(reason)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, st := range m.locks {
-		st.vl.Abort(reason)
 	}
 }
 

@@ -56,12 +56,9 @@ type rig struct {
 	rec    *perfmon.Recorder
 }
 
-func newRig(t *testing.T, nodes int, wire Wire, topo simnet.Topology, withEngine bool, rendezvous ...*vclock.VBarrier) *rig {
-	r := &rig{t: t, clocks: make([]*vclock.Clock, nodes), rec: perfmon.New(nodes, 64)}
-	for i := range r.clocks {
-		r.clocks[i] = &vclock.Clock{}
-	}
-	cfg := Config{Name: "test", Clocks: r.clocks, Wire: wire, Topology: topo, Rendezvous: rendezvous}
+func newRig(t *testing.T, nodes int, wire Wire, topo simnet.Topology, withEngine bool) *rig {
+	r := &rig{t: t, clocks: vclock.NewClocks(nodes), rec: perfmon.New(nodes, 64)}
+	cfg := Config{Name: "test", Clocks: r.clocks, Wire: wire, Topology: topo}
 	if withEngine {
 		r.eng = newFakeEngine()
 		cfg.Engine = r.eng
@@ -371,12 +368,13 @@ func TestManagerCountsAndUnknownLock(t *testing.T) {
 	r.m.Acquire(0, 5)
 }
 
-// TestAbortWakesWaiters: AbortSync must wake a node blocked in Acquire, a
-// node blocked in Barrier and a node blocked in a registered rendezvous,
-// and make later arrivals panic instead of waiting.
+// TestAbortWakesWaiters: poisoning the cluster's clocks must wake a node
+// blocked in Acquire, a node blocked in Barrier and a node blocked in a
+// rendezvous the manager never heard of, and make later arrivals panic
+// instead of waiting.
 func TestAbortWakesWaiters(t *testing.T) {
 	extra := vclock.NewVBarrier(4)
-	r := newRig(t, 4, AtomicWire(san, san), simnet.Topology{}, false, extra)
+	r := newRig(t, 4, AtomicWire(san, san), simnet.Topology{}, false)
 	lock := r.m.NewLock()
 	r.m.Acquire(0, lock)
 
@@ -395,7 +393,7 @@ func TestAbortWakesWaiters(t *testing.T) {
 		t.Fatalf("a waiter returned before the abort: %q", msg)
 	case <-time.After(20 * time.Millisecond):
 	}
-	r.m.AbortSync("node 0 failed")
+	r.clocks[0].Poison("node 0 failed")
 	blocked(func() { r.m.Barrier(3) }) // arrives after the abort
 	for i := 0; i < 4; i++ {
 		select {
@@ -404,7 +402,7 @@ func TestAbortWakesWaiters(t *testing.T) {
 				t.Errorf("waiter panicked with %q, want the abort reason", msg)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatal("a waiter is still blocked 5 s after AbortSync")
+			t.Fatal("a waiter is still blocked 5 s after the poison")
 		}
 	}
 	r.m.Release(0, lock) // the holder may still release normally

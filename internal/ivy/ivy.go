@@ -21,10 +21,10 @@
 // goroutine; protocol handlers execute on the caller's goroutine against
 // the target node's state (amsg's convention) and take the target node's
 // mutex. A node never holds its mutex across a network call: ownership
-// installs set a pending flag instead, and handlers wait on the node's
-// condition variable until the invalidation round completes, so requests
-// observe either the pre-transfer or post-transfer state, never the
-// middle.
+// installs set a pending flag instead, and handlers park on the node's
+// mutex (a vclock.Queue) until the invalidation round completes, so
+// requests observe either the pre-transfer or post-transfer state, never
+// the middle.
 //
 // Reads take no lock. A page buffer is written only by its current
 // owner's own goroutine: a read copy is a page-list buffer (see
@@ -57,7 +57,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"hamster/internal/amsg"
@@ -165,11 +164,10 @@ type node struct {
 	reply []byte
 
 	// mu guards pages, retired and invalidations: protocol handlers run on
-	// other goroutines against this state. cond signals pending-flag
-	// clears. retired holds the buffers handlers took away, until the
+	// other goroutines against this state, and park in it until a pending
+	// flag clears. retired holds the buffers handlers took away, until the
 	// owner goroutine's next window miss recycles them.
-	mu            sync.Mutex
-	cond          *sync.Cond
+	mu            vclock.Queue
 	pages         map[memsim.PageID]*ipage
 	retired       [][]byte
 	invalidations uint64
@@ -190,7 +188,6 @@ func New(cfg Config) (*DSM, error) {
 			pcache: machine.NewPageCache(base.Cost.Bus.CachePages),
 			pages:  make(map[memsim.PageID]*ipage),
 		}
-		n.cond = sync.NewCond(&n.mu)
 		d.nodes[i] = n
 		d.registerHandlers(n)
 	}
@@ -260,24 +257,24 @@ func (d *DSM) replyTo(from, size int) []byte {
 // page at its home, which becomes initial owner on the first request —
 // and wait out any invalidation round before grant builds the reply. A
 // node that does not own the page answers with its best hint instead.
+// The wait parks the requester, whose goroutine the handler runs on, so
+// a failure that strands the round (its writer panicked) wakes it.
 func (n *node) pageHandler(grant func(e *ipage, from int) []byte) amsg.Handler {
 	return func(from amsg.NodeID, req []byte) ([]byte, vclock.Duration) {
 		p := memsim.PageID(binary.LittleEndian.Uint64(req))
 		n.mu.Lock()
-		defer n.mu.Unlock()
-		for {
-			e := n.pages[p]
-			if e == nil && n.dsm.Mem.Home(p) == n.id {
+		var e *ipage
+		n.dsm.Clocks[from].Park(&n.mu, func() bool {
+			if e = n.pages[p]; e == nil && n.dsm.Mem.Home(p) == n.id {
 				e = n.bootstrapOwned(p)
 			}
-			if e == nil || e.state != pOwned {
-				return hintReply(n.hintLocked(p)), 0
-			}
-			if !e.pending {
-				return grant(e, int(from)), n.dsm.Cost.CPU.PageCopyNs
-			}
-			n.cond.Wait()
+			return e == nil || e.state != pOwned || !e.pending
+		})
+		defer n.mu.Unlock()
+		if e == nil || e.state != pOwned {
+			return hintReply(n.hintLocked(p)), 0
 		}
+		return grant(e, int(from)), n.dsm.Cost.CPU.PageCopyNs
 	}
 }
 
@@ -527,7 +524,7 @@ func (n *node) writeFault(p memsim.PageID) {
 		n.invalidateMembers(p, members)
 		n.mu.Lock()
 		e.pending = false
-		n.cond.Broadcast()
+		n.mu.Broadcast()
 		n.mu.Unlock()
 	}
 }
@@ -619,7 +616,7 @@ func (n *node) invalRound(p memsim.PageID, e *ipage) {
 	n.invalidateMembers(p, members)
 	n.mu.Lock()
 	e.pending = false
-	n.cond.Broadcast()
+	n.mu.Broadcast()
 }
 
 // touchLocal charges the CPU-cache model for one local page reference.

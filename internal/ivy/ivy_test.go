@@ -1,6 +1,8 @@
 package ivy
 
 import (
+	"encoding/binary"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -319,5 +321,42 @@ func TestStaleHintCycleResolves(t *testing.T) {
 	}
 	if got := d.ReadF64(1, r.Base); got != 5 {
 		t.Fatalf("node 1 reads %v after node 0's write, want 5", got)
+	}
+}
+
+// TestStrandedRequesterWakesOnPoison: a requester that finds the page's
+// owner mid-way through an invalidation round parks until the round
+// clears the pending flag. A writer that panics mid-round never clears
+// it, so the failure's poison must wake the requester instead.
+func TestStrandedRequesterWakesOnPoison(t *testing.T) {
+	d := newDSM(t, 2)
+	r, err := d.Alloc(memsim.PageSize, "x", memsim.Fixed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := memsim.PageOf(r.Base)
+	owner := d.nodes[0]
+	owner.mu.Lock()
+	owner.bootstrapOwned(p).pending = true
+	owner.mu.Unlock()
+
+	got := make(chan any, 1)
+	go func() {
+		defer func() { got <- recover() }()
+		d.layer.Call(1, 0, kindReadPage, binary.LittleEndian.AppendUint64(nil, uint64(p)))
+	}()
+	select {
+	case r := <-got:
+		t.Fatalf("the request returned (%v) while the round was pending", r)
+	case <-time.After(20 * time.Millisecond):
+	}
+	d.Clocks[0].Poison("node 0 failed: boom")
+	select {
+	case r := <-got:
+		if msg, _ := r.(string); !strings.Contains(msg, "node 0 failed: boom") {
+			t.Fatalf("the stranded requester panicked with %v, want the failure", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the stranded requester is still parked 5 s after the poison")
 	}
 }

@@ -3,10 +3,14 @@ package pagestore_test
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"hamster/internal/consengine"
+	"hamster/internal/core"
 	"hamster/internal/hybriddsm"
 	"hamster/internal/ivy"
 	"hamster/internal/memsim"
@@ -30,6 +34,7 @@ func TestPooledBufferAliasing(t *testing.T) {
 	t.Run("across-runtimes", acrossRuntimes)
 	t.Run("close-once", closeOnce)
 	t.Run("swdsm-retired", swdsmRetired)
+	t.Run("failed-runtime", failedRuntime)
 }
 
 // swdsmChurn hammers the ownership chain through the substrate that
@@ -391,6 +396,78 @@ func swdsmRetired(t *testing.T) {
 	d.Close()
 	if got := outstanding(); got != before {
 		t.Fatalf("after Close %d buffers are still out, want %d", got, before)
+	}
+}
+
+// failedRuntime: the initial thread panics while three tasks wait on an
+// event, a condition variable and a semaphore only it would have posted.
+// The failure wakes all three, so Close, deferred while the panic
+// unwinds, waits for them and hands every buffer back, as a healthy
+// Close does. The five runtimes are every substrate and engine a
+// core.Config selects (multidsm is built only bare).
+func failedRuntime(t *testing.T) {
+	outstanding := pagestore.CheckReturns(t)
+	for _, c := range []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"smp", core.Config{Platform: platform.SMP}},
+		{"hybriddsm", core.Config{Platform: platform.HybridDSM}},
+		{"swdsm-scope", core.Config{Platform: platform.SWDSM}},
+		{"swdsm-eager-rc", core.Config{Platform: platform.SWDSM, Engine: consengine.EagerRCName}},
+		{"swdsm-ivy", core.Config{Platform: platform.SWDSM, Engine: consengine.IVYName}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before := outstanding()
+			c.cfg.Nodes = 2
+			rt, err := core.New(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raised := make(chan any, 1)
+			go func() {
+				defer func() { raised <- recover() }()
+				defer rt.Close()
+				rt.Main(func(e *core.Env, _ *core.Task) {
+					r, err := e.Mem.Alloc(4*memsim.PageSize, core.AllocOpts{Name: "x", Policy: memsim.Cyclic})
+					if err != nil {
+						panic(err)
+					}
+					ev, cv, sem := e.Sync.NewEvent(), e.Sync.NewCond(), e.Sync.NewSemaphore(0, 0)
+					for _, wait := range []func(e *core.Env){
+						func(e *core.Env) { e.Sync.Wait(ev) },
+						func(e *core.Env) { e.Sync.CondWait(cv, func() {}, func() {}) },
+						func(e *core.Env) { e.Sync.SemAcquire(sem) },
+					} {
+						waiting := make(chan struct{})
+						e.Task.SpawnOn(1, func(e *core.Env, _ *core.Task) int64 {
+							for p := 0; p < 4; p++ {
+								e.WriteF64(r.Base+memsim.Addr(p*memsim.PageSize), 1)
+							}
+							close(waiting)
+							wait(e)
+							return 0
+						})
+						<-waiting
+					}
+					if outstanding() == before {
+						t.Error("the runtime took no buffer from the list")
+					}
+					panic("boom")
+				})
+			}()
+			select {
+			case r := <-raised:
+				if !strings.Contains(fmt.Sprint(r), "boom") {
+					t.Fatalf("re-raised %v, want the initial thread's panic", r)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Close still waiting 5 s after the initial thread panicked")
+			}
+			if got := outstanding(); got != before {
+				t.Fatalf("after Close %d buffers are still out, want %d", got, before)
+			}
+		})
 	}
 }
 

@@ -25,7 +25,8 @@ type Base struct {
 // NewBase does the construction every substrate's New shares: it rejects
 // nodes <= 0 naming pkg, defaults zero params to machine.Default(), and
 // adopts space and clocks when given (a multi-DSM composition shares both
-// between its engines) or makes fresh ones.
+// between its engines) or makes fresh ones: one cluster's clocks, which
+// share the poison a failure sets (vclock.Clock.Poison).
 func NewBase(pkg string, nodes int, params machine.Params, space *memsim.Space, clocks []*vclock.Clock) (Base, error) {
 	if nodes <= 0 {
 		return Base{}, fmt.Errorf("%s: need at least one node, got %d", pkg, nodes)
@@ -37,10 +38,7 @@ func NewBase(pkg string, nodes int, params machine.Params, space *memsim.Space, 
 		space = memsim.NewSpace(nodes)
 	}
 	if clocks == nil {
-		clocks = make([]*vclock.Clock, nodes)
-		for i := range clocks {
-			clocks[i] = &vclock.Clock{}
-		}
+		clocks = vclock.NewClocks(nodes)
 	} else if len(clocks) != nodes {
 		return Base{}, fmt.Errorf("%s: %d clocks for %d nodes", pkg, len(clocks), nodes)
 	}

@@ -27,7 +27,7 @@ func (d *DSM) syncConfig() hsync.Config {
 	}
 	cfg := hsync.Config{
 		Name: "swdsm", Clocks: d.Clocks, Wire: wire, Topology: topo,
-		Engine: d, Rendezvous: []*vclock.VBarrier{d.vbMig},
+		Engine: d,
 	}
 	if d.protocol == EagerRC {
 		// Eager RC: one global board, so any acquire applies every pending

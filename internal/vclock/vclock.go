@@ -186,8 +186,9 @@ type Clock struct {
 	// on which of the current phase's charges have landed yet.
 	base   atomic.Uint64
 	ledger ledger
+	poison *poison // shared by the cluster's clocks (NewClocks); nil on a zero Clock
 
-	_ [128 - (2+int(localCategories))*8 - int(unsafe.Sizeof(ledger{}))]byte
+	_ [128 - (2+int(localCategories))*8 - int(unsafe.Sizeof(ledger{})) - int(unsafe.Sizeof((*poison)(nil)))]byte
 }
 
 // ledger sorts the stolen charges of the current barrier phase into those

@@ -218,9 +218,9 @@ func TestVBarrierStealOrderIndependent(t *testing.T) {
 			bar.Arrive(&a, 0, 0)
 		}()
 		for parked := false; !parked; {
-			bar.mu.Lock()
+			bar.q.Lock()
 			parked = bar.arrived == 1
-			bar.mu.Unlock()
+			bar.q.Unlock()
 		}
 		for i := before; i < len(steals); i++ {
 			steal(i)
@@ -374,7 +374,7 @@ func TestVLockReleaseUnheldPanics(t *testing.T) {
 }
 
 func TestVCondWaitAfterSignalGeneration(t *testing.T) {
-	v := NewVCond()
+	v := new(VCond)
 	var signaler Clock
 	signaler.Advance(1000)
 
@@ -461,6 +461,25 @@ func TestVSemaphoreBasics(t *testing.T) {
 	s.Release(&c, 1, 0)
 	if s.Release(&c, 1, 0) {
 		t.Fatal("release beyond max must fail")
+	}
+}
+
+// TestVSemaphoreRejectsNonPositiveRelease: like Win32 ReleaseSemaphore
+// with lReleaseCount <= 0, a release of no units or of a negative count
+// fails and leaves the count alone, so it cannot conjure a unit later.
+func TestVSemaphoreRejectsNonPositiveRelease(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		s := NewVSemaphore(0, 0)
+		var c Clock
+		if s.Release(&c, n, 0) {
+			t.Errorf("Release(%d) on an empty semaphore reported success", n)
+		}
+		if s.TryAcquire(&c, 0) {
+			t.Errorf("after Release(%d): TryAcquire granted a unit nobody released", n)
+		}
+		if s.count != 0 {
+			t.Errorf("after Release(%d): count %d, want 0", n, s.count)
+		}
 	}
 }
 

@@ -67,8 +67,8 @@ step architecture_packages
 # One synchronization manager: hsync.Manager owns the lock table, the
 # single-home-vs-distributed-queue and manager-vs-tree decision, and every
 # virtual lock. None of that may leak back into a substrate (swdsm's
-# home-migration rendezvous is a VBarrier, listed in the manager's
-# Config.Rendezvous so AbortSync poisons it).
+# home-migration rendezvous is a VBarrier of its own; a failure reaches it,
+# like every wait, through the clocks it parks with).
 one_sync_manager() {
     if grep -rnE 'hsync\.NewDLock|hsync\.NewTree|vclock\.NewVLock\(' \
         --include='*.go' --exclude='*_test.go' \
