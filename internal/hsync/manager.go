@@ -80,7 +80,8 @@ type Engine interface {
 	// returns its write notices. The returned slice becomes the Manager's.
 	FlushInterval(node int) []memsim.PageID
 	// InvalidatePages drops the node's stale copies of the given pages.
-	// The slice is the node's scratch: valid only during the call.
+	// The slice is the node's scratch: valid only during the call, and
+	// never empty — a boundary that delivers no notices does not call it.
 	InvalidatePages(node int, pages []memsim.PageID)
 }
 
@@ -143,7 +144,7 @@ type Manager struct {
 	rec      *perfmon.Recorder
 
 	mu    sync.Mutex
-	locks []*lock
+	locks []*lock // append-only
 }
 
 // lock is one global lock.
@@ -161,11 +162,12 @@ type lock struct {
 type nodeState struct {
 	acquires, barriers, msgs uint64
 	epoch                    uint64
-	// Reusable buffers: the drained or collected notice list and the
-	// barrier's view of the lock table grow once, so steady
-	// synchronization allocates nothing here.
+	// Reusable buffer: the drained or collected notice list grows once,
+	// so steady synchronization allocates nothing here.
 	scratch []memsim.PageID
-	locks   []*lock
+	// seen holds, per distinct board, its Posts() when the node last
+	// drained it at a barrier; it is resized only when the table grows.
+	seen []uint64
 }
 
 // NewManager builds the synchronization layer for len(cfg.Clocks) nodes.
@@ -348,7 +350,9 @@ func (m *Manager) acquire(node, id int, try bool) bool {
 				m.deliverFlat(ns, node, peer, len(pages))
 			}
 		}
-		m.cfg.Engine.InvalidatePages(node, pages)
+		if len(pages) > 0 {
+			m.cfg.Engine.InvalidatePages(node, pages)
+		}
 	}
 	ns.acquires++
 	if rec := m.recorder(); rec != nil {
@@ -393,8 +397,9 @@ func (m *Manager) Release(node, id int) {
 
 // Barrier implements platform.Substrate: every node publishes its
 // interval's notices, meets the others, and applies theirs — plus
-// whatever is still pending for it on any lock, a barrier being a global
-// synchronization point. Node 0 is the manager and the tree's root.
+// whatever is still pending for it on any board posted since its last
+// barrier, a barrier being a global synchronization point. Node 0 is the
+// manager and the tree's root.
 func (m *Manager) Barrier(node int) {
 	ns, clk, w := m.nodes[node], m.cfg.Clocks[node], &m.cfg.Wire
 	t0 := clk.Now()
@@ -450,17 +455,13 @@ func (m *Manager) Barrier(node int) {
 				m.deliverFlat(ns, node, 0, len(others))
 			}
 		}
-		m.cfg.Engine.InvalidatePages(node, others)
-		if rec := m.recorder(); rec != nil && w.Notices && len(others) > 0 {
-			rec.Record(node, perfmon.EvInvalidate, clk.Now(), 0, uint64(len(others)), 0)
+		if len(others) > 0 {
+			m.cfg.Engine.InvalidatePages(node, others)
+			if rec := m.recorder(); rec != nil && w.Notices {
+				rec.Record(node, perfmon.EvInvalidate, clk.Now(), 0, uint64(len(others)), 0)
+			}
 		}
-		m.mu.Lock()
-		ns.locks = append(ns.locks[:0], m.locks...)
-		m.mu.Unlock()
-		for _, st := range ns.locks {
-			ns.scratch = st.board.TakeInto(node, ns.scratch[:0])
-			m.cfg.Engine.InvalidatePages(node, ns.scratch)
-		}
+		m.drainBoards(node, ns)
 	}
 	if m.cfg.AfterBarrier != nil {
 		m.cfg.AfterBarrier(node, epoch)
@@ -468,6 +469,37 @@ func (m *Manager) Barrier(node int) {
 	ns.barriers++
 	if rec := m.recorder(); rec != nil {
 		rec.Record(node, perfmon.EvBarrier, t0, vclock.Since(t0, clk.Now()), epoch, 0)
+	}
+}
+
+// drainBoards applies, at a barrier, the notices still pending for node
+// on any board: each lock's under scope, the one they all share (the
+// first lock's) under eager release consistency. A board whose post
+// count has not moved since the node's last barrier drain costs one
+// atomic load: every post released before the node reached this barrier
+// happened before that load, through the barrier's rendezvous. A post
+// racing the load is applied at the node's next synchronization point.
+func (m *Manager) drainBoards(node int, ns *nodeState) {
+	m.mu.Lock()
+	locks := m.locks[:len(m.locks):len(m.locks)]
+	m.mu.Unlock()
+	if m.cfg.Board != nil {
+		locks = locks[:min(len(locks), 1)]
+	}
+	if len(ns.seen) != len(locks) {
+		seen := make([]uint64, len(locks))
+		copy(seen, ns.seen)
+		ns.seen = seen
+	}
+	for i, st := range locks {
+		posts := st.board.Posts()
+		if posts == ns.seen[i] {
+			continue
+		}
+		ns.seen[i] = posts
+		if ns.scratch = st.board.TakeInto(node, ns.scratch[:0]); len(ns.scratch) > 0 {
+			m.cfg.Engine.InvalidatePages(node, ns.scratch)
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package hsync
 
 import (
+	"fmt"
+	"math/rand/v2"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -8,6 +11,7 @@ import (
 
 	"hamster/internal/machine"
 	"hamster/internal/memsim"
+	"hamster/internal/notices"
 	"hamster/internal/perfmon"
 	"hamster/internal/platform"
 	"hamster/internal/simnet"
@@ -20,10 +24,15 @@ type fakeEngine struct {
 	mu      sync.Mutex
 	flush   map[int][]memsim.PageID // next FlushInterval result per node
 	dropped map[int]int             // pages passed to InvalidatePages per node
+	calls   map[int][]int           // per node, the length of each InvalidatePages list
+	handed  map[int][]memsim.PageID // per node, every page it was handed
 }
 
 func newFakeEngine() *fakeEngine {
-	return &fakeEngine{flush: map[int][]memsim.PageID{}, dropped: map[int]int{}}
+	return &fakeEngine{
+		flush: map[int][]memsim.PageID{}, dropped: map[int]int{},
+		calls: map[int][]int{}, handed: map[int][]memsim.PageID{},
+	}
 }
 
 func (f *fakeEngine) FlushInterval(node int) []memsim.PageID {
@@ -37,13 +46,29 @@ func (f *fakeEngine) FlushInterval(node int) []memsim.PageID {
 func (f *fakeEngine) InvalidatePages(node int, pages []memsim.PageID) {
 	f.mu.Lock()
 	f.dropped[node] += len(pages)
+	f.calls[node] = append(f.calls[node], len(pages))
+	f.handed[node] = append(f.handed[node], pages...)
 	f.mu.Unlock()
 }
 
 func (f *fakeEngine) dirty(node, pages int) {
+	f.dirtyPages(node, make([]memsim.PageID, pages))
+}
+
+// dirtyPages makes pages the node's next FlushInterval result.
+func (f *fakeEngine) dirtyPages(node int, pages []memsim.PageID) {
 	f.mu.Lock()
-	f.flush[node] = make([]memsim.PageID, pages)
+	f.flush[node] = pages
 	f.mu.Unlock()
+}
+
+// takeCalls returns and forgets the node's InvalidatePages list lengths.
+func (f *fakeEngine) takeCalls(node int) []int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	c := f.calls[node]
+	delete(f.calls, node)
+	return c
 }
 
 // rig is a manager over fresh clocks plus the bookkeeping to read one
@@ -57,8 +82,14 @@ type rig struct {
 }
 
 func newRig(t *testing.T, nodes int, wire Wire, topo simnet.Topology, withEngine bool) *rig {
+	return newRigBoard(t, nodes, wire, topo, withEngine, nil)
+}
+
+// newRigBoard is newRig with Config.Board set: nil is scope, a board is
+// the one every lock shares (eager release consistency).
+func newRigBoard(t *testing.T, nodes int, wire Wire, topo simnet.Topology, withEngine bool, board *notices.Board) *rig {
 	r := &rig{t: t, clocks: vclock.NewClocks(nodes), rec: perfmon.New(nodes, 64)}
-	cfg := Config{Name: "test", Clocks: r.clocks, Wire: wire, Topology: topo}
+	cfg := Config{Name: "test", Clocks: r.clocks, Wire: wire, Topology: topo, Board: board}
 	if withEngine {
 		r.eng = newFakeEngine()
 		cfg.Engine = r.eng
@@ -366,6 +397,178 @@ func TestManagerCountsAndUnknownLock(t *testing.T) {
 		}
 	}()
 	r.m.Acquire(0, 5)
+}
+
+// A barrier drains only the boards posted on since the node's last
+// barrier, each distinct board once, and hands the engine no empty list:
+// 64 untouched locks cost no InvalidatePages call at all.
+func TestManagerBarrierDrainsPostedBoardsOnly(t *testing.T) {
+	const nodes, locks = 4, 64
+	rigs := []struct {
+		name  string
+		board *notices.Board
+	}{{"scope", nil}, {"eager-rc", notices.NewBoard()}}
+	for _, rg := range rigs {
+		t.Run(rg.name, func(t *testing.T) {
+			r := newRigBoard(t, nodes, AtomicWire(san, san), simnet.Topology{}, true, rg.board)
+			r.m.EnsureLocks(locks)
+			calls := func(what string, want map[int][]int) {
+				t.Helper()
+				for n := 0; n < nodes; n++ {
+					if got := r.eng.takeCalls(n); !slices.Equal(got, want[n]) {
+						empty := slices.DeleteFunc(slices.Clone(got), func(k int) bool { return k > 0 })
+						t.Errorf("%s: node %d got %d InvalidatePages calls, %d of them empty, lists of %v pages; want lists of %v",
+							what, n, len(got), len(empty), slices.DeleteFunc(got, func(k int) bool { return k == 0 }), want[n])
+					}
+				}
+			}
+			for i := 0; i < 3; i++ {
+				r.barrier(0)
+			}
+			calls("three barriers with nothing posted", nil)
+
+			// Node 1 publishes two pages under lock 7: everyone else gets
+			// them in one call at the barrier, the poster none.
+			r.m.Acquire(1, 7)
+			r.eng.dirty(1, 2)
+			r.m.Release(1, 7)
+			r.barrier(0)
+			calls("one post", map[int][]int{0: {2}, 2: {2}, 3: {2}})
+			r.barrier(0)
+			calls("the barrier after", nil)
+
+			// Nodes 1 and 2 publish under locks 7 and 9, node 2 after
+			// taking lock 9. Scope keeps the two posts on two boards;
+			// eager RC's one board hands node 2 node 1's post at its
+			// acquire and each bystander both posts in one drain.
+			r.m.Acquire(1, 7)
+			r.eng.dirty(1, 2)
+			r.m.Release(1, 7)
+			r.m.Acquire(2, 9)
+			r.eng.dirty(2, 3)
+			r.m.Release(2, 9)
+			want := map[int][]int{0: {2, 3}, 1: {3}, 2: {2}, 3: {2, 3}}
+			if rg.board != nil {
+				calls("eager-rc acquire", map[int][]int{2: {2}})
+				want = map[int][]int{0: {5}, 1: {3}, 3: {5}}
+			} else {
+				calls("scope acquire", nil)
+			}
+			r.barrier(0)
+			calls("two posts", want)
+		})
+	}
+}
+
+// Every page posted before a node arrives at a barrier has been handed
+// to it once the barrier returns — at an acquire or at the barrier — and
+// no page twice, against a per-destination queue model, with nodes
+// posting, acquiring and meeting concurrently (run under -race).
+func TestManagerBarrierAppliesEveryPriorPost(t *testing.T) {
+	const nodes, locks, rounds = 8, 16, 40
+	for _, eager := range []bool{false, true} {
+		t.Run(fmt.Sprintf("eager=%v", eager), func(t *testing.T) {
+			var board *notices.Board
+			if eager {
+				board = notices.NewBoard()
+			}
+			wire := EthernetWire(machine.Default().Ethernet, simnet.Topology{})
+			wire.Notices = true
+			r := newRigBoard(t, nodes, wire, simnet.Topology{}, true, board)
+			r.m.EnsureLocks(locks)
+			posted := make([][]memsim.PageID, nodes) // the model: every page posted for each node
+			page := memsim.PageID(0)
+			publish := func(self int, n int) []memsim.PageID {
+				pages := make([]memsim.PageID, n)
+				for i := range pages {
+					page++
+					pages[i] = page
+				}
+				for d := range posted {
+					if d != self {
+						posted[d] = append(posted[d], pages...)
+					}
+				}
+				return pages
+			}
+			// A script is one node's interval: critical sections (lock,
+			// pages released under it), then pages flushed at the barrier.
+			type section struct {
+				lock  int
+				pages []memsim.PageID
+			}
+			type script struct {
+				sections  []section
+				atBarrier []memsim.PageID
+			}
+			run := func(round int, scripts []script) {
+				var wg sync.WaitGroup
+				for n := range scripts {
+					wg.Add(1)
+					go func(n int, s script) {
+						defer wg.Done()
+						for _, sec := range s.sections {
+							r.m.Acquire(n, sec.lock)
+							if len(sec.pages) > 0 {
+								r.eng.dirtyPages(n, sec.pages)
+							}
+							r.m.Release(n, sec.lock)
+						}
+						if len(s.atBarrier) > 0 {
+							r.eng.dirtyPages(n, s.atBarrier)
+						}
+						r.m.Barrier(n)
+					}(n, scripts[n])
+				}
+				wg.Wait()
+				for d := 0; d < nodes; d++ {
+					got := slices.Clone(r.eng.handed[d])
+					slices.Sort(got)
+					if !slices.Equal(got, posted[d]) {
+						t.Fatalf("round %d: node %d was handed %v, model has %v", round, d, got, posted[d])
+					}
+				}
+			}
+
+			// Scripted: node 0 posts on lock 3 and everyone drains it at a
+			// barrier; node 5 then leaves board 3 alone for three barriers,
+			// drains node 0's next post there at an acquire, and the
+			// barrier after has nothing left for it.
+			post := func(n, l, k int) {
+				r.m.Acquire(n, l)
+				r.eng.dirtyPages(n, publish(n, k))
+				r.m.Release(n, l)
+			}
+			quiet := make([]script, nodes)
+			post(0, 3, 2)
+			for i := 0; i < 4; i++ {
+				run(i, quiet)
+			}
+			r.eng.takeCalls(5)
+			post(0, 3, 2)
+			r.m.Acquire(5, 3)
+			r.m.Release(5, 3)
+			run(4, quiet)
+			got := slices.DeleteFunc(r.eng.takeCalls(5), func(k int) bool { return k == 0 })
+			if !slices.Equal(got, []int{2}) {
+				t.Fatalf("node 5 was handed lists of %v pages, want [2]: once, at its acquire", got)
+			}
+
+			s := rand.New(rand.NewPCG(8, 16))
+			for round := 0; round < rounds; round++ {
+				scripts := make([]script, nodes)
+				for n := range scripts {
+					for k := s.IntN(4); k > 0; k-- {
+						scripts[n].sections = append(scripts[n].sections, section{s.IntN(locks), publish(n, s.IntN(3))})
+					}
+					if s.IntN(3) == 0 {
+						scripts[n].atBarrier = publish(n, 1+s.IntN(2))
+					}
+				}
+				run(5+round, scripts)
+			}
+		})
+	}
 }
 
 // TestAbortWakesWaiters: poisoning the cluster's clocks must wake a node

@@ -272,9 +272,6 @@ func (b both) FlushInterval(node int) []memsim.PageID {
 // InvalidatePages applies notices to both engines (each ignores pages it
 // does not hold).
 func (b both) InvalidatePages(node int, pages []memsim.PageID) {
-	if len(pages) == 0 {
-		return
-	}
 	b.sw.InvalidatePages(node, pages)
 	b.hy.InvalidatePages(node, pages)
 }

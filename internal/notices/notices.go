@@ -11,13 +11,15 @@
 // substrates, not here.
 //
 // Concurrency: a Board or EpochExchange is shared by every node goroutine
-// and internally locked; all methods are safe for concurrent use. The
+// and internally locked; all methods are safe for concurrent use (a
+// Board's post count is an atomic, read without the lock). The
 // package never touches virtual clocks — charging the cost of
 // propagating notices is the caller's job.
 package notices
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"hamster/internal/memsim"
 )
@@ -28,14 +30,17 @@ import (
 // with its poster, and each node keeps a cursor into the run marks. A
 // drain copies the runs past the node's cursor that other nodes posted,
 // so a node receives every post but its own, in post order. Once every
-// cursor reaches the end — at the latest when a barrier drains every
-// board on every node — the log truncates and keeps its capacity.
+// cursor reaches the end — at the latest when a barrier drains, on every
+// node, every board posted since that node's last barrier drain — the
+// log truncates and keeps its capacity.
 type Board struct {
 	mu      sync.Mutex
 	log     []memsim.PageID
 	runs    []run // one per post, in post order
 	cursor  []int // per node: how many runs it has drained or posted past
 	drained int   // nodes whose cursor is at len(runs)
+	// posts counts the non-empty posts ever taken (Posts).
+	posts atomic.Uint64
 }
 
 // run marks one post: log[previous run's end:end], posted by poster.
@@ -79,6 +84,12 @@ func (b *Board) TakeInto(node int, dst []memsim.PageID) []memsim.PageID {
 	return dst
 }
 
+// Posts reports how many non-empty posts the board has taken, ever. It
+// is bumped inside the post's critical section, so a drain that starts
+// after Posts returned n sees at least the first n posts: a reader that
+// drained after reading n, and reads n again, has nothing new to drain.
+func (b *Board) Posts() uint64 { return b.posts.Load() }
+
 // AddForOthers queues pages as pending notices for every node except
 // self. nodes is the cluster size, the same on every call to a board.
 func (b *Board) AddForOthers(self, nodes int, pages []memsim.PageID) {
@@ -87,6 +98,7 @@ func (b *Board) AddForOthers(self, nodes int, pages []memsim.PageID) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	b.posts.Add(1)
 	if b.cursor == nil {
 		b.cursor = make([]int, nodes)
 	}

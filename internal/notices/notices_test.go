@@ -363,6 +363,43 @@ func TestBoardCycleZeroAlloc(t *testing.T) {
 	}
 }
 
+// Only a non-empty post counts, a drain moves nothing, and concurrent
+// posters are counted exactly.
+func TestBoardPosts(t *testing.T) {
+	b := NewBoard()
+	b.AddForOthers(0, 4, nil)
+	b.AddForOthers(1, 4, []memsim.PageID{})
+	if got := b.Posts(); got != 0 {
+		t.Fatalf("empty posts counted: Posts() = %d", got)
+	}
+	b.AddForOthers(0, 4, []memsim.PageID{1, 2})
+	b.take(1)
+	b.AddForOthers(2, 4, []memsim.PageID{3})
+	if got := b.Posts(); got != 2 {
+		t.Fatalf("two posts and a drain: Posts() = %d, want 2", got)
+	}
+
+	const posters, rounds = 4, 250
+	b = NewBoard()
+	var wg sync.WaitGroup
+	for w := 0; w < posters; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				b.AddForOthers(w, posters, []memsim.PageID{memsim.PageID(i)})
+				b.AddForOthers(w, posters, nil)
+				b.take(w)
+				_ = b.Posts()
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := b.Posts(); got != posters*rounds {
+		t.Fatalf("%d posters × %d posts: Posts() = %d", posters, rounds, got)
+	}
+}
+
 func TestBoardConcurrent(t *testing.T) {
 	b := NewBoard()
 	var wg sync.WaitGroup

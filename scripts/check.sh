@@ -64,21 +64,6 @@ architecture_packages() {
 }
 step architecture_packages
 
-# One synchronization manager: hsync.Manager owns the lock table, the
-# single-home-vs-distributed-queue and manager-vs-tree decision, and every
-# virtual lock. None of that may leak back into a substrate (swdsm's
-# home-migration rendezvous is a VBarrier of its own; a failure reaches it,
-# like every wait, through the clocks it parks with).
-one_sync_manager() {
-    if grep -rnE 'hsync\.NewDLock|hsync\.NewTree|vclock\.NewVLock\(' \
-        --include='*.go' --exclude='*_test.go' \
-        internal/smp internal/hybriddsm internal/swdsm internal/ivy internal/multidsm; then
-        echo "a substrate builds its own lock or hierarchy: that is hsync.Manager's job" >&2
-        return 1
-    fi
-}
-step one_sync_manager
-
 # One read routine and one write routine per substrate: home resolution
 # lives in memsim.Space.HomeFor, and hybriddsm's word/span/run bodies do
 # not come back beside readRun/writeRun.

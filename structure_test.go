@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"path"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -136,4 +137,101 @@ func condUses(root string) ([]string, error) {
 	})
 	slices.Sort(sites)
 	return sites, err
+}
+
+// syncBuilders are the constructors only hsync.Manager may call: a
+// substrate that builds its own lock queue, barrier tree or virtual lock
+// has taken back the lock table and the routing decision. A rendezvous
+// of a substrate's own (swdsm's home-migration VBarrier) is not one.
+var syncBuilders = map[string][]string{
+	"hamster/internal/hsync":  {"NewDLock", "NewTree"},
+	"hamster/internal/vclock": {"NewVLock"},
+}
+
+// substrates are the packages under internal/ that embed hsync.Manager.
+var substrates = []string{"smp", "hybriddsm", "swdsm", "ivy", "multidsm"}
+
+// TestOneSyncManager holds the substrates to one synchronization layer:
+// none of them calls a syncBuilders constructor in non-test code, however
+// it names the package.
+func TestOneSyncManager(t *testing.T) {
+	t.Run("substrates", func(t *testing.T) {
+		calls, err := syncBuilderCalls(".")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range calls {
+			t.Errorf("a substrate builds its own lock or hierarchy (hsync.Manager's job): %s", c)
+		}
+	})
+	t.Run("convicts", func(t *testing.T) {
+		calls, err := syncBuilderCalls(filepath.Join("testdata", "onesyncmanager"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []string{
+			"hsync.NewDLock internal/ivy/ivy.go:10",
+			"hsync.NewTree internal/swdsm/renamed.go:10",
+			"vclock.NewVLock internal/ivy/ivy.go:11",
+		}
+		if !slices.Equal(calls, want) {
+			t.Errorf("found %q, want %q", calls, want)
+		}
+	})
+}
+
+// syncBuilderCalls lists, sorted, every call to a syncBuilders
+// constructor in the non-test Go files of root's substrate packages, as
+// "pkg.Func file:line".
+func syncBuilderCalls(root string) ([]string, error) {
+	fset := token.NewFileSet()
+	var calls []string
+	for _, pkg := range substrates {
+		files, err := filepath.Glob(filepath.Join(root, "internal", pkg, "*.go"))
+		if err != nil {
+			return nil, err
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			imported := map[string]string{} // local name → import path, for syncBuilders' packages
+			for _, imp := range f.Imports {
+				p, _ := strconv.Unquote(imp.Path.Value)
+				if _, ok := syncBuilders[p]; ok {
+					name := path.Base(p)
+					if imp.Name != nil {
+						name = imp.Name.Name
+					}
+					imported[name] = p
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				id, ok := sel.X.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				if p := imported[id.Name]; slices.Contains(syncBuilders[p], sel.Sel.Name) {
+					pos := fset.Position(call.Pos())
+					rel, _ := filepath.Rel(root, pos.Filename)
+					calls = append(calls, path.Base(p)+"."+sel.Sel.Name+" "+filepath.ToSlash(rel)+":"+strconv.Itoa(pos.Line))
+				}
+				return true
+			})
+		}
+	}
+	slices.Sort(calls)
+	return calls, nil
 }
