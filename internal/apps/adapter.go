@@ -138,16 +138,30 @@ func (m jiaMachine) Now() vclock.Time { return m.Env().Now() }
 // programming-model layer) — used by examples and by ablations that vary
 // core parameters.
 func RunOnEnv(rt *hamster.Runtime, kernel Kernel) []Result {
+	return runOnEnv(rt, kernel, func(m envMachine) Machine { return &m })
+}
+
+// runOnEnv runs kernel on every node of rt as the Machine wrap makes of
+// the node's envMachine.
+func runOnEnv(rt *hamster.Runtime, kernel Kernel, wrap func(envMachine) Machine) []Result {
+	locks := newLockTable(rt)
+	results := make([]Result, rt.Nodes())
+	rt.Run(func(e *hamster.Env) {
+		results[e.ID()] = kernel(wrap(envMachine{Env: e, locks: locks}))
+	})
+	return results
+}
+
+// newLockTable creates the LockTableSize locks a kernel's Lock(i) maps
+// onto, in id order from node 0. On a resumed runtime NewLock hands back
+// the restored lock table.
+func newLockTable(rt *hamster.Runtime) []int {
 	locks := make([]int, LockTableSize)
 	e0 := rt.Env(0)
 	for i := range locks {
 		locks[i] = e0.Sync.NewLock()
 	}
-	results := make([]Result, rt.Nodes())
-	rt.Run(func(e *hamster.Env) {
-		results[e.ID()] = kernel(&envMachine{Env: e, locks: locks})
-	})
-	return results
+	return locks
 }
 
 // envMachine is a core-services node as a Machine: ID, N, the accessors,
@@ -196,16 +210,7 @@ func MaxPhase(results []Result, sel func(Timings) vclock.Duration) vclock.Durati
 // full fence. It exists for the consistency ablation — demonstrating why
 // relaxed models are indispensable on loosely coupled platforms (§4.5).
 func RunOnEnvSeq(rt *hamster.Runtime, kernel Kernel) []Result {
-	locks := make([]int, LockTableSize)
-	e0 := rt.Env(0)
-	for i := range locks {
-		locks[i] = e0.Sync.NewLock()
-	}
-	results := make([]Result, rt.Nodes())
-	rt.Run(func(e *hamster.Env) {
-		results[e.ID()] = kernel(&seqMachine{envMachine{Env: e, locks: locks}})
-	})
-	return results
+	return runOnEnv(rt, kernel, func(m envMachine) Machine { return &seqMachine{m} })
 }
 
 type seqMachine struct {

@@ -64,13 +64,8 @@ func RunRecoverable(cfg hamster.Config, plan simnet.FaultPlan, kernel Kernel) ([
 	var locks []int
 	rt, recoveries, err := cluster.RunRecoverable(cfg, plan,
 		func(rt *core.Runtime) {
-			// Pre-run setup replays on every attempt; on a resumed runtime
-			// NewLock hands back the restored lock table.
-			locks = make([]int, LockTableSize)
-			e0 := rt.Env(0)
-			for i := range locks {
-				locks[i] = e0.Sync.NewLock()
-			}
+			// Pre-run setup replays on every attempt.
+			locks = newLockTable(rt)
 		},
 		func(e *core.Env) {
 			results[e.ID()] = kernel(&envMachine{Env: e, locks: locks})

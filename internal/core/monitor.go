@@ -67,24 +67,7 @@ func (m *Monitor) Report() string {
 	for _, mod := range mods {
 		fmt.Fprintf(&b, "  %-16s %8d calls\n", mod, m.calls(mod))
 	}
-	st := m.Substrate()
-	rows := []struct {
-		k string
-		v uint64
-	}{
-		{"reads", st.Reads}, {"writes", st.Writes},
-		{"page faults", st.PageFaults},
-		{"remote reads", st.RemoteReads}, {"remote writes", st.RemoteWrites},
-		{"twins", st.TwinsCreated}, {"diffs", st.DiffsCreated},
-		{"diff bytes", st.DiffBytes}, {"invalidations", st.Invalidations},
-		{"lock acquires", st.LockAcquires}, {"barriers", st.BarrierCrossings},
-		{"evictions", st.Evictions}, {"cache misses", st.CacheMisses},
-		{"protocol msgs", st.ProtocolMsgs},
-		{"diff batches", st.DiffBatches}, {"batched diffs", st.BatchedDiffs},
-		{"prefetch runs", st.PrefetchRuns}, {"prefetch pages", st.PrefetchPages},
-		{"prefetch hits", st.PrefetchHits}, {"prefetch waste", st.PrefetchWaste},
-	}
-	for _, r := range rows {
+	for _, r := range statRows(m.Substrate()) {
 		if r.v != 0 {
 			fmt.Fprintf(&b, "  %-16s %8d\n", r.k, r.v)
 		}
@@ -108,6 +91,32 @@ func (m *Monitor) Report() string {
 		b.WriteString(sec.render())
 	}
 	return b.String()
+}
+
+// statRow is one labelled substrate counter of a Report.
+type statRow struct {
+	k string
+	v uint64
+}
+
+// statRows labels every field of st, in Report order.
+// TestReportRendersEveryStat fails when a Stats field has no row.
+func statRows(st platform.Stats) []statRow {
+	return []statRow{
+		{"reads", st.Reads}, {"writes", st.Writes},
+		{"block reads", st.BlockReads}, {"block writes", st.BlockWrites},
+		{"page faults", st.PageFaults},
+		{"remote reads", st.RemoteReads}, {"remote writes", st.RemoteWrites},
+		{"twins", st.TwinsCreated}, {"diffs", st.DiffsCreated},
+		{"diff bytes", st.DiffBytes}, {"invalidations", st.Invalidations},
+		{"lock acquires", st.LockAcquires}, {"barriers", st.BarrierCrossings},
+		{"evictions", st.Evictions}, {"cache misses", st.CacheMisses},
+		{"home migrations", st.HomeMigrations},
+		{"protocol msgs", st.ProtocolMsgs},
+		{"diff batches", st.DiffBatches}, {"batched diffs", st.BatchedDiffs},
+		{"prefetch runs", st.PrefetchRuns}, {"prefetch pages", st.PrefetchPages},
+		{"prefetch hits", st.PrefetchHits}, {"prefetch waste", st.PrefetchWaste},
+	}
 }
 
 // ClusterReport aggregates Report output for every node, in node order.

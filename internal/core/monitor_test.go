@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -87,5 +88,30 @@ func TestMonitorReportBreakdown(t *testing.T) {
 	rep := m.Report()
 	if !strings.Contains(rep, "time breakdown") || !strings.Contains(rep, "compute") {
 		t.Fatalf("report missing attribution block:\n%s", rep)
+	}
+}
+
+// Every substrate counter has a Report row: with field i of Stats set to
+// i+1, the rows hold each value exactly once.
+func TestReportRendersEveryStat(t *testing.T) {
+	var st platform.Stats
+	v := reflect.ValueOf(&st).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).Kind() != reflect.Uint64 {
+			t.Fatalf("Stats.%s is %s: teach statRows and this test about it", v.Type().Field(i).Name, v.Field(i).Kind())
+		}
+		v.Field(i).SetUint(uint64(i + 1))
+	}
+	rows := map[uint64]string{}
+	for _, r := range statRows(st) {
+		if prev, ok := rows[r.v]; ok {
+			t.Errorf("rows %q and %q show the same field", prev, r.k)
+		}
+		rows[r.v] = r.k
+	}
+	for i := 0; i < v.NumField(); i++ {
+		if _, ok := rows[uint64(i+1)]; !ok {
+			t.Errorf("Stats.%s has no Report row", v.Type().Field(i).Name)
+		}
 	}
 }
