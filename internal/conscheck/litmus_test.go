@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hamster/internal/consengine"
+	"hamster/internal/hybriddsm"
 	"hamster/internal/ivy"
 	"hamster/internal/platform"
 	"hamster/internal/smp"
@@ -42,14 +43,26 @@ func buildSMP(nodes int) (consengine.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return smpEngine{s}, nil
+	return declared{s, consengine.Processor}, nil
 }
 
-// smpEngine presents the SMP as an engine declaring the processor
-// consistency of its capability string, so the battery can judge it.
-type smpEngine struct{ platform.Substrate }
+func buildHybrid(nodes int) (consengine.Engine, error) {
+	d, err := hybriddsm.New(hybriddsm.Config{Nodes: nodes})
+	if err != nil {
+		return nil, err
+	}
+	return declared{d, consengine.Release}, nil
+}
 
-func (e smpEngine) DeclaredModel() consengine.Model { return consengine.Processor }
+// declared presents a substrate that is no consengine.Engine — the SMP,
+// the hybrid DSM — as one declaring the model of its capability string
+// (processor, release), so the battery can judge it.
+type declared struct {
+	platform.Substrate
+	model consengine.Model
+}
+
+func (e declared) DeclaredModel() consengine.Model { return e.model }
 
 func checkBattery(t *testing.T, name string, build func(int) (consengine.Engine, error)) {
 	t.Helper()
@@ -85,6 +98,14 @@ func TestLitmusEagerRC(t *testing.T) {
 // outcome (store buffering, IRIW disagreement) is forbidden for it.
 func TestLitmusIVY(t *testing.T) {
 	checkBattery(t, "ivy", buildIVY)
+}
+
+// TestLitmusHybridDSM checks the hybrid DSM against its Release
+// declaration. Its home frames take no lock, so the battery's racy
+// programs meet peers' PIO loads and stores in the frame itself: under
+// -race the battery also shows that every such access is atomic.
+func TestLitmusHybridDSM(t *testing.T) {
+	checkBattery(t, "hybriddsm", buildHybrid)
 }
 
 func TestLitmusSMP(t *testing.T) {

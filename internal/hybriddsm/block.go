@@ -13,8 +13,7 @@ func readBlock[T memsim.Word](d *DSM, nodeID int, a memsim.Addr, dst []T) {
 	n := d.access(nodeID)
 	n.stats.BlockReads++
 	memsim.WordRuns(a, len(dst), func(p memsim.PageID, off, count int) {
-		out := dst[:count]
-		n.readRun(p, count, 1, func(fr []byte) { memsim.GetWords(fr, off, out) })
+		memsim.LoadWords(n.readRun(p, count, 1), off, dst[:count])
 		dst = dst[count:]
 	})
 }
@@ -24,7 +23,7 @@ func writeBlock[T memsim.Word](d *DSM, nodeID int, a memsim.Addr, src []T) {
 	n.stats.BlockWrites++
 	memsim.WordRuns(a, len(src), func(p memsim.PageID, off, count int) {
 		in := src[:count]
-		n.writeRun(p, count, 1, func(fr []byte) { memsim.PutWords(fr, off, in) })
+		n.writeRun(p, count, 1, func(fr []byte) { memsim.StoreWords(fr, off, in) })
 		src = src[count:]
 	})
 }

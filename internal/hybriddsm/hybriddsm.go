@@ -24,12 +24,16 @@
 // phases (LU initialization) and synchronization-heavy codes benefit most.
 //
 // The whole data path is two routines, readRun and writeRun: all ten
-// platform.Substrate accessors call them with (accesses, words per access)
-// and a callback that loads from or stores to the frame. They are also
-// the only code that takes a home frame's lock, and they release it
-// themselves. Everything else a node owns — cache, LRU, read counts,
-// written set, page window, statistics — belongs to its goroutine and is
-// unlocked.
+// platform.Substrate accessors call them with (accesses, words per
+// access). readRun returns the frame that serves the run, for the
+// accessor to load from; writeRun takes a callback that stores to each
+// frame that must take the stores. Every load and store uses memsim's
+// atomic word helpers (LoadF64, StoreWords, LoadBytes, ...), so the
+// owner's accesses to a home frame and its peers' PIO loads and stores
+// to it take no lock: each is one hardware word access, as on the SAN,
+// and none is a data race, even in a racy program. Everything else a
+// node owns — cache, LRU, read counts, written set, page window,
+// statistics — belongs to its goroutine and is unlocked.
 //
 // The page window (memsim.Window, as in swdsm and ivy) holds one slot per
 // recently resolved page: its home frame, its cached copy or nil, its home
@@ -230,23 +234,22 @@ func (n *node) touchLocal(p memsim.PageID) {
 	}
 }
 
-// readRun is the one read path under all five read accessors: count
-// accesses of unit words each to page p, with get called exactly once to
-// load them from the frame that serves them. A word read is 1×1, a byte
-// span one access of 1+len/8 words, a block run count×1. Every access is
-// one read counted and one step toward the caching threshold; every word
+// readRun is the one read path under all five read accessors: it charges
+// count accesses of unit words each to page p and returns the frame that
+// serves them, for the caller to load. A word read is 1×1, a byte span
+// one access of 1+len/8 words, a block run count×1. Every access is one
+// read counted and one step toward the caching threshold; every word
 // pays the access charge and, over the SAN, one PIO load.
 //
 // A page homed here or cached here serves the whole run at local cost;
 // an uncached remote page goes to pioRead.
-func (n *node) readRun(p memsim.PageID, count, unit int, get func(fr []byte)) {
+func (n *node) readRun(p memsim.PageID, count, unit int) []byte {
 	s := n.window.Get(p, n.gen)
 	if s == nil {
 		s = n.resolve(p)
 	}
 	if s.cp == nil && s.home != n.id {
-		n.pioRead(p, s, count, unit, get)
-		return
+		return n.pioRead(p, s, count, unit)
 	}
 	d := n.dsm
 	d.Clocks[n.id].AdvanceCat(vclock.CatMemory, d.Cost.CPU.AccessNs*vclock.Duration(unit)*vclock.Duration(count))
@@ -254,14 +257,9 @@ func (n *node) readRun(p memsim.PageID, count, unit int, get func(fr []byte)) {
 	n.touchLocal(p)
 	if s.cp != nil {
 		n.lru.MoveToFront(s.cp)
-		get(s.cp.Data)
-		return
+		return s.cp.Data
 	}
-	// The home frame's lock keeps the owner's in-place accesses coherent
-	// with peers' PIO loads and stores of the same page.
-	s.hf.Mu.Lock()
-	get(s.hf.Bytes())
-	s.hf.Mu.Unlock()
+	return s.hf.Bytes()
 }
 
 // resolve looks page p up without the window — its home, its home frame
@@ -281,8 +279,9 @@ func (n *node) resolve(p memsim.PageID) *slot {
 // s: PIO loads until the page's read count reaches the threshold; the
 // page is then fetched in one block transfer, and the accesses left in
 // the run hit the new copy — the steps count×unit single-word reads would
-// take, charged in one go.
-func (n *node) pioRead(p memsim.PageID, s *slot, count, unit int, get func(fr []byte)) {
+// take, charged in one go. It returns the home frame, which the run loads
+// by PIO.
+func (n *node) pioRead(p memsim.PageID, s *slot, count, unit int) []byte {
 	d := n.dsm
 	clk := d.Clocks[n.id]
 	pio, caches := count, false
@@ -301,29 +300,26 @@ func (n *node) pioRead(p memsim.PageID, s *slot, count, unit int, get func(fr []
 	if rec := d.rec; rec != nil && rec.Enabled() {
 		rec.Record(n.id, perfmon.EvRemoteRead, clk.Now(), 0, uint64(p), uint64(words))
 	}
-	s.hf.Mu.Lock()
-	get(s.hf.Bytes())
 	if !caches {
-		s.hf.Mu.Unlock()
-		return
+		return s.hf.Bytes()
 	}
 	// install may evict, moving the generation on, so the page's slot is
-	// stored afresh under the new one. The copy into the cache happens
-	// under the home's lock.
+	// stored afresh under the new one.
 	v := *s
 	v.cp = n.install(p, v.home, v.hf.Bytes())
-	v.hf.Mu.Unlock()
 	n.window.Put(p, n.gen, v)
 	if rest := count - pio; rest > 0 {
 		clk.AdvanceCat(vclock.CatMemory, d.Cost.CPU.AccessNs*vclock.Duration(unit)*vclock.Duration(rest))
 		n.stats.Reads += uint64(rest)
 		n.touchLocal(p)
 	}
+	return v.hf.Bytes()
 }
 
 // install fetches a hot remote page into the local read cache in one
 // block transfer, evicting from the cold end past the cache's capacity,
-// and returns the new copy.
+// and returns the new copy. The copy loads the home frame word by word,
+// so a peer's concurrent stores land in it whole or not at all.
 func (n *node) install(p memsim.PageID, home int, homeData []byte) *cpage {
 	d := n.dsm
 	clk := d.Clocks[n.id]
@@ -332,7 +328,7 @@ func (n *node) install(p memsim.PageID, home int, homeData []byte) *cpage {
 	clk.AdvanceCat(vclock.CatMemory, d.Cost.CPU.PageCopyNs)
 	cp := cpagePool.Get()
 	cp.Data = pagestore.GetPage()
-	copy(cp.Data, homeData)
+	memsim.LoadBytes(homeData, 0, cp.Data)
 	cp.Page = p
 	n.lru.PushFront(cp)
 	n.cache[p] = cp
@@ -357,8 +353,9 @@ func (n *node) drop(cp *cpage) {
 }
 
 // writeRun is the one write path under all five write accessors, with
-// readRun's parameters; put is called once per frame that must take the
-// stores. Writes go straight through to the home copy (no twins, no
+// readRun's parameters and a callback, put, called once per frame that
+// must take the stores: a remote page's cached copy here, if any, and the
+// home frame. Writes go straight through to the home copy (no twins, no
 // diffs): a remote store is posted — it completes locally and drains at
 // the next store barrier — or, with posted writes disabled, a synchronous
 // PIO store at the remote-read latency. A page's first write in the
@@ -396,39 +393,34 @@ func (n *node) writeRun(p memsim.PageID, count, unit int, put func(fr []byte)) {
 			put(s.cp.Data)
 		}
 	}
-	s.hf.Mu.Lock()
 	put(s.hf.Bytes())
-	s.hf.Mu.Unlock()
 }
 
 // ReadF64 implements platform.Substrate.
-func (d *DSM) ReadF64(nodeID int, a memsim.Addr) (v float64) {
-	d.access(nodeID).readRun(memsim.PageOf(a), 1, 1, func(fr []byte) { v = memsim.GetF64(fr, memsim.Offset(a)) })
-	return v
+func (d *DSM) ReadF64(nodeID int, a memsim.Addr) float64 {
+	return memsim.LoadF64(d.access(nodeID).readRun(memsim.PageOf(a), 1, 1), memsim.Offset(a))
 }
 
 // WriteF64 implements platform.Substrate.
 func (d *DSM) WriteF64(nodeID int, a memsim.Addr, v float64) {
-	d.access(nodeID).writeRun(memsim.PageOf(a), 1, 1, func(fr []byte) { memsim.PutF64(fr, memsim.Offset(a), v) })
+	d.access(nodeID).writeRun(memsim.PageOf(a), 1, 1, func(fr []byte) { memsim.StoreF64(fr, memsim.Offset(a), v) })
 }
 
 // ReadI64 implements platform.Substrate.
-func (d *DSM) ReadI64(nodeID int, a memsim.Addr) (v int64) {
-	d.access(nodeID).readRun(memsim.PageOf(a), 1, 1, func(fr []byte) { v = memsim.GetI64(fr, memsim.Offset(a)) })
-	return v
+func (d *DSM) ReadI64(nodeID int, a memsim.Addr) int64 {
+	return memsim.LoadI64(d.access(nodeID).readRun(memsim.PageOf(a), 1, 1), memsim.Offset(a))
 }
 
 // WriteI64 implements platform.Substrate.
 func (d *DSM) WriteI64(nodeID int, a memsim.Addr, v int64) {
-	d.access(nodeID).writeRun(memsim.PageOf(a), 1, 1, func(fr []byte) { memsim.PutI64(fr, memsim.Offset(a), v) })
+	d.access(nodeID).writeRun(memsim.PageOf(a), 1, 1, func(fr []byte) { memsim.StoreI64(fr, memsim.Offset(a), v) })
 }
 
 // ReadBytes implements platform.Substrate; the span may cross pages.
 func (d *DSM) ReadBytes(nodeID int, a memsim.Addr, buf []byte) {
 	n := d.access(nodeID)
 	memsim.ByteRuns(a, len(buf), func(p memsim.PageID, off, chunk int) {
-		out := buf[:chunk]
-		n.readRun(p, 1, 1+chunk/memsim.WordSize, func(fr []byte) { copy(out, fr[off:]) })
+		memsim.LoadBytes(n.readRun(p, 1, 1+chunk/memsim.WordSize), off, buf[:chunk])
 		buf = buf[chunk:]
 	})
 }
@@ -438,7 +430,7 @@ func (d *DSM) WriteBytes(nodeID int, a memsim.Addr, data []byte) {
 	n := d.access(nodeID)
 	memsim.ByteRuns(a, len(data), func(p memsim.PageID, off, chunk int) {
 		in := data[:chunk]
-		n.writeRun(p, 1, 1+chunk/memsim.WordSize, func(fr []byte) { copy(fr[off:], in) })
+		n.writeRun(p, 1, 1+chunk/memsim.WordSize, func(fr []byte) { memsim.StoreBytes(fr, off, in) })
 		data = data[chunk:]
 	})
 }

@@ -1,13 +1,13 @@
 // Package pagestore provides page-granular frame storage with per-page
 // mutexes. DSM substrates keep each page's authoritative copy in such a
 // store: the owning node accesses it while protocol handlers (page
-// fetches, diff application, remote writes) run on other goroutines, and
-// the per-page mutex keeps those byte-range accesses coherent even under
-// page-level false sharing, which is legal in data-race-free programs.
-// A frame publishes its buffer through an atomic pointer, so a substrate
-// whose handlers replace a frame's buffer instead of writing it (swdsm's
-// diffs) lets the owner read without the mutex; one whose peers write
-// frames in place (hybriddsm's PIO stores) locks around every access.
+// fetches, diff application) and peers' remote accesses run on other
+// goroutines. A frame publishes its buffer through an atomic pointer, so a
+// substrate whose handlers replace a frame's buffer instead of writing it
+// (swdsm's diffs) lets the owner read without the mutex, and keeps the
+// mutex around its writes, fetches, checkpoints and migration. One whose
+// peers load and store frames in place (hybriddsm's PIO accesses) does
+// every access with memsim's atomic word helpers and takes no mutex.
 package pagestore
 
 import (
@@ -17,11 +17,13 @@ import (
 	"hamster/internal/memsim"
 )
 
-// Frame is one page frame. Every write to its bytes holds Mu, and so does
-// every read that can overlap a write in place. A handler that must not
-// write under a lock-free reader copies the bytes into a fresh buffer,
-// changes the copy and publishes it with Replace; the reader keeps
-// whichever buffer it loaded, which nobody writes again.
+// Frame is one page frame. A substrate that accesses its bytes with plain
+// loads and stores (swdsm) holds Mu for every write and for every read
+// that can overlap a write in place; a handler that must not write under
+// a lock-free reader copies the bytes into a fresh buffer, changes the
+// copy and publishes it with Replace, and the reader keeps whichever
+// buffer it loaded, which nobody writes again. A substrate whose every
+// access is a memsim atomic word access (hybriddsm) never takes Mu.
 type Frame struct {
 	Mu  sync.Mutex
 	buf atomic.Pointer[page]
@@ -64,11 +66,12 @@ func (s *Store) Pages() []memsim.PageID {
 }
 
 // CopyFrame copies page p's bytes into dst under the frame mutex,
-// returning false if the page is not resident. Because every protocol
-// mutation of a frame (diff application, remote write, migration install)
-// also holds Frame.Mu, the copy observes each frame either entirely
-// before or entirely after any concurrent protocol write — the property
-// the checkpoint capture path depends on.
+// returning false if the page is not resident. It serves swdsm's stores,
+// where every protocol mutation of a frame (diff application, home write,
+// migration install) also holds Frame.Mu, so the copy observes each frame
+// either entirely before or entirely after any concurrent protocol write
+// — the property the checkpoint capture path depends on. hybriddsm's
+// frames, stored without Mu, are never copied through it.
 func (s *Store) CopyFrame(p memsim.PageID, dst []byte) bool {
 	f := s.frames.Get(p)
 	if f == nil {

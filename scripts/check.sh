@@ -67,10 +67,11 @@ step go test -race -run 'TestCrashRecoveryKernels|TestAggregationEquivalence|Tes
 step go test -run 'TestAggregationOffIdentity|TestEngineDefaultIdentity|TestTopologyFlatIdentity|TestParallelRunnerByteIdentity|TestServeParallelByteIdentity|TestScalingReplay|TestPNodesScaling256Identity|TestLoadArtifactRejects|ZeroAlloc|TestBootAllocBudget' ./internal/bench/
 step go test -run '^$' -bench 'BenchmarkStridedRead' -benchtime 1x ./internal/bench/
 
-# Consistency-engine conformance: the default engine's and IVY's litmus
-# batteries twenty times (their reads take no lock, and a rare schedule is
-# what such a read gets wrong), and the broken engine must be caught.
-step go test -race -count=20 -run 'TestLitmusDefaultEngine|TestLitmusIVY' ./internal/conscheck/
+# Consistency-engine conformance: the default engine's, IVY's and the
+# hybrid DSM's litmus batteries twenty times (their reads take no lock,
+# and a rare schedule is what such a read gets wrong), and the broken
+# engine must be caught.
+step go test -race -count=20 -run 'TestLitmusDefaultEngine|TestLitmusIVY|TestLitmusHybridDSM' ./internal/conscheck/
 step go test -race -run 'TestLitmusCatchesBrokenEngine' ./internal/conscheck/
 
 # The serve fabric: identical checksums and latency quantiles on every
@@ -90,14 +91,16 @@ step go test -run 'FuzzDec$' ./internal/amsg/
 # Lock-free read paths and page ownership under the race detector: a
 # notice board drains what per-destination queues would; page buffers go
 # back to the one list exactly once; the page table and the window stay
-# coherent with spinning readers; IVY's, swdsm's and hybriddsm's lock-free
-# reads race peers' handlers; the clock's single-add contract holds.
+# coherent with spinning readers; the atomic frame helpers match the plain
+# codecs and keep a partly written word's neighbours; IVY's and swdsm's
+# lock-free reads race peers' handlers; hybriddsm's home frames take every
+# access at once with no lock; the clock's single-add contract holds.
 step go test -race -run 'TestBoard' ./internal/notices/
 step go test -race -run 'TestPooledBufferAliasing|TestConcurrentFrameCreation|TestDropThenFrameIsFresh|TestPagesAscending' ./internal/pagestore/
-step go test -race -run 'TestTable|TestWindow' ./internal/memsim/
+step go test -race -run 'TestTable|TestWindow|TestAtomic|TestPartialStoresKeepNeighbours|FuzzFrameAccess' ./internal/memsim/
 step go test -race -run 'TestHammer|TestOwnUpgradeRefreshesWindow|TestSelfFaultAfterHandlerBootstrap' ./internal/ivy/
 step go test -race -run 'TestHomeHammer|TestHomeReadTakesNoFrameLock' ./internal/swdsm/
-step go test -race -run 'TestWindowInvalidation' ./internal/hybriddsm/
+step go test -race -run 'TestWindowInvalidation|TestHomeFrameHammer|TestHomeFrameTakesNoLock|TestSpansAndUnalignedWordsMatchAModel' ./internal/hybriddsm/
 step go test -race -run 'TestAdvanceToCatRacesOtherBucket|TestRestoreRoundTrip|TestClockFillsWholeLines' ./internal/vclock/
 
 # Campaign smoke: the campaigns no test runs whole through the command

@@ -199,6 +199,24 @@ var gates = []gate{{
 	},
 	convicts: []string{"internal/hybriddsm/hybriddsm.go:7 node.homeOf", "internal/hybriddsm/hybriddsm.go:9 readSpan"},
 }, {
+	name: "hybriddsm_frames_atomic",
+	why:  "hybriddsm reaches its frames through memsim's atomic word helpers only: every node loads and stores a home frame in place at once, so a frame lock, a plain codec or a builtin copy there is a lock back on the SAN path or a data race",
+	check: func(t *testing.T, tr *tree) []string {
+		files, plain := tr.in(false, "internal/hybriddsm"), regexp.MustCompile(`^hamster/internal/memsim\.(Get|Put)(F64|I64|Words)$`)
+		return append(append(match(files, "ref", func(s site) bool { return plain.MatchString(s.key) }),
+			match(files, "call", func(s site) bool { return s.fun == "copy" })...),
+			find(files, func(n ast.Node) string {
+				if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Mu" {
+					return types.ExprString(sel)
+				}
+				return ""
+			})...)
+	},
+	convicts: []string{
+		"internal/hybriddsm/frames.go:17 f.Mu", "internal/hybriddsm/frames.go:18 f.Mu",
+		"internal/hybriddsm/frames.go:19 hamster/internal/memsim.GetF64", "internal/hybriddsm/frames.go:22 copy(dst, f.buf)",
+	},
+}, {
 	name: "touchlocal_inlines",
 	why:  "touchLocal must inline into swdsm's, hybriddsm's and ivy's access routines (the word path lost 4-10 % each time it stopped)",
 	check: func(t *testing.T, tr *tree) (bad []string) {
@@ -252,7 +270,7 @@ var gates = []gate{{
 	check: func(t *testing.T, tr *tree) []string {
 		return overBudget(t, tr, "substrate+hsync+platform", "substrate+hsync")
 	},
-	convicts: []string{"substrate+hsync+platform: 50 code lines, budget 40", "substrate+hsync: 43 code lines, budget 40"},
+	convicts: []string{"substrate+hsync+platform: 65 code lines, budget 40", "substrate+hsync: 58 code lines, budget 40"},
 }, {
 	name:     "harness_budget",
 	why:      "internal/bench and hamsterbench stay within the campaign harness's code-line budget",

@@ -2,3 +2,5 @@
 package memsim
 
 const PageSize = 4096
+
+func GetF64(frame []byte, off int) float64 { return 0 }
