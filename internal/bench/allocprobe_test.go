@@ -64,9 +64,11 @@ func messageSendProbe() (op func(), close func()) {
 // 2-node network with the lookahead engine enabled, both nodes owned by
 // the probe's goroutine. Node 0 sends, node 1's clock is advanced past
 // the horizon, and the gated Recv path (engine session, safety check,
-// indexed dequeue) delivers. One op certifies the gating hot path —
-// horizon evaluation included, since the first safety check runs the
-// fast clock scan — allocation-free.
+// indexed dequeue) delivers. One op certifies the gating hot path
+// allocation-free, horizon evaluation included: the safety check finds
+// the engine's published table (the sender's clock as of its send) short
+// of the arrival, republishes the live clocks and decides from the
+// refreshed table.
 func gatedExchangeProbe() (op func(), close func()) {
 	clocks := []*vclock.Clock{{}, {}}
 	link := machine.Default().Ethernet

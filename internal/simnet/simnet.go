@@ -139,6 +139,10 @@ type Network struct {
 	// queued delivery must clear. Installed by EnableGate before any
 	// traffic, then read without synchronization (immutable thereafter).
 	gate *vclock.Engine
+	// gateWoke, when set, is called each time a gated receiver returns
+	// from its wake slot. A test sets it before any traffic, like gate,
+	// to count wake-ups; it is nil otherwise.
+	gateWoke func()
 
 	// fs is the installed fault plan, denormalized into an immutable
 	// faultState and swapped atomically by SetFaults. Never nil — the
@@ -444,7 +448,7 @@ func (n *Network) Send(from, to NodeID, kind Kind, tag uint32, payload []byte) {
 	n.deliver(m, fs)
 	if g := n.gate; g != nil {
 		// Never while holding an endpoint lock (engine → queue ordering).
-		g.Kick()
+		g.Kick(int(from), int(to))
 	}
 }
 
@@ -526,17 +530,21 @@ func (n *Network) Recv(self NodeID, kind Kind, match func(*Message) bool) *Messa
 // consumed only when GateSafe proves no earlier arrival can still be
 // produced. While blocked — on an empty queue or an unsafe candidate —
 // the node is registered as receive-waiting so peers' horizon bounds can
-// see through it. After teardown the gate is waived: determinism ends
-// where the simulation does, and waiting for dead peers would deadlock
-// Close.
+// see through it, and parks on its own wake slot with the candidate's
+// arrival, so the engine wakes it only once that arrival is safe or a
+// send brings an earlier one. After teardown the gate is waived:
+// determinism ends where the simulation does, and waiting for dead peers
+// would deadlock Close.
 func (n *Network) recvGated(g *vclock.Engine, self NodeID, ep *endpoint, kind Kind, match func(*Message) bool) *Message {
 	g.GateBegin()
 	// Registered as receive-waiting BEFORE the first safety evaluation:
 	// peers' horizons may see through this node a wake-up earlier, and
-	// the engine's exactness shortcut (which requires the asker to be a
-	// marked receiver) applies from the first check. Sound even when the
-	// first scan delivers immediately — the node cannot send while it sits
-	// here, and GateRun restores the running state before any charge.
+	// GateSafe answers a marked receiver whose candidate is its queue's
+	// earliest message from the published table alone (what the table
+	// cannot prove yet, the wake rule delivers). Sound
+	// even when the first scan delivers immediately — the node cannot
+	// send while it sits here, and GateRun restores the running state
+	// before any charge.
 	g.GateRecvWait(int(self))
 	for {
 		ep.mu.Lock()
@@ -556,8 +564,15 @@ func (n *Network) recvGated(g *vclock.Engine, self NodeID, ep *endpoint, kind Ki
 			g.GateEnd()
 			return nil
 		}
+		at := vclock.Never
+		if idx >= 0 {
+			at = ep.buckets[k][idx].ArriveAt
+		}
 		ep.mu.Unlock()
-		g.GateWait()
+		g.GateWait(int(self), at)
+		if n.gateWoke != nil {
+			n.gateWoke()
+		}
 	}
 }
 
@@ -633,7 +648,7 @@ func (n *Network) Close() {
 		ep.mu.Unlock()
 	}
 	if g := n.gate; g != nil {
-		g.Kick()
+		g.WakeAll()
 	}
 }
 

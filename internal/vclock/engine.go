@@ -1,9 +1,8 @@
 package vclock
 
-// Conservative parallel intra-cell execution (ROADMAP item 2, second
-// half): the lookahead engine that lets one simulation's node goroutines
-// run on real cores without ever observing a message out of virtual
-// order.
+// Conservative parallel intra-cell execution: the lookahead engine that
+// lets one simulation's node goroutines run on real cores without ever
+// observing a message out of virtual order.
 //
 // The free-running scheduler (the sequential reference path) lets every
 // node goroutine execute at host speed and relies on protocol discipline
@@ -57,14 +56,42 @@ package vclock
 // sequential reference schedule (pinned by internal/bench's pnodes
 // identity gates).
 //
-// Liveness does not depend on instrumenting every clock advance (which
-// would put a hook on the hottest paths in the simulator): senders kick
-// the engine when they enqueue, and a low-frequency ticker re-evaluates
-// blocked horizons so progress made through non-kicking paths (barrier
-// releases, stolen handler charges) is observed promptly. Host-time
-// wake-up latency never affects results — the safety predicate is
-// monotone in the clocks, so once a delivery becomes safe it stays safe
-// and the chosen message is a pure function of virtual state.
+// Published bounds. Gate decisions read an engine-local table, not the
+// live clocks: for each node, its clock and its earliest queued arrival
+// as of its own last gate event — its send (Kick publishes the sender's
+// clock and the receiver's queue minimum), its receive-wait, the arrival
+// it consumes (GateRun) — plus its running, receive-waiting, retired and
+// down marks. Every entry stays a lower bound on the node's next send:
+// clocks are monotone; a consumer's clock moves to at least the
+// activation the table gave it; and a message enqueued but not yet
+// published is covered by its sender's entry, because the sender is
+// still running in the table (it publishes its receiver's queue minimum
+// before it can itself become receive-waiting) and the message arrives
+// no earlier than the sender's published clock plus the lookahead.
+// (Publishing a peer's clock therefore reads every queue minimum after
+// it; the one window no order closes, a stolen charge landing on a
+// sender between its departure stamp and its enqueue, is shared with the
+// live evaluation.) The activations derived from the table are lower
+// bounds too, and they only rise between runs. For a uniform lookahead
+// (every flat topology) each derivation keeps the two smallest
+// activations, so one receiver's test is O(1); other topologies run the
+// Dijkstra pass over the same table. Horizon alone evaluates live state,
+// exactly.
+//
+// Wake slots. Each gated receiver parks on its own slot, recording the
+// earliest arrival it could take: its candidate, lowered when a send
+// publishes an earlier queue minimum. A send, a receive-wait, a down or
+// retire mark, a poller's live refresh, or the liveness tick re-derives
+// the table and wakes only the parked receivers whose recorded arrival
+// has become safe; only WakeAll (Network.Close) wakes everyone. Progress
+// made without a gate event (a bare clock advance, a barrier release, a
+// stolen handler charge) is not published until the tick, which
+// republishes the live entries at gateTick and also settles, exactly,
+// the receivers the table's inclusive test cannot decide — so liveness
+// needs no hook on the simulator's hottest paths. Host-time wake-up latency
+// never affects results: safety is a fact about the future sends, so
+// once a delivery is safe it stays safe, and the chosen message is a
+// pure function of virtual state.
 
 import (
 	"fmt"
@@ -72,20 +99,24 @@ import (
 	"time"
 )
 
-// gateTick is the host-time period at which blocked horizon waiters
-// re-evaluate their bounds when no sender kick arrives. Purely a
-// liveness knob: results never depend on it.
+// gateTick is the host-time period of the liveness tick: while a
+// receiver is parked, the tick republishes every live clock and the
+// waiting nodes' queue minima and wakes whoever that made safe. Purely a liveness knob:
+// results never depend on it.
 const gateTick = 100 * time.Microsecond
 
 // infTime is the "never" activation bound.
 const infTime = ^uint64(0)
 
+// Never is the arrival a parked receiver records when its queue holds no
+// message it would take (see GateWait).
+const Never = Time(infTime)
+
 // Engine tracks one simulation's node clocks and computes conservative
 // delivery horizons. One Engine gates one message fabric; the network
 // drives it through the Gate* session API (see internal/simnet).
 type Engine struct {
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu sync.Mutex
 
 	clocks []*Clock
 	// la[p][r] is the lookahead: a lower bound on the virtual latency of
@@ -103,7 +134,7 @@ type Engine struct {
 	laPos bool
 	// laUniform records that every off-diagonal lookahead equals la0 —
 	// true for any flat topology — which collapses the activation
-	// Dijkstra to a closed form (see allBoundsUniformLocked).
+	// Dijkstra to a closed form (see minsUniformLocked).
 	laUniform bool
 	la0       Duration
 
@@ -111,31 +142,40 @@ type Engine struct {
 	down     []bool // node is fail-stopped; no longer bounds horizons
 	retired  []bool // node's program returned; it will never send again
 
+	// The published table (see the package comment): pclk[p] and
+	// pqmin[p] are node p's clock and earliest queued arrival (infTime
+	// when empty) as of its last gate event. pclk only rises, except
+	// when a new run re-admits the node. initT and waitT restate each
+	// entry for the derivation (see restateLocked).
+	pclk  []uint64
+	pqmin []uint64
+	initT minTree
+	waitT minTree
+	// cacheVal is the inclusive activation vector derived from the table
+	// (no node excluded: an extra relaxation source never raises a
+	// shortest activation, so it lower-bounds every receiver's exclusive
+	// vector). min1 and min2 are its two smallest entries and min1At the
+	// holder of min1 (-1 when every entry is infTime), kept for uniform
+	// lookaheads only. stale marks a table change since the derivation.
+	cacheVal   []uint64
+	min1, min2 uint64
+	min1At     int
+	stale      bool
+
+	// Wake slots, one per node: a receiver parked on wake[r] (parked[r])
+	// is woken once its horizon reaches want[r], the earliest arrival it
+	// could take. minWant lower-bounds want over the parked receivers, so
+	// an event that cannot reach it skips the wake pass.
+	wake    []sync.Cond
+	want    []uint64
+	parked  []bool
+	minWant uint64
 	waiters int
 	ticking bool
 
-	// epoch versions the loosening side of the engine state: sends,
-	// receive-wait transitions, down/retired marks, and ticker passes
-	// (which stand in for untracked clock progress) bump it. cacheVal is
-	// the shared inclusive activation vector (no self-exclusion, see
-	// GateSafe) computed at cacheEpoch. Every cached entry is a sound
-	// lower bound on that node's next send FOREVER, not just for its
-	// epoch: clocks are monotone, a receive-waiting node consumes a
-	// message at or after the activation that the vector advertised
-	// before it can send, and down marks are permanent. A stale vector is
-	// therefore only ever too tight — GateSafe may pass on it without
-	// recomputing, and recomputes lazily only when a stale test fails.
-	// The one transition that TIGHTENS state — un-retiring a node when a
-	// new run starts — zeroes the vector outright (zero lower-bounds
-	// everything) instead of relying on the epoch.
-	epoch      uint64
-	cacheEpoch uint64
-	cacheVal   []uint64
-
-	// Dijkstra scratch, reused under mu so horizon evaluation allocates
-	// nothing in steady state. snap holds one coherent clock snapshot per
-	// pass: an atomic clock read per relaxation edge would dominate the
-	// pass, and an older value is merely a looser sound bound.
+	// Scratch of the exact live evaluation (Horizon and GateSafe's last
+	// resort), reused under mu so it allocates nothing. snap holds one
+	// coherent clock snapshot per pass.
 	val  []uint64
 	done []bool
 	snap []uint64
@@ -161,11 +201,24 @@ func NewEngine(clocks []*Clock, la [][]Duration) *Engine {
 		recvWait: make([]bool, n),
 		down:     make([]bool, n),
 		retired:  make([]bool, n),
-		epoch:    1, // cacheEpoch 0 => first GateSafe computes the vector
+		pclk:     make([]uint64, n),
+		pqmin:    make([]uint64, n),
+		initT:    newMinTree(n),
+		waitT:    newMinTree(n),
 		cacheVal: make([]uint64, n),
+		stale:    true,
+		wake:     make([]sync.Cond, n),
+		want:     make([]uint64, n),
+		parked:   make([]bool, n),
+		minWant:  infTime,
 		val:      make([]uint64, n),
 		done:     make([]bool, n),
 		snap:     make([]uint64, n),
+	}
+	for i := range e.wake {
+		e.wake[i].L = &e.mu
+		e.pqmin[i] = infTime
+		e.restateLocked(i)
 	}
 	e.laUniform = true
 	first := true
@@ -184,21 +237,22 @@ func NewEngine(clocks []*Clock, la [][]Duration) *Engine {
 			}
 		}
 	}
-	e.cond = sync.NewCond(&e.mu)
 	return e
 }
 
-// SetQueueMin installs the pending-queue probe (see the field). Must be
-// called before any gated traffic.
+// SetQueueMin installs the pending-queue probe (see the field) and
+// publishes the live entries through it. Must be called before any
+// gated traffic.
 func (e *Engine) SetQueueMin(fn func(node int) (Time, bool)) {
 	e.mu.Lock()
 	e.queueMin = fn
+	e.publishLiveLocked()
 	e.mu.Unlock()
 }
 
 // GateBegin enters a gated delivery session: it acquires the engine
 // lock, under which the caller may scan its queue, evaluate GateSafe,
-// and sleep with GateWait. Lock ordering is engine → queue: queue locks
+// and park with GateWait. Lock ordering is engine → queue: queue locks
 // are only ever taken with the engine lock already held (or with no
 // engine involvement at all, on the sender's enqueue path).
 func (e *Engine) GateBegin() { e.mu.Lock() }
@@ -208,110 +262,107 @@ func (e *Engine) GateEnd() { e.mu.Unlock() }
 
 // GateSafe reports whether a message with virtual arrival t may be
 // delivered to node self: no peer can still produce an earlier arrival.
-// Requires GateBegin. The caller may hold self's queue lock; the
-// engine probes only OTHER nodes' queues.
+// A receive-waiting self whose earliest queued arrival is t or later is
+// answered from the published table alone: for it the inclusive test
+// fails only where t is unsafe or the table lags (see
+// inclusiveExactLocked), so it parks next and the first gate event or
+// tick that lets the table prove t safe wakes it, without reading every
+// live clock and queue here. Any other asker — a
+// poller (TryRecv), or a receiver whose filter skips an earlier queued
+// message — is answered exactly, as the tick answers it too. Requires
+// GateBegin. The caller may hold self's queue lock; the engine probes
+// only OTHER nodes' queues.
 func (e *Engine) GateSafe(self int, t Time) bool {
-	// Fast path: every peer's live clock already guarantees t.
-	safe := true
-	for p := range e.clocks {
-		if p == self || e.down[p] || e.retired[p] {
-			continue
-		}
-		if satAdd(uint64(e.clocks[p].Now()), uint64(e.la[p][self])) < uint64(t) {
-			safe = false
-			break
-		}
-	}
-	if safe {
+	if e.tableBoundLocked(self) >= uint64(t) {
 		return true
 	}
-	// Shared bound: one INCLUSIVE activation vector (no self-exclusion)
-	// serves every receiver, so a broadcast that wakes all waiters costs
-	// at most one Dijkstra pass total instead of one per waiter — the
-	// difference between O(n^2) and O(n^3) work per send at cluster
-	// scale. Inclusion only lowers entries (an extra relaxation source
-	// never raises a shortest activation), so val_incl <= val_excl
-	// pointwise and a passing inclusive test is sound. The cached vector
-	// is tried even when stale — stale entries are only too tight (see
-	// the field comment) — and recomputed lazily only when the stale test
-	// fails with loosening epochs unseen.
-	if e.cacheBoundLocked(self) >= uint64(t) {
-		return true
+	if e.inclusiveExactLocked(self, uint64(t)) {
+		return false
 	}
-	if e.cacheEpoch != e.epoch {
-		e.allBoundsLocked()
-		e.cacheEpoch = e.epoch
-		if e.cacheBoundLocked(self) >= uint64(t) {
+	// Running nodes may have advanced without a gate event since they
+	// last published; fold the live state in (waking whom that proves
+	// safe) and ask again, then exactly: the table's test is inclusive.
+	if e.publishLiveLocked() {
+		e.wakeSafeLocked()
+		if e.tableBoundLocked(self) >= uint64(t) {
 			return true
-		}
-	}
-	// Exactness shortcut: when self is receive-waiting with earliest
-	// queued arrival >= t and every lookahead is strictly positive, an
-	// inclusive failure is also an exact failure, so the per-self
-	// Dijkstra below can be skipped. Proof sketch: order the relaxations
-	// that produced the failing witness val_incl[p*] + la[p*][self] < t.
-	// If the witness chain passes through self, self was activated either
-	// by its own queue (>= t, so every downstream value is >= t + la > t
-	// — it cannot be the failing witness) or by some peer q with
-	// val[q] + la[q][self] < its activation; but q also bounds self
-	// DIRECTLY by val[q] + la[q][self], a self-free witness that is no
-	// larger (relaxation floors are monotone: lowering a value at any
-	// stage never raises a later one). Induction yields a self-free
-	// failing witness, which evaluates identically in the exclusive
-	// graph — so boundLocked(self) < t too. (Clock progress since the
-	// vector's epoch can make this verdict conservatively early; the
-	// ticker's next epoch bump refreshes it, and results never depend on
-	// wake-up timing.)
-	if e.laPos && e.recvWait[self] && e.queueMin != nil {
-		if qm, ok := e.queueMin(self); ok && uint64(qm) >= uint64(t) {
-			return false
 		}
 	}
 	return e.boundLocked(self) >= uint64(t)
 }
 
-// GateRecvWait marks self as blocked in a queued receive: it will not
-// send until it consumes a message, which peers' horizon bounds may
-// exploit. A blocked node's bound is never tighter than its running
-// bound, so the transition can only unblock peers — hence the
-// broadcast. Requires GateBegin.
+// GateRecvWait marks self as blocked in a queued receive and publishes
+// its clock and queue minimum: it will not send until it consumes a
+// message, which peers' horizon bounds may exploit. A blocked node's
+// bound is never tighter than its running bound, so the transition can
+// only unblock peers — hence the wake pass. Requires GateBegin.
 func (e *Engine) GateRecvWait(self int) {
 	e.recvWait[self] = true
-	e.epoch++
-	e.cond.Broadcast()
+	e.publishLocked(self)
+	e.wakeSafeLocked()
 }
 
 // GateRun clears the receive-wait mark. Requires GateBegin. Must be
 // called before the delivery's clock charges are applied, so the
 // running state (a plain clock lower bound) is in force whenever the
-// node's clock can move. It does NOT bump the epoch: the node consumes
-// a message whose arrival is at or past the activation that the cached
-// vector advertised for it, and its clock then moves to at least that
-// arrival — so the stale cached entry stays a sound lower bound on its
-// next send.
-func (e *Engine) GateRun(self int) { e.recvWait[self] = false }
+// node's clock can move. The node's published clock becomes the
+// activation the table gave it: the message it consumes arrives at or
+// after that activation, and its clock then moves to at least the
+// arrival, so the entry stays a lower bound on its next send and no
+// peer's bound drops.
+func (e *Engine) GateRun(self int) {
+	e.pclk[self] = max(e.pclk[self], e.activationLocked(self))
+	e.recvWait[self] = false
+	e.restateLocked(self)
+}
 
-// GateWait blocks until a kick or the liveness ticker fires, releasing
-// the engine lock while asleep. Requires GateBegin.
-func (e *Engine) GateWait() {
+// GateWait parks self on its wake slot until its horizon reaches at, the
+// earliest queued arrival it would take (Never when it would take
+// nothing queued), or until a send to self publishes an earlier one. The
+// engine lock is released while parked. Requires GateBegin.
+func (e *Engine) GateWait(self int, at Time) {
+	e.want[self], e.parked[self] = uint64(at), true
+	e.minWant = min(e.minWant, uint64(at))
 	e.waiters++
 	if !e.ticking {
 		e.ticking = true
 		go e.tickLoop()
 	}
-	e.cond.Wait()
+	for e.parked[self] {
+		e.wake[self].Wait()
+	}
 	e.waiters--
 }
 
-// Kick wakes all gated waiters to re-evaluate their horizons. Senders
-// call it after enqueuing; it must never be called while holding a
-// queue lock. The epoch bumps even when nobody waits, so the next
-// evaluation sees the sender's clock progress.
-func (e *Engine) Kick() {
+// Kick publishes a send from → to: the sender's clock and the
+// receiver's queue minimum. It then wakes the parked receivers the send
+// made safe — to, when the new message may be the one it takes and the
+// table already proves it safe, and any receiver the sender's progress
+// unblocked. Senders call it after enqueuing; it must never be called
+// while holding a queue lock.
+func (e *Engine) Kick(from, to int) {
 	e.mu.Lock()
-	e.epoch++
-	if e.waiters > 0 {
-		e.cond.Broadcast()
+	e.pclk[from] = max(e.pclk[from], uint64(e.clocks[from].Now()))
+	e.restateLocked(from)
+	q := e.queueMinLocked(to)
+	e.pqmin[to] = q
+	e.restateLocked(to)
+	if e.parked[to] && q < e.want[to] {
+		e.want[to] = q
+		e.minWant = min(e.minWant, q)
+	}
+	e.wakeSafeLocked()
+	e.mu.Unlock()
+}
+
+// WakeAll wakes every parked receiver, whatever its horizon: the network
+// is closing and its receivers return what they hold.
+func (e *Engine) WakeAll() {
+	e.mu.Lock()
+	for r, p := range e.parked {
+		if p {
+			e.wakeLocked(r)
+		}
 	}
 	e.mu.Unlock()
 }
@@ -323,8 +374,8 @@ func (e *Engine) Kick() {
 func (e *Engine) MarkDown(node int) {
 	e.mu.Lock()
 	e.down[node] = true
-	e.epoch++
-	e.cond.Broadcast()
+	e.restateLocked(node)
+	e.wakeSafeLocked()
 	e.mu.Unlock()
 }
 
@@ -338,35 +389,35 @@ func (e *Engine) MarkDown(node int) {
 func (e *Engine) SetRetired(node int, v bool) {
 	e.mu.Lock()
 	e.retired[node] = v
-	e.epoch++
+	if !v {
+		// Re-admission is the one transition that TIGHTENS state: the
+		// node's entry restarts from its live clock, which may lie below
+		// what the table last credited it with.
+		e.pclk[node] = uint64(e.clocks[node].Now())
+		e.pqmin[node] = e.queueMinLocked(node)
+	}
+	e.restateLocked(node)
 	if v {
-		e.cond.Broadcast()
-	} else {
-		// Un-retiring (a new run starting) is the one transition that
-		// TIGHTENS state, and GateSafe consults the cached vector even
-		// when stale — so the epoch bump is not enough: zero the vector
-		// outright. Zero lower-bounds every future send, so the wiped
-		// cache is universally sound until the next recompute.
-		for i := range e.cacheVal {
-			e.cacheVal[i] = 0
-		}
+		e.wakeSafeLocked()
 	}
 	e.mu.Unlock()
 }
 
 // Horizon returns the current conservative bound on the earliest
-// arrival any peer could still produce at node self (for monitoring and
-// tests; infTime-capped saturating arithmetic).
+// arrival any peer could still produce at node self, evaluated exactly on
+// live state (for monitoring and tests; infTime-capped saturating
+// arithmetic).
 func (e *Engine) Horizon(self int) Time {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return Time(e.boundLocked(self))
 }
 
-// tickLoop is the liveness ticker: while any waiter is blocked it
-// re-broadcasts at gateTick so horizon progress made without a sender
-// kick (barrier releases, stolen charges) is observed. Exits as soon as
-// nobody waits; restarted lazily by the next GateWait.
+// tickLoop is the liveness tick: while any receiver is parked it
+// republishes the live entries at gateTick, so progress made without a
+// gate event (barrier releases, stolen charges) reaches the table, and
+// wakes the receivers that progress made safe. Exits as soon as nobody
+// waits; restarted lazily by the next GateWait.
 func (e *Engine) tickLoop() {
 	for {
 		time.Sleep(gateTick)
@@ -376,14 +427,191 @@ func (e *Engine) tickLoop() {
 			e.mu.Unlock()
 			return
 		}
-		e.epoch++ // clocks may have moved through non-kicking paths
-		e.cond.Broadcast()
+		e.tickLocked()
 		e.mu.Unlock()
 	}
 }
 
+// tickLocked is one tick: republish the live entries, then wake every
+// parked receiver whose recorded arrival is safe. Requires mu.
+func (e *Engine) tickLocked() {
+	e.publishLiveLocked()
+	e.wakeSafeLocked()
+	for r, p := range e.parked {
+		// The inclusive table test can fail where the exact one passes;
+		// the tick settles those receivers exactly.
+		if w := e.want[r]; p && w != infTime && !e.inclusiveExactLocked(r, w) && e.boundLocked(r) >= w {
+			e.wakeLocked(r)
+		}
+	}
+}
+
+// wakeSafeLocked wakes every parked receiver whose recorded arrival the
+// table now proves safe. Requires mu.
+func (e *Engine) wakeSafeLocked() {
+	if e.waiters == 0 {
+		return
+	}
+	e.deriveLocked()
+	if e.laUniform && satAdd(e.min1, uint64(e.la0)) < e.minWant {
+		// Every receiver but min1's holder has bound min1+la0, below
+		// every recorded arrival: only that holder could wake.
+		if a := e.min1At; a < 0 || !e.parked[a] || satAdd(e.min2, uint64(e.la0)) < e.want[a] {
+			return
+		}
+	}
+	e.minWant = infTime
+	for r, p := range e.parked {
+		// A receiver with nothing to take waits for a send's Kick, not
+		// for the horizon.
+		if !p || e.want[r] == infTime {
+			continue
+		}
+		if e.tableBoundLocked(r) >= e.want[r] {
+			e.wakeLocked(r)
+		} else {
+			e.minWant = min(e.minWant, e.want[r])
+		}
+	}
+}
+
+// wakeLocked empties r's slot and wakes its receiver. Requires mu.
+func (e *Engine) wakeLocked(r int) {
+	e.parked[r], e.want[r] = false, infTime
+	e.wake[r].Broadcast()
+}
+
+// inclusiveExactLocked reports whether the table's inclusive test (self's
+// own activation may relax its peers') is exact for a delivery at t to
+// self: when self is receive-waiting with earliest queued arrival >= t
+// and every lookahead is strictly positive, an inclusive failure is also
+// an exact failure. Proof sketch: order the relaxations that produced
+// the failing witness val_incl[p*] + la[p*][self] < t. If the witness
+// chain passes through self, self was activated either by its own queue
+// (>= t, so every downstream value is >= t + la > t — it cannot be the
+// failing witness) or by some peer q with val[q] + la[q][self] < its
+// activation; but q also bounds self DIRECTLY by val[q] + la[q][self], a
+// self-free witness that is no larger (relaxation floors are monotone:
+// lowering a value at any stage never raises a later one). Induction
+// yields a self-free failing witness, which evaluates identically in the
+// exclusive graph — so boundLocked(self) < t too. Requires mu.
+func (e *Engine) inclusiveExactLocked(self int, t uint64) bool {
+	return e.laPos && e.recvWait[self] && e.queueMinLocked(self) >= t
+}
+
+// publishLocked publishes node p's live clock and queue minimum, for p's
+// own gate events. Requires mu.
+func (e *Engine) publishLocked(p int) {
+	e.pclk[p] = max(e.pclk[p], uint64(e.clocks[p].Now()))
+	e.pqmin[p] = e.queueMinLocked(p)
+	e.restateLocked(p)
+}
+
+// restateLocked restates node p's table entry for the derivation: in
+// initT, its activation before any relaxation (its published clock when
+// running, the later of that clock and its queue minimum when
+// receive-waiting, infTime when it no longer sends); in waitT, its
+// published clock when receive-waiting, infTime otherwise — the floor a
+// relaxation into p respects. O(log n). Requires mu.
+func (e *Engine) restateLocked(p int) {
+	init, wait := e.pclk[p], infTime
+	switch {
+	case e.down[p] || e.retired[p]:
+		init = infTime
+	case e.recvWait[p]:
+		init, wait = max(e.pclk[p], e.pqmin[p]), e.pclk[p]
+	}
+	e.initT.set(p, init)
+	e.waitT.set(p, wait)
+	e.stale = true
+}
+
+// publishLiveLocked publishes the entries that go stale between gate
+// events: every live node's clock, which moves without one, then the
+// queue minimum of every receive-waiting node, which a sender between
+// its enqueue and its Kick has not published yet. The minima are read
+// after the clocks because publishing a peer's clock is sound only
+// together with them: a sender whose clock has moved past a message it
+// enqueued but has not kicked no longer covers that message, so the
+// message must already be in its receiver's entry. (A running node's
+// minimum enters its entry at its receive-wait.) Reports whether any
+// entry moved. Requires mu.
+func (e *Engine) publishLiveLocked() bool {
+	moved := false
+	for p, c := range e.clocks {
+		if e.down[p] || e.retired[p] {
+			continue
+		}
+		if now := uint64(c.Now()); now > e.pclk[p] {
+			e.pclk[p], moved = now, true
+			e.restateLocked(p)
+		}
+	}
+	for p := range e.clocks {
+		if !e.recvWait[p] || e.down[p] || e.retired[p] {
+			continue
+		}
+		if q := e.queueMinLocked(p); q != e.pqmin[p] {
+			e.pqmin[p], moved = q, true
+			e.restateLocked(p)
+		}
+	}
+	return moved
+}
+
+// queueMinLocked is the queue probe with infTime for an empty queue.
+// Requires mu.
+func (e *Engine) queueMinLocked(p int) uint64 {
+	if e.queueMin != nil {
+		if t, ok := e.queueMin(p); ok {
+			return uint64(t)
+		}
+	}
+	return infTime
+}
+
+// tableBoundLocked is node self's delivery bound from the published
+// table: the smallest activation of any other node plus its lookahead to
+// self. Requires mu.
+func (e *Engine) tableBoundLocked(self int) uint64 {
+	e.deriveLocked()
+	if !e.laUniform {
+		return e.cacheBoundLocked(self)
+	}
+	m := e.min1
+	if self == e.min1At {
+		m = e.min2
+	}
+	return satAdd(m, uint64(e.la0))
+}
+
+// activationLocked is node p's activation in the derived vector.
+// Requires mu.
+func (e *Engine) activationLocked(p int) uint64 {
+	e.deriveLocked()
+	if e.laUniform {
+		return min(e.initT.val[p], max(e.waitT.val[p], satAdd(e.min1, uint64(e.la0))))
+	}
+	return e.cacheVal[p]
+}
+
+// deriveLocked recomputes the activation vector when the table changed.
+// Requires mu.
+func (e *Engine) deriveLocked() {
+	if !e.stale {
+		return
+	}
+	if e.laUniform {
+		e.minsUniformLocked()
+	} else {
+		e.allBoundsGenericLocked()
+	}
+	e.stale = false
+}
+
 // boundLocked computes a lower bound on the earliest virtual arrival of
-// any not-yet-queued message at node self. Requires mu.
+// any not-yet-queued message at node self, exactly, from live clocks and
+// queue minima. Requires mu.
 //
 // val[p] is a lower bound on node p's next-send time: a running node's
 // clock (final immediately), or, for a node blocked in a queued
@@ -393,52 +621,23 @@ func (e *Engine) tickLoop() {
 // next send happens only after this delivery completes, and anything it
 // influences transitively arrives strictly later than the candidate.
 func (e *Engine) boundLocked(self int) uint64 {
-	n := len(e.clocks)
 	val, done := e.val, e.done
 	e.snapClocksLocked()
-	for p := 0; p < n; p++ {
-		if p == self || e.down[p] || e.retired[p] {
+	for p := range val {
+		switch {
+		case p == self || e.down[p] || e.retired[p]:
 			val[p], done[p] = infTime, true
-			continue
+		case !e.recvWait[p]:
+			val[p], done[p] = e.snap[p], true
+		default:
+			// Blocked receiver: tentative activation from its own queue;
+			// peer contributions are relaxed in below.
+			val[p], done[p] = max(e.snap[p], e.queueMinLocked(p)), false
 		}
-		c := e.snap[p]
-		if !e.recvWait[p] {
-			val[p], done[p] = c, true
-			continue
-		}
-		// Blocked receiver: tentative activation from its own queue;
-		// peer contributions are relaxed in below.
-		act := infTime
-		if e.queueMin != nil {
-			if t, ok := e.queueMin(p); ok {
-				act = uint64(t)
-			}
-		}
-		val[p], done[p] = maxU64(c, act), false
 	}
-	// Relax finalized senders into tentative receivers, then finalize in
-	// increasing activation order (Dijkstra; edges la >= 0).
-	for p := 0; p < n; p++ {
-		if !done[p] || val[p] == infTime {
-			continue
-		}
-		e.relaxLocked(val, done, p)
-	}
-	for {
-		best, bestV := -1, infTime
-		for p := 0; p < n; p++ {
-			if !done[p] && val[p] < bestV {
-				best, bestV = p, val[p]
-			}
-		}
-		if best < 0 {
-			break
-		}
-		done[best] = true
-		e.relaxLocked(val, done, best)
-	}
+	e.dijkstraLocked(val, done, e.snap)
 	bound := infTime
-	for p := 0; p < n; p++ {
+	for p := range val {
 		if p == self || e.down[p] || e.retired[p] {
 			continue
 		}
@@ -449,8 +648,33 @@ func (e *Engine) boundLocked(self int) uint64 {
 	return bound
 }
 
-// cacheBoundLocked folds the cached inclusive vector into a delivery
-// bound for node self. Requires mu.
+// dijkstraLocked completes an activation vector: it relaxes the
+// finalized senders into the tentative receivers, then finalizes those in
+// increasing activation order (edges la >= 0), each floored at its
+// clock in clk. Requires mu.
+func (e *Engine) dijkstraLocked(val []uint64, done []bool, clk []uint64) {
+	for p := range val {
+		if done[p] && val[p] != infTime {
+			e.relaxLocked(val, done, clk, p)
+		}
+	}
+	for {
+		best, bestV := -1, infTime
+		for p := range val {
+			if !done[p] && val[p] < bestV {
+				best, bestV = p, val[p]
+			}
+		}
+		if best < 0 {
+			return
+		}
+		done[best] = true
+		e.relaxLocked(val, done, clk, best)
+	}
+}
+
+// cacheBoundLocked folds the inclusive activation vector into a
+// delivery bound for node self. Requires mu and a current vector.
 func (e *Engine) cacheBoundLocked(self int) uint64 {
 	bound := infTime
 	for p := range e.clocks {
@@ -464,120 +688,54 @@ func (e *Engine) cacheBoundLocked(self int) uint64 {
 	return bound
 }
 
-// allBoundsLocked computes the shared inclusive activation vector into
-// cacheVal: the same Dijkstra pass as boundLocked but with no excluded
-// node, so one result serves every receiver for the current epoch.
+// minsUniformLocked derives the two smallest entries of the inclusive
+// activation vector for a uniform lookahead matrix (every off-diagonal
+// entry la0 — any flat topology) without computing the vector. On a
+// complete graph with one edge weight, a chain of two or more hops costs
+// at least 2*la0 past its source, so the only relaxation that can ever
+// win is one hop from the globally minimal activation m1: val[r] =
+// min(init[r], max(clock_r, m1+la0)) for a receive-waiting r. The m1
+// holder a keeps val[a] = m1 (every source is >= m1), so min1 = m1, and
+// the smallest entry elsewhere is the smaller of the second-smallest
+// init and one hop from m1 floored at the smallest other waiting clock
+// (max with a constant is monotone). Three tree queries: O(log n).
 // Requires mu.
-func (e *Engine) allBoundsLocked() {
-	if e.laUniform {
-		e.allBoundsUniformLocked()
+func (e *Engine) minsUniformLocked() {
+	m1, a := e.initT.min()
+	if m1 == infTime {
+		e.min1, e.min2, e.min1At = infTime, infTime, -1
 		return
 	}
-	e.allBoundsGenericLocked()
+	w, b := e.waitT.min()
+	if b == a {
+		w = e.waitT.minWithout(a)
+	}
+	e.min1, e.min1At = m1, a
+	e.min2 = min(e.initT.minWithout(a), max(w, satAdd(m1, uint64(e.la0))))
 }
 
-// allBoundsUniformLocked is the closed form of the inclusive activation
-// vector for a uniform lookahead matrix (every off-diagonal entry la0 —
-// any flat topology). On a complete graph with one edge weight, a chain
-// of two or more hops costs at least 2*la0 past its source, so the only
-// relaxation that can ever win is one hop from the globally minimal
-// activation m1: val[r] = min(init[r], max(clock_r, m1+la0)). (The m1
-// holder itself cannot be lowered — every source is >= m1.) That turns
-// the O(n^2) Dijkstra into two O(n) sweeps, which is what keeps the
-// recompute affordable at the epoch rates a busy messaging phase
-// generates. Requires mu.
-func (e *Engine) allBoundsUniformLocked() {
-	n := len(e.clocks)
-	val := e.cacheVal
-	e.snapClocksLocked()
-	m1 := infTime
-	for p := 0; p < n; p++ {
-		if e.down[p] || e.retired[p] {
-			val[p] = infTime
-			continue
-		}
-		c := e.snap[p]
-		if !e.recvWait[p] {
-			val[p] = c
-		} else {
-			act := infTime
-			if e.queueMin != nil {
-				if t, ok := e.queueMin(p); ok {
-					act = uint64(t)
-				}
-			}
-			val[p] = maxU64(c, act)
-		}
-		if val[p] < m1 {
-			m1 = val[p]
-		}
-	}
-	relaxed := satAdd(m1, uint64(e.la0))
-	for p := 0; p < n; p++ {
-		if e.down[p] || e.retired[p] || !e.recvWait[p] {
-			continue
-		}
-		if r := maxU64(e.snap[p], relaxed); r < val[p] {
-			val[p] = r
-		}
-	}
-}
-
-// allBoundsGenericLocked is the exact Dijkstra pass for an arbitrary
-// lookahead matrix. Requires mu.
+// allBoundsGenericLocked derives the inclusive activation vector from
+// the table with the exact Dijkstra pass, for an arbitrary lookahead
+// matrix. Requires mu.
 func (e *Engine) allBoundsGenericLocked() {
-	n := len(e.clocks)
 	val, done := e.cacheVal, e.done
-	e.snapClocksLocked()
-	for p := 0; p < n; p++ {
-		if e.down[p] || e.retired[p] {
-			val[p], done[p] = infTime, true
-			continue
-		}
-		c := e.snap[p]
-		if !e.recvWait[p] {
-			val[p], done[p] = c, true
-			continue
-		}
-		act := infTime
-		if e.queueMin != nil {
-			if t, ok := e.queueMin(p); ok {
-				act = uint64(t)
-			}
-		}
-		val[p], done[p] = maxU64(c, act), false
+	for p := range val {
+		val[p] = e.initT.val[p]
+		done[p] = !e.recvWait[p] || e.down[p] || e.retired[p]
 	}
-	for p := 0; p < n; p++ {
-		if !done[p] || val[p] == infTime {
-			continue
-		}
-		e.relaxLocked(val, done, p)
-	}
-	for {
-		best, bestV := -1, infTime
-		for p := 0; p < n; p++ {
-			if !done[p] && val[p] < bestV {
-				best, bestV = p, val[p]
-			}
-		}
-		if best < 0 {
-			break
-		}
-		done[best] = true
-		e.relaxLocked(val, done, best)
-	}
+	e.dijkstraLocked(val, done, e.pclk)
 }
 
 // relaxLocked lowers tentative activations reachable from the finalized
 // node p: a send leaving p at val[p] can wake receiver q no earlier
-// than val[p] + la[p][q], floored at q's own clock (from the pass's
-// snapshot — an older clock is merely a looser sound floor).
-func (e *Engine) relaxLocked(val []uint64, done []bool, p int) {
+// than val[p] + la[p][q], floored at q's own clock in clk (a snapshot or
+// the table — an older clock is merely a looser sound floor).
+func (e *Engine) relaxLocked(val []uint64, done []bool, clk []uint64, p int) {
 	for q := range e.clocks {
 		if done[q] {
 			continue
 		}
-		cand := maxU64(e.snap[q], satAdd(val[p], uint64(e.la[p][q])))
+		cand := max(clk[q], satAdd(val[p], uint64(e.la[p][q])))
 		if cand < val[q] {
 			val[q] = cand
 		}
@@ -592,17 +750,78 @@ func (e *Engine) snapClocksLocked() {
 	}
 }
 
+// minTree is a tournament tree over a fixed set of values: each inner
+// node records the position of the smallest value below it, so a point
+// update is O(log n), the minimum O(1) and the minimum over every
+// position but one O(log n). Ties go to the lower position.
+type minTree struct {
+	val []uint64 // the values, padded with infTime to a power of two >= 2
+	win []int32  // win[j], 1 <= j < len(val): position of the minimum under inner node j
+}
+
+func newMinTree(n int) minTree {
+	size := 2
+	for size < n {
+		size <<= 1
+	}
+	t := minTree{val: make([]uint64, size), win: make([]int32, size)}
+	for p := range t.val {
+		t.val[p] = infTime
+	}
+	for j := size - 1; j >= 1; j-- {
+		t.play(j)
+	}
+	return t
+}
+
+// pos is the position of the minimum under tree node j (a leaf when
+// j >= len(val)).
+func (t *minTree) pos(j int) int {
+	if j >= len(t.val) {
+		return j - len(t.val)
+	}
+	return int(t.win[j])
+}
+
+// play decides inner node j from its two children.
+func (t *minTree) play(j int) {
+	l, r := t.pos(2*j), t.pos(2*j+1)
+	if t.val[r] < t.val[l] {
+		l = r
+	}
+	t.win[j] = int32(l)
+}
+
+func (t *minTree) set(p int, v uint64) {
+	if t.val[p] == v {
+		return
+	}
+	t.val[p] = v
+	for j := (p + len(t.val)) >> 1; j >= 1; j >>= 1 {
+		t.play(j)
+	}
+}
+
+// min returns the smallest value and its position.
+func (t *minTree) min() (uint64, int) {
+	p := int(t.win[1])
+	return t.val[p], p
+}
+
+// minWithout returns the smallest value at any position but p: the
+// minimum of the sibling subtrees along p's path to the root.
+func (t *minTree) minWithout(p int) uint64 {
+	m := infTime
+	for j := p + len(t.val); j > 1; j >>= 1 {
+		m = min(m, t.val[t.pos(j^1)])
+	}
+	return m
+}
+
 // satAdd adds with saturation at infTime.
 func satAdd(a, b uint64) uint64 {
 	if s := a + b; s >= a {
 		return s
 	}
 	return infTime
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -50,9 +50,10 @@ func TestEngineUniformClosedFormMatchesGeneric(t *testing.T) {
 }
 
 // Un-retiring a node (a new run starting) is the one transition that
-// tightens engine state. GateSafe consults the cached activation vector
-// even when stale, so SetRetired(false) must wipe it — a retired-era
-// vector would otherwise admit deliveries past the now-live node.
+// tightens engine state. GateSafe decides from the published table
+// first, so SetRetired(false) must restart the node's entry from its live
+// clock — a retired-era entry would otherwise admit deliveries past the
+// now-live node.
 func TestEngineUnretireInvalidatesCachedVector(t *testing.T) {
 	e, clocks := engineN(3, 1000)
 	clocks[1].Advance(10_000)

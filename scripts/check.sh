@@ -103,6 +103,14 @@ step go test -race -run 'TestHomeHammer|TestHomeReadTakesNoFrameLock' ./internal
 step go test -race -run 'TestWindowInvalidation|TestHomeFrameHammer|TestHomeFrameTakesNoLock|TestSpansAndUnalignedWordsMatchAModel' ./internal/hybriddsm/
 step go test -race -run 'TestAdvanceToCatRacesOtherBucket|TestRestoreRoundTrip|TestClockFillsWholeLines' ./internal/vclock/
 
+# The conservative gate, five times under the race detector: the
+# published table never claims more than the exact horizon, the tick
+# delivers progress made without a gate event, a filtered receive
+# behind a message it skips still delivers, the wake path allocates
+# nothing, a send wakes only whom it unblocks, and gated runs match
+# free-running ones.
+step go test -race -count=5 -run 'TestEngineTableBoundsStayBelowHorizon|TestEngineTickDeliversNonKickingProgress|TestEngineEventWakesTheSmallestActivation|TestEngineFilteredReceiverDelivers|TestEngineWakePathAllocatesNothing|TestGatedSendWakesOnlyWhomItUnblocks|TestGatedRecvTakesTagsOutOfArrivalOrder|TestGatedTokenRing|TestGatedRecvWaitsForHorizon|TestGatedTryRecvPollsHorizon|TestGatedCloseWaivesGate|TestPNodesScaling256Identity' ./internal/vclock/ ./internal/simnet/ ./internal/bench/
+
 # Campaign smoke: the campaigns no test runs whole through the command
 # line, the paper's two at the small working sets.
 for c in kernels checkpoint aggregation engines; do
