@@ -40,12 +40,13 @@ type ringObs struct {
 }
 
 // runRingObs drives the gated user-messaging network through the same
-// receive-balanced neighbor exchange as the benchmark's msgring workload, with the
-// protocol event recorder on, and returns everything observable.
-func runRingObs(t *testing.T, nodes, rounds int, pnodes bool) ringObs {
+// receive-balanced neighbor exchange as the benchmark's msgring workload,
+// on the named topology preset, with the protocol event recorder on, and
+// returns everything observable.
+func runRingObs(t *testing.T, nodes, rounds int, pnodes bool, topology string) ringObs {
 	t.Helper()
 	rt, err := hamster.New(hamster.Config{
-		Platform: hamster.SWDSM, Nodes: nodes, ParallelNodes: pnodes,
+		Platform: hamster.SWDSM, Nodes: nodes, ParallelNodes: pnodes, Topology: topology,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,31 +94,43 @@ func runKernelObs(t *testing.T, nodes int, pnodes bool, kernel apps.Kernel) ([]a
 	return res, apps.MaxTotal(res)
 }
 
+// sameRingObs fails the test unless the gated run's observables equal
+// the reference run's.
+func sameRingObs(t *testing.T, nodes int, seq, par ringObs) {
+	t.Helper()
+	if !reflect.DeepEqual(par.sums, seq.sums) {
+		t.Fatalf("%d nodes: gate moved msgring checksums:\nseq %v\npar %v", nodes, seq.sums, par.sums)
+	}
+	if !reflect.DeepEqual(par.clocks, seq.clocks) {
+		t.Fatalf("%d nodes: gate moved msgring clocks:\nseq %v\npar %v", nodes, seq.clocks, par.clocks)
+	}
+	if par.msgs != seq.msgs || par.bytes != seq.bytes {
+		t.Fatalf("%d nodes: gate moved traffic: %d/%d vs %d/%d",
+			nodes, par.msgs, par.bytes, seq.msgs, seq.bytes)
+	}
+	for i := range seq.events {
+		if !reflect.DeepEqual(par.events[i], seq.events[i]) {
+			t.Fatalf("%d nodes: gate moved node %d's perfmon event stream (%d vs %d events)",
+				nodes, i, len(par.events[i]), len(seq.events[i]))
+		}
+	}
+}
+
 // TestPNodesIdentity pins the gated scheduler bit-identical to the
-// reference scheduler at 2, 8, and 64 nodes.
+// reference scheduler at 2, 8, and 64 nodes on the flat fabric, and at 16
+// nodes (two racks, so the lookahead is not uniform) on the rack and
+// fattree presets.
 func TestPNodesIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-size identity campaign")
 	}
 	for _, nodes := range []int{2, 8, 64} {
-		seq := runRingObs(t, nodes, 40, false)
-		par := runRingObs(t, nodes, 40, true)
-		if !reflect.DeepEqual(par.sums, seq.sums) {
-			t.Fatalf("%d nodes: gate moved msgring checksums:\nseq %v\npar %v", nodes, seq.sums, par.sums)
-		}
-		if !reflect.DeepEqual(par.clocks, seq.clocks) {
-			t.Fatalf("%d nodes: gate moved msgring clocks:\nseq %v\npar %v", nodes, seq.clocks, par.clocks)
-		}
-		if par.msgs != seq.msgs || par.bytes != seq.bytes {
-			t.Fatalf("%d nodes: gate moved traffic: %d/%d vs %d/%d",
-				nodes, par.msgs, par.bytes, seq.msgs, seq.bytes)
-		}
-		for i := range seq.events {
-			if !reflect.DeepEqual(par.events[i], seq.events[i]) {
-				t.Fatalf("%d nodes: gate moved node %d's perfmon event stream (%d vs %d events)",
-					nodes, i, len(par.events[i]), len(seq.events[i]))
-			}
-		}
+		sameRingObs(t, nodes, runRingObs(t, nodes, 40, false, ""), runRingObs(t, nodes, 40, true, ""))
+	}
+	for _, topo := range []string{simnet.TopoRack, simnet.TopoFatTree} {
+		t.Run(topo, func(t *testing.T) {
+			sameRingObs(t, 16, runRingObs(t, 16, 40, false, topo), runRingObs(t, 16, 40, true, topo))
+		})
 	}
 	kernel := func(m apps.Machine) apps.Result { return apps.SOR(m, 64, 2, true) }
 	for _, nodes := range []int{2, 8, 64} {

@@ -243,3 +243,29 @@ func TestGatedRecvTakesTagsOutOfArrivalOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestEnableGateAcceptsEveryPreset builds the gate over every topology
+// preset at 8, 64 and 256 nodes: each lookahead matrix must obey the
+// triangle inequality NewEngine checks (base latency plus a hop penalty
+// on a rack ⊂ pod hierarchy), and an idle cluster's horizon at node 0 is
+// its nearest peer's lookahead, the bare link latency of a rack-mate.
+func TestEnableGateAcceptsEveryPreset(t *testing.T) {
+	link := machine.Link{LatencyNs: 1000, NsPerByte: 10, SendSWNs: 100, RecvSWNs: 200, HandlerNs: 50}
+	for _, name := range TopologyNames() {
+		topo, err := TopologyPreset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, nodes := range []int{8, 64, 256} {
+			clocks := make([]*vclock.Clock, nodes)
+			for i := range clocks {
+				clocks[i] = &vclock.Clock{}
+			}
+			n := NewTopo(link, clocks, topo)
+			if h := n.EnableGate().Horizon(0); h != vclock.Time(link.LatencyNs) {
+				t.Errorf("%s at %d nodes: idle horizon %d, want %d", name, nodes, h, link.LatencyNs)
+			}
+			n.Close()
+		}
+	}
+}

@@ -529,19 +529,20 @@ func (n *Network) Recv(self NodeID, kind Kind, match func(*Message) bool) *Messa
 // then the endpoint lock — strictly in that order), and a candidate is
 // consumed only when GateSafe proves no earlier arrival can still be
 // produced. While blocked — on an empty queue or an unsafe candidate —
-// the node is registered as receive-waiting so peers' horizon bounds can
-// see through it, and parks on its own wake slot with the candidate's
-// arrival, so the engine wakes it only once that arrival is safe or a
-// send brings an earlier one. After teardown the gate is waived:
-// determinism ends where the simulation does, and waiting for dead peers
-// would deadlock Close.
+// the node is registered as receive-waiting, so its entry in peers'
+// bounds is its earliest queued arrival rather than its frozen clock,
+// and parks on its own wake slot with the candidate's arrival, so the
+// engine wakes it only once that arrival is safe or a send brings an
+// earlier one. GateRun credits the consumed arrival to the node's
+// published clock. After teardown the gate is waived: determinism ends
+// where the simulation does, and waiting for dead peers would deadlock
+// Close.
 func (n *Network) recvGated(g *vclock.Engine, self NodeID, ep *endpoint, kind Kind, match func(*Message) bool) *Message {
 	g.GateBegin()
 	// Registered as receive-waiting BEFORE the first safety evaluation:
-	// peers' horizons may see through this node a wake-up earlier, and
-	// GateSafe answers a marked receiver whose candidate is its queue's
-	// earliest message from the published table alone (what the table
-	// cannot prove yet, the wake rule delivers). Sound
+	// peers' bounds may see through this node a wake-up earlier, and
+	// GateSafe answers a marked receiver from the published table alone
+	// (what the table cannot prove yet, the wake rule delivers). Sound
 	// even when the first scan delivers immediately — the node cannot
 	// send while it sits here, and GateRun restores the running state
 	// before any charge.
@@ -550,16 +551,17 @@ func (n *Network) recvGated(g *vclock.Engine, self NodeID, ep *endpoint, kind Ki
 		ep.mu.Lock()
 		k, idx := ep.scanLocked(kind, match)
 		if idx >= 0 && (ep.closed || g.GateSafe(int(self), ep.buckets[k][idx].ArriveAt)) {
-			// Cleared strictly before the delivery's clock charges:
-			// from here on the node's own clock is the (sound) bound.
-			g.GateRun(int(self))
+			// Cleared strictly before the delivery's clock charges,
+			// which move the node's clock to at least the credited
+			// arrival: from here on that is its (sound) entry.
 			m := ep.takeLocked(k, idx)
+			g.GateRun(int(self), m.ArriveAt)
 			ep.mu.Unlock()
 			g.GateEnd()
 			return n.finishRecv(self, ep, m)
 		}
 		if idx < 0 && ep.closed {
-			g.GateRun(int(self))
+			g.GateRun(int(self), 0)
 			ep.mu.Unlock()
 			g.GateEnd()
 			return nil

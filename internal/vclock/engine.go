@@ -12,30 +12,26 @@ package vclock
 // simulation: a receiver may consume a queued message stamped with
 // virtual arrival T only when no peer can still produce a message that
 // would arrive before T. The proof obligation is a lower bound on every
-// peer's next-send time:
+// peer's next-send time, its entry:
 //
 //   - A running node p's clock only moves forward, and a send stamps its
-//     departure at or after the sender's current clock, so any future
-//     message from p arrives no earlier than clock(p) + lookahead(p→r),
-//     where lookahead is the minimum virtual wire latency from p to r —
-//     topology-aware: a rack-local peer gives a tighter horizon than a
-//     cross-pod one. The lookahead deliberately EXCLUDES the sender-side
-//     software cost: a message already charged but not yet enqueued (in
-//     flight inside Send) has its software cost spent, so only the wire
-//     latency still separates the sender's visible clock from the
-//     arrival stamp.
+//     departure at or after the sender's current clock, so its entry is
+//     its clock, and any future message from p arrives no earlier than
+//     clock(p) + lookahead(p→r), where lookahead is the minimum virtual
+//     wire latency from p to r — topology-aware: a rack-local peer gives
+//     a tighter horizon than a cross-pod one. The lookahead deliberately
+//     EXCLUDES the sender-side software cost: a message already charged
+//     but not yet enqueued (in flight inside Send) has its software cost
+//     spent, so only the wire latency still separates the sender's
+//     visible clock from the arrival stamp.
 //
 //   - A node blocked in a queued receive cannot send until it consumes a
 //     message, and consuming advances its clock to at least the consumed
-//     arrival. Its next-send bound is therefore the earliest arrival it
-//     could consume: the minimum over its queued messages and over what
-//     its peers could still send it — a recursive bound the engine
-//     resolves with a Dijkstra pass over activation times (lookahead
-//     edges are non-negative, so finalizing nodes in increasing
-//     activation order is exact). This is what replaces CMB null
-//     messages: an idle worker that finished early does not block the
-//     cluster's horizon forever, because its activation is provably in
-//     the future of whatever would have to wake it.
+//     arrival, so its entry is the later of its clock and its earliest
+//     queued arrival — infinite while its queue is empty. This is what
+//     replaces CMB null messages: an idle worker that finished early does
+//     not block the cluster's horizon, because nothing it could do comes
+//     before whatever would have to wake it.
 //
 //   - Nodes blocked in virtual-time synchronization (barriers, locks)
 //     are treated as running: their frozen clock is a sound — merely
@@ -43,7 +39,22 @@ package vclock
 //     past the release time before it can issue another send.
 //
 //   - A fail-stopped node no longer bounds anyone: the fault plan eats
-//     everything it sends, so MarkDown lifts it out of the horizon.
+//     everything it sends, so MarkDown makes its entry infinite; so does
+//     a retired node's (SetRetired).
+//
+// The bound. Node self may take an arrival at T once T is at most
+//
+//	min over p ≠ self of entry(p) + la[p][self]
+//
+// and this is the exact CMB bound, with no relaxation step, because
+// NewEngine requires the lookahead to obey the triangle inequality
+// la[p][r] <= la[p][q] + la[q][r] (every simnet topology does: base
+// latency plus a hop penalty on a rack ⊂ pod hierarchy). A blocked node
+// q that p's send wakes can itself send no earlier than entry(p) +
+// la[p][q], so it reaches self no earlier than entry(p) + la[p][q] +
+// la[q][self] >= entry(p) + la[p][self]: p's direct term already covers
+// every chain through q. Self is excluded: its own next send happens only
+// after this delivery, and anything it sets off reaches it later than T.
 //
 // Equal arrivals need no special case: per-receiver sequence numbers
 // break ties, and a message still in the future always enqueues with a
@@ -60,10 +71,10 @@ package vclock
 // live clocks: for each node, its clock and its earliest queued arrival
 // as of its own last gate event — its send (Kick publishes the sender's
 // clock and the receiver's queue minimum), its receive-wait, the arrival
-// it consumes (GateRun) — plus its running, receive-waiting, retired and
-// down marks. Every entry stays a lower bound on the node's next send:
-// clocks are monotone; a consumer's clock moves to at least the
-// activation the table gave it; and a message enqueued but not yet
+// it consumes (GateRun credits it) — plus its running, receive-waiting,
+// retired and down marks. Every entry stays a lower bound on the node's
+// next send: clocks are monotone; a consumer's clock moves to at least
+// the arrival GateRun credited; and a message enqueued but not yet
 // published is covered by its sender's entry, because the sender is
 // still running in the table (it publishes its receiver's queue minimum
 // before it can itself become receive-waiting) and the message arrives
@@ -71,27 +82,30 @@ package vclock
 // (Publishing a peer's clock therefore reads every queue minimum after
 // it; the one window no order closes, a stolen charge landing on a
 // sender between its departure stamp and its enqueue, is shared with the
-// live evaluation.) The activations derived from the table are lower
-// bounds too, and they only rise between runs. For a uniform lookahead
-// (every flat topology) each derivation keeps the two smallest
-// activations, so one receiver's test is O(1); other topologies run the
-// Dijkstra pass over the same table. Horizon alone evaluates live state,
-// exactly.
+// live evaluation.) Between runs a bound only rises, except that a
+// node's own send may lower its own: once the message reaches its
+// receiver's entry (at the Kick, at a tick's republish, or when the
+// receiver consumes it first), the sender's entry, which never bounded
+// the sender itself, stops covering it. Re-admitting a node at run start
+// restarts its entry from its live clock, which may lower everyone's.
+// For a uniform lookahead (every flat topology) one tournament tree over
+// the entries gives a bound: its minimum in O(1), or the minimum without
+// self in O(log n) when self holds it; other matrices fold the n
+// entries. Horizon folds the live state the same way.
 //
 // Wake slots. Each gated receiver parks on its own slot, recording the
 // earliest arrival it could take: its candidate, lowered when a send
-// publishes an earlier queue minimum. A send, a receive-wait, a down or
-// retire mark, a poller's live refresh, or the liveness tick re-derives
-// the table and wakes only the parked receivers whose recorded arrival
-// has become safe; only WakeAll (Network.Close) wakes everyone. Progress
-// made without a gate event (a bare clock advance, a barrier release, a
-// stolen handler charge) is not published until the tick, which
-// republishes the live entries at gateTick and also settles, exactly,
-// the receivers the table's inclusive test cannot decide — so liveness
-// needs no hook on the simulator's hottest paths. Host-time wake-up latency
-// never affects results: safety is a fact about the future sends, so
-// once a delivery is safe it stays safe, and the chosen message is a
-// pure function of virtual state.
+// publishes an earlier queue minimum. A send, a receive-wait, a consumed
+// arrival that raised its consumer's entry, a down or retire mark, a
+// poller's live refresh, or the liveness tick wakes only the parked
+// receivers whose recorded arrival the table now proves safe; only
+// WakeAll (Network.Close) wakes everyone. Progress made without a gate
+// event (a bare clock advance, a barrier release, a stolen handler
+// charge) is not published until the tick, which republishes the live
+// entries at gateTick, so liveness needs no hook on the simulator's
+// hottest paths. Host-time wake-up latency never affects results: safety
+// is a fact about the future sends, so once a delivery is safe it stays
+// safe, and the chosen message is a pure function of virtual state.
 
 import (
 	"fmt"
@@ -129,14 +143,11 @@ type Engine struct {
 	// the implementation must be lock-free with respect to both the
 	// engine and the queues (simnet keeps a per-endpoint atomic).
 	queueMin func(node int) (Time, bool)
-	// laPos records that every off-diagonal lookahead is strictly
-	// positive — the precondition of GateSafe's exactness shortcut.
-	laPos bool
-	// laUniform records that every off-diagonal lookahead equals la0 —
-	// true for any flat topology — which collapses the activation
-	// Dijkstra to a closed form (see minsUniformLocked).
+	// laMax is the largest off-diagonal lookahead. laUniform records that
+	// every off-diagonal entry equals it — true for any flat topology —
+	// which makes a bound one tree query (see boundLocked).
+	laMax     Duration
 	laUniform bool
-	la0       Duration
 
 	recvWait []bool // node is blocked in a queued receive
 	down     []bool // node is fail-stopped; no longer bounds horizons
@@ -145,22 +156,11 @@ type Engine struct {
 	// The published table (see the package comment): pclk[p] and
 	// pqmin[p] are node p's clock and earliest queued arrival (infTime
 	// when empty) as of its last gate event. pclk only rises, except
-	// when a new run re-admits the node. initT and waitT restate each
-	// entry for the derivation (see restateLocked).
+	// when a new run re-admits the node. entry holds each node's entry
+	// computed from them (see restateLocked).
 	pclk  []uint64
 	pqmin []uint64
-	initT minTree
-	waitT minTree
-	// cacheVal is the inclusive activation vector derived from the table
-	// (no node excluded: an extra relaxation source never raises a
-	// shortest activation, so it lower-bounds every receiver's exclusive
-	// vector). min1 and min2 are its two smallest entries and min1At the
-	// holder of min1 (-1 when every entry is infTime), kept for uniform
-	// lookaheads only. stale marks a table change since the derivation.
-	cacheVal   []uint64
-	min1, min2 uint64
-	min1At     int
-	stale      bool
+	entry minTree
 
 	// Wake slots, one per node: a receiver parked on wake[r] (parked[r])
 	// is woken once its horizon reaches want[r], the earliest arrival it
@@ -172,18 +172,12 @@ type Engine struct {
 	minWant uint64
 	waiters int
 	ticking bool
-
-	// Scratch of the exact live evaluation (Horizon and GateSafe's last
-	// resort), reused under mu so it allocates nothing. snap holds one
-	// coherent clock snapshot per pass.
-	val  []uint64
-	done []bool
-	snap []uint64
 }
 
 // NewEngine creates an engine over the given clocks with the given
 // lookahead matrix. la[p][r] must lower-bound the wire latency of any
-// future message p→r; la[p][p] is ignored.
+// future message p→r and obey the triangle inequality over distinct
+// nodes (see the package comment); la[p][p] is ignored.
 func NewEngine(clocks []*Clock, la [][]Duration) *Engine {
 	n := len(clocks)
 	if len(la) != n {
@@ -197,47 +191,56 @@ func NewEngine(clocks []*Clock, la [][]Duration) *Engine {
 	e := &Engine{
 		clocks:   clocks,
 		la:       la,
-		laPos:    true,
 		recvWait: make([]bool, n),
 		down:     make([]bool, n),
 		retired:  make([]bool, n),
 		pclk:     make([]uint64, n),
 		pqmin:    make([]uint64, n),
-		initT:    newMinTree(n),
-		waitT:    newMinTree(n),
-		cacheVal: make([]uint64, n),
-		stale:    true,
+		entry:    newMinTree(n),
 		wake:     make([]sync.Cond, n),
 		want:     make([]uint64, n),
 		parked:   make([]bool, n),
 		minWant:  infTime,
-		val:      make([]uint64, n),
-		done:     make([]bool, n),
-		snap:     make([]uint64, n),
 	}
 	for i := range e.wake {
 		e.wake[i].L = &e.mu
 		e.pqmin[i] = infTime
 		e.restateLocked(i)
 	}
-	e.laUniform = true
-	first := true
-	for p := range la {
-		for r, d := range la[p] {
-			if p == r {
-				continue
-			}
-			if d <= 0 {
-				e.laPos = false
-			}
-			if first {
-				e.la0, first = d, false
-			} else if d != e.la0 {
-				e.laUniform = false
+	laMin := Duration(infTime)
+	for p, row := range la {
+		for r, d := range row {
+			if p != r {
+				laMin, e.laMax = min(laMin, d), max(e.laMax, d)
 			}
 		}
 	}
+	e.laUniform = laMin >= e.laMax
+	if !e.laUniform {
+		checkTriangle(la)
+	}
 	return e
+}
+
+// checkTriangle panics on the first triple of distinct nodes p, q, r
+// with la[p][r] > la[p][q] + la[q][r]: under such a matrix a woken node
+// could relay p's influence to r faster than p itself, and the one-pass
+// bound would admit deliveries too early. O(n³); a uniform matrix obeys
+// the inequality trivially and skips it.
+func checkTriangle(la [][]Duration) {
+	for p, fromP := range la {
+		for q, pq := range fromP {
+			if q == p {
+				continue
+			}
+			for r, qr := range la[q] {
+				if r != p && r != q && fromP[r] > pq+qr {
+					panic(fmt.Sprintf("vclock: lookahead %d→%d is %d, above %d→%d→%d at %d: the gate's bound needs the triangle inequality",
+						p, r, fromP[r], p, q, r, pq+qr))
+				}
+			}
+		}
+	}
 }
 
 // SetQueueMin installs the pending-queue probe (see the field) and
@@ -262,58 +265,52 @@ func (e *Engine) GateEnd() { e.mu.Unlock() }
 
 // GateSafe reports whether a message with virtual arrival t may be
 // delivered to node self: no peer can still produce an earlier arrival.
-// A receive-waiting self whose earliest queued arrival is t or later is
-// answered from the published table alone: for it the inclusive test
-// fails only where t is unsafe or the table lags (see
-// inclusiveExactLocked), so it parks next and the first gate event or
-// tick that lets the table prove t safe wakes it, without reading every
-// live clock and queue here. Any other asker — a
-// poller (TryRecv), or a receiver whose filter skips an earlier queued
-// message — is answered exactly, as the tick answers it too. Requires
+// It tests the published table. A receive-waiting self stops there: it
+// parks next, and the first gate event or tick that lets the table prove
+// t safe wakes it, so a blocking receive reads no other node's clock or
+// queue. A poller (TryRecv), which has no wake slot, gets one live
+// republish (waking whom it proves safe) and a retest. Requires
 // GateBegin. The caller may hold self's queue lock; the engine probes
 // only OTHER nodes' queues.
 func (e *Engine) GateSafe(self int, t Time) bool {
-	if e.tableBoundLocked(self) >= uint64(t) {
+	if e.boundLocked(self) >= uint64(t) {
 		return true
 	}
-	if e.inclusiveExactLocked(self, uint64(t)) {
+	if e.recvWait[self] || !e.publishLiveLocked() {
 		return false
 	}
-	// Running nodes may have advanced without a gate event since they
-	// last published; fold the live state in (waking whom that proves
-	// safe) and ask again, then exactly: the table's test is inclusive.
-	if e.publishLiveLocked() {
-		e.wakeSafeLocked()
-		if e.tableBoundLocked(self) >= uint64(t) {
-			return true
-		}
-	}
+	e.wakeSafeLocked()
 	return e.boundLocked(self) >= uint64(t)
 }
 
 // GateRecvWait marks self as blocked in a queued receive and publishes
 // its clock and queue minimum: it will not send until it consumes a
 // message, which peers' horizon bounds may exploit. A blocked node's
-// bound is never tighter than its running bound, so the transition can
-// only unblock peers — hence the wake pass. Requires GateBegin.
+// entry is never below its running one, so the transition can only
+// unblock peers — hence the wake pass. Requires GateBegin.
 func (e *Engine) GateRecvWait(self int) {
 	e.recvWait[self] = true
 	e.publishLocked(self)
 	e.wakeSafeLocked()
 }
 
-// GateRun clears the receive-wait mark. Requires GateBegin. Must be
-// called before the delivery's clock charges are applied, so the
-// running state (a plain clock lower bound) is in force whenever the
-// node's clock can move. The node's published clock becomes the
-// activation the table gave it: the message it consumes arrives at or
-// after that activation, and its clock then moves to at least the
-// arrival, so the entry stays a lower bound on its next send and no
-// peer's bound drops.
-func (e *Engine) GateRun(self int) {
-	e.pclk[self] = max(e.pclk[self], e.activationLocked(self))
+// GateRun clears the receive-wait mark of self, which consumes a message
+// with arrival at (0 when it takes nothing). Requires GateBegin. Must be
+// called before the delivery's clock charges are applied, so the running
+// state (a plain clock lower bound) is in force whenever the node's
+// clock can move. The node's published clock is credited with the
+// arrival: its clock then moves to at least at, so the entry stays a
+// lower bound on its next send. When the credit raised the entry (a
+// filtered receive took a later message than its queue's earliest),
+// peers' bounds rose with it, hence the wake pass.
+func (e *Engine) GateRun(self int, at Time) {
+	was := e.entry.val[self]
+	e.pclk[self] = max(e.pclk[self], uint64(at))
 	e.recvWait[self] = false
 	e.restateLocked(self)
+	if e.entry.val[self] > was {
+		e.wakeSafeLocked()
+	}
 }
 
 // GateWait parks self on its wake slot until its horizon reaches at, the
@@ -403,14 +400,28 @@ func (e *Engine) SetRetired(node int, v bool) {
 	e.mu.Unlock()
 }
 
-// Horizon returns the current conservative bound on the earliest
-// arrival any peer could still produce at node self, evaluated exactly on
-// live state (for monitoring and tests; infTime-capped saturating
-// arithmetic).
+// Horizon returns node self's delivery bound evaluated on live state
+// (for monitoring and tests): the table's fold over every live running
+// node's clock, then over every receive-waiting node's later of clock
+// and queue minimum — the minima read after the running clocks, as
+// publishLiveLocked reads them.
 func (e *Engine) Horizon(self int) Time {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return Time(e.boundLocked(self))
+	b := infTime
+	for _, waiting := range []bool{false, true} {
+		for p, c := range e.clocks {
+			if p == self || e.recvWait[p] != waiting || e.down[p] || e.retired[p] {
+				continue
+			}
+			v := uint64(c.Now())
+			if waiting {
+				v = max(v, e.queueMinLocked(p))
+			}
+			b = min(b, satAdd(v, uint64(e.la[p][self])))
+		}
+	}
+	return Time(b)
 }
 
 // tickLoop is the liveness tick: while any receiver is parked it
@@ -437,13 +448,6 @@ func (e *Engine) tickLoop() {
 func (e *Engine) tickLocked() {
 	e.publishLiveLocked()
 	e.wakeSafeLocked()
-	for r, p := range e.parked {
-		// The inclusive table test can fail where the exact one passes;
-		// the tick settles those receivers exactly.
-		if w := e.want[r]; p && w != infTime && !e.inclusiveExactLocked(r, w) && e.boundLocked(r) >= w {
-			e.wakeLocked(r)
-		}
-	}
 }
 
 // wakeSafeLocked wakes every parked receiver whose recorded arrival the
@@ -452,11 +456,11 @@ func (e *Engine) wakeSafeLocked() {
 	if e.waiters == 0 {
 		return
 	}
-	e.deriveLocked()
-	if e.laUniform && satAdd(e.min1, uint64(e.la0)) < e.minWant {
-		// Every receiver but min1's holder has bound min1+la0, below
-		// every recorded arrival: only that holder could wake.
-		if a := e.min1At; a < 0 || !e.parked[a] || satAdd(e.min2, uint64(e.la0)) < e.want[a] {
+	if m, a := e.entry.min(); satAdd(m, uint64(e.laMax)) < e.minWant {
+		// Every receiver but the smallest entry's holder has bound at
+		// most m+laMax, below every recorded arrival: only that holder
+		// could wake.
+		if !e.parked[a] || e.boundLocked(a) < e.want[a] {
 			return
 		}
 	}
@@ -467,7 +471,7 @@ func (e *Engine) wakeSafeLocked() {
 		if !p || e.want[r] == infTime {
 			continue
 		}
-		if e.tableBoundLocked(r) >= e.want[r] {
+		if e.boundLocked(r) >= e.want[r] {
 			e.wakeLocked(r)
 		} else {
 			e.minWant = min(e.minWant, e.want[r])
@@ -481,24 +485,6 @@ func (e *Engine) wakeLocked(r int) {
 	e.wake[r].Broadcast()
 }
 
-// inclusiveExactLocked reports whether the table's inclusive test (self's
-// own activation may relax its peers') is exact for a delivery at t to
-// self: when self is receive-waiting with earliest queued arrival >= t
-// and every lookahead is strictly positive, an inclusive failure is also
-// an exact failure. Proof sketch: order the relaxations that produced
-// the failing witness val_incl[p*] + la[p*][self] < t. If the witness
-// chain passes through self, self was activated either by its own queue
-// (>= t, so every downstream value is >= t + la > t — it cannot be the
-// failing witness) or by some peer q with val[q] + la[q][self] < its
-// activation; but q also bounds self DIRECTLY by val[q] + la[q][self], a
-// self-free witness that is no larger (relaxation floors are monotone:
-// lowering a value at any stage never raises a later one). Induction
-// yields a self-free failing witness, which evaluates identically in the
-// exclusive graph — so boundLocked(self) < t too. Requires mu.
-func (e *Engine) inclusiveExactLocked(self int, t uint64) bool {
-	return e.laPos && e.recvWait[self] && e.queueMinLocked(self) >= t
-}
-
 // publishLocked publishes node p's live clock and queue minimum, for p's
 // own gate events. Requires mu.
 func (e *Engine) publishLocked(p int) {
@@ -507,23 +493,19 @@ func (e *Engine) publishLocked(p int) {
 	e.restateLocked(p)
 }
 
-// restateLocked restates node p's table entry for the derivation: in
-// initT, its activation before any relaxation (its published clock when
-// running, the later of that clock and its queue minimum when
-// receive-waiting, infTime when it no longer sends); in waitT, its
-// published clock when receive-waiting, infTime otherwise — the floor a
-// relaxation into p respects. O(log n). Requires mu.
+// restateLocked restates node p's entry from the table: infinite when it
+// no longer sends, the later of its published clock and queue minimum
+// when receive-waiting, its published clock otherwise. O(log n).
+// Requires mu.
 func (e *Engine) restateLocked(p int) {
-	init, wait := e.pclk[p], infTime
+	v := e.pclk[p]
 	switch {
 	case e.down[p] || e.retired[p]:
-		init = infTime
+		v = infTime
 	case e.recvWait[p]:
-		init, wait = max(e.pclk[p], e.pqmin[p]), e.pclk[p]
+		v = max(v, e.pqmin[p])
 	}
-	e.initT.set(p, init)
-	e.waitT.set(p, wait)
-	e.stale = true
+	e.entry.set(p, v)
 }
 
 // publishLiveLocked publishes the entries that go stale between gate
@@ -570,184 +552,25 @@ func (e *Engine) queueMinLocked(p int) uint64 {
 	return infTime
 }
 
-// tableBoundLocked is node self's delivery bound from the published
-// table: the smallest activation of any other node plus its lookahead to
-// self. Requires mu.
-func (e *Engine) tableBoundLocked(self int) uint64 {
-	e.deriveLocked()
-	if !e.laUniform {
-		return e.cacheBoundLocked(self)
-	}
-	m := e.min1
-	if self == e.min1At {
-		m = e.min2
-	}
-	return satAdd(m, uint64(e.la0))
-}
-
-// activationLocked is node p's activation in the derived vector.
-// Requires mu.
-func (e *Engine) activationLocked(p int) uint64 {
-	e.deriveLocked()
-	if e.laUniform {
-		return min(e.initT.val[p], max(e.waitT.val[p], satAdd(e.min1, uint64(e.la0))))
-	}
-	return e.cacheVal[p]
-}
-
-// deriveLocked recomputes the activation vector when the table changed.
-// Requires mu.
-func (e *Engine) deriveLocked() {
-	if !e.stale {
-		return
-	}
-	if e.laUniform {
-		e.minsUniformLocked()
-	} else {
-		e.allBoundsGenericLocked()
-	}
-	e.stale = false
-}
-
-// boundLocked computes a lower bound on the earliest virtual arrival of
-// any not-yet-queued message at node self, exactly, from live clocks and
-// queue minima. Requires mu.
-//
-// val[p] is a lower bound on node p's next-send time: a running node's
-// clock (final immediately), or, for a node blocked in a queued
-// receive, its activation time — the earliest arrival it could consume,
-// resolved by a Dijkstra pass because activations feed each other
-// through non-negative lookahead edges. self never contributes: its own
-// next send happens only after this delivery completes, and anything it
-// influences transitively arrives strictly later than the candidate.
+// boundLocked is node self's delivery bound from the published table:
+// the smallest entry of any other node plus its lookahead to self. One
+// tree query for a uniform lookahead, one pass over the entries
+// otherwise. Requires mu.
 func (e *Engine) boundLocked(self int) uint64 {
-	val, done := e.val, e.done
-	e.snapClocksLocked()
-	for p := range val {
-		switch {
-		case p == self || e.down[p] || e.retired[p]:
-			val[p], done[p] = infTime, true
-		case !e.recvWait[p]:
-			val[p], done[p] = e.snap[p], true
-		default:
-			// Blocked receiver: tentative activation from its own queue;
-			// peer contributions are relaxed in below.
-			val[p], done[p] = max(e.snap[p], e.queueMinLocked(p)), false
+	if e.laUniform {
+		m, a := e.entry.min()
+		if a == self {
+			m = e.entry.minWithout(self)
+		}
+		return satAdd(m, uint64(e.laMax))
+	}
+	b := infTime
+	for p, v := range e.entry.val[:len(e.clocks)] {
+		if p != self {
+			b = min(b, satAdd(v, uint64(e.la[p][self])))
 		}
 	}
-	e.dijkstraLocked(val, done, e.snap)
-	bound := infTime
-	for p := range val {
-		if p == self || e.down[p] || e.retired[p] {
-			continue
-		}
-		if b := satAdd(val[p], uint64(e.la[p][self])); b < bound {
-			bound = b
-		}
-	}
-	return bound
-}
-
-// dijkstraLocked completes an activation vector: it relaxes the
-// finalized senders into the tentative receivers, then finalizes those in
-// increasing activation order (edges la >= 0), each floored at its
-// clock in clk. Requires mu.
-func (e *Engine) dijkstraLocked(val []uint64, done []bool, clk []uint64) {
-	for p := range val {
-		if done[p] && val[p] != infTime {
-			e.relaxLocked(val, done, clk, p)
-		}
-	}
-	for {
-		best, bestV := -1, infTime
-		for p := range val {
-			if !done[p] && val[p] < bestV {
-				best, bestV = p, val[p]
-			}
-		}
-		if best < 0 {
-			return
-		}
-		done[best] = true
-		e.relaxLocked(val, done, clk, best)
-	}
-}
-
-// cacheBoundLocked folds the inclusive activation vector into a
-// delivery bound for node self. Requires mu and a current vector.
-func (e *Engine) cacheBoundLocked(self int) uint64 {
-	bound := infTime
-	for p := range e.clocks {
-		if p == self || e.down[p] || e.retired[p] {
-			continue
-		}
-		if b := satAdd(e.cacheVal[p], uint64(e.la[p][self])); b < bound {
-			bound = b
-		}
-	}
-	return bound
-}
-
-// minsUniformLocked derives the two smallest entries of the inclusive
-// activation vector for a uniform lookahead matrix (every off-diagonal
-// entry la0 — any flat topology) without computing the vector. On a
-// complete graph with one edge weight, a chain of two or more hops costs
-// at least 2*la0 past its source, so the only relaxation that can ever
-// win is one hop from the globally minimal activation m1: val[r] =
-// min(init[r], max(clock_r, m1+la0)) for a receive-waiting r. The m1
-// holder a keeps val[a] = m1 (every source is >= m1), so min1 = m1, and
-// the smallest entry elsewhere is the smaller of the second-smallest
-// init and one hop from m1 floored at the smallest other waiting clock
-// (max with a constant is monotone). Three tree queries: O(log n).
-// Requires mu.
-func (e *Engine) minsUniformLocked() {
-	m1, a := e.initT.min()
-	if m1 == infTime {
-		e.min1, e.min2, e.min1At = infTime, infTime, -1
-		return
-	}
-	w, b := e.waitT.min()
-	if b == a {
-		w = e.waitT.minWithout(a)
-	}
-	e.min1, e.min1At = m1, a
-	e.min2 = min(e.initT.minWithout(a), max(w, satAdd(m1, uint64(e.la0))))
-}
-
-// allBoundsGenericLocked derives the inclusive activation vector from
-// the table with the exact Dijkstra pass, for an arbitrary lookahead
-// matrix. Requires mu.
-func (e *Engine) allBoundsGenericLocked() {
-	val, done := e.cacheVal, e.done
-	for p := range val {
-		val[p] = e.initT.val[p]
-		done[p] = !e.recvWait[p] || e.down[p] || e.retired[p]
-	}
-	e.dijkstraLocked(val, done, e.pclk)
-}
-
-// relaxLocked lowers tentative activations reachable from the finalized
-// node p: a send leaving p at val[p] can wake receiver q no earlier
-// than val[p] + la[p][q], floored at q's own clock in clk (a snapshot or
-// the table — an older clock is merely a looser sound floor).
-func (e *Engine) relaxLocked(val []uint64, done []bool, clk []uint64, p int) {
-	for q := range e.clocks {
-		if done[q] {
-			continue
-		}
-		cand := max(clk[q], satAdd(val[p], uint64(e.la[p][q])))
-		if cand < val[q] {
-			val[q] = cand
-		}
-	}
-}
-
-// snapClocksLocked takes one coherent clock snapshot for a Dijkstra
-// pass. Requires mu.
-func (e *Engine) snapClocksLocked() {
-	for p, c := range e.clocks {
-		e.snap[p] = uint64(c.Now())
-	}
+	return b
 }
 
 // minTree is a tournament tree over a fixed set of values: each inner

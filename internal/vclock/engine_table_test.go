@@ -28,6 +28,7 @@ type tableModel struct {
 	parked []bool     // the model's view: parked until the engine empties the slot
 	want   []uint64   // a parked receiver's recorded arrival after the last event
 	stuck  int        // a receiver refused an exactly safe candidate after a tick, or -1
+	kicked int        // the node whose Kick the last event was, or -1
 }
 
 // queued is one message in the model: its arrival, and whether a
@@ -39,7 +40,7 @@ type queued struct {
 
 func newTableModel(la [][]Duration) *tableModel {
 	n := len(la)
-	m := &tableModel{clocks: make([]*Clock, n), la: la, queue: make([][]queued, n), kick: make([]int, n), parked: make([]bool, n), want: make([]uint64, n), stuck: -1}
+	m := &tableModel{clocks: make([]*Clock, n), la: la, queue: make([][]queued, n), kick: make([]int, n), parked: make([]bool, n), want: make([]uint64, n), stuck: -1, kicked: -1}
 	for i := range m.clocks {
 		m.clocks[i] = &Clock{}
 		m.kick[i] = -1
@@ -81,7 +82,7 @@ func (m *tableModel) unpark() (early int) {
 		if p && !m.e.parked[r] {
 			m.parked[r] = false
 			m.e.waiters--
-			if at, _ := m.candidate(r, false); m.e.boundLocked(r) < min(m.want[r], uint64(at)) {
+			if at, _ := m.candidate(r, false); m.e.exactLocked(r, true) < min(m.want[r], uint64(at)) {
 				early = r
 			}
 		}
@@ -91,10 +92,12 @@ func (m *tableModel) unpark() (early int) {
 }
 
 // step applies one random protocol event and reports whether it re-admitted
-// a node (the one transition that may lower a bound).
+// a node, which may lower every bound; a Kick, which may lower the
+// sender's own, is left in m.kicked.
 func (m *tableModel) step(rng *rand.Rand) (readmit bool) {
 	e, n := m.e, len(m.clocks)
 	p := rng.Intn(n)
+	m.kicked = -1
 	switch rng.Intn(11) {
 	case 0, 1: // bare clock progress, e.g. compute or a barrier release
 		if !e.down[p] {
@@ -110,7 +113,7 @@ func (m *tableModel) step(rng *rand.Rand) (readmit bool) {
 	case 3: // ...and publishes
 		if q := m.kick[p]; q >= 0 {
 			e.Kick(p, q)
-			m.kick[p] = -1
+			m.kick[p], m.kicked = -1, p
 		}
 	case 4:
 		if m.idle(p) {
@@ -125,13 +128,13 @@ func (m *tableModel) step(rng *rand.Rand) (readmit bool) {
 		}
 		at, i := m.candidate(p, waiting)
 		if i < 0 && !waiting {
-			// An empty poll still probes the horizon, as an exact poller.
+			// An empty poll still probes the horizon, as a poller.
 			at = m.clocks[p].Now() + Time(rng.Intn(5000))
 		}
 		e.GateBegin()
 		ok := i >= 0 || !waiting
 		ok = ok && e.GateSafe(p, at)
-		if !ok && waiting && i >= 0 && e.boundLocked(p) >= uint64(at) {
+		if !ok && waiting && i >= 0 && e.exactLocked(p, true) >= uint64(at) {
 			// Exactly safe: once a tick has republished the table, the
 			// receiver it wakes must get through, or it would be woken
 			// and re-parked for ever.
@@ -143,7 +146,7 @@ func (m *tableModel) step(rng *rand.Rand) (readmit bool) {
 		switch {
 		case ok && i >= 0:
 			if waiting {
-				e.GateRun(p)
+				e.GateRun(p, at)
 			}
 			m.queue[p] = slices.Delete(m.queue[p], i, i+1)
 		case waiting:
@@ -181,38 +184,20 @@ func (m *tableModel) step(rng *rand.Rand) (readmit bool) {
 
 // TestEngineTableBoundsStayBelowHorizon runs seeded random protocol
 // sequences on a uniform and a rack lookahead matrix. After every event,
-// each receiver's bound from the published table must be at most the
-// exact Horizon on live state (the table only ever lags), and it must not
-// drop except when a node is re-admitted; no parked receiver may be left
-// whose recorded arrival the table proves safe (every event that raises
-// the table wakes it at once), and none may be woken before its arrival
-// is safe; a receiver whose candidate is exactly safe must get through
-// once a tick has republished the table, also when its candidate sits
-// behind a message it skips; and for the uniform matrix, the O(1) test
-// from the two smallest activations must equal folding the full
-// closed-form vector.
+// each receiver's bound from the published table must equal the
+// activation Dijkstra over the same table and be at most the exact bound
+// on live state (the table only ever lags) — except for a node between
+// its enqueue and its Kick, which asks about no receive and whose own
+// message its entry no longer covers for itself; a bound must not drop
+// except at its node's own send or when a node is re-admitted; no parked
+// receiver may be left whose recorded arrival the table proves safe
+// (every event that raises the table wakes it at once), and none may be
+// woken before its arrival is safe; and a receiver whose candidate is
+// exactly safe must get through once a tick has republished the table,
+// also when its candidate sits behind a message it skips.
 func TestEngineTableBoundsStayBelowHorizon(t *testing.T) {
-	rack := func(n int) [][]Duration {
-		la := make([][]Duration, n)
-		for p := range la {
-			la[p] = make([]Duration, n)
-			for r := range la[p] {
-				if p == r {
-					continue
-				}
-				la[p][r] = 1000
-				if p/3 != r/3 {
-					la[p][r] = 2500 // another rack
-				}
-			}
-		}
-		return la
-	}
-	uniform := func(n int) [][]Duration {
-		e, _ := engineN(n, 1000)
-		return e.la
-	}
-	for name, matrix := range map[string]func(int) [][]Duration{"uniform": uniform, "rack": rack} {
+	uniform := func(n int) [][]Duration { return uniformLA(n, 1000) }
+	for name, matrix := range map[string]func(int) [][]Duration{"uniform": uniform, "rack": rackLA} {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			for trial := 0; trial < 100; trial++ {
@@ -226,27 +211,25 @@ func TestEngineTableBoundsStayBelowHorizon(t *testing.T) {
 					}
 					e.mu.Lock()
 					for r := 0; r < n; r++ {
-						tb, exact := e.tableBoundLocked(r), e.boundLocked(r)
+						tb, table, live := e.boundLocked(r), e.exactLocked(r, false), e.exactLocked(r, true)
+						sending := m.kick[r] >= 0
 						if e.parked[r] && e.want[r] != infTime && tb >= e.want[r] {
 							e.mu.Unlock()
 							t.Fatalf("trial %d event %d: node %d is parked for %d with its table bound at %d", trial, ev, r, e.want[r], tb)
 						}
-						if tb > exact {
+						if tb != table {
 							e.mu.Unlock()
-							t.Fatalf("trial %d event %d: node %d's table bound %d exceeds the exact horizon %d", trial, ev, r, tb, exact)
+							t.Fatalf("trial %d event %d: node %d's table bound %d, Dijkstra over the table %d", trial, ev, r, tb, table)
 						}
-						if tb < last[r] && !readmit {
+						if tb > live && !sending {
+							e.mu.Unlock()
+							t.Fatalf("trial %d event %d: node %d's table bound %d exceeds the exact horizon %d", trial, ev, r, tb, live)
+						}
+						if tb < last[r] && !readmit && !sending && m.kicked != r {
 							e.mu.Unlock()
 							t.Fatalf("trial %d event %d: node %d's table bound fell from %d to %d", trial, ev, r, last[r], tb)
 						}
 						last[r] = tb
-						if e.laUniform {
-							e.allBoundsUniformLocked()
-							if folded := e.cacheBoundLocked(r); folded != tb {
-								e.mu.Unlock()
-								t.Fatalf("trial %d event %d: node %d's O(1) bound %d, folded vector %d", trial, ev, r, tb, folded)
-							}
-						}
 					}
 					if r := m.unpark(); r >= 0 {
 						e.mu.Unlock()
@@ -267,7 +250,7 @@ func parkUntilSafe(e *Engine, self int, t Time, done chan<- struct{}) {
 	for !e.GateSafe(self, t) {
 		e.GateWait(self, t)
 	}
-	e.GateRun(self)
+	e.GateRun(self, t)
 	e.GateEnd()
 	close(done)
 }
@@ -328,7 +311,7 @@ func TestEngineTickDeliversNonKickingProgress(t *testing.T) {
 }
 
 // TestEngineEventWakesTheSmallestActivation parks the node that holds
-// the smallest activation, with a candidate behind an earlier queued
+// the smallest entry, with a candidate behind an earlier queued
 // message it does not take, and expects the send that makes the
 // candidate safe to wake it before Kick returns: the wake pass may skip
 // everyone else, not that node.
@@ -351,13 +334,73 @@ func TestEngineEventWakesTheSmallestActivation(t *testing.T) {
 	<-done
 }
 
+// TestEngineConsumedArrivalWakesPeers has a receiver take a message
+// later than its queue's earliest (a filtered receive): GateRun's credit
+// raises its entry, and the peer that entry held back must be woken
+// before GateRun returns, not at the next tick.
+func TestEngineConsumedArrivalWakesPeers(t *testing.T) {
+	e, _ := engineN(3, 1000)
+	e.SetQueueMin(func(node int) (Time, bool) { return Time(100 + 2900*node), node < 2 })
+	e.SetRetired(2, true)
+	e.GateBegin()
+	e.GateRecvWait(0) // entry max(0, 100): node 1's bound is 1100
+	e.GateEnd()
+	done := make(chan struct{})
+	go parkUntilSafe(e, 1, 3000, done)
+	waitParked(t, e, 1)
+	e.GateBegin()
+	if !e.GateSafe(0, 3500) {
+		e.GateEnd()
+		t.Fatal("node 0's arrival at 3500 is below node 1's entry 3000 plus the lookahead")
+	}
+	e.GateRun(0, 3500)
+	parked := e.parked[1]
+	e.GateEnd()
+	if parked {
+		t.Fatal("the credit that made node 1's arrival safe left it parked")
+	}
+	<-done
+}
+
+// TestEngineGateRunCreditsTheArrival has a receiver consume a message
+// its sender has enqueued but not kicked, so the receiver's published
+// queue minimum (empty) lies above the arrival. GateRun must credit the
+// arrival itself: once the sender kicks and moves on, the consumer's
+// entry is all that bounds a third node.
+func TestEngineGateRunCreditsTheArrival(t *testing.T) {
+	e, clocks := engineN(3, 1000)
+	var queued Time // node 1's queue: one message at queued, or none
+	e.SetQueueMin(func(node int) (Time, bool) { return queued, node == 1 && queued != 0 })
+	clocks[2].Advance(10_000)
+	e.GateBegin()
+	e.GateRecvWait(1)
+	e.GateEnd()
+	queued = 1000 // node 0 sends at clock 0; no Kick yet
+	e.GateBegin()
+	if !e.GateSafe(1, 1000) {
+		e.GateEnd()
+		t.Fatal("an arrival at node 0's clock plus the lookahead must be safe")
+	}
+	e.GateRun(1, 1000)
+	queued = 0
+	e.GateEnd()
+	clocks[1].AdvanceToCat(CatNetwork, 1000)
+	clocks[0].Advance(5000)
+	e.Kick(0, 1)
+	e.GateBegin()
+	tb := e.boundLocked(2)
+	e.GateEnd()
+	if h := e.Horizon(2); tb != uint64(h) || h != 2000 {
+		t.Fatalf("node 2's table bound %d, exact horizon %d, want both 2000 (node 1 may send from 1000)", tb, h)
+	}
+}
+
 // TestEngineFilteredReceiverDelivers parks a receiver whose candidate
 // sits behind an earlier queued message it does not take (another kind,
-// or a tag its filter skips). The table's inclusive test is not exact
-// for it: node 0's own queued X@1100 relaxes node 2 to 2100, so the table
-// bound is 3100 < 5000, while the exact horizon, with both peers
-// receive-waiting on empty queues, is infinite. The receiver must be
-// answered exactly and deliver, not be woken and re-parked for ever.
+// or a tag its filter skips). Its own queue does not bound it: with both
+// peers receive-waiting on empty queues, the table bound equals the exact
+// horizon, Never, and the receiver delivers at once instead of being
+// woken and re-parked for ever.
 func TestEngineFilteredReceiverDelivers(t *testing.T) {
 	e, clocks := engineN(3, 1000)
 	e.SetQueueMin(func(node int) (Time, bool) { return 1100, node == 0 })
@@ -370,13 +413,10 @@ func TestEngineFilteredReceiverDelivers(t *testing.T) {
 	}
 	e.GateBegin()
 	e.GateRecvWait(0)
-	tb := e.tableBoundLocked(0)
+	tb := e.boundLocked(0)
 	e.GateEnd()
-	if tb >= 5000 {
-		t.Fatalf("table bound %d already proves 5000 safe; the case needs one below it", tb)
-	}
-	if h := e.Horizon(0); h != Never {
-		t.Fatalf("exact horizon %d, want Never", h)
+	if h := e.Horizon(0); h != Never || tb != uint64(h) {
+		t.Fatalf("table bound %d, exact horizon %d, want both Never", tb, h)
 	}
 	done := make(chan struct{})
 	go parkUntilSafe(e, 0, 5000, done)
@@ -406,7 +446,7 @@ func TestEngineWakePathAllocatesNothing(t *testing.T) {
 			for !stop {
 				e.GateWait(r, far)
 			}
-			e.GateRun(r)
+			e.GateRun(r, 0)
 			e.GateEnd()
 		}(r)
 	}
@@ -415,7 +455,7 @@ func TestEngineWakePathAllocatesNothing(t *testing.T) {
 	recvWait := func() {
 		e.GateBegin()
 		e.GateRecvWait(0)
-		e.GateRun(0)
+		e.GateRun(0, 0)
 		e.GateEnd()
 	}
 	kick()

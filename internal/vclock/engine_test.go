@@ -1,6 +1,9 @@
 package vclock
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // engineN builds an n-node engine over fresh clocks with a uniform
 // off-diagonal lookahead.
@@ -9,17 +12,21 @@ func engineN(n int, la Duration) (*Engine, []*Clock) {
 	for i := range clocks {
 		clocks[i] = &Clock{}
 	}
+	return NewEngine(clocks, uniformLA(n, la)), clocks
+}
+
+// uniformLA is an n-node lookahead matrix with every off-diagonal entry la.
+func uniformLA(n int, la Duration) [][]Duration {
 	m := make([][]Duration, n)
 	for p := range m {
-		row := make([]Duration, n)
-		for r := range row {
+		m[p] = make([]Duration, n)
+		for r := range m[p] {
 			if p != r {
-				row[r] = la
+				m[p][r] = la
 			}
 		}
-		m[p] = row
 	}
-	return NewEngine(clocks, m), clocks
+	return m
 }
 
 func safe(e *Engine, self int, t Time) bool {
@@ -110,7 +117,7 @@ func TestEngineGateRunRestoresClockBound(t *testing.T) {
 		t.Fatalf("Horizon with blocked peer = %d, want infinite", got)
 	}
 	e.GateBegin()
-	e.GateRun(1)
+	e.GateRun(1, 0)
 	e.GateEnd()
 	if got := e.Horizon(0); got != 1000 {
 		t.Fatalf("Horizon with running peer = %d, want 1000", got)
@@ -130,14 +137,12 @@ func TestEngineDownNodeDropsOutOfHorizon(t *testing.T) {
 	}
 }
 
-func TestEngineChainedActivations(t *testing.T) {
-	// 0 asks about its horizon; 1 and 2 are blocked, 3 runs at 20000 but
-	// sits far from 0 (lookahead 50000), so 3's direct contribution is
-	// not the binding one. 3 can wake a blocked node no earlier than
-	// 21000, and the woken node can reach 0 at 22000 — the two-edge
-	// chain through the activation graph is the horizon. If blocked
-	// nodes were bounded by their frozen clocks the answer would be
-	// 1000; if they were ignored it would be 70000.
+func TestNewEngineRejectsNonMetricLookahead(t *testing.T) {
+	// 3 sits far from 0 (lookahead 50000) but near 1, which sits near 0:
+	// 3 could wake a blocked 1 at 21000, and 1 reach 0 at 22000, long
+	// before 3's direct 70000. The engine's one-pass bound reads only
+	// direct terms, so NewEngine refuses the matrix and names the
+	// shortcut.
 	clocks := []*Clock{{}, {}, {}, {}}
 	la := [][]Duration{
 		{0, 1000, 1000, 1000},
@@ -145,6 +150,20 @@ func TestEngineChainedActivations(t *testing.T) {
 		{1000, 1000, 0, 1000},
 		{50_000, 1000, 1000, 0},
 	}
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "3→0 is 50000, above 3→1→0 at 2000") {
+				t.Fatalf("NewEngine on a non-metric lookahead: panic %q, want one naming 3→0 and 3→1→0", msg)
+			}
+		}()
+		NewEngine(clocks, la)
+	}()
+	// With 3→0 at the two-hop 2000, the same state — 1 and 2 blocked on
+	// empty queues, 3 running at 20000 — bounds 0 at 22000 by 3's direct
+	// term, which covers the chain through 1. If blocked nodes were
+	// bounded by their frozen clocks the answer would be 1000.
+	la[3][0] = 2000
 	e := NewEngine(clocks, la)
 	clocks[3].Advance(20_000)
 	e.GateBegin()

@@ -104,12 +104,14 @@ step go test -race -run 'TestWindowInvalidation|TestHomeFrameHammer|TestHomeFram
 step go test -race -run 'TestAdvanceToCatRacesOtherBucket|TestRestoreRoundTrip|TestClockFillsWholeLines' ./internal/vclock/
 
 # The conservative gate, five times under the race detector: the
-# published table never claims more than the exact horizon, the tick
-# delivers progress made without a gate event, a filtered receive
-# behind a message it skips still delivers, the wake path allocates
-# nothing, a send wakes only whom it unblocks, and gated runs match
-# free-running ones.
-step go test -race -count=5 -run 'TestEngineTableBoundsStayBelowHorizon|TestEngineTickDeliversNonKickingProgress|TestEngineEventWakesTheSmallestActivation|TestEngineFilteredReceiverDelivers|TestEngineWakePathAllocatesNothing|TestGatedSendWakesOnlyWhomItUnblocks|TestGatedRecvTakesTagsOutOfArrivalOrder|TestGatedTokenRing|TestGatedRecvWaitsForHorizon|TestGatedTryRecvPollsHorizon|TestGatedCloseWaivesGate|TestPNodesScaling256Identity' ./internal/vclock/ ./internal/simnet/ ./internal/bench/
+# one-pass bound equals the activation Dijkstra, a non-metric lookahead
+# is refused and every topology preset accepted, the published table
+# never claims more than the exact horizon, the tick delivers progress
+# made without a gate event, a filtered receive behind a message it
+# skips still delivers, the wake path allocates nothing, a send wakes
+# only whom it unblocks, and gated runs match free-running ones,
+# on the rack and fattree presets too.
+step go test -race -count=5 -run 'TestEngineBoundMatchesDijkstra|TestNewEngineRejectsNonMetricLookahead|TestEnableGateAcceptsEveryPreset|TestPNodesIdentity|TestEngineTableBoundsStayBelowHorizon|TestEngineTickDeliversNonKickingProgress|TestEngineEventWakesTheSmallestActivation|TestEngineFilteredReceiverDelivers|TestEngineWakePathAllocatesNothing|TestGatedSendWakesOnlyWhomItUnblocks|TestGatedRecvTakesTagsOutOfArrivalOrder|TestGatedTokenRing|TestGatedRecvWaitsForHorizon|TestGatedTryRecvPollsHorizon|TestGatedCloseWaivesGate|TestPNodesScaling256Identity' ./internal/vclock/ ./internal/simnet/ ./internal/bench/
 
 # Campaign smoke: the campaigns no test runs whole through the command
 # line, the paper's two at the small working sets.
